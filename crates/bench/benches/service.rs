@@ -1,5 +1,5 @@
 //! Smoke benchmarks for the serving engine: cache-hit latency, cold-solve
-//! dispatch, batch fan-out, and wire-protocol codec. Sizes are tiny — the
+//! dispatch, a `BATCH` round trip over TCP, and wire-protocol codec. Sizes are tiny — the
 //! point is CI-checkable relative numbers, not paper-scale measurements.
 
 use std::cell::Cell;
@@ -12,7 +12,9 @@ use rand::SeedableRng;
 use fairhms_core::types::FairHmsInstance;
 use fairhms_data::{gen, Dataset};
 use fairhms_matroid::proportional_bounds;
-use fairhms_service::{protocol, BatchExecutor, Catalog, PreparedDataset, Query, QueryEngine};
+use fairhms_service::{
+    protocol, Catalog, PreparedDataset, Query, QueryEngine, Server, ServerConfig, WireClient,
+};
 
 fn bench_dataset(n: usize) -> Dataset {
     let mut rng = StdRng::seed_from_u64(17);
@@ -95,7 +97,8 @@ fn bench_service(c: &mut Criterion) {
             })
         });
 
-    // Batch dispatch overhead at several worker counts (warm cache).
+    // `BATCH 32` round trip over loopback TCP at several worker counts
+    // (warm cache): wire codec, event loop, worker hop and cache hit.
     let queries: Vec<Query> = (0..32)
         .map(|i| {
             let mut q = Query::new("bench", 4 + (i % 4));
@@ -104,14 +107,22 @@ fn bench_service(c: &mut Criterion) {
         })
         .collect();
     for workers in [1usize, 4] {
-        let executor = BatchExecutor::new(workers);
-        executor.execute_all(&eng, &queries); // warm the cache
+        let server = Server::spawn(
+            Arc::clone(&eng),
+            ServerConfig {
+                addr: "127.0.0.1:0".to_string(),
+                workers,
+            },
+        )
+        .unwrap();
+        let mut client = WireClient::connect(server.addr()).unwrap();
+        client.batch(&queries, false).unwrap(); // warm the cache
         group.throughput(Throughput::Elements(queries.len() as u64));
-        group.bench_with_input(
-            BenchmarkId::new("warm_batch32", workers),
-            &executor,
-            |b, ex| b.iter(|| ex.execute_all(&eng, std::hint::black_box(&queries))),
-        );
+        group.bench_function(BenchmarkId::new("warm_batch32", workers), |b| {
+            b.iter(|| client.batch(std::hint::black_box(&queries), false).unwrap())
+        });
+        drop(client);
+        server.shutdown();
     }
     group.finish();
 

@@ -31,8 +31,7 @@ use fairhms_geometry::soa::{set_kernel_backend, KernelBackend};
 use fairhms_matroid::proportional_bounds;
 use fairhms_obs::json;
 use fairhms_service::{
-    Catalog, FrontendKind, Query, QueryEngine, ServeOptions, Server, ServerConfig, TelemetryConfig,
-    WarmConfig, WireClient,
+    Catalog, Query, QueryEngine, Server, ServerConfig, TelemetryConfig, WarmConfig, WireClient,
 };
 
 const DATASET_N: usize = 2_000;
@@ -283,18 +282,14 @@ fn thread_count() -> u64 {
 /// entries) and the PING round-trip latency through the loaded poll set.
 fn idle_fanout(connections: usize) -> (u64, f64) {
     let before = thread_count();
-    let server = Server::spawn_with(
+    let server = Server::spawn(
         Arc::new(QueryEngine::new(Arc::new(Catalog::new()), 16)),
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
         },
-        ServeOptions {
-            frontend: FrontendKind::Event,
-            ..ServeOptions::default()
-        },
     )
-    .expect("spawn event server");
+    .expect("spawn server");
     let mut idle = Vec::with_capacity(connections);
     for _ in 0..connections {
         let mut c = WireClient::connect(server.addr()).expect("connect");

@@ -1,13 +1,12 @@
 //! The readiness-driven front end: one `poll(2)` loop, many connections.
 //!
-//! Selected via [`crate::server::FrontendKind::Event`]. Where the
-//! threaded front end spends one blocked OS thread per connection, this
+//! [`crate::server::Server`] runs [`run`] on its background thread. The
 //! loop owns every socket at once:
 //!
 //! * a single thread polls the listener, a self-pipe
 //!   ([`crate::reactor`]), and every connection for readiness — an idle
 //!   connection costs one poll-set entry, not a thread, and shutdown is
-//!   a wake, not a 200 ms timeout expiry;
+//!   a wake, not a timeout expiry;
 //! * each connection is a small state machine ([`Conn`]) that buffers
 //!   raw bytes, carves them into request lines (batch bodies included),
 //!   and queues encoded response frames for readiness-driven writes —
@@ -30,14 +29,12 @@
 //! ([`crate::metrics::ServiceMetrics::retry_after_ms`]). Every shed
 //! increments `shed.total`.
 //!
-//! The wire contract is bit-identical to the threaded front end (pinned
-//! by `tests/frontend_equivalence.rs`): the protocol mirror rules —
-//! line/batch size limits, lossy UTF-8 per complete line, batch bodies
-//! consumed fully before erroring, HELLO acknowledged in the previous
-//! codec — are shared with [`crate::server`] or reimplemented here to
-//! the letter. Responses per connection are delivered in request order
-//! (streamed batch frames in completion order within their batch slot),
-//! exactly as a sequential connection thread would produce them.
+//! Protocol rules: line and batch size limits, lossy UTF-8 per complete
+//! line, batch bodies consumed fully before erroring, and HELLO
+//! acknowledged in the previous codec. Responses per connection are
+//! delivered in request order (streamed batch frames in completion order
+//! within their batch slot), so a pipelining client sees exactly the
+//! frames it would get sending one request at a time.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -91,8 +88,8 @@ impl Shared {
     }
 }
 
-/// Encodes one response with a codec of `kind`, falling back exactly as
-/// the threaded path does (see [`server::encode_into`]).
+/// Encodes one response with a codec of `kind`, falling back to a typed
+/// `ERR` frame for an unencodable value (see [`server::encode_into`]).
 fn encode(kind: CodecKind, resp: &Response, m: &ServiceMetrics) -> Vec<u8> {
     let mut frame = Vec::new();
     let codec = kind.new_codec();
@@ -136,10 +133,9 @@ impl BatchEntry {
     }
 }
 
-/// One response-order FIFO entry. A sequential connection thread answers
-/// requests in arrival order; this FIFO reproduces that order under
-/// pipelining: an entry's frames reach the out-buffer only once every
-/// earlier entry has fully delivered.
+/// One response-order FIFO entry. Requests answer in arrival order even
+/// under pipelining: an entry's frames reach the out-buffer only once
+/// every earlier entry has fully delivered.
 enum Entry {
     /// Already-encoded frame(s): light control verbs, HELLO acks,
     /// protocol errors, admission sheds.
@@ -191,7 +187,7 @@ struct Conn {
     /// stops carving input (and drops read interest, so TCP backpressure
     /// bounds buffering): requests pipelined behind a `LOAD` — typically
     /// queries against the dataset being loaded — are admitted only once
-    /// it completes, exactly as the sequential threaded path orders them.
+    /// it completes, so they see its effect.
     control_inflight: usize,
     next_ticket: u64,
     /// Set by `SHUTDOWN` and by peer EOF: stop reading; the connection is
@@ -251,9 +247,8 @@ impl Conn {
     }
 
     /// Drains the socket into the in-buffer and processes every complete
-    /// line. `Err(())` means the connection must be dropped (peer closed,
-    /// I/O error, or an abuse limit hit — same conditions that make the
-    /// threaded path return an error and drop).
+    /// line. `Err(())` means the connection must be dropped (I/O error
+    /// or an abuse limit hit).
     fn on_readable(&mut self, sh: &Shared) -> Result<Outcome, ()> {
         let mut buf = [0u8; READ_CHUNK];
         let mut saw_eof = false;
@@ -271,10 +266,9 @@ impl Conn {
         }
         let outcome = self.process_input(sh)?;
         if saw_eof {
-            // A half-written request dies with the peer (the threaded
-            // path sees EOF mid-line and returns), but everything already
-            // admitted still answers into the out-buffer; close once the
-            // pending FIFO and the out-buffer have both drained.
+            // A half-written request dies with the peer, but everything
+            // already admitted still answers into the out-buffer; close
+            // once the pending FIFO and the out-buffer have both drained.
             self.closing = true;
         }
         Ok(outcome)
@@ -291,8 +285,8 @@ impl Conn {
                 break;
             };
             let end = start + pos + 1;
-            // Mirror of the threaded per-line limit (which counts the
-            // terminator): an oversized line drops the connection.
+            // The per-line limit counts the terminator; an oversized
+            // line drops the connection.
             if end - start > MAX_LINE_BYTES {
                 return Err(());
             }
@@ -320,8 +314,8 @@ impl Conn {
         if let Some(mut c) = self.collecting.take() {
             c.bytes += raw.len();
             if c.bytes > MAX_BATCH_BYTES {
-                // Connection-fatal, like the threaded path: dropping
-                // mid-batch desynchronizes the connection anyway.
+                // Connection-fatal: dropping mid-batch desynchronizes the
+                // connection anyway.
                 return Err(());
             }
             c.lines
@@ -399,9 +393,8 @@ impl Conn {
                 }
             }
             Ok(req) => {
-                let resp =
-                    server::control_response(&sh.engine, sh.workers, &sh.opts, sh.started, &req)
-                        .expect("non-control verbs are matched above");
+                let resp = server::control_response(&sh.engine, sh.workers, sh.started, &req)
+                    .expect("non-control verbs are matched above");
                 self.push_ready(&resp, sh);
             }
         }
@@ -764,8 +757,9 @@ fn accept_ready(
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
             Err(e) => {
-                // Same policy as the threaded accept loop: transient
-                // failures must not take the service down.
+                // Transient accept failures (ECONNABORTED from a client
+                // that reset mid-handshake, EMFILE under load, …) must
+                // not take the service down; retry on the next wake.
                 eprintln!("fairhms-service: accept error (continuing): {e}");
                 break;
             }
@@ -776,6 +770,11 @@ fn accept_ready(
 /// The event loop. Runs until `stop` is observed (set externally and
 /// signalled through the waker, or by a client `SHUTDOWN`); on exit it
 /// closes the solve queue and joins the worker pool.
+///
+/// A client `SHUTDOWN` stops reading and accepting at once, but the loop
+/// keeps delivering completions until every request that connection sent
+/// before it has answered, so a pipelined `QUERY`+`SHUTDOWN` receives
+/// the answer and then `OK bye`.
 #[allow(clippy::too_many_arguments)]
 #[allow(clippy::disallowed_methods)] // shutdown drain deadline; see R5 waiver inside
 pub(crate) fn run(
@@ -816,24 +815,30 @@ pub(crate) fn run(
     let mut next_generation = 0u64;
     let mut fds: Vec<PollFd> = Vec::new();
     let mut slots: Vec<usize> = Vec::new();
+    // The slot of the connection that sent `SHUTDOWN`, once one has.
+    let mut shutdown: Option<usize> = None;
 
     // ordering: stop flag is a rare, correctness-critical edge; SeqCst
     // keeps shutdown visible without reasoning about weaker pairs.
     while !stop.load(Ordering::SeqCst) {
         // (Re)build the poll set: wake pipe, listener, then every open
-        // connection — read interest unless closing, write interest when
-        // output is buffered.
+        // connection — read interest unless closing or shutting down,
+        // write interest when output is buffered.
+        let reading = shutdown.is_none();
         fds.clear();
         slots.clear();
         fds.push(PollFd::new(pipe.fd(), POLLIN));
-        fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
+        fds.push(PollFd::new(
+            listener.as_raw_fd(),
+            if reading { POLLIN } else { 0 },
+        ));
         for (slot, c) in conns.iter().enumerate() {
             let Some(c) = c else { continue };
             let mut events = 0i16;
             // No read interest while closing, or while a control barrier
             // parks this connection's input (TCP backpressure bounds what
             // the client can buffer at us in the meantime).
-            if !c.closing && c.control_inflight == 0 {
+            if reading && !c.closing && c.control_inflight == 0 {
                 events |= POLLIN;
             }
             if c.has_output() {
@@ -848,7 +853,6 @@ pub(crate) fn run(
         }
         // Block indefinitely: every state change that matters arrives as
         // readiness or as a self-pipe wake (solve completions, shutdown).
-        // This is what replaces the threaded path's 200 ms timeout spin.
         if poll(&mut fds, -1).is_err() {
             std::thread::sleep(std::time::Duration::from_millis(5));
             continue;
@@ -876,20 +880,29 @@ pub(crate) fn run(
             conn.complete(done, &sh.metrics);
         }
 
-        if fds[1].ready(POLLIN) {
+        if reading && fds[1].ready(POLLIN) {
             accept_ready(&listener, &mut conns, &mut open, &mut next_generation, &sh);
         }
 
         // Readable connections make progress on their input.
-        let mut shutdown_conn: Option<usize> = None;
         for (i, slot) in slots.iter().enumerate() {
             let fd = &fds[i + 2];
             let Some(conn) = conns[*slot].as_mut() else {
                 continue;
             };
-            if fd.ready(POLLIN) && !conn.closing {
+            if !fd.ready(POLLIN) {
+                continue;
+            }
+            if !reading {
+                // No read interest: readiness is an error or hang-up, and
+                // nobody is left to answer.
+                conns[*slot] = None;
+                open -= 1;
+            } else if !conn.closing {
                 match conn.on_readable(&sh) {
-                    Ok(Outcome::Shutdown) => shutdown_conn = Some(*slot),
+                    Ok(Outcome::Shutdown) => {
+                        shutdown.get_or_insert(*slot);
+                    }
                     Ok(Outcome::Continue) => {}
                     Err(()) => {
                         conns[*slot] = None;
@@ -910,9 +923,13 @@ pub(crate) fn run(
             // parked in the in-buffer; resume them now — no new socket
             // event will re-trigger processing.
             let mut dead = false;
-            if conn.control_inflight == 0 && !conn.discard_input && !conn.inbuf.is_empty() {
+            if shutdown.is_none()
+                && conn.control_inflight == 0
+                && !conn.discard_input
+                && !conn.inbuf.is_empty()
+            {
                 match conn.process_input(&sh) {
-                    Ok(Outcome::Shutdown) => shutdown_conn = Some(slot),
+                    Ok(Outcome::Shutdown) => shutdown = Some(slot),
                     Ok(Outcome::Continue) => {}
                     Err(()) => dead = true,
                 }
@@ -930,10 +947,14 @@ pub(crate) fn run(
             }
         }
 
-        if let Some(slot) = shutdown_conn {
-            // `SHUTDOWN`: make sure the `OK bye` reaches the client (its
-            // frame is tiny; one bounded POLLOUT wait covers a full
-            // socket buffer), then stop.
+        if let Some(slot) = shutdown {
+            // `SHUTDOWN`: wait (completions wake the loop) until every
+            // request ahead of it has answered, then make sure the
+            // `OK bye` reaches the client (its frame is tiny; one bounded
+            // POLLOUT wait covers a full socket buffer), then stop.
+            if conns[slot].as_ref().is_some_and(|c| !c.pending.is_empty()) {
+                continue;
+            }
             if let Some(conn) = conns[slot].as_mut() {
                 // fairhms-lint: allow(R5) bounded shutdown drain: makes
                 // sure `OK bye` reaches the client, once per process exit.

@@ -1,23 +1,21 @@
-//! Deterministic fan-out of query batches across std threads.
+//! The worker side of the event front end: a **bounded, long-lived**
+//! `SolveQueue` drained by a resident `WorkerPool`.
 //!
-//! No async runtime: workers are scoped `std::thread`s pulling indices
-//! from a shared atomic counter and reporting `(index, result)` pairs over
-//! an `mpsc` channel. Results are reassembled **by input index**, so the
-//! output vector is a pure function of `(engine state, queries)` — worker
-//! count and OS scheduling affect only wall-clock time, never payloads
-//! (each query's answer is solved from a per-query seed, not from shared
-//! RNG state).
+//! No async runtime: workers are named `std::thread`s blocking on the
+//! queue's condvar, and each completion travels back to the event loop
+//! over an `mpsc` channel followed by a self-pipe wake. Completions carry
+//! their connection ticket and batch index, so the loop reassembles
+//! answers by request position — worker count and OS scheduling affect
+//! only wall-clock time, never payloads (each query's answer is solved
+//! from a per-query seed, not from shared RNG state).
 //!
-//! The event front end adds a second execution shape: a **bounded,
-//! long-lived** `SolveQueue` drained by a resident `WorkerPool`,
-//! instead of per-batch scoped threads. The bound is the admission-control
-//! backstop — when the queue is full the server sheds with `ERR busy`
-//! rather than buffering without limit — and workers apply the optional
-//! queue *deadline*: a job that sat queued longer than the client would
-//! plausibly wait is shed at dequeue time instead of wasting a solve.
+//! The bound is the admission-control backstop — when the queue is full
+//! the server sheds with `ERR busy` rather than buffering without limit —
+//! and workers apply the optional queue *deadline*: a job that sat
+//! queued longer than the client would plausibly wait is shed at dequeue
+//! time instead of wasting a solve.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 
 use fairhms_obs::sync::{lock_or_recover, wait_or_recover};
@@ -30,161 +28,6 @@ use crate::query::Query;
 use crate::reactor::Waker;
 use crate::server::{self, ServeOptions};
 use crate::ServiceError;
-
-/// Executes `queries[i]`, recording `executor.queue_wait` (submission →
-/// worker claim) and `executor.run` (the execution itself) when
-/// telemetry is on. `batch_start` is `None` exactly when telemetry is
-/// off, so the disabled path never reads the clock here.
-fn execute_one(
-    engine: &QueryEngine,
-    batch_start: Option<Instant>,
-    q: &Query,
-) -> Result<QueryResponse, ServiceError> {
-    let Some(start) = batch_start else {
-        return engine.execute(q);
-    };
-    let m = engine.metrics();
-    let waited = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    m.queue_wait.record(waited);
-    let _run = m.recorder().span(&m.run);
-    engine.execute(q)
-}
-
-/// A fixed-width thread-pool executor for query batches.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchExecutor {
-    workers: usize,
-}
-
-impl Default for BatchExecutor {
-    fn default() -> Self {
-        Self::new(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-        )
-    }
-}
-
-impl BatchExecutor {
-    /// An executor running at most `workers` concurrent solves
-    /// (minimum 1).
-    pub fn new(workers: usize) -> Self {
-        Self {
-            workers: workers.max(1),
-        }
-    }
-
-    /// Configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Executes every query, returning results in input order.
-    ///
-    /// Individual failures are per-slot `Err`s; one bad query never poisons
-    /// the batch.
-    #[allow(clippy::disallowed_methods)] // Instant::now is recorder-gated here (R5)
-    pub fn execute_all(
-        &self,
-        engine: &QueryEngine,
-        queries: &[Query],
-    ) -> Vec<Result<QueryResponse, ServiceError>> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let batch_start = engine.metrics().enabled().then(Instant::now);
-        let workers = self.workers.min(queries.len());
-        if workers == 1 {
-            return queries
-                .iter()
-                .map(|q| execute_one(engine, batch_start, q))
-                .collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Result<QueryResponse, ServiceError>)>();
-        let mut out: Vec<Option<Result<QueryResponse, ServiceError>>> =
-            (0..queries.len()).map(|_| None).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                scope.spawn(move || loop {
-                    // ordering: work-claim index; fetch_add uniqueness is all that is
-                    // needed, results are written to disjoint slots.
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= queries.len() {
-                        break;
-                    }
-                    // A send can only fail if the receiver was dropped,
-                    // which cannot happen while this scope is alive.
-                    let _ = tx.send((i, execute_one(engine, batch_start, &queries[i])));
-                });
-            }
-            drop(tx);
-            for (i, res) in rx {
-                out[i] = Some(res);
-            }
-        });
-
-        out.into_iter()
-            .map(|slot| slot.expect("every index is claimed exactly once"))
-            .collect()
-    }
-
-    /// Executes every query, delivering each `(index, result)` to
-    /// `deliver` **as it completes** instead of buffering the batch.
-    ///
-    /// This is the engine side of `BATCH n stream=true`: workers report
-    /// over the same per-completion mpsc channel `execute_all` uses, but
-    /// the channel drains straight into `deliver` (called on the
-    /// caller's thread, so an `FnMut` writing to a socket needs no
-    /// locking). Completion *order* depends on scheduling; the payload
-    /// delivered for each index does not — reassembling by index yields
-    /// exactly [`BatchExecutor::execute_all`]'s output (pinned by tests),
-    /// which is why the wire protocol tags streamed frames with `seq`.
-    #[allow(clippy::disallowed_methods)] // Instant::now is recorder-gated here (R5)
-    pub fn execute_streaming<F>(&self, engine: &QueryEngine, queries: &[Query], mut deliver: F)
-    where
-        F: FnMut(usize, Result<QueryResponse, ServiceError>),
-    {
-        if queries.is_empty() {
-            return;
-        }
-        let batch_start = engine.metrics().enabled().then(Instant::now);
-        let workers = self.workers.min(queries.len());
-        if workers == 1 {
-            for (i, q) in queries.iter().enumerate() {
-                deliver(i, execute_one(engine, batch_start, q));
-            }
-            return;
-        }
-
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Result<QueryResponse, ServiceError>)>();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                scope.spawn(move || loop {
-                    // ordering: work-claim index; fetch_add uniqueness is all that is
-                    // needed, results are written to disjoint slots.
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= queries.len() {
-                        break;
-                    }
-                    let _ = tx.send((i, execute_one(engine, batch_start, &queries[i])));
-                });
-            }
-            drop(tx);
-            for (i, res) in rx {
-                deliver(i, res);
-            }
-        });
-    }
-}
 
 /// What a queued job executes on a worker.
 #[derive(Debug)]
@@ -496,12 +339,54 @@ mod tests {
             .collect()
     }
 
+    /// Runs `queries` through a `workers`-wide pool as one batch (the
+    /// event loop's shape: one job per slot, tagged with its index) and
+    /// reassembles the completions by batch index.
+    fn run_pool(
+        eng: &Arc<QueryEngine>,
+        workers: usize,
+        queries: &[Query],
+    ) -> Vec<Result<QueryResponse, ServiceError>> {
+        let queue = SolveQueue::new(queries.len(), Arc::clone(eng.metrics()));
+        let (_pipe, waker) = crate::reactor::wake_pair().unwrap();
+        let (tx, rx) = mpsc::channel();
+        let pool = WorkerPool::spawn(
+            workers,
+            Arc::clone(eng),
+            Arc::clone(&queue),
+            tx,
+            waker,
+            None,
+            Arc::new(ServeOptions::default()),
+        );
+        for (i, q) in queries.iter().enumerate() {
+            let mut slot = job(0);
+            slot.batch_index = Some(i);
+            slot.work = WorkItem::Solve(Box::new(q.clone()));
+            queue.try_push(slot).unwrap();
+        }
+        let mut out: Vec<Option<Result<QueryResponse, ServiceError>>> =
+            (0..queries.len()).map(|_| None).collect();
+        for _ in 0..queries.len() {
+            let d = rx.recv().unwrap();
+            let i = d.batch_index.expect("batch jobs carry their index");
+            let WorkDone::Solve { result, .. } = d.done else {
+                panic!("expected a solve outcome, got {:?}", d.done);
+            };
+            assert!(out[i].is_none(), "index {i} delivered twice");
+            out[i] = Some(result);
+        }
+        queue.close();
+        pool.join();
+        out.into_iter().map(Option::unwrap).collect()
+    }
+
     #[test]
     fn output_independent_of_worker_count() {
         let qs = batch();
-        let reference = payloads(&BatchExecutor::new(1).execute_all(&engine(), &qs));
-        for workers in [2, 3, 8, 32] {
-            let got = payloads(&BatchExecutor::new(workers).execute_all(&engine(), &qs));
+        let reference = payloads(&run_pool(&Arc::new(engine()), 1, &qs));
+        for workers in [2, 3, 8] {
+            let got = payloads(&run_pool(&Arc::new(engine()), workers, &qs));
             assert_eq!(got, reference, "worker count {workers} changed payloads");
         }
     }
@@ -509,50 +394,13 @@ mod tests {
     #[test]
     fn per_slot_errors_do_not_poison_the_batch() {
         let qs = batch();
-        let results = BatchExecutor::new(4).execute_all(&engine(), &qs);
+        let results = run_pool(&Arc::new(engine()), 4, &qs);
         assert_eq!(results.len(), qs.len());
         assert!(results[..qs.len() - 1].iter().all(|r| r.is_ok()));
         assert!(matches!(
             results[qs.len() - 1],
             Err(ServiceError::UnknownDataset { .. })
         ));
-    }
-
-    #[test]
-    fn streaming_delivery_reassembles_to_execute_all_output() {
-        let eng = engine();
-        let qs = batch();
-        let reference = payloads(&BatchExecutor::new(1).execute_all(&eng, &qs));
-        for workers in [1usize, 2, 3, 8] {
-            let ex = BatchExecutor::new(workers);
-            let mut slots: Vec<Option<Option<Vec<usize>>>> = vec![None; qs.len()];
-            let mut arrivals = Vec::new();
-            ex.execute_streaming(&eng, &qs, |i, r| {
-                arrivals.push(i);
-                assert!(slots[i].is_none(), "index {i} delivered twice");
-                slots[i] = Some(r.ok().map(|resp| resp.answer.indices.clone()));
-            });
-            // every index delivered exactly once…
-            let mut sorted = arrivals.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, (0..qs.len()).collect::<Vec<_>>());
-            // …and reassembly by index equals the buffered output.
-            let got: Vec<Option<Vec<usize>>> = slots.into_iter().map(|s| s.unwrap()).collect();
-            assert_eq!(got, reference, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn streaming_empty_batch_delivers_nothing() {
-        BatchExecutor::default()
-            .execute_streaming(&engine(), &[], |_, _| panic!("no deliveries expected"));
-    }
-
-    #[test]
-    fn empty_batch_is_fine() {
-        assert!(BatchExecutor::default()
-            .execute_all(&engine(), &[])
-            .is_empty());
     }
 
     fn job(ticket: u64) -> SolveJob {
@@ -674,9 +522,9 @@ mod tests {
 
     #[test]
     fn duplicate_queries_solve_once() {
-        let eng = engine();
+        let eng = Arc::new(engine());
         let qs: Vec<Query> = (0..24).map(|_| Query::new("toy", 3)).collect();
-        let results = BatchExecutor::new(8).execute_all(&eng, &qs);
+        let results = run_pool(&eng, 8, &qs);
         assert!(results.iter().all(|r| r.is_ok()));
         // Single-flight: exactly one cold solve even under concurrency;
         // all 23 other executions were served from the cache.

@@ -20,9 +20,6 @@
 //!   answers;
 //! * [`engine`] — the [`QueryEngine`] tying catalog + cache + the
 //!   [`fairhms_core::registry::by_name`] algorithm factory together;
-//! * [`executor`] — a [`BatchExecutor`] fan-out over std threads and
-//!   channels (no async runtime) whose output is independent of worker
-//!   count and scheduling;
 //! * [`metrics`] — the [`ServiceMetrics`] telemetry surface: per-stage
 //!   latency histograms, request-lifecycle spans, and gauges, exported
 //!   over the `METRICS` wire verb and the bench JSON snapshot (built on
@@ -37,12 +34,13 @@
 //! * [`reactor`] — a thin std-only wrapper over `poll(2)` plus a
 //!   self-pipe [`reactor::Waker`], the readiness layer under the event
 //!   front end;
-//! * [`server`] — the TCP front ends (`fairhms serve`): the classic
-//!   thread-per-connection loop and the event-driven multiplexer
-//!   (selected by [`FrontendKind`]), with streamed batch delivery,
-//!   admission control (bounded solve queue, per-connection quotas,
-//!   deadline shedding with `retry_after_ms`), the `LOAD` admin verb,
-//!   and the `APPEND`/`DELETE` mutation verbs (incremental skyline
+//! * [`server`] — the TCP front end (`fairhms serve`): one `poll(2)`
+//!   event loop owning every connection, with solves on a resident
+//!   worker pool behind a bounded queue (no async runtime; output is
+//!   independent of worker count and scheduling), streamed batch
+//!   delivery, admission control (bounded solve queue, per-connection
+//!   quotas, deadline shedding with `retry_after_ms`), the `LOAD` admin
+//!   verb, and the `APPEND`/`DELETE` mutation verbs (incremental skyline
 //!   maintenance with per-group generation digests and delta cache
 //!   invalidation — see `docs/ARCHITECTURE.md`).
 //!
@@ -72,7 +70,7 @@ pub mod client;
 pub mod codec;
 pub mod engine;
 mod event;
-pub mod executor;
+mod executor;
 pub mod metrics;
 pub mod protocol;
 pub mod query;
@@ -88,11 +86,10 @@ pub use catalog::{
 pub use client::WireClient;
 pub use codec::{BinaryCodec, Codec, CodecKind, TextCodec};
 pub use engine::{Answer, MutationReport, QueryEngine, QueryResponse, StageTimings};
-pub use executor::BatchExecutor;
 pub use metrics::{MetricsSnapshot, ServiceMetrics, TelemetryConfig};
 pub use protocol::{Request, Response, WireAnswer, WireHistogram};
 pub use query::Query;
-pub use server::{FrontendKind, ServeOptions, Server, ServerConfig};
+pub use server::{ServeOptions, Server, ServerConfig};
 pub use warmstart::{WarmConfig, WarmEntry, WarmKey, WarmStartCache, WarmStats};
 
 use fairhms_core::types::CoreError;

@@ -11,18 +11,16 @@
 //!
 //! | name | recorded by | covers |
 //! |------|-------------|--------|
-//! | `server.read` | server | blocking wait for the next request line/frame (includes client idle time) |
 //! | `server.decode` | server | parsing one request (text verb or binary frame) |
 //! | `server.encode` | server | rendering one response through the negotiated codec |
-//! | `server.flush` | server | flushing the response to the socket |
 //! | `engine.cache_lookup` | engine | solution-cache consultation (hit or miss) |
 //! | `engine.flight_wait` | engine | blocked on another worker's identical in-flight solve |
 //! | `engine.warm_probe` | engine | warm-start tier lookup |
 //! | `engine.solve.<family>` | engine | the cold solve, labeled per registry algorithm family |
 //! | `catalog.shard_prep` | catalog | per-shard normalize + skyline work (one observation per shard) |
 //! | `catalog.merge` | catalog | deterministic shard-skyline merge |
-//! | `executor.queue_wait` | executor | batch query sat queued before a worker claimed it |
-//! | `executor.run` | executor | worker executing one batch query |
+//! | `executor.queue_wait` | executor | job sat in the solve queue before a worker claimed it |
+//! | `executor.run` | executor | worker executing one query |
 //!
 //! Gauges: `conn.active` (open connections), `streams.active` (streamed
 //! batches in flight), `queue.depth` (solves waiting in the bounded
@@ -80,14 +78,10 @@ impl TelemetryConfig {
 #[derive(Debug)]
 pub struct ServiceMetrics {
     recorder: Recorder,
-    /// `server.read` — wait for the next request (includes client idle).
-    pub read: Histogram,
     /// `server.decode` — request parse.
     pub decode: Histogram,
     /// `server.encode` — response render.
     pub encode: Histogram,
-    /// `server.flush` — socket flush.
-    pub flush: Histogram,
     /// `engine.cache_lookup` — solution-cache consultation.
     pub cache_lookup: Histogram,
     /// `engine.flight_wait` — blocked on an identical in-flight solve.
@@ -101,9 +95,9 @@ pub struct ServiceMetrics {
     pub shard_prep: Histogram,
     /// `catalog.merge` — shard-skyline merge.
     pub merge: Histogram,
-    /// `executor.queue_wait` — batch query queued before claim.
+    /// `executor.queue_wait` — job queued before a worker claimed it.
     pub queue_wait: Histogram,
-    /// `executor.run` — worker executing one batch query.
+    /// `executor.run` — worker executing one query.
     pub run: Histogram,
     /// `conn.active` — open connections.
     pub conn_active: Gauge,
@@ -142,10 +136,8 @@ impl ServiceMetrics {
             } else {
                 Recorder::disabled()
             },
-            read: Histogram::new(),
             decode: Histogram::new(),
             encode: Histogram::new(),
-            flush: Histogram::new(),
             cache_lookup: Histogram::new(),
             flight_wait: Histogram::new(),
             warm_probe: Histogram::new(),
@@ -192,10 +184,8 @@ impl ServiceMetrics {
     /// those as delimiters.
     pub fn histograms(&self) -> Vec<(String, &Histogram)> {
         let mut out: Vec<(String, &Histogram)> = vec![
-            ("server.read".into(), &self.read),
             ("server.decode".into(), &self.decode),
             ("server.encode".into(), &self.encode),
-            ("server.flush".into(), &self.flush),
             ("engine.cache_lookup".into(), &self.cache_lookup),
             ("engine.flight_wait".into(), &self.flight_wait),
             ("engine.warm_probe".into(), &self.warm_probe),
@@ -412,10 +402,10 @@ mod tests {
     #[test]
     fn snapshot_json_shape() {
         let m = ServiceMetrics::new(true);
-        m.read.record(50);
+        m.decode.record(50);
         let j = m.snapshot().to_json();
         assert!(j.starts_with("{\"enabled\":true"));
         assert!(j.contains("\"counters\":{"));
-        assert!(j.contains("\"server.read\":{\"count\":1"));
+        assert!(j.contains("\"server.decode\":{\"count\":1"));
     }
 }

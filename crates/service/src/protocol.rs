@@ -177,8 +177,7 @@ pub enum Response {
         /// Queries executed by the engine since start (decoding
         /// tolerates absence, defaulting to 0).
         total_queries: u64,
-        /// Solves waiting in the bounded admission queue right now
-        /// (0 on the threaded front end, which has no global queue).
+        /// Solves waiting in the bounded admission queue right now.
         /// Decoding tolerates absence — pre-admission-control
         /// transcripts parse with 0, like the tiers before it.
         queue_depth: u64,

@@ -1,6 +1,6 @@
 //! A thin, std-only readiness layer: `poll(2)` plus a self-pipe waker.
 //!
-//! The event front end ([`crate::server::FrontendKind::Event`]) needs two
+//! The server's event loop (`crate::event`) needs two
 //! primitives the standard library does not expose: waiting for readiness
 //! on many sockets at once, and waking that wait from another thread.
 //! Both are decades-old POSIX idioms, small enough to vendor here rather
@@ -12,10 +12,8 @@
 //! * [`WakePipe`]/[`Waker`] implement the classic self-pipe trick over a
 //!   `UnixStream` pair: the event loop polls the read end alongside its
 //!   sockets, and any thread holding the cloneable [`Waker`] makes the
-//!   loop return immediately by writing one byte. This is what removes
-//!   the 200 ms `set_read_timeout` shutdown spin the threaded front end
-//!   needs — shutdown and solve completions *wake* the loop instead of
-//!   waiting out a timeout.
+//!   loop return immediately by writing one byte, so shutdown and solve
+//!   completions *wake* the loop instead of waiting out a timeout.
 //!
 //! Everything here is Unix-only in practice (the crate already is: the
 //! serve loop relies on Unix socket semantics in its tests), but only the

@@ -1,103 +1,52 @@
-//! Std-only TCP front ends.
+//! The std-only TCP server behind `fairhms serve`.
 //!
-//! Two selectable serving strategies ([`FrontendKind`]) share one
-//! protocol implementation and are contractually bit-identical on the
-//! wire (pinned by `tests/frontend_equivalence.rs`):
+//! [`Server`] binds the listener and runs the readiness-driven front end
+//! (`crate::event`, built on [`crate::reactor`]) on a background thread:
+//! one loop thread owns every socket via `poll(2)`, per-connection state
+//! machines carve requests and answer with typed [`Response`] frames
+//! through the connection's negotiated codec, and solves run on a
+//! resident `executor::WorkerPool` behind a **bounded**
+//! `executor::SolveQueue`. Idle connections cost a poll-set entry, not a
+//! thread, and shutdown is immediate (self-pipe wake, no timeout spin).
 //!
-//! * **Threaded** — one thread per connection (the historical default),
-//!   reading newline-delimited requests and answering with typed
-//!   [`Response`] frames through the connection's negotiated [`Codec`].
-//!   `BATCH n` requests fan out over the server's [`BatchExecutor`];
-//!   idle connections cost a blocked thread each, woken every 200 ms to
-//!   check the stop flag.
-//! * **Event** — a readiness-driven multiplexer (`crate::event`, built
-//!   on [`crate::reactor`]): one loop thread owns every socket via
-//!   `poll(2)`, per-connection state machines pump the codec
-//!   incrementally, and solves run on a resident
-//!   `executor::WorkerPool` behind a **bounded**
-//!   `executor::SolveQueue`. Idle connections cost a poll-set
-//!   entry, not a thread, and shutdown is immediate (self-pipe wake, no
-//!   timeout spin).
+//! This module keeps the protocol pieces the event loop calls: response
+//! encoding (`encode_into`), the control-plane verbs, the `LOAD`/
+//! `APPEND`/`DELETE` handlers, batch-body parsing, the slow-query log,
+//! the stream gate, and the request size limits.
 //!
-//! Admission control spans both: the [`ServeOptions::max_stream_batches`]
-//! gate bounds concurrently streaming batches everywhere, and the event
-//! front end adds per-connection quotas
-//! ([`ServeOptions::max_inflight_queries`],
-//! [`ServeOptions::max_conn_batches`]), a connection cap
-//! ([`ServeOptions::max_conns`]), and queue bounds
-//! ([`ServeOptions::queue_depth`], [`ServeOptions::queue_deadline_ms`]).
-//! Every shed answers `ERR busy` carrying `retry_after_ms` back-off
-//! advice. No async runtime, no external protocol dependencies.
+//! Admission control: the [`ServeOptions::max_stream_batches`] gate
+//! bounds concurrently streaming batches server-wide, per-connection
+//! quotas ([`ServeOptions::max_inflight_queries`],
+//! [`ServeOptions::max_conn_batches`]) bound pipelining, a connection cap
+//! ([`ServeOptions::max_conns`]) bounds state, and queue bounds
+//! ([`ServeOptions::queue_depth`], [`ServeOptions::queue_deadline_ms`])
+//! bound waiting work. Every shed answers `ERR busy` carrying
+//! `retry_after_ms` back-off advice. No async runtime, no external
+//! protocol dependencies.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use fairhms_core::registry::ALGORITHM_NAMES;
 
-use crate::codec::{Codec, CodecKind};
+use crate::codec::Codec;
 use crate::engine::{QueryEngine, QueryResponse};
-use crate::executor::BatchExecutor;
 use crate::metrics::ServiceMetrics;
 use crate::protocol::{self, Request, Response};
 use crate::query::Query;
 use crate::reactor::Waker;
 use crate::ServiceError;
 
-/// Which serving strategy `fairhms serve` runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrontendKind {
-    /// One OS thread per connection (the historical default).
-    #[default]
-    Threaded,
-    /// One `poll(2)` event loop plus a resident solve worker pool.
-    Event,
-}
-
-impl FrontendKind {
-    /// Parses a front-end name as given to `serve --frontend <name>`.
-    pub fn parse(s: &str) -> Option<FrontendKind> {
-        match s.to_ascii_lowercase().as_str() {
-            "threaded" | "thread" => Some(FrontendKind::Threaded),
-            "event" => Some(FrontendKind::Event),
-            _ => None,
-        }
-    }
-
-    /// The front end test hooks select via `FAIRHMS_TEST_FRONTEND`
-    /// (`threaded`/`event`), defaulting to threaded.
-    ///
-    /// Mirrors `FAIRHMS_TEST_SHARDS`/`FAIRHMS_TEST_CODEC`: `scripts/
-    /// ci.sh` re-runs the whole service suite once per front end, so
-    /// every TCP test exercises both serving strategies without
-    /// duplicating test bodies.
-    pub fn from_env() -> FrontendKind {
-        std::env::var("FAIRHMS_TEST_FRONTEND")
-            .ok()
-            .and_then(|v| FrontendKind::parse(&v))
-            .unwrap_or(FrontendKind::Threaded)
-    }
-}
-
-impl std::fmt::Display for FrontendKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            FrontendKind::Threaded => "threaded",
-            FrontendKind::Event => "event",
-        })
-    }
-}
-
 /// Server tunables.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Listen address, e.g. `127.0.0.1:4077` (`:0` for an OS-chosen port).
     pub addr: String,
-    /// Worker threads per `BATCH` request.
+    /// Resident solve worker threads.
     pub workers: usize,
 }
 
@@ -105,7 +54,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:4077".to_string(),
-            workers: BatchExecutor::default().workers(),
+            workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
         }
     }
 }
@@ -121,11 +70,9 @@ pub struct ServeOptions {
     /// directory — see [`crate::catalog::resolve_under_root`].
     pub load_root: Option<PathBuf>,
     /// Server-wide cap on concurrently *streaming* batches
-    /// (`BATCH n stream=true`). The connection loop is sequential, so
-    /// each connection holds at most one stream; this gate bounds the
-    /// total across connections and answers `ERR busy: …` beyond it —
-    /// the first concrete admission-control/backpressure knob. `0`
-    /// disables streaming outright.
+    /// (`BATCH n stream=true`), summed across connections; a streamed
+    /// batch beyond it answers `ERR busy: …`. `0` disables streaming
+    /// outright.
     pub max_stream_batches: usize,
     /// Slow-query log threshold in milliseconds. `None` (the default)
     /// disables the log; `Some(n)` prints one structured line on stderr
@@ -140,29 +87,25 @@ pub struct ServeOptions {
     /// [`crate::metrics::TelemetryConfig::from_env`], honouring
     /// `FAIRHMS_TEST_TELEMETRY`.
     pub telemetry: crate::metrics::TelemetryConfig,
-    /// Which serving strategy to run. Defaults to
-    /// [`FrontendKind::from_env`], honouring `FAIRHMS_TEST_FRONTEND` so
-    /// CI runs the whole suite over both front ends.
-    pub frontend: FrontendKind,
-    /// Maximum simultaneously open connections (event front end). An
-    /// accept beyond the cap is answered with a best-effort `ERR busy`
-    /// line and closed immediately.
+    /// Maximum simultaneously open connections. An accept beyond the cap
+    /// is answered with a best-effort `ERR busy` line and closed
+    /// immediately.
     pub max_conns: usize,
     /// Bound on the global solve queue between the event loop and its
     /// workers. A `QUERY` (or batch slot) arriving while the queue is
     /// full is shed with `ERR busy` + retry advice. `0` sheds every
     /// solve — the deterministic-overload test hook.
     pub queue_depth: usize,
-    /// Queue-time budget in milliseconds (event front end): a solve
-    /// dequeued after waiting longer is shed instead of executed — the
-    /// client has likely timed out, so finishing the solve only wastes a
-    /// worker. `None` disables deadline shedding.
+    /// Queue-time budget in milliseconds: a solve dequeued after waiting
+    /// longer is shed instead of executed — the client has likely timed
+    /// out, so finishing the solve only wastes a worker. `None` disables
+    /// deadline shedding.
     pub queue_deadline_ms: Option<u64>,
-    /// Per-connection cap on in-flight single `QUERY`s (event front
-    /// end): a pipelining client beyond it is shed with `ERR busy`.
+    /// Per-connection cap on in-flight single `QUERY`s: a pipelining
+    /// client beyond it is shed with `ERR busy`.
     pub max_inflight_queries: usize,
-    /// Per-connection cap on concurrently executing batches (event
-    /// front end), on top of the server-wide stream gate.
+    /// Per-connection cap on concurrently executing batches, on top of
+    /// the server-wide stream gate.
     pub max_conn_batches: usize,
 }
 
@@ -173,7 +116,6 @@ impl Default for ServeOptions {
             max_stream_batches: 8,
             slow_query_ms: None,
             telemetry: crate::metrics::TelemetryConfig::from_env(),
-            frontend: FrontendKind::from_env(),
             max_conns: 1024,
             queue_depth: 256,
             queue_deadline_ms: Some(5_000),
@@ -192,13 +134,12 @@ pub(crate) struct StreamGate {
     max: usize,
 }
 
-/// Releases its [`StreamGate`] slot on drop — including when a streaming
-/// write fails mid-batch or the connection dies with a batch in flight,
-/// so a dying client can never leak a permit. Owned (no borrow of the
-/// gate): the event front end stores permits inside per-connection state
-/// that outlives any single call frame. Carries the metrics handle so
-/// the `streams.active` gauge (telemetry-gated) tracks the permit's
-/// lifetime on both front ends.
+/// Releases its [`StreamGate`] slot on drop — including when the
+/// connection dies with a batch in flight, so a dying client can never
+/// leak a permit. Owned (no borrow of the gate): permits live inside
+/// per-connection state that outlives any single call frame. Carries the
+/// metrics handle so the `streams.active` gauge (telemetry-gated) tracks
+/// the permit's lifetime.
 #[derive(Debug)]
 pub(crate) struct StreamPermit {
     active: Arc<AtomicUsize>,
@@ -274,21 +215,21 @@ pub(crate) fn gate_busy(
     }
 }
 
-/// A running server: background accept loop + shutdown handle.
+/// A running server: background event loop + shutdown handle.
 pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     handle: JoinHandle<()>,
-    /// Present on the event front end: wakes the `poll(2)` loop so
-    /// shutdown is immediate instead of waiting out a timeout.
-    waker: Option<Waker>,
+    /// Wakes the `poll(2)` loop so shutdown is immediate instead of
+    /// waiting out a timeout.
+    waker: Waker,
 }
 
 impl Server {
-    /// Binds `cfg.addr` and starts the accept loop on a background
-    /// thread with default [`ServeOptions`] (`LOAD` disabled). The
-    /// returned handle reports the bound address (useful with port 0)
-    /// and can stop the server.
+    /// Binds `cfg.addr` and starts the event loop on a background thread
+    /// with default [`ServeOptions`] (`LOAD` disabled). The returned
+    /// handle reports the bound address (useful with port 0) and can
+    /// stop the server.
     pub fn spawn(engine: Arc<QueryEngine>, cfg: ServerConfig) -> Result<Server, ServiceError> {
         Server::spawn_with(engine, cfg, ServeOptions::default())
     }
@@ -302,9 +243,7 @@ impl Server {
     ) -> Result<Server, ServiceError> {
         let listener = bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        // Nonblocking on both front ends: the threaded accept loop polls
-        // with a short sleep so it notices `stop`; the event loop waits
-        // for listener readiness via `poll(2)`.
+        // The event loop waits for listener readiness via `poll(2)`.
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let loop_stop = Arc::clone(&stop);
@@ -312,36 +251,20 @@ impl Server {
         // fairhms-lint: allow(R5) server birth stamp: feeds the STATS
         // uptime_secs wire field, read once per STATS — not a hot path.
         let started = Instant::now();
-        match opts.frontend {
-            FrontendKind::Threaded => {
-                let executor = BatchExecutor::new(cfg.workers);
-                let handle = std::thread::spawn(move || {
-                    accept_loop(listener, engine, executor, loop_stop, opts, started);
-                });
-                Ok(Server {
-                    addr,
-                    stop,
-                    handle,
-                    waker: None,
-                })
-            }
-            FrontendKind::Event => {
-                let (pipe, waker) = crate::reactor::wake_pair()?;
-                let loop_waker = waker.clone();
-                let workers = cfg.workers;
-                let handle = std::thread::spawn(move || {
-                    crate::event::run(
-                        listener, engine, workers, loop_stop, opts, started, pipe, loop_waker,
-                    );
-                });
-                Ok(Server {
-                    addr,
-                    stop,
-                    handle,
-                    waker: Some(waker),
-                })
-            }
-        }
+        let (pipe, waker) = crate::reactor::wake_pair()?;
+        let loop_waker = waker.clone();
+        let workers = cfg.workers;
+        let handle = std::thread::spawn(move || {
+            crate::event::run(
+                listener, engine, workers, loop_stop, opts, started, pipe, loop_waker,
+            );
+        });
+        Ok(Server {
+            addr,
+            stop,
+            handle,
+            waker,
+        })
     }
 
     /// The bound listen address.
@@ -349,21 +272,17 @@ impl Server {
         self.addr
     }
 
-    /// Signals the accept loop to stop and waits for it to exit.
-    /// Connections already being served finish their current request.
-    /// On the event front end the stop is observed immediately (self-pipe
-    /// wake); the threaded front end notices within its poll interval.
+    /// Signals the event loop to stop and waits for it to exit. The stop
+    /// is observed immediately (self-pipe wake).
     pub fn shutdown(self) {
         // ordering: stop flag is a rare, correctness-critical edge; SeqCst
         // keeps shutdown visible to every loop without case analysis.
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(w) = &self.waker {
-            w.wake();
-        }
+        self.waker.wake();
         let _ = self.handle.join();
     }
 
-    /// Blocks until the accept loop exits (i.e. until a client sends
+    /// Blocks until the event loop exits (i.e. until a client sends
     /// `SHUTDOWN`). Used by the foreground `fairhms serve` command.
     pub fn join(self) {
         let _ = self.handle.join();
@@ -387,141 +306,25 @@ fn bind(addr: &str) -> Result<TcpListener, ServiceError> {
     )))
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    engine: Arc<QueryEngine>,
-    executor: BatchExecutor,
-    stop: Arc<AtomicBool>,
-    opts: Arc<ServeOptions>,
-    started: Instant,
-) {
-    let gate = StreamGate::new(opts.max_stream_batches);
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    // ordering: stop flag; SeqCst mirrors the store in shutdown().
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let engine = Arc::clone(&engine);
-                let stop = Arc::clone(&stop);
-                let opts = Arc::clone(&opts);
-                let gate = gate.clone();
-                conns.push(std::thread::spawn(move || {
-                    let _ =
-                        serve_connection(stream, &engine, executor, &stop, &opts, &gate, started);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            // Transient accept failures (ECONNABORTED from a client that
-            // reset mid-handshake, EMFILE under load, EINTR…) must not
-            // take the whole service down; back off briefly and keep
-            // accepting. Only the stop flag ends the loop.
-            Err(e) => {
-                eprintln!("fairhms-service: accept error (continuing): {e}");
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
-        conns.retain(|h| !h.is_finished());
-    }
-    for h in conns {
-        let _ = h.join();
-    }
-}
-
 /// Longest accepted request line, bytes. Oversized lines drop the
 /// connection, so a newline-free stream cannot grow server memory without
-/// limit. Shared with the event front end — the limit is a protocol
-/// property, not a front-end one.
+/// limit.
 pub(crate) const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Largest total byte size of the lines following a `BATCH` header.
-/// `read_batch` buffers the whole batch before parsing (to keep bad
-/// batches from desynchronizing the connection), so the buffer itself
-/// needs a cap independent of the per-line one.
+/// The whole batch body is buffered before parsing (to keep bad batches
+/// from desynchronizing the connection), so the buffer itself needs a
+/// cap independent of the per-line one.
 pub(crate) const MAX_BATCH_BYTES: usize = 16 << 20;
 
 /// Largest accepted `BATCH n` count; a larger header is answered with a
 /// protocol error before any lines are read.
 pub(crate) const MAX_BATCH: usize = 100_000;
 
-/// Reads one `\n`-terminated line of raw bytes, noticing `stop` and
-/// bounding length: the stream carries a short read timeout, and every
-/// timeout re-checks the flag. Returns `Ok(0)` when the client closed or
-/// the server is shutting down, and `InvalidData` for a line longer than
-/// [`MAX_LINE_BYTES`] (the connection is then dropped). Reads via
-/// `fill_buf`/`consume`, so a line split by a timeout is completed by
-/// subsequent calls.
-///
-/// Bytes, not `String`: the caller decodes the *completed* line exactly
-/// once, so a multi-byte UTF-8 character straddling a buffer boundary is
-/// not corrupted by piecewise lossy decoding.
-fn read_line_or_stop(
-    reader: &mut impl BufRead,
-    line: &mut Vec<u8>,
-    stop: &AtomicBool,
-) -> std::io::Result<usize> {
-    let start = line.len();
-    loop {
-        let chunk = match reader.fill_buf() {
-            Ok(b) => b,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // ordering: stop flag; SeqCst mirrors the store in shutdown().
-                if stop.load(Ordering::SeqCst) {
-                    return Ok(0);
-                }
-                continue;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if chunk.is_empty() {
-            return Ok(line.len() - start); // EOF (0 if nothing was read)
-        }
-        let (taken, done) = match chunk.iter().position(|&b| b == b'\n') {
-            Some(pos) => (pos + 1, true),
-            None => (chunk.len(), false),
-        };
-        line.extend_from_slice(&chunk[..taken]);
-        reader.consume(taken);
-        if line.len() - start > MAX_LINE_BYTES {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-            ));
-        }
-        if done {
-            return Ok(line.len() - start);
-        }
-    }
-}
-
-/// Encodes `resp` through the connection's codec and writes the frame.
-///
-/// If encoding fails (a wire-unsafe value reached the response path), the
-/// connection answers a typed `ERR` frame instead of either silently
-/// emitting a desynchronizing byte sequence or dropping the write — the
-/// response-side half of the wire-safety contract.
-fn send(
-    writer: &mut impl Write,
-    codec: &dyn Codec,
-    frame: &mut Vec<u8>,
-    resp: &Response,
-    metrics: &ServiceMetrics,
-) -> std::io::Result<()> {
-    encode_into(codec, frame, resp, metrics)?;
-    writer.write_all(frame)
-}
-
 /// Serializes `resp` into `frame` (replacing its contents), falling back
-/// to a typed `ERR` frame when the value is not encodable. Shared with
-/// the event front end, which appends the frame to a per-connection
-/// output buffer instead of writing it straight to a socket.
+/// to a typed `ERR` frame when the value is not encodable, so a
+/// wire-unsafe value never reaches the socket as a desynchronizing byte
+/// sequence — the response-side half of the wire-safety contract.
 pub(crate) fn encode_into(
     codec: &dyn Codec,
     frame: &mut Vec<u8>,
@@ -544,14 +347,13 @@ pub(crate) fn encode_into(
     Ok(())
 }
 
-/// Answers the control-plane verbs (everything except `HELLO`, `QUERY`,
-/// `BATCH`, and `SHUTDOWN`, which need connection or executor state).
-/// One implementation shared by both front ends keeps the wire contract
-/// bit-identical between them.
+/// Answers the light control-plane verbs inline. `None` for the verbs
+/// that need connection or worker-pool state: `HELLO`, `QUERY`, `BATCH`,
+/// `SHUTDOWN`, and the heavy `LOAD`/`APPEND`/`DELETE`, which run on the
+/// pool through [`handle_load`], [`handle_append`] and [`handle_delete`].
 pub(crate) fn control_response(
     engine: &QueryEngine,
     workers: usize,
-    opts: &ServeOptions,
     started: Instant,
     req: &Request,
 ) -> Option<Response> {
@@ -612,158 +414,14 @@ pub(crate) fn control_response(
             };
             Response::Shards(shards)
         }
-        Request::Load { name, path } => handle_load(engine, opts, name, path),
-        Request::Append { name, row, group } => handle_append(engine, name, row, *group),
-        Request::Delete { name, row } => handle_delete(engine, name, *row),
-        Request::Hello { .. } | Request::Query(_) | Request::Batch { .. } | Request::Shutdown => {
-            return None
-        }
+        Request::Hello { .. }
+        | Request::Query(_)
+        | Request::Batch { .. }
+        | Request::Shutdown
+        | Request::Load { .. }
+        | Request::Append { .. }
+        | Request::Delete { .. } => return None,
     })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn serve_connection(
-    stream: TcpStream,
-    engine: &QueryEngine,
-    executor: BatchExecutor,
-    stop: &AtomicBool,
-    opts: &ServeOptions,
-    gate: &StreamGate,
-    started: Instant,
-) -> std::io::Result<()> {
-    let metrics = Arc::clone(engine.metrics());
-    let m = metrics.as_ref();
-    // Always-on (not telemetry-gated): this gauge backs the STATS
-    // `conns_open` field, which must be accurate with telemetry off.
-    let _conn = m.conn_active.guard();
-    stream.set_nodelay(true).ok();
-    // On BSD/macOS/Windows accepted sockets inherit the listener's
-    // non-blocking mode (Linux does not); force blocking so the read
-    // timeout below governs instead of a WouldBlock busy-spin.
-    stream.set_nonblocking(false)?;
-    // Idle connections must not block shutdown: reads wake up periodically
-    // to check the stop flag (see read_line_or_stop).
-    stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let mut line = Vec::new();
-    // Connection codec state: v1 text until a HELLO handshake swaps it.
-    let mut codec: Box<dyn Codec> = CodecKind::Text.new_codec();
-    let mut frame = Vec::new();
-    loop {
-        line.clear();
-        {
-            // The read span includes client think-time between requests
-            // (the histogram measures "time to obtain the next request
-            // line", not just kernel copy time) — interpret its upper
-            // quantiles accordingly.
-            let _read = m.recorder().span(&m.read);
-            if read_line_or_stop(&mut reader, &mut line, stop)? == 0 {
-                return Ok(()); // client closed or server stopping
-            }
-        }
-        // Decode the complete line once (see read_line_or_stop).
-        let decode_span = m.recorder().span(&m.decode);
-        let decoded = String::from_utf8_lossy(&line);
-        let trimmed = decoded.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let parsed = protocol::parse_request(trimmed);
-        drop(decode_span);
-        match parsed {
-            Err(e) => send(
-                &mut writer,
-                codec.as_ref(),
-                &mut frame,
-                &Response::error(&e),
-                m,
-            )?,
-            Ok(Request::Hello {
-                version,
-                codec: kind,
-            }) => {
-                // Acknowledge through the *previous* codec (the client
-                // reads the ack before switching), then swap.
-                let ack = Response::Hello {
-                    version,
-                    codec: kind,
-                };
-                send(&mut writer, codec.as_ref(), &mut frame, &ack, m)?;
-                codec = kind.new_codec();
-            }
-            Ok(Request::Shutdown) => {
-                send(&mut writer, codec.as_ref(), &mut frame, &Response::Bye, m)?;
-                writer.flush()?;
-                // ordering: stop flag is a rare, correctness-critical edge;
-                // SeqCst keeps the SHUTDOWN handshake trivially ordered.
-                stop.store(true, Ordering::SeqCst);
-                return Ok(());
-            }
-            Ok(Request::Query(q)) => {
-                let res = engine.execute(&q);
-                log_if_slow(opts.slow_query_ms, &q, &res);
-                send(
-                    &mut writer,
-                    codec.as_ref(),
-                    &mut frame,
-                    &Response::from_result(None, &res),
-                    m,
-                )?;
-            }
-            Ok(Request::Batch { n, stream }) => match read_batch(&mut reader, n, stop)? {
-                Err(e) => send(
-                    &mut writer,
-                    codec.as_ref(),
-                    &mut frame,
-                    &Response::error(&e),
-                    m,
-                )?,
-                Ok(queries) => {
-                    if stream {
-                        serve_streamed_batch(
-                            &mut writer,
-                            codec.as_ref(),
-                            &mut frame,
-                            engine,
-                            executor,
-                            gate,
-                            opts,
-                            &queries,
-                        )?;
-                    } else {
-                        let results = executor.execute_all(engine, &queries);
-                        send(
-                            &mut writer,
-                            codec.as_ref(),
-                            &mut frame,
-                            &Response::BatchHeader { n, stream: false },
-                            m,
-                        )?;
-                        for (q, r) in queries.iter().zip(&results) {
-                            log_if_slow(opts.slow_query_ms, q, r);
-                            send(
-                                &mut writer,
-                                codec.as_ref(),
-                                &mut frame,
-                                &Response::from_result(None, r),
-                                m,
-                            )?;
-                        }
-                    }
-                }
-            },
-            // Everything else is a control-plane verb shared verbatim
-            // with the event front end.
-            Ok(req) => {
-                let resp = control_response(engine, executor.workers(), opts, started, &req)
-                    .expect("non-control verbs are matched above");
-                send(&mut writer, codec.as_ref(), &mut frame, &resp, m)?;
-            }
-        }
-        let _flush = m.recorder().span(&m.flush);
-        writer.flush()?;
-    }
 }
 
 /// Renders the slow-query log line for a query that took longer than
@@ -807,8 +465,8 @@ fn format_slow_query(
     Some(out)
 }
 
-/// Prints [`format_slow_query`]'s line to stderr when it applies.
-/// Shared with the event front end, which logs on completion delivery.
+/// Prints [`format_slow_query`]'s line to stderr when it applies; the
+/// event loop calls it as each solve's completion is delivered.
 pub(crate) fn log_if_slow(
     threshold_ms: Option<u64>,
     q: &Query,
@@ -816,66 +474,6 @@ pub(crate) fn log_if_slow(
 ) {
     if let Some(line) = format_slow_query(threshold_ms, q, res) {
         eprintln!("{line}");
-    }
-}
-
-/// Runs one `BATCH n stream=true`: acquires a [`StreamGate`] slot (or
-/// answers `ERR busy` — the batch lines are already consumed, so load
-/// shedding never desynchronizes the connection), writes the header, then
-/// flushes one `seq`-tagged frame per query **as the executor completes
-/// it** — first answers reach the client while later queries are still
-/// solving.
-#[allow(clippy::too_many_arguments)]
-fn serve_streamed_batch(
-    writer: &mut impl Write,
-    codec: &dyn Codec,
-    frame: &mut Vec<u8>,
-    engine: &QueryEngine,
-    executor: BatchExecutor,
-    gate: &StreamGate,
-    opts: &ServeOptions,
-    queries: &[Query],
-) -> std::io::Result<()> {
-    let metrics = Arc::clone(engine.metrics());
-    let m = metrics.as_ref();
-    let _permit = match gate.try_acquire(&metrics) {
-        Err((active, limit)) => {
-            // The threaded front end has no solve queue; retry advice is
-            // one execute-EWMA round.
-            let busy = gate_busy(m, active, limit, 0, executor.workers());
-            return send(writer, codec, frame, &Response::error(&busy), m);
-        }
-        Ok(p) => p,
-    };
-    send(
-        writer,
-        codec,
-        frame,
-        &Response::BatchHeader {
-            n: queries.len(),
-            stream: true,
-        },
-        m,
-    )?;
-    writer.flush()?;
-    // The executor keeps delivering after a write failure (workers are
-    // mid-solve); remember the first error, skip the remaining writes,
-    // and surface it after the batch so the connection closes.
-    let mut write_err: Option<std::io::Error> = None;
-    executor.execute_streaming(engine, queries, |i, r| {
-        log_if_slow(opts.slow_query_ms, &queries[i], &r);
-        if write_err.is_some() {
-            return;
-        }
-        let resp = Response::from_result(Some(i as u64), &r);
-        let attempt = send(&mut *writer, codec, frame, &resp, m).and_then(|()| writer.flush());
-        if let Err(e) = attempt {
-            write_err = Some(e);
-        }
-    });
-    match write_err {
-        Some(e) => Err(e),
-        None => Ok(()),
     }
 }
 
@@ -948,56 +546,8 @@ pub(crate) fn handle_delete(engine: &QueryEngine, name: &str, row: usize) -> Res
     }
 }
 
-/// Reads the `n` query lines following a `BATCH n` header.
-///
-/// Always consumes all `n` lines (unless the connection closes) *before*
-/// reporting the first parse failure — otherwise the unread tail of a bad
-/// batch would be reinterpreted as top-level requests and desynchronize
-/// every later response on the connection.
-///
-/// Two-level result: the outer `Err` is an I/O/abuse condition that drops
-/// the connection (total batch bytes over [`MAX_BATCH_BYTES`], socket
-/// failure); the inner `Err` is a well-formed protocol error answered
-/// with a single `ERR` line on a connection that stays usable.
-#[allow(clippy::type_complexity)]
-fn read_batch(
-    reader: &mut impl BufRead,
-    n: usize,
-    stop: &AtomicBool,
-) -> std::io::Result<Result<Vec<Query>, ServiceError>> {
-    if n > MAX_BATCH {
-        return Ok(Err(ServiceError::Protocol(format!(
-            "batch size {n} exceeds limit {MAX_BATCH}"
-        ))));
-    }
-    let mut lines = Vec::with_capacity(n);
-    let mut line = Vec::new();
-    let mut total_bytes = 0usize;
-    for i in 0..n {
-        line.clear();
-        if read_line_or_stop(reader, &mut line, stop)? == 0 {
-            return Ok(Err(ServiceError::Protocol(format!(
-                "connection closed after {i} of {n} batch lines"
-            ))));
-        }
-        total_bytes += line.len();
-        if total_bytes > MAX_BATCH_BYTES {
-            // Dropping mid-batch desynchronizes the connection, so this
-            // is a connection-fatal error, like an oversized line.
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("batch exceeds {MAX_BATCH_BYTES} bytes"),
-            ));
-        }
-        lines.push(String::from_utf8_lossy(&line).trim().to_string());
-    }
-    Ok(parse_batch_lines(&lines))
-}
-
 /// Parses the decoded lines of a `BATCH` body into queries; any non-query
-/// line is a protocol error naming its 1-based position. Shared with the
-/// event front end (which collects the lines incrementally but must
-/// report identical errors).
+/// line is a protocol error naming its 1-based position.
 pub(crate) fn parse_batch_lines(lines: &[String]) -> Result<Vec<Query>, ServiceError> {
     let mut queries = Vec::with_capacity(lines.len());
     for (i, l) in lines.iter().enumerate() {
@@ -1020,45 +570,90 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use fairhms_data::Dataset;
-    use std::io::Cursor;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    /// A server over a 4-point, 2-group toy dataset named `toy`.
+    fn toy_server(workers: usize) -> Server {
+        let catalog = Arc::new(Catalog::new());
+        let data = Dataset::new(
+            "toy",
+            2,
+            vec![1.0, 0.1, 0.2, 0.9, 0.7, 0.7, 0.9, 0.3],
+            vec![0, 1, 0, 1],
+            vec![],
+        )
+        .unwrap();
+        catalog.insert_dataset(data).unwrap();
+        let engine = Arc::new(QueryEngine::new(catalog, 16));
+        Server::spawn(
+            engine,
+            ServerConfig {
+                addr: "127.0.0.1:0".to_string(),
+                workers,
+            },
+        )
+        .unwrap()
+    }
+
+    /// A raw text connection: the writer half and a line reader.
+    fn connect(server: &Server) -> (TcpStream, BufReader<TcpStream>) {
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        (stream, reader)
+    }
+
+    fn read_line(reader: &mut BufReader<TcpStream>) -> String {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        line.trim().to_string()
+    }
 
     #[test]
     fn read_batch_validates_lines() {
-        let stop = AtomicBool::new(false);
-        let mut ok = Cursor::new("QUERY dataset=d k=2\nQUERY dataset=d k=3\n");
-        let qs = read_batch(&mut ok, 2, &stop).unwrap().unwrap();
-        assert_eq!(qs.len(), 2);
-        assert_eq!(qs[1].k, 3);
+        let server = toy_server(2);
+        let (mut w, mut r) = connect(&server);
 
-        let mut short = Cursor::new("QUERY dataset=d k=2\n");
-        assert!(matches!(
-            read_batch(&mut short, 2, &stop),
-            Ok(Err(ServiceError::Protocol(_)))
-        ));
+        w.write_all(b"BATCH 2\nQUERY dataset=toy k=2\nQUERY dataset=toy k=3\n")
+            .unwrap();
+        assert_eq!(read_line(&mut r), "OK batch=2");
+        for k in [2, 3] {
+            let ans = protocol::parse_response(&read_line(&mut r)).unwrap();
+            assert_eq!(ans.indices.len(), k);
+        }
 
-        let mut wrong = Cursor::new("PING\n");
-        assert!(matches!(
-            read_batch(&mut wrong, 1, &stop),
-            Ok(Err(ServiceError::Protocol(_)))
-        ));
+        // A non-QUERY body line is a protocol error naming its position.
+        w.write_all(b"BATCH 1\nPING\n").unwrap();
+        let err = read_line(&mut r);
+        assert!(
+            err.starts_with("ERR") && err.contains("batch line 1 must be a QUERY"),
+            "{err}"
+        );
+
+        // Empty batches answer a bare header, buffered or streamed.
+        w.write_all(b"BATCH 0\nBATCH 0 stream=true\nPING\n")
+            .unwrap();
+        assert_eq!(read_line(&mut r), "OK batch=0");
+        assert_eq!(read_line(&mut r), "OK batch=0 stream=true");
+        assert_eq!(read_line(&mut r), "OK pong");
+        server.shutdown();
     }
 
     #[test]
     fn bad_batch_line_does_not_desync_the_connection() {
-        // A batch whose middle line is not a QUERY must consume all n
+        // A batch whose first line is not a QUERY must consume all n
         // lines: the valid line after the bad one is NOT executed as a
-        // top-level request.
-        let stop = AtomicBool::new(false);
-        let mut cur = Cursor::new("PING\nQUERY dataset=d k=2\nSTATS\n");
-        assert!(matches!(
-            read_batch(&mut cur, 2, &stop),
-            Ok(Err(ServiceError::Protocol(_)))
-        ));
-        // Exactly the two batch lines were consumed; the connection's
-        // next request is the STATS line.
-        let mut rest = String::new();
-        cur.read_line(&mut rest).unwrap();
-        assert_eq!(rest.trim(), "STATS");
+        // top-level request, and the next request is the STATS line.
+        let server = toy_server(1);
+        let (mut w, mut r) = connect(&server);
+        w.write_all(b"BATCH 2\nPING\nQUERY dataset=toy k=2\nSTATS\n")
+            .unwrap();
+        let err = read_line(&mut r);
+        assert!(err.starts_with("ERR"), "{err}");
+        let stats = read_line(&mut r);
+        assert!(stats.starts_with("OK hits="), "{stats}");
+        server.shutdown();
     }
 
     #[test]
@@ -1166,30 +761,12 @@ mod tests {
 
     #[test]
     fn shutdown_completes_with_idle_client_connected() {
-        let catalog = Arc::new(Catalog::new());
-        let data = Dataset::new(
-            "toy",
-            2,
-            vec![1.0, 0.1, 0.2, 0.9, 0.7, 0.7, 0.9, 0.3],
-            vec![0, 1, 0, 1],
-            vec![],
-        )
-        .unwrap();
-        catalog.insert_dataset(data).unwrap();
-        let engine = Arc::new(QueryEngine::new(catalog, 16));
-        let server = Server::spawn(
-            engine,
-            ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                workers: 1,
-            },
-        )
-        .unwrap();
+        let server = toy_server(1);
         // An idle client that never sends anything and never disconnects.
         let _idle = TcpStream::connect(server.addr()).unwrap();
 
-        // Shutdown must still complete promptly (reads time out and
-        // observe the stop flag) instead of blocking on the idle reader.
+        // Shutdown must still complete promptly (a self-pipe wake) instead
+        // of blocking on the idle connection.
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             server.shutdown();
@@ -1201,50 +778,19 @@ mod tests {
 
     #[test]
     fn spawn_serve_shutdown() {
-        let catalog = Arc::new(Catalog::new());
-        let data = Dataset::new(
-            "toy",
-            2,
-            vec![1.0, 0.1, 0.2, 0.9, 0.7, 0.7, 0.9, 0.3],
-            vec![0, 1, 0, 1],
-            vec![],
-        )
-        .unwrap();
-        catalog.insert_dataset(data).unwrap();
-        let engine = Arc::new(QueryEngine::new(catalog, 16));
-        let server = Server::spawn(
-            engine,
-            ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                workers: 2,
-            },
-        )
-        .unwrap();
-        let addr = server.addr();
+        let server = toy_server(2);
+        let (mut w, mut r) = connect(&server);
 
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = BufWriter::new(stream);
-        let mut line = String::new();
+        w.write_all(b"PING\n").unwrap();
+        assert_eq!(read_line(&mut r), "OK pong");
 
-        writeln!(writer, "PING").unwrap();
-        writer.flush().unwrap();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim(), "OK pong");
-
-        line.clear();
-        writeln!(writer, "QUERY dataset=toy k=2 alg=intcov").unwrap();
-        writer.flush().unwrap();
-        reader.read_line(&mut line).unwrap();
-        let ans = protocol::parse_response(line.trim()).unwrap();
+        w.write_all(b"QUERY dataset=toy k=2 alg=intcov\n").unwrap();
+        let ans = protocol::parse_response(&read_line(&mut r)).unwrap();
         assert_eq!(ans.alg, "IntCov");
         assert_eq!(ans.indices.len(), 2);
 
-        line.clear();
-        writeln!(writer, "SHUTDOWN").unwrap();
-        writer.flush().unwrap();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim(), "OK bye");
+        w.write_all(b"SHUTDOWN\n").unwrap();
+        assert_eq!(read_line(&mut r), "OK bye");
         server.shutdown();
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! The engine-level interleaving property runs under whatever
 //! `FAIRHMS_TEST_SHARDS`/`FAIRHMS_TEST_KERNEL` axes CI selects; the TCP
-//! tests additionally run over both codecs and both front ends via
-//! `FAIRHMS_TEST_CODEC`/`FAIRHMS_TEST_FRONTEND` (`scripts/ci.sh`).
+//! tests additionally run over both codecs via `FAIRHMS_TEST_CODEC`
+//! (`scripts/ci.sh`).
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -18,10 +18,7 @@ use rand::SeedableRng;
 
 use fairhms_core::registry::ALGORITHM_NAMES;
 use fairhms_data::{gen, Dataset};
-use fairhms_service::{
-    Catalog, FrontendKind, Query, QueryEngine, Response, ServeOptions, Server, ServerConfig,
-    WireClient,
-};
+use fairhms_service::{Catalog, Query, QueryEngine, Response, Server, ServerConfig, WireClient};
 
 fn generated(name: &str, n: usize, d: usize, c: usize, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -220,7 +217,7 @@ fn append_after_queries_serves_fresh_rows() {
     assert_matches_oracle(&live, "stale", "after deleting the dominator");
 }
 
-fn spawn_two_dataset_server(frontend: Option<FrontendKind>) -> Server {
+fn spawn_two_dataset_server() -> Server {
     let catalog = Arc::new(Catalog::new());
     catalog
         .insert_dataset(generated("demo", 120, 2, 3, 11))
@@ -229,17 +226,12 @@ fn spawn_two_dataset_server(frontend: Option<FrontendKind>) -> Server {
         .insert_dataset(generated("other", 80, 2, 2, 7))
         .unwrap();
     let engine = Arc::new(QueryEngine::new(catalog, 4096));
-    let mut opts = ServeOptions::default();
-    if let Some(f) = frontend {
-        opts.frontend = f;
-    }
-    Server::spawn_with(
+    Server::spawn(
         engine,
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
         },
-        opts,
     )
     .unwrap()
 }
@@ -257,7 +249,7 @@ fn warm(client: &mut WireClient, q: &Query) {
 /// sky-changing append drops the skyline-form entry too.
 #[test]
 fn delta_invalidation_preserves_untouched_cached_answers() {
-    let server = spawn_two_dataset_server(None);
+    let server = spawn_two_dataset_server();
     let addr = server.addr();
     let mut client = WireClient::connect_env(addr).unwrap();
 
@@ -349,7 +341,7 @@ fn delta_invalidation_preserves_untouched_cached_answers() {
 /// Mutation errors are typed wire errors and leave the connection usable.
 #[test]
 fn mutation_errors_answer_err_and_keep_the_connection() {
-    let server = spawn_two_dataset_server(None);
+    let server = spawn_two_dataset_server();
     let addr = server.addr();
     let mut client = WireClient::connect_env(addr).unwrap();
 
@@ -378,53 +370,50 @@ fn mutation_errors_answer_err_and_keep_the_connection() {
     server.shutdown();
 }
 
-/// Pipelined mutate→query keeps sequential semantics on both front ends:
-/// the query arriving in the same TCP segment as the APPEND must execute
-/// *after* it (the event front end parks the connection's input behind
-/// its control barrier; the threaded front end is sequential by
-/// construction).
+/// Pipelined mutate→query keeps sequential semantics: the query arriving
+/// in the same TCP segment as the APPEND must execute *after* it (the
+/// connection's input is parked behind its control barrier until the
+/// append completes).
 #[test]
-fn pipelined_mutate_then_query_is_sequential_on_both_front_ends() {
-    for frontend in [FrontendKind::Threaded, FrontendKind::Event] {
-        let server = spawn_two_dataset_server(Some(frontend));
-        let addr = server.addr();
+fn pipelined_mutate_then_query_is_sequential() {
+    let server = spawn_two_dataset_server();
+    let addr = server.addr();
 
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = BufWriter::new(stream);
-        // One write carrying both requests: a sky-changing append and a
-        // skyline query behind it.
-        write!(
-            writer,
-            "APPEND name=demo row=1.0,1.0 group=0\nQUERY dataset=demo k=3 alg=bigreedy\n"
-        )
-        .unwrap();
-        writer.flush().unwrap();
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = BufWriter::new(stream);
+    // One write carrying both requests: a sky-changing append and a
+    // skyline query behind it.
+    write!(
+        writer,
+        "APPEND name=demo row=1.0,1.0 group=0\nQUERY dataset=demo k=3 alg=bigreedy\n"
+    )
+    .unwrap();
+    writer.flush().unwrap();
 
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert!(
-            line.starts_with("OK mutated") && line.contains("sky_changed=true"),
-            "{frontend}: first frame must be the mutation ack, got {line:?}"
-        );
-        line.clear();
-        reader.read_line(&mut line).unwrap();
-        assert!(
-            line.starts_with("OK alg="),
-            "{frontend}: second frame must be the answer, got {line:?}"
-        );
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line.starts_with("OK mutated") && line.contains("sky_changed=true"),
+        "first frame must be the mutation ack, got {line:?}"
+    );
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line.starts_with("OK alg="),
+        "second frame must be the answer, got {line:?}"
+    );
 
-        // If the pipelined query had raced ahead of the append, its cache
-        // entry would carry the pre-mutation digest and the append would
-        // have dropped it — this follow-up would then be a cold miss.
-        let mut follow = WireClient::connect(addr).unwrap();
-        let mut q = Query::new("demo", 3);
-        q.alg = "bigreedy".into();
-        let hit = follow.query(&q).unwrap();
-        assert!(
-            hit.cached,
-            "{frontend}: pipelined query must have executed after the append"
-        );
-        server.shutdown();
-    }
+    // If the pipelined query had raced ahead of the append, its cache
+    // entry would carry the pre-mutation digest and the append would
+    // have dropped it — this follow-up would then be a cold miss.
+    let mut follow = WireClient::connect(addr).unwrap();
+    let mut q = Query::new("demo", 3);
+    q.alg = "bigreedy".into();
+    let hit = follow.query(&q).unwrap();
+    assert!(
+        hit.cached,
+        "pipelined query must have executed after the append"
+    );
+    server.shutdown();
 }

@@ -1,16 +1,16 @@
 //! Deterministic overload and fault-injection harness for the serving
-//! front ends.
+//! front end.
 //!
-//! Pins the admission-control contract of the event front end — idle
-//! connections cost poll-set entries rather than threads, the bounded
-//! solve queue sheds with typed `retry_after_ms` advice, per-connection
-//! quotas refuse pipelined floods without desynchronizing, and the
-//! `queue_depth`/`shed_total`/`conns_open` gauges agree exactly with
-//! what clients observed — plus the fault-injection matrix both front
-//! ends must survive: clients dropping mid-frame (text and binary),
-//! half-written handshakes, byte-at-a-time delivery, abandoned batch
-//! bodies, and vanished streamed-batch readers, none of which may leak a
-//! quota/stream slot, desync another connection, or wedge shutdown.
+//! Pins the admission-control contract — idle connections cost poll-set
+//! entries rather than threads, the bounded solve queue sheds with typed
+//! `retry_after_ms` advice, per-connection quotas refuse pipelined floods
+//! without desynchronizing, and the `queue_depth`/`shed_total`/
+//! `conns_open` gauges agree exactly with what clients observed — plus
+//! the fault-injection matrix the server must survive: clients dropping
+//! mid-frame (text and binary), half-written handshakes, byte-at-a-time
+//! delivery, abandoned batch bodies, and vanished streamed-batch readers,
+//! none of which may leak a quota/stream slot, desync another connection,
+//! or wedge shutdown.
 //!
 //! Determinism comes from configuration, not timing: `queue_depth: 0`
 //! sheds every solve, quota limits of 0 shed every admission, and the
@@ -20,8 +20,10 @@
 #![allow(clippy::disallowed_methods)] // tests bound waits with deadlines (R5 exempts test code)
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
+
+use fairhms_obs::sync::{read_or_recover, write_or_recover};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,7 +32,7 @@ use fairhms_data::{gen, Dataset};
 use fairhms_service::codec::CodecKind;
 use fairhms_service::protocol::{parse_response, Response};
 use fairhms_service::{
-    Catalog, FrontendKind, Query, QueryEngine, ServeOptions, Server, ServerConfig, WireClient,
+    Catalog, Query, QueryEngine, ServeOptions, Server, ServerConfig, WireClient,
 };
 
 fn generated(name: &str, n: usize, d: usize, c: usize, seed: u64) -> Dataset {
@@ -45,6 +47,15 @@ fn generated(name: &str, n: usize, d: usize, c: usize, seed: u64) -> Dataset {
         (0..c).map(|g| format!("g{g}")).collect(),
     )
     .unwrap()
+}
+
+/// Keeps the other tests' servers from starting or stopping threads inside
+/// `five_hundred_idle_connections_hold_no_threads`'s measurement window:
+/// that test holds it exclusively, every other test shares it.
+static THREAD_COUNT: RwLock<()> = RwLock::new(());
+
+fn shared() -> RwLockReadGuard<'static, ()> {
+    read_or_recover(&THREAD_COUNT)
 }
 
 fn spawn(workers: usize, opts: ServeOptions) -> Server {
@@ -62,13 +73,6 @@ fn spawn(workers: usize, opts: ServeOptions) -> Server {
         opts,
     )
     .unwrap()
-}
-
-fn event_opts() -> ServeOptions {
-    ServeOptions {
-        frontend: FrontendKind::Event,
-        ..ServeOptions::default()
-    }
 }
 
 /// Connects and completes one PING round trip, so the server has
@@ -106,7 +110,7 @@ fn thread_count() -> usize {
 }
 
 /// Polls `probe` until `cond` holds on the gauges or the deadline
-/// passes; disconnect cleanup is asynchronous on both front ends.
+/// passes; disconnect cleanup is asynchronous.
 fn wait_for_gauges(probe: &mut WireClient, cond: impl Fn((u64, u64, u64)) -> bool, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
@@ -126,15 +130,16 @@ fn wait_for_gauges(probe: &mut WireClient, cond: impl Fn((u64, u64, u64)) -> boo
 // Overload: idle fan-out, bounded-queue sheds, quotas, accounting
 // ---------------------------------------------------------------------
 
-/// The tentpole resource claim: 500 mostly-idle connections on the event
-/// front end cost poll-set entries, not threads — the process grows by
-/// the event loop plus the worker pool only — and every one of them is
-/// visible in the `conns_open` gauge.
+/// The resource claim: 500 mostly-idle connections cost poll-set
+/// entries, not threads — the process grows by the event loop plus the
+/// worker pool only — and every one of them is visible in the
+/// `conns_open` gauge.
 #[test]
 fn five_hundred_idle_connections_hold_no_threads() {
+    let _exclusive = write_or_recover(&THREAD_COUNT);
     const WORKERS: usize = 2;
     let baseline = thread_count();
-    let server = spawn(WORKERS, event_opts());
+    let server = spawn(WORKERS, ServeOptions::default());
     let mut idle = Vec::with_capacity(500);
     for _ in 0..500 {
         idle.push(connect_pinged(&server));
@@ -142,7 +147,7 @@ fn five_hundred_idle_connections_hold_no_threads() {
     let grown = thread_count() - baseline;
     assert!(
         grown <= WORKERS + 4,
-        "event front end grew {grown} threads for 500 idle connections \
+        "server grew {grown} threads for 500 idle connections \
          (expected <= workers {WORKERS} + 4)"
     );
 
@@ -162,13 +167,14 @@ fn five_hundred_idle_connections_hold_no_threads() {
 /// burst exactly.
 #[test]
 fn bounded_queue_sheds_bursts_with_retry_advice_and_exact_gauges() {
+    let _shared = shared();
     const IDLE: usize = 50;
     const BURST: usize = 40;
     let server = spawn(
         1,
         ServeOptions {
             queue_depth: 0,
-            ..event_opts()
+            ..ServeOptions::default()
         },
     );
     let _idle: Vec<WireClient> = (0..IDLE).map(|_| connect_pinged(&server)).collect();
@@ -214,12 +220,13 @@ fn bounded_queue_sheds_bursts_with_retry_advice_and_exact_gauges() {
 /// busy frames the client saw — under any worker scheduling.
 #[test]
 fn sheds_plus_answers_account_for_the_whole_burst() {
+    let _shared = shared();
     const BURST: usize = 12;
     let server = spawn(
         1,
         ServeOptions {
             queue_depth: 4,
-            ..event_opts()
+            ..ServeOptions::default()
         },
     );
     let mut burst = WireClient::connect(server.addr()).unwrap();
@@ -253,12 +260,13 @@ fn sheds_plus_answers_account_for_the_whole_burst() {
 /// connection stays perfectly synchronized afterwards.
 #[test]
 fn per_connection_quotas_shed_without_desync() {
+    let _shared = shared();
     let server = spawn(
         1,
         ServeOptions {
             max_inflight_queries: 0,
             max_conn_batches: 0,
-            ..event_opts()
+            ..ServeOptions::default()
         },
     );
     let mut c = WireClient::connect(server.addr()).unwrap();
@@ -299,18 +307,19 @@ fn per_connection_quotas_shed_without_desync() {
 }
 
 // ---------------------------------------------------------------------
-// Fault injection (both front ends)
+// Fault injection
 // ---------------------------------------------------------------------
 
-/// The full client-misbehavior matrix; run identically against both
-/// front ends. Every scenario must leave the server answering cleanly on
-/// other connections, release every quota/stream slot, settle the
-/// `conns_open` gauge, and shut down promptly.
-fn fault_injection_suite(frontend: FrontendKind) {
+/// The full client-misbehavior matrix. Every scenario must leave the
+/// server answering cleanly on other connections, release every
+/// quota/stream slot, settle the `conns_open` gauge, and shut down
+/// promptly.
+#[test]
+fn fault_injection_event_frontend() {
+    let _shared = shared();
     let server = spawn(
         2,
         ServeOptions {
-            frontend,
             max_stream_batches: 1,
             ..ServeOptions::default()
         },
@@ -417,33 +426,18 @@ fn fault_injection_suite(frontend: FrontendKind) {
     );
 }
 
-#[test]
-fn fault_injection_event_frontend() {
-    fault_injection_suite(FrontendKind::Event);
-}
-
-#[test]
-fn fault_injection_threaded_frontend() {
-    fault_injection_suite(FrontendKind::Threaded);
-}
-
 // ---------------------------------------------------------------------
-// Pipelining and half-close ordering contracts (both front ends)
+// Pipelining and half-close ordering contracts
 // ---------------------------------------------------------------------
 
 /// A pipelined codec switch re-codes only what follows it: a `QUERY`
 /// admitted before `HELLO codec=binary` must answer through the codec in
 /// effect when it was parsed, even though its solve completes after the
-/// switch — exactly the frame sequence a sequential connection thread
-/// produces.
-fn pipelined_hello_recodes_only_later_requests(frontend: FrontendKind) {
-    let server = spawn(
-        2,
-        ServeOptions {
-            frontend,
-            ..ServeOptions::default()
-        },
-    );
+/// switch — exactly the frame sequence of one request at a time.
+#[test]
+fn pipelined_hello_recodes_only_later_requests_event() {
+    let _shared = shared();
+    let server = spawn(2, ServeOptions::default());
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_nodelay(true).unwrap();
     s.write_all(
@@ -478,27 +472,13 @@ fn pipelined_hello_recodes_only_later_requests(frontend: FrontendKind) {
     server.shutdown();
 }
 
-#[test]
-fn pipelined_hello_recodes_only_later_requests_event() {
-    pipelined_hello_recodes_only_later_requests(FrontendKind::Event);
-}
-
-#[test]
-fn pipelined_hello_recodes_only_later_requests_threaded() {
-    pipelined_hello_recodes_only_later_requests(FrontendKind::Threaded);
-}
-
 /// Requests received before a FIN still answer: a client that sends a
 /// query and immediately half-closes its write side must receive the
 /// answer, then a clean EOF.
-fn half_close_still_answers_admitted_work(frontend: FrontendKind) {
-    let server = spawn(
-        2,
-        ServeOptions {
-            frontend,
-            ..ServeOptions::default()
-        },
-    );
+#[test]
+fn half_close_still_answers_admitted_work_event() {
+    let _shared = shared();
+    let server = spawn(2, ServeOptions::default());
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.write_all(b"QUERY dataset=demo k=3 alg=bigreedy\n")
         .unwrap();
@@ -521,22 +501,13 @@ fn half_close_still_answers_admitted_work(frontend: FrontendKind) {
     server.shutdown();
 }
 
-#[test]
-fn half_close_still_answers_admitted_work_event() {
-    half_close_still_answers_admitted_work(FrontendKind::Event);
-}
-
-#[test]
-fn half_close_still_answers_admitted_work_threaded() {
-    half_close_still_answers_admitted_work(FrontendKind::Threaded);
-}
-
-/// On the event front end `LOAD` executes on the worker pool (a disk
+/// `LOAD` executes on the worker pool (a disk
 /// read must not stall the loop), but requests pipelined behind it keep
 /// their sequential order: LOAD-then-QUERY written as one block answers
 /// `Loaded` first and then solves against the freshly loaded dataset.
 #[test]
 fn pipelined_load_then_query_keeps_sequential_order() {
+    let _shared = shared();
     let root = std::env::temp_dir().join("fairhms_overload_load_root");
     std::fs::create_dir_all(&root).unwrap();
     let mut csv = String::new();
@@ -550,7 +521,7 @@ fn pipelined_load_then_query_keeps_sequential_order() {
         2,
         ServeOptions {
             load_root: Some(root),
-            ..event_opts()
+            ..ServeOptions::default()
         },
     );
     let mut c = WireClient::connect(server.addr()).unwrap();
@@ -577,11 +548,12 @@ fn pipelined_load_then_query_keeps_sequential_order() {
     server.shutdown();
 }
 
-/// Shutdown on the event front end is a wake, not a timeout expiry: with
-/// 100 idle connections attached it completes promptly.
+/// Shutdown is a wake, not a timeout expiry: with 100 idle connections
+/// attached it completes promptly.
 #[test]
 fn event_shutdown_is_immediate_with_idle_connections() {
-    let server = spawn(2, event_opts());
+    let _shared = shared();
+    let server = spawn(2, ServeOptions::default());
     let _idle: Vec<WireClient> = (0..100).map(|_| connect_pinged(&server)).collect();
     let t = Instant::now();
     server.shutdown();
@@ -589,5 +561,36 @@ fn event_shutdown_is_immediate_with_idle_connections() {
         t.elapsed() < Duration::from_secs(2),
         "event shutdown took {:?} with idle connections",
         t.elapsed()
+    );
+}
+
+/// A `SHUTDOWN` pipelined behind a `QUERY` in one write still answers the
+/// query first, then `OK bye`, and the server stops: the loop keeps
+/// delivering completions until the connection's earlier requests have
+/// answered.
+#[test]
+fn pipelined_query_then_shutdown_answers_both() {
+    let _shared = shared();
+    let server = spawn(2, ServeOptions::default());
+    let mut s = TcpStream::connect(server.addr()).unwrap();
+    s.write_all(b"QUERY dataset=demo k=3 alg=bigreedy skyline=false\nSHUTDOWN\n")
+        .unwrap();
+    let mut r = BufReader::new(s);
+    let mut line = String::new();
+    r.read_line(&mut line).unwrap();
+    assert!(
+        line.starts_with("OK alg=BiGreedy"),
+        "expected the query's answer first, got {line:?}"
+    );
+    line.clear();
+    r.read_line(&mut line).unwrap();
+    assert_eq!(line.trim(), "OK bye");
+    line.clear();
+    assert_eq!(r.read_line(&mut line).unwrap(), 0, "expected EOF after bye");
+    let t = Instant::now();
+    server.join();
+    assert!(
+        t.elapsed() < Duration::from_secs(3),
+        "SHUTDOWN did not stop the server"
     );
 }

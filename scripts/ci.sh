@@ -66,39 +66,12 @@ FAIRHMS_TEST_WARMSTART=0 cargo test -p fairhms-service -q
 echo "==> service tests, telemetry disabled (FAIRHMS_TEST_TELEMETRY=0)"
 FAIRHMS_TEST_TELEMETRY=0 cargo test -p fairhms-service -q
 
-# …and once on the event-driven front end: FAIRHMS_TEST_FRONTEND routes
-# every server the suite spawns through the poll(2) reactor instead of
-# thread-per-connection — answers are contractually bit-identical (see
-# crates/service/tests/frontend_equivalence.rs).
-echo "==> service tests, event-driven front end (FAIRHMS_TEST_FRONTEND=event)"
-FAIRHMS_TEST_FRONTEND=event cargo test -p fairhms-service -q
-
 # …and once on the scalar kernel backend: FAIRHMS_TEST_KERNEL routes all
 # hot-path evaluation through the row-major scalar loops instead of the
 # blocked SoA kernels — answers are contractually bit-identical (see
 # crates/service/tests/kernel_equivalence.rs and fairhms_geometry::soa).
 echo "==> service tests, scalar kernel backend (FAIRHMS_TEST_KERNEL=scalar)"
 FAIRHMS_TEST_KERNEL=scalar cargo test -p fairhms-service -q
-
-# Overload smoke: the admission-control contract (bounded-queue sheds
-# with retry advice, exact gauges, 500-connection idle fan-out) and the
-# fault-injection matrix on both front ends.
-echo "==> overload + fault-injection smoke (crates/service/tests/overload.rs)"
-cargo test -p fairhms-service --test overload -q
-
-# Mutation-churn smoke: mixed APPEND/DELETE/QUERY workloads (random
-# interleavings vs. a from-scratch re-prep oracle, delta invalidation,
-# pipelined mutate→query ordering) over both front ends × both codecs —
-# the full matrix, since mutations ride the control path, whose routing
-# differs per front end, and the MUTATED frame differs per codec.
-echo "==> mutation churn smoke (crates/service/tests/mutation.rs, both front ends x both codecs)"
-for fe in threaded event; do
-  for codec in text binary; do
-    echo "    -- FAIRHMS_TEST_FRONTEND=$fe FAIRHMS_TEST_CODEC=$codec"
-    FAIRHMS_TEST_FRONTEND=$fe FAIRHMS_TEST_CODEC=$codec \
-      cargo test -p fairhms-service --test mutation -q
-  done
-done
 
 echo "==> bench smoke (service engine + shard prep + wire codecs + warm-start, tiny sizes)"
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench service

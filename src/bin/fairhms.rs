@@ -34,29 +34,22 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let opts = match parse_flags(rest) {
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let Some((_, run, flags)) = COMMANDS.iter().find(|(name, ..)| name == cmd) else {
+        eprintln!("error: unknown command {cmd:?}\n\n{USAGE}");
+        return ExitCode::FAILURE;
+    };
+    let opts = match parse_flags(rest, flags) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    let run = match cmd.as_str() {
-        "gen" => cmd_gen(&opts),
-        "stats" => cmd_stats(&opts),
-        "solve" => cmd_solve(&opts),
-        "serve" => cmd_serve(&opts),
-        "query" => cmd_query(&opts),
-        "append" => cmd_append(&opts),
-        "delete" => cmd_delete(&opts),
-        "metrics" => cmd_metrics(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        other => Err(format!("unknown command {other:?}")),
-    };
-    match run {
+    match run(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -76,7 +69,7 @@ USAGE:
                 [--cache N] [--shards N] [--strategy roundrobin|stratified]
                 [--load-root DIR] [--max-streams N] [--no-warmstart]
                 [--warm-capacity N] [--no-telemetry] [--slow-query-ms N]
-                [--frontend event|threaded] [--max-conns N] [--queue-depth N]
+                [--max-conns N] [--queue-depth N]
   fairhms query --addr HOST:PORT (--dataset NAME --k K [--alg NAME] [--alpha A]
                 [--balanced] [--no-skyline] [--seed S] | --file FILE [--stream])
                 [--codec text|binary] [--show-stats]
@@ -104,28 +97,63 @@ either way; --no-warmstart disables the tier and --warm-capacity bounds
 its resident entries. Per-stage latency histograms are recorded by
 default (answers are bit-identical with telemetry on or off);
 --no-telemetry disables them and --slow-query-ms N logs one structured
-stderr line per query slower than N ms. --frontend event swaps the
-thread-per-connection accept loop for a poll(2)-driven multiplexer with
-a resident solve worker pool and full admission control: --max-conns
-caps open connections and --queue-depth bounds the global solve queue
-(excess load answers ERR busy with retry_after_ms back-off advice;
-answers stay bit-identical to the threaded front end). `metrics` dumps a running
-server's telemetry snapshot via the METRICS verb. `query` is the
-matching client: --codec binary negotiates the v2 length-prefixed framing
+stderr line per query slower than N ms. One poll(2) event loop serves
+every connection (--frontend event, its only value, is still accepted)
+and --workers resident threads run the solves, under admission
+control: --max-conns caps open connections and --queue-depth
+bounds the global solve queue (excess load answers ERR busy with
+retry_after_ms back-off advice). `metrics` dumps a running server's
+telemetry snapshot via the METRICS verb. `query` is the matching
+client: --codec binary negotiates the v2 length-prefixed framing
 (answers are bit-identical to text), and --file sends a BATCH of QUERY
-lines through the server's thread pool — with --stream the answers are
+lines through the server's worker pool — with --stream the answers are
 printed as the server completes them (seq-tagged) instead of in request
 order.
 
 INPUT FORMAT: CSV rows `attr_1,...,attr_D,group_label` (no header).";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+type Flags = HashMap<String, String>;
+
+type Command = fn(&Flags) -> Result<(), String>;
+
+/// Every subcommand with its handler and the (space-separated) flags it
+/// reads.
+const COMMANDS: &[(&str, Command, &str)] = &[
+    ("gen", cmd_gen, "out n d c kind seed"),
+    ("stats", cmd_stats, "input dim"),
+    (
+        "solve",
+        cmd_solve,
+        "input dim k alg alpha balanced no-skyline seed",
+    ),
+    (
+        "serve",
+        cmd_serve,
+        "data addr workers cache shards strategy load-root max-streams no-warmstart \
+         warm-capacity no-telemetry slow-query-ms frontend max-conns queue-depth",
+    ),
+    (
+        "query",
+        cmd_query,
+        "addr dataset k alg alpha balanced no-skyline seed file stream codec show-stats",
+    ),
+    ("append", cmd_append, "addr dataset row group codec"),
+    ("delete", cmd_delete, "addr dataset row codec"),
+    ("metrics", cmd_metrics, "addr codec"),
+];
+
+/// Parses `--key value` pairs and boolean `--key` switches, rejecting any
+/// flag outside `known` so a typo fails loudly instead of being ignored.
+fn parse_flags(args: &[String], known: &str) -> Result<Flags, String> {
     let mut out = HashMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let Some(key) = a.strip_prefix("--") else {
             return Err(format!("unexpected argument {a:?}"));
         };
+        if !known.split_whitespace().any(|f| f == key) {
+            return Err(format!("unknown flag --{key}"));
+        }
         match key {
             // boolean flags
             "balanced" | "no-skyline" | "show-stats" | "stream" | "no-warmstart"
@@ -141,16 +169,13 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     Ok(out)
 }
 
-fn req<'a>(opts: &'a HashMap<String, String>, key: &str) -> Result<&'a str, String> {
+fn req<'a>(opts: &'a Flags, key: &str) -> Result<&'a str, String> {
     opts.get(key)
         .map(|s| s.as_str())
         .ok_or_else(|| format!("missing required flag --{key}"))
 }
 
-fn num<T: std::str::FromStr>(
-    opts: &HashMap<String, String>,
-    key: &str,
-) -> Result<Option<T>, String> {
+fn num<T: std::str::FromStr>(opts: &Flags, key: &str) -> Result<Option<T>, String> {
     match opts.get(key) {
         None => Ok(None),
         Some(v) => v
@@ -160,7 +185,7 @@ fn num<T: std::str::FromStr>(
     }
 }
 
-fn cmd_gen(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_gen(opts: &Flags) -> Result<(), String> {
     let out = PathBuf::from(req(opts, "out")?);
     let n: usize = num(opts, "n")?.ok_or("missing --n")?;
     let d: usize = num(opts, "d")?.ok_or("missing --d")?;
@@ -192,7 +217,7 @@ fn cmd_gen(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn load(opts: &HashMap<String, String>) -> Result<fairhms::data::Dataset, String> {
+fn load(opts: &Flags) -> Result<fairhms::data::Dataset, String> {
     let input = PathBuf::from(req(opts, "input")?);
     let dim: usize = num(opts, "dim")?.ok_or("missing --dim")?;
     let mut data =
@@ -201,7 +226,7 @@ fn load(opts: &HashMap<String, String>) -> Result<fairhms::data::Dataset, String
     Ok(data)
 }
 
-fn cmd_stats(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_stats(opts: &Flags) -> Result<(), String> {
     let data = load(opts)?;
     let st = DatasetStats::compute(&data);
     println!("{}", st.table_row());
@@ -216,7 +241,7 @@ fn cmd_stats(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_solve(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_solve(opts: &Flags) -> Result<(), String> {
     let data = load(opts)?;
     let k: usize = num(opts, "k")?.ok_or("missing --k")?;
     let alpha: f64 = num(opts, "alpha")?.unwrap_or(0.1);
@@ -271,13 +296,24 @@ fn cmd_solve(opts: &HashMap<String, String>) -> Result<(), String> {
 /// `fairhms serve`: load datasets into a catalog and run the TCP front end
 /// in the foreground until a client sends SHUTDOWN (or the process is
 /// killed).
-fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_serve(opts: &Flags) -> Result<(), String> {
     use fairhms::data::shard::PartitionStrategy;
     use fairhms::service::{
-        Catalog, CatalogConfig, FrontendKind, QueryEngine, ServeOptions, Server, ServerConfig,
-        MAX_SHARDS,
+        Catalog, CatalogConfig, QueryEngine, ServeOptions, Server, ServerConfig, MAX_SHARDS,
     };
     use std::sync::Arc;
+
+    // `event` is the only front end; the flag stays accepted so existing
+    // invocations keep working.
+    match opts.get("frontend").map(String::as_str) {
+        None | Some("event") => {}
+        Some("threaded") => {
+            return Err("--frontend threaded: the threaded front end was removed; \
+                        `event` is the only front end"
+                .into())
+        }
+        Some(f) => return Err(format!("--frontend: expected event, got {f:?}")),
+    }
 
     let specs = req(opts, "data")?;
     let addr = opts
@@ -359,10 +395,6 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     if let Some(n) = num::<usize>(opts, "max-streams")? {
         serve_opts.max_stream_batches = n;
     }
-    if let Some(f) = opts.get("frontend") {
-        serve_opts.frontend = FrontendKind::parse(f)
-            .ok_or_else(|| format!("--frontend: expected event or threaded, got {f:?}"))?;
-    }
     if let Some(n) = num::<usize>(opts, "max-conns")? {
         serve_opts.max_conns = n;
     }
@@ -376,13 +408,10 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     let strategy = cfg.strategy;
     let load_root = serve_opts.load_root.clone();
     let max_streams = serve_opts.max_stream_batches;
-    let frontend_banner = match serve_opts.frontend {
-        FrontendKind::Threaded => "threaded front end".to_string(),
-        FrontendKind::Event => format!(
-            "event front end ({} max conns, queue depth {})",
-            serve_opts.max_conns, serve_opts.queue_depth
-        ),
-    };
+    let frontend_banner = format!(
+        "event front end ({} max conns, queue depth {})",
+        serve_opts.max_conns, serve_opts.queue_depth
+    );
     let warm_banner = if warm.enabled {
         format!("warm-start {} entries", warm.capacity)
     } else {
@@ -424,7 +453,7 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
 /// `HELLO`; without the flag the client is a plain v1 text client.
 /// Output is identical under both codecs (responses are re-rendered
 /// through the v1 text encoding for display).
-fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_query(opts: &Flags) -> Result<(), String> {
     use fairhms::service::protocol::{encode_response_line, Response};
     use fairhms::service::{CodecKind, Query, WireClient};
 
@@ -542,7 +571,7 @@ fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// Connects a [`fairhms::service::WireClient`] honouring `--codec`.
-fn connect_client(opts: &HashMap<String, String>) -> Result<fairhms::service::WireClient, String> {
+fn connect_client(opts: &Flags) -> Result<fairhms::service::WireClient, String> {
     use fairhms::service::{CodecKind, WireClient};
     let addr = req(opts, "addr")?;
     match opts.get("codec") {
@@ -579,7 +608,7 @@ fn print_mutated(resp: &fairhms::service::Response) {
 }
 
 /// `fairhms append`: add one row to a served dataset's live catalog.
-fn cmd_append(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_append(opts: &Flags) -> Result<(), String> {
     let dataset = req(opts, "dataset")?;
     let row: Vec<f64> = req(opts, "row")?
         .split(',')
@@ -600,7 +629,7 @@ fn cmd_append(opts: &HashMap<String, String>) -> Result<(), String> {
 
 /// `fairhms delete`: remove one row (by current 0-based id) from a served
 /// dataset's live catalog.
-fn cmd_delete(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_delete(opts: &Flags) -> Result<(), String> {
     let dataset = req(opts, "dataset")?;
     let row: usize = num(opts, "row")?.ok_or("missing --row")?;
     let mut client = connect_client(opts)?;
@@ -611,7 +640,7 @@ fn cmd_delete(opts: &HashMap<String, String>) -> Result<(), String> {
 
 /// `fairhms metrics`: dump a running server's telemetry snapshot
 /// (per-stage latency histograms + counters) in a human table.
-fn cmd_metrics(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_metrics(opts: &Flags) -> Result<(), String> {
     use fairhms::service::{CodecKind, WireClient};
 
     let addr = req(opts, "addr")?;

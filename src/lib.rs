@@ -35,7 +35,7 @@
 //! | [`lp`] | two-phase simplex + happiness-ratio LPs |
 //! | [`matroid`] | uniform / partition / group-fairness matroids |
 //! | [`submodular`] | greedy & lazy greedy under matroid constraints |
-//! | [`service`] | resident query engine: catalog, solution cache, batch executor, TCP server |
+//! | [`service`] | resident query engine: catalog, solution cache, TCP server with a solve worker pool |
 //!
 //! See `DESIGN.md` for the full system inventory and `EXPERIMENTS.md` for
 //! the paper-vs-measured reproduction record.
@@ -60,7 +60,5 @@ pub mod prelude {
     pub use fairhms_data::dataset::{Dataset, Table};
     pub use fairhms_data::skyline::group_skyline_indices;
     pub use fairhms_matroid::{balanced_bounds, proportional_bounds, FairnessMatroid, Matroid};
-    pub use fairhms_service::{
-        BatchExecutor, Catalog, Query, QueryEngine, ServiceError, SolutionCache,
-    };
+    pub use fairhms_service::{Catalog, Query, QueryEngine, ServiceError, SolutionCache};
 }

@@ -189,6 +189,9 @@ fn serve_and_query_round_trip() {
                 "127.0.0.1:0",
                 "--workers",
                 "2",
+                // Still accepted: `event` is the only front end.
+                "--frontend",
+                "event",
             ])
             .stdout(std::process::Stdio::piped())
             .spawn()
@@ -298,4 +301,32 @@ fn helpful_errors() {
         .expect("run unknown");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+}
+
+#[test]
+fn unknown_flags_are_rejected() {
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &["stats", "--input", "v.csv", "--dim", "4", "--bogus", "1"],
+            "unknown flag --bogus",
+        ),
+        (
+            &["serve", "--data", "v=v.csv", "--wrokers", "8"],
+            "unknown flag --wrokers",
+        ),
+        (
+            &["query", "--addr", "127.0.0.1:1", "--dim", "4"],
+            "unknown flag --dim",
+        ),
+        (
+            &["serve", "--data", "v=v.csv", "--frontend", "threaded"],
+            "threaded front end was removed",
+        ),
+    ];
+    for (args, expected) in cases {
+        let out = Command::new(bin()).args(args).output().expect("run cli");
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(expected), "{args:?}: {stderr}");
+    }
 }
