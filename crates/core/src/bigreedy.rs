@@ -195,7 +195,7 @@ impl SampledNet {
 ///
 /// Routed through [`Dataset::max_dot_many`], the cache-blocked batched
 /// sweep (one stream of the point matrix for all `m` utilities) —
-/// bitwise-equal to the per-utility scalar scan under either backend.
+/// bitwise-equal to the per-utility scalar scan.
 pub fn db_max_of(data: &Dataset, net: &[Vec<f64>]) -> Vec<f64> {
     data.max_dot_many(net)
 }
@@ -225,8 +225,8 @@ pub struct CachedDbMax {
 }
 
 impl CachedDbMax {
-    /// Computes the maxima for `net` over `data` (through the active
-    /// kernel backend) and records the preimage.
+    /// Computes the maxima for `net` over `data` (through the blocked
+    /// SoA kernels) and records the preimage.
     pub fn compute(data: &Dataset, net: &SampledNet) -> Self {
         Self {
             dim: net.dim,

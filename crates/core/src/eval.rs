@@ -94,9 +94,8 @@ pub struct NetEvaluator {
 impl NetEvaluator {
     /// Builds the evaluator for `data` and the utility sample `net`.
     pub fn new(data: &Dataset, net: Vec<Vec<f64>>) -> Self {
-        // The m × n extreme-value pass, routed through the active kernel
-        // backend (bitwise-equal to the scalar fold — see
-        // fairhms_geometry::soa).
+        // The m × n extreme-value pass through the blocked SoA kernels
+        // (bitwise-equal to the scalar fold — see fairhms_geometry::soa).
         let db_max = crate::bigreedy::db_max_of(data, &net);
         Self { net, db_max }
     }

@@ -8,7 +8,7 @@
 //! score computation unless the score matrix is cached).
 
 use fairhms_data::Dataset;
-use fairhms_geometry::soa::{kernel_backend, KernelBackend};
+use fairhms_geometry::soa::BLOCK;
 use fairhms_geometry::vecmath::dot;
 use fairhms_geometry::EPS;
 use fairhms_submodular::IncrementalObjective;
@@ -44,41 +44,25 @@ impl<'a> TruncatedMhrObjective<'a> {
         let m = net.len();
         let n = data.len();
         let scores = if cache && n.saturating_mul(m) <= CACHE_LIMIT {
-            let s = match kernel_backend() {
-                KernelBackend::Scalar => {
-                    let mut s = Vec::with_capacity(n * m);
-                    for i in 0..n {
-                        let p = data.point(i);
-                        for (u, &dbm) in net.iter().zip(db_max) {
-                            s.push(normalized_score(p, u, dbm));
-                        }
+            // Tile-outer build: for each 64-row tile, sweep all utilities
+            // while the tile (a few KB) and its slice of the row-major
+            // cache (64 rows × m) stay cache-resident — a utility-outer
+            // sweep would re-fetch the whole n × m cache once per utility
+            // through the stride-m scatter. Each raw dot is bitwise-equal
+            // to the scalar `dot` (see fairhms_geometry::soa), so every
+            // entry equals `normalized_score(point(i), u, db_max[u])`.
+            let mut s = vec![0.0; n * m];
+            let mut acc = [0.0; BLOCK];
+            let soa = data.soa();
+            for b in 0..soa.num_tiles() {
+                let start = b * BLOCK;
+                for (u_idx, (u, &dbm)) in net.iter().zip(db_max).enumerate() {
+                    let rows = soa.dot_tile(b, u, &mut acc);
+                    for (r, &raw) in acc[..rows].iter().enumerate() {
+                        s[(start + r) * m + u_idx] = normalize_raw(raw, dbm);
                     }
-                    s
                 }
-                KernelBackend::Blocked => {
-                    // Tile-outer build: for each 64-row tile, sweep all
-                    // utilities while the tile (a few KB) and its slice of
-                    // the row-major cache (64 rows × m) stay cache-
-                    // resident — a utility-outer sweep would re-fetch the
-                    // whole n × m cache once per utility through the
-                    // stride-m scatter. Each raw dot is bitwise-equal to
-                    // the scalar loop (see fairhms_geometry::soa), so the
-                    // cache contents are identical across backends.
-                    let mut s = vec![0.0; n * m];
-                    let mut acc = [0.0; fairhms_geometry::soa::BLOCK];
-                    let soa = data.soa();
-                    for b in 0..soa.num_tiles() {
-                        let start = b * fairhms_geometry::soa::BLOCK;
-                        for (u_idx, (u, &dbm)) in net.iter().zip(db_max).enumerate() {
-                            let rows = soa.dot_tile(b, u, &mut acc);
-                            for (r, &raw) in acc[..rows].iter().enumerate() {
-                                s[(start + r) * m + u_idx] = normalize_raw(raw, dbm);
-                            }
-                        }
-                    }
-                    s
-                }
-            };
+            }
             Some(s)
         } else {
             None
@@ -239,19 +223,43 @@ mod tests {
     }
 
     #[test]
-    fn score_cache_is_bitwise_identical_across_kernel_backends() {
-        use fairhms_geometry::soa::{kernel_backend, set_kernel_backend, KernelBackend};
-        let (ds, net, db_max) = setup();
-        let prev = kernel_backend();
-        set_kernel_backend(KernelBackend::Scalar);
-        let a = TruncatedMhrObjective::new(&ds, &net, &db_max, 0.8, true);
-        set_kernel_backend(KernelBackend::Blocked);
-        let b = TruncatedMhrObjective::new(&ds, &net, &db_max, 0.8, true);
-        set_kernel_backend(prev);
-        let (sa, sb) = (a.scores.as_ref().unwrap(), b.scores.as_ref().unwrap());
-        assert_eq!(sa.len(), sb.len());
-        for (x, y) in sa.iter().zip(sb) {
-            assert_eq!(x.to_bits(), y.to_bits());
+    fn score_cache_matches_scalar_oracle_bitwise() {
+        // Shapes straddle BLOCK (one partial tile, one full tile, two full
+        // tiles plus a tail) and reach both const-dim and generic kernels.
+        for n in [1usize, 64, 130] {
+            for d in [2usize, 4, 9] {
+                let points: Vec<f64> = (0..n * d)
+                    .map(|i| ((i * 2654435761) % 1000) as f64 / 997.0)
+                    .collect();
+                let ds = Dataset::ungrouped("t", d, points).unwrap();
+                // Six irregular utilities plus an all-zero one, whose
+                // db_max of 0 takes normalize_raw's degenerate branch.
+                let mut net: Vec<Vec<f64>> = (0..6)
+                    .map(|t| {
+                        (0..d)
+                            .map(|j| 0.05 + ((t * 7 + j * 3) % 11) as f64 / 10.0)
+                            .collect()
+                    })
+                    .collect();
+                net.push(vec![0.0; d]);
+                let db_max: Vec<f64> = net
+                    .iter()
+                    .map(|u| fairhms_geometry::vecmath::max_utility(ds.points_flat(), d, u))
+                    .collect();
+                let obj = TruncatedMhrObjective::new(&ds, &net, &db_max, 0.8, true);
+                let got = obj.scores.as_ref().unwrap();
+                // The scalar oracle: one dot per (row, utility), row-major.
+                let mut want = Vec::with_capacity(n * net.len());
+                for i in 0..n {
+                    for (u, &dbm) in net.iter().zip(&db_max) {
+                        want.push(normalized_score(ds.point(i), u, dbm));
+                    }
+                }
+                assert_eq!(got.len(), want.len());
+                for (k, (x, y)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(x.to_bits(), y.to_bits(), "n={n} d={d} entry {k}");
+                }
+            }
         }
     }
 

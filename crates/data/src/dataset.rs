@@ -4,8 +4,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use fairhms_geometry::soa::{kernel_backend, KernelBackend, SoaMatrix};
-use fairhms_geometry::vecmath;
+use fairhms_geometry::soa::SoaMatrix;
 
 /// Process-wide count of [`Dataset`] deep copies (`Clone::clone` calls).
 ///
@@ -229,54 +228,37 @@ impl Dataset {
             .get_or_init(|| SoaMatrix::from_rows(&self.points, self.dim))
     }
 
-    /// `max_{p ∈ D} ⟨u, p⟩` through the active kernel backend.
+    /// `max_{p ∈ D} ⟨u, p⟩` through the blocked SoA kernel.
     ///
-    /// Bitwise-equal across backends: the blocked kernel performs each
+    /// Bitwise-equal to the scalar oracle
+    /// [`fairhms_geometry::vecmath::max_utility`]: the kernel performs each
     /// row's multiply-adds and the `f64::max` fold in exactly the scalar
     /// order (see [`fairhms_geometry::soa`]). Returns `0.0` on an empty
     /// dataset.
     pub fn max_dot(&self, u: &[f64]) -> f64 {
-        match kernel_backend() {
-            KernelBackend::Scalar => vecmath::max_utility(&self.points, self.dim, u),
-            KernelBackend::Blocked => self.soa().max_dot(u),
-        }
+        self.soa().max_dot(u)
     }
 
     /// `max_{p ∈ D} ⟨u, p⟩` for every utility in `us` — the `m × n`
-    /// extreme-value sweep of BiGreedy setup, through the active kernel
-    /// backend.
-    ///
-    /// Under the blocked backend this is the cache-blocked batched form:
-    /// the point matrix streams through memory once for all utilities
-    /// instead of once per utility (see
+    /// extreme-value sweep of BiGreedy setup, in the cache-blocked
+    /// batched form: the point matrix streams through memory once for all
+    /// utilities instead of once per utility (see
     /// [`fairhms_geometry::soa::SoaMatrix::max_dot_many`]). Bitwise-equal
-    /// to mapping [`Dataset::max_dot`] over `us` under either backend.
+    /// to mapping [`Dataset::max_dot`] over `us`.
     pub fn max_dot_many(&self, us: &[Vec<f64>]) -> Vec<f64> {
-        match kernel_backend() {
-            KernelBackend::Scalar => us
-                .iter()
-                .map(|u| vecmath::max_utility(&self.points, self.dim, u))
-                .collect(),
-            KernelBackend::Blocked => {
-                let mut out = vec![0.0; us.len()];
-                self.soa().max_dot_many(us, &mut out);
-                out
-            }
-        }
+        let mut out = vec![0.0; us.len()];
+        self.soa().max_dot_many(us, &mut out);
+        out
     }
 
-    /// Writes `⟨p_i, u⟩` for every row `i` into `out` through the active
-    /// kernel backend (bitwise-equal across backends).
+    /// Writes `⟨p_i, u⟩` for every row `i` into `out` through the blocked
+    /// SoA kernel (each element bitwise-equal to
+    /// [`fairhms_geometry::vecmath::dot`]).
     ///
     /// # Panics
     /// Panics if `out.len() != self.len()`.
     pub fn dot_batch(&self, u: &[f64], out: &mut [f64]) {
-        match kernel_backend() {
-            KernelBackend::Scalar => {
-                fairhms_geometry::soa::dot_batch_rows(&self.points, self.dim, u, out)
-            }
-            KernelBackend::Blocked => self.soa().dot_batch(u, out),
-        }
+        self.soa().dot_batch(u, out);
     }
 
     /// Group label of row `i`.
@@ -565,6 +547,13 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fairhms_geometry::vecmath;
+    use std::sync::Mutex;
+
+    /// Serializes the tests that assert on the process-global deep-clone
+    /// counter: a concurrent `clone()` in another test would move it
+    /// inside their measurement window.
+    static CLONE_PROBE: Mutex<()> = Mutex::new(());
 
     fn tiny() -> Dataset {
         Dataset::new(
@@ -590,6 +579,7 @@ mod tests {
 
     #[test]
     fn clone_moves_the_deep_clone_probe() {
+        let _probe = CLONE_PROBE.lock().unwrap_or_else(|e| e.into_inner());
         let d = tiny();
         let before = deep_clone_count();
         let copy = d.clone();
@@ -647,24 +637,34 @@ mod tests {
 
     #[test]
     fn soa_view_matches_scalar_and_resets_on_normalize() {
-        let mut d = tiny();
-        let u = [0.3, 0.7];
-        // Build the tiled view, then check both dispatch paths agree with
-        // the scalar oracle bitwise.
-        let expect = vecmath::max_utility(d.points_flat(), d.dim(), &u);
-        assert_eq!(d.soa().max_dot(&u).to_bits(), expect.to_bits());
-        assert_eq!(d.max_dot(&u).to_bits(), expect.to_bits());
-        let mut out = vec![0.0; d.len()];
-        d.dot_batch(&u, &mut out);
-        for (i, &v) in out.iter().enumerate() {
-            assert_eq!(v.to_bits(), vecmath::dot(d.point(i), &u).to_bits());
+        // All three kernel entry points agree bitwise with the scalar
+        // oracles, before and after normalize.
+        fn assert_matches_oracle(d: &Dataset) {
+            // Five utilities: one group of four plus a remainder in the
+            // batched sweep.
+            let us: Vec<Vec<f64>> = (0..5)
+                .map(|t| vec![0.3 + 0.1 * t as f64, 0.7 - 0.2 * t as f64])
+                .collect();
+            let many = d.max_dot_many(&us);
+            assert_eq!(many.len(), us.len());
+            let mut out = vec![0.0; d.len()];
+            for (u, got) in us.iter().zip(&many) {
+                let expect = vecmath::max_utility(d.points_flat(), d.dim(), u);
+                assert_eq!(d.soa().max_dot(u).to_bits(), expect.to_bits());
+                assert_eq!(d.max_dot(u).to_bits(), expect.to_bits());
+                assert_eq!(got.to_bits(), expect.to_bits());
+                d.dot_batch(u, &mut out);
+                for (i, &v) in out.iter().enumerate() {
+                    assert_eq!(v.to_bits(), vecmath::dot(d.point(i), u).to_bits());
+                }
+            }
         }
+        let mut d = tiny();
+        assert_matches_oracle(&d);
         // normalize mutates the matrix in place: the cached view must be
         // rebuilt, not served stale.
         d.normalize();
-        let expect = vecmath::max_utility(d.points_flat(), d.dim(), &u);
-        assert_eq!(d.soa().max_dot(&u).to_bits(), expect.to_bits());
-        assert_eq!(d.max_dot(&u).to_bits(), expect.to_bits());
+        assert_matches_oracle(&d);
     }
 
     #[test]
@@ -687,6 +687,7 @@ mod tests {
 
     #[test]
     fn appended_and_removed_rows_derive_new_datasets() {
+        let _probe = CLONE_PROBE.lock().unwrap_or_else(|e| e.into_inner());
         let d = tiny();
         let before = deep_clone_count();
         let a = d.with_appended_row(&[3.0, 3.0], 1).unwrap();

@@ -20,16 +20,13 @@
 //! [`SoaMatrix::max_dot`] folds the per-row results with `f64::max` in
 //! ascending row order from `0.0`, exactly like
 //! [`crate::vecmath::max_utility`]. Reordering happens only *across* rows,
-//! never within one, so results are bitwise-equal to the scalar oracle —
-//! pinned by `tests/kernel_properties.rs` and the service-level
-//! `kernel_equivalence` suite.
+//! never within one, so results are bitwise-equal to the scalar oracle.
 //!
-//! The active backend is a process global (see [`kernel_backend`]): callers
-//! like `Dataset::max_dot` dispatch through it so the scalar path stays
-//! reachable as a test/CI axis (`FAIRHMS_TEST_KERNEL=scalar`), mirroring
-//! the `FAIRHMS_TEST_SHARDS`/`CODEC`/`WARMSTART` axes.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! The blocked kernels are the only production path. The row-major scalar
+//! loops ([`crate::vecmath::max_utility`], [`dot_batch_rows`]) are kept
+//! solely as the reference oracles the tests and the kernel bench compare
+//! against — pinned per kernel branch by `tests/kernel_properties.rs` and
+//! this module's unit tests.
 
 use crate::vecmath::dot;
 
@@ -41,74 +38,6 @@ use crate::vecmath::dot;
 /// (2/4/8 f64 lanes). Larger tiles spill the per-row accumulator array out
 /// of registers; smaller ones waste the loop overhead amortization.
 pub const BLOCK: usize = 64;
-
-/// Which kernel implementation the workspace routes hot-path evaluation
-/// through. See [`kernel_backend`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelBackend {
-    /// Row-major scalar loops (`vecmath::dot` per point) — the oracle.
-    Scalar,
-    /// Block-tiled SoA kernels ([`SoaMatrix`]) — bitwise-equal, faster.
-    Blocked,
-}
-
-impl KernelBackend {
-    /// Stable lowercase name (used in logs and bench output).
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelBackend::Scalar => "scalar",
-            KernelBackend::Blocked => "blocked",
-        }
-    }
-
-    /// Backend selected by the `FAIRHMS_TEST_KERNEL` environment variable:
-    /// `scalar` forces the oracle path, anything else (or unset) selects
-    /// the blocked kernels.
-    pub fn from_env() -> Self {
-        match std::env::var("FAIRHMS_TEST_KERNEL") {
-            Ok(v) if v.eq_ignore_ascii_case("scalar") => KernelBackend::Scalar,
-            _ => KernelBackend::Blocked,
-        }
-    }
-}
-
-const BACKEND_UNSET: u8 = 0;
-const BACKEND_SCALAR: u8 = 1;
-const BACKEND_BLOCKED: u8 = 2;
-
-static BACKEND: AtomicU8 = AtomicU8::new(BACKEND_UNSET);
-
-/// The process-wide kernel backend.
-///
-/// Initialized lazily from `FAIRHMS_TEST_KERNEL` on first call; tests and
-/// benches may flip it at runtime via [`set_kernel_backend`]. Because both
-/// backends are bitwise-equal by contract, a concurrent flip is harmless —
-/// any interleaving of backends produces the same answers.
-pub fn kernel_backend() -> KernelBackend {
-    // ordering: standalone backend flag; no data is published through
-    // it (both kernels read the same immutable matrix).
-    match BACKEND.load(Ordering::Relaxed) {
-        BACKEND_SCALAR => KernelBackend::Scalar,
-        BACKEND_BLOCKED => KernelBackend::Blocked,
-        _ => {
-            let b = KernelBackend::from_env();
-            set_kernel_backend(b);
-            b
-        }
-    }
-}
-
-/// Overrides the process-wide kernel backend (test/bench hook — the
-/// equivalence suites and the scalar-vs-blocked bench need both backends
-/// within one process).
-pub fn set_kernel_backend(backend: KernelBackend) {
-    let v = match backend {
-        KernelBackend::Scalar => BACKEND_SCALAR,
-        KernelBackend::Blocked => BACKEND_BLOCKED,
-    };
-    // ordering: standalone backend flag; see kernel_backend().
-    BACKEND.store(v, Ordering::Relaxed);
-}
 
 /// Block-tiled column-major view of an `n × dim` row-major matrix.
 ///
@@ -435,7 +364,7 @@ mod tests {
     #[test]
     fn blocked_kernels_match_scalar_oracle_bitwise() {
         for &n in &[0usize, 1, 2, 63, 64, 65, 127, 128, 129, 300] {
-            for &dim in &[1usize, 2, 3, 5, 8] {
+            for &dim in &[1usize, 2, 3, 5, 7, 8, 9] {
                 let pts = matrix(n, dim);
                 let u: Vec<f64> = (0..dim).map(|j| 0.1 + j as f64 * 0.37).collect();
                 let soa = SoaMatrix::from_rows(&pts, dim);
@@ -493,17 +422,5 @@ mod tests {
             soa.max_dot(&u).to_bits(),
             vecmath::max_utility(&pts, 2, &u).to_bits()
         );
-    }
-
-    #[test]
-    fn backend_env_parse_and_runtime_override() {
-        assert_eq!(KernelBackend::Scalar.name(), "scalar");
-        assert_eq!(KernelBackend::Blocked.name(), "blocked");
-        let prev = kernel_backend();
-        set_kernel_backend(KernelBackend::Scalar);
-        assert_eq!(kernel_backend(), KernelBackend::Scalar);
-        set_kernel_backend(KernelBackend::Blocked);
-        assert_eq!(kernel_backend(), KernelBackend::Blocked);
-        set_kernel_backend(prev);
     }
 }

@@ -69,6 +69,10 @@ pub fn argmax<I: IntoIterator<Item = f64>>(iter: I) -> Option<(usize, f64)> {
 ///
 /// Returns 0.0 for an empty point set (the natural identity for happiness
 /// numerators over empty subsets).
+///
+/// This is the scalar reference oracle: production evaluates through the
+/// blocked [`crate::soa::SoaMatrix`] kernels, which tests pin bitwise-equal
+/// to this fold.
 pub fn max_utility(points: &[f64], dim: usize, u: &[f64]) -> f64 {
     debug_assert_eq!(u.len(), dim);
     points

@@ -18,9 +18,10 @@ use fairhms_geometry::vecmath::{dot, max_utility};
 
 /// A row-major matrix (n·dim values) plus a matching utility vector.
 /// Sizes straddle the BLOCK boundary so tail tiles of every occupancy
-/// (1..=BLOCK rows) are generated.
+/// (1..=BLOCK rows) are generated, and dims reach every kernel branch:
+/// the const-`dim` specializations (1–8) and the generic fallback (> 8).
 fn matrix_and_utility() -> impl Strategy<Value = (Vec<f64>, usize, Vec<f64>)> {
-    (1usize..=6, 0usize..=(2 * BLOCK + 5)).prop_flat_map(|(dim, n)| {
+    (1usize..=10, 0usize..=(2 * BLOCK + 5)).prop_flat_map(|(dim, n)| {
         (
             prop::collection::vec(-1.0f64..=1.0, n * dim),
             Just(dim),
@@ -89,7 +90,7 @@ proptest! {
         // recovers the original row-major values exactly: the layout
         // transform loses nothing.
         (points, dim, _) in matrix_and_utility(),
-        j in 0usize..6,
+        j in 0usize..10,
     ) {
         let dim_j = j % dim.max(1);
         let soa = SoaMatrix::from_rows(&points, dim);

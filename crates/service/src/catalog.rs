@@ -64,9 +64,8 @@ impl CatalogConfig {
         }
     }
 
-    /// The default config, overridden by the `FAIRHMS_TEST_SHARDS` (shard
-    /// count) and `FAIRHMS_TEST_STRATEGY` (`roundrobin`/`stratified`)
-    /// environment variables when set.
+    /// The default config, with the shard count overridden by the
+    /// `FAIRHMS_TEST_SHARDS` environment variable when set.
     ///
     /// This is the CI hook that re-runs the whole service test suite over
     /// the sharded pipeline (`scripts/ci.sh` sets `FAIRHMS_TEST_SHARDS=4`
@@ -79,11 +78,6 @@ impl CatalogConfig {
         if let Ok(v) = std::env::var("FAIRHMS_TEST_SHARDS") {
             if let Ok(n) = v.parse::<usize>() {
                 cfg.shards = n.clamp(1, MAX_SHARDS);
-            }
-        }
-        if let Ok(v) = std::env::var("FAIRHMS_TEST_STRATEGY") {
-            if let Some(s) = PartitionStrategy::parse(&v) {
-                cfg.strategy = s;
             }
         }
         cfg

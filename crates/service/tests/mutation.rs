@@ -4,7 +4,7 @@
 //! digest a mutation did not move must keep hitting).
 //!
 //! The engine-level interleaving property runs under whatever
-//! `FAIRHMS_TEST_SHARDS`/`FAIRHMS_TEST_KERNEL` axes CI selects; the TCP
+//! `FAIRHMS_TEST_SHARDS` axis CI selects; the TCP
 //! tests additionally run over both codecs via `FAIRHMS_TEST_CODEC`
 //! (`scripts/ci.sh`).
 
@@ -188,8 +188,8 @@ proptest! {
 /// Staleness regression: a query answered *before* a mutation must not
 /// leave any derived structure (`Dataset::soa()` SoA views, cached
 /// `db_max` preimages, shard prep) serving pre-mutation rows afterwards.
-/// Runs under both kernel backends via the `FAIRHMS_TEST_KERNEL` axis in
-/// `scripts/ci.sh`.
+/// Every solve reads the blocked SoA view, so a stale view would surface
+/// here.
 #[test]
 fn append_after_queries_serves_fresh_rows() {
     let live = engine_with("stale", 60, 23);

@@ -14,7 +14,7 @@ cargo fmt --all --check
 # lock-order graph + poison-recovering locks, clock-free hot paths,
 # newline-safe wire literals — see docs/ARCHITECTURE.md, "Static
 # analysis & enforced invariants"). Runs before the test matrix: a
-# contract violation fails fast, without waiting on seven test passes.
+# contract violation fails fast, without waiting on five test passes.
 # The waiver baseline is pinned; adding a `fairhms-lint: allow(..)`
 # waiver requires bumping it here with a justification in the diff.
 FAIRHMS_LINT_WAIVER_BASELINE=11
@@ -33,23 +33,20 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-# The service suite runs twice more, pinned to each preparation
-# pipeline: every engine/cache/server test must pass over the classic
-# single-shard catalog AND the sharded (4-way) one — answers are
-# contractually bit-identical (see docs/ARCHITECTURE.md, "Sharded
-# preparation & merge").
-# The service suite runs once per wire codec too: FAIRHMS_TEST_CODEC
-# routes every TCP test's client through the v1 text lines or the v2
-# binary framing (WireClient::connect_env) — answers are contractually
-# bit-identical (see docs/PROTOCOL.md, "Protocol v2"). The text pass is
-# folded into the unsharded run (explicit text == the default), so no
-# configuration is executed twice.
-echo "==> service tests, unsharded catalog + text codec (FAIRHMS_TEST_SHARDS=1 FAIRHMS_TEST_CODEC=text)"
-FAIRHMS_TEST_SHARDS=1 FAIRHMS_TEST_CODEC=text cargo test -p fairhms-service -q
-
+# The service suite runs again pinned to the sharded (4-way) preparation
+# pipeline: every engine/cache/server test must pass over the sharded
+# catalog too — answers are contractually bit-identical to the classic
+# single-shard one (see docs/ARCHITECTURE.md, "Sharded preparation &
+# merge"). The plain `cargo test -q` above is the single-shard, text-codec
+# pass (shards = 1 and codec = text are the defaults), so no configuration
+# is executed twice.
 echo "==> service tests, sharded catalog (FAIRHMS_TEST_SHARDS=4)"
 FAIRHMS_TEST_SHARDS=4 cargo test -p fairhms-service -q
 
+# …and once over the binary codec: FAIRHMS_TEST_CODEC routes every TCP
+# test's client through the v2 binary framing instead of the v1 text
+# lines (WireClient::connect_env) — answers are contractually
+# bit-identical (see docs/PROTOCOL.md, "Protocol v2").
 echo "==> service tests, binary codec (FAIRHMS_TEST_CODEC=binary)"
 FAIRHMS_TEST_CODEC=binary cargo test -p fairhms-service -q
 
@@ -65,13 +62,6 @@ FAIRHMS_TEST_WARMSTART=0 cargo test -p fairhms-service -q
 # telemetry on or off (see crates/service/tests/telemetry_equivalence.rs).
 echo "==> service tests, telemetry disabled (FAIRHMS_TEST_TELEMETRY=0)"
 FAIRHMS_TEST_TELEMETRY=0 cargo test -p fairhms-service -q
-
-# …and once on the scalar kernel backend: FAIRHMS_TEST_KERNEL routes all
-# hot-path evaluation through the row-major scalar loops instead of the
-# blocked SoA kernels — answers are contractually bit-identical (see
-# crates/service/tests/kernel_equivalence.rs and fairhms_geometry::soa).
-echo "==> service tests, scalar kernel backend (FAIRHMS_TEST_KERNEL=scalar)"
-FAIRHMS_TEST_KERNEL=scalar cargo test -p fairhms-service -q
 
 echo "==> bench smoke (service engine + shard prep + wire codecs + warm-start, tiny sizes)"
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench service
@@ -95,7 +85,7 @@ s = d['solver']; \
 assert s['dataset_points'] > 0 and s['net_size'] > 0 \
 and s['points_per_sec'] > 0 and s['points_per_sec_scalar'] > 0 \
 and s['db_max_ms_scalar'] > 0 and s['db_max_ms_blocked'] > 0 \
-and s['bigreedy_cold_ms'] > 0 and s['bigreedy_cold_ms_scalar'] > 0, \
+and s['bigreedy_cold_ms'] > 0, \
 'solver kernel section failed sanity checks'; \
 m = d['mutation']; \
 assert m['append_us'] > 0 and m['delete_us'] > 0 and m['full_reprep_ms'] > 0 \
