@@ -26,6 +26,7 @@ use rand::SeedableRng;
 use fairhms_core::bigreedy::{bigreedy, db_max_of, BiGreedyConfig};
 use fairhms_core::types::FairHmsInstance;
 use fairhms_core::SampledNet;
+use fairhms_data::skyline::group_skyline_indices;
 use fairhms_data::{gen, Dataset};
 use fairhms_geometry::vecmath::max_utility;
 use fairhms_matroid::proportional_bounds;
@@ -115,16 +116,35 @@ fn run_workload() -> (u64, f64, Arc<QueryEngine>) {
 const SOLVER_N: usize = 20_000;
 const SOLVER_D: usize = 4;
 const SOLVER_K: usize = 8;
+/// `k` of the skyline-form leg; `paper_default` gives it `m = 400`.
+const SOLVER_K_SKY: usize = 10;
+
+/// Solver-side measurement for the `solver` section of
+/// `BENCH_service.json`.
+struct SolverProfile {
+    db_max_ms_scalar: f64,
+    db_max_ms_blocked: f64,
+    /// Utility evaluations (row dot products) per second through the
+    /// db_max pass, scalar oracle and blocked kernels.
+    evals_per_sec_scalar: f64,
+    evals_per_sec_blocked: f64,
+    net_size: u64,
+    /// One cold full-table BiGreedy solve (k = 8).
+    bigreedy_cold_ms: f64,
+    /// One cold BiGreedy solve over the group skyline of the same dataset
+    /// at k = 10, m = 400 — the serving benchmark's `cold` query shape.
+    bigreedy_cold_ms_sky: f64,
+    sky_points: u64,
+}
 
 /// Solver-side kernel measurement: the cold `m × n` db_max pass at
 /// n = 20k through the scalar oracle (`vecmath::max_utility` mapped over
 /// the net) and through the blocked SoA kernels, asserting bit-identical
-/// maxima, plus one cold BiGreedy solve. Emitted as the `solver` section
-/// of `BENCH_service.json` — `points_per_sec` there means utility
-/// evaluations (row dot products) per second through the db_max pass.
-fn solver_kernels() -> ((f64, f64), (f64, f64), f64, u64) {
+/// maxima, plus one cold BiGreedy solve in each prepared form.
+fn solver_kernels() -> SolverProfile {
     let mut rng = StdRng::seed_from_u64(63);
     let data = gen::anti_correlated_dataset(SOLVER_N, SOLVER_D, 3, &mut rng);
+    let sky = data.subset(&group_skyline_indices(&data));
     let cfg = BiGreedyConfig::paper_default(SOLVER_K, SOLVER_D);
     let m = cfg.resolve_m(SOLVER_D);
     let net = SampledNet::generate(SOLVER_D, m, cfg.seed);
@@ -156,13 +176,27 @@ fn solver_kernels() -> ((f64, f64), (f64, f64), f64, u64) {
 
     let t = Instant::now();
     std::hint::black_box(bigreedy(&inst, &cfg).unwrap());
-    let solve_ms = t.elapsed().as_secs_f64() * 1e3;
-    (
-        (scalar_secs * 1e3, blocked_secs * 1e3),
-        (evals / scalar_secs, evals / blocked_secs),
-        solve_ms,
-        m as u64,
-    )
+    let bigreedy_cold_ms = t.elapsed().as_secs_f64() * 1e3;
+
+    let sky_points = sky.len() as u64;
+    let (l, h) = proportional_bounds(&sky.group_sizes(), SOLVER_K_SKY, 0.1);
+    let sky_inst = FairHmsInstance::new(sky, SOLVER_K_SKY, l, h).unwrap();
+    sky_inst.data().soa();
+    let sky_cfg = BiGreedyConfig::paper_default(SOLVER_K_SKY, SOLVER_D);
+    let t = Instant::now();
+    std::hint::black_box(bigreedy(&sky_inst, &sky_cfg).unwrap());
+    let bigreedy_cold_ms_sky = t.elapsed().as_secs_f64() * 1e3;
+
+    SolverProfile {
+        db_max_ms_scalar: scalar_secs * 1e3,
+        db_max_ms_blocked: blocked_secs * 1e3,
+        evals_per_sec_scalar: evals / scalar_secs,
+        evals_per_sec_blocked: evals / blocked_secs,
+        net_size: m as u64,
+        bigreedy_cold_ms,
+        bigreedy_cold_ms_sky,
+        sky_points,
+    }
 }
 
 /// Mutation-path measurement for the `mutation` section of
@@ -336,10 +370,16 @@ fn main() {
          ping {ping_us:.1} µs under load"
     );
 
-    let ((db_scalar_ms, db_blocked_ms), (evals_scalar, evals_blocked), bg_ms, m) = solver_kernels();
+    let sp = solver_kernels();
     println!(
-        "solver kernels (n={SOLVER_N}, d={SOLVER_D}, m={m}): db_max {db_scalar_ms:.2} ms scalar \
-         vs {db_blocked_ms:.2} ms blocked; cold bigreedy {bg_ms:.0} ms"
+        "solver kernels (n={SOLVER_N}, d={SOLVER_D}, m={}): db_max {:.2} ms scalar vs {:.2} ms \
+         blocked; cold bigreedy {:.0} ms full, {:.0} ms group skyline (n={}, k={SOLVER_K_SKY})",
+        sp.net_size,
+        sp.db_max_ms_scalar,
+        sp.db_max_ms_blocked,
+        sp.bigreedy_cold_ms,
+        sp.bigreedy_cold_ms_sky,
+        sp.sky_points
     );
 
     let mp = mutation_profile();
@@ -379,12 +419,14 @@ fn main() {
             &json::Obj::new()
                 .u64("dataset_points", SOLVER_N as u64)
                 .u64("dim", SOLVER_D as u64)
-                .u64("net_size", m)
-                .f64("db_max_ms_scalar", db_scalar_ms)
-                .f64("db_max_ms_blocked", db_blocked_ms)
-                .f64("points_per_sec_scalar", evals_scalar)
-                .f64("points_per_sec", evals_blocked)
-                .f64("bigreedy_cold_ms", bg_ms)
+                .u64("net_size", sp.net_size)
+                .f64("db_max_ms_scalar", sp.db_max_ms_scalar)
+                .f64("db_max_ms_blocked", sp.db_max_ms_blocked)
+                .f64("points_per_sec_scalar", sp.evals_per_sec_scalar)
+                .f64("points_per_sec", sp.evals_per_sec_blocked)
+                .f64("bigreedy_cold_ms", sp.bigreedy_cold_ms)
+                .u64("sky_points", sp.sky_points)
+                .f64("bigreedy_cold_ms_sky", sp.bigreedy_cold_ms_sky)
                 .build(),
         )
         .raw(

@@ -32,7 +32,9 @@ use rand::SeedableRng;
 
 use fairhms_data::Dataset;
 use fairhms_geometry::sphere::{bigreedy_net_delta, net_size, random_net_with_basis};
-use fairhms_submodular::{greedy_matroid, lazy_greedy_matroid, IncrementalObjective};
+use fairhms_submodular::{
+    greedy_matroid, lazy_greedy_matroid, lazy_greedy_matroid_seeded, IncrementalObjective,
+};
 
 use crate::objective::TruncatedMhrObjective;
 use crate::types::{CoreError, FairHmsInstance, Solution};
@@ -311,13 +313,27 @@ pub fn bigreedy_on_net_with_db_max(
     // solutions, and the bases produced while attempting a too-ambitious τ
     // are frequently the best worst-case covers even though they miss the
     // average-value target.
+    //
+    // Each probe's first greedy round is seeded with the empty-set gain
+    // bounds of the most recent failed probe. Empty-set gains never
+    // decrease as τ grows (every term `min(s, τ)` is monotone in τ, and
+    // so is round-to-nearest addition), so a failed probe's bounds are
+    // valid upper bounds at any smaller τ — and both τ searches only probe
+    // below their most recent failure (a binary search moves up only from
+    // a pass and never above a failure; the linear sweep only descends).
+    // The lazy greedy needs nothing more than upper bounds, so seeding
+    // skips most of each heap fill without changing any pick.
     let mut achieved: Option<f64> = None; // largest passed τ
     let mut pool: Vec<(Vec<usize>, bool)> = Vec::new(); // (union, passed)
-    let probe = |tau: f64,
-                 objective: &mut TruncatedMhrObjective<'_>,
-                 pool: &mut Vec<(Vec<usize>, bool)>,
-                 achieved: &mut Option<f64>|
+    let (mut seed_tau, mut seed) = (f64::INFINITY, Vec::new()); // failed probe's bounds
+    let mut bounds: Vec<f64> = Vec::new(); // the running probe's bounds
+    let mut probe = |tau: f64,
+                     objective: &mut TruncatedMhrObjective<'_>,
+                     pool: &mut Vec<(Vec<usize>, bool)>,
+                     achieved: &mut Option<f64>|
      -> bool {
+        debug_assert!(seed.is_empty() || seed_tau > tau, "seed from a smaller τ");
+        bounds.clone_from(&seed);
         let (union, passed) = mr_greedy(
             inst,
             objective,
@@ -326,12 +342,17 @@ pub fn bigreedy_on_net_with_db_max(
             gamma,
             epsilon,
             config.use_lazy,
+            &mut bounds,
         );
         if !union.is_empty() {
             pool.push((union, passed));
         }
         if passed && achieved.is_none_or(|a| tau > a) {
             *achieved = Some(tau);
+        }
+        if !passed {
+            seed_tau = tau;
+            std::mem::swap(&mut seed, &mut bounds);
         }
         passed
     };
@@ -411,6 +432,11 @@ pub fn bigreedy_on_net_with_db_max(
 /// `MRGreedy` (Algorithm 3, lines 10–22): up to `gamma` greedy rounds on
 /// disjoint candidate pools. Returns the union (possibly partial) and
 /// whether it met the target `mhr_τ(S|N) ≥ (1 − ε/2m)·τ`.
+///
+/// `bounds` seeds the lazy first round (see
+/// [`lazy_greedy_matroid_seeded`]): empty, or upper bounds on every
+/// candidate's empty-set gain at `tau`; on return it holds such bounds.
+/// Later rounds run on smaller pools and are not seeded.
 #[allow(clippy::too_many_arguments)]
 fn mr_greedy(
     inst: &FairHmsInstance,
@@ -420,20 +446,23 @@ fn mr_greedy(
     gamma: usize,
     epsilon: f64,
     use_lazy: bool,
+    bounds: &mut Vec<f64>,
 ) -> (Vec<usize>, bool) {
     objective.set_tau(tau);
-    let m = objective.state_of(&[]).len().max(1);
+    let m = objective.num_utilities().max(1);
     let target = (1.0 - epsilon / (2.0 * m as f64)) * tau;
 
     let mut union: Vec<usize> = Vec::new();
     let mut union_state = objective.empty_state();
     let mut pool: Vec<usize> = candidates.to_vec();
     let mut last_value = f64::NEG_INFINITY;
-    for _round in 0..gamma {
+    for round_idx in 0..gamma {
         if pool.is_empty() {
             break;
         }
-        let round = if use_lazy {
+        let round = if use_lazy && round_idx == 0 {
+            lazy_greedy_matroid_seeded(objective, inst.matroid(), &pool, bounds)
+        } else if use_lazy {
             lazy_greedy_matroid(objective, inst.matroid(), &pool)
         } else {
             greedy_matroid(objective, inst.matroid(), &pool)

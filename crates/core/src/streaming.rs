@@ -50,12 +50,41 @@ impl Default for StreamingFairHmsConfig {
     }
 }
 
+impl StreamingFairHmsConfig {
+    /// Validates the numeric parameters, mirroring
+    /// [`BiGreedyConfig::validate`](crate::bigreedy::BiGreedyConfig::validate):
+    /// `tau` must be finite in `(0, 1]` and `swap_factor` finite and
+    /// `> 0`. The solver runs at exactly these values — there is no clamp
+    /// between validation and use. (A NaN cap would otherwise run the
+    /// objective untruncated, and a NaN swap factor disable every swap.)
+    pub fn validate(&self) -> Result<(), CoreError> {
+        let t = self.tau;
+        if !t.is_finite() || t <= 0.0 || t > 1.0 {
+            return Err(CoreError::InvalidParameter {
+                param: "tau",
+                value: format!("{t}"),
+                expected: "a finite value in (0, 1]",
+            });
+        }
+        let f = self.swap_factor;
+        if !f.is_finite() || f <= 0.0 {
+            return Err(CoreError::InvalidParameter {
+                param: "swap_factor",
+                value: format!("{f}"),
+                expected: "a finite value > 0",
+            });
+        }
+        Ok(())
+    }
+}
+
 /// Runs two-pass streaming FairHMS over the instance's dataset in row
 /// order. [`Solution::mhr`] is the δ-net estimate of the result.
 pub fn streaming_fairhms(
     inst: &FairHmsInstance,
     config: &StreamingFairHmsConfig,
 ) -> Result<Solution, CoreError> {
+    config.validate()?;
     let data = inst.data();
     let d = inst.dim();
     let m = config.sample_size.unwrap_or(10 * inst.k() * d).max(2);
@@ -76,23 +105,14 @@ pub fn streaming_fairhms(
 
     // Pass 2: swap-based streaming selection. The score cache is disabled:
     // a streaming setting cannot precompute an n × m matrix.
-    let objective = TruncatedMhrObjective::new(
-        data,
-        &net,
-        &db_max,
-        config.tau.clamp(f64::MIN_POSITIVE, 1.0),
-        false,
-    );
+    let objective = TruncatedMhrObjective::new(data, &net, &db_max, config.tau, false);
     let stream_cfg = StreamingConfig {
         swap_factor: config.swap_factor,
     };
     let result = streaming_matroid(&objective, inst.matroid(), 0..data.len(), &stream_cfg);
     let indices = inst.complete_to_feasible(&result.items)?;
 
-    let state = objective.state_of(&indices);
-    let mut full = TruncatedMhrObjective::new(data, &net, &db_max, 1.0, false);
-    full.set_tau(1.0);
-    let mhr = full.mhr_of_state(&state);
+    let mhr = objective.mhr_of_state(&objective.state_of(&indices));
     Ok(Solution::new(indices, Some(mhr)))
 }
 
@@ -138,6 +158,46 @@ mod tests {
             streaming_fairhms(&inst, &cfg).unwrap().indices,
             streaming_fairhms(&inst, &cfg).unwrap().indices
         );
+    }
+
+    #[test]
+    fn invalid_tau_or_swap_factor_yield_typed_errors() {
+        // Regression: τ used to be clamped into [f64::MIN_POSITIVE, 1], so
+        // τ ≤ 0 or > 1 ran silently as a different cap, and a NaN τ passed
+        // the clamp and ran the objective untruncated; a NaN swap factor
+        // silently disabled every swap.
+        let inst = lsac_instance(2);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.5, 1.5] {
+            let cfg = StreamingFairHmsConfig {
+                tau: bad,
+                ..StreamingFairHmsConfig::default()
+            };
+            match streaming_fairhms(&inst, &cfg) {
+                Err(CoreError::InvalidParameter { param: "tau", .. }) => {}
+                other => panic!("tau = {bad}: expected typed error, got {other:?}"),
+            }
+        }
+        for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let cfg = StreamingFairHmsConfig {
+                swap_factor: bad,
+                ..StreamingFairHmsConfig::default()
+            };
+            match streaming_fairhms(&inst, &cfg) {
+                Err(CoreError::InvalidParameter {
+                    param: "swap_factor",
+                    ..
+                }) => {}
+                other => panic!("swap_factor = {bad}: expected typed error, got {other:?}"),
+            }
+        }
+        // Both boundaries of the accepted τ range run as given.
+        for tau in [f64::MIN_POSITIVE, 1.0] {
+            let cfg = StreamingFairHmsConfig {
+                tau,
+                ..StreamingFairHmsConfig::default()
+            };
+            assert!(streaming_fairhms(&inst, &cfg).is_ok(), "tau = {tau}");
+        }
     }
 
     #[test]

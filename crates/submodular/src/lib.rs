@@ -11,15 +11,40 @@
 //!   matroid;
 //! * [`lazy_greedy_matroid`] — the same algorithm with lazy (stale-gain)
 //!   evaluation, valid because submodularity makes marginal gains
-//!   monotonically non-increasing.
+//!   monotonically non-increasing;
+//! * [`lazy_greedy_matroid_seeded`] — the lazy greedy started from caller
+//!   supplied upper bounds instead of a full evaluation pass.
 //!
-//! Both variants *fill a base*: they keep adding feasible elements while
+//! All variants *fill a base*: they keep adding feasible elements while
 //! any exist, even at zero marginal gain, matching Algorithm 3's inner
 //! loop (`while ∃p: S_i ∪ {p} ∈ I`).
+//!
+//! # Batched gains and seeded bounds
+//!
+//! [`IncrementalObjective::gains`] evaluates several candidates at one
+//! state; its default loops over [`IncrementalObjective::gain`], and an
+//! override may interleave the candidates (independent accumulators) as
+//! long as every result is bitwise-equal to `gain`. The lazy greedy uses
+//! it for the initial heap fill and to re-evaluate up to four stale heap
+//! tops at a time.
+//!
+//! The lazy greedy is exact with *any* upper bounds in its heap: it pops
+//! the top entry and re-evaluates it if stale; a fresh top's gain is at
+//! least every other entry's key, hence every other candidate's true
+//! gain, and an equal key with a smaller index would have been popped
+//! first — so the pick is the eager greedy's argmax with its tie-break.
+//! Heap keys only need to dominate the current gains, which is why
+//! (a) re-evaluating a stale entry early is harmless (gains only shrink
+//! as the set grows) and (b) a run may start from seeded bounds, e.g. the
+//! empty-set gains of an objective that dominates this one pointwise.
+//! [`lazy_greedy_matroid_seeded`] starts such entries stale and hands
+//! back bounds tightened by every gain it evaluated before its first
+//! pick, so a sequence of ever-smaller objectives can chain them.
 
 pub mod streaming;
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use fairhms_matroid::Matroid;
@@ -41,6 +66,19 @@ pub trait IncrementalObjective {
 
     /// Marginal gain of adding `item` to the set represented by `state`.
     fn gain(&self, state: &Self::State, item: usize) -> f64;
+
+    /// Marginal gains of every item in `items` at `state`, written to the
+    /// matching slot of `out` (`out.len() == items.len()`).
+    ///
+    /// Overrides may batch the work (e.g. interleave several candidates)
+    /// but must return exactly what [`IncrementalObjective::gain`] would,
+    /// bit for bit: the greedy results depend on it.
+    fn gains(&self, state: &Self::State, items: &[usize], out: &mut [f64]) {
+        assert_eq!(items.len(), out.len(), "one output slot per item");
+        for (o, &item) in out.iter_mut().zip(items) {
+            *o = self.gain(state, item);
+        }
+    }
 
     /// Adds `item` to `state`.
     fn add(&self, state: &mut Self::State, item: usize);
@@ -114,12 +152,23 @@ pub fn greedy_matroid<O: IncrementalObjective, M: Matroid>(
     GreedyResult { items, value }
 }
 
-#[derive(PartialEq)]
+#[derive(Clone, Copy, PartialEq)]
 struct HeapEntry {
     gain: f64,
     item: usize,
-    stamp: usize,
+    /// Position of `item` in the candidate list (its slot in the bounds).
+    pos: u32,
+    /// Number of picks when `gain` was computed; [`STALE`] for a seeded
+    /// upper bound that was never evaluated in this run.
+    stamp: u32,
 }
+
+/// Stamp of an entry that is stale at every step, including the first.
+const STALE: u32 = u32::MAX;
+
+/// Most stale entries [`lazy_greedy_matroid_seeded`] re-evaluates in one
+/// [`IncrementalObjective::gains`] call.
+const REFRESH_BATCH: usize = 4;
 
 impl Eq for HeapEntry {}
 
@@ -152,15 +201,52 @@ pub fn lazy_greedy_matroid<O: IncrementalObjective, M: Matroid>(
     matroid: &M,
     candidates: &[usize],
 ) -> GreedyResult {
+    lazy_greedy_matroid_seeded(objective, matroid, candidates, &mut Vec::new())
+}
+
+/// [`lazy_greedy_matroid`] with initial upper bounds on the empty-set
+/// gains, aligned with `candidates`.
+///
+/// If `bounds` is empty on entry, the heap is filled with the exact gains
+/// from one [`IncrementalObjective::gains`] call and `bounds` receives
+/// them. Otherwise it must hold one value per candidate, each `≥` that
+/// candidate's gain on the empty set; those entries start stale, so each
+/// is evaluated only when it reaches the top of the heap. The lazy
+/// argument needs nothing more than upper bounds (a fresh top beats every
+/// other entry's bound, hence its true gain, with ties going to the
+/// smaller index), so the result is identical to the unseeded run.
+///
+/// On return `bounds` still holds an upper bound on every candidate's
+/// empty-set gain: gains evaluated before the first pick replace their
+/// bounds. A later run whose empty-set gains are dominated by this one's
+/// can be seeded with it.
+pub fn lazy_greedy_matroid_seeded<O: IncrementalObjective, M: Matroid>(
+    objective: &O,
+    matroid: &M,
+    candidates: &[usize],
+    bounds: &mut Vec<f64>,
+) -> GreedyResult {
+    assert!(candidates.len() < STALE as usize, "too many candidates");
     let mut state = objective.empty_state();
     let mut items: Vec<usize> = Vec::new();
-    let mut stamp = 0usize; // incremented on every add; entries older are stale
+    let mut stamp = 0u32; // incremented on every add; entries older are stale
+    let first_stamp = if bounds.is_empty() {
+        bounds.resize(candidates.len(), 0.0);
+        objective.gains(&state, candidates, bounds);
+        stamp
+    } else {
+        assert_eq!(bounds.len(), candidates.len(), "one bound per candidate");
+        STALE
+    };
     let mut heap: BinaryHeap<HeapEntry> = candidates
         .iter()
-        .map(|&item| HeapEntry {
-            gain: objective.gain(&state, item),
+        .zip(bounds.iter())
+        .enumerate()
+        .map(|(pos, (&item, &gain))| HeapEntry {
+            gain,
             item,
-            stamp,
+            pos: pos as u32,
+            stamp: first_stamp,
         })
         .collect();
     loop {
@@ -176,14 +262,37 @@ pub fn lazy_greedy_matroid<O: IncrementalObjective, M: Matroid>(
                 chosen = Some(top.item);
                 break;
             }
-            // Stale: re-evaluate and re-queue; the refreshed entry competes
-            // on heap order (gain, then smaller index), which reproduces the
-            // eager greedy's tie-breaking exactly.
-            heap.push(HeapEntry {
-                gain: objective.gain(&state, top.item),
-                item: top.item,
-                stamp,
-            });
+            // Stale: re-evaluate and re-queue, together with up to three
+            // more stale feasible entries from the top of the heap, so one
+            // `gains` call can interleave their evaluation. Refreshing an
+            // entry early is harmless: its gain can only shrink later, so
+            // it stays an upper bound. Refreshed entries compete on heap
+            // order (gain, then smaller index), which reproduces the eager
+            // greedy's tie-breaking exactly.
+            let mut stale = [top; REFRESH_BATCH];
+            let mut len = 1;
+            while len < REFRESH_BATCH {
+                let Some(next) = heap.peek_mut().filter(|e| e.stamp != stamp) else {
+                    break;
+                };
+                let next = PeekMut::pop(next);
+                if matroid.can_extend(&items, next.item) {
+                    stale[len] = next;
+                    len += 1;
+                }
+            }
+            let mut ids = [0usize; REFRESH_BATCH];
+            for (id, e) in ids.iter_mut().zip(&stale[..len]) {
+                *id = e.item;
+            }
+            let mut gains = [0.0; REFRESH_BATCH];
+            objective.gains(&state, &ids[..len], &mut gains[..len]);
+            for (e, &gain) in stale[..len].iter().zip(&gains) {
+                if items.is_empty() {
+                    bounds[e.pos as usize] = gain; // exact empty-set gain
+                }
+                heap.push(HeapEntry { gain, stamp, ..*e });
+            }
         }
         let Some(item) = chosen else { break };
         objective.add(&mut state, item);

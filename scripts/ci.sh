@@ -63,11 +63,14 @@ FAIRHMS_TEST_WARMSTART=0 cargo test -p fairhms-service -q
 echo "==> service tests, telemetry disabled (FAIRHMS_TEST_TELEMETRY=0)"
 FAIRHMS_TEST_TELEMETRY=0 cargo test -p fairhms-service -q
 
-echo "==> bench smoke (service engine + shard prep + wire codecs + warm-start, tiny sizes)"
+echo "==> bench smoke (service engine + shard prep + wire codecs + warm-start + BiGreedy, tiny sizes)"
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench service
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench shard
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench protocol
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench warmstart
+# Lazy-vs-eager greedy and BiGreedy/BiGreedy+ ablations: no other step
+# runs this bench, so smoke it here to keep it compiling and running.
+FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench bigreedy
 
 # Telemetry bench: asserts the warm-hit overhead budget (<1 µs), measures
 # the event front end's idle-connection fan-out (500 idle conns must cost
@@ -85,7 +88,7 @@ s = d['solver']; \
 assert s['dataset_points'] > 0 and s['net_size'] > 0 \
 and s['points_per_sec'] > 0 and s['points_per_sec_scalar'] > 0 \
 and s['db_max_ms_scalar'] > 0 and s['db_max_ms_blocked'] > 0 \
-and s['bigreedy_cold_ms'] > 0, \
+and s['bigreedy_cold_ms'] > 0 and s['bigreedy_cold_ms_sky'] > 0, \
 'solver kernel section failed sanity checks'; \
 m = d['mutation']; \
 assert m['append_us'] > 0 and m['delete_us'] > 0 and m['full_reprep_ms'] > 0 \
