@@ -313,11 +313,11 @@ impl FairHmsInstance {
 /// actually runs on, plus the map from its row ids back to the originating
 /// dataset's row ids.
 ///
-/// This is the seam between preprocessing (skyline reduction, sharded
-/// prep + merge) and solving: the reducer materializes the candidate
-/// dataset **once** (per dataset, not per query), every solve shares it
-/// through the `Arc`, and answers are translated back to original row ids
-/// with [`CandidateSet::to_original`]. The CLI `solve` path and the
+/// This is the seam between preprocessing (skyline reduction) and
+/// solving: the reducer materializes the candidate dataset **once** (per
+/// dataset, not per query), every solve shares it through the `Arc`, and
+/// answers are translated back to original row ids with
+/// [`CandidateSet::to_original`]. The CLI `solve` path and the
 /// serving engine both route through this type, so a reduction produces
 /// identical answer indices no matter which front end ran it.
 #[derive(Debug, Clone)]

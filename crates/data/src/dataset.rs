@@ -320,64 +320,6 @@ impl Dataset {
         maxima
     }
 
-    /// [`Dataset::normalize`] with the two passes (column maxima, then
-    /// scaling) split across `threads` row-aligned chunks on scoped std
-    /// threads.
-    ///
-    /// **Bit-identical** to the serial version: `f64::max` is order-
-    /// independent, chunk boundaries are row-aligned, and every element is
-    /// divided by the same merged maxima — so sharded and unsharded
-    /// preparation normalize to exactly the same matrix.
-    pub fn normalize_parallel(&mut self, threads: usize) -> Vec<f64> {
-        let threads = threads.max(1);
-        let n = self.len();
-        if threads == 1 || n < 2 * threads {
-            return self.normalize();
-        }
-        self.soa = OnceLock::new();
-        let dim = self.dim;
-        let chunk_len = n.div_ceil(threads) * dim;
-        let maxima = std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .points
-                .chunks(chunk_len)
-                .map(|chunk| {
-                    s.spawn(move || {
-                        let mut m = vec![0.0_f64; dim];
-                        for p in chunk.chunks_exact(dim) {
-                            for (mi, &v) in m.iter_mut().zip(p) {
-                                *mi = mi.max(v);
-                            }
-                        }
-                        m
-                    })
-                })
-                .collect();
-            let mut maxima = vec![0.0_f64; dim];
-            for h in handles {
-                for (a, b) in maxima.iter_mut().zip(h.join().unwrap()) {
-                    *a = a.max(b);
-                }
-            }
-            maxima
-        });
-        std::thread::scope(|s| {
-            for chunk in self.points.chunks_mut(chunk_len) {
-                let maxima = &maxima;
-                s.spawn(move || {
-                    for p in chunk.chunks_exact_mut(dim) {
-                        for (v, &m) in p.iter_mut().zip(maxima) {
-                            if m > 0.0 {
-                                *v /= m;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        maxima
-    }
-
     /// The sub-dataset induced by `rows` (order preserved, groups kept).
     pub fn subset(&self, rows: &[usize]) -> Dataset {
         let mut points = Vec::with_capacity(rows.len() * self.dim);

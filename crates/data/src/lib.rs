@@ -14,9 +14,6 @@
 //!   environment. Each matches the published n, d, group structure, and
 //!   approximate skyline scale (see DESIGN.md §4), plus the literal 8-row
 //!   LSAC example of Table 1.
-//! * [`shard`] — deterministic row partitioning ([`ShardPlan`]) and the
-//!   merge stage that makes sharded group-skyline preparation bit-identical
-//!   to the unsharded pipeline.
 //! * [`csv`] — minimal CSV import/export for datasets and result series.
 //! * [`stats`] — dataset statistics used to regenerate Table 2.
 
@@ -24,9 +21,7 @@ pub mod csv;
 pub mod dataset;
 pub mod gen;
 pub mod realsim;
-pub mod shard;
 pub mod skyline;
 pub mod stats;
 
 pub use dataset::{deep_clone_count, Dataset, DatasetError, Table};
-pub use shard::{PartitionStrategy, ShardPlan};

@@ -111,44 +111,22 @@ pub fn skyline_indices(data: &Dataset) -> Vec<usize> {
 /// preprocessing (a group's best points must stay available even when
 /// globally dominated).
 pub fn group_skyline_indices(data: &Dataset) -> Vec<usize> {
-    let all: Vec<usize> = (0..data.len()).collect();
-    group_skyline_of_rows(data, &all)
-}
-
-/// Union of per-group skylines *restricted to `rows`* (global row ids;
-/// groups absent from `rows` contribute nothing), sorted ascending.
-///
-/// This is the per-shard work unit of the sharded preparation pipeline
-/// (see [`crate::shard`]): it reads the shared point matrix through
-/// `data` — a view, never a copy — and returns global ids directly, so
-/// shard outputs can be unioned without index translation.
-/// `group_skyline_of_rows(data, 0..n)` equals [`group_skyline_indices`].
-pub fn group_skyline_of_rows(data: &Dataset, rows: &[usize]) -> Vec<usize> {
-    let mut out: Vec<usize> = Vec::new();
-    for bucket in bucket_rows_by_group(data, rows)
-        .iter()
-        .filter(|bucket| !bucket.is_empty())
-    {
-        out.extend(bucket_skyline(data, bucket));
+    let mut by_group: Vec<Vec<usize>> = vec![Vec::new(); data.num_groups()];
+    for r in 0..data.len() {
+        by_group[data.group_of(r)].push(r);
     }
+    let mut out: Vec<usize> = by_group
+        .iter()
+        .flat_map(|bucket| bucket_skyline(data, bucket))
+        .collect();
     out.sort_unstable();
     out
 }
 
-/// Splits `rows` (global ids) into per-group buckets, indexed by group id
-/// (relative order within each bucket preserved).
-pub fn bucket_rows_by_group(data: &Dataset, rows: &[usize]) -> Vec<Vec<usize>> {
-    let mut by_group: Vec<Vec<usize>> = vec![Vec::new(); data.num_groups()];
-    for &r in rows {
-        by_group[data.group_of(r)].push(r);
-    }
-    by_group
-}
-
 /// Skyline of one bucket of rows (global ids in, global ids out, bucket
-/// order preserved among survivors). The per-group work unit shared by
-/// [`group_skyline_of_rows`] and the parallel merge in [`crate::shard`] —
-/// buckets are independent, so callers may run one per thread.
+/// order preserved among survivors). The per-group work unit of
+/// [`group_skyline_indices`] and of the catalog's delete repair, which
+/// recomputes one group's skyline from its remaining rows.
 pub fn bucket_skyline(data: &Dataset, rows: &[usize]) -> Vec<usize> {
     let sub: Vec<f64> = rows
         .iter()

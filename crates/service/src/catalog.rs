@@ -1,19 +1,13 @@
-//! Named-dataset catalog with memoized, optionally sharded preprocessing.
+//! Named-dataset catalog with memoized preprocessing.
 //!
 //! Every FairHMS algorithm consumes the same prepared form of a dataset:
 //! scale-normalized coordinates restricted to the union of per-group
 //! skylines. The batch CLI recomputes that on every `solve`; the catalog
-//! computes it **once per dataset** at registration time and hands out
-//! shared [`PreparedDataset`]s, so a query's marginal cost is just the
-//! solve itself.
-//!
-//! With [`CatalogConfig::shards`] > 1, the skyline reduction is
-//! *partitioned*: a [`ShardPlan`] splits the rows, each shard's group
-//! skyline runs on its own std thread against the one shared matrix (a
-//! view, never a copy), and a final merge pass reduces the union — an
-//! output **bit-identical** to the unsharded pipeline (see
-//! [`fairhms_data::shard`]), so sharding is purely a preparation-latency
-//! knob, invisible to answers.
+//! computes it **once per dataset** at registration time — normalize,
+//! then [`group_skyline_indices`], then the restricted subset — and hands
+//! out shared [`PreparedDataset`]s, so a query's marginal cost is just
+//! the solve itself. `APPEND`/`DELETE` then maintain the global skyline
+//! row list incrementally instead of re-preparing.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -23,92 +17,10 @@ use fairhms_obs::sync::{read_or_recover, write_or_recover};
 use std::time::Instant;
 
 use fairhms_data::csv;
-use fairhms_data::shard::{merge_shard_skylines_parallel, PartitionStrategy, ShardPlan};
-use fairhms_data::skyline::{bucket_skyline, dominates, group_skyline_of_rows};
+use fairhms_data::skyline::{bucket_skyline, dominates, group_skyline_indices};
 use fairhms_data::Dataset;
 
 use crate::ServiceError;
-
-/// Upper limit on the configurable shard count (CLI `--shards`, wire
-/// `SHARDS`): beyond this, per-shard thread and merge overhead dwarfs any
-/// parallelism a realistic machine can supply.
-pub const MAX_SHARDS: usize = 64;
-
-/// Catalog-wide preparation tunables, applied to every subsequent dataset
-/// registration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CatalogConfig {
-    /// Number of preparation shards (clamped to `1..=`[`MAX_SHARDS`]).
-    /// 1 = the classic unsharded pipeline.
-    pub shards: usize,
-    /// How rows are dealt to shards.
-    pub strategy: PartitionStrategy,
-}
-
-impl Default for CatalogConfig {
-    fn default() -> Self {
-        Self {
-            shards: 1,
-            strategy: PartitionStrategy::GroupStratified,
-        }
-    }
-}
-
-impl CatalogConfig {
-    /// A config with `shards` shards and the default (group-stratified)
-    /// strategy.
-    pub fn with_shards(shards: usize) -> Self {
-        Self {
-            shards: shards.clamp(1, MAX_SHARDS),
-            ..Self::default()
-        }
-    }
-
-    /// The default config, with the shard count overridden by the
-    /// `FAIRHMS_TEST_SHARDS` environment variable when set.
-    ///
-    /// This is the CI hook that re-runs the whole service test suite over
-    /// the sharded pipeline (`scripts/ci.sh` sets `FAIRHMS_TEST_SHARDS=4`
-    /// for the second pass): [`Catalog::new`] routes through it, so every
-    /// test that builds a catalog exercises whichever pipeline the
-    /// environment selects. Unset (production) it is exactly
-    /// `CatalogConfig::default()`.
-    pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Ok(v) = std::env::var("FAIRHMS_TEST_SHARDS") {
-            if let Ok(n) = v.parse::<usize>() {
-                cfg.shards = n.clamp(1, MAX_SHARDS);
-            }
-        }
-        cfg
-    }
-}
-
-/// One shard's view of a prepared dataset: which rows it owned, what its
-/// local group skyline kept (and what it dominated), and what the pass
-/// cost.
-///
-/// Holds row indices only — the points stay in the parent
-/// [`PreparedDataset`]'s shared matrix.
-#[derive(Debug, Clone)]
-pub struct ShardPrep {
-    /// How many rows this shard was dealt.
-    pub num_rows: usize,
-    /// This shard's group-skyline survivors (global row ids, ascending).
-    /// The union over shards, reduced once more, is the exact global
-    /// group skyline.
-    pub skyline_rows: Vec<usize>,
-    /// The shard's dealt rows its local group skyline *dominated* (global
-    /// row ids, ascending; disjoint from `skyline_rows`, union = dealt
-    /// rows). This is the repair set of incremental deletion: removing a
-    /// local skyline member can only resurrect rows it dominated, and
-    /// those all live in its own shard's dominated set.
-    pub dominated_rows: Vec<usize>,
-    /// Per-group row counts of the shard's dealt rows.
-    pub group_sizes: Vec<usize>,
-    /// Wall-clock of this shard's skyline pass, microseconds.
-    pub prep_micros: u64,
-}
 
 /// Per-group mutation generations of a prepared dataset — the refinement
 /// of the flat registration epoch that makes *delta* invalidation
@@ -215,17 +127,9 @@ pub struct PreparedDataset {
     /// orphans (rather than serves) every answer cached against the old
     /// data. 0 for datasets prepared outside a catalog.
     pub epoch: u64,
-    /// Wall-clock cost of normalization + skyline preprocessing.
+    /// Wall-clock cost of normalization + skyline preprocessing — the
+    /// catalog's `catalog.prepare` telemetry observation.
     pub prep_micros: u64,
-    /// Wall-clock of the final shard-skyline merge pass alone,
-    /// microseconds (a component of `prep_micros`) — the catalog's
-    /// `catalog.merge` telemetry observation.
-    pub merge_micros: u64,
-    /// Partition strategy the preparation ran under.
-    pub strategy: PartitionStrategy,
-    /// Per-shard preparation views (length 1 for the unsharded pipeline).
-    /// `skyline_rows` is always the merged, exact global group skyline.
-    pub shards: Vec<ShardPrep>,
     /// Per-group mutation generations (see [`GroupGenerations`]); all
     /// zero at registration. `sky_digest`/`full_digest` are derived from
     /// them and must be refreshed together.
@@ -248,43 +152,17 @@ pub struct PreparedDataset {
 }
 
 impl PreparedDataset {
-    /// Normalizes `data` and builds the group-skyline restriction through
-    /// the classic single-shard pipeline.
-    pub fn prepare(name: impl Into<String>, data: Dataset) -> Result<Self, ServiceError> {
-        Self::prepare_with(name, data, &CatalogConfig::default())
-    }
-
-    /// Normalizes `data` and builds the group-skyline restriction,
-    /// partitioned across `cfg.shards` preparation shards.
-    ///
-    /// Each shard's group-skyline pass runs on its own scoped std thread
-    /// and reads the one shared point matrix (no per-shard dataset copy);
-    /// [`merge_shard_skylines_parallel`] then reduces the union to the
-    /// exact global
-    /// group skyline, so the resulting `skyline_rows`/`skyline_data` are
-    /// **bit-identical for every shard count and strategy** — pinned by
-    /// the shard-equivalence test suite.
-    #[allow(clippy::disallowed_methods)] // prep-stage timing; see R5 waivers inside
-    pub fn prepare_with(
-        name: impl Into<String>,
-        mut data: Dataset,
-        cfg: &CatalogConfig,
-    ) -> Result<Self, ServiceError> {
+    /// Normalizes `data` and builds the group-skyline restriction.
+    #[allow(clippy::disallowed_methods)] // prep-stage timing; see R5 waiver inside
+    pub fn prepare(name: impl Into<String>, mut data: Dataset) -> Result<Self, ServiceError> {
         if data.is_empty() {
             return Err(ServiceError::Dataset("dataset has no rows".into()));
         }
         // fairhms-lint: allow(R5) one-time prep-stage wall clock; feeds
         // the STATS prep_micros field, not a per-query hot path.
         let t = Instant::now();
-        let plan = ShardPlan::build(&data, cfg.shards.clamp(1, MAX_SHARDS), cfg.strategy);
-        let strategy = plan.strategy();
-        data.normalize_parallel(plan.num_shards());
-        let shards = prepare_shards(&data, plan);
-        let per_shard: Vec<&[usize]> = shards.iter().map(|s| s.skyline_rows.as_slice()).collect();
-        // fairhms-lint: allow(R5) one-time prep-stage wall clock (merge).
-        let tm = Instant::now();
-        let skyline_rows: Arc<[usize]> = merge_shard_skylines_parallel(&data, &per_shard).into();
-        let merge_micros = tm.elapsed().as_micros() as u64;
+        data.normalize();
+        let skyline_rows: Arc<[usize]> = group_skyline_indices(&data).into();
         let skyline_data = Arc::new(data.subset(&skyline_rows));
         let group_sizes = data.group_sizes();
         let skyline_group_sizes = skyline_data.group_sizes();
@@ -310,9 +188,6 @@ impl PreparedDataset {
             skyline_group_sizes,
             epoch: 0,
             prep_micros: t.elapsed().as_micros() as u64,
-            merge_micros,
-            strategy,
-            shards,
             generations,
             sky_digest: 0,
             full_digest: 0,
@@ -361,60 +236,6 @@ impl PreparedDataset {
             self.skyline_rows.len()
         )
     }
-
-    /// Number of preparation shards this dataset was prepared with.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-}
-
-/// Runs every shard's group-skyline pass — on scoped std threads when the
-/// plan has more than one shard. Each thread reads the shared matrix
-/// through `&Dataset`; only row-index lists are moved, nothing is copied.
-#[allow(clippy::disallowed_methods)] // prep-stage timing; see R5 waiver inside
-fn prepare_shards(data: &Dataset, plan: ShardPlan) -> Vec<ShardPrep> {
-    let prep_one = |rows: Vec<usize>| -> ShardPrep {
-        // fairhms-lint: allow(R5) per-shard prep-stage wall clock; feeds
-        // the catalog.shard_prep span, recorded only when enabled.
-        let t = Instant::now();
-        let skyline_rows = group_skyline_of_rows(data, &rows);
-        let mut group_sizes = vec![0usize; data.num_groups()];
-        for &r in &rows {
-            group_sizes[data.group_of(r)] += 1;
-        }
-        // Dealt rows minus local survivors (both sorted ascending): the
-        // shard's dominated set, kept as the repair unit of incremental
-        // deletion. Computed here — the assignment lists are dropped
-        // after the merge.
-        let mut dominated_rows = Vec::with_capacity(rows.len() - skyline_rows.len());
-        let mut sky_it = skyline_rows.iter().peekable();
-        for &r in &rows {
-            if sky_it.peek() == Some(&&r) {
-                sky_it.next();
-            } else {
-                dominated_rows.push(r);
-            }
-        }
-        ShardPrep {
-            num_rows: rows.len(),
-            skyline_rows,
-            dominated_rows,
-            group_sizes,
-            prep_micros: t.elapsed().as_micros() as u64,
-        }
-    };
-    let mut assignments = plan.into_assignments();
-    if assignments.len() == 1 {
-        return vec![prep_one(assignments.pop().expect("one shard"))];
-    }
-    std::thread::scope(|s| {
-        let prep_one = &prep_one;
-        let handles: Vec<_> = assignments
-            .into_iter()
-            .map(|rows| s.spawn(move || prep_one(rows)))
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
 }
 
 /// What a catalog mutation did — the engine turns this into delta cache
@@ -428,26 +249,6 @@ pub struct MutationOutcome {
     /// Whether the slow path ran: the mutation broke the normalization
     /// invariant and the dataset was fully re-prepared from scratch.
     pub rebuilt: bool,
-}
-
-/// Sorted-`Vec` helpers for the shard bookkeeping lists.
-fn insert_sorted(v: &mut Vec<usize>, x: usize) {
-    let pos = v.partition_point(|&r| r < x);
-    v.insert(pos, x);
-}
-
-fn remove_sorted(v: &mut Vec<usize>, x: usize) -> bool {
-    match v.binary_search(&x) {
-        Ok(pos) => {
-            v.remove(pos);
-            true
-        }
-        Err(_) => false,
-    }
-}
-
-fn contains_sorted(v: &[usize], x: usize) -> bool {
-    v.binary_search(&x).is_ok()
 }
 
 /// Shifts every id greater than `removed` down by one (ascending lists
@@ -467,9 +268,8 @@ fn renumber_after(v: &mut [usize], removed: usize) {
 fn rebuild_prepared(
     prep: &PreparedDataset,
     data: Dataset,
-    cfg: &CatalogConfig,
 ) -> Result<PreparedDataset, ServiceError> {
-    let mut rebuilt = PreparedDataset::prepare_with(prep.name.clone(), data, cfg)?;
+    let mut rebuilt = PreparedDataset::prepare(prep.name.clone(), data)?;
     rebuilt.epoch = prep.epoch;
     rebuilt.generations = prep.generations.clone();
     rebuilt.generations.bump_all();
@@ -479,17 +279,15 @@ fn rebuild_prepared(
 
 /// Incremental append: `coords` joins `prep` as the last row of `group`.
 ///
-/// Fast path (the normalization invariant holds afterwards): the new
-/// point is tested against its group's skyline only — first the local
-/// skyline of the shard it is dealt to, then the global one — inserting
-/// it and pruning newly dominated members; no other group's state is
-/// touched and no full prep runs. Returns the new prepared form plus
-/// `(sky_changed, rebuilt)`.
+/// Fast path (the normalization invariant holds afterwards): one
+/// dominance scan of the group's skyline members. A dominated point
+/// changes nothing; otherwise it joins, pruning the members it
+/// dominates. No other group's state is touched and no full prep runs.
+/// Returns the new prepared form plus `(sky_changed, rebuilt)`.
 fn apply_append(
     prep: &PreparedDataset,
     coords: &[f64],
     group: usize,
-    cfg: &CatalogConfig,
 ) -> Result<(PreparedDataset, bool, bool), ServiceError> {
     let data = prep
         .dataset
@@ -504,65 +302,18 @@ fn apply_append(
         .enumerate()
         .any(|(c, &v)| v > 1.0 || (v > 0.0 && v < 1.0 && prep.ones_per_col[c] == 0));
     if breaks_invariant {
-        return Ok((rebuild_prepared(prep, data, cfg)?, true, true));
+        return Ok((rebuild_prepared(prep, data)?, true, true));
     }
 
     let new_row = data.len() - 1;
     let p = data.point(new_row);
-    let mut shards = prep.shards.clone();
-    let mut skyline_rows = prep.skyline_rows.to_vec();
-    let mut sky_changed = false;
-
-    // Deal the new row to the least-loaded shard (ties to the lowest
-    // index — deterministic, so mutation sequences replay identically).
-    let s = shards
-        .iter()
-        .enumerate()
-        .min_by_key(|(i, sp)| (sp.num_rows, *i))
-        .map(|(i, _)| i)
-        .expect("prepared datasets have at least one shard");
-    let shard = &mut shards[s];
-    let dominated_locally = shard
+    // Dominated by a same-group member: the skyline is already exact.
+    // Otherwise anything the new point dominates leaves, and the point
+    // joins as the largest id, so the list stays ascending.
+    let sky_changed = !prep
         .skyline_rows
         .iter()
         .any(|&r| data.group_of(r) == group && dominates(data.point(r), p));
-    if dominated_locally {
-        // Dominated by a same-group local member: by transitivity it is
-        // dominated globally too — no skyline anywhere changes.
-        insert_sorted(&mut shard.dominated_rows, new_row);
-    } else {
-        // Joins the shard's local group skyline, pruning members it
-        // dominates into the shard's dominated set.
-        let mut pruned = Vec::new();
-        shard.skyline_rows.retain(|&r| {
-            if data.group_of(r) == group && dominates(p, data.point(r)) {
-                pruned.push(r);
-                false
-            } else {
-                true
-            }
-        });
-        insert_sorted(&mut shard.skyline_rows, new_row);
-        for r in pruned {
-            insert_sorted(&mut shard.dominated_rows, r);
-        }
-        // Global test: members the new point dominates leave the global
-        // skyline (they stay valid in *other* shards' local skylines —
-        // those only rank rows against shard-local competitors). If the
-        // point is dominated by a global member, the global skyline is
-        // already exact: anything it dominates was already pruned by
-        // that member, transitively.
-        let dominated_globally = skyline_rows
-            .iter()
-            .any(|&r| data.group_of(r) == group && dominates(data.point(r), p));
-        if !dominated_globally {
-            skyline_rows.retain(|&r| !(data.group_of(r) == group && dominates(p, data.point(r))));
-            insert_sorted(&mut skyline_rows, new_row);
-            sky_changed = true;
-        }
-    }
-    shard.num_rows += 1;
-    shard.group_sizes[group] += 1;
 
     let mut ones_per_col = prep.ones_per_col.clone();
     let mut nonzeros_per_col = prep.nonzeros_per_col.clone();
@@ -577,14 +328,19 @@ fn apply_append(
     let mut group_sizes = prep.group_sizes.clone();
     group_sizes[group] += 1;
 
-    let dataset = Arc::new(data);
     // An unchanged skyline keeps its derived structures by refcount: the
     // restricted dataset's rows (ids, coords, groups) are identical, so
     // its cached SoA view stays valid — sharing is what keeps a
     // dominated append O(|skyline of one group|).
     let (skyline_rows, skyline_data, skyline_group_sizes) = if sky_changed {
-        let rows: Arc<[usize]> = skyline_rows.into();
-        let sd = Arc::new(dataset.subset(&rows));
+        let rows: Arc<[usize]> = prep
+            .skyline_rows
+            .iter()
+            .copied()
+            .filter(|&r| !(data.group_of(r) == group && dominates(p, data.point(r))))
+            .chain([new_row])
+            .collect();
+        let sd = Arc::new(data.subset(&rows));
         let sg = sd.group_sizes();
         (rows, sd, sg)
     } else {
@@ -601,16 +357,13 @@ fn apply_append(
     }
     let mut next = PreparedDataset {
         name: prep.name.clone(),
-        dataset,
+        dataset: Arc::new(data),
         skyline_rows,
         skyline_data,
         group_sizes,
         skyline_group_sizes,
         epoch: prep.epoch,
         prep_micros: prep.prep_micros,
-        merge_micros: prep.merge_micros,
-        strategy: prep.strategy,
-        shards,
         generations,
         sky_digest: 0,
         full_digest: 0,
@@ -624,15 +377,14 @@ fn apply_append(
 /// Incremental delete of `row` (current compacted id; later rows shift
 /// down by one).
 ///
-/// Fast path: a dominated row leaves its shard's dominated set and no
-/// skyline anywhere changes; a skyline member's group is repaired from
-/// the per-shard dominated set (shard-locally) and from the shards'
-/// local skylines (globally) — never from a full prep. Returns the new
-/// prepared form plus `(sky_changed, rebuilt)`.
+/// Fast path: a dominated row leaves every skyline unchanged (only later
+/// ids renumber). Removing a skyline member can only resurrect rows of
+/// its own group, so that group's skyline is recomputed from its
+/// remaining rows — never a full prep. Returns the new prepared form plus
+/// `(sky_changed, rebuilt)`.
 fn apply_delete(
     prep: &PreparedDataset,
     row: usize,
-    cfg: &CatalogConfig,
 ) -> Result<(PreparedDataset, bool, bool), ServiceError> {
     let n = prep.dataset.len();
     if row >= n {
@@ -670,76 +422,26 @@ fn apply_delete(
         }
     }
     if breaks_invariant {
-        return Ok((rebuild_prepared(prep, data, cfg)?, true, true));
+        return Ok((rebuild_prepared(prep, data)?, true, true));
     }
 
-    let old = &prep.dataset; // id space of the bookkeeping lists below
-    let mut shards = prep.shards.clone();
+    let old = &prep.dataset; // id space of `skyline_rows` below
     let mut skyline_rows = prep.skyline_rows.to_vec();
-    let s = shards
-        .iter()
-        .position(|sp| {
-            contains_sorted(&sp.skyline_rows, row) || contains_sorted(&sp.dominated_rows, row)
-        })
-        .expect("every row lives in exactly one shard");
-    let was_local_sky = remove_sorted(&mut shards[s].skyline_rows, row);
-    if !was_local_sky {
-        remove_sorted(&mut shards[s].dominated_rows, row);
-    }
-    let was_global_sky = contains_sorted(&skyline_rows, row);
-    debug_assert!(
-        was_local_sky || !was_global_sky,
-        "a global skyline member survives its own shard"
-    );
-    let mut sky_changed = false;
-    if was_local_sky {
-        // Shard-local repair of the removed member's group: its skyline
-        // is recomputed from the surviving local members plus the
-        // shard's dominated rows of that group — the only rows the
-        // removal can resurrect (anything else is dominated by a member
-        // that still exists).
-        let shard = &mut shards[s];
-        let mut cand: Vec<usize> = shard
-            .skyline_rows
-            .iter()
-            .chain(shard.dominated_rows.iter())
-            .copied()
-            .filter(|&r| old.group_of(r) == group)
-            .collect();
-        cand.sort_unstable();
-        let local_sky = bucket_skyline(old, &cand);
-        shard.skyline_rows.retain(|&r| old.group_of(r) != group);
-        shard.dominated_rows.retain(|&r| old.group_of(r) != group);
-        for &r in &cand {
-            if contains_sorted(&local_sky, r) {
-                shard.skyline_rows.push(r);
-            } else {
-                shard.dominated_rows.push(r);
-            }
-        }
-        shard.skyline_rows.sort_unstable();
-        shard.dominated_rows.sort_unstable();
-        if was_global_sky {
-            // Global repair of the group: reduce the union of every
-            // shard's (updated) local skyline for it — exactly the merge
-            // step of sharded prep, restricted to one group.
-            remove_sorted(&mut skyline_rows, row);
-            let mut cand: Vec<usize> = shards
-                .iter()
-                .flat_map(|sp| sp.skyline_rows.iter().copied())
-                .filter(|&r| old.group_of(r) == group)
+    let sky_changed = match skyline_rows.binary_search(&row) {
+        Ok(pos) => {
+            skyline_rows.remove(pos);
+            let cand: Vec<usize> = old
+                .group_indices(group)
+                .into_iter()
+                .filter(|&r| r != row)
                 .collect();
-            cand.sort_unstable();
-            let global_sky = bucket_skyline(old, &cand);
             skyline_rows.retain(|&r| old.group_of(r) != group);
-            skyline_rows.extend(global_sky);
+            skyline_rows.extend(bucket_skyline(old, &cand));
             skyline_rows.sort_unstable();
-            sky_changed = true;
+            true
         }
-        // A locally-sky but globally-dominated member: its global
-        // dominator also dominates (transitively) everything it
-        // dominated, so the global skyline is already exact.
-    }
+        Err(_) => false,
+    };
 
     // Deletion renumbers every later row. A group whose skyline holds
     // any id past the removed row serves *different indices* after the
@@ -753,12 +455,6 @@ fn apply_delete(
         bump_sky[old.group_of(r)] = true;
     }
     renumber_after(&mut skyline_rows, row);
-    for sp in &mut shards {
-        renumber_after(&mut sp.skyline_rows, row);
-        renumber_after(&mut sp.dominated_rows, row);
-    }
-    shards[s].num_rows -= 1;
-    shards[s].group_sizes[group] -= 1;
     let mut group_sizes = prep.group_sizes.clone();
     group_sizes[group] -= 1;
 
@@ -794,9 +490,6 @@ fn apply_delete(
         skyline_group_sizes,
         epoch: prep.epoch,
         prep_micros: prep.prep_micros,
-        merge_micros: prep.merge_micros,
-        strategy: prep.strategy,
-        shards,
         generations,
         sky_digest: 0,
         full_digest: 0,
@@ -817,9 +510,6 @@ pub struct Catalog {
     /// Monotone counter handing each insert a fresh epoch (starting at 1
     /// so the standalone-`prepare` epoch 0 never collides).
     next_epoch: std::sync::atomic::AtomicU64,
-    /// Preparation tunables applied to future registrations (the wire
-    /// `SHARDS` verb mutates it at runtime, hence the lock).
-    config: RwLock<CatalogConfig>,
     /// Telemetry sink for preparation spans, linked by the engine that
     /// owns this catalog (see [`crate::QueryEngine::with_config`]).
     /// `None` for catalogs used outside an engine — preparation then
@@ -828,26 +518,19 @@ pub struct Catalog {
 }
 
 impl Default for Catalog {
-    /// Same as [`Catalog::new`]: empty, configured from the environment.
+    /// Same as [`Catalog::new`].
     fn default() -> Self {
         Self::new()
     }
 }
 
 impl Catalog {
-    /// An empty catalog with [`CatalogConfig::from_env`] preparation
-    /// settings (the defaults unless `FAIRHMS_TEST_SHARDS`/`_STRATEGY`
-    /// are set — see that method for why the environment is consulted).
+    /// An empty catalog. Every registration runs
+    /// [`PreparedDataset::prepare`]; the environment is not consulted.
     pub fn new() -> Self {
-        Self::with_config(CatalogConfig::from_env())
-    }
-
-    /// An empty catalog with explicit preparation settings.
-    pub fn with_config(config: CatalogConfig) -> Self {
         Self {
             inner: RwLock::new(HashMap::new()),
             next_epoch: std::sync::atomic::AtomicU64::new(0),
-            config: RwLock::new(config),
             metrics: RwLock::new(None),
         }
     }
@@ -856,20 +539,6 @@ impl Catalog {
     /// Called by the engine that owns this catalog; idempotent.
     pub fn set_metrics(&self, metrics: Arc<crate::metrics::ServiceMetrics>) {
         *write_or_recover(&self.metrics) = Some(metrics);
-    }
-
-    /// The current preparation config.
-    pub fn config(&self) -> CatalogConfig {
-        *read_or_recover(&self.config)
-    }
-
-    /// Sets the shard count for *future* registrations (already-prepared
-    /// datasets are untouched — their answers are identical under any
-    /// shard count anyway). Clamped to `1..=`[`MAX_SHARDS`].
-    pub fn set_shards(&self, shards: usize) -> usize {
-        let clamped = shards.clamp(1, MAX_SHARDS);
-        write_or_recover(&self.config).shards = clamped;
-        clamped
     }
 
     /// Registers `data` under its own dataset name. Returns the prepared
@@ -901,22 +570,18 @@ impl Catalog {
                 "invalid catalog name {name:?}: must be non-empty, without whitespace or '=,:\"'"
             )));
         }
-        let mut prepared = PreparedDataset::prepare_with(name.clone(), data, &self.config())?;
+        let mut prepared = PreparedDataset::prepare(name.clone(), data)?;
         prepared.epoch = 1 + self
             .next_epoch
             // ordering: epoch tickets only need uniqueness; fetch_add
             // provides it without ordering other memory.
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        // Preparation telemetry: one `catalog.shard_prep` observation per
-        // shard plus one `catalog.merge` — derived from the wall-clock
-        // numbers the prepare pipeline already measures, so this costs no
-        // extra clock reads on any path.
+        // Preparation telemetry: one `catalog.prepare` observation per
+        // registration, derived from the `prep_micros` the prepare step
+        // already measures, so this costs no extra clock read.
         if let Some(m) = read_or_recover(&self.metrics).as_ref() {
             if m.enabled() {
-                for s in &prepared.shards {
-                    m.shard_prep.record(s.prep_micros.saturating_mul(1000));
-                }
-                m.merge.record(prepared.merge_micros.saturating_mul(1000));
+                m.prepare.record(prepared.prep_micros.saturating_mul(1000));
             }
         }
         let prepared = Arc::new(prepared);
@@ -953,12 +618,11 @@ impl Catalog {
         coords: &[f64],
         group: usize,
     ) -> Result<MutationOutcome, ServiceError> {
-        let cfg = self.config();
         let mut map = write_or_recover(&self.inner);
         let prep = map.get(name).ok_or_else(|| ServiceError::UnknownDataset {
             name: name.to_string(),
         })?;
-        let (next, sky_changed, rebuilt) = apply_append(prep, coords, group, &cfg)?;
+        let (next, sky_changed, rebuilt) = apply_append(prep, coords, group)?;
         let next = Arc::new(next);
         map.insert(name.to_string(), Arc::clone(&next));
         Ok(MutationOutcome {
@@ -973,12 +637,11 @@ impl Catalog {
     /// `apply_delete`). Same copy-on-write publication discipline as
     /// [`Catalog::append_row`].
     pub fn delete_row(&self, name: &str, row: usize) -> Result<MutationOutcome, ServiceError> {
-        let cfg = self.config();
         let mut map = write_or_recover(&self.inner);
         let prep = map.get(name).ok_or_else(|| ServiceError::UnknownDataset {
             name: name.to_string(),
         })?;
-        let (next, sky_changed, rebuilt) = apply_delete(prep, row, &cfg)?;
+        let (next, sky_changed, rebuilt) = apply_delete(prep, row)?;
         let next = Arc::new(next);
         map.insert(name.to_string(), Arc::clone(&next));
         Ok(MutationOutcome {
@@ -1162,8 +825,7 @@ mod tests {
 
     /// Re-preps `prep`'s current stored rows from scratch and asserts the
     /// incremental bookkeeping matches it exactly: global skyline rows,
-    /// restricted dataset, group sizes, invariant counters, and the
-    /// shard lists' partition discipline.
+    /// restricted dataset, group sizes and invariant counters.
     fn assert_matches_oracle(cat: &Catalog, name: &str) {
         let prep = cat.get(name).unwrap();
         let data = Dataset::new(
@@ -1174,7 +836,7 @@ mod tests {
             prep.dataset.group_names().to_vec(),
         )
         .unwrap();
-        let oracle = PreparedDataset::prepare_with(name, data, &cat.config()).unwrap();
+        let oracle = PreparedDataset::prepare(name, data).unwrap();
         assert_eq!(
             prep.dataset.points_flat(),
             oracle.dataset.points_flat(),
@@ -1190,26 +852,6 @@ mod tests {
         assert_eq!(prep.skyline_group_sizes, oracle.skyline_group_sizes);
         assert_eq!(prep.ones_per_col, oracle.ones_per_col);
         assert_eq!(prep.nonzeros_per_col, oracle.nonzeros_per_col);
-        // Shard bookkeeping: disjoint skyline/dominated per shard, union
-        // over shards = all rows, and each shard's lists are consistent
-        // (every dealt row is in exactly one list).
-        let mut seen = vec![0usize; prep.dataset.len()];
-        for sp in &prep.shards {
-            assert_eq!(sp.num_rows, sp.skyline_rows.len() + sp.dominated_rows.len());
-            for &r in sp.skyline_rows.iter().chain(&sp.dominated_rows) {
-                seen[r] += 1;
-            }
-            // each shard's local skyline is exact for its own rows
-            let mut rows: Vec<usize> = sp
-                .skyline_rows
-                .iter()
-                .chain(&sp.dominated_rows)
-                .copied()
-                .collect();
-            rows.sort_unstable();
-            assert_eq!(sp.skyline_rows, group_skyline_of_rows(&prep.dataset, &rows));
-        }
-        assert!(seen.iter().all(|&c| c == 1), "rows partition across shards");
     }
 
     #[test]
@@ -1234,6 +876,20 @@ mod tests {
         let member = prep.skyline_rows[0];
         let out = cat.delete_row("toy", member).unwrap();
         assert!(out.sky_changed && !out.rebuilt);
+        assert_matches_oracle(&cat, "toy");
+        // Delete group 1's sole skyline member, (0.9, 0.3): the row it
+        // dominated, (0.3, 0.1), resurrects.
+        let prep = cat.get("toy").unwrap();
+        assert_eq!(prep.skyline_group_sizes[1], 1);
+        let member = prep
+            .skyline_rows
+            .iter()
+            .copied()
+            .find(|&r| prep.dataset.group_of(r) == 1)
+            .unwrap();
+        let out = cat.delete_row("toy", member).unwrap();
+        assert!(out.sky_changed && !out.rebuilt);
+        assert_eq!(out.prep.skyline_group_sizes[1], 1);
         assert_matches_oracle(&cat, "toy");
     }
 
@@ -1326,38 +982,82 @@ mod tests {
     }
 
     #[test]
-    fn mutation_churn_matches_oracle_across_shard_counts() {
-        // A deterministic mixed append/delete workload over several shard
-        // counts and both strategies; after every step the incremental
-        // state must equal a from-scratch re-prep of the stored rows.
-        for shards in [1usize, 3] {
-            for strategy in [
-                PartitionStrategy::RoundRobin,
-                PartitionStrategy::GroupStratified,
-            ] {
-                let cat = Catalog::with_config(CatalogConfig { shards, strategy });
-                cat.insert_dataset(toy()).unwrap();
-                let mut x = 0.17_f64;
-                for step in 0..40 {
-                    let prep = cat.get("toy").unwrap();
-                    let n = prep.dataset.len();
-                    x = (x * 883.11).fract();
-                    if step % 3 == 2 && n > 2 {
-                        let row = (x * n as f64) as usize % n;
-                        cat.delete_row("toy", row).unwrap();
-                    } else {
-                        let g = step % 2;
-                        // Quantized coords: plenty of ties, duplicates,
-                        // exact 1.0s, and zeros.
-                        let a = (x * 5.0).floor() / 4.0; // may exceed 1 → rebuilds
-                        x = (x * 883.11).fract();
-                        let b = (x * 4.0).floor() / 4.0;
-                        cat.append_row("toy", &[a.min(1.25), b], g).unwrap();
-                    }
-                    assert_matches_oracle(&cat, "toy");
-                }
+    fn mutation_churn_matches_oracle() {
+        // A deterministic mixed append/delete workload; after every step
+        // the incremental state must equal a from-scratch re-prep of the
+        // stored rows.
+        let cat = Catalog::new();
+        cat.insert_dataset(toy()).unwrap();
+        let mut x = 0.17_f64;
+        for step in 0..40 {
+            let prep = cat.get("toy").unwrap();
+            let n = prep.dataset.len();
+            x = (x * 883.11).fract();
+            if step % 3 == 2 && n > 2 {
+                let row = (x * n as f64) as usize % n;
+                cat.delete_row("toy", row).unwrap();
+            } else {
+                let g = step % 2;
+                // Quantized coords: plenty of ties, duplicates, exact
+                // 1.0s, and zeros.
+                let a = (x * 5.0).floor() / 4.0; // may exceed 1 → rebuilds
+                x = (x * 883.11).fract();
+                let b = (x * 4.0).floor() / 4.0;
+                cat.append_row("toy", &[a.min(1.25), b], g).unwrap();
             }
+            assert_matches_oracle(&cat, "toy");
         }
+    }
+
+    /// Solves IntCov with `k` picks and default bounds on dataset `name`.
+    fn solve_intcov(cat: Catalog, name: &str, k: usize) -> crate::QueryResponse {
+        let eng = crate::QueryEngine::new(Arc::new(cat), 64);
+        let mut q = crate::Query::new(name, k);
+        q.alg = "intcov".into();
+        eng.execute(&q).unwrap()
+    }
+
+    #[test]
+    fn singleton_group_survives_the_group_skyline() {
+        // Group 2 has a single member (row 6: a weak point, kept only
+        // because the skyline is per group).
+        let data = Dataset::new(
+            "tiny-group",
+            2,
+            vec![
+                1.0, 0.1, 0.2, 0.9, 0.7, 0.7, 0.9, 0.3, 0.4, 0.8, 0.6, 0.6, 0.05, 0.05,
+            ],
+            vec![0, 0, 1, 1, 0, 1, 2],
+            vec![],
+        )
+        .unwrap();
+        let cat = Catalog::new();
+        let prep = cat.insert_dataset(data).unwrap();
+        assert!(prep.skyline_rows.contains(&6));
+        assert_eq!(prep.skyline_group_sizes[2], 1);
+        // Proportional bounds give group 2 a lower bound of at most 1,
+        // which its one row meets.
+        let resp = solve_intcov(cat, "tiny-group", 3);
+        assert_eq!(resp.answer.violations, 0);
+        assert!(resp.answer.indices.iter().all(|&i| i < 7));
+    }
+
+    #[test]
+    fn vacant_group_degrades_gracefully() {
+        // Group 2 is named in the schema but owns no rows.
+        let data = Dataset::new(
+            "vacant",
+            2,
+            vec![1.0, 0.1, 0.2, 0.9, 0.7, 0.7, 0.9, 0.3],
+            vec![0, 1, 0, 1],
+            vec!["a".into(), "b".into(), "ghost".into()],
+        )
+        .unwrap();
+        let cat = Catalog::new();
+        let prep = cat.insert_dataset(data).unwrap();
+        assert_eq!(prep.skyline_group_sizes, vec![2, 2, 0]);
+        // Bounds repair clamps the vacant group to l = h = 0.
+        assert_eq!(solve_intcov(cat, "vacant", 2).answer.violations, 0);
     }
 
     #[test]

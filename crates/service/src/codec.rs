@@ -66,8 +66,8 @@ impl CodecKind {
     /// The codec test hooks select via the `FAIRHMS_TEST_CODEC`
     /// environment variable (`text`/`binary`), defaulting to text.
     ///
-    /// Mirrors `FAIRHMS_TEST_SHARDS`: `scripts/ci.sh` re-runs the whole
-    /// service test suite once per codec, so every TCP test built on
+    /// `scripts/ci.sh` re-runs the whole service test suite once per
+    /// codec, so every TCP test built on
     /// [`crate::client::WireClient::connect_env`] exercises both wire
     /// formats without duplicating test bodies.
     pub fn from_env() -> CodecKind {
@@ -149,7 +149,7 @@ mod tag {
     pub const ALGORITHMS: u8 = 4;
     pub const STATS: u8 = 5;
     pub const INFO: u8 = 6;
-    pub const SHARDS: u8 = 7;
+    // 7 was the retired `SHARDS` reply; reserved, never reused.
     pub const ANSWER: u8 = 8;
     pub const BATCH_HEADER: u8 = 9;
     pub const LOADED: u8 = 10;
@@ -409,10 +409,6 @@ fn encode_binary_payload(resp: &Response, out: &mut Vec<u8>) {
                 put_varint(out, h.max);
             }
         }
-        Response::Shards(n) => {
-            out.push(tag::SHARDS);
-            put_varint(out, *n as u64);
-        }
         Response::Answer { seq, answer } => {
             out.push(tag::ANSWER);
             put_opt_varint(out, *seq);
@@ -596,7 +592,6 @@ pub fn decode_binary_payload(payload: &[u8]) -> Result<Response, ServiceError> {
                 total_queries,
             }
         }
-        tag::SHARDS => Response::Shards(r.usize("shards")?),
         tag::ANSWER => {
             let seq = r.opt_varint("seq")?;
             let alg = r.str("alg")?;
@@ -826,7 +821,6 @@ mod tests {
                 counters: vec![],
                 histograms: vec![],
             },
-            Response::Shards(64),
             Response::Answer {
                 seq: Some(3),
                 answer: WireAnswer {

@@ -391,9 +391,9 @@ impl QueryEngine {
         stages: &mut StageTimings,
     ) -> Result<Answer, ServiceError> {
         let rec = self.metrics.recorder();
-        // The candidate-set seam: the prepared (merged, shard-count-
-        // independent) reduction plus the map back to original row ids —
-        // both shared by refcount, never copied per query.
+        // The candidate-set seam: the prepared group-skyline reduction
+        // plus the map back to original row ids — both shared by
+        // refcount, never copied per query.
         let (cand, group_sizes): (CandidateSet, &[usize]) = if q.skyline {
             (
                 CandidateSet::reduced(

@@ -79,10 +79,7 @@ pub mod server;
 pub mod warmstart;
 
 pub use cache::{CacheStats, SolutionCache};
-pub use catalog::{
-    Catalog, CatalogConfig, GroupGenerations, MutationOutcome, PreparedDataset, ShardPrep,
-    MAX_SHARDS,
-};
+pub use catalog::{Catalog, GroupGenerations, MutationOutcome, PreparedDataset};
 pub use client::WireClient;
 pub use codec::{BinaryCodec, Codec, CodecKind, TextCodec};
 pub use engine::{Answer, MutationReport, QueryEngine, QueryResponse, StageTimings};

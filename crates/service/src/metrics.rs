@@ -17,8 +17,7 @@
 //! | `engine.flight_wait` | engine | blocked on another worker's identical in-flight solve |
 //! | `engine.warm_probe` | engine | warm-start tier lookup |
 //! | `engine.solve.<family>` | engine | the cold solve, labeled per registry algorithm family |
-//! | `catalog.shard_prep` | catalog | per-shard normalize + skyline work (one observation per shard) |
-//! | `catalog.merge` | catalog | deterministic shard-skyline merge |
+//! | `catalog.prepare` | catalog | normalize + group skyline + subset (one observation per registration) |
 //! | `executor.queue_wait` | executor | job sat in the solve queue before a worker claimed it |
 //! | `executor.run` | executor | worker executing one query |
 //!
@@ -91,10 +90,8 @@ pub struct ServiceMetrics {
     /// `engine.solve.<family>` — cold solves, indexed by
     /// [`fairhms_core::registry::family_index`].
     pub solve: Vec<Histogram>,
-    /// `catalog.shard_prep` — per-shard prepare (one observation/shard).
-    pub shard_prep: Histogram,
-    /// `catalog.merge` — shard-skyline merge.
-    pub merge: Histogram,
+    /// `catalog.prepare` — one dataset registration's preparation.
+    pub prepare: Histogram,
     /// `executor.queue_wait` — job queued before a worker claimed it.
     pub queue_wait: Histogram,
     /// `executor.run` — worker executing one query.
@@ -142,8 +139,7 @@ impl ServiceMetrics {
             flight_wait: Histogram::new(),
             warm_probe: Histogram::new(),
             solve: ALGORITHM_NAMES.iter().map(|_| Histogram::new()).collect(),
-            shard_prep: Histogram::new(),
-            merge: Histogram::new(),
+            prepare: Histogram::new(),
             queue_wait: Histogram::new(),
             run: Histogram::new(),
             conn_active: Gauge::new(),
@@ -194,8 +190,7 @@ impl ServiceMetrics {
             out.push((format!("engine.solve.{name}"), hist));
         }
         out.extend([
-            ("catalog.shard_prep".into(), &self.shard_prep),
-            ("catalog.merge".into(), &self.merge),
+            ("catalog.prepare".into(), &self.prepare),
             ("executor.queue_wait".into(), &self.queue_wait),
             ("executor.run".into(), &self.run),
         ]);

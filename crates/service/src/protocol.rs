@@ -22,9 +22,7 @@
 //! >> LIST                                   << OK datasets=name:n:d:c:sky,...
 //! >> ALGS                                   << OK algorithms=intcov,bigreedy,...
 //! >> STATS                                  << OK hits=… misses=… entries=… evictions=… hit_rate=… warm_hits=… warm_misses=… warm_entries=…
-//! >> INFO                                   << OK shards=… strategy=… workers=… datasets=… cache_entries=… warmstart=…
-//! >> SHARDS                                 << OK shards=1
-//! >> SHARDS 4                               << OK shards=4   (future registrations prep with 4 shards)
+//! >> INFO                                   << OK shards=1 strategy=stratified workers=… datasets=… cache_entries=… warmstart=…
 //! >> QUERY dataset=adult k=8 alg=bigreedy   << OK alg=BiGreedy cached=false micros=812 err=0 mhr=0.97 indices=3,17,40
 //! >> BATCH 2                                << OK batch=2
 //! >> QUERY …                                << (response line for query 1)
@@ -70,13 +68,8 @@ pub enum Request {
     Algorithms,
     /// Report cache counters.
     Stats,
-    /// Report server configuration (shards, strategy, workers, catalog
-    /// and cache sizes).
+    /// Report server configuration (workers, catalog and cache sizes).
     Info,
-    /// `SHARDS` reports the catalog's preparation shard count; `SHARDS n`
-    /// sets it for future dataset registrations (already-prepared
-    /// datasets are untouched — answers are shard-count-independent).
-    Shards(Option<usize>),
     /// `BATCH n [stream=true]`: the next `n` lines are queries executed
     /// as one batch. With `stream=true` each answer is delivered as it
     /// completes, tagged with its request index (`seq=`), instead of
@@ -194,9 +187,10 @@ pub enum Response {
     },
     /// `INFO` reply: server configuration.
     Info {
-        /// Catalog preparation shard count.
+        /// Always 1: preparation is a single pass. Kept so the frame
+        /// layout stays what older peers decode.
         shards: usize,
-        /// Partition strategy name.
+        /// Always `stratified`, for the same reason as `shards`.
         strategy: String,
         /// Batch worker threads.
         workers: usize,
@@ -214,8 +208,6 @@ pub enum Response {
         /// Queries executed by the engine since start (absence-tolerant).
         total_queries: u64,
     },
-    /// `SHARDS` reply: the (possibly just set) preparation shard count.
-    Shards(usize),
     /// A query answer — one per `QUERY`, `n` per `BATCH n`.
     Answer {
         /// Request index within a streamed batch (`BATCH n stream=true`);
@@ -547,21 +539,6 @@ pub fn parse_request(line: &str) -> Result<Request, ServiceError> {
         "STATS" => Ok(Request::Stats),
         "INFO" => Ok(Request::Info),
         "SHUTDOWN" => Ok(Request::Shutdown),
-        "SHARDS" => match rest {
-            [] => Ok(Request::Shards(None)),
-            [n] => {
-                let v: usize = parse_num("shards", n)?;
-                if (1..=crate::catalog::MAX_SHARDS).contains(&v) {
-                    Ok(Request::Shards(Some(v)))
-                } else {
-                    Err(ServiceError::Protocol(format!(
-                        "shards must be in 1..={}, got {v}",
-                        crate::catalog::MAX_SHARDS
-                    )))
-                }
-            }
-            _ => Err(ServiceError::Protocol("usage: SHARDS [n]".into())),
-        },
         "BATCH" => parse_batch(rest),
         "QUERY" => Ok(Request::Query(Box::new(parse_query(rest)?))),
         "LOAD" => parse_load(rest),
@@ -806,7 +783,6 @@ pub fn encode_response_line(resp: &Response) -> Result<String, ServiceError> {
                 hs.join(",")
             )
         }
-        Response::Shards(n) => format!("OK shards={n}"),
         Response::Answer { seq, answer } => match seq {
             None => format!("OK {}", answer_body(answer)?),
             Some(s) => format!("OK seq={s} {}", answer_body(answer)?),
@@ -1112,9 +1088,6 @@ pub fn decode_response_line(line: &str) -> Result<Response, ServiceError> {
                     mutations_total: field_or(&m, "mutations_total", 0)?,
                 })
             }
-            Some(("shards", v)) if tokens.len() == 1 => {
-                Ok(Response::Shards(parse_num("shards", v)?))
-            }
             Some(("shards", _)) => {
                 let m = kv_map(&tokens)?;
                 Ok(Response::Info {
@@ -1226,12 +1199,6 @@ mod tests {
         assert_eq!(parse_request("ShUtDoWn").unwrap(), Request::Shutdown);
         assert_eq!(parse_request("INFO").unwrap(), Request::Info);
         assert_eq!(parse_request("metrics").unwrap(), Request::Metrics);
-        assert_eq!(parse_request("shards").unwrap(), Request::Shards(None));
-        assert_eq!(parse_request("SHARDS 4").unwrap(), Request::Shards(Some(4)));
-        assert_eq!(
-            parse_request("SHARDS 64").unwrap(),
-            Request::Shards(Some(64))
-        );
         for bad in [
             "",
             "FROB",
@@ -1243,11 +1210,10 @@ mod tests {
             "BATCH x y",
             "BATCH 3 stream=maybe",
             "BATCH 3 zz=1",
+            // The retired preparation-shard verb is unknown now.
+            "SHARDS",
+            "SHARDS 4",
             "SHARDS 0",
-            "SHARDS -2",
-            "SHARDS x",
-            "SHARDS 65",
-            "SHARDS 4 8",
             "HELLO",
             "HELLO version=3",
             "HELLO version=2 codec=carrier-pigeon",
@@ -1706,7 +1672,6 @@ mod tests {
                     histograms: vec![],
                 },
             ),
-            ("OK shards=4", Response::Shards(4)),
             (
                 "OK batch=7",
                 Response::BatchHeader {

@@ -393,27 +393,19 @@ pub(crate) fn control_response(
                 mutations_total: m.mutations_total.get(),
             }
         }
-        Request::Info => {
-            let cfg = engine.catalog().config();
-            Response::Info {
-                shards: cfg.shards,
-                strategy: cfg.strategy.to_string(),
-                workers,
-                datasets: engine.catalog().len(),
-                cache_entries: engine.cache_stats().entries,
-                warmstart: engine.warmstart_enabled(),
-                uptime_secs: started.elapsed().as_secs(),
-                total_queries: m.total_queries.get(),
-            }
-        }
+        // `shards`/`strategy` are fixed: preparation has one path, and
+        // the fields stay only so INFO frames keep their layout.
+        Request::Info => Response::Info {
+            shards: 1,
+            strategy: "stratified".into(),
+            workers,
+            datasets: engine.catalog().len(),
+            cache_entries: engine.cache_stats().entries,
+            warmstart: engine.warmstart_enabled(),
+            uptime_secs: started.elapsed().as_secs(),
+            total_queries: m.total_queries.get(),
+        },
         Request::Metrics => Response::from_metrics(&m.snapshot()),
-        Request::Shards(set) => {
-            let shards = match set {
-                Some(n) => engine.catalog().set_shards(*n),
-                None => engine.catalog().config().shards,
-            };
-            Response::Shards(shards)
-        }
         Request::Hello { .. }
         | Request::Query(_)
         | Request::Batch { .. }

@@ -65,8 +65,8 @@ impl WarmConfig {
     /// The default config, overridden by the `FAIRHMS_TEST_WARMSTART`
     /// environment variable (`0`/`false`/`off` disables the tier).
     ///
-    /// This is the CI hook mirroring `FAIRHMS_TEST_SHARDS` /
-    /// `FAIRHMS_TEST_CODEC`: `scripts/ci.sh` re-runs the whole service
+    /// This is the CI hook mirroring `FAIRHMS_TEST_CODEC`:
+    /// `scripts/ci.sh` re-runs the whole service
     /// test suite once with the tier disabled, so every test exercises
     /// both the warm and the fully cold solve path.
     pub fn from_env() -> Self {

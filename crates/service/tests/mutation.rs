@@ -3,9 +3,7 @@
 //! oracle, and group-delta cache invalidation (cached answers whose
 //! digest a mutation did not move must keep hitting).
 //!
-//! The engine-level interleaving property runs under whatever
-//! `FAIRHMS_TEST_SHARDS` axis CI selects; the TCP
-//! tests additionally run over both codecs via `FAIRHMS_TEST_CODEC`
+//! The TCP tests run over both codecs via `FAIRHMS_TEST_CODEC`
 //! (`scripts/ci.sh`).
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -147,7 +145,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Tentpole pin: any interleaving of APPEND/DELETE/QUERY leaves the
-    /// catalog — skylines, shard views, every derived structure answers
+    /// catalog — skylines, every derived structure answers
     /// are solved from — bit-identical to preparing the surviving rows
     /// from scratch. Queries run *between* mutations so stale `OnceLock`
     /// SoA views or cached `db_max` preimages would be observed, not
@@ -187,7 +185,7 @@ proptest! {
 
 /// Staleness regression: a query answered *before* a mutation must not
 /// leave any derived structure (`Dataset::soa()` SoA views, cached
-/// `db_max` preimages, shard prep) serving pre-mutation rows afterwards.
+/// `db_max` preimages) serving pre-mutation rows afterwards.
 /// Every solve reads the blocked SoA view, so a stale view would surface
 /// here.
 #[test]

@@ -1,5 +1,5 @@
 //! Wire-protocol regression tests pinning the error behaviors documented
-//! in docs/PROTOCOL.md: malformed `SHARDS` values and oversized batches
+//! in docs/PROTOCOL.md: the retired `SHARDS` verb and oversized batches
 //! answer with the documented `ERR` lines *without desynchronizing the
 //! connection*, while the two connection-fatal framing limits actually
 //! drop the connection.
@@ -66,43 +66,27 @@ fn spawn_server() -> Server {
 }
 
 #[test]
-fn malformed_shards_values_err_without_desync() {
+fn retired_shards_verb_errs_without_desync() {
     let server = spawn_server();
     let mut c = Client::connect(server.addr());
 
-    // PROTOCOL.md: SHARDS n accepts 1..=64; everything else is a
-    // protocol error answered on a connection that stays usable.
-    for bad in [
-        "SHARDS 0",
-        "SHARDS 65",
-        "SHARDS -3",
-        "SHARDS x",
-        "SHARDS 2 4",
-    ] {
-        c.send(bad);
+    // Preparation has one path now, so SHARDS is an unknown verb: one
+    // ERR line each, on a connection that stays usable.
+    for retired in ["SHARDS", "SHARDS 4", "SHARDS 0"] {
+        c.send(retired);
         let resp = c.recv();
         assert!(
-            resp.starts_with("ERR protocol error:"),
-            "{bad:?} answered {resp:?}"
+            resp.starts_with("ERR ") && resp.contains("unknown verb"),
+            "{retired:?} answered {resp:?}"
         );
         c.assert_in_sync();
     }
 
-    // The rejected values must not have changed the knob.
-    c.send("SHARDS");
-    let default_shards = c.recv();
-    assert!(
-        default_shards.starts_with("OK shards="),
-        "got {default_shards:?}"
-    );
-
-    // A valid set round-trips and shows up in INFO.
-    c.send("SHARDS 4");
-    assert_eq!(c.recv(), "OK shards=4");
+    // INFO still reports the fixed preparation fields.
     c.send("INFO");
     let info = c.recv();
     assert!(
-        info.starts_with("OK shards=4 strategy=") && info.contains(" workers=2 datasets=1 "),
+        info.starts_with("OK shards=1 strategy=stratified workers="),
         "got {info:?}"
     );
     c.assert_in_sync();

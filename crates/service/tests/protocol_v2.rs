@@ -100,7 +100,7 @@ fn hello_negotiates_binary_and_v1_clients_interop_unchanged() {
     assert_eq!(v1.codec_kind(), CodecKind::Text);
 
     // Same stateless verbs answer identically (typed) on both.
-    for verb in ["PING", "LIST", "ALGS", "INFO", "SHARDS"] {
+    for verb in ["PING", "LIST", "ALGS", "INFO"] {
         binary.send_line(verb).unwrap();
         v1.send_line(verb).unwrap();
         let b = binary.recv().unwrap();
@@ -380,7 +380,6 @@ fn all_response_variants_agree_across_codecs() {
                 max: 1_024,
             }],
         },
-        Response::Shards(8),
         Response::BatchHeader {
             n: 14,
             stream: true,

@@ -6,7 +6,7 @@
 //! answers and must not ship.
 //!
 //! Engines are built with *explicit* [`WarmConfig`]s, so the suite pins
-//! the contract under any `FAIRHMS_TEST_WARMSTART` / shard / codec
+//! the contract under any `FAIRHMS_TEST_WARMSTART` / codec
 //! environment the CI matrix selects.
 
 use std::sync::Arc;

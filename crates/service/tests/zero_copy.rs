@@ -12,9 +12,8 @@
 
 use std::sync::Arc;
 
-use fairhms_data::shard::PartitionStrategy;
 use fairhms_data::{deep_clone_count, Dataset};
-use fairhms_service::{Catalog, CatalogConfig, PreparedDataset, Query, QueryEngine};
+use fairhms_service::{Catalog, PreparedDataset, Query, QueryEngine};
 
 fn toy_data() -> Dataset {
     let points = vec![
@@ -73,71 +72,6 @@ fn concurrent_cold_solves_share_one_allocation() {
     // owner again, so the engine held Arc clones, not private copies.
     assert_eq!(Arc::strong_count(&prep.skyline_data), 1);
     assert_eq!(Arc::strong_count(&prep.dataset), 1);
-}
-
-/// The sharded pipeline keeps the zero-deep-copy contract: preparation
-/// shards are row-index views into the one shared matrix, and concurrent
-/// cold solves against a multi-shard catalog perform zero dataset deep
-/// copies while answering bit-identically to the single-shard path.
-#[test]
-fn sharded_concurrent_cold_solves_stay_zero_copy_and_bit_identical() {
-    // Reference answers from an explicitly single-shard catalog.
-    let single = Arc::new(Catalog::with_config(CatalogConfig::with_shards(1)));
-    single.insert_dataset(toy_data()).unwrap();
-    let single = QueryEngine::new(single, 256);
-    let reference: Vec<_> = (0..4u64)
-        .map(|t| {
-            let mut q = Query::new("toy", 3);
-            q.seed = 2_000 + t;
-            let r = single.execute(&q).unwrap();
-            (r.answer.indices.clone(), r.answer.mhr.map(f64::to_bits))
-        })
-        .collect();
-
-    for strategy in [
-        PartitionStrategy::RoundRobin,
-        PartitionStrategy::GroupStratified,
-    ] {
-        let catalog = Arc::new(Catalog::with_config(CatalogConfig {
-            shards: 4,
-            strategy,
-        }));
-        // Registration itself (normalize + 4 parallel shard skylines +
-        // merge) must not deep-copy: shards share the matrix by view.
-        let clones_before = deep_clone_count();
-        let prep = catalog.insert_dataset(toy_data()).unwrap();
-        assert_eq!(
-            deep_clone_count(),
-            clones_before,
-            "sharded preparation deep-copied the dataset ({strategy})"
-        );
-        assert_eq!(prep.num_shards(), 4);
-
-        let eng = Arc::new(QueryEngine::new(catalog, 256));
-        let handles: Vec<_> = (0..4u64)
-            .map(|t| {
-                let eng = Arc::clone(&eng);
-                std::thread::spawn(move || {
-                    let mut q = Query::new("toy", 3);
-                    q.seed = 2_000 + t;
-                    let r = eng.execute(&q).unwrap();
-                    (r.answer.indices.clone(), r.answer.mhr.map(f64::to_bits))
-                })
-            })
-            .collect();
-        let got: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        assert_eq!(got, reference, "sharded answers diverged ({strategy})");
-        assert_eq!(
-            deep_clone_count(),
-            clones_before,
-            "a sharded cold solve deep-copied the dataset ({strategy})"
-        );
-        // Engine dropped → catalog is again the sole owner of both
-        // prepared allocations.
-        drop(eng);
-        assert_eq!(Arc::strong_count(&prep.skyline_data), 1);
-        assert_eq!(Arc::strong_count(&prep.dataset), 1);
-    }
 }
 
 #[test]

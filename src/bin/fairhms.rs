@@ -66,8 +66,7 @@ USAGE:
   fairhms solve --input FILE --dim D --k K [--alg NAME] [--alpha A] [--balanced]
                 [--no-skyline] [--seed S]
   fairhms serve --data NAME=FILE[,NAME=FILE...] [--addr HOST:PORT] [--workers N]
-                [--cache N] [--shards N] [--strategy roundrobin|stratified]
-                [--load-root DIR] [--max-streams N] [--no-warmstart]
+                [--cache N] [--load-root DIR] [--max-streams N] [--no-warmstart]
                 [--warm-capacity N] [--no-telemetry] [--slow-query-ms N]
                 [--max-conns N] [--queue-depth N]
   fairhms query --addr HOST:PORT (--dataset NAME --k K [--alg NAME] [--alpha A]
@@ -83,8 +82,7 @@ ALGORITHMS (for --alg):
   greedy dmm hs sphere (unfair baselines)
 
 `serve` loads each CSV once (dimensionality sniffed from the first row),
-precomputes group skylines — partitioned across --shards parallel prep
-threads; answers are bit-identical for every shard count — and answers the
+precomputes its union of per-group skylines in one pass, and answers the
 protocol documented in docs/PROTOCOL.md. --load-root DIR allows the LOAD
 admin verb to register CSVs under DIR at runtime; --max-streams caps
 concurrent streamed batches (excess answered ERR busy). `append` and
@@ -102,8 +100,9 @@ every connection (--frontend event, its only value, is still accepted)
 and --workers resident threads run the solves, under admission
 control: --max-conns caps open connections and --queue-depth
 bounds the global solve queue (excess load answers ERR busy with
-retry_after_ms back-off advice). `metrics` dumps a running server's
-telemetry snapshot via the METRICS verb. `query` is the matching
+retry_after_ms back-off advice); --workers, --max-conns and
+--queue-depth must each be at least 1. `metrics` dumps a running
+server's telemetry snapshot via the METRICS verb. `query` is the matching
 client: --codec binary negotiates the v2 length-prefixed framing
 (answers are bit-identical to text), and --file sends a BATCH of QUERY
 lines through the server's worker pool — with --stream the answers are
@@ -129,7 +128,7 @@ const COMMANDS: &[(&str, Command, &str)] = &[
     (
         "serve",
         cmd_serve,
-        "data addr workers cache shards strategy load-root max-streams no-warmstart \
+        "data addr workers cache load-root max-streams no-warmstart \
          warm-capacity no-telemetry slow-query-ms frontend max-conns queue-depth",
     ),
     (
@@ -182,6 +181,15 @@ fn num<T: std::str::FromStr>(opts: &Flags, key: &str) -> Result<Option<T>, Strin
             .parse::<T>()
             .map(Some)
             .map_err(|_| format!("--{key}: cannot parse {v:?}")),
+    }
+}
+
+/// [`num`] for a `serve` limit that must be at least 1: a zero worker,
+/// connection or queue limit would start a server that never answers.
+fn positive(opts: &Flags, key: &str) -> Result<Option<usize>, String> {
+    match num::<usize>(opts, key)? {
+        Some(0) => Err(format!("--{key} must be at least 1")),
+        v => Ok(v),
     }
 }
 
@@ -297,10 +305,7 @@ fn cmd_solve(opts: &Flags) -> Result<(), String> {
 /// in the foreground until a client sends SHUTDOWN (or the process is
 /// killed).
 fn cmd_serve(opts: &Flags) -> Result<(), String> {
-    use fairhms::data::shard::PartitionStrategy;
-    use fairhms::service::{
-        Catalog, CatalogConfig, QueryEngine, ServeOptions, Server, ServerConfig, MAX_SHARDS,
-    };
+    use fairhms::service::{Catalog, QueryEngine, ServeOptions, Server, ServerConfig};
     use std::sync::Arc;
 
     // `event` is the only front end; the flag stays accepted so existing
@@ -320,20 +325,14 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         .get("addr")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:4077".to_string());
-    let workers: usize = num(opts, "workers")?.unwrap_or(4);
+    let workers = positive(opts, "workers")?.unwrap_or(4);
     let cache: usize = num(opts, "cache")?.unwrap_or(1024);
-    let mut cfg = CatalogConfig::default();
-    if let Some(shards) = num::<usize>(opts, "shards")? {
-        if !(1..=MAX_SHARDS).contains(&shards) {
-            return Err(format!(
-                "--shards must be in 1..={MAX_SHARDS}, got {shards}"
-            ));
-        }
-        cfg.shards = shards;
+    let mut serve_opts = ServeOptions::default();
+    if let Some(n) = positive(opts, "max-conns")? {
+        serve_opts.max_conns = n;
     }
-    if let Some(strat) = opts.get("strategy") {
-        cfg.strategy = PartitionStrategy::parse(strat)
-            .ok_or_else(|| format!("--strategy: expected roundrobin|stratified, got {strat:?}"))?;
+    if let Some(n) = positive(opts, "queue-depth")? {
+        serve_opts.queue_depth = n;
     }
 
     let mut warm = fairhms::service::WarmConfig::from_env();
@@ -349,9 +348,9 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         telemetry.enabled = false;
     }
 
-    let catalog = Arc::new(Catalog::with_config(cfg));
+    let catalog = Arc::new(Catalog::new());
     // The engine wires the telemetry registry into the catalog, so build
-    // it before loading datasets: initial prep/merge spans are recorded.
+    // it before loading datasets: initial prepare spans are recorded.
     let engine = Arc::new(QueryEngine::with_config(
         Arc::clone(&catalog),
         cache,
@@ -367,13 +366,12 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
             .load_csv(name, &PathBuf::from(path))
             .map_err(|e| e.to_string())?;
         println!(
-            "loaded {:<16} n={:<8} d={} groups={} skyline={} shards={} ({:?})",
+            "loaded {:<16} n={:<8} d={} groups={} skyline={} ({:?})",
             prep.name,
             prep.dataset.len(),
             prep.dataset.dim(),
             prep.dataset.num_groups(),
             prep.skyline_rows.len(),
-            prep.num_shards(),
             t.elapsed()
         );
     }
@@ -381,7 +379,6 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         return Err("no datasets loaded (use --data NAME=FILE)".into());
     }
 
-    let mut serve_opts = ServeOptions::default();
     if let Some(root) = opts.get("load-root") {
         let root = PathBuf::from(root);
         if !root.is_dir() {
@@ -395,17 +392,9 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
     if let Some(n) = num::<usize>(opts, "max-streams")? {
         serve_opts.max_stream_batches = n;
     }
-    if let Some(n) = num::<usize>(opts, "max-conns")? {
-        serve_opts.max_conns = n;
-    }
-    if let Some(n) = num::<usize>(opts, "queue-depth")? {
-        serve_opts.queue_depth = n;
-    }
     serve_opts.telemetry = telemetry;
     serve_opts.slow_query_ms = num::<u64>(opts, "slow-query-ms")?;
 
-    let shards = cfg.shards;
-    let strategy = cfg.strategy;
     let load_root = serve_opts.load_root.clone();
     let max_streams = serve_opts.max_stream_batches;
     let frontend_banner = format!(
@@ -426,13 +415,11 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     println!(
         "fairhms-service listening on {} ({}, {} batch workers, cache {} answers, \
-         {} prep shards [{}], {} max streams, {}{}{})",
+         {} max streams, {}{}{})",
         server.addr(),
         frontend_banner,
         workers,
         cache,
-        shards,
-        strategy,
         max_streams,
         warm_banner,
         telemetry_banner,

@@ -305,7 +305,7 @@ fn helpful_errors() {
 
 #[test]
 fn unknown_flags_are_rejected() {
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 8] = [
         (
             &["stats", "--input", "v.csv", "--dim", "4", "--bogus", "1"],
             "unknown flag --bogus",
@@ -321,6 +321,23 @@ fn unknown_flags_are_rejected() {
         (
             &["serve", "--data", "v=v.csv", "--frontend", "threaded"],
             "threaded front end was removed",
+        ),
+        (
+            &["serve", "--data", "v=v.csv", "--shards", "4"],
+            "unknown flag --shards",
+        ),
+        // Limits of 0 would start a server that never answers.
+        (
+            &["serve", "--data", "v=v.csv", "--workers", "0"],
+            "--workers must be at least 1",
+        ),
+        (
+            &["serve", "--data", "v=v.csv", "--max-conns", "0"],
+            "--max-conns must be at least 1",
+        ),
+        (
+            &["serve", "--data", "v=v.csv", "--queue-depth", "0"],
+            "--queue-depth must be at least 1",
         ),
     ];
     for (args, expected) in cases {
