@@ -50,10 +50,7 @@ fn engine(telemetry: bool) -> Arc<QueryEngine> {
     let eng = Arc::new(QueryEngine::with_config(
         Arc::clone(&catalog),
         4096,
-        WarmConfig {
-            enabled: true,
-            capacity: 256,
-        },
+        WarmConfig { capacity: 256 },
         TelemetryConfig { enabled: telemetry },
     ));
     catalog.insert_dataset(bench_dataset()).unwrap();

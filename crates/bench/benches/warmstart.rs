@@ -7,7 +7,8 @@
 //!   reuse (an `Arc` clone);
 //! * **end-to-end** — cold-solving a *near-miss* query stream (same
 //!   `(dataset, k)`, fresh α per iteration, so the solution cache always
-//!   misses) on a warm-start engine vs. a disabled one.
+//!   misses) on one warm engine vs. a fresh engine per query, whose
+//!   empty tier recomputes every component.
 //!
 //! Numbers feed the "Warm-start tier" table in docs/ARCHITECTURE.md.
 
@@ -21,7 +22,7 @@ use rand::SeedableRng;
 use fairhms_core::SampledNet;
 use fairhms_data::{gen, Dataset};
 use fairhms_matroid::{proportional_bounds, PreparedBounds};
-use fairhms_service::{Catalog, Query, QueryEngine, WarmConfig};
+use fairhms_service::{Catalog, Query, QueryEngine};
 
 fn bench_dataset(n: usize) -> Dataset {
     let mut rng = StdRng::seed_from_u64(29);
@@ -29,12 +30,6 @@ fn bench_dataset(n: usize) -> Dataset {
     let points = gen::anti_correlated(n, d, &mut rng);
     let groups = gen::groups_by_sum(&points, d, 3);
     Dataset::new("warmbench", d, points, groups, vec![]).unwrap()
-}
-
-fn engine(n: usize, warm: WarmConfig) -> QueryEngine {
-    let catalog = Arc::new(Catalog::new());
-    catalog.insert_dataset(bench_dataset(n)).unwrap();
-    QueryEngine::with_warm_config(catalog, 4096, warm)
 }
 
 fn bench_warmstart(c: &mut Criterion) {
@@ -126,40 +121,34 @@ fn bench_warmstart(c: &mut Criterion) {
     }
 
     // End-to-end: a near-miss query stream (fresh α each iteration →
-    // solution-cache miss, warm-key hit) with the tier on vs. off.
+    // solution-cache miss, warm-key hit) on one warm engine vs. a fresh
+    // engine per query over the same prepared catalog.
     for n in [20_000usize, 100_000] {
         let mut group = c.benchmark_group(format!("warm_near_miss_solve_n{n}"));
         group.sample_size(10);
-        for (label, cfg) in [
-            (
-                "warmstart_on",
-                WarmConfig {
-                    enabled: true,
-                    capacity: 512,
-                },
-            ),
-            (
-                "warmstart_off",
-                WarmConfig {
-                    enabled: false,
-                    capacity: 0,
-                },
-            ),
-        ] {
-            let eng = engine(n, cfg);
-            // Populate the warm entry once so the measured iterations are
-            // steady-state near-misses, not the first-touch scan.
-            eng.execute(&Query::new("warmbench", 10)).unwrap();
-            let tick = Cell::new(0u64);
-            group.bench_function(label, |b| {
-                b.iter(|| {
-                    let mut q = Query::new("warmbench", 10);
-                    // A fresh, never-repeating α: always a cold solve.
-                    q.alpha = 0.1 + 1e-9 * tick.replace(tick.get() + 1) as f64;
-                    eng.execute(std::hint::black_box(&q)).unwrap()
-                })
-            });
-        }
+        let catalog = Arc::new(Catalog::new());
+        catalog.insert_dataset(bench_dataset(n)).unwrap();
+        let eng = QueryEngine::new(Arc::clone(&catalog), 4096);
+        // Populate the warm entry once so the measured iterations are
+        // steady-state near-misses, not the first-touch scan.
+        eng.execute(&Query::new("warmbench", 10)).unwrap();
+        let tick = Cell::new(0u64);
+        let near_miss = || {
+            let mut q = Query::new("warmbench", 10);
+            // A fresh, never-repeating α: always a cold solve.
+            q.alpha = 0.1 + 1e-9 * tick.replace(tick.get() + 1) as f64;
+            q
+        };
+        group.bench_function("warmstart_on", |b| {
+            b.iter(|| eng.execute(std::hint::black_box(&near_miss())).unwrap())
+        });
+        group.bench_function("fresh_engine", |b| {
+            b.iter(|| {
+                QueryEngine::new(Arc::clone(&catalog), 4096)
+                    .execute(std::hint::black_box(&near_miss()))
+                    .unwrap()
+            })
+        });
         group.finish();
     }
 }

@@ -367,22 +367,16 @@ fn encode_binary_payload(resp: &Response, out: &mut Vec<u8>) {
             put_varint(out, *mutations_total);
         }
         Response::Info {
-            shards,
-            strategy,
             workers,
             datasets,
             cache_entries,
-            warmstart,
             uptime_secs,
             total_queries,
         } => {
             out.push(tag::INFO);
-            put_varint(out, *shards as u64);
-            put_str(out, strategy);
             put_varint(out, *workers as u64);
             put_varint(out, *datasets as u64);
             put_varint(out, *cache_entries as u64);
-            out.push(u8::from(*warmstart));
             put_varint(out, *uptime_secs);
             put_varint(out, *total_queries);
         }
@@ -562,36 +556,13 @@ pub fn decode_binary_payload(payload: &[u8]) -> Result<Response, ServiceError> {
                 mutations_total,
             }
         }
-        tag::INFO => {
-            let shards = r.usize("shards")?;
-            let strategy = r.str("strategy")?;
-            let workers = r.usize("workers")?;
-            let datasets = r.usize("datasets")?;
-            let cache_entries = r.usize("cache_entries")?;
-            // Appended after v2 shipped (see STATS above): absent means a
-            // pre-warm-start peer, whose tier default was "on".
-            let warmstart = if r.at_end() {
-                true
-            } else {
-                r.u8("warmstart")? != 0
-            };
-            // Telemetry-PR tier; defaults to 0 for older peers.
-            let (uptime_secs, total_queries) = if r.at_end() {
-                (0, 0)
-            } else {
-                (r.varint("uptime_secs")?, r.varint("total_queries")?)
-            };
-            Response::Info {
-                shards,
-                strategy,
-                workers,
-                datasets,
-                cache_entries,
-                warmstart,
-                uptime_secs,
-                total_queries,
-            }
-        }
+        tag::INFO => Response::Info {
+            workers: r.usize("workers")?,
+            datasets: r.usize("datasets")?,
+            cache_entries: r.usize("cache_entries")?,
+            uptime_secs: r.varint("uptime_secs")?,
+            total_queries: r.varint("total_queries")?,
+        },
         tag::ANSWER => {
             let seq = r.opt_varint("seq")?;
             let alg = r.str("alg")?;
@@ -783,12 +754,9 @@ mod tests {
                 mutations_total: 4,
             },
             Response::Info {
-                shards: 4,
-                strategy: "stratified".into(),
                 workers: 8,
                 datasets: 2,
                 cache_entries: 17,
-                warmstart: false,
                 uptime_secs: 12,
                 total_queries: 9,
             },
@@ -1026,10 +994,10 @@ mod tests {
 
     #[test]
     fn pre_warmstart_binary_frames_still_decode() {
-        // Frames from a peer built before the warm-start fields were
-        // appended end right after the original payload; the decoder
-        // must default the new fields (0 counters / tier-on), mirroring
-        // the text decoder — not error on a truncated read.
+        // STATS frames from a peer built before the warm-start fields
+        // were appended end right after the original payload; the
+        // decoder must default the new fields to 0, mirroring the text
+        // decoder — not error on a truncated read.
         let mut payload = vec![tag::STATS];
         put_varint(&mut payload, 2); // hits
         put_varint(&mut payload, 1); // misses
@@ -1047,16 +1015,18 @@ mod tests {
             other => panic!("{other:?}"),
         }
 
+        // INFO has no compat tiers: a pre-warm-start frame (leading
+        // shards + strategy, nothing appended) is a protocol error.
         let mut payload = vec![tag::INFO];
         put_varint(&mut payload, 4); // shards
         put_str(&mut payload, "stratified");
         put_varint(&mut payload, 2); // workers
         put_varint(&mut payload, 1); // datasets
         put_varint(&mut payload, 0); // cache_entries
-        match decode_binary_payload(&payload).unwrap() {
-            Response::Info { warmstart, .. } => assert!(warmstart),
-            other => panic!("{other:?}"),
-        }
+        assert!(matches!(
+            decode_binary_payload(&payload),
+            Err(ServiceError::Protocol(_))
+        ));
 
         // A *partially* appended tail is still corruption, not tolerance.
         let mut bad = vec![tag::STATS];
@@ -1091,31 +1061,35 @@ mod tests {
             other => panic!("{other:?}"),
         }
 
-        let mut payload = vec![tag::INFO];
-        put_varint(&mut payload, 4); // shards
-        put_str(&mut payload, "stratified");
-        put_varint(&mut payload, 2); // workers
-        put_varint(&mut payload, 1); // datasets
-        put_varint(&mut payload, 0); // cache_entries
-        payload.push(0); // warmstart off
-        match decode_binary_payload(&payload).unwrap() {
-            Response::Info {
-                warmstart,
-                uptime_secs,
-                total_queries,
-                ..
-            } => assert_eq!((warmstart, uptime_secs, total_queries), (false, 0, 0)),
-            other => panic!("{other:?}"),
+        // The old INFO layout — shards=1 and strategy=stratified ahead
+        // of the live fields, the warmstart byte in between, with or
+        // without the telemetry tier — is a protocol error.
+        let old_info = |telemetry: bool| {
+            let mut payload = vec![tag::INFO];
+            put_varint(&mut payload, 1); // shards
+            put_str(&mut payload, "stratified");
+            put_varint(&mut payload, 2); // workers
+            put_varint(&mut payload, 1); // datasets
+            put_varint(&mut payload, 0); // cache_entries
+            payload.push(1); // warmstart
+            if telemetry {
+                put_varint(&mut payload, 100); // uptime_secs
+                put_varint(&mut payload, 9); // total_queries
+            }
+            payload
+        };
+        for telemetry in [false, true] {
+            assert!(matches!(
+                decode_binary_payload(&old_info(telemetry)),
+                Err(ServiceError::Protocol(_))
+            ));
         }
 
-        // Half the telemetry tier is corruption, same as the warm tier.
+        // A current INFO frame missing its last field is corruption.
         let mut bad = vec![tag::INFO];
-        put_varint(&mut bad, 4);
-        put_str(&mut bad, "stratified");
-        put_varint(&mut bad, 2);
-        put_varint(&mut bad, 1);
-        put_varint(&mut bad, 0);
-        bad.push(1);
+        put_varint(&mut bad, 2); // workers
+        put_varint(&mut bad, 1); // datasets
+        put_varint(&mut bad, 0); // cache_entries
         put_varint(&mut bad, 100); // uptime_secs present, total_queries missing
         assert!(decode_binary_payload(&bad).is_err());
     }

@@ -102,10 +102,9 @@ pub struct QueryEngine {
     catalog: Arc<Catalog>,
     cache: SolutionCache,
     /// Second cache tier: reusable *intermediate* solver state (δ-nets,
-    /// prepared bounds scans) shared by near-miss queries — `None` when
-    /// the tier is disabled (see [`WarmConfig`]); answers are
-    /// contractually identical either way.
-    warm: Option<WarmStartCache>,
+    /// prepared bounds scans) shared by near-miss queries; answers are
+    /// contractually identical to a fresh engine's (see [`WarmConfig`]).
+    warm: WarmStartCache,
     /// Fingerprints currently being solved, for single-flight coalescing:
     /// concurrent identical queries wait for the first solver instead of
     /// stampeding the same cold solve on every worker.
@@ -149,21 +148,15 @@ impl Drop for ExecTimeNote<'_> {
 
 impl QueryEngine {
     /// An engine over `catalog` with a solution cache of `cache_capacity`
-    /// answers and the warm-start tier configured from the environment
-    /// (enabled unless `FAIRHMS_TEST_WARMSTART=0` — see
-    /// [`WarmConfig::from_env`]).
+    /// answers, the default warm-start tier, and telemetry configured
+    /// from the environment (see [`TelemetryConfig::from_env`]).
     pub fn new(catalog: Arc<Catalog>, cache_capacity: usize) -> Self {
-        Self::with_warm_config(catalog, cache_capacity, WarmConfig::from_env())
-    }
-
-    /// [`QueryEngine::new`] with an explicit warm-start configuration
-    /// (telemetry still from the environment).
-    pub fn with_warm_config(
-        catalog: Arc<Catalog>,
-        cache_capacity: usize,
-        warm: WarmConfig,
-    ) -> Self {
-        Self::with_config(catalog, cache_capacity, warm, TelemetryConfig::from_env())
+        Self::with_config(
+            catalog,
+            cache_capacity,
+            WarmConfig::default(),
+            TelemetryConfig::from_env(),
+        )
     }
 
     /// [`QueryEngine::new`] with everything explicit.
@@ -182,7 +175,7 @@ impl QueryEngine {
         Self {
             catalog,
             cache: SolutionCache::new(cache_capacity),
-            warm: warm.enabled.then(|| WarmStartCache::new(warm.capacity)),
+            warm: WarmStartCache::new(warm.capacity),
             in_flight: std::sync::Mutex::new(std::collections::HashSet::new()),
             in_flight_done: std::sync::Condvar::new(),
             metrics,
@@ -204,17 +197,9 @@ impl QueryEngine {
         self.cache.stats()
     }
 
-    /// Warm-start tier counters (all zero when the tier is disabled).
+    /// Warm-start tier counters.
     pub fn warm_stats(&self) -> WarmStats {
-        self.warm
-            .as_ref()
-            .map(WarmStartCache::stats)
-            .unwrap_or_default()
-    }
-
-    /// Whether the warm-start tier is enabled.
-    pub fn warmstart_enabled(&self) -> bool {
-        self.warm.is_some()
+        self.warm.stats()
     }
 
     /// Registers a CSV into the catalog at runtime — the engine seam the
@@ -269,9 +254,9 @@ impl QueryEngine {
         let cache_dropped =
             self.cache
                 .invalidate_stale(name, prep.epoch, prep.sky_digest, prep.full_digest);
-        let warm_dropped = self.warm.as_ref().map_or(0, |w| {
-            w.invalidate_stale(prep.epoch, prep.sky_digest, prep.full_digest)
-        });
+        let warm_dropped =
+            self.warm
+                .invalidate_stale(prep.epoch, prep.sky_digest, prep.full_digest);
         self.metrics.cache_invalidated.add(cache_dropped);
         self.metrics.warm_invalidated.add(warm_dropped);
         MutationReport {
@@ -427,7 +412,7 @@ impl QueryEngine {
             family: q.alg.clone(),
         };
         let probe = rec.span(&self.metrics.warm_probe);
-        let warm_entry = self.warm.as_ref().and_then(|w| w.get(&warm_key));
+        let warm_entry = self.warm.get(&warm_key);
         stages.warm_probe_ns = probe.stop().unwrap_or(0);
 
         // Prepared bounds: reuse the cached O(n) label scan when it
@@ -440,15 +425,11 @@ impl QueryEngine {
             .filter(|pb| pb.len() == data.len() && pb.num_groups() == data.num_groups())
         {
             Some(pb) => {
-                if let Some(w) = &self.warm {
-                    w.note_hit();
-                }
+                self.warm.note_hit();
                 Arc::clone(pb)
             }
             None => {
-                if let Some(w) = &self.warm {
-                    w.note_miss();
-                }
+                self.warm.note_miss();
                 fresh_bounds = true;
                 Arc::new(
                     PreparedBounds::new(data.shared_groups(), data.num_groups())
@@ -494,40 +475,38 @@ impl QueryEngine {
         }
 
         // Per-component accounting + deposit of freshly computed state.
-        if let Some(w) = &self.warm {
-            let deposited_net = warm_ctx.net();
-            let net_generated = match (&seeded_net, &deposited_net) {
-                (_, None) => false, // algorithm never consulted the net
-                (Some(old), Some(new)) => !Arc::ptr_eq(old, new),
-                (None, Some(_)) => true,
-            };
-            if warm_ctx.net_was_reused() {
-                w.note_hit();
-            } else if net_generated {
-                w.note_miss();
+        let deposited_net = warm_ctx.net();
+        let net_generated = match (&seeded_net, &deposited_net) {
+            (_, None) => false, // algorithm never consulted the net
+            (Some(old), Some(new)) => !Arc::ptr_eq(old, new),
+            (None, Some(_)) => true,
+        };
+        if warm_ctx.net_was_reused() {
+            self.warm.note_hit();
+        } else if net_generated {
+            self.warm.note_miss();
+        }
+        let deposited_db_max = warm_ctx.db_max();
+        let db_max_generated = match (&seeded_db_max, &deposited_db_max) {
+            (_, None) => false, // algorithm never consulted db_max
+            (Some(old), Some(new)) => !Arc::ptr_eq(old, new),
+            (None, Some(_)) => true,
+        };
+        if warm_ctx.db_max_was_reused() {
+            self.warm.note_hit();
+        } else if db_max_generated {
+            self.warm.note_miss();
+        }
+        if fresh_bounds || net_generated || db_max_generated {
+            let mut entry = warm_entry.as_deref().cloned().unwrap_or_default();
+            entry.set_bounds(q.skyline, Arc::clone(&bounds));
+            if let Some(net) = deposited_net {
+                entry.net = Some(net);
             }
-            let deposited_db_max = warm_ctx.db_max();
-            let db_max_generated = match (&seeded_db_max, &deposited_db_max) {
-                (_, None) => false, // algorithm never consulted db_max
-                (Some(old), Some(new)) => !Arc::ptr_eq(old, new),
-                (None, Some(_)) => true,
-            };
-            if warm_ctx.db_max_was_reused() {
-                w.note_hit();
-            } else if db_max_generated {
-                w.note_miss();
+            if let Some(d) = deposited_db_max {
+                entry.set_db_max(q.skyline, d);
             }
-            if fresh_bounds || net_generated || db_max_generated {
-                let mut entry = warm_entry.as_deref().cloned().unwrap_or_default();
-                entry.set_bounds(q.skyline, Arc::clone(&bounds));
-                if let Some(net) = deposited_net {
-                    entry.net = Some(net);
-                }
-                if let Some(d) = deposited_db_max {
-                    entry.set_db_max(q.skyline, d);
-                }
-                w.insert(warm_key, entry);
-            }
+            self.warm.insert(warm_key, entry);
         }
 
         let violations = inst.matroid().violations(&sol.indices);

@@ -39,9 +39,10 @@ use fairhms_obs::{Counter, Gauge, Histogram, HistogramSnapshot, Recorder};
 
 /// Whether the telemetry subsystem records.
 ///
-/// Mirrors [`crate::WarmConfig`]'s env hook: `FAIRHMS_TEST_TELEMETRY`
+/// [`TelemetryConfig::from_env`] is the test hook: `FAIRHMS_TEST_TELEMETRY`
 /// set to `0`/`false`/`off` disables recording, so CI can run the whole
-/// service suite on the no-telemetry path.
+/// service suite on the no-telemetry path. `fairhms serve` ignores it and
+/// starts from [`TelemetryConfig::default`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Whether spans, gauges, and histograms record.

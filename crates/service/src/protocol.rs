@@ -22,7 +22,7 @@
 //! >> LIST                                   << OK datasets=name:n:d:c:sky,...
 //! >> ALGS                                   << OK algorithms=intcov,bigreedy,...
 //! >> STATS                                  << OK hits=… misses=… entries=… evictions=… hit_rate=… warm_hits=… warm_misses=… warm_entries=…
-//! >> INFO                                   << OK shards=1 strategy=stratified workers=… datasets=… cache_entries=… warmstart=…
+//! >> INFO                                   << OK workers=… datasets=… cache_entries=… uptime_secs=… total_queries=…
 //! >> QUERY dataset=adult k=8 alg=bigreedy   << OK alg=BiGreedy cached=false micros=812 err=0 mhr=0.97 indices=3,17,40
 //! >> BATCH 2                                << OK batch=2
 //! >> QUERY …                                << (response line for query 1)
@@ -143,9 +143,9 @@ pub enum Response {
     /// `ALGS` reply: registered algorithm names.
     Algorithms(Vec<String>),
     /// `STATS` reply: solution-cache counters plus warm-start tier
-    /// counters (the `warm_*` fields; all zero when the tier is
-    /// disabled). Decoding tolerates their absence — pre-warm-start v1
-    /// transcripts still parse, with the warm counters defaulting to 0.
+    /// counters (the `warm_*` fields). Decoding tolerates their absence —
+    /// pre-warm-start v1 transcripts still parse, with the warm counters
+    /// defaulting to 0.
     Stats {
         /// Lookups answered from the cache.
         hits: u64,
@@ -187,25 +187,15 @@ pub enum Response {
     },
     /// `INFO` reply: server configuration.
     Info {
-        /// Always 1: preparation is a single pass. Kept so the frame
-        /// layout stays what older peers decode.
-        shards: usize,
-        /// Always `stratified`, for the same reason as `shards`.
-        strategy: String,
         /// Batch worker threads.
         workers: usize,
         /// Registered datasets.
         datasets: usize,
         /// Resident cache entries.
         cache_entries: usize,
-        /// Whether the warm-start tier is enabled (decoding tolerates the
-        /// field's absence in pre-warm-start transcripts, defaulting to
-        /// `true` — the tier's default state).
-        warmstart: bool,
-        /// Seconds since the server started (absence-tolerant, like
-        /// [`Response::Stats`]'s field).
+        /// Seconds since the server started.
         uptime_secs: u64,
-        /// Queries executed by the engine since start (absence-tolerant).
+        /// Queries executed by the engine since start.
         total_queries: u64,
     },
     /// A query answer — one per `QUERY`, `n` per `BATCH n`.
@@ -743,22 +733,15 @@ pub fn encode_response_line(resp: &Response) -> Result<String, ServiceError> {
              mutations_total={mutations_total}"
         ),
         Response::Info {
-            shards,
-            strategy,
             workers,
             datasets,
             cache_entries,
-            warmstart,
             uptime_secs,
             total_queries,
-        } => {
-            check_wire_safe("strategy", strategy)?;
-            format!(
-                "OK shards={shards} strategy={strategy} workers={workers} datasets={datasets} \
-                 cache_entries={cache_entries} warmstart={warmstart} uptime_secs={uptime_secs} \
-                 total_queries={total_queries}"
-            )
-        }
+        } => format!(
+            "OK workers={workers} datasets={datasets} cache_entries={cache_entries} \
+             uptime_secs={uptime_secs} total_queries={total_queries}"
+        ),
         Response::Metrics {
             enabled,
             counters,
@@ -1088,20 +1071,14 @@ pub fn decode_response_line(line: &str) -> Result<Response, ServiceError> {
                     mutations_total: field_or(&m, "mutations_total", 0)?,
                 })
             }
-            Some(("shards", _)) => {
+            Some(("workers", _)) => {
                 let m = kv_map(&tokens)?;
                 Ok(Response::Info {
-                    shards: field(&m, "shards")?,
-                    strategy: m
-                        .get("strategy")
-                        .cloned()
-                        .ok_or_else(|| ServiceError::Protocol("missing field strategy=".into()))?,
                     workers: field(&m, "workers")?,
                     datasets: field(&m, "datasets")?,
                     cache_entries: field(&m, "cache_entries")?,
-                    warmstart: flag_or(&m, "warmstart", true)?,
-                    uptime_secs: field_or(&m, "uptime_secs", 0)?,
-                    total_queries: field_or(&m, "total_queries", 0)?,
+                    uptime_secs: field(&m, "uptime_secs")?,
+                    total_queries: field(&m, "total_queries")?,
                 })
             }
             Some(("batch", v)) => {
@@ -1321,9 +1298,9 @@ mod tests {
 
     #[test]
     fn pre_warmstart_stats_and_info_lines_still_decode() {
-        // Transcripts captured before the warm-start tier existed lack
-        // the warm_* / warmstart fields; they must decode with defaults
-        // (0 counters, tier assumed on), not error.
+        // STATS transcripts captured before the warm-start tier existed
+        // lack the warm_* fields; they must decode with 0 defaults, not
+        // error.
         match decode_response_line("OK hits=2 misses=1 entries=1 evictions=0 hit_rate=0.5").unwrap()
         {
             Response::Stats {
@@ -1352,21 +1329,19 @@ mod tests {
             } => assert_eq!((uptime_secs, total_queries), (0, 0)),
             other => panic!("{other:?}"),
         }
-        match decode_response_line(
+        // INFO has no compat tiers: old-layout lines (leading
+        // `shards=`/`strategy=`, or missing the telemetry fields) are
+        // typed protocol errors.
+        for line in [
             "OK shards=4 strategy=stratified workers=2 datasets=1 cache_entries=0",
-        )
-        .unwrap()
-        {
-            Response::Info {
-                warmstart,
-                uptime_secs,
-                total_queries,
-                ..
-            } => {
-                assert!(warmstart);
-                assert_eq!((uptime_secs, total_queries), (0, 0));
-            }
-            other => panic!("{other:?}"),
+            "OK shards=1 strategy=stratified workers=2 datasets=1 cache_entries=0 \
+             warmstart=true uptime_secs=0 total_queries=0",
+            "OK workers=2 datasets=1 cache_entries=0",
+        ] {
+            assert!(
+                matches!(decode_response_line(line), Err(ServiceError::Protocol(_))),
+                "{line:?}"
+            );
         }
         // Malformed values in the new fields are still typed errors.
         assert!(decode_response_line(
@@ -1623,15 +1598,11 @@ mod tests {
                 },
             ),
             (
-                "OK shards=4 strategy=stratified workers=2 datasets=1 cache_entries=0 \
-                 warmstart=false uptime_secs=0 total_queries=0",
+                "OK workers=2 datasets=1 cache_entries=0 uptime_secs=0 total_queries=0",
                 Response::Info {
-                    shards: 4,
-                    strategy: "stratified".into(),
                     workers: 2,
                     datasets: 1,
                     cache_entries: 0,
-                    warmstart: false,
                     uptime_secs: 0,
                     total_queries: 0,
                 },

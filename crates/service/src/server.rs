@@ -79,14 +79,6 @@ pub struct ServeOptions {
     /// for every query whose total execution time exceeds `n` ms — see
     /// docs/ARCHITECTURE.md ("Observability") for the line format.
     pub slow_query_ms: Option<u64>,
-    /// Telemetry switch the `fairhms serve` front end applies when
-    /// constructing the engine (`--no-telemetry` clears it). The
-    /// authoritative switch lives on the engine's
-    /// [`crate::metrics::ServiceMetrics`]; this field exists so one
-    /// options struct carries the whole serve configuration. Defaults to
-    /// [`crate::metrics::TelemetryConfig::from_env`], honouring
-    /// `FAIRHMS_TEST_TELEMETRY`.
-    pub telemetry: crate::metrics::TelemetryConfig,
     /// Maximum simultaneously open connections. An accept beyond the cap
     /// is answered with a best-effort `ERR busy` line and closed
     /// immediately.
@@ -115,7 +107,6 @@ impl Default for ServeOptions {
             load_root: None,
             max_stream_batches: 8,
             slow_query_ms: None,
-            telemetry: crate::metrics::TelemetryConfig::from_env(),
             max_conns: 1024,
             queue_depth: 256,
             queue_deadline_ms: Some(5_000),
@@ -393,15 +384,10 @@ pub(crate) fn control_response(
                 mutations_total: m.mutations_total.get(),
             }
         }
-        // `shards`/`strategy` are fixed: preparation has one path, and
-        // the fields stay only so INFO frames keep their layout.
         Request::Info => Response::Info {
-            shards: 1,
-            strategy: "stratified".into(),
             workers,
             datasets: engine.catalog().len(),
             cache_entries: engine.cache_stats().entries,
-            warmstart: engine.warmstart_enabled(),
             uptime_secs: started.elapsed().as_secs(),
             total_queries: m.total_queries.get(),
         },

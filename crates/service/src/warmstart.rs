@@ -31,7 +31,8 @@
 //! Correctness does not depend on this tier at all: the engine treats
 //! every lookup as advisory, verifies preimages before reuse, and the
 //! equivalence suite (`tests/warmstart_equivalence.rs`) pins every
-//! registry algorithm bit-identical with the tier enabled vs. disabled.
+//! registry algorithm bit-identical between a warm engine and a fresh
+//! one whose tier is still empty.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,38 +46,13 @@ use fairhms_matroid::PreparedBounds;
 /// Configuration of the warm-start tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarmConfig {
-    /// Whether the tier is consulted at all (`false` = every solve is
-    /// fully cold; answers are contractually identical either way).
-    pub enabled: bool,
     /// Maximum resident `(epoch, k, family)` entries.
     pub capacity: usize,
 }
 
 impl Default for WarmConfig {
     fn default() -> Self {
-        Self {
-            enabled: true,
-            capacity: 512,
-        }
-    }
-}
-
-impl WarmConfig {
-    /// The default config, overridden by the `FAIRHMS_TEST_WARMSTART`
-    /// environment variable (`0`/`false`/`off` disables the tier).
-    ///
-    /// This is the CI hook mirroring `FAIRHMS_TEST_CODEC`:
-    /// `scripts/ci.sh` re-runs the whole service
-    /// test suite once with the tier disabled, so every test exercises
-    /// both the warm and the fully cold solve path.
-    pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Ok(v) = std::env::var("FAIRHMS_TEST_WARMSTART") {
-            if matches!(v.to_ascii_lowercase().as_str(), "0" | "false" | "off") {
-                cfg.enabled = false;
-            }
-        }
-        cfg
+        Self { capacity: 512 }
     }
 }
 
@@ -422,14 +398,5 @@ mod tests {
         // Everything-current sweep is a no-op.
         assert_eq!(cache.invalidate_stale(5, 10, 21), 0);
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn env_hook_parses_disable_values() {
-        // from_env reads the live environment; only the default (unset)
-        // case is asserted here — ci.sh exercises the disabled pass.
-        let def = WarmConfig::default();
-        assert!(def.enabled);
-        assert!(def.capacity > 0);
     }
 }

@@ -358,12 +358,9 @@ fn all_response_variants_agree_across_codecs() {
             mutations_total: 6,
         },
         Response::Info {
-            shards: 4,
-            strategy: "stratified".into(),
             workers: 4,
             datasets: 1,
             cache_entries: 0,
-            warmstart: true,
             uptime_secs: 5,
             total_queries: 2,
         },

@@ -39,10 +39,7 @@ fn engine(data: Dataset, telemetry: bool) -> QueryEngine {
     let eng = QueryEngine::with_config(
         Arc::clone(&cat),
         1024,
-        WarmConfig {
-            enabled: true,
-            capacity: 256,
-        },
+        WarmConfig { capacity: 256 },
         TelemetryConfig { enabled: telemetry },
     );
     cat.insert_dataset(data).unwrap();
@@ -173,10 +170,7 @@ fn metrics_verb_reports_nonzero_over_both_codecs() {
     let eng = Arc::new(QueryEngine::with_config(
         Arc::clone(&cat),
         1024,
-        WarmConfig {
-            enabled: true,
-            capacity: 64,
-        },
+        WarmConfig { capacity: 64 },
         TelemetryConfig { enabled: true },
     ));
     cat.insert_dataset(generated("wire", 200, 2, 3, 5)).unwrap();

@@ -1,13 +1,13 @@
 //! Warm-start equivalence suite: the warm-start tier must be **provably
 //! inert** — every registry algorithm returns bit-identical answers
-//! (`mhr` compared by bits) with the tier enabled vs. disabled, across
-//! near-miss query sequences, dataset replacement (epoch bumps), and
-//! cache eviction. If any of these fail, warm-starting is changing
+//! (`mhr` compared by bits) from a warm engine and from a fresh one,
+//! across near-miss query sequences, dataset replacement (epoch bumps),
+//! and cache eviction. If any of these fail, warm-starting is changing
 //! answers and must not ship.
 //!
-//! Engines are built with *explicit* [`WarmConfig`]s, so the suite pins
-//! the contract under any `FAIRHMS_TEST_WARMSTART` / codec
-//! environment the CI matrix selects.
+//! The cold reference is a fresh [`QueryEngine`] per query over the same
+//! catalog: its tier starts empty, so every component it uses is
+//! computed from scratch — checked by its `warm_stats().hits == 0`.
 
 use std::sync::Arc;
 
@@ -16,7 +16,9 @@ use rand::SeedableRng;
 
 use fairhms_core::registry::ALGORITHM_NAMES;
 use fairhms_data::{gen, Dataset};
-use fairhms_service::{Catalog, Query, QueryEngine, WarmConfig};
+use fairhms_service::{
+    Catalog, Query, QueryEngine, QueryResponse, ServiceError, TelemetryConfig, WarmConfig,
+};
 
 fn generated(name: &str, n: usize, d: usize, c: usize, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -32,29 +34,27 @@ fn generated(name: &str, n: usize, d: usize, c: usize, seed: u64) -> Dataset {
     .unwrap()
 }
 
-fn engine(data: Dataset, warm: WarmConfig) -> QueryEngine {
+fn catalog(data: Dataset) -> Arc<Catalog> {
     let cat = Arc::new(Catalog::new());
     cat.insert_dataset(data).unwrap();
-    QueryEngine::with_warm_config(cat, 1024, warm)
+    cat
 }
 
-fn warm_on() -> WarmConfig {
-    WarmConfig {
-        enabled: true,
-        capacity: 512,
-    }
-}
-
-fn warm_off() -> WarmConfig {
-    WarmConfig {
-        enabled: false,
-        capacity: 0,
-    }
+/// Solves `q` on a fresh engine over `cat` — the cold reference.
+fn cold(cat: &Arc<Catalog>, q: &Query) -> Result<QueryResponse, ServiceError> {
+    let eng = QueryEngine::new(Arc::clone(cat), 1024);
+    let out = eng.execute(q);
+    assert_eq!(
+        eng.warm_stats().hits,
+        0,
+        "reference engine reused warm state"
+    );
+    out
 }
 
 fn assert_same_outcome(
-    a: &Result<fairhms_service::QueryResponse, fairhms_service::ServiceError>,
-    b: &Result<fairhms_service::QueryResponse, fairhms_service::ServiceError>,
+    a: &Result<QueryResponse, ServiceError>,
+    b: &Result<QueryResponse, ServiceError>,
     ctx: &str,
 ) {
     match (a, b) {
@@ -85,12 +85,11 @@ fn assert_same_outcome(
 /// policies, skyline on/off, over a *near-miss* α sweep (same `(dataset,
 /// k, family)` warm key, distinct fingerprints — each solve is cold for
 /// the solution cache, so the warm tier actually gets exercised), is
-/// bit-identical between a warm-start engine and a disabled one.
+/// bit-identical between a warm-start engine and fresh ones.
 #[test]
 fn served_answers_are_warmstart_invariant() {
-    let data = || generated("eq", 240, 2, 3, 21);
-    let warm = engine(data(), warm_on());
-    let cold = engine(data(), warm_off());
+    let cat = catalog(generated("eq", 240, 2, 3, 21));
+    let warm = QueryEngine::new(Arc::clone(&cat), 1024);
 
     for alg in ALGORITHM_NAMES {
         for (k, balanced, skyline) in [(3usize, false, true), (5, true, true), (4, false, false)] {
@@ -103,7 +102,7 @@ fn served_answers_are_warmstart_invariant() {
                 q.skyline = skyline;
                 q.alpha = alpha;
                 let a = warm.execute(&q);
-                let b = cold.execute(&q);
+                let b = cold(&cat, &q);
                 assert_same_outcome(
                     &a,
                     &b,
@@ -113,17 +112,14 @@ fn served_answers_are_warmstart_invariant() {
         }
     }
 
-    // The tier was actually used: components were reused, and the
-    // disabled engine never touched it.
+    // The tier was actually used: components were reused (each fresh
+    // reference engine checked that it reused none).
     let ws = warm.warm_stats();
     assert!(
         ws.hits > 0,
         "warm tier never reused anything across the near-miss sweep: {ws:?}"
     );
     assert!(ws.misses > 0 && ws.entries > 0);
-    assert!(warm.warmstart_enabled());
-    assert!(!cold.warmstart_enabled());
-    assert_eq!(cold.warm_stats(), fairhms_service::WarmStats::default());
 }
 
 /// Repeating one exact query must still hit the *solution* cache — the
@@ -131,7 +127,7 @@ fn served_answers_are_warmstart_invariant() {
 /// must miss the solution cache while reusing warm state.
 #[test]
 fn warm_tier_composes_with_the_solution_cache() {
-    let eng = engine(generated("eq", 200, 3, 3, 5), warm_on());
+    let eng = QueryEngine::new(catalog(generated("eq", 200, 3, 3, 5)), 1024);
     let q = Query::new("eq", 6);
     assert!(!eng.execute(&q).unwrap().cached);
     assert!(eng.execute(&q).unwrap().cached, "exact repeat not cached");
@@ -157,7 +153,8 @@ fn warm_tier_composes_with_the_solution_cache() {
 fn epoch_bump_invalidates_warm_state() {
     let old = || generated("swap", 180, 2, 3, 11);
     let new = || generated("swap", 180, 2, 3, 99);
-    let eng = engine(old(), warm_on());
+    let cat = catalog(old());
+    let eng = QueryEngine::new(Arc::clone(&cat), 1024);
 
     let mut q = Query::new("swap", 4);
     q.alg = "bigreedy".into();
@@ -169,30 +166,27 @@ fn epoch_bump_invalidates_warm_state() {
 
     // Replace the dataset under the same name.
     eng.catalog().insert_dataset(new()).unwrap();
-    let fresh = engine(new(), warm_off());
     for alpha in [0.1f64, 0.2] {
         let mut qr = q.clone();
         qr.alpha = alpha;
         let a = eng.execute(&qr);
-        let b = fresh.execute(&qr);
+        let b = cold(&cat, &qr);
         assert_same_outcome(&a, &b, &format!("post-replacement α={alpha}"));
     }
 }
 
 /// A tiny warm cache (capacity 1) thrashes constantly — answers must
-/// still be identical to the disabled engine (eviction can only cost
-/// speed, never correctness).
+/// still be identical to a fresh engine's (eviction can only cost speed,
+/// never correctness).
 #[test]
 fn eviction_thrash_never_changes_answers() {
-    let data = || generated("thrash", 160, 2, 3, 3);
-    let tiny = engine(
-        data(),
-        WarmConfig {
-            enabled: true,
-            capacity: 1,
-        },
+    let cat = catalog(generated("thrash", 160, 2, 3, 3));
+    let tiny = QueryEngine::with_config(
+        Arc::clone(&cat),
+        1024,
+        WarmConfig { capacity: 1 },
+        TelemetryConfig::from_env(),
     );
-    let cold = engine(data(), warm_off());
     // Alternating (k, family) keys so every solve evicts the previous
     // entry.
     for round in 0..3 {
@@ -202,7 +196,7 @@ fn eviction_thrash_never_changes_answers() {
             q.alpha = 0.05 + 0.05 * round as f64;
             assert_same_outcome(
                 &tiny.execute(&q),
-                &cold.execute(&q),
+                &cold(&cat, &q),
                 &format!("round={round} alg={alg} k={k}"),
             );
         }
@@ -225,15 +219,15 @@ fn vacant_group_bounds_stay_feasible_warm_and_cold() {
         )
         .unwrap()
     };
-    let warm = engine(mk(), warm_on());
-    let cold = engine(mk(), warm_off());
+    let cat = catalog(mk());
+    let warm = QueryEngine::new(Arc::clone(&cat), 1024);
     for balanced in [false, true] {
         for alg in ["intcov", "bigreedy", "f-greedy"] {
             let mut q = Query::new("vacant", 3);
             q.alg = alg.into();
             q.balanced = balanced;
             let a = warm.execute(&q);
-            let b = cold.execute(&q);
+            let b = cold(&cat, &q);
             assert_same_outcome(&a, &b, &format!("vacant group alg={alg} bal={balanced}"));
             let resp = a.unwrap();
             assert_eq!(

@@ -42,13 +42,6 @@ cargo test -q
 echo "==> service tests, binary codec (FAIRHMS_TEST_CODEC=binary)"
 FAIRHMS_TEST_CODEC=binary cargo test -p fairhms-service -q
 
-# …and once with the warm-start tier disabled: every engine test must
-# pass over the fully cold solve path too — answers are contractually
-# bit-identical with the tier on or off (see
-# crates/service/tests/warmstart_equivalence.rs).
-echo "==> service tests, warm-start disabled (FAIRHMS_TEST_WARMSTART=0)"
-FAIRHMS_TEST_WARMSTART=0 cargo test -p fairhms-service -q
-
 # …and once with telemetry disabled: spans and stage accounting must be
 # provably inert — answers are contractually bit-identical with
 # telemetry on or off (see crates/service/tests/telemetry_equivalence.rs).

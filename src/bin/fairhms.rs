@@ -66,9 +66,9 @@ USAGE:
   fairhms solve --input FILE --dim D --k K [--alg NAME] [--alpha A] [--balanced]
                 [--no-skyline] [--seed S]
   fairhms serve --data NAME=FILE[,NAME=FILE...] [--addr HOST:PORT] [--workers N]
-                [--cache N] [--load-root DIR] [--max-streams N] [--no-warmstart]
-                [--warm-capacity N] [--no-telemetry] [--slow-query-ms N]
-                [--max-conns N] [--queue-depth N]
+                [--cache N] [--load-root DIR] [--max-streams N] [--warm-capacity N]
+                [--no-telemetry] [--slow-query-ms N] [--max-conns N]
+                [--queue-depth N]
   fairhms query --addr HOST:PORT (--dataset NAME --k K [--alg NAME] [--alpha A]
                 [--balanced] [--no-skyline] [--seed S] | --file FILE [--stream])
                 [--codec text|binary] [--show-stats]
@@ -91,23 +91,22 @@ verbs: skylines are maintained incrementally and only cached answers
 whose digest the mutation moved are invalidated. Near-miss queries
 (same dataset, k and algorithm; different bounds) reuse warm-start state
 (BiGreedy δ-nets, prepared bounds scans) — answers are bit-identical
-either way; --no-warmstart disables the tier and --warm-capacity bounds
-its resident entries. Per-stage latency histograms are recorded by
-default (answers are bit-identical with telemetry on or off);
---no-telemetry disables them and --slow-query-ms N logs one structured
-stderr line per query slower than N ms. One poll(2) event loop serves
-every connection (--frontend event, its only value, is still accepted)
-and --workers resident threads run the solves, under admission
-control: --max-conns caps open connections and --queue-depth
-bounds the global solve queue (excess load answers ERR busy with
-retry_after_ms back-off advice); --workers, --max-conns and
---queue-depth must each be at least 1. `metrics` dumps a running
-server's telemetry snapshot via the METRICS verb. `query` is the matching
-client: --codec binary negotiates the v2 length-prefixed framing
-(answers are bit-identical to text), and --file sends a BATCH of QUERY
-lines through the server's worker pool — with --stream the answers are
-printed as the server completes them (seq-tagged) instead of in request
-order.
+to a cold solve; --warm-capacity bounds the tier's resident entries.
+Per-stage latency histograms are recorded by default (answers are
+bit-identical with telemetry on or off); --no-telemetry disables them
+and --slow-query-ms N logs one structured stderr line per query slower
+than N ms. One poll(2) event loop serves every connection (--frontend
+event, its only value, is still accepted) and --workers resident
+threads run the solves, under admission control: --max-conns caps open
+connections and --queue-depth bounds the global solve queue (excess
+load answers ERR busy with retry_after_ms back-off advice); --workers,
+--max-conns, --queue-depth and --warm-capacity must each be at least 1.
+`metrics` dumps a running server's telemetry snapshot via the METRICS
+verb. `query` is the matching client: --codec binary negotiates the v2
+length-prefixed framing (answers are bit-identical to text), and --file
+sends a BATCH of QUERY lines through the server's worker pool — with
+--stream the answers are printed as the server completes them
+(seq-tagged) instead of in request order.
 
 INPUT FORMAT: CSV rows `attr_1,...,attr_D,group_label` (no header).";
 
@@ -128,8 +127,8 @@ const COMMANDS: &[(&str, Command, &str)] = &[
     (
         "serve",
         cmd_serve,
-        "data addr workers cache load-root max-streams no-warmstart \
-         warm-capacity no-telemetry slow-query-ms frontend max-conns queue-depth",
+        "data addr workers cache load-root max-streams warm-capacity \
+         no-telemetry slow-query-ms frontend max-conns queue-depth",
     ),
     (
         "query",
@@ -155,8 +154,7 @@ fn parse_flags(args: &[String], known: &str) -> Result<Flags, String> {
         }
         match key {
             // boolean flags
-            "balanced" | "no-skyline" | "show-stats" | "stream" | "no-warmstart"
-            | "no-telemetry" => {
+            "balanced" | "no-skyline" | "show-stats" | "stream" | "no-telemetry" => {
                 out.insert(key.to_string(), "true".to_string());
             }
             _ => {
@@ -335,15 +333,14 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         serve_opts.queue_depth = n;
     }
 
-    let mut warm = fairhms::service::WarmConfig::from_env();
-    if opts.contains_key("no-warmstart") {
-        warm.enabled = false;
-    }
-    if let Some(n) = num::<usize>(opts, "warm-capacity")? {
+    let mut warm = fairhms::service::WarmConfig::default();
+    if let Some(n) = positive(opts, "warm-capacity")? {
         warm.capacity = n;
     }
 
-    let mut telemetry = fairhms::service::TelemetryConfig::from_env();
+    // Not TelemetryConfig::from_env: FAIRHMS_TEST_TELEMETRY is a test
+    // hook, so only --no-telemetry turns the server's telemetry off.
+    let mut telemetry = fairhms::service::TelemetryConfig::default();
     if opts.contains_key("no-telemetry") {
         telemetry.enabled = false;
     }
@@ -392,7 +389,6 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
     if let Some(n) = num::<usize>(opts, "max-streams")? {
         serve_opts.max_stream_batches = n;
     }
-    serve_opts.telemetry = telemetry;
     serve_opts.slow_query_ms = num::<u64>(opts, "slow-query-ms")?;
 
     let load_root = serve_opts.load_root.clone();
@@ -401,11 +397,7 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         "event front end ({} max conns, queue depth {})",
         serve_opts.max_conns, serve_opts.queue_depth
     );
-    let warm_banner = if warm.enabled {
-        format!("warm-start {} entries", warm.capacity)
-    } else {
-        "warm-start off".to_string()
-    };
+    let warm_banner = format!("warm-start {} entries", warm.capacity);
     let telemetry_banner = match (telemetry.enabled, serve_opts.slow_query_ms) {
         (false, _) => ", telemetry off".to_string(),
         (true, None) => ", telemetry on".to_string(),

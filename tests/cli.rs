@@ -151,6 +151,22 @@ impl Drop for KillOnDrop {
     }
 }
 
+/// Reads a spawned server's stdout up to its `listening on` banner and
+/// returns that line.
+fn listening_banner(out: &mut impl std::io::BufRead) -> String {
+    loop {
+        let mut line = String::new();
+        assert_ne!(
+            out.read_line(&mut line).unwrap(),
+            0,
+            "server exited before listening"
+        );
+        if line.starts_with("fairhms-service listening on ") {
+            return line;
+        }
+    }
+}
+
 #[test]
 fn serve_and_query_round_trip() {
     use std::io::{BufRead, BufReader, Write};
@@ -198,17 +214,8 @@ fn serve_and_query_round_trip() {
             .expect("spawn serve"),
     ));
     let mut server_out = BufReader::new(server.child().stdout.take().unwrap());
-    let addr = loop {
-        let mut line = String::new();
-        assert_ne!(
-            server_out.read_line(&mut line).unwrap(),
-            0,
-            "server exited before listening"
-        );
-        if let Some(rest) = line.trim().strip_prefix("fairhms-service listening on ") {
-            break rest.split_whitespace().next().unwrap().to_string();
-        }
-    };
+    let banner = listening_banner(&mut server_out);
+    let addr = banner.split_whitespace().nth(3).unwrap().to_string();
 
     // Single query through the CLI client.
     let query = Command::new(bin())
@@ -275,6 +282,45 @@ fn serve_and_query_round_trip() {
     assert!(status.success());
 }
 
+/// `FAIRHMS_TEST_TELEMETRY` is a test-engine hook: the shipped server
+/// ignores it, so only `--no-telemetry` turns production telemetry off.
+#[test]
+fn serve_ignores_the_telemetry_test_hook() {
+    let csv = tmp("cli_serve_env.csv");
+    let gen = Command::new(bin())
+        .args([
+            "gen",
+            "--out",
+            csv.to_str().unwrap(),
+            "--n",
+            "60",
+            "--d",
+            "2",
+            "--c",
+            "2",
+        ])
+        .output()
+        .expect("run gen");
+    assert!(
+        gen.status.success(),
+        "{}",
+        String::from_utf8_lossy(&gen.stderr)
+    );
+
+    let mut server = KillOnDrop(Some(
+        Command::new(bin())
+            .args(["serve", "--data", &format!("v={}", csv.display())])
+            .args(["--addr", "127.0.0.1:0", "--workers", "1"])
+            .env("FAIRHMS_TEST_TELEMETRY", "0")
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn serve"),
+    ));
+    let mut out = std::io::BufReader::new(server.child().stdout.take().unwrap());
+    let banner = listening_banner(&mut out);
+    assert!(banner.contains("telemetry on"), "{banner}");
+}
+
 #[test]
 fn helpful_errors() {
     let out = Command::new(bin()).output().expect("run bare");
@@ -305,7 +351,7 @@ fn helpful_errors() {
 
 #[test]
 fn unknown_flags_are_rejected() {
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 10] = [
         (
             &["stats", "--input", "v.csv", "--dim", "4", "--bogus", "1"],
             "unknown flag --bogus",
@@ -326,6 +372,10 @@ fn unknown_flags_are_rejected() {
             &["serve", "--data", "v=v.csv", "--shards", "4"],
             "unknown flag --shards",
         ),
+        (
+            &["serve", "--data", "v=v.csv", "--no-warmstart"],
+            "unknown flag --no-warmstart",
+        ),
         // Limits of 0 would start a server that never answers.
         (
             &["serve", "--data", "v=v.csv", "--workers", "0"],
@@ -338,6 +388,10 @@ fn unknown_flags_are_rejected() {
         (
             &["serve", "--data", "v=v.csv", "--queue-depth", "0"],
             "--queue-depth must be at least 1",
+        ),
+        (
+            &["serve", "--data", "v=v.csv", "--warm-capacity", "0"],
+            "--warm-capacity must be at least 1",
         ),
     ];
     for (args, expected) in cases {
