@@ -1,7 +1,6 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
-//! binary vs linear τ search, lazy vs eager greedy (see `bigreedy.rs`),
-//! streaming vs offline selection, and net-size effects on IntCov-free
-//! multi-dimensional solving.
+//! Ablation benches for the design choices documented in the
+//! `fairhms_core::bigreedy` and `fairhms_core::streaming` module docs:
+//! binary vs linear τ search, and streaming vs offline selection.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;

@@ -1,6 +1,5 @@
 //! End-to-end `BiGreedy` / `BiGreedy+` — the multi-dimensional solvers
-//! behind Figures 5–9 — plus the lazy-vs-eager greedy ablation called out
-//! in DESIGN.md.
+//! behind Figures 5–9.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -37,18 +36,6 @@ fn bench_bigreedy(c: &mut Criterion) {
             &inst,
             |b, inst| {
                 b.iter(|| bigreedy_plus(inst, &BiGreedyPlusConfig::paper_default(k, d)).unwrap())
-            },
-        );
-        // Ablation: lazy vs eager greedy inside BiGreedy.
-        group.bench_with_input(
-            BenchmarkId::new("bigreedy_eager", format!("n{n}_d{d}")),
-            &inst,
-            |b, inst| {
-                let cfg = BiGreedyConfig {
-                    use_lazy: false,
-                    ..BiGreedyConfig::paper_default(k, d)
-                };
-                b.iter(|| bigreedy(inst, &cfg).unwrap())
             },
         );
     }

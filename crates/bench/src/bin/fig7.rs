@@ -13,7 +13,7 @@ fn main() {
     let base_n = if full { 10_000 } else { 2_000 };
     let mut csv: Vec<Vec<String>> = Vec::new();
 
-    // (a) vary d (paper: 2..16; default stops at 8 — see DESIGN.md).
+    // (a) vary d (paper: 2..16; the default stops at 8, `--full` runs to 16).
     let dims: Vec<usize> = if full {
         vec![2, 4, 6, 8, 10, 12, 16]
     } else {

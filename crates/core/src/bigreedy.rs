@@ -9,8 +9,9 @@
 //! for up to `γ = ⌈log₂(2m/ε)⌉` rounds (Lemma 4.5) — reaches
 //! `mhr_τ(S|N) ≥ (1 − ε/2m)·τ`.
 //!
-//! Two deliberate engineering deviations from the paper's pseudocode, both
-//! recorded in DESIGN.md:
+//! Two deliberate engineering deviations from the paper's pseudocode (the
+//! exact τ-probe optimisations are in `docs/ARCHITECTURE.md`, "τ-search
+//! greedy"):
 //!
 //! 1. **τ search.** Achievability of `τ` is monotone (smaller caps are
 //!    easier), so instead of sweeping every grid value — `O(ln(m)/ε)`
@@ -32,9 +33,7 @@ use rand::SeedableRng;
 
 use fairhms_data::Dataset;
 use fairhms_geometry::sphere::{bigreedy_net_delta, net_size, random_net_with_basis};
-use fairhms_submodular::{
-    greedy_matroid, lazy_greedy_matroid, lazy_greedy_matroid_seeded, IncrementalObjective,
-};
+use fairhms_submodular::{lazy_greedy_matroid, lazy_greedy_matroid_seeded, IncrementalObjective};
 
 use crate::objective::TruncatedMhrObjective;
 use crate::types::{CoreError, FairHmsInstance, Solution};
@@ -78,8 +77,6 @@ pub struct BiGreedyConfig {
     pub tau_search: TauSearch,
     /// RNG seed for the δ-net sample.
     pub seed: u64,
-    /// Use lazy greedy (identical output, usually much faster).
-    pub use_lazy: bool,
 }
 
 impl Default for BiGreedyConfig {
@@ -91,7 +88,6 @@ impl Default for BiGreedyConfig {
             mode: BiGreedyMode::Feasible,
             tau_search: TauSearch::Binary,
             seed: 42,
-            use_lazy: true,
         }
     }
 }
@@ -341,7 +337,6 @@ pub fn bigreedy_on_net_with_db_max(
             tau,
             gamma,
             epsilon,
-            config.use_lazy,
             &mut bounds,
         );
         if !union.is_empty() {
@@ -437,7 +432,6 @@ pub fn bigreedy_on_net_with_db_max(
 /// [`lazy_greedy_matroid_seeded`]): empty, or upper bounds on every
 /// candidate's empty-set gain at `tau`; on return it holds such bounds.
 /// Later rounds run on smaller pools and are not seeded.
-#[allow(clippy::too_many_arguments)]
 fn mr_greedy(
     inst: &FairHmsInstance,
     objective: &mut TruncatedMhrObjective<'_>,
@@ -445,7 +439,6 @@ fn mr_greedy(
     tau: f64,
     gamma: usize,
     epsilon: f64,
-    use_lazy: bool,
     bounds: &mut Vec<f64>,
 ) -> (Vec<usize>, bool) {
     objective.set_tau(tau);
@@ -460,12 +453,10 @@ fn mr_greedy(
         if pool.is_empty() {
             break;
         }
-        let round = if use_lazy && round_idx == 0 {
+        let round = if round_idx == 0 {
             lazy_greedy_matroid_seeded(objective, inst.matroid(), &pool, bounds)
-        } else if use_lazy {
-            lazy_greedy_matroid(objective, inst.matroid(), &pool)
         } else {
-            greedy_matroid(objective, inst.matroid(), &pool)
+            lazy_greedy_matroid(objective, inst.matroid(), &pool)
         };
         if round.items.is_empty() {
             break;
@@ -712,21 +703,6 @@ mod tests {
         let ml = mhr_exact_2d(inst.data(), &linear.indices);
         assert!((mb - ml).abs() < 0.02, "binary {mb} vs linear {ml}");
         assert!(inst.matroid().is_feasible(&linear.indices));
-    }
-
-    #[test]
-    fn lazy_and_eager_agree() {
-        let inst = lsac_instance(3, true);
-        let lazy = bigreedy(&inst, &BiGreedyConfig::paper_default(3, 2)).unwrap();
-        let eager = bigreedy(
-            &inst,
-            &BiGreedyConfig {
-                use_lazy: false,
-                ..BiGreedyConfig::paper_default(3, 2)
-            },
-        )
-        .unwrap();
-        assert_eq!(lazy.indices, eager.indices);
     }
 
     #[test]

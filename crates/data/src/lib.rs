@@ -12,7 +12,7 @@
 //! * [`realsim`] — simulators standing in for the paper's real datasets
 //!   (Lawschs, Adult, Compas, Credit), which cannot be downloaded in this
 //!   environment. Each matches the published n, d, group structure, and
-//!   approximate skyline scale (see DESIGN.md §4), plus the literal 8-row
+//!   approximate skyline scale (documented per simulator), plus the literal 8-row
 //!   LSAC example of Table 1.
 //! * [`csv`] — minimal CSV import/export for datasets and result series.
 //! * [`stats`] — dataset statistics used to regenerate Table 2.

@@ -3,7 +3,7 @@
 //! The original evaluation uses four real datasets (Lawschs, Adult, Compas,
 //! Credit) that cannot be fetched in this offline environment. Each
 //! simulator below reproduces the characteristics the FairHMS experiments
-//! actually depend on — documented per dataset in DESIGN.md §4:
+//! actually depend on — documented per dataset on each simulator below:
 //!
 //! * the published row count `n` and numeric dimensionality `d` (Table 2);
 //! * the group structure: which categorical attributes exist, how many

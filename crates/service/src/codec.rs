@@ -300,13 +300,6 @@ impl<'a> PayloadReader<'a> {
         }
     }
 
-    /// True when the payload is fully consumed — used to default fields
-    /// appended to a frame after v2 shipped (a pre-extension peer's
-    /// frame simply ends earlier).
-    fn at_end(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
     fn finish(&self) -> Result<(), ServiceError> {
         if self.pos != self.buf.len() {
             return Err(ServiceError::Protocol(format!(
@@ -496,66 +489,22 @@ pub fn decode_binary_payload(payload: &[u8]) -> Result<Response, ServiceError> {
         },
         tag::DATASETS => Response::Datasets(r.list("datasets")?),
         tag::ALGORITHMS => Response::Algorithms(r.list("algorithms")?),
-        tag::STATS => {
-            let hits = r.varint("hits")?;
-            let misses = r.varint("misses")?;
-            let entries = r.usize("entries")?;
-            let evictions = r.varint("evictions")?;
-            let hit_rate = r.f64_bits("hit_rate")?;
-            // The warm_* fields were appended after v2 shipped: a frame
-            // from a pre-warm-start peer ends here, and the counters
-            // default to 0 — mirroring the text decoder's tolerance.
-            let (warm_hits, warm_misses, warm_entries) = if r.at_end() {
-                (0, 0, 0)
-            } else {
-                (
-                    r.varint("warm_hits")?,
-                    r.varint("warm_misses")?,
-                    r.usize("warm_entries")?,
-                )
-            };
-            // A second appended tier (telemetry PR): uptime/total default
-            // to 0 when the peer predates them.
-            let (uptime_secs, total_queries) = if r.at_end() {
-                (0, 0)
-            } else {
-                (r.varint("uptime_secs")?, r.varint("total_queries")?)
-            };
-            // Third appended tier (admission control): gauges default to
-            // 0 when the peer predates them.
-            let (queue_depth, shed_total, conns_open) = if r.at_end() {
-                (0, 0, 0)
-            } else {
-                (
-                    r.varint("queue_depth")?,
-                    r.varint("shed_total")?,
-                    r.varint("conns_open")?,
-                )
-            };
-            // Fourth appended tier (mutable catalog): the mutation counter
-            // defaults to 0 when the peer predates APPEND/DELETE.
-            let mutations_total = if r.at_end() {
-                0
-            } else {
-                r.varint("mutations_total")?
-            };
-            Response::Stats {
-                hits,
-                misses,
-                entries,
-                evictions,
-                hit_rate,
-                warm_hits,
-                warm_misses,
-                warm_entries,
-                uptime_secs,
-                total_queries,
-                queue_depth,
-                shed_total,
-                conns_open,
-                mutations_total,
-            }
-        }
+        tag::STATS => Response::Stats {
+            hits: r.varint("hits")?,
+            misses: r.varint("misses")?,
+            entries: r.usize("entries")?,
+            evictions: r.varint("evictions")?,
+            hit_rate: r.f64_bits("hit_rate")?,
+            warm_hits: r.varint("warm_hits")?,
+            warm_misses: r.varint("warm_misses")?,
+            warm_entries: r.usize("warm_entries")?,
+            uptime_secs: r.varint("uptime_secs")?,
+            total_queries: r.varint("total_queries")?,
+            queue_depth: r.varint("queue_depth")?,
+            shed_total: r.varint("shed_total")?,
+            conns_open: r.varint("conns_open")?,
+            mutations_total: r.varint("mutations_total")?,
+        },
         tag::INFO => Response::Info {
             workers: r.usize("workers")?,
             datasets: r.usize("datasets")?,
@@ -992,78 +941,61 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn pre_warmstart_binary_frames_still_decode() {
-        // STATS frames from a peer built before the warm-start fields
-        // were appended end right after the original payload; the
-        // decoder must default the new fields to 0, mirroring the text
-        // decoder — not error on a truncated read.
+    /// A STATS payload holding the first `fields` of its 14 fields.
+    fn stats_payload(fields: usize) -> Vec<u8> {
         let mut payload = vec![tag::STATS];
         put_varint(&mut payload, 2); // hits
         put_varint(&mut payload, 1); // misses
         put_varint(&mut payload, 1); // entries
         put_varint(&mut payload, 0); // evictions
         payload.extend_from_slice(&(2.0f64 / 3.0).to_bits().to_le_bytes());
-        match decode_binary_payload(&payload).unwrap() {
-            Response::Stats {
-                hits,
-                warm_hits,
-                warm_misses,
-                warm_entries,
-                ..
-            } => assert_eq!((hits, warm_hits, warm_misses, warm_entries), (2, 0, 0, 0)),
-            other => panic!("{other:?}"),
+        // warm_hits, warm_misses, warm_entries, uptime_secs, total_queries,
+        // queue_depth, shed_total, conns_open, mutations_total
+        for v in [7, 3, 2, 60, 9, 4, 2, 1, 13].into_iter().take(fields - 5) {
+            put_varint(&mut payload, v);
         }
+        payload
+    }
 
-        // INFO has no compat tiers: a pre-warm-start frame (leading
-        // shards + strategy, nothing appended) is a protocol error.
+    fn assert_protocol_error(payload: &[u8]) {
+        assert!(
+            matches!(
+                decode_binary_payload(payload),
+                Err(ServiceError::Protocol(_))
+            ),
+            "{payload:?} must not decode"
+        );
+    }
+
+    // Every fixed-shape frame has exactly one layout. The four tests below
+    // feed the decoder the frames of each older layout: every one is a
+    // typed protocol error, never a frame with defaulted fields.
+
+    #[test]
+    fn pre_warmstart_binary_frames_still_decode() {
+        // STATS ending after hit_rate, or with a partial warm_* tail.
+        assert_protocol_error(&stats_payload(5));
+        assert_protocol_error(&stats_payload(6));
+
+        // The pre-warm-start INFO layout: leading shards + strategy,
+        // nothing appended.
         let mut payload = vec![tag::INFO];
         put_varint(&mut payload, 4); // shards
         put_str(&mut payload, "stratified");
         put_varint(&mut payload, 2); // workers
         put_varint(&mut payload, 1); // datasets
         put_varint(&mut payload, 0); // cache_entries
-        assert!(matches!(
-            decode_binary_payload(&payload),
-            Err(ServiceError::Protocol(_))
-        ));
-
-        // A *partially* appended tail is still corruption, not tolerance.
-        let mut bad = vec![tag::STATS];
-        for _ in 0..4 {
-            put_varint(&mut bad, 1);
-        }
-        bad.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
-        put_varint(&mut bad, 7); // warm_hits present but the rest missing
-        assert!(decode_binary_payload(&bad).is_err());
+        assert_protocol_error(&payload);
     }
 
     #[test]
     fn pre_telemetry_binary_frames_still_decode() {
-        // Peers from the warm-start era emit the warm_* tier but end
-        // before uptime/total_queries; both default to 0.
-        let mut payload = vec![tag::STATS];
-        put_varint(&mut payload, 2); // hits
-        put_varint(&mut payload, 1); // misses
-        put_varint(&mut payload, 1); // entries
-        put_varint(&mut payload, 0); // evictions
-        payload.extend_from_slice(&(2.0f64 / 3.0).to_bits().to_le_bytes());
-        put_varint(&mut payload, 7); // warm_hits
-        put_varint(&mut payload, 3); // warm_misses
-        put_varint(&mut payload, 2); // warm_entries
-        match decode_binary_payload(&payload).unwrap() {
-            Response::Stats {
-                warm_hits,
-                uptime_secs,
-                total_queries,
-                ..
-            } => assert_eq!((warm_hits, uptime_secs, total_queries), (7, 0, 0)),
-            other => panic!("{other:?}"),
-        }
+        // STATS ending after the warm_* fields.
+        assert_protocol_error(&stats_payload(8));
 
         // The old INFO layout — shards=1 and strategy=stratified ahead
         // of the live fields, the warmstart byte in between, with or
-        // without the telemetry tier — is a protocol error.
+        // without the telemetry tier.
         let old_info = |telemetry: bool| {
             let mut payload = vec![tag::INFO];
             put_varint(&mut payload, 1); // shards
@@ -1079,90 +1011,38 @@ mod tests {
             payload
         };
         for telemetry in [false, true] {
-            assert!(matches!(
-                decode_binary_payload(&old_info(telemetry)),
-                Err(ServiceError::Protocol(_))
-            ));
+            assert_protocol_error(&old_info(telemetry));
         }
 
-        // A current INFO frame missing its last field is corruption.
+        // A current INFO frame missing its last field.
         let mut bad = vec![tag::INFO];
         put_varint(&mut bad, 2); // workers
         put_varint(&mut bad, 1); // datasets
         put_varint(&mut bad, 0); // cache_entries
         put_varint(&mut bad, 100); // uptime_secs present, total_queries missing
-        assert!(decode_binary_payload(&bad).is_err());
+        assert_protocol_error(&bad);
     }
 
     #[test]
     fn pre_admission_binary_frames_still_decode() {
-        // Peers from the telemetry era emit the uptime/total tier but
-        // end before the admission gauges; all three default to 0.
-        let mut payload = vec![tag::STATS];
-        put_varint(&mut payload, 2); // hits
-        put_varint(&mut payload, 1); // misses
-        put_varint(&mut payload, 1); // entries
-        put_varint(&mut payload, 0); // evictions
-        payload.extend_from_slice(&(2.0f64 / 3.0).to_bits().to_le_bytes());
-        put_varint(&mut payload, 7); // warm_hits
-        put_varint(&mut payload, 3); // warm_misses
-        put_varint(&mut payload, 2); // warm_entries
-        put_varint(&mut payload, 60); // uptime_secs
-        put_varint(&mut payload, 9); // total_queries
-        match decode_binary_payload(&payload).unwrap() {
-            Response::Stats {
-                total_queries,
-                queue_depth,
-                shed_total,
-                conns_open,
-                ..
-            } => assert_eq!(
-                (total_queries, queue_depth, shed_total, conns_open),
-                (9, 0, 0, 0)
-            ),
-            other => panic!("{other:?}"),
-        }
-
-        // A partially appended admission tier is corruption, same as the
-        // warm-start and telemetry tiers before it.
-        put_varint(&mut payload, 4); // queue_depth present…
-        put_varint(&mut payload, 2); // …shed_total present, conns_open missing
-        assert!(decode_binary_payload(&payload).is_err());
+        // STATS ending after uptime/total_queries, or with a partial
+        // admission tail (queue_depth and shed_total, no conns_open).
+        assert_protocol_error(&stats_payload(10));
+        assert_protocol_error(&stats_payload(12));
     }
 
     #[test]
     fn pre_mutation_binary_frames_still_decode() {
-        // Peers from the admission era emit every tier through conns_open
-        // but end before the mutation counter; it defaults to 0.
-        let mut payload = vec![tag::STATS];
-        put_varint(&mut payload, 2); // hits
-        put_varint(&mut payload, 1); // misses
-        put_varint(&mut payload, 1); // entries
-        put_varint(&mut payload, 0); // evictions
-        payload.extend_from_slice(&(2.0f64 / 3.0).to_bits().to_le_bytes());
-        put_varint(&mut payload, 7); // warm_hits
-        put_varint(&mut payload, 3); // warm_misses
-        put_varint(&mut payload, 2); // warm_entries
-        put_varint(&mut payload, 60); // uptime_secs
-        put_varint(&mut payload, 9); // total_queries
-        put_varint(&mut payload, 4); // queue_depth
-        put_varint(&mut payload, 2); // shed_total
-        put_varint(&mut payload, 1); // conns_open
-        match decode_binary_payload(&payload).unwrap() {
+        // STATS ending after conns_open.
+        assert_protocol_error(&stats_payload(13));
+
+        // With the counter appended the same frame decodes in full.
+        match decode_binary_payload(&stats_payload(14)).unwrap() {
             Response::Stats {
                 conns_open,
                 mutations_total,
                 ..
-            } => assert_eq!((conns_open, mutations_total), (1, 0)),
-            other => panic!("{other:?}"),
-        }
-
-        // With the counter appended the same frame round-trips it.
-        put_varint(&mut payload, 13); // mutations_total
-        match decode_binary_payload(&payload).unwrap() {
-            Response::Stats {
-                mutations_total, ..
-            } => assert_eq!(mutations_total, 13),
+            } => assert_eq!((conns_open, mutations_total), (1, 13)),
             other => panic!("{other:?}"),
         }
     }

@@ -21,7 +21,7 @@
 //! >> HELLO version=2 codec=binary           << OK version=2 codec=binary
 //! >> LIST                                   << OK datasets=name:n:d:c:sky,...
 //! >> ALGS                                   << OK algorithms=intcov,bigreedy,...
-//! >> STATS                                  << OK hits=… misses=… entries=… evictions=… hit_rate=… warm_hits=… warm_misses=… warm_entries=…
+//! >> STATS                                  << OK hits=… misses=… entries=… evictions=… hit_rate=… warm_hits=… warm_misses=… warm_entries=… uptime_secs=… total_queries=… queue_depth=… shed_total=… conns_open=… mutations_total=…
 //! >> INFO                                   << OK workers=… datasets=… cache_entries=… uptime_secs=… total_queries=…
 //! >> QUERY dataset=adult k=8 alg=bigreedy   << OK alg=BiGreedy cached=false micros=812 err=0 mhr=0.97 indices=3,17,40
 //! >> BATCH 2                                << OK batch=2
@@ -143,9 +143,7 @@ pub enum Response {
     /// `ALGS` reply: registered algorithm names.
     Algorithms(Vec<String>),
     /// `STATS` reply: solution-cache counters plus warm-start tier
-    /// counters (the `warm_*` fields). Decoding tolerates their absence —
-    /// pre-warm-start v1 transcripts still parse, with the warm counters
-    /// defaulting to 0.
+    /// counters (the `warm_*` fields), server gauges and totals.
     Stats {
         /// Lookups answered from the cache.
         hits: u64,
@@ -164,25 +162,17 @@ pub enum Response {
         /// Resident warm-start entries.
         warm_entries: usize,
         /// Seconds since the server started (0 for engine-only
-        /// contexts). Decoding tolerates absence — pre-telemetry
-        /// transcripts parse with 0.
+        /// contexts).
         uptime_secs: u64,
-        /// Queries executed by the engine since start (decoding
-        /// tolerates absence, defaulting to 0).
+        /// Queries executed by the engine since start.
         total_queries: u64,
         /// Solves waiting in the bounded admission queue right now.
-        /// Decoding tolerates absence — pre-admission-control
-        /// transcripts parse with 0, like the tiers before it.
         queue_depth: u64,
-        /// Requests refused by admission control since start
-        /// (absence-tolerant, defaulting to 0).
+        /// Requests refused by admission control since start.
         shed_total: u64,
-        /// Connections currently open (absence-tolerant, defaulting
-        /// to 0).
+        /// Connections currently open.
         conns_open: u64,
-        /// Catalog mutations (`APPEND`/`DELETE`) applied since start
-        /// (absence-tolerant, defaulting to 0 — pre-mutation transcripts
-        /// still decode).
+        /// Catalog mutations (`APPEND`/`DELETE`) applied since start.
         mutations_total: u64,
     },
     /// `INFO` reply: server configuration.
@@ -837,40 +827,64 @@ pub fn encode_response_line(resp: &Response) -> Result<String, ServiceError> {
     Ok(line)
 }
 
-fn decode_answer_tokens(seq: Option<u64>, tokens: &[&str]) -> Result<Response, ServiceError> {
-    let mut ans = WireAnswer {
-        alg: String::new(),
-        cached: false,
-        micros: 0,
-        violations: 0,
-        mhr: None,
-        indices: Vec::new(),
-    };
-    for (key, v) in parse_kv(tokens)? {
-        match key.as_str() {
-            "alg" => ans.alg = v,
-            "cached" => ans.cached = parse_bool("cached", &v)?,
-            "micros" => ans.micros = parse_num("micros", &v)?,
-            "err" => ans.violations = parse_num("err", &v)?,
-            "mhr" => {
-                ans.mhr = match v.as_str() {
-                    "none" => None,
-                    s => Some(parse_num("mhr", s)?),
-                }
-            }
-            "indices" => {
-                ans.indices = v
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|s| parse_num("indices", s))
-                    .collect::<Result<_, _>>()?;
-            }
-            other => {
-                return Err(ServiceError::Protocol(format!("unknown field {other:?}")));
-            }
+/// The `key=value` fields of a fixed-shape line — the text twin of the
+/// binary decoder's payload reader. Each getter consumes a required
+/// field, and [`Fields::decode`] rejects any field left over (unknown or
+/// repeated), so every line has exactly one accepted layout.
+struct Fields(Vec<(String, String)>);
+
+impl Fields {
+    /// Decodes `tokens` through `build`, then rejects leftover fields.
+    fn decode(
+        tokens: &[&str],
+        build: impl FnOnce(&mut Self) -> Result<Response, ServiceError>,
+    ) -> Result<Response, ServiceError> {
+        let mut fields = Self(parse_kv(tokens)?);
+        let resp = build(&mut fields)?;
+        match fields.0.first() {
+            Some((key, _)) => Err(ServiceError::Protocol(format!("unknown field {key:?}"))),
+            None => Ok(resp),
         }
     }
-    Ok(Response::Answer { seq, answer: ans })
+
+    fn text(&mut self, key: &str) -> Result<String, ServiceError> {
+        let i = self
+            .0
+            .iter()
+            .position(|(k, _)| k == key)
+            .ok_or_else(|| ServiceError::Protocol(format!("missing field {key}=")))?;
+        Ok(self.0.remove(i).1)
+    }
+
+    fn num<T: std::str::FromStr>(&mut self, key: &str) -> Result<T, ServiceError> {
+        parse_num(key, &self.text(key)?)
+    }
+
+    fn flag(&mut self, key: &str) -> Result<bool, ServiceError> {
+        parse_bool(key, &self.text(key)?)
+    }
+}
+
+fn decode_answer_tokens(seq: Option<u64>, tokens: &[&str]) -> Result<Response, ServiceError> {
+    Fields::decode(tokens, |f| {
+        let answer = WireAnswer {
+            alg: f.text("alg")?,
+            cached: f.flag("cached")?,
+            micros: f.num("micros")?,
+            violations: f.num("err")?,
+            mhr: match f.text("mhr")?.as_str() {
+                "none" => None,
+                s => Some(parse_num("mhr", s)?),
+            },
+            indices: f
+                .text("indices")?
+                .split(',')
+                .filter(|s| !s.is_empty())
+                .map(|s| parse_num("indices", s))
+                .collect::<Result<_, _>>()?,
+        };
+        Ok(Response::Answer { seq, answer })
+    })
 }
 
 fn split_list(v: &str) -> Vec<String> {
@@ -878,46 +892,6 @@ fn split_list(v: &str) -> Vec<String> {
         .filter(|s| !s.is_empty())
         .map(str::to_string)
         .collect()
-}
-
-fn kv_map(tokens: &[&str]) -> Result<std::collections::HashMap<String, String>, ServiceError> {
-    Ok(parse_kv(tokens)?.into_iter().collect())
-}
-
-fn field<T: std::str::FromStr>(
-    m: &std::collections::HashMap<String, String>,
-    key: &str,
-) -> Result<T, ServiceError> {
-    let v = m
-        .get(key)
-        .ok_or_else(|| ServiceError::Protocol(format!("missing field {key}=")))?;
-    parse_num(key, v)
-}
-
-/// Like [`field`] but tolerating absence — for fields added to a response
-/// after v1 shipped, so pre-extension transcripts still decode.
-fn field_or<T: std::str::FromStr>(
-    m: &std::collections::HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, ServiceError> {
-    match m.get(key) {
-        None => Ok(default),
-        Some(v) => parse_num(key, v),
-    }
-}
-
-/// [`field_or`] for booleans (which parse via [`parse_bool`], not
-/// `FromStr`).
-fn flag_or(
-    m: &std::collections::HashMap<String, String>,
-    key: &str,
-    default: bool,
-) -> Result<bool, ServiceError> {
-    match m.get(key) {
-        None => Ok(default),
-        Some(v) => parse_bool(key, v),
-    }
 }
 
 /// Decodes one response line into the typed [`Response`] model — the
@@ -967,20 +941,19 @@ pub fn decode_response_line(line: &str) -> Result<Response, ServiceError> {
         return Err(ServiceError::Protocol("empty OK response".into()));
     };
     match *first {
-        "pong" => Ok(Response::Pong),
-        "bye" => Ok(Response::Bye),
-        "metrics" => {
-            let m = kv_map(&tokens[1..])?;
-            let enabled = flag_or(&m, "enabled", true)?;
+        "pong" if tokens.len() == 1 => Ok(Response::Pong),
+        "bye" if tokens.len() == 1 => Ok(Response::Bye),
+        "metrics" => Fields::decode(&tokens[1..], |f| {
+            let enabled = f.flag("enabled")?;
             let mut counters = Vec::new();
-            for item in split_list(m.get("counters").map(String::as_str).unwrap_or("")) {
+            for item in split_list(&f.text("counters")?) {
                 let (name, v) = item.split_once(':').ok_or_else(|| {
                     ServiceError::Protocol(format!("counters: expected name:value, got {item:?}"))
                 })?;
                 counters.push((name.to_string(), parse_num("counters", v)?));
             }
             let mut histograms = Vec::new();
-            for item in split_list(m.get("histos").map(String::as_str).unwrap_or("")) {
+            for item in split_list(&f.text("histos")?) {
                 let parts: Vec<&str> = item.split(':').collect();
                 let [name, count, sum, p50, p90, p99, max] = parts.as_slice() else {
                     return Err(ServiceError::Protocol(format!(
@@ -1002,85 +975,64 @@ pub fn decode_response_line(line: &str) -> Result<Response, ServiceError> {
                 counters,
                 histograms,
             })
-        }
-        "mutated" => {
-            let m = kv_map(&tokens[1..])?;
+        }),
+        "mutated" => Fields::decode(&tokens[1..], |f| {
             Ok(Response::Mutated {
-                name: m
-                    .get("name")
-                    .cloned()
-                    .ok_or_else(|| ServiceError::Protocol("missing field name=".into()))?,
-                op: m
-                    .get("op")
-                    .cloned()
-                    .ok_or_else(|| ServiceError::Protocol("missing field op=".into()))?,
-                rows: field(&m, "n")?,
-                skyline: field(&m, "skyline")?,
-                sky_changed: flag_or(&m, "sky_changed", false)?,
-                cache_dropped: field_or(&m, "cache_dropped", 0)?,
-                warm_dropped: field_or(&m, "warm_dropped", 0)?,
+                name: f.text("name")?,
+                op: f.text("op")?,
+                rows: f.num("n")?,
+                skyline: f.num("skyline")?,
+                sky_changed: f.flag("sky_changed")?,
+                cache_dropped: f.num("cache_dropped")?,
+                warm_dropped: f.num("warm_dropped")?,
             })
-        }
-        "loaded" => {
-            let m = kv_map(&tokens[1..])?;
+        }),
+        "loaded" => Fields::decode(&tokens[1..], |f| {
             Ok(Response::Loaded {
-                name: m
-                    .get("name")
-                    .cloned()
-                    .ok_or_else(|| ServiceError::Protocol("missing field name=".into()))?,
-                rows: field(&m, "n")?,
-                dim: field(&m, "d")?,
-                groups: field(&m, "groups")?,
-                skyline: field(&m, "skyline")?,
+                name: f.text("name")?,
+                rows: f.num("n")?,
+                dim: f.num("d")?,
+                groups: f.num("groups")?,
+                skyline: f.num("skyline")?,
             })
-        }
+        }),
         t => match t.split_once('=') {
-            Some(("version", _)) => {
-                let m = kv_map(&tokens)?;
-                Ok(Response::Hello {
-                    version: field(&m, "version")?,
-                    codec: {
-                        let v = m
-                            .get("codec")
-                            .cloned()
-                            .ok_or_else(|| ServiceError::Protocol("missing field codec=".into()))?;
-                        crate::codec::CodecKind::parse(&v).ok_or_else(|| {
-                            ServiceError::Protocol(format!("codec: unknown kind {v:?}"))
-                        })?
-                    },
-                })
-            }
-            Some(("datasets", v)) => Ok(Response::Datasets(split_list(v))),
-            Some(("algorithms", v)) => Ok(Response::Algorithms(split_list(v))),
-            Some(("hits", _)) => {
-                let m = kv_map(&tokens)?;
+            Some(("version", _)) => Fields::decode(&tokens, |f| {
+                let version = f.num("version")?;
+                let v = f.text("codec")?;
+                let codec = crate::codec::CodecKind::parse(&v)
+                    .ok_or_else(|| ServiceError::Protocol(format!("codec: unknown kind {v:?}")))?;
+                Ok(Response::Hello { version, codec })
+            }),
+            Some(("datasets", v)) if tokens.len() == 1 => Ok(Response::Datasets(split_list(v))),
+            Some(("algorithms", v)) if tokens.len() == 1 => Ok(Response::Algorithms(split_list(v))),
+            Some(("hits", _)) => Fields::decode(&tokens, |f| {
                 Ok(Response::Stats {
-                    hits: field(&m, "hits")?,
-                    misses: field(&m, "misses")?,
-                    entries: field(&m, "entries")?,
-                    evictions: field(&m, "evictions")?,
-                    hit_rate: field(&m, "hit_rate")?,
-                    warm_hits: field_or(&m, "warm_hits", 0)?,
-                    warm_misses: field_or(&m, "warm_misses", 0)?,
-                    warm_entries: field_or(&m, "warm_entries", 0)?,
-                    uptime_secs: field_or(&m, "uptime_secs", 0)?,
-                    total_queries: field_or(&m, "total_queries", 0)?,
-                    queue_depth: field_or(&m, "queue_depth", 0)?,
-                    shed_total: field_or(&m, "shed_total", 0)?,
-                    conns_open: field_or(&m, "conns_open", 0)?,
-                    mutations_total: field_or(&m, "mutations_total", 0)?,
+                    hits: f.num("hits")?,
+                    misses: f.num("misses")?,
+                    entries: f.num("entries")?,
+                    evictions: f.num("evictions")?,
+                    hit_rate: f.num("hit_rate")?,
+                    warm_hits: f.num("warm_hits")?,
+                    warm_misses: f.num("warm_misses")?,
+                    warm_entries: f.num("warm_entries")?,
+                    uptime_secs: f.num("uptime_secs")?,
+                    total_queries: f.num("total_queries")?,
+                    queue_depth: f.num("queue_depth")?,
+                    shed_total: f.num("shed_total")?,
+                    conns_open: f.num("conns_open")?,
+                    mutations_total: f.num("mutations_total")?,
                 })
-            }
-            Some(("workers", _)) => {
-                let m = kv_map(&tokens)?;
+            }),
+            Some(("workers", _)) => Fields::decode(&tokens, |f| {
                 Ok(Response::Info {
-                    workers: field(&m, "workers")?,
-                    datasets: field(&m, "datasets")?,
-                    cache_entries: field(&m, "cache_entries")?,
-                    uptime_secs: field(&m, "uptime_secs")?,
-                    total_queries: field(&m, "total_queries")?,
+                    workers: f.num("workers")?,
+                    datasets: f.num("datasets")?,
+                    cache_entries: f.num("cache_entries")?,
+                    uptime_secs: f.num("uptime_secs")?,
+                    total_queries: f.num("total_queries")?,
                 })
-            }
+            }),
             Some(("batch", v)) => {
                 let n = parse_num("batch", v)?;
                 let mut stream = false;
@@ -1296,80 +1248,93 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn pre_warmstart_stats_and_info_lines_still_decode() {
-        // STATS transcripts captured before the warm-start tier existed
-        // lack the warm_* fields; they must decode with 0 defaults, not
-        // error.
-        match decode_response_line("OK hits=2 misses=1 entries=1 evictions=0 hit_rate=0.5").unwrap()
-        {
-            Response::Stats {
-                hits,
-                warm_hits,
-                warm_misses,
-                warm_entries,
-                ..
-            } => {
-                assert_eq!((hits, warm_hits, warm_misses, warm_entries), (2, 0, 0, 0));
-            }
-            other => panic!("{other:?}"),
-        }
-        // Pre-telemetry transcripts (no uptime_secs/total_queries) also
-        // decode, with zero defaults.
-        match decode_response_line(
-            "OK hits=2 misses=1 entries=1 evictions=0 hit_rate=0.5 \
-             warm_hits=3 warm_misses=2 warm_entries=1",
-        )
-        .unwrap()
-        {
-            Response::Stats {
-                uptime_secs,
-                total_queries,
-                ..
-            } => assert_eq!((uptime_secs, total_queries), (0, 0)),
-            other => panic!("{other:?}"),
-        }
-        // INFO has no compat tiers: old-layout lines (leading
-        // `shards=`/`strategy=`, or missing the telemetry fields) are
-        // typed protocol errors.
-        for line in [
-            "OK shards=4 strategy=stratified workers=2 datasets=1 cache_entries=0",
-            "OK shards=1 strategy=stratified workers=2 datasets=1 cache_entries=0 \
-             warmstart=true uptime_secs=0 total_queries=0",
-            "OK workers=2 datasets=1 cache_entries=0",
-        ] {
+    fn assert_protocol_errors(lines: &[&str]) {
+        for line in lines {
             assert!(
                 matches!(decode_response_line(line), Err(ServiceError::Protocol(_))),
                 "{line:?}"
             );
         }
-        // Malformed values in the new fields are still typed errors.
-        assert!(decode_response_line(
-            "OK hits=1 misses=0 entries=0 evictions=0 hit_rate=1 warm_hits=x"
-        )
-        .is_err());
+    }
+
+    // Every fixed-shape line has exactly one layout. The tests below feed
+    // the decoder the lines of each older layout: every one is a typed
+    // protocol error, never a line with defaulted fields.
+
+    #[test]
+    fn pre_warmstart_stats_and_info_lines_still_decode() {
+        assert_protocol_errors(&[
+            // STATS before the warm_* fields, and before the telemetry
+            // fields.
+            "OK hits=2 misses=1 entries=1 evictions=0 hit_rate=0.5",
+            "OK hits=2 misses=1 entries=1 evictions=0 hit_rate=0.5 \
+             warm_hits=3 warm_misses=2 warm_entries=1",
+            // Old INFO layouts: leading `shards=`/`strategy=`, or missing
+            // the telemetry fields.
+            "OK shards=4 strategy=stratified workers=2 datasets=1 cache_entries=0",
+            "OK shards=1 strategy=stratified workers=2 datasets=1 cache_entries=0 \
+             warmstart=true uptime_secs=0 total_queries=0",
+            "OK workers=2 datasets=1 cache_entries=0",
+            // A malformed value.
+            "OK hits=1 misses=0 entries=0 evictions=0 hit_rate=1 warm_hits=x",
+        ]);
     }
 
     #[test]
-    fn pre_admission_stats_lines_and_busy_markers_decode_compatibly() {
-        // Transcripts captured before admission control lack the
-        // queue_depth/shed_total/conns_open fields: they decode with
-        // zero defaults, exactly like the warm-start and telemetry
-        // tiers before them.
-        match decode_response_line(
+    fn pre_mutation_stats_lines_still_decode() {
+        assert_protocol_errors(&[
+            // STATS before mutations_total.
+            "OK hits=2 misses=1 entries=1 evictions=0 hit_rate=0.5 \
+             warm_hits=3 warm_misses=2 warm_entries=1 uptime_secs=12 total_queries=3 \
+             queue_depth=2 shed_total=5 conns_open=7",
+            // A malformed value.
+            "OK hits=1 misses=0 entries=0 evictions=0 hit_rate=1 mutations_total=x",
+            // MUTATED without its delta fields.
+            "OK mutated name=t op=delete n=9 skyline=4",
+        ]);
+    }
+
+    #[test]
+    fn old_layout_text_lines_are_protocol_errors() {
+        assert_protocol_errors(&[
+            // STATS before the admission fields.
             "OK hits=2 misses=1 entries=1 evictions=0 hit_rate=0.5 \
              warm_hits=3 warm_misses=2 warm_entries=1 uptime_secs=12 total_queries=3",
-        )
-        .unwrap()
-        {
-            Response::Stats {
-                queue_depth,
-                shed_total,
-                conns_open,
-                ..
-            } => assert_eq!((queue_depth, shed_total, conns_open), (0, 0, 0)),
-            other => panic!("{other:?}"),
+            // METRICS without any field, or without `histos=`.
+            "OK metrics",
+            "OK metrics enabled=true counters=",
+            // Trailing or unknown fields are not a second layout.
+            "OK pong extra",
+            "OK datasets=a:1:2:3:4 cache_entries=0",
+            "OK loaded name=t n=9 d=2 groups=3 skyline=4 shards=1",
+            "OK alg=x cached=false micros=1 err=0 mhr=none indices= extra=1",
+        ]);
+    }
+
+    #[test]
+    fn truncated_answer_lines_are_protocol_errors() {
+        for line in [
+            "OK alg=x",
+            "OK alg=BiGreedy cached=false",
+            "OK seq=2 alg=BiGreedy cached=false micros=1 err=0 mhr=none",
+        ] {
+            assert!(
+                matches!(
+                    parse_response(line),
+                    Err(ServiceError::Protocol(m)) if m.starts_with("missing field ")
+                ),
+                "{line:?}"
+            );
         }
+        // An empty selection is still a complete answer.
+        let ans =
+            parse_response("OK alg=Greedy cached=true micros=3 err=2 mhr=none indices=").unwrap();
+        assert!(ans.indices.is_empty());
+        assert_eq!(ans.mhr, None);
+    }
+
+    #[test]
+    fn busy_markers_decode_compatibly() {
         // A message that merely *starts* like the busy marker but has a
         // malformed retry value stays a plain error (pre-admission
         // transcripts decode unchanged).
@@ -1414,44 +1379,6 @@ mod tests {
                 row: 17
             }
         );
-    }
-
-    #[test]
-    fn pre_mutation_stats_lines_still_decode() {
-        // Transcripts captured before the mutable catalog lack the
-        // mutations_total field: the appended-field compatibility
-        // pattern means they decode with a zero default, exactly like
-        // every tier extension before it.
-        match decode_response_line(
-            "OK hits=2 misses=1 entries=1 evictions=0 hit_rate=0.5 \
-             warm_hits=3 warm_misses=2 warm_entries=1 uptime_secs=12 total_queries=3 \
-             queue_depth=2 shed_total=5 conns_open=7",
-        )
-        .unwrap()
-        {
-            Response::Stats {
-                conns_open,
-                mutations_total,
-                ..
-            } => assert_eq!((conns_open, mutations_total), (7, 0)),
-            other => panic!("{other:?}"),
-        }
-        // Malformed values in the new field are still typed errors.
-        assert!(decode_response_line(
-            "OK hits=1 misses=0 entries=0 evictions=0 hit_rate=1 mutations_total=x"
-        )
-        .is_err());
-        // A mutated line missing the optional tail fields also decodes
-        // (future-proofing the same pattern for this verb's own fields).
-        match decode_response_line("OK mutated name=t op=delete n=9 skyline=4").unwrap() {
-            Response::Mutated {
-                sky_changed,
-                cache_dropped,
-                warm_dropped,
-                ..
-            } => assert_eq!((sky_changed, cache_dropped, warm_dropped), (false, 0, 0)),
-            other => panic!("{other:?}"),
-        }
     }
 
     #[test]

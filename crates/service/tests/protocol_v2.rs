@@ -16,7 +16,7 @@ use rand::SeedableRng;
 
 use fairhms_core::registry::ALGORITHM_NAMES;
 use fairhms_data::{gen, Dataset};
-use fairhms_service::codec::{BinaryCodec, Codec, CodecKind, TextCodec};
+use fairhms_service::codec::{decode_binary_payload, BinaryCodec, Codec, CodecKind, TextCodec};
 use fairhms_service::protocol::{
     decode_response_line, encode_response_line, parse_response, Response, WireAnswer,
 };
@@ -328,11 +328,18 @@ proptest! {
     }
 }
 
-/// Non-answer variants equivalently cross both codecs (TextCodec is the
-/// v1 renderer, so this also pins the v1 lines).
-#[test]
-fn all_response_variants_agree_across_codecs() {
-    let variants = vec![
+/// One value of every `Response` variant (both shapes of the optional
+/// `seq=` and `stream=` tokens included).
+fn all_response_variants() -> Vec<Response> {
+    let answer = WireAnswer {
+        alg: "BiGreedy".into(),
+        cached: false,
+        micros: 812,
+        violations: 0,
+        mhr: Some(0.1 + 0.2),
+        indices: vec![3, 17, 40],
+    };
+    vec![
         Response::Pong,
         Response::Bye,
         Response::Hello {
@@ -397,8 +404,39 @@ fn all_response_variants_agree_across_codecs() {
             cache_dropped: 2,
             warm_dropped: 1,
         },
-    ];
-    for resp in variants {
+        Response::BatchHeader {
+            n: 2,
+            stream: false,
+        },
+        Response::Answer {
+            seq: None,
+            answer: answer.clone(),
+        },
+        Response::Answer {
+            seq: Some(5),
+            answer: WireAnswer {
+                mhr: None,
+                indices: vec![],
+                ..answer
+            },
+        },
+        Response::Busy {
+            seq: Some(1),
+            retry_after_ms: 24,
+            message: "solve queue full".into(),
+        },
+        Response::Error {
+            seq: None,
+            message: "unknown dataset x".into(),
+        },
+    ]
+}
+
+/// Every variant equivalently crosses both codecs (TextCodec is the v1
+/// renderer, so this also pins the v1 lines).
+#[test]
+fn all_response_variants_agree_across_codecs() {
+    for resp in all_response_variants() {
         let mut text_frame = Vec::new();
         TextCodec.encode_frame(&resp, &mut text_frame).unwrap();
         let mut binary_frame = Vec::new();
@@ -409,6 +447,61 @@ fn all_response_variants_agree_across_codecs() {
         let b = BinaryCodec.read_frame(&mut bc).unwrap().unwrap();
         assert_eq!(t, resp);
         assert_eq!(b, resp);
+    }
+}
+
+/// Every fixed-shape frame has exactly one layout: a truncated frame is a
+/// protocol error in both codecs, never a frame with defaulted fields.
+#[test]
+fn every_truncated_frame_is_a_protocol_error() {
+    for resp in all_response_variants() {
+        let mut frame = Vec::new();
+        BinaryCodec.encode_frame(&resp, &mut frame).unwrap();
+        let payload = &frame[4..];
+        for cut in 0..payload.len() {
+            assert!(
+                matches!(
+                    decode_binary_payload(&payload[..cut]),
+                    Err(ServiceError::Protocol(_))
+                ),
+                "{resp:?}: binary payload cut to {cut} of {} bytes decoded",
+                payload.len()
+            );
+        }
+
+        let line = encode_response_line(&resp).unwrap();
+        if line.starts_with("ERR ") {
+            continue; // free text: any prefix is a message
+        }
+        let tokens: Vec<&str> = line.split(' ').collect();
+        for drop in 0..tokens.len() {
+            let mut rest = tokens.clone();
+            let dropped = rest.remove(drop);
+            let got = decode_response_line(&rest.join(" "));
+            // The only optional tokens: `stream=true` (the encoder writes
+            // it only when set) and an answer's streamed `seq=` tag.
+            // Without them the line is the other, still complete, shape.
+            match (&resp, dropped) {
+                (Response::BatchHeader { n, .. }, "stream=true") => assert_eq!(
+                    got.unwrap(),
+                    Response::BatchHeader {
+                        n: *n,
+                        stream: false
+                    }
+                ),
+                (Response::Answer { answer, .. }, seq) if seq.starts_with("seq=") => assert_eq!(
+                    got.unwrap(),
+                    Response::Answer {
+                        seq: None,
+                        answer: answer.clone()
+                    }
+                ),
+                _ => assert!(
+                    matches!(got, Err(ServiceError::Protocol(_))),
+                    "{line:?} without {dropped:?} decoded: {got:?}"
+                ),
+            }
+        }
     }
 }
 

@@ -14,7 +14,7 @@ cargo fmt --all --check
 # lock-order graph + poison-recovering locks, clock-free hot paths,
 # newline-safe wire literals — see docs/ARCHITECTURE.md, "Static
 # analysis & enforced invariants"). Runs before the test matrix: a
-# contract violation fails fast, without waiting on four test passes.
+# contract violation fails fast, without waiting on three test passes.
 # The waiver baseline is pinned; adding a `fairhms-lint: allow(..)`
 # waiver requires bumping it here with a justification in the diff.
 FAIRHMS_LINT_WAIVER_BASELINE=9
@@ -29,6 +29,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo build --release"
 cargo build --release
+
+# perfbench is its own workspace, so the steps above never compile it; a
+# service API break would otherwise surface only when the benchmark runs.
+echo "==> cargo check perfbench (against the workspace crates)"
+cargo check --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo test -q"
 cargo test -q
@@ -52,8 +57,8 @@ echo "==> bench smoke (service engine + wire codecs + warm-start + BiGreedy, tin
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench service
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench protocol
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench warmstart
-# Lazy-vs-eager greedy and BiGreedy/BiGreedy+ ablations: no other step
-# runs this bench, so smoke it here to keep it compiling and running.
+# BiGreedy/BiGreedy+ end-to-end bench: no other step runs it, so smoke
+# it here to keep it compiling and running.
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench bigreedy
 
 # Telemetry bench: asserts the warm-hit overhead budget (<1 µs), measures

@@ -37,8 +37,9 @@
 //! | [`submodular`] | greedy & lazy greedy under matroid constraints |
 //! | [`service`] | resident query engine: catalog, solution cache, TCP server with a solve worker pool |
 //!
-//! See `DESIGN.md` for the full system inventory and `EXPERIMENTS.md` for
-//! the paper-vs-measured reproduction record.
+//! See `docs/ARCHITECTURE.md` for the system inventory, `docs/PROTOCOL.md`
+//! for the wire protocol, and the README's "Reproduction record" for the
+//! per-figure experiment binaries.
 
 pub use fairhms_core as core;
 pub use fairhms_data as data;

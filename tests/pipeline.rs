@@ -49,7 +49,8 @@ fn global_skyline_contained_in_group_union() {
 #[test]
 fn scale_invariance_of_mhr() {
     // Scaling any attribute by a positive factor must not change the MHR —
-    // the invariance that justifies scale-only normalization (DESIGN.md).
+    // the invariance that justifies scale-only normalization (see the
+    // `fairhms_data` crate docs).
     let mut rng = StdRng::seed_from_u64(13);
     let data = anti_correlated_dataset(60, 3, 2, &mut rng);
     let sel = vec![0, 10, 20, 30];
