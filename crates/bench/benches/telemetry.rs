@@ -292,6 +292,34 @@ fn mutation_profile() -> MutationProfile {
     }
 }
 
+/// Deletes of group-skyline members on the `cold`-sized dataset (n = 20k,
+/// d = 4, C = 3), mean milliseconds per delete. Each one makes the
+/// catalog recompute the member's whole group skyline from the group's
+/// remaining rows — the expensive delete repair, where `delete_us` times
+/// only dominated tail deletes. Members with an exact-1.0 coordinate are
+/// skipped: removing one may force a full re-preparation instead.
+fn skyline_delete_ms() -> f64 {
+    let mut rng = StdRng::seed_from_u64(63);
+    let data = gen::anti_correlated_dataset(SOLVER_N, SOLVER_D, 3, &mut rng);
+    let catalog = Catalog::new();
+    let mut prep = catalog.insert_named("skydel", data).unwrap();
+    const REPS: usize = 4;
+    let mut total = 0.0;
+    for _ in 0..REPS {
+        let row = *prep
+            .skyline_rows
+            .iter()
+            .find(|&&r| prep.dataset.point(r).iter().all(|&v| v < 1.0))
+            .expect("a skyline member without an exact-1.0 coordinate");
+        let t = Instant::now();
+        let out = catalog.delete_row("skydel", row).unwrap();
+        total += t.elapsed().as_secs_f64() * 1e3;
+        assert!(out.sky_changed && !out.rebuilt);
+        prep = out.prep;
+    }
+    total / REPS as f64
+}
+
 /// OS threads in this process (`/proc/self/status`; 0 where unavailable).
 fn thread_count() -> u64 {
     std::fs::read_to_string("/proc/self/status")
@@ -380,6 +408,7 @@ fn main() {
     );
 
     let mp = mutation_profile();
+    let sky_delete_ms = skyline_delete_ms();
     println!(
         "mutation: append {:.1} µs, delete {:.1} µs; invalidation fan-out \
          {}/{} entries (dominated) vs {}/{} (sky change); full re-prep {:.2} ms",
@@ -391,6 +420,7 @@ fn main() {
         mp.cached_before,
         mp.full_reprep_ms
     );
+    println!("mutation: skyline-member delete at n = {SOLVER_N}: {sky_delete_ms:.2} ms");
 
     let snapshot = eng.metrics().snapshot();
     let out = json::Obj::new()
@@ -436,6 +466,8 @@ fn main() {
                 .u64("dropped_by_dominated_append", mp.dropped_dominated)
                 .u64("dropped_by_skyline_append", mp.dropped_sky_change)
                 .f64("full_reprep_ms", mp.full_reprep_ms)
+                .u64("skyline_delete_dataset_points", SOLVER_N as u64)
+                .f64("skyline_delete_ms", sky_delete_ms)
                 .build(),
         )
         .raw("metrics", &snapshot.to_json())

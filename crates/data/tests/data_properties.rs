@@ -13,6 +13,20 @@ fn flat_points(d: usize, max_n: usize) -> impl Strategy<Value = Vec<f64>> {
     })
 }
 
+/// Coordinates drawn from a five-value grid: exact ties, duplicates and
+/// dominators whose coordinate sum rounds to the dominated row's sum
+/// (`1e-17` vanishes next to `1.0`) are all common. Up to `max_n` rows;
+/// past a few dozen, `skyline_of`'s k-d tree has internal nodes.
+fn grid_points(d: usize, max_n: usize) -> impl Strategy<Value = Vec<f64>> {
+    const GRID: [f64; 5] = [0.0, 1e-17, 0.25, 0.5, 1.0];
+    prop::collection::vec((0usize..GRID.len()).prop_map(|k| GRID[k]), d..=d * max_n).prop_map(
+        move |mut v| {
+            v.truncate(v.len() / d * d);
+            v
+        },
+    )
+}
+
 fn naive_skyline(points: &[f64], dim: usize) -> Vec<usize> {
     let n = points.len() / dim;
     (0..n)
@@ -39,6 +53,13 @@ proptest! {
     #[test]
     fn skyline_matches_naive_5d(points in flat_points(5, 15)) {
         prop_assert_eq!(skyline_of(&points, 5), naive_skyline(&points, 5));
+    }
+
+    #[test]
+    fn skyline_matches_naive_on_tie_heavy_grids(
+        (d, points) in (3usize..=5).prop_flat_map(|d| (Just(d), grid_points(d, 150)))
+    ) {
+        prop_assert_eq!(skyline_of(&points, d), naive_skyline(&points, d));
     }
 
     #[test]

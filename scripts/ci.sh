@@ -53,13 +53,16 @@ FAIRHMS_TEST_CODEC=binary cargo test -p fairhms-service -q
 echo "==> service tests, telemetry disabled (FAIRHMS_TEST_TELEMETRY=0)"
 FAIRHMS_TEST_TELEMETRY=0 cargo test -p fairhms-service -q
 
-echo "==> bench smoke (service engine + wire codecs + warm-start + BiGreedy, tiny sizes)"
+echo "==> bench smoke (service engine + wire codecs + warm-start + BiGreedy + skyline)"
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench service
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench protocol
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench warmstart
 # BiGreedy/BiGreedy+ end-to-end bench: no other step runs it, so smoke
 # it here to keep it compiling and running.
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench bigreedy
+# Skyline bench: the k-d-tree group skyline at the 200k registration
+# shape and on duplicate-heavy input; no other step runs it.
+FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench skyline
 
 # Telemetry bench: asserts the warm-hit overhead budget (<1 µs), measures
 # the event front end's idle-connection fan-out (500 idle conns must cost
@@ -82,7 +85,8 @@ and s['bigreedy_cold_ms'] > 0 and s['bigreedy_cold_ms_sky'] > 0, \
 m = d['mutation']; \
 assert m['append_us'] > 0 and m['delete_us'] > 0 and m['full_reprep_ms'] > 0 \
 and m['dropped_by_dominated_append'] < m['cached_entries_before'] \
-and m['dropped_by_skyline_append'] == m['cached_entries_before'], \
+and m['dropped_by_skyline_append'] == m['cached_entries_before'] \
+and m['skyline_delete_ms'] > 0, \
 'mutation section failed sanity checks (delta invalidation must spare \
 untouched entries on a dominated append)'" \
   || { echo "BENCH_service.json missing or malformed"; exit 1; }
