@@ -34,7 +34,7 @@ fn bench_service(c: &mut Criterion) {
     let eng = engine(200);
     let mut group = c.benchmark_group("service");
 
-    // Hot path: the answer is cached; measures fingerprint + shard lookup.
+    // Hot path: the answer is cached; measures fingerprint + LRU lookup.
     let hot = Query::new("bench", 5);
     eng.execute(&hot).unwrap();
     group.throughput(Throughput::Elements(1));

@@ -346,30 +346,6 @@ pub fn bucket_skyline(data: &Dataset, rows: &[usize]) -> Vec<usize> {
         .collect()
 }
 
-/// Incremental skyline insertion: given `sky` = the skyline of some row
-/// set `S` (all rows of `data`, ascending), updates it in place to the
-/// skyline of `S ∪ {row}`. Returns `true` when the skyline changed —
-/// `row` joined (pruning any members it dominates) — and `false` when
-/// `row` is dominated by a current member and `sky` is untouched.
-///
-/// Exact by dominance transitivity: if no *skyline* member dominates
-/// `row`, no member of `S` does (its dominator's dominator chain ends on
-/// the skyline); and every row of `S` dominated by a pruned member is
-/// also dominated by `row` itself. Duplicates of a member join (neither
-/// dominates the other), preserving the multiset semantics of
-/// [`skyline_of`]. Callers maintaining *group* skylines pass the
-/// single-group bucket.
-pub fn skyline_insert(data: &Dataset, sky: &mut Vec<usize>, row: usize) -> bool {
-    let p = data.point(row);
-    if sky.iter().any(|&j| dominates(data.point(j), p)) {
-        return false;
-    }
-    sky.retain(|&j| !dominates(p, data.point(j)));
-    let pos = sky.partition_point(|&j| j < row);
-    sky.insert(pos, row);
-    true
-}
-
 /// Per-group skyline sizes (the addends of Table 2's "#skylines").
 pub fn group_skyline_sizes(data: &Dataset) -> Vec<usize> {
     let mut sizes = vec![0usize; data.num_groups()];
@@ -505,41 +481,6 @@ mod tests {
         let grouped = group_skyline_indices(&d);
         assert_eq!(grouped, vec![0, 1, 2, 4]);
         assert_eq!(group_skyline_sizes(&d), vec![2, 1, 1]);
-    }
-
-    #[test]
-    fn skyline_insert_matches_from_scratch_recompute() {
-        // Build a single-group dataset row by row; after each insertion the
-        // incrementally maintained skyline must equal the full recompute.
-        let mut x = 0.43_f64;
-        let mut pts = Vec::new();
-        for _ in 0..120 * 3 {
-            x = (x * 653.29).fract();
-            // Quantized coordinates force plenty of ties and duplicates.
-            pts.push((x * 8.0).floor() / 8.0);
-        }
-        let d = Dataset::ungrouped("inc", 3, pts).unwrap();
-        let mut sky: Vec<usize> = Vec::new();
-        for row in 0..d.len() {
-            let before = sky.clone();
-            let changed = skyline_insert(&d, &mut sky, row);
-            assert_eq!(changed, sky != before, "row {row}");
-            let rows: Vec<usize> = (0..=row).collect();
-            assert_eq!(sky, bucket_skyline(&d, &rows), "row {row}");
-        }
-    }
-
-    #[test]
-    fn skyline_insert_keeps_duplicates_and_reports_dominated() {
-        let d = Dataset::ungrouped("dup", 2, vec![0.7, 0.7, 0.2, 0.2, 0.7, 0.7]).unwrap();
-        let mut sky = vec![0];
-        assert!(
-            !skyline_insert(&d, &mut sky, 1),
-            "dominated row must not join"
-        );
-        assert_eq!(sky, vec![0]);
-        assert!(skyline_insert(&d, &mut sky, 2), "exact duplicate joins");
-        assert_eq!(sky, vec![0, 2]);
     }
 
     #[test]

@@ -62,17 +62,6 @@ impl WireClient {
         Ok(client)
     }
 
-    /// Connects with the codec the `FAIRHMS_TEST_CODEC` environment
-    /// variable selects ([`CodecKind::from_env`]) — the hook `scripts/
-    /// ci.sh` uses to run every TCP test over both codecs. Text skips the
-    /// handshake entirely, so the default run is a true v1 client.
-    pub fn connect_env(addr: impl ToSocketAddrs) -> Result<WireClient, ServiceError> {
-        match CodecKind::from_env() {
-            CodecKind::Text => WireClient::connect(addr),
-            kind => WireClient::negotiate(addr, kind),
-        }
-    }
-
     /// The kind of the negotiated response codec.
     pub fn codec_kind(&self) -> CodecKind {
         self.codec.kind()

@@ -62,20 +62,6 @@ impl CodecKind {
             CodecKind::Binary => Box::new(BinaryCodec),
         }
     }
-
-    /// The codec test hooks select via the `FAIRHMS_TEST_CODEC`
-    /// environment variable (`text`/`binary`), defaulting to text.
-    ///
-    /// `scripts/ci.sh` re-runs the whole service test suite once per
-    /// codec, so every TCP test built on
-    /// [`crate::client::WireClient::connect_env`] exercises both wire
-    /// formats without duplicating test bodies.
-    pub fn from_env() -> CodecKind {
-        std::env::var("FAIRHMS_TEST_CODEC")
-            .ok()
-            .and_then(|v| CodecKind::parse(&v))
-            .unwrap_or(CodecKind::Text)
-    }
 }
 
 impl std::fmt::Display for CodecKind {
@@ -1084,9 +1070,7 @@ mod tests {
     }
 
     #[test]
-    fn env_hook_selects_codec() {
-        // Not set in the normal test environment → text. (The binary pass
-        // is exercised by ci.sh exporting FAIRHMS_TEST_CODEC=binary.)
+    fn codec_kind_parses_and_displays_its_wire_name() {
         assert_eq!(CodecKind::parse("TEXT"), Some(CodecKind::Text));
         assert_eq!(CodecKind::parse("binary"), Some(CodecKind::Binary));
         assert_eq!(CodecKind::parse("morse"), None);

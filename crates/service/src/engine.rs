@@ -95,8 +95,8 @@ pub struct MutationReport {
 
 /// Catalog + cache + algorithm registry, shared by all workers.
 ///
-/// `&QueryEngine` is `Sync`: the catalog is behind a `RwLock`, the cache
-/// behind sharded mutexes, and solves touch only shared immutable data —
+/// `&QueryEngine` is `Sync`: the catalog is behind a `RwLock`, each cache
+/// tier behind one mutex, and solves touch only shared immutable data —
 /// so one engine serves every connection and batch worker concurrently.
 pub struct QueryEngine {
     catalog: Arc<Catalog>,
@@ -148,14 +148,13 @@ impl Drop for ExecTimeNote<'_> {
 
 impl QueryEngine {
     /// An engine over `catalog` with a solution cache of `cache_capacity`
-    /// answers, the default warm-start tier, and telemetry configured
-    /// from the environment (see [`TelemetryConfig::from_env`]).
+    /// answers, the default warm-start tier, and telemetry on.
     pub fn new(catalog: Arc<Catalog>, cache_capacity: usize) -> Self {
         Self::with_config(
             catalog,
             cache_capacity,
             WarmConfig::default(),
-            TelemetryConfig::from_env(),
+            TelemetryConfig::default(),
         )
     }
 
@@ -421,7 +420,7 @@ impl QueryEngine {
         let mut fresh_bounds = false;
         let bounds: Arc<PreparedBounds> = match warm_entry
             .as_ref()
-            .and_then(|e| e.bounds(q.skyline))
+            .and_then(|e| e.bounds.as_ref())
             .filter(|pb| pb.len() == data.len() && pb.num_groups() == data.num_groups())
         {
             Some(pb) => {
@@ -452,9 +451,7 @@ impl QueryEngine {
         // net and the (dim, m, seed, n) preimage of the db_max values
         // before reuse, and deposits freshly computed state otherwise.
         let seeded_net = warm_entry.as_ref().and_then(|e| e.net.clone());
-        let seeded_db_max = warm_entry
-            .as_ref()
-            .and_then(|e| e.db_max(q.skyline).cloned());
+        let seeded_db_max = warm_entry.as_ref().and_then(|e| e.db_max.clone());
         let warm_ctx = WarmStart::with_components(seeded_net.clone(), seeded_db_max.clone());
         // fairhms-lint: allow(R5) solve_micros is a pre-telemetry wire
         // response field; this read serves it plus the gated span below.
@@ -499,12 +496,12 @@ impl QueryEngine {
         }
         if fresh_bounds || net_generated || db_max_generated {
             let mut entry = warm_entry.as_deref().cloned().unwrap_or_default();
-            entry.set_bounds(q.skyline, Arc::clone(&bounds));
+            entry.bounds = Some(Arc::clone(&bounds));
             if let Some(net) = deposited_net {
                 entry.net = Some(net);
             }
             if let Some(d) = deposited_db_max {
-                entry.set_db_max(q.skyline, d);
+                entry.db_max = Some(d);
             }
             self.warm.insert(warm_key, entry);
         }

@@ -10,7 +10,7 @@
 //!   group-skyline index every algorithm consumes);
 //! * [`query`] — the canonical [`Query`] type (`dataset`, `k`, bounds
 //!   policy, algorithm, params) and its fingerprint;
-//! * [`cache`] — a sharded LRU [`SolutionCache`] keyed by query
+//! * [`cache`] — an LRU [`SolutionCache`] keyed by query
 //!   fingerprint, so repeated queries return bit-identical answers without
 //!   re-solving;
 //! * [`warmstart`] — the second cache tier: a [`WarmStartCache`] of

@@ -26,7 +26,8 @@
 //! queue). Counters: `queries.total` (engine executions) and
 //! `shed.total` (requests refused by admission control). The admission
 //! instruments and `queries.total` record even when telemetry is
-//! disabled, because `STATS` reports them. `locks.recovered` exports
+//! disabled: `STATS` reports them, and `streams.active` is the stream
+//! gate's own counter. `locks.recovered` exports
 //! [`fairhms_obs::sync::recovered_lock_count`]: nonzero means a worker
 //! panicked while holding a lock and the poison was absorbed.
 //!
@@ -37,12 +38,8 @@
 use fairhms_core::registry::{family_index, ALGORITHM_NAMES};
 use fairhms_obs::{Counter, Gauge, Histogram, HistogramSnapshot, Recorder};
 
-/// Whether the telemetry subsystem records.
-///
-/// [`TelemetryConfig::from_env`] is the test hook: `FAIRHMS_TEST_TELEMETRY`
-/// set to `0`/`false`/`off` disables recording, so CI can run the whole
-/// service suite on the no-telemetry path. `fairhms serve` ignores it and
-/// starts from [`TelemetryConfig::default`].
+/// Whether the telemetry subsystem records (on by default;
+/// `fairhms serve --no-telemetry` turns it off).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Whether spans, gauges, and histograms record.
@@ -52,20 +49,6 @@ pub struct TelemetryConfig {
 impl Default for TelemetryConfig {
     fn default() -> Self {
         Self { enabled: true }
-    }
-}
-
-impl TelemetryConfig {
-    /// The default config, overridden by `FAIRHMS_TEST_TELEMETRY`
-    /// (`0`/`false`/`off` disables).
-    pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Ok(v) = std::env::var("FAIRHMS_TEST_TELEMETRY") {
-            if matches!(v.to_ascii_lowercase().as_str(), "0" | "false" | "off") {
-                cfg.enabled = false;
-            }
-        }
-        cfg
     }
 }
 
@@ -99,7 +82,8 @@ pub struct ServiceMetrics {
     pub run: Histogram,
     /// `conn.active` — open connections.
     pub conn_active: Gauge,
-    /// `streams.active` — streamed batches in flight.
+    /// `streams.active` — streamed batches in flight. Always recorded:
+    /// the stream gate admits against it.
     pub streams_active: Gauge,
     /// `queries.total` — engine executions. Always recorded (STATS
     /// reports it even with telemetry off).
@@ -153,11 +137,6 @@ impl ServiceMetrics {
             warm_invalidated: Counter::new(),
             avg_execute_us: std::sync::atomic::AtomicU64::new(0),
         }
-    }
-
-    /// Instruments gated by [`TelemetryConfig::from_env`].
-    pub fn from_env() -> Self {
-        Self::new(TelemetryConfig::from_env().enabled)
     }
 
     /// The span gate shared by every recording site.

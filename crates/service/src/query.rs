@@ -54,37 +54,25 @@ impl Query {
         q
     }
 
-    /// A 64-bit FNV-1a fingerprint of the canonical query, used as the
+    /// A 64-bit FNV-1a fingerprint of the canonical query, folded with
+    /// the dataset's registration epoch and the group-generation digest
+    /// of the form this query solves on (`sky_digest` when `skyline`,
+    /// `full_digest` otherwise — see `PreparedDataset::digest_for`): the
     /// solution-cache key. Field values are length-prefixed so adjacent
     /// fields cannot alias (`("ab", "c")` vs `("a", "bc")`).
+    ///
+    /// Replacing a catalog entry under the same name bumps the epoch, so
+    /// every answer cached against the old data re-keys. Mutations bump
+    /// only the touched groups' generations, so cached answers whose form
+    /// the mutation did not disturb keep fingerprinting (and verifying)
+    /// identically and survive as hits; disturbed forms re-key and the
+    /// stale entries age out or are swept by the engine's delta
+    /// invalidation.
     ///
     /// The fingerprint is a fast router, not an identity proof: the cache
     /// stores the canonical query alongside each answer and verifies
     /// equality on every hit, so an (engineered) FNV collision degrades
     /// to a cache miss, never to serving the wrong answer.
-    pub fn fingerprint(&self) -> u64 {
-        self.canonicalized().fingerprint_for_epoch(0)
-    }
-
-    /// [`Query::fingerprint`] folded with a dataset registration epoch,
-    /// so replacing a catalog entry under the same name invalidates every
-    /// cached answer computed against the old data.
-    ///
-    /// Hashes `self` as-is — the caller must already hold the canonical
-    /// form (see [`Query::canonicalized`]); the engine's hot path calls
-    /// this once per request and must not re-clone the query.
-    pub fn fingerprint_for_epoch(&self, epoch: u64) -> u64 {
-        self.fingerprint_keyed(epoch, 0)
-    }
-
-    /// [`Query::fingerprint_for_epoch`] additionally folded with the
-    /// dataset's group-generation digest for the form this query solves
-    /// on (`sky_digest` when `skyline`, `full_digest` otherwise — see
-    /// `PreparedDataset::digest_for`). Mutations bump only the touched
-    /// groups' generations, so cached answers whose form the mutation
-    /// did not disturb keep fingerprinting (and verifying) identically
-    /// and survive as hits; disturbed forms re-key and the stale entries
-    /// age out or are swept by the engine's delta invalidation.
     ///
     /// Hashes `self` as-is — the caller must already hold the canonical
     /// form (see [`Query::canonicalized`]); the engine's hot path calls
@@ -142,13 +130,18 @@ impl Fnv1a {
 mod tests {
     use super::*;
 
+    /// The cache key of `q` at epoch 0 and digest 0.
+    fn fp(q: &Query) -> u64 {
+        q.canonicalized().fingerprint_keyed(0, 0)
+    }
+
     #[test]
     fn fingerprint_ignores_algorithm_case() {
         let mut a = Query::new("adult", 8);
         let mut b = a.clone();
         a.alg = "BiGreedy".into();
         b.alg = "bigreedy".into();
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(fp(&a), fp(&b));
     }
 
     #[test]
@@ -163,14 +156,14 @@ mod tests {
             let mut b = a.clone();
             a.alg = x.into();
             b.alg = y.into();
-            assert_eq!(a.fingerprint(), b.fingerprint(), "{x} vs {y}");
+            assert_eq!(fp(&a), fp(&b), "{x} vs {y}");
         }
         // distinct algorithms still fingerprint apart
         let mut a = Query::new("adult", 8);
         let mut b = a.clone();
         a.alg = "bigreedy".into();
         b.alg = "bigreedy+".into();
-        assert_ne!(a.fingerprint(), b.fingerprint());
+        assert_ne!(fp(&a), fp(&b));
     }
 
     #[test]
@@ -206,10 +199,10 @@ mod tests {
                 ..base.clone()
             },
         ];
-        let f0 = base.fingerprint();
+        let f0 = fp(&base);
         let mut seen = vec![f0];
         for v in variants {
-            let f = v.fingerprint();
+            let f = fp(&v);
             assert!(!seen.contains(&f), "collision for {v:?}");
             seen.push(f);
         }
@@ -223,6 +216,6 @@ mod tests {
         a.alg = "x".into();
         let mut b = Query::new("a", 1);
         b.alg = "bx".into();
-        assert_ne!(a.fingerprint(), b.fingerprint());
+        assert_ne!(fp(&a), fp(&b));
     }
 }

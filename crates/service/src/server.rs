@@ -26,7 +26,7 @@
 
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -116,77 +116,51 @@ impl Default for ServeOptions {
     }
 }
 
-/// Counts concurrently executing batches server-wide; acquisition beyond
-/// the cap is refused with the `(active, limit)` pair so the caller can
-/// build a typed busy error carrying retry advice.
+/// Caps concurrently executing streamed batches server-wide, counting
+/// them on the always-on `streams.active` gauge; acquisition beyond the
+/// cap is refused with the `(active, limit)` pair so the caller can build
+/// a typed busy error carrying retry advice. Only the event-loop thread
+/// acquires and releases permits, so the check-then-increment needs no
+/// atomic read-modify-write.
 #[derive(Debug, Clone)]
 pub(crate) struct StreamGate {
-    active: Arc<AtomicUsize>,
     max: usize,
 }
 
 /// Releases its [`StreamGate`] slot on drop — including when the
 /// connection dies with a batch in flight, so a dying client can never
 /// leak a permit. Owned (no borrow of the gate): permits live inside
-/// per-connection state that outlives any single call frame. Carries the
-/// metrics handle so the `streams.active` gauge (telemetry-gated) tracks
-/// the permit's lifetime.
+/// per-connection state that outlives any single call frame.
 #[derive(Debug)]
 pub(crate) struct StreamPermit {
-    active: Arc<AtomicUsize>,
-    metrics: Option<Arc<ServiceMetrics>>,
+    metrics: Arc<ServiceMetrics>,
 }
 
 impl StreamGate {
     pub(crate) fn new(max: usize) -> Self {
-        Self {
-            active: Arc::new(AtomicUsize::new(0)),
-            max,
-        }
+        Self { max }
     }
 
     /// Acquires a slot, or reports `(active, limit)` when the gate is
-    /// full. Incrementing the `streams.active` gauge rides on the permit
-    /// when telemetry is enabled.
+    /// full.
     pub(crate) fn try_acquire(
         &self,
         metrics: &Arc<ServiceMetrics>,
     ) -> Result<StreamPermit, (usize, usize)> {
-        // ordering: permit count is cold control-plane state; SeqCst keeps
-        // the acquire/release reasoning trivial at no measurable cost.
-        let mut cur = self.active.load(Ordering::SeqCst);
-        loop {
-            if cur >= self.max {
-                return Err((cur, self.max));
-            }
-            match self
-                .active
-                // ordering: see the load above — SeqCst for simplicity.
-                .compare_exchange(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => {
-                    let metrics = metrics.enabled().then(|| {
-                        metrics.streams_active.inc();
-                        Arc::clone(metrics)
-                    });
-                    return Ok(StreamPermit {
-                        active: Arc::clone(&self.active),
-                        metrics,
-                    });
-                }
-                Err(now) => cur = now,
-            }
+        let active = metrics.streams_active.get().max(0) as usize;
+        if active >= self.max {
+            return Err((active, self.max));
         }
+        metrics.streams_active.inc();
+        Ok(StreamPermit {
+            metrics: Arc::clone(metrics),
+        })
     }
 }
 
 impl Drop for StreamPermit {
     fn drop(&mut self) {
-        // ordering: permit release; SeqCst pairs with the acquire CAS.
-        self.active.fetch_sub(1, Ordering::SeqCst);
-        if let Some(m) = &self.metrics {
-            m.streams_active.dec();
-        }
+        self.metrics.streams_active.dec();
     }
 }
 
@@ -717,7 +691,7 @@ mod tests {
         let c = gate.try_acquire(&m).unwrap();
         drop(b);
         drop(c);
-        assert_eq!(gate.active.load(Ordering::SeqCst), 0);
+        assert_eq!(m.streams_active.get(), 0);
 
         // max_stream_batches = 0 disables streaming outright.
         let closed = StreamGate::new(0);
@@ -734,6 +708,18 @@ mod tests {
         drop(a);
         assert_eq!(m.streams_active.get(), 1);
         drop(b);
+        assert_eq!(m.streams_active.get(), 0);
+    }
+
+    #[test]
+    fn stream_permit_tracks_the_streams_gauge_when_telemetry_is_off() {
+        // The gauge is the gate's counter, so METRICS reports running
+        // streams under --no-telemetry too.
+        let m = Arc::new(ServiceMetrics::new(false));
+        let gate = StreamGate::new(4);
+        let a = gate.try_acquire(&m).unwrap();
+        assert_eq!(m.streams_active.get(), 1);
+        drop(a);
         assert_eq!(m.streams_active.get(), 0);
     }
 

@@ -8,23 +8,25 @@
 //! vectors) and the matroid's `O(n)` group-label validation scan. Both
 //! artifacts are *deterministic in a preimage that near-miss queries
 //! share*, so this tier caches them keyed by
-//! `(dataset epoch, k, algorithm family)`:
+//! `(dataset epoch, form digest, k, algorithm family)`:
 //!
 //! * the [`SampledNet`] δ-net basis — deterministic in `(dim, m, seed)`,
 //!   so reuse is bit-identical to regeneration (verified via
 //!   [`SampledNet::matches`] before every reuse);
-//! * one [`PreparedBounds`] label scan per candidate form (full matrix /
-//!   skyline restriction) — reduces per-query matroid construction from
-//!   `O(n)` to `O(C)`;
-//! * one [`CachedDbMax`] vector per candidate form — the `m × n`
+//! * the [`PreparedBounds`] label scan of the candidate form — reduces
+//!   per-query matroid construction from `O(n)` to `O(C)`;
+//! * the [`CachedDbMax`] vector of the candidate form — the `m × n`
 //!   per-utility database-maximum pass of BiGreedy setup, deterministic
 //!   in `(dim, m, seed, n)` and verified against that preimage before
 //!   every reuse (see [`fairhms_core::CachedDbMax::matches`]).
 //!
+//! The key's digest names the form (full matrix or skyline restriction),
+//! so one entry holds the state of exactly one form.
+//!
 //! **Invalidation contract:** the key folds in the dataset's registration
 //! epoch (like the solution cache), so replacing a dataset under the same
 //! name makes every stale entry unreachable; unreachable entries age out
-//! through the per-cache LRU. Entries hold `Arc` handles into the
+//! through the LRU. Entries hold `Arc` handles into the
 //! prepared dataset, never copies, so a resident entry costs `O(C)` plus
 //! the shared net.
 //!
@@ -34,7 +36,6 @@
 //! registry algorithm bit-identical between a warm engine and a fresh
 //! one whose tier is still empty.
 
-use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -42,6 +43,8 @@ use fairhms_obs::sync::lock_or_recover;
 
 use fairhms_core::{CachedDbMax, SampledNet};
 use fairhms_matroid::PreparedBounds;
+
+use crate::cache::Lru;
 
 /// Configuration of the warm-start tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,66 +82,23 @@ pub struct WarmKey {
     pub family: String,
 }
 
-/// The cached intermediate state of one `(epoch, k, family)`.
+/// The cached intermediate state of one `(epoch, digest, k, family)`,
+/// for the candidate form the key's digest names.
 ///
-/// All fields are optional: an entry is created by whichever solve
-/// computed *something* reusable first and enriched by later solves
-/// (e.g. the skyline-form bounds by a default query, the full-form
-/// bounds by a `skyline=false` one).
+/// All fields are optional: a family that never consults the δ-net or
+/// `db_max` deposits only the bounds.
 #[derive(Debug, Default, Clone)]
 pub struct WarmEntry {
     /// BiGreedy δ-net, tagged with its generation preimage.
     pub net: Option<Arc<SampledNet>>,
-    /// Prepared label scan of the full dataset.
-    pub bounds_full: Option<Arc<PreparedBounds>>,
-    /// Prepared label scan of the skyline restriction.
-    pub bounds_skyline: Option<Arc<PreparedBounds>>,
-    /// Per-utility database maxima over the full dataset, tagged with the
-    /// `(dim, m, seed, n)` preimage of the net and matrix that produced
-    /// them. The `m × n` extreme-value pass is the costliest piece of
-    /// BiGreedy setup, so near-miss queries reuse it like the net itself.
-    pub db_max_full: Option<Arc<CachedDbMax>>,
-    /// Per-utility database maxima over the skyline restriction (the two
-    /// candidate forms have different `n`, hence different values).
-    pub db_max_skyline: Option<Arc<CachedDbMax>>,
-}
-
-impl WarmEntry {
-    /// The prepared bounds for the requested candidate form.
-    pub fn bounds(&self, skyline: bool) -> Option<&Arc<PreparedBounds>> {
-        if skyline {
-            self.bounds_skyline.as_ref()
-        } else {
-            self.bounds_full.as_ref()
-        }
-    }
-
-    /// Sets the prepared bounds for the requested candidate form.
-    pub fn set_bounds(&mut self, skyline: bool, bounds: Arc<PreparedBounds>) {
-        if skyline {
-            self.bounds_skyline = Some(bounds);
-        } else {
-            self.bounds_full = Some(bounds);
-        }
-    }
-
-    /// The cached `db_max` vector for the requested candidate form.
-    pub fn db_max(&self, skyline: bool) -> Option<&Arc<CachedDbMax>> {
-        if skyline {
-            self.db_max_skyline.as_ref()
-        } else {
-            self.db_max_full.as_ref()
-        }
-    }
-
-    /// Sets the cached `db_max` vector for the requested candidate form.
-    pub fn set_db_max(&mut self, skyline: bool, db_max: Arc<CachedDbMax>) {
-        if skyline {
-            self.db_max_skyline = Some(db_max);
-        } else {
-            self.db_max_full = Some(db_max);
-        }
-    }
+    /// Prepared label scan of the candidate form.
+    pub bounds: Option<Arc<PreparedBounds>>,
+    /// Per-utility database maxima over the candidate form, tagged with
+    /// the `(dim, m, seed, n)` preimage of the net and matrix that
+    /// produced them. The `m × n` extreme-value pass is the costliest
+    /// piece of BiGreedy setup, so near-miss queries reuse it like the
+    /// net itself.
+    pub db_max: Option<Arc<CachedDbMax>>,
 }
 
 /// Effectiveness counters of the warm-start tier (reported by the wire
@@ -158,24 +118,14 @@ pub struct WarmStats {
     pub entries: usize,
 }
 
-struct Inner {
-    /// key → (entry, recency tick). Entries are immutable snapshots
-    /// behind `Arc`; updates replace the whole entry (last writer wins —
-    /// racing writers deposit interchangeable state, see module docs).
-    map: HashMap<WarmKey, (Arc<WarmEntry>, u64)>,
-    /// recency tick → key, oldest first.
-    lru: BTreeMap<u64, WarmKey>,
-    tick: u64,
-}
-
 /// The warm-start cache: a bounded LRU of [`WarmEntry`] snapshots.
 ///
-/// A single mutex suffices (unlike the sharded solution cache): the lock
-/// is held only to clone/insert an `Arc`, never while any state is
-/// computed.
+/// One mutex suffices: it is held only to clone/insert an `Arc`, never
+/// while any state is computed. Entries are immutable snapshots; updates
+/// replace the whole entry (last writer wins — racing writers deposit
+/// interchangeable state, see module docs).
 pub struct WarmStartCache {
-    inner: Mutex<Inner>,
-    capacity: usize,
+    lru: Mutex<Lru<WarmKey, Arc<WarmEntry>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -184,12 +134,7 @@ impl WarmStartCache {
     /// A cache holding at most `capacity` entries (minimum 1).
     pub fn new(capacity: usize) -> Self {
         Self {
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                lru: BTreeMap::new(),
-                tick: 0,
-            }),
-            capacity: capacity.max(1),
+            lru: Mutex::new(Lru::new(capacity)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -201,39 +146,13 @@ impl WarmStartCache {
     /// / [`WarmStartCache::note_miss`] after verifying each component's
     /// preimage.
     pub fn get(&self, key: &WarmKey) -> Option<Arc<WarmEntry>> {
-        let mut inner = lock_or_recover(&self.inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-        let Inner { map, lru, .. } = &mut *inner;
-        let (entry, old) = map.get_mut(key)?;
-        lru.remove(old);
-        *old = tick;
-        lru.insert(tick, key.clone());
-        Some(Arc::clone(entry))
+        lock_or_recover(&self.lru).get(key).cloned()
     }
 
     /// Inserts (or replaces) the entry under `key`, evicting the least
     /// recently used entry when full.
     pub fn insert(&self, key: WarmKey, entry: WarmEntry) {
-        let mut inner = lock_or_recover(&self.inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-        let Inner { map, lru, .. } = &mut *inner;
-        if let Some((e, old)) = map.get_mut(&key) {
-            *e = Arc::new(entry);
-            lru.remove(old);
-            *old = tick;
-            lru.insert(tick, key);
-            return;
-        }
-        if map.len() >= self.capacity {
-            if let Some((&oldest_tick, _)) = lru.iter().next() {
-                let oldest_key = lru.remove(&oldest_tick).expect("tick present");
-                map.remove(&oldest_key);
-            }
-        }
-        map.insert(key.clone(), (Arc::new(entry), tick));
-        lru.insert(tick, key);
+        lock_or_recover(&self.lru).insert(key, Arc::new(entry));
     }
 
     /// Delta invalidation after a mutation of the dataset registered at
@@ -247,19 +166,8 @@ impl WarmStartCache {
     /// those entries become unreachable and age out through the LRU, as
     /// before — this sweep is the mutation path only.)
     pub fn invalidate_stale(&self, epoch: u64, sky_digest: u64, full_digest: u64) -> u64 {
-        let mut inner = lock_or_recover(&self.inner);
-        let Inner { map, lru, .. } = &mut *inner;
-        let dead: Vec<(WarmKey, u64)> = map
-            .iter()
-            .filter(|(k, _)| k.epoch == epoch && k.digest != sky_digest && k.digest != full_digest)
-            .map(|(k, &(_, tick))| (k.clone(), tick))
-            .collect();
-        let dropped = dead.len() as u64;
-        for (k, tick) in dead {
-            map.remove(&k);
-            lru.remove(&tick);
-        }
-        dropped
+        lock_or_recover(&self.lru)
+            .retain(|k, _| k.epoch != epoch || k.digest == sky_digest || k.digest == full_digest)
     }
 
     /// Records one component reused from the tier.
@@ -276,7 +184,7 @@ impl WarmStartCache {
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        lock_or_recover(&self.inner).map.len()
+        lock_or_recover(&self.lru).len()
     }
 
     /// True when nothing is cached.
@@ -361,18 +269,6 @@ mod tests {
             }
         );
         assert!(!cache.is_empty());
-    }
-
-    #[test]
-    fn entry_bounds_form_selector() {
-        let mut e = WarmEntry::default();
-        assert!(e.bounds(true).is_none() && e.bounds(false).is_none());
-        let pb = Arc::new(fairhms_matroid::PreparedBounds::new(vec![0usize, 1], 2).unwrap());
-        e.set_bounds(true, Arc::clone(&pb));
-        assert!(e.bounds(true).is_some());
-        assert!(e.bounds(false).is_none());
-        e.set_bounds(false, pb);
-        assert!(e.bounds(false).is_some());
     }
 
     #[test]

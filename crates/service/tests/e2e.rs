@@ -2,11 +2,9 @@
 //! a mixed batch of 100+ queries, and the cache-identity guarantees the
 //! engine promises.
 //!
-//! The client side runs through [`WireClient::connect_env`], so setting
-//! `FAIRHMS_TEST_CODEC=binary` (as `scripts/ci.sh` does on its second
-//! codec pass) replays this whole suite over the v2 binary framing — the
-//! assertions are codec-independent because answers are contractually
-//! bit-identical under both codecs.
+//! The TCP test replays its batch over both codecs — the assertions are
+//! codec-independent because answers are contractually bit-identical
+//! under both.
 
 use std::sync::Arc;
 
@@ -15,7 +13,7 @@ use rand::SeedableRng;
 
 use fairhms_data::{gen, Dataset};
 use fairhms_service::protocol::{self, Response, WireAnswer};
-use fairhms_service::{Catalog, Query, QueryEngine, Server, ServerConfig, WireClient};
+use fairhms_service::{Catalog, CodecKind, Query, QueryEngine, Server, ServerConfig, WireClient};
 
 /// An anti-correlated dataset in the paper's evaluation style: n points,
 /// d attributes, c groups assigned by attribute-sum quantiles.
@@ -97,10 +95,8 @@ fn tcp_end_to_end_mixed_batch_with_cache_hits() {
         })
         .collect();
 
-    {
-        // FAIRHMS_TEST_CODEC selects text (v1, no handshake) or binary
-        // (v2 HELLO handshake) — the assertions below hold under both.
-        let mut client = WireClient::connect_env(addr).unwrap();
+    for kind in [CodecKind::Text, CodecKind::Binary] {
+        let mut client = WireClient::negotiate(addr, kind).unwrap();
         let results = client.batch(&queries, false).unwrap();
 
         let mut hits = 0usize;
@@ -123,7 +119,8 @@ fn tcp_end_to_end_mixed_batch_with_cache_hits() {
             assert_eq!(got.violations, exp.violations);
         }
         // Rounds 0 and 1 are identical, so at least a quarter of the batch
-        // must be cache hits (single-flight may convert even more).
+        // must be cache hits (single-flight may convert even more; the
+        // second codec's pass finds every answer cached).
         assert!(
             hits >= queries.len() / 4,
             "expected cache hits, got {hits}/{}",
@@ -138,7 +135,7 @@ fn tcp_end_to_end_mixed_batch_with_cache_hits() {
             }
             other => panic!("expected STATS reply, got {other:?}"),
         }
-    } // drop the client connection before shutting down
+    } // drop each client connection before shutting down
 
     server.shutdown();
 }

@@ -3,8 +3,7 @@
 //! oracle, and group-delta cache invalidation (cached answers whose
 //! digest a mutation did not move must keep hitting).
 //!
-//! The TCP tests run over both codecs via `FAIRHMS_TEST_CODEC`
-//! (`scripts/ci.sh`).
+//! The `WireClient` tests run over both codecs, one fresh server each.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -16,7 +15,9 @@ use rand::SeedableRng;
 
 use fairhms_core::registry::ALGORITHM_NAMES;
 use fairhms_data::{gen, Dataset};
-use fairhms_service::{Catalog, Query, QueryEngine, Response, Server, ServerConfig, WireClient};
+use fairhms_service::{
+    Catalog, CodecKind, Query, QueryEngine, Response, Server, ServerConfig, WireClient,
+};
 
 fn generated(name: &str, n: usize, d: usize, c: usize, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -247,125 +248,129 @@ fn warm(client: &mut WireClient, q: &Query) {
 /// sky-changing append drops the skyline-form entry too.
 #[test]
 fn delta_invalidation_preserves_untouched_cached_answers() {
-    let server = spawn_two_dataset_server();
-    let addr = server.addr();
-    let mut client = WireClient::connect_env(addr).unwrap();
+    for kind in [CodecKind::Text, CodecKind::Binary] {
+        let server = spawn_two_dataset_server();
+        let addr = server.addr();
+        let mut client = WireClient::negotiate(addr, kind).unwrap();
 
-    let mut q_sky = Query::new("demo", 3);
-    q_sky.alg = "bigreedy".into();
-    let mut q_full = q_sky.clone();
-    q_full.skyline = false;
-    let mut q_other = Query::new("other", 3);
-    q_other.alg = "f-greedy".into();
-    warm(&mut client, &q_sky);
-    warm(&mut client, &q_full);
-    warm(&mut client, &q_other);
+        let mut q_sky = Query::new("demo", 3);
+        q_sky.alg = "bigreedy".into();
+        let mut q_full = q_sky.clone();
+        q_full.skyline = false;
+        let mut q_other = Query::new("other", 3);
+        q_other.alg = "f-greedy".into();
+        warm(&mut client, &q_sky);
+        warm(&mut client, &q_full);
+        warm(&mut client, &q_other);
 
-    // 1. Dominated append: (0,0) sits under every group-0 point.
-    let resp = client.append("demo", &[0.0, 0.0], 0).unwrap();
-    let Response::Mutated {
-        op,
-        sky_changed,
-        rows,
-        ..
-    } = &resp
-    else {
-        panic!("expected Mutated, got {resp:?}");
-    };
-    assert_eq!(op, "append");
-    assert_eq!(*rows, 121);
-    assert!(!sky_changed, "(0,0) must be dominated");
-    // Skyline-form entry survives (sky digest unmoved); the untouched
-    // dataset survives; the full-form entry is gone (row count moved).
-    assert!(
-        client.query(&q_sky).unwrap().cached,
-        "sky entry must survive"
-    );
-    assert!(
-        client.query(&q_other).unwrap().cached,
-        "other dataset must survive"
-    );
-    assert!(
-        !client.query(&q_full).unwrap().cached,
-        "full entry must drop"
-    );
-    let hot = client.query(&q_full).unwrap();
-    assert!(hot.cached);
+        // 1. Dominated append: (0,0) sits under every group-0 point.
+        let resp = client.append("demo", &[0.0, 0.0], 0).unwrap();
+        let Response::Mutated {
+            op,
+            sky_changed,
+            rows,
+            ..
+        } = &resp
+        else {
+            panic!("expected Mutated, got {resp:?}");
+        };
+        assert_eq!(op, "append");
+        assert_eq!(*rows, 121);
+        assert!(!sky_changed, "(0,0) must be dominated");
+        // Skyline-form entry survives (sky digest unmoved); the untouched
+        // dataset survives; the full-form entry is gone (row count moved).
+        assert!(
+            client.query(&q_sky).unwrap().cached,
+            "sky entry must survive"
+        );
+        assert!(
+            client.query(&q_other).unwrap().cached,
+            "other dataset must survive"
+        );
+        assert!(
+            !client.query(&q_full).unwrap().cached,
+            "full entry must drop"
+        );
+        let hot = client.query(&q_full).unwrap();
+        assert!(hot.cached);
 
-    // 2. Dominated delete of the appended row (highest id, off-skyline:
-    //    no generation moves except full).
-    let resp = client.delete("demo", 120).unwrap();
-    let Response::Mutated {
-        op,
-        sky_changed,
-        rows,
-        ..
-    } = &resp
-    else {
-        panic!("expected Mutated, got {resp:?}");
-    };
-    assert_eq!(op, "delete");
-    assert_eq!(*rows, 120);
-    assert!(!sky_changed);
-    assert!(
-        client.query(&q_sky).unwrap().cached,
-        "sky entry must still survive"
-    );
-    assert!(client.query(&q_other).unwrap().cached);
+        // 2. Dominated delete of the appended row (highest id, off-skyline:
+        //    no generation moves except full).
+        let resp = client.delete("demo", 120).unwrap();
+        let Response::Mutated {
+            op,
+            sky_changed,
+            rows,
+            ..
+        } = &resp
+        else {
+            panic!("expected Mutated, got {resp:?}");
+        };
+        assert_eq!(op, "delete");
+        assert_eq!(*rows, 120);
+        assert!(!sky_changed);
+        assert!(
+            client.query(&q_sky).unwrap().cached,
+            "sky entry must still survive"
+        );
+        assert!(client.query(&q_other).unwrap().cached);
 
-    // 3. Sky-changing append drops the skyline-form entry as well.
-    let resp = client.append("demo", &[1.0, 1.0], 0).unwrap();
-    let Response::Mutated { sky_changed, .. } = &resp else {
-        panic!("expected Mutated, got {resp:?}");
-    };
-    assert!(sky_changed, "(1,1) must enter the skyline");
-    assert!(!client.query(&q_sky).unwrap().cached, "sky entry must drop");
-    assert!(
-        client.query(&q_other).unwrap().cached,
-        "other dataset still untouched"
-    );
+        // 3. Sky-changing append drops the skyline-form entry as well.
+        let resp = client.append("demo", &[1.0, 1.0], 0).unwrap();
+        let Response::Mutated { sky_changed, .. } = &resp else {
+            panic!("expected Mutated, got {resp:?}");
+        };
+        assert!(sky_changed, "(1,1) must enter the skyline");
+        assert!(!client.query(&q_sky).unwrap().cached, "sky entry must drop");
+        assert!(
+            client.query(&q_other).unwrap().cached,
+            "other dataset still untouched"
+        );
 
-    // STATS counts all three mutations (appended-field, both codecs).
-    client.send_line("STATS").unwrap();
-    match client.recv().unwrap() {
-        Response::Stats {
-            mutations_total, ..
-        } => assert_eq!(mutations_total, 3),
-        other => panic!("expected Stats, got {other:?}"),
+        // STATS counts all three mutations (appended-field, both codecs).
+        client.send_line("STATS").unwrap();
+        match client.recv().unwrap() {
+            Response::Stats {
+                mutations_total, ..
+            } => assert_eq!(mutations_total, 3),
+            other => panic!("expected Stats, got {other:?}"),
+        }
+        server.shutdown();
     }
-    server.shutdown();
 }
 
 /// Mutation errors are typed wire errors and leave the connection usable.
 #[test]
 fn mutation_errors_answer_err_and_keep_the_connection() {
-    let server = spawn_two_dataset_server();
-    let addr = server.addr();
-    let mut client = WireClient::connect_env(addr).unwrap();
+    for kind in [CodecKind::Text, CodecKind::Binary] {
+        let server = spawn_two_dataset_server();
+        let addr = server.addr();
+        let mut client = WireClient::negotiate(addr, kind).unwrap();
 
-    // Unknown dataset, wrong dimension, out-of-range row.
-    for line in [
-        "APPEND name=absent row=0.5,0.5 group=0",
-        "APPEND name=demo row=0.5,0.5,0.5 group=0",
-        "APPEND name=demo row=0.5,0.5 group=99",
-        "DELETE name=demo row=100000",
-        "DELETE name=absent row=0",
-    ] {
-        client.send_line(line).unwrap();
-        match client.recv().unwrap() {
-            Response::Error { .. } => {}
-            other => panic!("{line}: expected ERR, got {other:?}"),
+        // Unknown dataset, wrong dimension, out-of-range row.
+        for line in [
+            "APPEND name=absent row=0.5,0.5 group=0",
+            "APPEND name=demo row=0.5,0.5,0.5 group=0",
+            "APPEND name=demo row=0.5,0.5 group=99",
+            "DELETE name=demo row=100000",
+            "DELETE name=absent row=0",
+        ] {
+            client.send_line(line).unwrap();
+            match client.recv().unwrap() {
+                Response::Error { .. } => {}
+                other => panic!("{line}: expected ERR, got {other:?}"),
+            }
         }
+        // The connection still answers; and no mutation was counted.
+        client.send_line("STATS").unwrap();
+        match client.recv().unwrap() {
+            Response::Stats {
+                mutations_total, ..
+            } => assert_eq!(mutations_total, 0),
+            other => panic!("expected Stats, got {other:?}"),
+        }
+        server.shutdown();
     }
-    // The connection still answers; and no mutation was counted.
-    client.send_line("STATS").unwrap();
-    match client.recv().unwrap() {
-        Response::Stats {
-            mutations_total, ..
-        } => assert_eq!(mutations_total, 0),
-        other => panic!("expected Stats, got {other:?}"),
-    }
-    server.shutdown();
 }
 
 /// Pipelined mutate→query keeps sequential semantics: the query arriving

@@ -632,83 +632,87 @@ fn load_registers_csv_from_allowlist_and_refuses_escapes() {
     let outside = std::env::temp_dir().join("fairhms_protocol_v2_outside.csv");
     write_csv(&outside);
 
-    let server = spawn_server(ServeOptions {
-        load_root: Some(root.clone()),
-        ..ServeOptions::default()
-    });
-    let mut client = WireClient::connect_env(server.addr()).unwrap();
+    for kind in [CodecKind::Text, CodecKind::Binary] {
+        let server = spawn_server(ServeOptions {
+            load_root: Some(root.clone()),
+            ..ServeOptions::default()
+        });
+        let mut client = WireClient::negotiate(server.addr(), kind).unwrap();
 
-    // A successful LOAD reports the dataset shape and makes it queryable.
-    client.send_line("LOAD name=extra path=extra.csv").unwrap();
-    match client.recv().unwrap() {
-        Response::Loaded {
-            name,
-            rows,
-            dim,
-            groups,
-            ..
-        } => {
-            assert_eq!((name.as_str(), rows, dim, groups), ("extra", 40, 3, 2));
-        }
-        other => panic!("expected Loaded, got {other:?}"),
-    }
-    let ans = client.query(&Query::new("extra", 3)).unwrap();
-    assert_eq!(ans.indices.len(), 3);
-    client.send_line("LIST").unwrap();
-    match client.recv().unwrap() {
-        Response::Datasets(summaries) => {
-            assert!(summaries.iter().any(|s| s.starts_with("extra:40:3:2:")));
-        }
-        other => panic!("{other:?}"),
-    }
-    // Nested relative paths under the root are fine.
-    client
-        .send_line("LOAD name=nested path=sub/nested.csv")
-        .unwrap();
-    assert!(matches!(client.recv().unwrap(), Response::Loaded { .. }));
-
-    // Refusals: traversal, absolute path, missing file, bad name — each a
-    // typed ERR on a connection that stays in sync.
-    for bad in [
-        "LOAD name=evil path=../fairhms_protocol_v2_outside.csv".to_string(),
-        format!("LOAD name=evil path={}", outside.display()),
-        "LOAD name=evil path=sub/../../fairhms_protocol_v2_outside.csv".to_string(),
-        "LOAD name=evil path=missing.csv".to_string(),
-        "LOAD name=bad,name path=extra.csv".to_string(), // wire-unsafe catalog key
-    ] {
-        client.send_line(&bad).unwrap();
+        // A successful LOAD reports the dataset shape and makes it queryable.
+        client.send_line("LOAD name=extra path=extra.csv").unwrap();
         match client.recv().unwrap() {
-            Response::Error { message, .. } => {
-                assert!(!message.is_empty(), "{bad}: empty error message");
+            Response::Loaded {
+                name,
+                rows,
+                dim,
+                groups,
+                ..
+            } => {
+                assert_eq!((name.as_str(), rows, dim, groups), ("extra", 40, 3, 2));
             }
-            other => panic!("{bad}: expected ERR, got {other:?}"),
+            other => panic!("expected Loaded, got {other:?}"),
         }
-        client.send_line("PING").unwrap();
-        assert_eq!(client.recv().unwrap(), Response::Pong, "{bad}: desync");
-    }
-    // The refused names never entered the catalog.
-    client.send_line("LIST").unwrap();
-    match client.recv().unwrap() {
-        Response::Datasets(summaries) => {
-            assert!(!summaries.iter().any(|s| s.starts_with("evil")));
+        let ans = client.query(&Query::new("extra", 3)).unwrap();
+        assert_eq!(ans.indices.len(), 3);
+        client.send_line("LIST").unwrap();
+        match client.recv().unwrap() {
+            Response::Datasets(summaries) => {
+                assert!(summaries.iter().any(|s| s.starts_with("extra:40:3:2:")));
+            }
+            other => panic!("{other:?}"),
         }
-        other => panic!("{other:?}"),
+        // Nested relative paths under the root are fine.
+        client
+            .send_line("LOAD name=nested path=sub/nested.csv")
+            .unwrap();
+        assert!(matches!(client.recv().unwrap(), Response::Loaded { .. }));
+
+        // Refusals: traversal, absolute path, missing file, bad name — each a
+        // typed ERR on a connection that stays in sync.
+        for bad in [
+            "LOAD name=evil path=../fairhms_protocol_v2_outside.csv".to_string(),
+            format!("LOAD name=evil path={}", outside.display()),
+            "LOAD name=evil path=sub/../../fairhms_protocol_v2_outside.csv".to_string(),
+            "LOAD name=evil path=missing.csv".to_string(),
+            "LOAD name=bad,name path=extra.csv".to_string(), // wire-unsafe catalog key
+        ] {
+            client.send_line(&bad).unwrap();
+            match client.recv().unwrap() {
+                Response::Error { message, .. } => {
+                    assert!(!message.is_empty(), "{bad}: empty error message");
+                }
+                other => panic!("{bad}: expected ERR, got {other:?}"),
+            }
+            client.send_line("PING").unwrap();
+            assert_eq!(client.recv().unwrap(), Response::Pong, "{bad}: desync");
+        }
+        // The refused names never entered the catalog.
+        client.send_line("LIST").unwrap();
+        match client.recv().unwrap() {
+            Response::Datasets(summaries) => {
+                assert!(!summaries.iter().any(|s| s.starts_with("evil")));
+            }
+            other => panic!("{other:?}"),
+        }
+        server.shutdown();
     }
-    server.shutdown();
 }
 
 #[test]
 fn load_is_disabled_without_load_root() {
-    let server = spawn_server(ServeOptions::default());
-    let mut client = WireClient::connect_env(server.addr()).unwrap();
-    client.send_line("LOAD name=x path=x.csv").unwrap();
-    match client.recv().unwrap() {
-        Response::Error { message, .. } => {
-            assert!(message.contains("LOAD disabled"), "{message}");
+    for kind in [CodecKind::Text, CodecKind::Binary] {
+        let server = spawn_server(ServeOptions::default());
+        let mut client = WireClient::negotiate(server.addr(), kind).unwrap();
+        client.send_line("LOAD name=x path=x.csv").unwrap();
+        match client.recv().unwrap() {
+            Response::Error { message, .. } => {
+                assert!(message.contains("LOAD disabled"), "{message}");
+            }
+            other => panic!("expected ERR, got {other:?}"),
         }
-        other => panic!("expected ERR, got {other:?}"),
+        client.send_line("PING").unwrap();
+        assert_eq!(client.recv().unwrap(), Response::Pong);
+        server.shutdown();
     }
-    client.send_line("PING").unwrap();
-    assert_eq!(client.recv().unwrap(), Response::Pong);
-    server.shutdown();
 }

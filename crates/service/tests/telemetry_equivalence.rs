@@ -4,9 +4,9 @@
 //! — and the METRICS wire surface must report a non-zero snapshot over
 //! *both* codecs after a mixed workload.
 //!
-//! Engines are built with *explicit* [`TelemetryConfig`]s, so the suite
-//! pins the contract under any `FAIRHMS_TEST_TELEMETRY` environment the
-//! CI matrix selects.
+//! Engines are built with *explicit* [`TelemetryConfig`]s, and one test
+//! drives a telemetry-on and a telemetry-off TCP server through the same
+//! mixed workload over both codecs.
 
 use std::sync::Arc;
 
@@ -15,9 +15,10 @@ use rand::SeedableRng;
 
 use fairhms_core::registry::ALGORITHM_NAMES;
 use fairhms_data::{gen, Dataset};
+use fairhms_service::protocol::{Response, WireAnswer};
 use fairhms_service::{
-    Catalog, CodecKind, Query, QueryEngine, Server, ServerConfig, TelemetryConfig, WarmConfig,
-    WireClient,
+    Catalog, CodecKind, Query, QueryEngine, Server, ServerConfig, ServiceError, TelemetryConfig,
+    WarmConfig, WireClient,
 };
 
 fn generated(name: &str, n: usize, d: usize, c: usize, seed: u64) -> Dataset {
@@ -230,4 +231,118 @@ fn metrics_verb_reports_nonzero_over_both_codecs() {
     }
 
     server.shutdown();
+}
+
+/// A TCP server over `generated("wire", …)` with telemetry on or off.
+fn wire_server(telemetry: bool) -> Server {
+    let cat = Arc::new(Catalog::new());
+    let eng = Arc::new(QueryEngine::with_config(
+        Arc::clone(&cat),
+        1024,
+        WarmConfig { capacity: 64 },
+        TelemetryConfig { enabled: telemetry },
+    ));
+    cat.insert_dataset(generated("wire", 200, 2, 3, 5)).unwrap();
+    Server::spawn(
+        eng,
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 2,
+        },
+    )
+    .unwrap()
+}
+
+/// One answer as the wire carries it, minus the execution time.
+fn timeless(a: Result<WireAnswer, ServiceError>) -> String {
+    format!("{:?}", a.map(|a| WireAnswer { micros: 0, ..a }))
+}
+
+/// Runs the mixed workload — single queries and their repeats, a batch,
+/// one `APPEND`, and a query after it — on one connection per codec,
+/// keeping every connection open. Returns the transcript (execution
+/// times stripped) and the open clients.
+fn mixed_workload(server: &Server) -> (Vec<String>, Vec<WireClient>) {
+    let mut transcript = Vec::new();
+    let mut clients = Vec::new();
+    for (pass, kind) in [CodecKind::Text, CodecKind::Binary].into_iter().enumerate() {
+        let mut client = WireClient::negotiate(server.addr(), kind).unwrap();
+        let mut queries = Vec::new();
+        for (k, alg, skyline) in [(3usize, "bigreedy", true), (4, "f-greedy", false)] {
+            let mut q = Query::new("wire", k);
+            q.alg = alg.into();
+            q.skyline = skyline;
+            queries.push(q);
+        }
+        for q in queries.iter().chain(&queries) {
+            transcript.push(timeless(client.query(q)));
+        }
+        // A batch mixing a repeat with fresh queries and an error.
+        let mut batch = vec![queries[0].clone(), Query::new("wire", 5)];
+        let mut unknown = Query::new("wire", 3);
+        unknown.alg = "nope".into();
+        batch.push(unknown);
+        for a in client.batch(&batch, false).unwrap() {
+            transcript.push(timeless(a));
+        }
+        // One append per pass, so each codec decodes a MUTATED frame:
+        // (1, 1) joins the skyline, the second pass's (0.75, 1) is
+        // dominated by it. Then the skyline query again.
+        let top = 1.0 - pass as f64 * 0.25;
+        transcript.push(format!("{:?}", client.append("wire", &[top, 1.0], 0)));
+        transcript.push(timeless(client.query(&queries[0])));
+        clients.push(client);
+    }
+    (transcript, clients)
+}
+
+/// The same mixed workload against a telemetry-on and a telemetry-off
+/// server, over both codecs: identical wire answers and identical
+/// always-on admission counters; the off server's METRICS reports
+/// `enabled=false` and no histograms.
+#[test]
+fn servers_answer_and_count_alike_with_telemetry_on_or_off() {
+    let on = wire_server(true);
+    let off = wire_server(false);
+    let (on_transcript, mut on_clients) = mixed_workload(&on);
+    let (off_transcript, mut off_clients) = mixed_workload(&off);
+    assert_eq!(on_transcript, off_transcript);
+    let mutated: Vec<&String> = on_transcript
+        .iter()
+        .filter(|l| l.contains("Mutated"))
+        .collect();
+    assert!(
+        mutated.len() == 2
+            && mutated[0].contains("sky_changed: true")
+            && mutated[1].contains("sky_changed: false"),
+        "{mutated:?}"
+    );
+
+    let stats = |client: &mut WireClient| {
+        client.send_line("STATS").unwrap();
+        match client.recv().unwrap() {
+            Response::Stats {
+                total_queries,
+                shed_total,
+                conns_open,
+                mutations_total,
+                ..
+            } => (total_queries, shed_total, conns_open, mutations_total),
+            other => panic!("expected STATS, got {other:?}"),
+        }
+    };
+    let on_stats = stats(&mut on_clients[0]);
+    assert_eq!(on_stats, stats(&mut off_clients[0]));
+    // 8 queries and 1 mutation per codec pass; both connections open.
+    assert_eq!(on_stats, (16, 0, 2, 2));
+
+    let (enabled, _, histograms) = on_clients[1].metrics().unwrap();
+    assert!(enabled && !histograms.is_empty());
+    let (enabled, _, histograms) = off_clients[1].metrics().unwrap();
+    assert!(!enabled, "telemetry-off server reports enabled");
+    assert!(histograms.is_empty(), "telemetry-off server recorded spans");
+
+    drop((on_clients, off_clients));
+    on.shutdown();
+    off.shutdown();
 }

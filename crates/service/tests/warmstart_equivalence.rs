@@ -185,7 +185,7 @@ fn eviction_thrash_never_changes_answers() {
         Arc::clone(&cat),
         1024,
         WarmConfig { capacity: 1 },
-        TelemetryConfig::from_env(),
+        TelemetryConfig::default(),
     );
     // Alternating (k, family) keys so every solve evicts the previous
     // entry.

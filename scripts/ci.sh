@@ -13,8 +13,8 @@ cargo fmt --all --check
 # documented/confined unsafe, justified atomic orderings, acyclic
 # lock-order graph + poison-recovering locks, clock-free hot paths,
 # newline-safe wire literals — see docs/ARCHITECTURE.md, "Static
-# analysis & enforced invariants"). Runs before the test matrix: a
-# contract violation fails fast, without waiting on three test passes.
+# analysis & enforced invariants"). Runs before the tests: a
+# contract violation fails fast, without waiting on the test pass.
 # The waiver baseline is pinned; adding a `fairhms-lint: allow(..)`
 # waiver requires bumping it here with a justification in the diff.
 FAIRHMS_LINT_WAIVER_BASELINE=9
@@ -37,21 +37,6 @@ cargo check --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo test -q"
 cargo test -q
-
-# The service suite runs again over the binary codec: FAIRHMS_TEST_CODEC
-# routes every TCP test's client through the v2 binary framing instead of
-# the v1 text lines (WireClient::connect_env) — answers are contractually
-# bit-identical (see docs/PROTOCOL.md, "Protocol v2"). The plain
-# `cargo test -q` above is the text-codec pass, so no configuration is
-# executed twice.
-echo "==> service tests, binary codec (FAIRHMS_TEST_CODEC=binary)"
-FAIRHMS_TEST_CODEC=binary cargo test -p fairhms-service -q
-
-# …and once with telemetry disabled: spans and stage accounting must be
-# provably inert — answers are contractually bit-identical with
-# telemetry on or off (see crates/service/tests/telemetry_equivalence.rs).
-echo "==> service tests, telemetry disabled (FAIRHMS_TEST_TELEMETRY=0)"
-FAIRHMS_TEST_TELEMETRY=0 cargo test -p fairhms-service -q
 
 echo "==> bench smoke (service engine + wire codecs + warm-start + BiGreedy + skyline)"
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench service

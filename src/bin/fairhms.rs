@@ -338,8 +338,6 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         warm.capacity = n;
     }
 
-    // Not TelemetryConfig::from_env: FAIRHMS_TEST_TELEMETRY is a test
-    // hook, so only --no-telemetry turns the server's telemetry off.
     let mut telemetry = fairhms::service::TelemetryConfig::default();
     if opts.contains_key("no-telemetry") {
         telemetry.enabled = false;

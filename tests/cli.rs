@@ -282,45 +282,6 @@ fn serve_and_query_round_trip() {
     assert!(status.success());
 }
 
-/// `FAIRHMS_TEST_TELEMETRY` is a test-engine hook: the shipped server
-/// ignores it, so only `--no-telemetry` turns production telemetry off.
-#[test]
-fn serve_ignores_the_telemetry_test_hook() {
-    let csv = tmp("cli_serve_env.csv");
-    let gen = Command::new(bin())
-        .args([
-            "gen",
-            "--out",
-            csv.to_str().unwrap(),
-            "--n",
-            "60",
-            "--d",
-            "2",
-            "--c",
-            "2",
-        ])
-        .output()
-        .expect("run gen");
-    assert!(
-        gen.status.success(),
-        "{}",
-        String::from_utf8_lossy(&gen.stderr)
-    );
-
-    let mut server = KillOnDrop(Some(
-        Command::new(bin())
-            .args(["serve", "--data", &format!("v={}", csv.display())])
-            .args(["--addr", "127.0.0.1:0", "--workers", "1"])
-            .env("FAIRHMS_TEST_TELEMETRY", "0")
-            .stdout(std::process::Stdio::piped())
-            .spawn()
-            .expect("spawn serve"),
-    ));
-    let mut out = std::io::BufReader::new(server.child().stdout.take().unwrap());
-    let banner = listening_banner(&mut out);
-    assert!(banner.contains("telemetry on"), "{banner}");
-}
-
 #[test]
 fn helpful_errors() {
     let out = Command::new(bin()).output().expect("run bare");
