@@ -64,5 +64,5 @@ fn main() {
             .collect();
         print_table(&format!("Figure 6 — {dataset} (time, ms)"), &header, &rows);
     }
-    println!("\nExpected shape (paper): G-Sphere fastest; BiGreedy+ up to ~5x faster than BiGreedy; F-Greedy slowest of the greedy family (one LP per skyline item per iteration).");
+    println!("\nExpected shape (paper): G-Sphere fastest; BiGreedy+ up to ~5x faster than BiGreedy; F-Greedy slowest of the greedy family (one LP per skyline item per iteration). This F-Greedy solves only the LPs whose upper bound can still win, so its gap is narrower.");
 }

@@ -8,13 +8,18 @@
 //!   redundant points — the quality gap Figures 5–7 show.
 //! * [`f_greedy`] — the matroid-greedy adaptation of `RDP-Greedy`: at each
 //!   step add the *feasible* point with the maximum LP-computed regret
-//!   against the current selection. One LP per candidate per iteration —
-//!   the cost the paper attributes to `F-Greedy`.
+//!   against the current selection. The paper attributes `F-Greedy`'s
+//!   cost to one LP per candidate per step; the shared lazy loop
+//!   (`lp_greedy`) solves only the LPs whose upper bound (an earlier LP
+//!   value, or the closed-form regret against each pick) still comes
+//!   within a 1e-9 margin of the step's best fresh value, and drops a
+//!   candidate the matroid refuses for good. It picks what the eager scan
+//!   picks.
 
 use fairhms_data::Dataset;
-use fairhms_lp::hms::point_regret;
 use fairhms_matroid::Matroid;
 
+use crate::lp_greedy::{lazy_lp_greedy, LpGreedy};
 use crate::types::{CoreError, FairHmsInstance, Solution};
 
 /// Splits `k` into per-group quotas `k_c ∈ [l_c, min(h_c, |D_c|)]`,
@@ -72,10 +77,44 @@ where
 }
 
 /// `F-Greedy`: matroid-constrained LP greedy. The first pick maximizes the
-/// uniform-utility score; every later pick maximizes the exact regret of
-/// the current selection (one LP per feasible candidate), subject to the
+/// uniform-utility score (the first maximal one); every later pick
+/// maximizes the exact regret of the current selection, subject to the
 /// fairness matroid. The final set is padded to `k` if the greedy stalls.
 pub fn f_greedy(inst: &FairHmsInstance) -> Result<Solution, CoreError> {
+    let sel = inst.complete_to_feasible(&f_greedy_picks(inst).sel)?;
+    Ok(Solution::new(sel, None))
+}
+
+/// `F-Greedy`'s picks before padding, with the LP count.
+pub(crate) fn f_greedy_picks(inst: &FairHmsInstance) -> LpGreedy {
+    let data = inst.data();
+    let matroid = inst.matroid();
+    // All regrets are 1 on the first pick: the uniform utility score
+    // breaks the tie, as RDP-Greedy does.
+    let mut seed: Option<(usize, f64)> = None;
+    for i in (0..data.len()).filter(|&i| matroid.can_extend(&[], i)) {
+        let score = data.point(i).iter().sum::<f64>();
+        if seed.is_none_or(|(_, best)| score > best) {
+            seed = Some((i, score));
+        }
+    }
+    match seed {
+        Some((i, _)) => {
+            lazy_lp_greedy(data, vec![i], inst.k(), |sel, p| matroid.can_extend(sel, p))
+        }
+        None => LpGreedy {
+            sel: Vec::new(),
+            lps: 0,
+        },
+    }
+}
+
+/// The eager `F-Greedy` loop — one LP per feasible candidate per
+/// pick — kept as the oracle the lazy loop must match.
+#[cfg(test)]
+pub(crate) fn f_greedy_eager(inst: &FairHmsInstance) -> Result<Solution, CoreError> {
+    use fairhms_lp::hms::point_regret;
+
     let data = inst.data();
     let dim = data.dim();
     let n = data.len();
@@ -90,8 +129,6 @@ pub fn f_greedy(inst: &FairHmsInstance) -> Result<Solution, CoreError> {
                 continue;
             }
             let gain = if sel.is_empty() {
-                // all regrets are 1 on the first pick: use the uniform
-                // utility score as the tie-breaker, as RDP-Greedy does.
                 data.point(i).iter().sum::<f64>()
             } else {
                 point_regret(dim, &sel_flat, data.point(i))

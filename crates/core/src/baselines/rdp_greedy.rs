@@ -2,17 +2,56 @@
 //!
 //! The classic regret-driven greedy: seed with the best point for the
 //! uniform utility, then repeatedly add the point that currently inflicts
-//! the maximum regret on the selection — found by solving one regret LP per
-//! candidate (`min t s.t. ⟨u,q⟩ ≤ t ∀q∈S, ⟨u,p⟩ = 1, u ≥ 0`).
+//! the maximum regret on the selection, where a point's regret is the
+//! LP `min t s.t. ⟨u,q⟩ ≤ t ∀q∈S, ⟨u,p⟩ = 1, u ≥ 0`. The original solves
+//! that LP for every candidate at every step. Here the shared lazy loop
+//! (`lp_greedy`, also behind `F-Greedy`) keeps an upper bound per
+//! candidate (its last LP value, lowered after each pick to the
+//! closed-form regret against the picked point) and solves a candidate's
+//! LP only while that bound is within a 1e-9 margin of the step's best
+//! fresh value. It picks what the eager scan picks.
 
 use fairhms_data::Dataset;
 use fairhms_geometry::vecmath::dot;
-use fairhms_lp::hms::point_regret;
 
+use crate::lp_greedy::{lazy_lp_greedy, LpGreedy};
 use crate::types::CoreError;
 
 /// Runs RDP-Greedy for an unconstrained size-`k` HMS.
 pub fn rdp_greedy(data: &Dataset, k: usize) -> Result<Vec<usize>, CoreError> {
+    let mut sel = rdp_greedy_picks(data, k)?.sel;
+    sel.sort_unstable();
+    Ok(sel)
+}
+
+/// RDP-Greedy's picks in pick order, with the LP count.
+pub(crate) fn rdp_greedy_picks(data: &Dataset, k: usize) -> Result<LpGreedy, CoreError> {
+    let n = data.len();
+    if n == 0 {
+        return Err(CoreError::EmptyDataset);
+    }
+    if k == 0 {
+        return Err(CoreError::KZero);
+    }
+    if k > n {
+        return Err(CoreError::KTooLarge { k, n });
+    }
+    // Seed: the best point for the uniform utility (the last one on ties,
+    // as `Iterator::max_by` returns).
+    let dim = data.dim();
+    let uniform = vec![1.0 / dim as f64; dim];
+    let seed = (0..n)
+        .max_by(|&a, &b| dot(data.point(a), &uniform).total_cmp(&dot(data.point(b), &uniform)))
+        .expect("non-empty");
+    Ok(lazy_lp_greedy(data, vec![seed], k, |_, _| true))
+}
+
+/// The eager RDP-Greedy loop — one LP per candidate per pick — kept as
+/// the oracle the lazy loop must match.
+#[cfg(test)]
+pub(crate) fn rdp_greedy_eager(data: &Dataset, k: usize) -> Result<Vec<usize>, CoreError> {
+    use fairhms_lp::hms::point_regret;
+
     let n = data.len();
     if n == 0 {
         return Err(CoreError::EmptyDataset);

@@ -41,6 +41,7 @@ pub mod eval;
 pub mod eval_ext;
 pub mod exact2d_greedy;
 pub mod intcov;
+mod lp_greedy;
 pub mod objective;
 pub mod registry;
 pub mod streaming;

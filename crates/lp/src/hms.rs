@@ -101,6 +101,25 @@ pub fn point_regret(dim: usize, sel: &[f64], p: &[f64]) -> f64 {
     point_regret_with_witness(dim, sel, p).regret
 }
 
+/// `regret({q}, p)` in closed form, without an LP.
+///
+/// Against one point the LP is `min ⟨u,q⟩ s.t. ⟨u,p⟩ = 1, u ≥ 0`, whose
+/// optimum sits at a vertex `u = e_i / p_i` with `p_i > 0`. So
+/// `t* = min_{i: p_i > 0} q_i / p_i` and the regret is `max(0, 1 − t*)`:
+/// the value [`point_regret`] returns for the selection `{q}`, up to float
+/// rounding. Both points must have non-negative coordinates, as every
+/// dataset row has; an all-zero `p` has regret 0 (`t*` is `+∞`).
+pub fn single_point_regret(q: &[f64], p: &[f64]) -> f64 {
+    debug_assert_eq!(q.len(), p.len());
+    let t = q
+        .iter()
+        .zip(p)
+        .filter(|&(_, &pi)| pi > 0.0)
+        .map(|(&qi, &pi)| qi / pi)
+        .fold(f64::INFINITY, f64::min);
+    (1.0 - t).clamp(0.0, 1.0)
+}
+
 /// Maximum regret ratio of the selection over the database:
 /// `mrr(S, D) = max_{p∈D} regret(S, p)`.
 pub fn max_regret_ratio(dim: usize, sel: &[f64], db: &[f64]) -> f64 {

@@ -2,12 +2,26 @@
 
 use proptest::prelude::*;
 
-use fairhms_lp::hms::{point_regret, point_regret_with_witness};
+use fairhms_lp::hms::{point_regret, point_regret_with_witness, single_point_regret};
 use fairhms_lp::{solve, Constraint, LpProblem, Objective, Relation};
 
 /// Random 2D point sets in (0.05, 1]².
 fn points_2d() -> impl Strategy<Value = Vec<(f64, f64)>> {
     prop::collection::vec(((0.05f64..=1.0), (0.05f64..=1.0)), 1..8)
+}
+
+/// A random point in (0.05, 1]^d.
+fn coords(d: usize) -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec(0.05f64..=1.0, d)
+}
+
+/// A random point in [0, 1]^d where each coordinate is zero with
+/// probability 1/3 (so the point may be all-zero).
+fn coords_with_zeros(d: usize) -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec(
+        (0usize..3, 0.05f64..=1.0).prop_map(|(z, x)| if z == 0 { 0.0 } else { x }),
+        d,
+    )
 }
 
 /// Dense scan of `regret(S, p)` over the 2D utility parameter λ.
@@ -58,14 +72,31 @@ proptest! {
     }
 
     #[test]
-    fn regret_monotone_in_selection(sel in points_2d(), extra in ((0.05f64..=1.0), (0.05f64..=1.0)), p in ((0.05f64..=1.0), (0.05f64..=1.0))) {
-        // adding a point can only reduce the regret
-        let flat: Vec<f64> = sel.iter().flat_map(|&(x, y)| [x, y]).collect();
+    fn regret_monotone_in_selection(
+        (d, sel, extra, p) in (2usize..=6).prop_flat_map(|d| (
+            Just(d),
+            prop::collection::vec(coords(d), 1..8),
+            coords(d),
+            coords(d),
+        )),
+    ) {
+        // adding a point can only reduce the regret; the lazy LP greedy
+        // uses an earlier round's value as an upper bound on this
+        let flat: Vec<f64> = sel.concat();
         let mut bigger = flat.clone();
-        bigger.extend_from_slice(&[extra.0, extra.1]);
-        let before = point_regret(2, &flat, &[p.0, p.1]);
-        let after = point_regret(2, &bigger, &[p.0, p.1]);
+        bigger.extend_from_slice(&extra);
+        let before = point_regret(d, &flat, &p);
+        let after = point_regret(d, &bigger, &p);
         prop_assert!(after <= before + 1e-9, "regret grew: {} -> {}", before, after);
+    }
+
+    #[test]
+    fn single_point_closed_form_matches_the_lp(
+        (d, q, p) in (2usize..=6).prop_flat_map(|d| (Just(d), coords_with_zeros(d), coords_with_zeros(d))),
+    ) {
+        let closed = single_point_regret(&q, &p);
+        let lp = point_regret(d, &q, &p);
+        prop_assert!((closed - lp).abs() < 1e-9, "closed form {} vs LP {}", closed, lp);
     }
 
     #[test]

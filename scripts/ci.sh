@@ -38,7 +38,7 @@ cargo check --offline --locked --manifest-path perfbench/Cargo.toml
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> bench smoke (service engine + wire codecs + warm-start + BiGreedy + skyline)"
+echo "==> bench smoke (service engine + wire codecs + warm-start + BiGreedy + skyline + LP greedy)"
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench service
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench protocol
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench warmstart
@@ -48,6 +48,9 @@ FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench 
 # Skyline bench: the k-d-tree group skyline at the 200k registration
 # shape and on duplicate-heavy input; no other step runs it.
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench skyline
+# LP bench: single regret LPs and one lazy F-Greedy solve at the 200k
+# serving pool shape; no other step runs it.
+FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench lp
 
 # Telemetry bench: asserts the warm-hit overhead budget (<1 µs), measures
 # the event front end's idle-connection fan-out (500 idle conns must cost

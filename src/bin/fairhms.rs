@@ -100,7 +100,8 @@ event, its only value, is still accepted) and --workers resident
 threads run the solves, under admission control: --max-conns caps open
 connections and --queue-depth bounds the global solve queue (excess
 load answers ERR busy with retry_after_ms back-off advice); --workers,
---max-conns, --queue-depth and --warm-capacity must each be at least 1.
+--cache, --max-conns, --queue-depth and --warm-capacity must each be at
+least 1.
 `metrics` dumps a running server's telemetry snapshot via the METRICS
 verb. `query` is the matching client: --codec binary negotiates the v2
 length-prefixed framing (answers are bit-identical to text), and --file
@@ -183,7 +184,8 @@ fn num<T: std::str::FromStr>(opts: &Flags, key: &str) -> Result<Option<T>, Strin
 }
 
 /// [`num`] for a `serve` limit that must be at least 1: a zero worker,
-/// connection or queue limit would start a server that never answers.
+/// connection or queue limit would start a server that never answers,
+/// and the answer cache always holds at least one answer.
 fn positive(opts: &Flags, key: &str) -> Result<Option<usize>, String> {
     match num::<usize>(opts, key)? {
         Some(0) => Err(format!("--{key} must be at least 1")),
@@ -324,7 +326,7 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:4077".to_string());
     let workers = positive(opts, "workers")?.unwrap_or(4);
-    let cache: usize = num(opts, "cache")?.unwrap_or(1024);
+    let cache = positive(opts, "cache")?.unwrap_or(1024);
     let mut serve_opts = ServeOptions::default();
     if let Some(n) = positive(opts, "max-conns")? {
         serve_opts.max_conns = n;

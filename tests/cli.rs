@@ -312,7 +312,7 @@ fn helpful_errors() {
 
 #[test]
 fn unknown_flags_are_rejected() {
-    let cases: [(&[&str], &str); 10] = [
+    let cases: [(&[&str], &str); 11] = [
         (
             &["stats", "--input", "v.csv", "--dim", "4", "--bogus", "1"],
             "unknown flag --bogus",
@@ -341,6 +341,12 @@ fn unknown_flags_are_rejected() {
         (
             &["serve", "--data", "v=v.csv", "--workers", "0"],
             "--workers must be at least 1",
+        ),
+        // The answer cache holds at least one answer, so 0 is refused
+        // rather than announced and then not kept.
+        (
+            &["serve", "--data", "v=v.csv", "--cache", "0"],
+            "--cache must be at least 1",
         ),
         (
             &["serve", "--data", "v=v.csv", "--max-conns", "0"],

@@ -1,12 +1,13 @@
-//! Cross-crate exactness checks: IntCov vs brute-force enumeration, the
-//! envelope evaluator vs the LP evaluator, and BiGreedy against the exact
-//! optimum.
+//! Cross-crate exactness checks: IntCov vs brute-force enumeration and vs
+//! the independent greedy interval-cover solver, the envelope evaluator vs
+//! the LP evaluator, and BiGreedy against the exact optimum.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use fairhms::core::bigreedy::{bigreedy, BiGreedyConfig};
 use fairhms::core::eval::{mhr_exact_2d, mhr_exact_lp};
+use fairhms::core::exact2d_greedy::exact2d_greedy;
 use fairhms::core::intcov::intcov;
 use fairhms::core::types::FairHmsInstance;
 use fairhms::data::Dataset;
@@ -92,6 +93,24 @@ fn intcov_matches_brute_force_with_fairness() {
             (sol.mhr.unwrap() - opt).abs() < 1e-7,
             "seed {seed}: intcov {} vs brute {opt}",
             sol.mhr.unwrap()
+        );
+    }
+}
+
+#[test]
+fn intcov_matches_the_interval_cover_solver_unconstrained() {
+    // Larger than brute force reaches: the two exact solvers share only
+    // the geometric primitives, not their decision logic.
+    for seed in 0..12 {
+        let k = 2 + (seed as usize) % 4;
+        let inst = random_2d_instance(200 + seed, 60, 1, k);
+        let ours = intcov(&inst).unwrap();
+        let theirs = exact2d_greedy(inst.data(), k).unwrap();
+        assert!(
+            (ours.mhr.unwrap() - theirs.mhr.unwrap()).abs() < 1e-9,
+            "seed {seed}, k {k}: intcov {} vs interval cover {}",
+            ours.mhr.unwrap(),
+            theirs.mhr.unwrap()
         );
     }
 }
