@@ -17,20 +17,6 @@ use fairhms_geometry::line::Line;
 use fairhms_geometry::vecmath::dot;
 use fairhms_geometry::EPS;
 
-/// Happiness ratio `hr(u, S) = max_{p∈S}⟨u,p⟩ / max_{p∈D}⟨u,p⟩` for one
-/// utility. Returns 1 when the database maximum is 0 (every subset ties).
-pub fn hr_for_utility(data: &Dataset, sel: &[usize], u: &[f64]) -> f64 {
-    let db_max = data.max_dot(u);
-    if db_max <= EPS {
-        return 1.0;
-    }
-    let sel_max = sel
-        .iter()
-        .map(|&i| dot(data.point(i), u))
-        .fold(0.0_f64, f64::max);
-    (sel_max / db_max).clamp(0.0, 1.0)
-}
-
 /// Exact `mhr(S, D)` for 2D data via upper envelopes.
 ///
 /// # Panics
@@ -192,22 +178,5 @@ mod tests {
                 "net estimate too loose: {net} vs {exact}"
             );
         }
-    }
-
-    #[test]
-    fn hr_for_utility_extremes() {
-        let ds = lsac_normalized();
-        // u = (1,0): a5 has the max LSAT, so hr({a5}) = 1.
-        assert!((hr_for_utility(&ds, &[4], &[1.0, 0.0]) - 1.0).abs() < 1e-12);
-        // u = (0,1): a7 has the max GPA.
-        assert!((hr_for_utility(&ds, &[6], &[0.0, 1.0]) - 1.0).abs() < 1e-12);
-        let hr = hr_for_utility(&ds, &[4], &[0.0, 1.0]);
-        assert!(hr < 1.0 && hr > 0.5);
-    }
-
-    #[test]
-    fn zero_database_gives_hr_one() {
-        let ds = Dataset::ungrouped("z", 2, vec![0.0, 0.0, 0.0, 0.0]).unwrap();
-        assert_eq!(hr_for_utility(&ds, &[0], &[1.0, 0.0]), 1.0);
     }
 }

@@ -15,8 +15,6 @@
 //! explicit stack — the recurrence and visit set are identical — and keep
 //! parent pointers for solution reconstruction.
 
-use std::sync::Arc;
-
 use fairhms_data::Dataset;
 use fairhms_geometry::envelope::Envelope;
 use fairhms_geometry::line::Line;
@@ -69,59 +67,6 @@ pub fn intcov(inst: &FairHmsInstance) -> Result<Solution, CoreError> {
     let sel = inst.complete_to_feasible(&partial)?;
     let mhr = mhr_exact_2d(data, &sel);
     Ok(Solution::new(sel, Some(mhr)))
-}
-
-/// The dual problem (α-happiness with minimum tuples, cf. Xie et al., ICDE
-/// 2020, under group fairness): the *smallest* fair selection with
-/// `mhr ≥ alpha`, if one of size at most `max_k` exists.
-///
-/// Runs the fair interval-cover DP once — its layers enumerate solution
-/// sizes in increasing order, so the first cover found is minimum-size —
-/// then pads up to the lower bounds. 2D only. Takes a shared dataset
-/// handle (e.g. [`FairHmsInstance::shared_data`]); the internal budget
-/// instance shares it instead of copying the matrix.
-pub fn intcov_min_size(
-    data: Arc<fairhms_data::Dataset>,
-    lower: Vec<usize>,
-    upper: Vec<usize>,
-    max_k: usize,
-    alpha: f64,
-) -> Result<Option<Solution>, CoreError> {
-    if data.dim() != 2 {
-        return Err(CoreError::Not2D { dim: data.dim() });
-    }
-    // max_k bounds the DP budget; the returned set may be smaller.
-    let inst = FairHmsInstance::new(Arc::clone(&data), max_k, lower, upper)?;
-    let data = inst.data();
-    let lines: Vec<Line> = (0..data.len())
-        .map(|i| Line::from_point(data.point(i)))
-        .collect();
-    let env = Envelope::upper(&lines);
-    match decide(data, inst.matroid(), &env, &lines, alpha.clamp(0.0, 1.0)) {
-        Some(cover) => {
-            // Meet unmet lower bounds without changing the cover.
-            let mut sel = cover;
-            let counts = inst.matroid().counts(&sel);
-            #[allow(clippy::needless_range_loop)]
-            for c in 0..inst.matroid().num_groups() {
-                let mut need = inst.matroid().lower()[c].saturating_sub(counts[c]);
-                for i in 0..data.len() {
-                    if need == 0 {
-                        break;
-                    }
-                    if data.group_of(i) == c && !sel.contains(&i) {
-                        sel.push(i);
-                        need -= 1;
-                    }
-                }
-            }
-            sel.sort_unstable();
-            let mhr = mhr_exact_2d(data, &sel);
-            debug_assert!(mhr >= alpha - 1e-9);
-            Ok(Some(Solution::new(sel, Some(mhr))))
-        }
-        None => Ok(None),
-    }
 }
 
 /// The fair interval-cover decision (Algorithm 2): returns point indices
@@ -366,56 +311,6 @@ mod tests {
             fairhms_data::Dataset::ungrouped("3d", 3, vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0]).unwrap();
         let inst = FairHmsInstance::unconstrained(ds, 1).unwrap();
         assert_eq!(intcov(&inst).unwrap_err(), CoreError::Not2D { dim: 3 });
-    }
-
-    #[test]
-    fn min_size_dual_matches_primal() {
-        // If FairHMS at size k reaches mhr*, the dual at α = mhr* must find
-        // a cover of at most k points — and a binary cross-check: the dual
-        // at a slightly larger α must need more points or be infeasible.
-        let inst = lsac_instance(3, Some((1, 2)));
-        let primal = intcov(&inst).unwrap();
-        let alpha = primal.mhr.unwrap();
-        let dual = intcov_min_size(
-            inst.shared_data(),
-            inst.matroid().lower().to_vec(),
-            inst.matroid().upper().to_vec(),
-            3,
-            alpha - 1e-9,
-        )
-        .unwrap()
-        .expect("dual must be feasible at the primal optimum");
-        assert!(dual.len() <= 3);
-        assert!(dual.mhr.unwrap() >= alpha - 1e-9);
-    }
-
-    #[test]
-    fn min_size_dual_reports_infeasible_targets() {
-        let inst = lsac_instance(2, Some((1, 1)));
-        let ds = inst.shared_data();
-        // α above the k=2 fair optimum (0.9834) but with max_k = 2: no cover.
-        let none = intcov_min_size(Arc::clone(&ds), vec![1, 1], vec![1, 1], 2, 0.999).unwrap();
-        assert!(none.is_none());
-        // trivial α: a single point plus lower-bound padding suffices
-        let some = intcov_min_size(ds, vec![1, 1], vec![2, 2], 4, 0.1)
-            .unwrap()
-            .expect("low α always feasible");
-        assert!(some.len() <= 4);
-        assert!(some.mhr.unwrap() >= 0.1);
-    }
-
-    #[test]
-    fn min_size_dual_monotone_in_alpha() {
-        let inst = lsac_instance(4, Some((1, 3)));
-        let ds = inst.shared_data();
-        let mut prev = 0usize;
-        for alpha in [0.5, 0.9, 0.98, 0.9833] {
-            let sol = intcov_min_size(Arc::clone(&ds), vec![1, 1], vec![4, 4], 5, alpha)
-                .unwrap()
-                .unwrap_or_else(|| panic!("α = {alpha} should be feasible"));
-            assert!(sol.len() >= prev, "α = {alpha}: size decreased");
-            prev = sol.len();
-        }
     }
 
     #[test]

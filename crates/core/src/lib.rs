@@ -38,8 +38,6 @@ pub mod candidates2d;
 #[cfg(test)]
 mod edge_tests;
 pub mod eval;
-pub mod eval_ext;
-pub mod exact2d_greedy;
 pub mod intcov;
 mod lp_greedy;
 pub mod objective;
@@ -49,7 +47,7 @@ pub mod types;
 
 pub use adaptive::{bigreedy_plus, BiGreedyPlusConfig};
 pub use bigreedy::{bigreedy, BiGreedyConfig, BiGreedyMode, CachedDbMax, SampledNet, TauSearch};
-pub use intcov::{intcov, intcov_min_size};
+pub use intcov::intcov;
 pub use registry::WarmStart;
 pub use streaming::{streaming_fairhms, StreamingFairHmsConfig};
 pub use types::{CoreError, FairHmsInstance, Solution};

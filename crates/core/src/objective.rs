@@ -109,11 +109,6 @@ impl<'a> TruncatedMhrObjective<'a> {
         }
     }
 
-    /// The cap `τ`.
-    pub fn tau(&self) -> f64 {
-        self.tau
-    }
-
     /// Re-caps the objective without recomputing the score cache.
     pub fn set_tau(&mut self, tau: f64) {
         self.tau = tau;
@@ -427,7 +422,7 @@ mod tests {
                 prop_assert_eq!(
                     obj.gain(&st, item).to_bits(),
                     gain_oracle(&obj, &st, item).to_bits(),
-                    "item {} τ {}", item, obj.tau()
+                    "item {} τ {}", item, tau
                 );
             }
         }

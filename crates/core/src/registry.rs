@@ -54,11 +54,6 @@ impl WarmStart {
         Self::default()
     }
 
-    /// A context seeded with a previously deposited net (if any).
-    pub fn with_net(net: Option<Arc<SampledNet>>) -> Self {
-        Self::with_components(net, None)
-    }
-
     /// A context seeded with previously deposited components (any subset).
     pub fn with_components(net: Option<Arc<SampledNet>>, db_max: Option<Arc<CachedDbMax>>) -> Self {
         Self {
@@ -752,7 +747,7 @@ mod tests {
         assert_eq!(ctx.net().unwrap().seed, 7);
 
         // Seeding a context from a cached net short-circuits generation.
-        let seeded = WarmStart::with_net(Some(std::sync::Arc::clone(&a)));
+        let seeded = WarmStart::with_components(Some(std::sync::Arc::clone(&a)), None);
         let d = seeded.net_for(3, 60, 42);
         assert!(std::sync::Arc::ptr_eq(&a, &d));
         assert!(seeded.net_was_reused());

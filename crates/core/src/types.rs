@@ -224,12 +224,6 @@ impl FairHmsInstance {
         &self.data
     }
 
-    /// A shared handle to the dataset (a refcount bump, never a copy) —
-    /// for building derived instances over the same data.
-    pub fn shared_data(&self) -> Arc<Dataset> {
-        Arc::clone(&self.data)
-    }
-
     /// Solution size `k`.
     pub fn k(&self) -> usize {
         self.k
@@ -378,11 +372,6 @@ impl CandidateSet {
         self.data.is_empty()
     }
 
-    /// True when the candidate set is the full dataset (identity map).
-    pub fn is_full(&self) -> bool {
-        self.row_map.is_none()
-    }
-
     /// Translates candidate-local row ids to original row ids, sorted
     /// ascending — the form answers are reported in.
     pub fn to_original(&self, local: &[usize]) -> Vec<usize> {
@@ -470,12 +459,10 @@ mod tests {
         // Restrict to rows 1 and 3 (one per group).
         let cand = CandidateSet::restrict(&d, &[1, 3]);
         assert_eq!(cand.len(), 2);
-        assert!(!cand.is_full());
         assert_eq!(cand.data().point(0), &[0.0, 1.0]);
         assert_eq!(cand.to_original(&[1, 0]), vec![1, 3]);
 
         let full = CandidateSet::full(Arc::new(four_points()));
-        assert!(full.is_full());
         assert_eq!(full.to_original(&[2, 0]), vec![0, 2]);
 
         // A reduced set built from parts shares — never copies — the
@@ -573,7 +560,6 @@ mod tests {
         // allocation — never point-matrix copies.
         assert!(std::ptr::eq(a.data(), &*d));
         assert!(std::ptr::eq(b.data(), &*d));
-        assert!(Arc::ptr_eq(&a.shared_data(), &d));
         assert_eq!(fairhms_data::deep_clone_count(), before);
     }
 

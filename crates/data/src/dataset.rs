@@ -11,8 +11,8 @@ use fairhms_geometry::soa::SoaMatrix;
 /// The serving stack shares prepared datasets through `Arc<Dataset>`, so a
 /// query must never deep-copy the point matrix; this counter is the probe
 /// the zero-copy regression tests assert on. Derived datasets built by
-/// [`Dataset::subset`] / [`Dataset::project`] are *not* counted — they are
-/// new (usually smaller) datasets, not copies of an existing one.
+/// [`Dataset::subset`] are *not* counted — they are new (usually smaller)
+/// datasets, not copies of an existing one.
 static DEEP_CLONES: AtomicUsize = AtomicUsize::new(0);
 
 /// Number of [`Dataset`] deep copies performed by this process so far.
@@ -401,25 +401,6 @@ impl Dataset {
             soa: OnceLock::new(),
         })
     }
-
-    /// A copy of this dataset restricted to the first `dim_keep` attributes.
-    pub fn project(&self, dim_keep: usize) -> Dataset {
-        assert!(dim_keep >= 1 && dim_keep <= self.dim);
-        let mut points = Vec::with_capacity(self.len() * dim_keep);
-        for p in self.points.chunks_exact(self.dim) {
-            points.extend_from_slice(&p[..dim_keep]);
-        }
-        Dataset {
-            name: self.name.clone(),
-            dim: dim_keep,
-            points,
-            // same rows, same labels: share the allocation
-            groups: Arc::clone(&self.groups),
-            num_groups: self.num_groups,
-            group_names: self.group_names.clone(),
-            soa: OnceLock::new(),
-        }
-    }
 }
 
 /// A numeric table carrying several categorical attributes, from which
@@ -531,7 +512,6 @@ mod tests {
         // Derivations are new datasets, not copies — not counted.
         let mid = deep_clone_count();
         let _sub = d.subset(&[0, 1]);
-        let _proj = d.project(1);
         assert_eq!(deep_clone_count(), mid);
     }
 
@@ -617,14 +597,6 @@ mod tests {
         assert_eq!(s.point(0), &[1.0, 1.0]);
         assert_eq!(s.group_of(0), 0);
         assert_eq!(s.num_groups(), 2);
-    }
-
-    #[test]
-    fn project_keeps_prefix_attributes() {
-        let d = tiny();
-        let p = d.project(1);
-        assert_eq!(p.dim(), 1);
-        assert_eq!(p.point(1), &[0.0]);
     }
 
     #[test]

@@ -346,7 +346,7 @@ mod tests {
         // skyline — the effect Figure 3 relies on.
         let mut ds = adult(1).dataset(&["gender"]).unwrap();
         ds.normalize();
-        let sky = crate::skyline::skyline_indices(&ds);
+        let sky = crate::skyline::skyline_of(ds.points_flat(), ds.dim());
         let male = ds.group_names().iter().position(|s| s == "male").unwrap();
         let male_share =
             sky.iter().filter(|&&i| ds.group_of(i) == male).count() as f64 / sky.len() as f64;

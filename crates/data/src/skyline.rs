@@ -310,11 +310,6 @@ fn skyline_2d(points: &[f64]) -> Vec<usize> {
     out
 }
 
-/// Skyline of a [`Dataset`] (global, ignoring groups).
-pub fn skyline_indices(data: &Dataset) -> Vec<usize> {
-    skyline_of(data.points_flat(), data.dim())
-}
-
 /// Union of per-group skylines, sorted ascending — the standard FairHMS
 /// preprocessing (a group's best points must stay available even when
 /// globally dominated).
@@ -476,7 +471,7 @@ mod tests {
             0.3, 0.2, // g2, dominated, but best of its group
         ];
         let d = Dataset::new("g", 2, pts, vec![0, 0, 1, 1, 2], vec![]).unwrap();
-        let global = skyline_indices(&d);
+        let global = skyline_of(d.points_flat(), d.dim());
         assert_eq!(global, vec![0, 1, 2]);
         let grouped = group_skyline_indices(&d);
         assert_eq!(grouped, vec![0, 1, 2, 4]);
@@ -486,7 +481,7 @@ mod tests {
     #[test]
     fn empty_dataset_skyline() {
         let d = Dataset::ungrouped("e", 2, vec![]).unwrap();
-        assert!(skyline_indices(&d).is_empty());
+        assert!(skyline_of(d.points_flat(), d.dim()).is_empty());
         assert!(group_skyline_indices(&d).is_empty());
     }
 }

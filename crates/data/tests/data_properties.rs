@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use fairhms_data::dataset::Dataset;
 use fairhms_data::gen::groups_by_sum;
-use fairhms_data::skyline::{dominates, group_skyline_indices, skyline_indices, skyline_of};
+use fairhms_data::skyline::{dominates, group_skyline_indices, skyline_of};
 
 fn flat_points(d: usize, max_n: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.0f64..=1.0, d..=d * max_n).prop_map(move |mut v| {
@@ -80,7 +80,7 @@ proptest! {
         let raw = Dataset::ungrouped("raw", 3, points.clone()).unwrap();
         let mut norm = raw.clone();
         norm.normalize();
-        prop_assert_eq!(skyline_indices(&raw), skyline_indices(&norm));
+        prop_assert_eq!(skyline_of(raw.points_flat(), raw.dim()), skyline_of(norm.points_flat(), norm.dim()));
     }
 
     #[test]
@@ -89,7 +89,7 @@ proptest! {
         let n = points.len() / 4;
         let groups: Vec<usize> = (0..n).map(|i| i % c).collect();
         let ds = Dataset::new("g", 4, points, groups, (0..c).map(|g| format!("g{g}")).collect()).unwrap();
-        let global = skyline_indices(&ds);
+        let global = skyline_of(ds.points_flat(), ds.dim());
         let union = group_skyline_indices(&ds);
         for g in &global {
             prop_assert!(union.binary_search(g).is_ok());

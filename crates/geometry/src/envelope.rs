@@ -20,8 +20,6 @@ use crate::EPS;
 pub struct Segment {
     /// The line attaining the maximum on this piece.
     pub line: Line,
-    /// Index of the line in the input slice passed to [`Envelope::upper`].
-    pub id: usize,
     /// Left end of the piece (inclusive).
     pub from: f64,
     /// Right end of the piece (inclusive).
@@ -46,7 +44,7 @@ impl Envelope {
     /// let env = Envelope::upper(&lines);
     /// assert_eq!(env.eval(0.0), 1.0);
     /// assert_eq!(env.eval(0.5), 0.5);
-    /// assert_eq!(env.support(), vec![1, 0]); // (0,1) wins on the left
+    /// assert_eq!(env.segments()[0].line, lines[1]); // (0,1) wins on the left
     /// ```
     ///
     /// # Panics
@@ -122,7 +120,6 @@ impl Envelope {
             if to > from + EPS || (i + 1 == stack.len() && segments.is_empty()) {
                 segments.push(Segment {
                     line: lines[id],
-                    id,
                     from,
                     to,
                 });
@@ -160,13 +157,6 @@ impl Envelope {
             .partition_point(|s| s.to < lambda)
             .min(self.segments.len() - 1);
         &self.segments[idx]
-    }
-
-    /// Indices (into the original line slice) of the lines that appear on
-    /// the envelope — in 2D HMS terms, the points that are optimal for some
-    /// utility.
-    pub fn support(&self) -> Vec<usize> {
-        self.segments.iter().map(|s| s.id).collect()
     }
 
     /// The interval of `λ` where `line` lies on or above `τ ×` envelope,
@@ -235,8 +225,8 @@ mod tests {
         let env = env_of(&[[1.0, 0.0], [0.0, 1.0]]);
         assert_eq!(env.segments().len(), 2);
         // At λ=0 the second point (line 1) wins; at λ=1 the first.
-        assert_eq!(env.segments()[0].id, 1);
-        assert_eq!(env.segments()[1].id, 0);
+        assert_eq!(env.segments()[0].line, Line::from_point(&[0.0, 1.0]));
+        assert_eq!(env.segments()[1].line, Line::from_point(&[1.0, 0.0]));
         assert!((env.eval(0.0) - 1.0).abs() < 1e-12);
         assert!((env.eval(0.5) - 0.5).abs() < 1e-12);
         assert!((env.eval(1.0) - 1.0).abs() < 1e-12);
@@ -245,7 +235,8 @@ mod tests {
     #[test]
     fn dominated_line_not_on_envelope() {
         let env = env_of(&[[1.0, 0.0], [0.0, 1.0], [0.3, 0.3]]);
-        assert!(!env.support().contains(&2));
+        let dominated = Line::from_point(&[0.3, 0.3]);
+        assert!(env.segments().iter().all(|s| s.line != dominated));
     }
 
     #[test]
@@ -277,7 +268,8 @@ mod tests {
     #[test]
     fn equal_slope_keeps_higher_intercept() {
         let env = env_of(&[[0.5, 0.2], [0.9, 0.6]]); // both slope 0.3
-        assert_eq!(env.support(), vec![1]);
+        assert_eq!(env.segments().len(), 1);
+        assert_eq!(env.segments()[0].line, Line::from_point(&[0.9, 0.6]));
     }
 
     #[test]
@@ -345,7 +337,7 @@ mod tests {
         let env = env_of(&[[1.0, 0.0], [0.0, 1.0]]);
         let s = env.segment_at(0.5);
         assert!(s.from <= 0.5 && 0.5 <= s.to);
-        assert_eq!(env.segment_at(0.0).id, 1);
-        assert_eq!(env.segment_at(1.0).id, 0);
+        assert_eq!(env.segment_at(0.0).line, Line::from_point(&[0.0, 1.0]));
+        assert_eq!(env.segment_at(1.0).line, Line::from_point(&[1.0, 0.0]));
     }
 }

@@ -6,9 +6,7 @@
 //! module provides the direction sets: the canonical basis plus a
 //! deterministic low-discrepancy cover of `S^{d−1}_+`.
 
-use rand::Rng;
-
-use crate::sphere::{sample_unit_nonneg, simplex_grid};
+use crate::sphere::simplex_grid;
 
 /// The `d` canonical basis directions `e_1, …, e_d`.
 pub fn basis_directions(d: usize) -> Vec<Vec<f64>> {
@@ -41,20 +39,9 @@ pub fn cover_directions(d: usize, count: usize) -> Vec<Vec<f64>> {
     }
 }
 
-/// A randomized direction set: basis vectors plus uniform samples.
-pub fn random_directions<R: Rng + ?Sized>(d: usize, count: usize, rng: &mut R) -> Vec<Vec<f64>> {
-    let mut dirs = basis_directions(d);
-    while dirs.len() < count {
-        dirs.push(sample_unit_nonneg(d, rng));
-    }
-    dirs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn basis_directions_are_standard() {
@@ -87,15 +74,5 @@ mod tests {
     fn cover_directions_small_count_returns_basis() {
         let d = cover_directions(5, 3);
         assert_eq!(d.len(), 5); // never fewer than the basis
-    }
-
-    #[test]
-    fn random_directions_deterministic_with_seed() {
-        let mut r1 = StdRng::seed_from_u64(11);
-        let mut r2 = StdRng::seed_from_u64(11);
-        assert_eq!(
-            random_directions(3, 10, &mut r1),
-            random_directions(3, 10, &mut r2)
-        );
     }
 }

@@ -11,8 +11,6 @@
 //!   `λ ↦ p[2] + (p[1] − p[2])λ`, the database maximum is the upper
 //!   envelope, and the `τ`-envelope decides which utilities a point keeps
 //!   happy.
-//! * [`hull2d`] — monotone-chain convex hulls, used to extract the points
-//!   that are optimal for at least one linear utility.
 //! * [`sphere`] — uniform sampling on the nonnegative unit sphere
 //!   `S^{d−1}_+` and `δ`-net construction (Section 4.1 of the paper).
 //! * [`kernel`] — ε-kernel style direction sets used by the `Sphere`
@@ -26,7 +24,6 @@
 //! tie-breaking rules documented on each function.
 
 pub mod envelope;
-pub mod hull2d;
 pub mod kernel;
 pub mod line;
 pub mod soa;
@@ -42,36 +39,3 @@ pub use line::Line;
 /// is appropriate: all envelope intersections, happiness ratios, and LP
 /// reduced costs live in `O(1)` magnitude.
 pub const EPS: f64 = 1e-9;
-
-/// Returns `true` if `a` and `b` are equal within [`EPS`].
-#[inline]
-pub fn approx_eq(a: f64, b: f64) -> bool {
-    (a - b).abs() <= EPS
-}
-
-/// Returns `true` if `a ≥ b − EPS`, i.e. `a` is at least `b` up to tolerance.
-#[inline]
-pub fn approx_ge(a: f64, b: f64) -> bool {
-    a >= b - EPS
-}
-
-/// Returns `true` if `a ≤ b + EPS`.
-#[inline]
-pub fn approx_le(a: f64, b: f64) -> bool {
-    a <= b + EPS
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn approx_helpers_agree_on_boundaries() {
-        assert!(approx_eq(1.0, 1.0 + EPS / 2.0));
-        assert!(!approx_eq(1.0, 1.0 + 10.0 * EPS));
-        assert!(approx_ge(1.0, 1.0 + EPS / 2.0));
-        assert!(approx_le(1.0, 1.0 - EPS / 2.0));
-        assert!(!approx_ge(0.0, 1.0));
-        assert!(!approx_le(1.0, 0.0));
-    }
-}

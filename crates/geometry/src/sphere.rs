@@ -128,25 +128,24 @@ pub fn simplex_grid(d: usize, steps: usize) -> Vec<Vec<f64>> {
     out
 }
 
-/// The covering angle of `net` measured against `probes`: the maximum over
-/// probes of the minimum angular distance to a net vector. Test/diagnostic
-/// helper for validating δ-net quality.
-pub fn covering_angle(net: &[Vec<f64>], probes: &[Vec<f64>]) -> f64 {
-    probes
-        .iter()
-        .map(|u| {
-            net.iter()
-                .map(|v| crate::vecmath::dot(u, v).clamp(-1.0, 1.0).acos())
-                .fold(f64::INFINITY, f64::min)
-        })
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The covering angle of `net` measured against `probes`: the maximum over
+    /// probes of the minimum angular distance to a net vector.
+    pub fn covering_angle(net: &[Vec<f64>], probes: &[Vec<f64>]) -> f64 {
+        probes
+            .iter()
+            .map(|u| {
+                net.iter()
+                    .map(|v| crate::vecmath::dot(u, v).clamp(-1.0, 1.0).acos())
+                    .fold(f64::INFINITY, f64::min)
+            })
+            .fold(0.0, f64::max)
+    }
 
     #[test]
     fn samples_are_unit_and_nonnegative() {

@@ -21,12 +21,6 @@ pub fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// `l1` norm (sum of absolute values).
-#[inline]
-pub fn norm1(a: &[f64]) -> f64 {
-    a.iter().map(|x| x.abs()).sum()
-}
-
 /// Rescales `a` in place to unit `l2` norm. Zero vectors are left unchanged.
 pub fn normalize2(a: &mut [f64]) {
     let n = norm2(a);
@@ -35,33 +29,6 @@ pub fn normalize2(a: &mut [f64]) {
             *x /= n;
         }
     }
-}
-
-/// Rescales `a` in place to unit `l1` norm. Zero vectors are left unchanged.
-pub fn normalize1(a: &mut [f64]) {
-    let n = norm1(a);
-    if n > 0.0 {
-        for x in a.iter_mut() {
-            *x /= n;
-        }
-    }
-}
-
-/// Returns the index and value of the maximum of `iter` by `f64` value,
-/// breaking ties towards the smaller index. Returns `None` on an empty
-/// iterator or if all values are NaN.
-pub fn argmax<I: IntoIterator<Item = f64>>(iter: I) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, v) in iter.into_iter().enumerate() {
-        if v.is_nan() {
-            continue;
-        }
-        match best {
-            Some((_, bv)) if v <= bv => {}
-            _ => best = Some((i, v)),
-        }
-    }
-    best
 }
 
 /// The maximum utility `max_{p ∈ points} ⟨u, p⟩` over a point set stored
@@ -91,7 +58,6 @@ mod tests {
         let b = [2.0, 0.0, 1.0];
         assert_eq!(dot(&a, &b), 4.0);
         assert_eq!(norm2(&a), 3.0);
-        assert_eq!(norm1(&a), 5.0);
     }
 
     #[test]
@@ -99,9 +65,6 @@ mod tests {
         let mut a = [3.0, 4.0];
         normalize2(&mut a);
         assert!((norm2(&a) - 1.0).abs() < 1e-12);
-        let mut b = [3.0, 1.0];
-        normalize1(&mut b);
-        assert!((norm1(&b) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -109,15 +72,6 @@ mod tests {
         let mut a = [0.0, 0.0];
         normalize2(&mut a);
         assert_eq!(a, [0.0, 0.0]);
-        normalize1(&mut a);
-        assert_eq!(a, [0.0, 0.0]);
-    }
-
-    #[test]
-    fn argmax_breaks_ties_to_first() {
-        assert_eq!(argmax([1.0, 3.0, 3.0, 2.0]), Some((1, 3.0)));
-        assert_eq!(argmax(std::iter::empty()), None);
-        assert_eq!(argmax([f64::NAN, 2.0]), Some((1, 2.0)));
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! Property tests for envelopes, hulls, and sphere sampling.
+//! Property tests for envelopes and sphere sampling.
 
 use proptest::prelude::*;
 
 use fairhms_geometry::envelope::Envelope;
-use fairhms_geometry::hull2d::{convex_hull, maxima_chain};
 use fairhms_geometry::line::Line;
 use fairhms_geometry::sphere::{sample_unit_nonneg, simplex_grid};
-use fairhms_geometry::vecmath::dot;
 
 fn points_2d() -> impl Strategy<Value = Vec<[f64; 2]>> {
     prop::collection::vec((0.0f64..=1.0, 0.0f64..=1.0), 2..30)
@@ -56,41 +54,6 @@ proptest! {
                     prop_assert!(l.eval(x) < tau * env.eval(x) + 1e-6);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn hull_contains_all_extremes(points in points_2d()) {
-        let hull = convex_hull(&points);
-        prop_assert!(!hull.is_empty());
-        // argmax of any of a few directions must be on the hull
-        for dir in [[1.0, 0.0], [0.0, 1.0], [0.7, 0.3], [-1.0, 0.2]] {
-            let best = (0..points.len())
-                .max_by(|&a, &b| {
-                    dot(&points[a], &dir).total_cmp(&dot(&points[b], &dir))
-                })
-                .unwrap();
-            let best_val = dot(&points[best], &dir);
-            // some hull vertex achieves the same value (ties allowed)
-            prop_assert!(hull.iter().any(|&h| (dot(&points[h], &dir) - best_val).abs() < 1e-9));
-        }
-    }
-
-    #[test]
-    fn maxima_chain_covers_nonneg_optima(points in points_2d()) {
-        let chain = maxima_chain(&points);
-        prop_assert!(!chain.is_empty());
-        for i in 0..=10 {
-            let l = i as f64 / 10.0;
-            let u = [l, 1.0 - l];
-            let best = (0..points.len())
-                .map(|j| dot(&points[j], &u))
-                .fold(f64::MIN, f64::max);
-            let on_chain = chain
-                .iter()
-                .map(|&j| dot(&points[j], &u))
-                .fold(f64::MIN, f64::max);
-            prop_assert!((best - on_chain).abs() < 1e-9, "λ = {}", l);
         }
     }
 

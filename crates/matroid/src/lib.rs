@@ -13,19 +13,17 @@
 //! of this matroid, and every independent set extends to such a base — the
 //! properties the greedy algorithms in `fairhms-submodular` rely on.
 //!
-//! Besides the [`FairnessMatroid`], the crate provides the classic
-//! [`UniformMatroid`] and [`PartitionMatroid`] plus the [`Matroid`] trait
-//! with an incremental oracle used by the greedy loops.
+//! Besides the [`FairnessMatroid`], the crate provides the [`Matroid`]
+//! trait with the incremental oracle the greedy loops use. The classic
+//! uniform and partition matroids are special cases: one group with
+//! `l = 0, h = k` is `U_{k,n}`, and `l = 0` with `k = Σ_c min(h_c, |D_c|)`
+//! is the partition matroid with capacities `h`.
 
 pub mod fairness;
-pub mod partition;
-pub mod uniform;
 
 pub use fairness::{
     balanced_bounds, proportional_bounds, FairnessError, FairnessMatroid, PreparedBounds,
 };
-pub use partition::PartitionMatroid;
-pub use uniform::UniformMatroid;
 
 /// A matroid over the ground set `0..ground_size()`.
 ///

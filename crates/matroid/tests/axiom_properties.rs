@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use fairhms_matroid::{verify_axioms, FairnessMatroid, Matroid, PartitionMatroid, UniformMatroid};
+use fairhms_matroid::{verify_axioms, FairnessMatroid, Matroid};
 
 /// Random ground set of ≤ 8 elements over ≤ 3 groups with valid bounds.
 fn instance_strategy() -> impl Strategy<Value = (Vec<usize>, Vec<usize>, Vec<usize>, usize)> {
@@ -95,9 +95,27 @@ proptest! {
 
     #[test]
     fn uniform_and_partition_axioms(n in 2usize..=7, k in 0usize..=4, caps in prop::collection::vec(0usize..=2, 1..=3)) {
-        verify_axioms(&UniformMatroid::new(n, k)).unwrap();
+        // One group with l = 0, h = k is the uniform matroid U_{k,n}.
+        let k = k.min(n);
+        let uniform = FairnessMatroid::new(vec![0; n], vec![0], vec![k], k).unwrap();
+        verify_axioms(&uniform).unwrap();
+        // l = 0 with k = Σ_c min(h_c, |D_c|) is the partition matroid with
+        // capacities h.
         let c = caps.len();
         let groups: Vec<usize> = (0..n).map(|i| i % c).collect();
-        verify_axioms(&PartitionMatroid::new(groups, caps)).unwrap();
+        let mut sizes = vec![0usize; c];
+        for &g in &groups {
+            sizes[g] += 1;
+        }
+        let budget = caps.iter().zip(&sizes).map(|(&h, &s)| h.min(s)).sum();
+        let partition = FairnessMatroid::new(groups.clone(), vec![0; c], caps.clone(), budget).unwrap();
+        verify_axioms(&partition).unwrap();
+        for mask in 0u32..(1 << n) {
+            let items: Vec<usize> = (0..n).filter(|&i| mask >> i & 1 == 1).collect();
+            prop_assert_eq!(uniform.is_independent(&items), items.len() <= k);
+            let counts = partition.counts(&items);
+            let within_caps = counts.iter().zip(&caps).all(|(&cnt, &h)| cnt <= h);
+            prop_assert_eq!(partition.is_independent(&items), within_caps);
+        }
     }
 }

@@ -7,8 +7,8 @@
 //!   scope-bound increments (active connections, in-flight streams).
 //! - [`Histogram`] — a fixed-size, log-bucketed latency histogram with
 //!   atomic buckets. Recording is one atomic add per observation (plus a
-//!   `fetch_max`), merging is bucket-wise addition (exact), and quantile
-//!   extraction carries a documented relative-error bound (see below).
+//!   `fetch_max`), and quantile extraction carries a documented
+//!   relative-error bound (see below).
 //! - [`Recorder`] / [`SpanTimer`] — a lightweight span API. When the
 //!   recorder is disabled a span is a no-op that never reads the clock,
 //!   so the disabled cost is a single branch.
@@ -54,10 +54,6 @@ pub const SUB_BUCKETS: usize = 1 << SUB_BITS;
 /// Total bucket count: 32 exact low buckets + 59 octaves (`e = 5..=63`)
 /// × 32 sub-buckets.
 pub const NUM_BUCKETS: usize = SUB_BUCKETS + (64 - SUB_BITS as usize) * SUB_BUCKETS;
-/// Worst-case relative error of a quantile estimate (midpoint rule)
-/// against the true observation: half a bucket width over the bucket's
-/// lower bound, i.e. `1 / 2^(SUB_BITS + 1)`.
-pub const QUANTILE_REL_ERROR: f64 = 1.0 / (1 << (SUB_BITS + 1)) as f64;
 
 /// A monotonically increasing event counter.
 #[derive(Debug, Default)]
@@ -72,14 +68,14 @@ impl Counter {
     /// Adds one.
     #[inline]
     pub fn inc(&self) {
-        // ordering: independent monotonic cell; merges/readers tolerate staleness.
+        // ordering: independent monotonic cell; readers tolerate staleness.
         self.0.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        // ordering: independent monotonic cell; merges/readers tolerate staleness.
+        // ordering: independent monotonic cell; readers tolerate staleness.
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -104,7 +100,7 @@ impl Gauge {
     /// Raises the level by one.
     #[inline]
     pub fn inc(&self) {
-        // ordering: independent monotonic cell; merges/readers tolerate staleness.
+        // ordering: independent monotonic cell; readers tolerate staleness.
         self.0.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -125,26 +121,17 @@ impl Gauge {
     /// Raises the level for the lifetime of the returned guard.
     pub fn guard(&self) -> GaugeGuard<'_> {
         self.inc();
-        GaugeGuard(Some(self))
+        GaugeGuard(self)
     }
 }
 
 /// RAII handle from [`Gauge::guard`]; lowers the gauge on drop.
 #[derive(Debug)]
-pub struct GaugeGuard<'a>(Option<&'a Gauge>);
+pub struct GaugeGuard<'a>(&'a Gauge);
 
 impl Drop for GaugeGuard<'_> {
     fn drop(&mut self) {
-        if let Some(g) = self.0 {
-            g.dec();
-        }
-    }
-}
-
-impl GaugeGuard<'_> {
-    /// A guard that tracks nothing (disabled telemetry).
-    pub const fn disabled() -> Self {
-        GaugeGuard(None)
+        self.0.dec();
     }
 }
 
@@ -190,7 +177,7 @@ fn bucket_midpoint(idx: usize) -> u64 {
     bucket_lower(idx) + bucket_width(idx) / 2
 }
 
-/// A fixed-size, mergeable, lock-free latency histogram.
+/// A fixed-size, lock-free latency histogram.
 ///
 /// All mutation is relaxed atomics; `record` is wait-free. See the crate
 /// docs for the bucketing scheme and the error bound.
@@ -237,11 +224,11 @@ impl Histogram {
     /// Records one observation.
     #[inline]
     pub fn record(&self, v: u64) {
-        // ordering: independent monotonic cell; merges/readers tolerate staleness.
+        // ordering: independent monotonic cell; readers tolerate staleness.
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        // ordering: independent monotonic cell; merges/readers tolerate staleness.
+        // ordering: independent monotonic cell; readers tolerate staleness.
         self.count.fetch_add(1, Ordering::Relaxed);
-        // ordering: independent monotonic cell; merges/readers tolerate staleness.
+        // ordering: independent monotonic cell; readers tolerate staleness.
         self.sum.fetch_add(v, Ordering::Relaxed);
         // ordering: running max cell; no cross-variable ordering needed.
         self.max.fetch_max(v, Ordering::Relaxed);
@@ -263,29 +250,6 @@ impl Histogram {
     pub fn max(&self) -> u64 {
         // ordering: stat read; snapshots tolerate torn cross-bucket views.
         self.max.load(Ordering::Relaxed)
-    }
-
-    /// Adds every observation recorded in `other` into `self`.
-    /// Bucket-wise addition, so merging is exact: `merge(a, b)` holds the
-    /// same distribution as recording the union of both input streams.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
-            // ordering: stat read; snapshots tolerate torn cross-bucket views.
-            let n = src.load(Ordering::Relaxed);
-            if n != 0 {
-                // ordering: independent monotonic cell; merges/readers tolerate staleness.
-                dst.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            // ordering: independent monotonic cell; merges/readers tolerate staleness.
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            // ordering: independent monotonic cell; merges/readers tolerate staleness.
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            // ordering: running max cell; no cross-variable ordering needed.
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// Takes a point-in-time copy for quantile extraction and export.
@@ -350,8 +314,8 @@ impl HistogramSnapshot {
     /// bucket holding the rank-`ceil(q * count)` observation, clamped to
     /// the exact recorded maximum. Returns 0 for an empty snapshot.
     ///
-    /// Relative error vs. the true order statistic is bounded by
-    /// [`QUANTILE_REL_ERROR`] (half a bucket width).
+    /// Relative error vs. the true order statistic is bounded by half a
+    /// bucket width over the bucket's lower bound, `1 / 2^(SUB_BITS + 1)`.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -396,7 +360,7 @@ impl Recorder {
         Recorder { enabled: true }
     }
 
-    /// A recorder whose spans and guards are no-ops.
+    /// A recorder whose spans are no-ops.
     pub const fn disabled() -> Self {
         Recorder { enabled: false }
     }
@@ -419,17 +383,6 @@ impl Recorder {
             SpanTimer(None)
         }
     }
-
-    /// Raises `gauge` for the guard's lifetime when enabled; otherwise a
-    /// no-op guard.
-    #[inline]
-    pub fn gauge_guard<'a>(&self, gauge: &'a Gauge) -> GaugeGuard<'a> {
-        if self.enabled {
-            gauge.guard()
-        } else {
-            GaugeGuard::disabled()
-        }
-    }
 }
 
 /// RAII span: records elapsed nanoseconds into its histogram on drop.
@@ -437,16 +390,6 @@ impl Recorder {
 pub struct SpanTimer<'a>(Option<(&'a Histogram, Instant)>);
 
 impl SpanTimer<'_> {
-    /// A span that records nothing.
-    pub const fn noop() -> Self {
-        SpanTimer(None)
-    }
-
-    /// Whether this span is live (telemetry enabled at creation).
-    pub fn is_recording(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Ends the span now, returning the recorded nanoseconds (None when
     /// the span was disabled).
     pub fn stop(mut self) -> Option<u64> {
@@ -564,18 +507,6 @@ pub mod json {
             format!("{{{}}}", self.body)
         }
     }
-
-    /// Renders a sequence of pre-rendered JSON values as an array.
-    pub fn arr<I: IntoIterator<Item = String>>(items: I) -> String {
-        let mut body = String::new();
-        for it in items {
-            if !body.is_empty() {
-                body.push(',');
-            }
-            body.push_str(&it);
-        }
-        format!("[{body}]")
-    }
 }
 
 impl HistogramSnapshot {
@@ -658,7 +589,7 @@ mod tests {
             let est = s.quantile(q);
             let err = (est as f64 - exact as f64).abs() / exact as f64;
             assert!(
-                err <= QUANTILE_REL_ERROR + 1e-9,
+                err <= 1.0 / (1 << (SUB_BITS + 1)) as f64 + 1e-9,
                 "q={q}: est {est} vs exact {exact} (err {err})"
             );
         }
@@ -675,34 +606,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_union() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let u = Histogram::new();
-        for v in 0..500u64 {
-            a.record(v * 3);
-            u.record(v * 3);
-        }
-        for v in 0..300u64 {
-            b.record(v * 7 + 1);
-            u.record(v * 7 + 1);
-        }
-        a.merge_from(&b);
-        let sa = a.snapshot();
-        let su = u.snapshot();
-        assert_eq!(sa.count(), su.count());
-        assert_eq!(sa.sum(), su.sum());
-        assert_eq!(sa.max(), su.max());
-        assert_eq!(sa.buckets, su.buckets);
-    }
-
-    #[test]
     fn disabled_recorder_spans_do_not_record() {
         let h = Histogram::new();
         let r = Recorder::disabled();
         {
-            let span = r.span(&h);
-            assert!(!span.is_recording());
+            let _span = r.span(&h);
         }
         assert_eq!(h.count(), 0);
         assert_eq!(r.span(&h).stop(), None);
@@ -723,17 +631,12 @@ mod tests {
     #[test]
     fn gauge_guard_tracks_scope() {
         let g = Gauge::new();
-        let r = Recorder::enabled();
         {
-            let _a = r.gauge_guard(&g);
-            let _b = r.gauge_guard(&g);
+            let _a = g.guard();
+            let _b = g.guard();
             assert_eq!(g.get(), 2);
         }
         assert_eq!(g.get(), 0);
-        {
-            let _c = Recorder::disabled().gauge_guard(&g);
-            assert_eq!(g.get(), 0);
-        }
     }
 
     #[test]
@@ -742,7 +645,7 @@ mod tests {
             .str("name", "a\"b\\c\n")
             .u64("n", 7)
             .f64("x", 1.5)
-            .raw("inner", &json::arr(vec!["1".into(), "2".into()]))
+            .raw("inner", "[1,2]")
             .build();
         assert_eq!(
             obj,

@@ -48,16 +48,6 @@ impl GroupGenerations {
         }
     }
 
-    /// Per-group skyline generations.
-    pub fn sky(&self) -> &[u64] {
-        &self.sky
-    }
-
-    /// Per-group full-form generations.
-    pub fn full(&self) -> &[u64] {
-        &self.full
-    }
-
     /// Advances group `g`'s full-form generation (its row set mutated).
     pub fn bump_full(&mut self, g: usize) {
         self.full[g] += 1;
@@ -924,8 +914,8 @@ mod tests {
         let out = cat.append_row("toy", &[0.05, 0.05], 0).unwrap();
         assert_eq!(out.prep.sky_digest, before.sky_digest);
         assert_ne!(out.prep.full_digest, before.full_digest);
-        assert_eq!(out.prep.generations.sky(), before.generations.sky());
-        assert_ne!(out.prep.generations.full(), before.generations.full());
+        assert_eq!(out.prep.generations.sky, before.generations.sky);
+        assert_ne!(out.prep.generations.full, before.generations.full);
         assert_eq!(out.prep.epoch, before.epoch, "mutations never re-epoch");
         // Deleting that trailing dominated row (id n-1, past every
         // skyline id): sky digest again unchanged.

@@ -376,7 +376,10 @@ pub fn parse_query(tokens: &[&str]) -> Result<Query, ServiceError> {
             "dataset" => dataset = Some(v),
             "k" => k = Some(parse_num("k", &v)?),
             "alg" => q.alg = v,
-            "alpha" => q.alpha = parse_num("alpha", &v)?,
+            "alpha" => {
+                q.alpha = crate::query::check_alpha(parse_num("alpha", &v)?)
+                    .map_err(ServiceError::Protocol)?
+            }
             "balanced" => q.balanced = parse_bool("balanced", &v)?,
             "seed" => q.seed = parse_num("seed", &v)?,
             "skyline" => q.skyline = parse_bool("skyline", &v)?,
@@ -464,14 +467,12 @@ fn parse_append(tokens: &[&str]) -> Result<Request, ServiceError> {
         match key.as_str() {
             "name" => name = Some(v),
             "row" => {
+                // Every cell must parse, like a CSV row behind `LOAD`: an
+                // empty cell is an error, not a skipped coordinate.
                 let coords = v
                     .split(',')
-                    .filter(|s| !s.is_empty())
                     .map(|s| parse_num("row", s))
                     .collect::<Result<Vec<f64>, _>>()?;
-                if coords.is_empty() {
-                    return Err(ServiceError::Protocol("row: empty coordinate list".into()));
-                }
                 row = Some(coords);
             }
             "group" => group = Some(parse_num("group", &v)?),
@@ -659,11 +660,6 @@ pub fn format_response(resp: &QueryResponse) -> Result<String, ServiceError> {
         seq: None,
         answer: WireAnswer::from_response(resp),
     })
-}
-
-/// Formats any service error as an `ERR` line.
-pub fn format_error(e: &ServiceError) -> String {
-    format!("ERR {e}")
 }
 
 /// Encodes a typed [`Response`] as one v1-compatible text line (no
@@ -1128,6 +1124,10 @@ mod tests {
         assert_eq!(parse_request("ShUtDoWn").unwrap(), Request::Shutdown);
         assert_eq!(parse_request("INFO").unwrap(), Request::Info);
         assert_eq!(parse_request("metrics").unwrap(), Request::Metrics);
+        match parse_request("QUERY dataset=d k=3 alpha=0").unwrap() {
+            Request::Query(q) => assert_eq!(q.alpha, 0.0),
+            other => panic!("{other:?}"),
+        }
         for bad in [
             "",
             "FROB",
@@ -1135,6 +1135,10 @@ mod tests {
             "QUERY dataset=d",
             "QUERY dataset=d k=x",
             "QUERY dataset=d k=3 zz=1",
+            // The paper's bounds need a finite slack α ≥ 0.
+            "QUERY dataset=d k=3 alpha=NaN",
+            "QUERY dataset=d k=3 alpha=-5",
+            "QUERY dataset=d k=3 alpha=inf",
             "BATCH",
             "BATCH x y",
             "BATCH 3 stream=maybe",
@@ -1156,6 +1160,10 @@ mod tests {
             "APPEND name=x group=0",
             "APPEND name=x row= group=0",
             "APPEND name=x row=0.5,nope group=0",
+            // Empty cells are not skipped coordinates.
+            "APPEND name=x row=0.1,0.1,,0.1 group=0",
+            "APPEND name=x row=,0.1,0.1 group=0",
+            "APPEND name=x row=0.1,0.1, group=0",
             "APPEND name=x row=0.5 group=z",
             "APPEND name=x row=0.5 group=0 zz=1",
             "DELETE",
@@ -1240,7 +1248,7 @@ mod tests {
     #[test]
     fn err_lines_decode_to_protocol_errors() {
         let e = ServiceError::UnknownDataset { name: "x".into() };
-        let line = format_error(&e);
+        let line = format!("ERR {e}");
         assert!(line.starts_with("ERR "));
         assert!(matches!(
             parse_response(&line),

@@ -92,6 +92,17 @@ impl Query {
     }
 }
 
+/// Accepts a fairness slack `α` the paper's bounds are defined for: a
+/// finite number `≥ 0` (`α = 0` is exact proportionality). `QUERY` and the
+/// CLI `solve` both check through here, so they reject the same values.
+pub fn check_alpha(alpha: f64) -> Result<f64, String> {
+    if alpha.is_finite() && alpha >= 0.0 {
+        Ok(alpha)
+    } else {
+        Err(format!("alpha: expected a finite number >= 0, got {alpha}"))
+    }
+}
+
 /// Minimal FNV-1a, kept in-tree so fingerprints are stable across runs and
 /// platforms (std's `DefaultHasher` stream is not a documented guarantee).
 struct Fnv1a {

@@ -101,7 +101,7 @@ pub struct GreedyResult {
 /// `O(r · |candidates| · gain)` where `r` is the matroid rank.
 ///
 /// ```
-/// use fairhms_matroid::UniformMatroid;
+/// use fairhms_matroid::FairnessMatroid;
 /// use fairhms_submodular::{greedy_matroid, IncrementalObjective};
 ///
 /// /// Weighted sum of distinct picks — modular, hence submodular.
@@ -115,7 +115,9 @@ pub struct GreedyResult {
 /// }
 ///
 /// let objective = Weights(vec![0.3, 0.9, 0.5]);
-/// let result = greedy_matroid(&objective, &UniformMatroid::new(3, 2), &[0, 1, 2]);
+/// // One group with l = 0, h = k = 2: at most two picks.
+/// let at_most_two = FairnessMatroid::new(vec![0; 3], vec![0], vec![2], 2).unwrap();
+/// let result = greedy_matroid(&objective, &at_most_two, &[0, 1, 2]);
 /// assert_eq!(result.items, vec![1, 2]); // two largest weights
 /// assert_eq!(result.value, 1.4);
 /// ```
@@ -306,7 +308,12 @@ pub fn lazy_greedy_matroid_seeded<O: IncrementalObjective, M: Matroid>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fairhms_matroid::{FairnessMatroid, UniformMatroid};
+    use fairhms_matroid::FairnessMatroid;
+
+    /// `U_{k,n}`: the fairness matroid with one group, `l = 0` and `h = k`.
+    fn uniform(n: usize, k: usize) -> FairnessMatroid {
+        FairnessMatroid::new(vec![0; n], vec![0], vec![k], k).unwrap()
+    }
 
     /// Weighted coverage: ground set of items, each covering a set of
     /// elements with weights; value = total weight covered.
@@ -358,7 +365,7 @@ mod tests {
     #[test]
     fn greedy_picks_best_coverage() {
         let cov = example_coverage();
-        let m = UniformMatroid::new(5, 2);
+        let m = uniform(5, 2);
         let r = greedy_matroid(&cov, &m, &[0, 1, 2, 3, 4]);
         assert_eq!(r.items, vec![0, 2]);
         assert_eq!(r.value, 6.0);
@@ -370,7 +377,7 @@ mod tests {
             covers: vec![vec![0], vec![0], vec![0]],
             weights: vec![1.0],
         };
-        let m = UniformMatroid::new(3, 2);
+        let m = uniform(3, 2);
         let r = greedy_matroid(&cov, &m, &[0, 1, 2]);
         assert_eq!(r.items.len(), 2, "base should be filled");
         assert_eq!(r.value, 1.0);
@@ -426,7 +433,7 @@ mod tests {
         // brute-force the optimum over all independent sets and check the
         // 1/2 bound on a handful of instances
         let cov = example_coverage();
-        let m = UniformMatroid::new(5, 2);
+        let m = uniform(5, 2);
         let r = greedy_matroid(&cov, &m, &[0, 1, 2, 3, 4]);
         let mut opt = 0.0_f64;
         for a in 0..5 {
@@ -443,7 +450,7 @@ mod tests {
     #[test]
     fn empty_candidates_yield_empty_solution() {
         let cov = example_coverage();
-        let m = UniformMatroid::new(5, 2);
+        let m = uniform(5, 2);
         let r = greedy_matroid(&cov, &m, &[]);
         assert!(r.items.is_empty());
         assert_eq!(r.value, 0.0);

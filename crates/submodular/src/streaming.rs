@@ -97,7 +97,12 @@ where
 mod tests {
     use super::*;
     use crate::greedy_matroid;
-    use fairhms_matroid::{FairnessMatroid, UniformMatroid};
+    use fairhms_matroid::FairnessMatroid;
+
+    /// `U_{k,n}`: the fairness matroid with one group, `l = 0` and `h = k`.
+    fn uniform(n: usize, k: usize) -> FairnessMatroid {
+        FairnessMatroid::new(vec![0; n], vec![0], vec![k], k).unwrap()
+    }
 
     struct Coverage {
         covers: Vec<Vec<usize>>,
@@ -138,7 +143,7 @@ mod tests {
     #[test]
     fn stays_independent_and_dedups() {
         let cov = example();
-        let m = UniformMatroid::new(5, 2);
+        let m = uniform(5, 2);
         let r = streaming_matroid(&cov, &m, [0, 0, 1, 2, 3, 4], &StreamingConfig::default());
         assert!(r.items.len() <= 2);
         assert!(m.is_independent(&r.items));
@@ -147,7 +152,7 @@ mod tests {
     #[test]
     fn swaps_in_strictly_better_elements() {
         let cov = example();
-        let m = UniformMatroid::new(5, 1);
+        let m = uniform(5, 1);
         // Item 0 covers 2 elements; item 3 covers 4 — must swap in.
         let r = streaming_matroid(&cov, &m, [0, 3], &StreamingConfig::default());
         assert_eq!(r.items, vec![3]);

@@ -30,6 +30,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "==> cargo build --release"
 cargo build --release
 
+# The examples call the library the way a user would, so run each one
+# rather than only compiling it under clippy (about 3 s in release).
+echo "==> run every example"
+for example in examples/*.rs; do
+  name="$(basename "$example" .rs)"
+  echo "  -> $name"
+  cargo run --release -q --example "$name" > /dev/null
+done
+
 # perfbench is its own workspace, so the steps above never compile it; a
 # service API break would otherwise surface only when the benchmark runs.
 echo "==> cargo check perfbench (against the workspace crates)"

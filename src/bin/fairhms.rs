@@ -183,9 +183,10 @@ fn num<T: std::str::FromStr>(opts: &Flags, key: &str) -> Result<Option<T>, Strin
     }
 }
 
-/// [`num`] for a `serve` limit that must be at least 1: a zero worker,
+/// [`num`] for a count that must be at least 1: a zero worker,
 /// connection or queue limit would start a server that never answers,
-/// and the answer cache always holds at least one answer.
+/// the answer cache always holds at least one answer, and `gen` cannot
+/// write a dataset with no rows, attributes or groups.
 fn positive(opts: &Flags, key: &str) -> Result<Option<usize>, String> {
     match num::<usize>(opts, key)? {
         Some(0) => Err(format!("--{key} must be at least 1")),
@@ -195,9 +196,9 @@ fn positive(opts: &Flags, key: &str) -> Result<Option<usize>, String> {
 
 fn cmd_gen(opts: &Flags) -> Result<(), String> {
     let out = PathBuf::from(req(opts, "out")?);
-    let n: usize = num(opts, "n")?.ok_or("missing --n")?;
-    let d: usize = num(opts, "d")?.ok_or("missing --d")?;
-    let c: usize = num(opts, "c")?.ok_or("missing --c")?;
+    let n = positive(opts, "n")?.ok_or("missing --n")?;
+    let d = positive(opts, "d")?.ok_or("missing --d")?;
+    let c = positive(opts, "c")?.ok_or("missing --c")?;
     let seed: u64 = num(opts, "seed")?.unwrap_or(1);
     let kind = opts.get("kind").map(|s| s.as_str()).unwrap_or("anticor");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -250,11 +251,11 @@ fn cmd_stats(opts: &Flags) -> Result<(), String> {
 }
 
 fn cmd_solve(opts: &Flags) -> Result<(), String> {
-    let data = load(opts)?;
     let k: usize = num(opts, "k")?.ok_or("missing --k")?;
-    let alpha: f64 = num(opts, "alpha")?.unwrap_or(0.1);
+    let alpha = fairhms::service::query::check_alpha(num(opts, "alpha")?.unwrap_or(0.1))?;
     let seed: u64 = num(opts, "seed")?.unwrap_or(42);
     let alg_name = opts.get("alg").map(|s| s.as_str()).unwrap_or("bigreedy");
+    let data = load(opts)?;
 
     // Candidate-set seam (shared with the serving engine): skyline
     // restriction (lossless) unless disabled, carrying the map back to

@@ -31,9 +31,9 @@
 //! |--------|----------|
 //! | [`core`] | `IntCov`, `BiGreedy`, `BiGreedy+`, baselines, fair adapters, evaluators |
 //! | [`data`] | datasets, skylines, generators, simulated real datasets |
-//! | [`geometry`] | envelopes, hulls, δ-nets, ε-kernel directions |
+//! | [`geometry`] | envelopes, δ-nets, ε-kernel directions |
 //! | [`lp`] | two-phase simplex + happiness-ratio LPs |
-//! | [`matroid`] | uniform / partition / group-fairness matroids |
+//! | [`matroid`] | the group-fairness matroid and its bounds |
 //! | [`submodular`] | greedy & lazy greedy under matroid constraints |
 //! | [`service`] | resident query engine: catalog, solution cache, TCP server with a solve worker pool |
 //!

@@ -242,6 +242,28 @@ fn serve_and_query_round_trip() {
     assert!(out.contains("cached    : false"), "{out}");
     assert!(out.contains("err(S)    : 0"), "{out}");
 
+    // A negative slack is the server's protocol error, passed through.
+    let query = Command::new(bin())
+        .args([
+            "query",
+            "--addr",
+            &addr,
+            "--dataset",
+            "anticor",
+            "--k",
+            "5",
+            "--alpha",
+            "-1",
+        ])
+        .output()
+        .expect("run query");
+    assert!(!query.status.success());
+    let stderr = String::from_utf8_lossy(&query.stderr);
+    assert!(
+        stderr.contains("alpha: expected a finite number >= 0"),
+        "{stderr}"
+    );
+
     // Batch file: the same query twice plus a second algorithm → the
     // repeat must be served from cache.
     let batch = tmp("cli_batch.txt");
@@ -312,7 +334,7 @@ fn helpful_errors() {
 
 #[test]
 fn unknown_flags_are_rejected() {
-    let cases: [(&[&str], &str); 11] = [
+    let cases: [(&[&str], &str); 17] = [
         (
             &["stats", "--input", "v.csv", "--dim", "4", "--bogus", "1"],
             "unknown flag --bogus",
@@ -359,6 +381,69 @@ fn unknown_flags_are_rejected() {
         (
             &["serve", "--data", "v=v.csv", "--warm-capacity", "0"],
             "--warm-capacity must be at least 1",
+        ),
+        // `gen` cannot write a dataset with no rows, attributes or groups
+        // (these used to panic or write a CSV nothing could read).
+        (
+            &[
+                "gen",
+                "--out",
+                "/nonexistent/z.csv",
+                "--n",
+                "0",
+                "--d",
+                "3",
+                "--c",
+                "2",
+            ],
+            "--n must be at least 1",
+        ),
+        (
+            &[
+                "gen",
+                "--out",
+                "/nonexistent/z.csv",
+                "--n",
+                "9",
+                "--d",
+                "0",
+                "--c",
+                "2",
+            ],
+            "--d must be at least 1",
+        ),
+        (
+            &[
+                "gen",
+                "--out",
+                "/nonexistent/z.csv",
+                "--n",
+                "9",
+                "--d",
+                "3",
+                "--c",
+                "0",
+            ],
+            "--c must be at least 1",
+        ),
+        // The paper's bounds need a finite slack α ≥ 0.
+        (
+            &[
+                "solve", "--input", "v.csv", "--dim", "3", "--k", "4", "--alpha", "-1",
+            ],
+            "alpha: expected a finite number >= 0",
+        ),
+        (
+            &[
+                "solve", "--input", "v.csv", "--dim", "3", "--k", "4", "--alpha", "NaN",
+            ],
+            "alpha: expected a finite number >= 0",
+        ),
+        (
+            &[
+                "solve", "--input", "v.csv", "--dim", "3", "--k", "4", "--alpha", "inf",
+            ],
+            "alpha: expected a finite number >= 0",
         ),
     ];
     for (args, expected) in cases {

@@ -8,19 +8,24 @@
 //! covered prefix and reaches furthest right. Binary search over the
 //! candidate MHR array yields the optimum.
 //!
-//! This module shares no decision logic with [`mod@crate::intcov`]'s dynamic
-//! program (only the geometric primitives), so agreement between the two
-//! is a meaningful end-to-end check — enforced by tests here and in
-//! `tests/exactness.rs`.
+//! This module shares no decision logic with IntCov's dynamic program
+//! (only the geometric primitives), so agreement between the two is a
+//! meaningful end-to-end check — enforced by the tests here and in
+//! `tests/exactness.rs`. It is a test oracle only: no solver calls it.
 
-use fairhms_data::Dataset;
-use fairhms_geometry::envelope::Envelope;
-use fairhms_geometry::line::Line;
-use fairhms_geometry::EPS;
+use std::sync::Arc;
 
-use crate::candidates2d::candidate_mhrs;
-use crate::eval::mhr_exact_2d;
-use crate::types::{CoreError, Solution};
+use fairhms::core::candidates2d::candidate_mhrs;
+use fairhms::core::eval::mhr_exact_2d;
+use fairhms::core::intcov::intcov;
+use fairhms::core::types::{CoreError, FairHmsInstance, Solution};
+use fairhms::data::realsim::lsac_example;
+use fairhms::data::Dataset;
+use fairhms::geometry::envelope::Envelope;
+use fairhms::geometry::line::Line;
+use fairhms::geometry::EPS;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Exact unconstrained 2D HMS via greedy interval cover.
 ///
@@ -117,80 +122,70 @@ fn greedy_cover_at(lines: &[Line], env: &Envelope, tau: f64, k: usize) -> Option
     Some(chosen)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::intcov::intcov;
-    use crate::types::FairHmsInstance;
-    use fairhms_data::realsim::lsac_example;
+fn lsac() -> Dataset {
+    let mut ds = lsac_example().dataset(&["gender"]).unwrap();
+    ds.normalize();
+    ds
+}
 
-    fn lsac() -> Dataset {
-        let mut ds = lsac_example().dataset(&["gender"]).unwrap();
-        ds.normalize();
-        ds
-    }
+#[test]
+fn matches_paper_constants() {
+    let ds = lsac();
+    let k2 = exact2d_greedy(&ds, 2).unwrap();
+    assert!((k2.mhr.unwrap() - 0.9846).abs() < 5e-4);
+    let k3 = exact2d_greedy(&ds, 3).unwrap();
+    assert!((k3.mhr.unwrap() - 0.9984).abs() < 5e-4);
+}
 
-    #[test]
-    fn matches_paper_constants() {
-        let ds = lsac();
-        let k2 = exact2d_greedy(&ds, 2).unwrap();
-        assert!((k2.mhr.unwrap() - 0.9846).abs() < 5e-4);
-        let k3 = exact2d_greedy(&ds, 3).unwrap();
-        assert!((k3.mhr.unwrap() - 0.9984).abs() < 5e-4);
-    }
-
-    #[test]
-    fn agrees_with_intcov_on_unconstrained_instances() {
-        // Independent decision procedures (greedy scan vs DP) must agree.
-        let ds = std::sync::Arc::new(lsac());
-        for k in 1..=6 {
-            let a = exact2d_greedy(&ds, k).unwrap();
-            let inst = FairHmsInstance::unconstrained(std::sync::Arc::clone(&ds), k).unwrap();
-            let b = intcov(&inst).unwrap();
-            assert!(
-                (a.mhr.unwrap() - b.mhr.unwrap()).abs() < 1e-9,
-                "k={k}: greedy {} vs intcov {}",
-                a.mhr.unwrap(),
-                b.mhr.unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn agrees_with_intcov_on_random_data() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        for seed in 0..8 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let pts: Vec<f64> = (0..60).map(|_| rng.gen::<f64>()).collect();
-            let mut ds = Dataset::ungrouped("r", 2, pts).unwrap();
-            ds.normalize();
-            let ds = std::sync::Arc::new(ds);
-            let k = 2 + (seed as usize % 3);
-            let a = exact2d_greedy(&ds, k).unwrap();
-            let inst = FairHmsInstance::unconstrained(std::sync::Arc::clone(&ds), k).unwrap();
-            let b = intcov(&inst).unwrap();
-            assert!(
-                (a.mhr.unwrap() - b.mhr.unwrap()).abs() < 1e-9,
-                "seed {seed}, k={k}: {} vs {}",
-                a.mhr.unwrap(),
-                b.mhr.unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn input_validation() {
-        let ds = lsac();
-        assert_eq!(exact2d_greedy(&ds, 0).unwrap_err(), CoreError::KZero);
-        assert!(matches!(
-            exact2d_greedy(&ds, 999).unwrap_err(),
-            CoreError::KTooLarge { .. }
-        ));
-        let three_d = Dataset::ungrouped("3d", 3, vec![0.1, 0.2, 0.3]).unwrap();
-        assert_eq!(
-            exact2d_greedy(&three_d, 1).unwrap_err(),
-            CoreError::Not2D { dim: 3 }
+#[test]
+fn agrees_with_intcov_on_unconstrained_instances() {
+    // Independent decision procedures (greedy scan vs DP) must agree.
+    let ds = Arc::new(lsac());
+    for k in 1..=6 {
+        let a = exact2d_greedy(&ds, k).unwrap();
+        let inst = FairHmsInstance::unconstrained(Arc::clone(&ds), k).unwrap();
+        let b = intcov(&inst).unwrap();
+        assert!(
+            (a.mhr.unwrap() - b.mhr.unwrap()).abs() < 1e-9,
+            "k={k}: greedy {} vs intcov {}",
+            a.mhr.unwrap(),
+            b.mhr.unwrap()
         );
     }
+}
+
+#[test]
+fn agrees_with_intcov_on_random_data() {
+    for seed in 0..8 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pts: Vec<f64> = (0..60).map(|_| rng.gen::<f64>()).collect();
+        let mut ds = Dataset::ungrouped("r", 2, pts).unwrap();
+        ds.normalize();
+        let ds = Arc::new(ds);
+        let k = 2 + (seed as usize % 3);
+        let a = exact2d_greedy(&ds, k).unwrap();
+        let inst = FairHmsInstance::unconstrained(Arc::clone(&ds), k).unwrap();
+        let b = intcov(&inst).unwrap();
+        assert!(
+            (a.mhr.unwrap() - b.mhr.unwrap()).abs() < 1e-9,
+            "seed {seed}, k={k}: {} vs {}",
+            a.mhr.unwrap(),
+            b.mhr.unwrap()
+        );
+    }
+}
+
+#[test]
+fn input_validation() {
+    let ds = lsac();
+    assert_eq!(exact2d_greedy(&ds, 0).unwrap_err(), CoreError::KZero);
+    assert!(matches!(
+        exact2d_greedy(&ds, 999).unwrap_err(),
+        CoreError::KTooLarge { .. }
+    ));
+    let three_d = Dataset::ungrouped("3d", 3, vec![0.1, 0.2, 0.3]).unwrap();
+    assert_eq!(
+        exact2d_greedy(&three_d, 1).unwrap_err(),
+        CoreError::Not2D { dim: 3 }
+    );
 }

@@ -7,10 +7,12 @@ use rand::{Rng, SeedableRng};
 
 use fairhms::core::bigreedy::{bigreedy, BiGreedyConfig};
 use fairhms::core::eval::{mhr_exact_2d, mhr_exact_lp};
-use fairhms::core::exact2d_greedy::exact2d_greedy;
 use fairhms::core::intcov::intcov;
 use fairhms::core::types::FairHmsInstance;
 use fairhms::data::Dataset;
+
+mod exact2d_greedy;
+use exact2d_greedy::exact2d_greedy;
 
 fn random_2d_instance(seed: u64, n: usize, c: usize, k: usize) -> FairHmsInstance {
     let mut rng = StdRng::seed_from_u64(seed);

@@ -8,7 +8,7 @@ use fairhms::core::eval::{mhr_exact_2d, mhr_exact_lp};
 use fairhms::core::intcov::intcov;
 use fairhms::core::types::FairHmsInstance;
 use fairhms::data::gen::anti_correlated_dataset;
-use fairhms::data::skyline::{group_skyline_indices, skyline_indices};
+use fairhms::data::skyline::{group_skyline_indices, skyline_of};
 use fairhms::matroid::proportional_bounds;
 
 #[test]
@@ -38,7 +38,7 @@ fn global_skyline_contained_in_group_union() {
     let mut rng = StdRng::seed_from_u64(12);
     for d in [2, 4, 6] {
         let data = anti_correlated_dataset(400, d, 4, &mut rng);
-        let global = skyline_indices(&data);
+        let global = skyline_of(data.points_flat(), data.dim());
         let union = group_skyline_indices(&data);
         for g in &global {
             assert!(union.binary_search(g).is_ok(), "d={d}: {g} missing");
