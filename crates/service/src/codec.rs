@@ -821,6 +821,116 @@ mod tests {
         }
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The text line and the binary frame (hex) of each
+    /// [`sample_responses`] value, in order, recorded from the
+    /// hand-written encoders before the response schema replaced them.
+    /// A field that an encoder and its decoder reorder together passes
+    /// every round trip; it fails here.
+    const SAMPLE_BYTES: [(&str, &str); 21] = [
+    (
+        "OK pong",
+        "0100000001",
+    ),
+    (
+        "OK bye",
+        "010000000b",
+    ),
+    (
+        "OK version=2 codec=binary",
+        "0900000002020662696e617279",
+    ),
+    (
+        "OK datasets=a:1:2:3:4,b:5:6:7:8",
+        "16000000030209613a313a323a333a3409623a353a363a373a38",
+    ),
+    (
+        "OK datasets=",
+        "020000000300",
+    ),
+    (
+        "OK algorithms=intcov,bigreedy",
+        "12000000040206696e74636f76086269677265656479",
+    ),
+    (
+        "OK hits=2 misses=1 entries=1 evictions=0 hit_rate=0.6666666666666666 warm_hits=5 warm_misses=3 warm_entries=2 uptime_secs=3600 total_queries=42 queue_depth=6 shed_total=11 conns_open=3 mutations_total=4",
+        "170000000502010100555555555555e53f050302901c2a060b0304",
+    ),
+    (
+        "OK workers=8 datasets=2 cache_entries=17 uptime_secs=12 total_queries=9",
+        "06000000060802110c09",
+    ),
+    (
+        "OK metrics enabled=true counters=conn.active:3,queries.total:128 histos=engine.cache_lookup:128:51200:300:700:1500:2000,server.read:1:9:9:9:9:9",
+        "540000000d01020b636f6e6e2e616374697665030d717565726965732e746f74616c80010213656e67696e652e63616368655f6c6f6f6b75708001809003ac02bc05dc0bd00f0b7365727665722e72656164010909090909",
+    ),
+    (
+        "OK metrics enabled=false counters= histos=",
+        "040000000d000000",
+    ),
+    (
+        "OK seq=3 alg=BiGreedy cached=true micros=812 err=0 mhr=0.30000000000000004 indices=0,3,17,40,100000",
+        "2100000008010308426947726565647901ac060001343333333333d33f0500031128a08d06",
+    ),
+    (
+        "OK alg=Greedy cached=false micros=0 err=2 mhr=none indices=",
+        "0e0000000800064772656564790000020000",
+    ),
+    (
+        "OK batch=7 stream=true",
+        "03000000090701",
+    ),
+    (
+        "OK batch=100000",
+        "0500000009a08d0600",
+    ),
+    (
+        "OK loaded name=extra n=2000 d=3 groups=3 skyline=940",
+        "0d0000000a056578747261d00f0303ac07",
+    ),
+    (
+        "OK mutated name=extra op=append n=2001 skyline=941 sky_changed=true cache_dropped=3 warm_dropped=1",
+        "150000000f05657874726106617070656e64d10fad07010301",
+    ),
+    (
+        "OK mutated name=toy op=delete n=7 skyline=4 sky_changed=false cache_dropped=0 warm_dropped=0",
+        "110000000f03746f790664656c6574650704000000",
+    ),
+    (
+        "ERR seq=2 solver error: k must be positive",
+        "240000000c010220736f6c766572206572726f723a206b206d75737420626520706f736974697665",
+    ),
+    (
+        "ERR unknown verb \"FROB\"",
+        "160000000c0013756e6b6e6f776e2076657262202246524f4222",
+    ),
+    (
+        "ERR busy retry_after_ms=24 solve queue full (depth 256)",
+        "200000000e00181c736f6c76652071756575652066756c6c202864657074682032353629",
+    ),
+    (
+        "ERR seq=5 busy retry_after_ms=1 queue deadline exceeded",
+        "1c0000000e01050117717565756520646561646c696e65206578636565646564",
+    ),
+    ];
+
+    #[test]
+    fn sample_responses_encode_to_pinned_bytes() {
+        let samples = sample_responses();
+        assert_eq!(samples.len(), SAMPLE_BYTES.len());
+        for (resp, (line, frame_hex)) in samples.iter().zip(SAMPLE_BYTES) {
+            let mut text = Vec::new();
+            TextCodec.encode_frame(resp, &mut text).unwrap();
+            assert_eq!(text, format!("{line}\n").into_bytes(), "{resp:?}");
+            let mut frame = Vec::new();
+            BinaryCodec.encode_frame(resp, &mut frame).unwrap();
+            assert_eq!(hex(&frame), frame_hex, "{resp:?}");
+        }
+    }
+
     #[test]
     fn varint_round_trips_at_width_boundaries() {
         for v in [

@@ -1,0 +1,86 @@
+//! docs/PROTOCOL.md as a checked artifact: every server line its fenced
+//! transcripts show (`<< OK …`, `<< ERR …`, `S: OK …`, and the bundled
+//! client's `-> OK …` echo) decodes through the text codec and encodes
+//! back to the same bytes. A line holding `…` (elided fields) or a
+//! `<placeholder>` is a template, not a capture, and is skipped.
+
+use fairhms_service::protocol::{decode_response_line, encode_response_line};
+
+const PROTOCOL_MD: &str = include_str!("../../../docs/PROTOCOL.md");
+
+/// Whether `s` holds a `<placeholder>`: `<`, then letters, digits, `_`,
+/// `|`, `,`, `.` or `:` without a space, then `>`.
+fn has_placeholder(s: &str) -> bool {
+    s.match_indices('<').any(|(i, _)| {
+        let rest = &s[i + 1..];
+        rest.find('>').is_some_and(|end| {
+            end > 0
+                && rest[..end]
+                    .chars()
+                    .all(|c| c.is_ascii_alphanumeric() || "_|,.:".contains(c))
+        })
+    })
+}
+
+/// The server line a transcript line shows, if any.
+fn server_line(line: &str) -> Option<&str> {
+    let trimmed = line.trim_start();
+    let wire = if let Some(i) = line.find("<< ") {
+        &line[i + 3..]
+    } else if let Some(rest) = trimmed.strip_prefix("S: ") {
+        rest
+    } else {
+        trimmed.strip_prefix("-> ")?
+    };
+    (wire.starts_with("OK ") || wire.starts_with("ERR ")).then_some(wire)
+}
+
+/// Every server line inside the document's fenced blocks.
+fn transcript_lines() -> Vec<&'static str> {
+    let mut lines = Vec::new();
+    let mut fenced = false;
+    for line in PROTOCOL_MD.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if fenced {
+            lines.extend(server_line(line));
+        }
+    }
+    lines
+}
+
+#[test]
+fn protocol_md_transcripts_replay_through_the_text_codec() {
+    let mut checked = 0;
+    for wire in transcript_lines() {
+        if wire.contains('…') || has_placeholder(wire) {
+            continue;
+        }
+        let resp = decode_response_line(wire)
+            .unwrap_or_else(|e| panic!("PROTOCOL.md line {wire:?} does not decode: {e}"));
+        let again = encode_response_line(&resp)
+            .unwrap_or_else(|e| panic!("PROTOCOL.md line {wire:?} does not re-encode: {e}"));
+        assert_eq!(again, wire, "PROTOCOL.md line re-encodes differently");
+        checked += 1;
+    }
+    // The document holds 44 captured lines; far fewer means the
+    // extraction above stopped finding them.
+    assert!(checked >= 40, "only {checked} transcript lines checked");
+}
+
+#[test]
+fn placeholders_and_server_lines_are_recognized() {
+    assert!(has_placeholder("OK batch=<n>"));
+    assert!(has_placeholder("ERR [seq=<i> ]busy retry_after_ms=<R>"));
+    assert!(has_placeholder("OK datasets=<name:n:d:groups:skyline>,..."));
+    assert!(!has_placeholder("OK alg=F-Greedy indices=1,2"));
+    assert!(!has_placeholder("ERR x < y > z"));
+    assert_eq!(
+        server_line(">> HELLO version=2 codec=binary   << OK version=2 codec=binary"),
+        Some("OK version=2 codec=binary")
+    );
+    assert_eq!(server_line("S: OK pong"), Some("OK pong"));
+    assert_eq!(server_line("  -> OK bye"), Some("OK bye"));
+    assert_eq!(server_line(">> PING"), None);
+    assert_eq!(server_line("C: METRICS"), None);
+}

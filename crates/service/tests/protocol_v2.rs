@@ -450,6 +450,93 @@ fn all_response_variants_agree_across_codecs() {
     }
 }
 
+/// The text line and the binary frame (hex) of each
+/// [`all_response_variants`] value, in order, recorded from the
+/// hand-written encoders before the response schema replaced them. A
+/// field that an encoder and its decoder reorder together passes every
+/// round trip and cross-codec test; it fails here.
+const VARIANT_BYTES: [(&str, &str); 16] = [
+(
+    "OK pong",
+    "0100000001",
+),
+(
+    "OK bye",
+    "010000000b",
+),
+(
+    "OK version=2 codec=binary",
+    "0900000002020662696e617279",
+),
+(
+    "OK datasets=demo:120:2:3:21",
+    "1200000003010f64656d6f3a3132303a323a333a3231",
+),
+(
+    "OK algorithms=intcov,bigreedy,bigreedy+,f-greedy,g-greedy,g-dmm,g-hs,g-sphere,streaming,greedy,dmm,hs,sphere",
+    "61000000040d06696e74636f760862696772656564790962696772656564792b08662d67726565647908672d67726565647905672d646d6d04672d687308672d7370686572650973747265616d696e670667726565647903646d6d02687306737068657265",
+),
+(
+    "OK hits=2 misses=1 entries=1 evictions=0 hit_rate=0.6666666666666666 warm_hits=4 warm_misses=2 warm_entries=1 uptime_secs=77 total_queries=31 queue_depth=3 shed_total=9 conns_open=2 mutations_total=6",
+    "160000000502010100555555555555e53f0402014d1f03090206",
+),
+(
+    "OK workers=4 datasets=1 cache_entries=0 uptime_secs=5 total_queries=2",
+    "06000000060401000502",
+),
+(
+    "OK metrics enabled=true counters=queries.total:31,conn.active:1 histos=engine.cache_lookup:31:12400:330:610:900:1024",
+    "3f0000000d01020d717565726965732e746f74616c1f0b636f6e6e2e616374697665010113656e67696e652e63616368655f6c6f6f6b75701ff060ca02e20484078008",
+),
+(
+    "OK batch=14 stream=true",
+    "03000000090e01",
+),
+(
+    "OK loaded name=extra n=2000 d=3 groups=3 skyline=940",
+    "0d0000000a056578747261d00f0303ac07",
+),
+(
+    "OK mutated name=extra op=append n=2001 skyline=941 sky_changed=true cache_dropped=2 warm_dropped=1",
+    "150000000f05657874726106617070656e64d10fad07010201",
+),
+(
+    "OK batch=2",
+    "03000000090200",
+),
+(
+    "OK alg=BiGreedy cached=false micros=812 err=0 mhr=0.30000000000000004 indices=3,17,40",
+    "1c000000080008426947726565647900ac060001343333333333d33f03031128",
+),
+(
+    "OK seq=5 alg=BiGreedy cached=false micros=812 err=0 mhr=none indices=",
+    "1200000008010508426947726565647900ac06000000",
+),
+(
+    "ERR seq=1 busy retry_after_ms=24 solve queue full",
+    "150000000e01011810736f6c76652071756575652066756c6c",
+),
+(
+    "ERR unknown dataset x",
+    "140000000c0011756e6b6e6f776e20646174617365742078",
+),
+];
+
+#[test]
+fn all_response_variants_encode_to_pinned_bytes() {
+    let variants = all_response_variants();
+    assert_eq!(variants.len(), VARIANT_BYTES.len());
+    for (resp, (line, frame_hex)) in variants.iter().zip(VARIANT_BYTES) {
+        let mut text = Vec::new();
+        TextCodec.encode_frame(resp, &mut text).unwrap();
+        assert_eq!(text, format!("{line}\n").into_bytes(), "{resp:?}");
+        let mut frame = Vec::new();
+        BinaryCodec.encode_frame(resp, &mut frame).unwrap();
+        let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, frame_hex, "{resp:?}");
+    }
+}
+
 /// Every fixed-shape frame has exactly one layout: a truncated frame is a
 /// protocol error in both codecs, never a frame with defaulted fields.
 #[test]
