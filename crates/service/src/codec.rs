@@ -1,5 +1,5 @@
 //! Pluggable response codecs: v1 text lines and v2 length-prefixed
-//! binary frames.
+//! binary frames, both walking one response schema.
 //!
 //! A [`Codec`] turns typed [`Response`] values into wire frames and back.
 //! The server holds one boxed codec per connection — [`TextCodec`] until
@@ -9,6 +9,19 @@
 //! the codec-equivalence suite): `mhr` travels as shortest round-trip
 //! decimal in text and as raw IEEE-754 bits in binary, and both decode to
 //! the same `f64::to_bits`.
+//!
+//! ## One response schema
+//!
+//! The `response_schema!` invocation below declares each [`Response`]
+//! variant once: its binary tag, its text form (a head word such as
+//! `loaded`, no head, or a hand-written `ERR` line) and its ordered
+//! fields, each `name: type = "text key"`. Both codecs walk that one
+//! declaration, and each field type's text and binary forms are written
+//! once, in its [`WireValue`] impl. A field marked `unless V` is left out
+//! of the text line when it equals `V` (an answer's leading `seq=`, a
+//! batch header's `stream=true`); the binary frame always carries it.
+//! The text `ERR [seq=N ][busy retry_after_ms=R ]message` lines are the
+//! one shape written by hand (`protocol.rs`).
 //!
 //! ## Binary frame layout
 //!
@@ -20,20 +33,28 @@
 //!
 //! `len` counts tag + payload and is capped at [`MAX_FRAME_BYTES`].
 //! Integers are LEB128 varints, strings are varint-length-prefixed UTF-8,
-//! floats are 8 raw little-endian IEEE-754 bytes, `Option`s are a 0/1
-//! presence byte. Decoding a malformed payload (unknown tag, truncated
-//! field, trailing bytes) yields a typed [`ServiceError::Protocol`] *for
-//! that frame only* — the length prefix has already been consumed, so the
+//! floats are 8 raw little-endian IEEE-754 bytes, booleans and `Option`
+//! presence are one byte, 0 or 1, and lists are a varint count then the
+//! items. Decoding a malformed payload (unknown tag, truncated field,
+//! trailing bytes) yields a typed [`ServiceError::Protocol`] *for that
+//! frame only* — the length prefix has already been consumed, so the
 //! stream stays frame-aligned and the next frame decodes normally.
+//!
+//! A text frame is one `\n`-terminated UTF-8 line of at most
+//! [`MAX_FRAME_BYTES`] bytes, newline included.
 
-use std::io::BufRead;
+use std::io::{BufRead, Read};
 
-use crate::protocol::{decode_response_line, encode_response_line, Response, WireAnswer};
+use crate::protocol::{
+    check_wire_safe, decode_response_line, parse_num, write_response_line, Response, WireAnswer,
+    WireHistogram,
+};
 use crate::ServiceError;
 
-/// Hard cap on one binary frame (tag + payload), matching the text
-/// protocol's batch buffer cap: a hostile or corrupt length prefix must
-/// not make the peer allocate without bound.
+/// Hard cap on one frame: a binary frame's tag + payload, or a text line
+/// with its newline. It matches the text protocol's batch buffer cap: a
+/// hostile or corrupt peer must not make the other side allocate without
+/// bound.
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
 /// Which codec a connection speaks on its response channel.
@@ -86,8 +107,8 @@ pub trait Codec: Send + Sync {
     /// for text, length prefix for binary) encoding `resp` to `out`.
     ///
     /// Errors instead of emitting a malformed frame — e.g. a wire-unsafe
-    /// string under [`TextCodec`] or an over-[`MAX_FRAME_BYTES`] payload
-    /// under [`BinaryCodec`].
+    /// string under [`TextCodec`] or an over-[`MAX_FRAME_BYTES`] frame
+    /// under either codec — and then leaves `out` as it found it.
     fn encode_frame(&self, resp: &Response, out: &mut Vec<u8>) -> Result<(), ServiceError>;
 
     /// Reads and decodes one frame. `Ok(None)` means the peer closed the
@@ -95,8 +116,18 @@ pub trait Codec: Send + Sync {
     fn read_frame(&self, reader: &mut dyn BufRead) -> Result<Option<Response>, ServiceError>;
 }
 
+/// Rejects a frame of `len` bytes above [`MAX_FRAME_BYTES`].
+fn check_frame_len(len: usize) -> Result<(), ServiceError> {
+    if len > MAX_FRAME_BYTES {
+        return Err(ServiceError::Protocol(format!(
+            "response frame of {len} bytes exceeds {MAX_FRAME_BYTES}"
+        )));
+    }
+    Ok(())
+}
+
 /// Protocol v1: one `\n`-terminated text line per response, byte-for-byte
-/// the historical format (see [`encode_response_line`]).
+/// the historical format (see [`crate::protocol::encode_response_line`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TextCodec;
 
@@ -106,24 +137,36 @@ impl Codec for TextCodec {
     }
 
     fn encode_frame(&self, resp: &Response, out: &mut Vec<u8>) -> Result<(), ServiceError> {
-        let line = encode_response_line(resp)?;
-        out.extend_from_slice(line.as_bytes());
-        out.push(b'\n');
-        Ok(())
+        let start = out.len();
+        let written = write_response_line(resp, out).and_then(|()| {
+            out.push(b'\n');
+            check_frame_len(out.len() - start)
+        });
+        if written.is_err() {
+            out.truncate(start);
+        }
+        written
     }
 
     fn read_frame(&self, reader: &mut dyn BufRead) -> Result<Option<Response>, ServiceError> {
         let mut buf = Vec::new();
         let n = reader
+            .take(MAX_FRAME_BYTES as u64)
             .read_until(b'\n', &mut buf)
             .map_err(|e| ServiceError::Io(format!("read response line: {e}")))?;
         if n == 0 {
             return Ok(None);
         }
-        let line = String::from_utf8_lossy(&buf);
-        Ok(Some(decode_response_line(
-            line.trim_end_matches(['\n', '\r']),
-        )?))
+        if buf.last() != Some(&b'\n') {
+            return Err(ServiceError::Protocol(if n == MAX_FRAME_BYTES {
+                format!("text frame exceeds {MAX_FRAME_BYTES} bytes without a newline")
+            } else {
+                format!("truncated text frame: EOF after {n} bytes without a newline")
+            }));
+        }
+        let line = std::str::from_utf8(&buf)
+            .map_err(|_| ServiceError::Protocol("text frame is not valid UTF-8".into()))?;
+        decode_response_line(line.trim_end_matches(['\n', '\r'])).map(Some)
     }
 }
 
@@ -144,6 +187,475 @@ mod tag {
     pub const METRICS: u8 = 13;
     pub const BUSY: u8 = 14;
     pub const MUTATED: u8 = 15;
+}
+
+/// How a variant's text line starts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TextForm {
+    /// `OK <word>` then the fields, e.g. `OK loaded name=…`.
+    Head(&'static str),
+    /// `OK` then the fields; the decoder knows the line by its first key.
+    Bare,
+    /// A hand-written `ERR …` line (`protocol.rs`).
+    ErrLine,
+}
+
+/// One codec's writing side of the schema walk.
+pub(crate) trait FieldWriter {
+    /// Starts the frame of the variant tagged `tag`.
+    fn begin(&mut self, tag: u8, form: TextForm);
+
+    /// Writes one field. The text form leaves it out when it equals
+    /// `unset`.
+    fn field<V: WireValue>(
+        &mut self,
+        key: &'static str,
+        v: &V,
+        unset: Option<&V>,
+    ) -> Result<(), ServiceError>;
+}
+
+/// One codec's reading side of the schema walk.
+pub(crate) trait FieldReader {
+    /// Reads one field. The text form reads an absent field as `unset`
+    /// and rejects a present one that equals it.
+    fn field<V: WireValue>(
+        &mut self,
+        key: &'static str,
+        unset: Option<V>,
+    ) -> Result<V, ServiceError>;
+}
+
+/// The pattern (and constructor) of a variant from its field names.
+/// `tuple` variants hold their one field positionally; the `answer`
+/// variant holds its first field (`seq`) itself and the rest in a
+/// [`WireAnswer`].
+macro_rules! variant {
+    ($v:ident [] $($f:ident)*) => { Response::$v { $($f),* } };
+    ($v:ident [tuple] $($f:ident)*) => { Response::$v($($f),*) };
+    ($v:ident [answer] $seq:ident $($f:ident)*) => {
+        Response::$v { $seq, answer: WireAnswer { $($f),* } }
+    };
+}
+
+macro_rules! or_none {
+    () => {
+        None
+    };
+    ($v:expr) => {
+        Some($v)
+    };
+}
+
+macro_rules! present {
+    () => {
+        false
+    };
+    ($v:expr) => {
+        true
+    };
+}
+
+/// Declares the response schema (see the module docs) and generates the
+/// walk both codecs share: [`write_fields`], [`read_fields`] and
+/// [`TEXT_LAYOUTS`].
+macro_rules! response_schema {
+    ($(
+        $variant:ident $([$shape:ident])? = $tag:path, $form:expr => {
+            $($field:ident: $ty:ty = $key:literal $(unless $unset:expr)?),* $(,)?
+        }
+    )*) => {
+        /// Writes `resp` through `w`: its tag and text form, then its
+        /// fields in declaration order.
+        pub(crate) fn write_fields<W: FieldWriter>(
+            resp: &Response,
+            w: &mut W,
+        ) -> Result<(), ServiceError> {
+            use TextForm::*;
+            match resp {
+                $(variant!($variant [$($shape)?] $($field)*) => {
+                    w.begin($tag, $form);
+                    $(w.field($key, $field, or_none!($(&$unset)?))?;)*
+                })*
+            }
+            Ok(())
+        }
+
+        /// Reads the fields of the variant tagged `tag` through `r`.
+        pub(crate) fn read_fields<R: FieldReader>(
+            tag: u8,
+            r: &mut R,
+        ) -> Result<Response, ServiceError> {
+            match tag {
+                $($tag => {
+                    $(let $field: $ty = r.field($key, or_none!($($unset)?))?;)*
+                    Ok(variant!($variant [$($shape)?] $($field)*))
+                })*
+                t => Err(ServiceError::Protocol(format!(
+                    "malformed binary frame: unknown tag {t}"
+                ))),
+            }
+        }
+
+        /// Each variant's tag, text form and text keys, each with whether
+        /// the text form may leave it out.
+        pub(crate) const TEXT_LAYOUTS: &[(u8, TextForm, &[(&str, bool)])] = {
+            use TextForm::*;
+            &[$(($tag, $form, &[$(($key, present!($($unset)?))),*])),*]
+        };
+    };
+}
+
+response_schema! {
+    Pong = tag::PONG, Head("pong") => {}
+    Hello = tag::HELLO, Bare => {
+        version: u32 = "version",
+        codec: CodecKind = "codec",
+    }
+    Datasets [tuple] = tag::DATASETS, Bare => { summaries: Vec<String> = "datasets" }
+    Algorithms [tuple] = tag::ALGORITHMS, Bare => { names: Vec<String> = "algorithms" }
+    Stats = tag::STATS, Bare => {
+        hits: u64 = "hits",
+        misses: u64 = "misses",
+        entries: usize = "entries",
+        evictions: u64 = "evictions",
+        hit_rate: f64 = "hit_rate",
+        warm_hits: u64 = "warm_hits",
+        warm_misses: u64 = "warm_misses",
+        warm_entries: usize = "warm_entries",
+        uptime_secs: u64 = "uptime_secs",
+        total_queries: u64 = "total_queries",
+        queue_depth: u64 = "queue_depth",
+        shed_total: u64 = "shed_total",
+        conns_open: u64 = "conns_open",
+        mutations_total: u64 = "mutations_total",
+    }
+    Info = tag::INFO, Bare => {
+        workers: usize = "workers",
+        datasets: usize = "datasets",
+        cache_entries: usize = "cache_entries",
+        uptime_secs: u64 = "uptime_secs",
+        total_queries: u64 = "total_queries",
+    }
+    Answer [answer] = tag::ANSWER, Bare => {
+        seq: Option<u64> = "seq" unless None,
+        alg: String = "alg",
+        cached: bool = "cached",
+        micros: u64 = "micros",
+        violations: usize = "err",
+        mhr: Option<f64> = "mhr",
+        indices: Vec<usize> = "indices",
+    }
+    BatchHeader = tag::BATCH_HEADER, Bare => {
+        n: usize = "batch",
+        stream: bool = "stream" unless false,
+    }
+    Loaded = tag::LOADED, Head("loaded") => {
+        name: String = "name",
+        rows: usize = "n",
+        dim: usize = "d",
+        groups: usize = "groups",
+        skyline: usize = "skyline",
+    }
+    Mutated = tag::MUTATED, Head("mutated") => {
+        name: String = "name",
+        op: String = "op",
+        rows: usize = "n",
+        skyline: usize = "skyline",
+        sky_changed: bool = "sky_changed",
+        cache_dropped: u64 = "cache_dropped",
+        warm_dropped: u64 = "warm_dropped",
+    }
+    Metrics = tag::METRICS, Head("metrics") => {
+        enabled: bool = "enabled",
+        counters: Vec<(String, u64)> = "counters",
+        histograms: Vec<WireHistogram> = "histos",
+    }
+    Bye = tag::BYE, Head("bye") => {}
+    Busy = tag::BUSY, ErrLine => {
+        seq: Option<u64> = "seq" unless None,
+        retry_after_ms: u64 = "retry_after_ms",
+        message: String = "message",
+    }
+    Error = tag::ERROR, ErrLine => {
+        seq: Option<u64> = "seq" unless None,
+        message: String = "message",
+    }
+}
+
+/// A field type: its one text form (the value after `key=`) and its one
+/// binary form. `key` names the field in errors.
+pub(crate) trait WireValue: Sized + PartialEq {
+    /// Appends the text form.
+    fn put_text(&self, key: &str, out: &mut Vec<u8>) -> Result<(), ServiceError>;
+    /// Parses the text form.
+    fn get_text(key: &str, s: &str) -> Result<Self, ServiceError>;
+    /// Appends the binary form.
+    fn put_binary(&self, out: &mut Vec<u8>);
+    /// Reads the binary form.
+    fn get_binary(r: &mut PayloadReader<'_>, key: &str) -> Result<Self, ServiceError>;
+}
+
+/// Appends `v`'s `Display` form.
+pub(crate) fn put_display(out: &mut Vec<u8>, v: impl std::fmt::Display) {
+    use std::io::Write;
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(out, "{v}");
+}
+
+/// Integers: decimal in text, a varint in binary.
+macro_rules! int_value {
+    ($($t:ty: $widen:expr),*) => {$(
+        impl WireValue for $t {
+            fn put_text(&self, _: &str, out: &mut Vec<u8>) -> Result<(), ServiceError> {
+                put_display(out, self);
+                Ok(())
+            }
+            fn get_text(key: &str, s: &str) -> Result<Self, ServiceError> {
+                parse_num(key, s)
+            }
+            fn put_binary(&self, out: &mut Vec<u8>) {
+                put_varint(out, ($widen)(*self));
+            }
+            fn get_binary(r: &mut PayloadReader<'_>, key: &str) -> Result<Self, ServiceError> {
+                <$t>::try_from(r.varint(key)?).map_err(|_| {
+                    ServiceError::Protocol(format!("{key}: value exceeds {}", stringify!($t)))
+                })
+            }
+        }
+    )*};
+}
+
+int_value!(u32: u64::from, u64: u64::from, usize: |v: usize| v as u64);
+
+/// Shortest round-trip decimal in text, raw IEEE-754 bits in binary.
+impl WireValue for f64 {
+    fn put_text(&self, _: &str, out: &mut Vec<u8>) -> Result<(), ServiceError> {
+        put_display(out, self);
+        Ok(())
+    }
+    fn get_text(key: &str, s: &str) -> Result<Self, ServiceError> {
+        parse_num(key, s)
+    }
+    fn put_binary(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_bits().to_le_bytes());
+    }
+    fn get_binary(r: &mut PayloadReader<'_>, key: &str) -> Result<Self, ServiceError> {
+        r.f64_bits(key)
+    }
+}
+
+/// `true`/`false` in text, one byte 1/0 in binary; nothing else decodes.
+impl WireValue for bool {
+    fn put_text(&self, _: &str, out: &mut Vec<u8>) -> Result<(), ServiceError> {
+        put_display(out, self);
+        Ok(())
+    }
+    fn get_text(key: &str, s: &str) -> Result<Self, ServiceError> {
+        match s {
+            "true" => Ok(true),
+            "false" => Ok(false),
+            _ => Err(ServiceError::Protocol(format!(
+                "{key}: expected true|false, got {s:?}"
+            ))),
+        }
+    }
+    fn put_binary(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn get_binary(r: &mut PayloadReader<'_>, key: &str) -> Result<Self, ServiceError> {
+        r.flag(key)
+    }
+}
+
+/// Wire-safe (whitespace-free) in text, length-prefixed in binary.
+impl WireValue for String {
+    fn put_text(&self, key: &str, out: &mut Vec<u8>) -> Result<(), ServiceError> {
+        check_wire_safe(key, self)?;
+        out.extend_from_slice(self.as_bytes());
+        Ok(())
+    }
+    fn get_text(_: &str, s: &str) -> Result<Self, ServiceError> {
+        Ok(s.to_string())
+    }
+    fn put_binary(&self, out: &mut Vec<u8>) {
+        put_str(out, self);
+    }
+    fn get_binary(r: &mut PayloadReader<'_>, key: &str) -> Result<Self, ServiceError> {
+        r.str(key)
+    }
+}
+
+/// Its wire name (`text`, `binary`) in both codecs.
+impl WireValue for CodecKind {
+    fn put_text(&self, _: &str, out: &mut Vec<u8>) -> Result<(), ServiceError> {
+        put_display(out, self);
+        Ok(())
+    }
+    fn get_text(key: &str, s: &str) -> Result<Self, ServiceError> {
+        CodecKind::parse(s)
+            .ok_or_else(|| ServiceError::Protocol(format!("{key}: unknown kind {s:?}")))
+    }
+    fn put_binary(&self, out: &mut Vec<u8>) {
+        put_str(out, &self.to_string());
+    }
+    fn get_binary(r: &mut PayloadReader<'_>, key: &str) -> Result<Self, ServiceError> {
+        Self::get_text(key, &r.str(key)?)
+    }
+}
+
+/// `none` or the value in text; a presence byte 0/1, then the value, in
+/// binary.
+impl<T: WireValue> WireValue for Option<T> {
+    fn put_text(&self, key: &str, out: &mut Vec<u8>) -> Result<(), ServiceError> {
+        match self {
+            Some(v) => v.put_text(key, out),
+            None => {
+                out.extend_from_slice(b"none");
+                Ok(())
+            }
+        }
+    }
+    fn get_text(key: &str, s: &str) -> Result<Self, ServiceError> {
+        match s {
+            "none" => Ok(None),
+            _ => T::get_text(key, s).map(Some),
+        }
+    }
+    fn put_binary(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(self.is_some()));
+        if let Some(v) = self {
+            v.put_binary(out);
+        }
+    }
+    fn get_binary(r: &mut PayloadReader<'_>, key: &str) -> Result<Self, ServiceError> {
+        match r.flag(key)? {
+            true => T::get_binary(r, key).map(Some),
+            false => Ok(None),
+        }
+    }
+}
+
+/// Comma-joined items in text (an item may not be empty or hold a
+/// comma); a varint count, then the items, in binary.
+impl<T: WireValue> WireValue for Vec<T> {
+    fn put_text(&self, key: &str, out: &mut Vec<u8>) -> Result<(), ServiceError> {
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            let start = out.len();
+            item.put_text(key, out)?;
+            let text = &out[start..];
+            if text.is_empty() || text.contains(&b',') {
+                return Err(ServiceError::Protocol(format!(
+                    "{key}: item {:?} would corrupt the comma-joined list",
+                    String::from_utf8_lossy(text)
+                )));
+            }
+        }
+        Ok(())
+    }
+    fn get_text(key: &str, s: &str) -> Result<Self, ServiceError> {
+        s.split(',')
+            .filter(|item| !item.is_empty())
+            .map(|item| T::get_text(key, item))
+            .collect()
+    }
+    fn put_binary(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.len() as u64);
+        for item in self {
+            item.put_binary(out);
+        }
+    }
+    fn get_binary(r: &mut PayloadReader<'_>, key: &str) -> Result<Self, ServiceError> {
+        let n = usize::get_binary(r, key)?;
+        // Each item costs ≥ 1 byte; a count beyond the remaining payload
+        // is corruption, caught before any proportional allocation.
+        if n > r.buf.len() - r.pos {
+            return Err(r.truncated(key));
+        }
+        (0..n).map(|_| T::get_binary(r, key)).collect()
+    }
+}
+
+/// Writes a `METRICS` name, which the `:`-separated text items also
+/// forbid to be empty or hold a `:`.
+fn put_metric_name(key: &str, name: &String, out: &mut Vec<u8>) -> Result<(), ServiceError> {
+    if name.is_empty() || name.contains(':') {
+        return Err(ServiceError::Protocol(format!(
+            "{key}: name {name:?} would corrupt the METRICS list encoding"
+        )));
+    }
+    name.put_text(key, out)
+}
+
+/// A `METRICS` counter: `name:value` in text.
+impl WireValue for (String, u64) {
+    fn put_text(&self, key: &str, out: &mut Vec<u8>) -> Result<(), ServiceError> {
+        put_metric_name(key, &self.0, out)?;
+        out.push(b':');
+        self.1.put_text(key, out)
+    }
+    fn get_text(key: &str, s: &str) -> Result<Self, ServiceError> {
+        let (name, v) = s.split_once(':').ok_or_else(|| {
+            ServiceError::Protocol(format!("{key}: expected name:value, got {s:?}"))
+        })?;
+        Ok((name.to_string(), parse_num(key, v)?))
+    }
+    fn put_binary(&self, out: &mut Vec<u8>) {
+        self.0.put_binary(out);
+        self.1.put_binary(out);
+    }
+    fn get_binary(r: &mut PayloadReader<'_>, key: &str) -> Result<Self, ServiceError> {
+        Ok((r.str(key)?, r.varint(key)?))
+    }
+}
+
+/// A `METRICS` histogram: `name:count:sum:p50:p90:p99:max` in text.
+impl WireValue for WireHistogram {
+    fn put_text(&self, key: &str, out: &mut Vec<u8>) -> Result<(), ServiceError> {
+        put_metric_name(key, &self.name, out)?;
+        for v in [self.count, self.sum, self.p50, self.p90, self.p99, self.max] {
+            out.push(b':');
+            put_display(out, v);
+        }
+        Ok(())
+    }
+    fn get_text(key: &str, s: &str) -> Result<Self, ServiceError> {
+        let parts: Vec<&str> = s.split(':').collect();
+        let [name, count, sum, p50, p90, p99, max] = parts.as_slice() else {
+            return Err(ServiceError::Protocol(format!(
+                "{key}: expected name:count:sum:p50:p90:p99:max, got {s:?}"
+            )));
+        };
+        Ok(WireHistogram {
+            name: name.to_string(),
+            count: parse_num(key, count)?,
+            sum: parse_num(key, sum)?,
+            p50: parse_num(key, p50)?,
+            p90: parse_num(key, p90)?,
+            p99: parse_num(key, p99)?,
+            max: parse_num(key, max)?,
+        })
+    }
+    fn put_binary(&self, out: &mut Vec<u8>) {
+        put_str(out, &self.name);
+        for v in [self.count, self.sum, self.p50, self.p90, self.p99, self.max] {
+            put_varint(out, v);
+        }
+    }
+    fn get_binary(r: &mut PayloadReader<'_>, key: &str) -> Result<Self, ServiceError> {
+        Ok(WireHistogram {
+            name: r.str(key)?,
+            count: r.varint(key)?,
+            sum: r.varint(key)?,
+            p50: r.varint(key)?,
+            p90: r.varint(key)?,
+            p99: r.varint(key)?,
+            max: r.varint(key)?,
+        })
+    }
 }
 
 /// Protocol v2: length-prefixed binary frames (see the module docs for
@@ -168,26 +680,28 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn put_list(out: &mut Vec<u8>, items: &[String]) {
-    put_varint(out, items.len() as u64);
-    for s in items {
-        put_str(out, s);
-    }
-}
+/// The binary side of the schema walk: appends the tag, then each field.
+struct BinaryWriter<'a>(&'a mut Vec<u8>);
 
-fn put_opt_varint(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            put_varint(out, v);
-        }
+impl FieldWriter for BinaryWriter<'_> {
+    fn begin(&mut self, tag: u8, _: TextForm) {
+        self.0.push(tag);
+    }
+
+    fn field<V: WireValue>(
+        &mut self,
+        _: &'static str,
+        v: &V,
+        _: Option<&V>,
+    ) -> Result<(), ServiceError> {
+        v.put_binary(self.0);
+        Ok(())
     }
 }
 
 /// Typed cursor over one frame payload; every read error names the field
 /// so truncation diagnostics point at the exact spot.
-struct PayloadReader<'a> {
+pub(crate) struct PayloadReader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
@@ -214,6 +728,17 @@ impl<'a> PayloadReader<'a> {
         Ok(b)
     }
 
+    /// A boolean or presence byte: 0 or 1, nothing else.
+    fn flag(&mut self, field: &str) -> Result<bool, ServiceError> {
+        match self.u8(field)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(ServiceError::Protocol(format!(
+                "malformed binary frame: {field} byte {b} (want 0/1)"
+            ))),
+        }
+    }
+
     fn varint(&mut self, field: &str) -> Result<u64, ServiceError> {
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
@@ -236,11 +761,6 @@ impl<'a> PayloadReader<'a> {
         )))
     }
 
-    fn usize(&mut self, field: &str) -> Result<usize, ServiceError> {
-        usize::try_from(self.varint(field)?)
-            .map_err(|_| ServiceError::Protocol(format!("{field}: value exceeds usize")))
-    }
-
     fn f64_bits(&mut self, field: &str) -> Result<f64, ServiceError> {
         let end = self.pos + 8;
         let bytes = self
@@ -254,8 +774,8 @@ impl<'a> PayloadReader<'a> {
     }
 
     fn str(&mut self, field: &str) -> Result<String, ServiceError> {
-        let len = self.usize(field)?;
-        if len > self.buf.len().saturating_sub(self.pos) {
+        let len = usize::get_binary(self, field)?;
+        if len > self.buf.len() - self.pos {
             return Err(self.truncated(field));
         }
         let end = self.pos + len;
@@ -264,26 +784,6 @@ impl<'a> PayloadReader<'a> {
             .to_string();
         self.pos = end;
         Ok(s)
-    }
-
-    fn list(&mut self, field: &str) -> Result<Vec<String>, ServiceError> {
-        let n = self.usize(field)?;
-        // Each entry costs ≥ 1 byte; a count beyond the remaining payload
-        // is corruption, caught before any proportional allocation.
-        if n > self.buf.len().saturating_sub(self.pos) {
-            return Err(self.truncated(field));
-        }
-        (0..n).map(|_| self.str(field)).collect()
-    }
-
-    fn opt_varint(&mut self, field: &str) -> Result<Option<u64>, ServiceError> {
-        match self.u8(field)? {
-            0 => Ok(None),
-            1 => Ok(Some(self.varint(field)?)),
-            b => Err(ServiceError::Protocol(format!(
-                "malformed binary frame: {field} presence byte {b} (want 0/1)"
-            ))),
-        }
     }
 
     fn finish(&self) -> Result<(), ServiceError> {
@@ -297,163 +797,9 @@ impl<'a> PayloadReader<'a> {
     }
 }
 
-fn encode_binary_payload(resp: &Response, out: &mut Vec<u8>) {
-    match resp {
-        Response::Pong => out.push(tag::PONG),
-        Response::Hello { version, codec } => {
-            out.push(tag::HELLO);
-            put_varint(out, u64::from(*version));
-            put_str(out, &codec.to_string());
-        }
-        Response::Datasets(summaries) => {
-            out.push(tag::DATASETS);
-            put_list(out, summaries);
-        }
-        Response::Algorithms(names) => {
-            out.push(tag::ALGORITHMS);
-            put_list(out, names);
-        }
-        Response::Stats {
-            hits,
-            misses,
-            entries,
-            evictions,
-            hit_rate,
-            warm_hits,
-            warm_misses,
-            warm_entries,
-            uptime_secs,
-            total_queries,
-            queue_depth,
-            shed_total,
-            conns_open,
-            mutations_total,
-        } => {
-            out.push(tag::STATS);
-            put_varint(out, *hits);
-            put_varint(out, *misses);
-            put_varint(out, *entries as u64);
-            put_varint(out, *evictions);
-            out.extend_from_slice(&hit_rate.to_bits().to_le_bytes());
-            put_varint(out, *warm_hits);
-            put_varint(out, *warm_misses);
-            put_varint(out, *warm_entries as u64);
-            put_varint(out, *uptime_secs);
-            put_varint(out, *total_queries);
-            put_varint(out, *queue_depth);
-            put_varint(out, *shed_total);
-            put_varint(out, *conns_open);
-            put_varint(out, *mutations_total);
-        }
-        Response::Info {
-            workers,
-            datasets,
-            cache_entries,
-            uptime_secs,
-            total_queries,
-        } => {
-            out.push(tag::INFO);
-            put_varint(out, *workers as u64);
-            put_varint(out, *datasets as u64);
-            put_varint(out, *cache_entries as u64);
-            put_varint(out, *uptime_secs);
-            put_varint(out, *total_queries);
-        }
-        Response::Metrics {
-            enabled,
-            counters,
-            histograms,
-        } => {
-            out.push(tag::METRICS);
-            out.push(u8::from(*enabled));
-            put_varint(out, counters.len() as u64);
-            for (name, v) in counters {
-                put_str(out, name);
-                put_varint(out, *v);
-            }
-            put_varint(out, histograms.len() as u64);
-            for h in histograms {
-                put_str(out, &h.name);
-                put_varint(out, h.count);
-                put_varint(out, h.sum);
-                put_varint(out, h.p50);
-                put_varint(out, h.p90);
-                put_varint(out, h.p99);
-                put_varint(out, h.max);
-            }
-        }
-        Response::Answer { seq, answer } => {
-            out.push(tag::ANSWER);
-            put_opt_varint(out, *seq);
-            put_str(out, &answer.alg);
-            out.push(u8::from(answer.cached));
-            put_varint(out, answer.micros);
-            put_varint(out, answer.violations as u64);
-            match answer.mhr {
-                None => out.push(0),
-                Some(v) => {
-                    out.push(1);
-                    out.extend_from_slice(&v.to_bits().to_le_bytes());
-                }
-            }
-            put_varint(out, answer.indices.len() as u64);
-            for &i in &answer.indices {
-                put_varint(out, i as u64);
-            }
-        }
-        Response::BatchHeader { n, stream } => {
-            out.push(tag::BATCH_HEADER);
-            put_varint(out, *n as u64);
-            out.push(u8::from(*stream));
-        }
-        Response::Loaded {
-            name,
-            rows,
-            dim,
-            groups,
-            skyline,
-        } => {
-            out.push(tag::LOADED);
-            put_str(out, name);
-            put_varint(out, *rows as u64);
-            put_varint(out, *dim as u64);
-            put_varint(out, *groups as u64);
-            put_varint(out, *skyline as u64);
-        }
-        Response::Mutated {
-            name,
-            op,
-            rows,
-            skyline,
-            sky_changed,
-            cache_dropped,
-            warm_dropped,
-        } => {
-            out.push(tag::MUTATED);
-            put_str(out, name);
-            put_str(out, op);
-            put_varint(out, *rows as u64);
-            put_varint(out, *skyline as u64);
-            out.push(u8::from(*sky_changed));
-            put_varint(out, *cache_dropped);
-            put_varint(out, *warm_dropped);
-        }
-        Response::Bye => out.push(tag::BYE),
-        Response::Busy {
-            seq,
-            retry_after_ms,
-            message,
-        } => {
-            out.push(tag::BUSY);
-            put_opt_varint(out, *seq);
-            put_varint(out, *retry_after_ms);
-            put_str(out, message);
-        }
-        Response::Error { seq, message } => {
-            out.push(tag::ERROR);
-            put_opt_varint(out, *seq);
-            put_str(out, message);
-        }
+impl FieldReader for PayloadReader<'_> {
+    fn field<V: WireValue>(&mut self, key: &'static str, _: Option<V>) -> Result<V, ServiceError> {
+        V::get_binary(self, key)
     }
 }
 
@@ -462,145 +808,7 @@ fn encode_binary_payload(resp: &Response, out: &mut Vec<u8>) {
 /// stream entry point.
 pub fn decode_binary_payload(payload: &[u8]) -> Result<Response, ServiceError> {
     let mut r = PayloadReader::new(payload);
-    let resp = match r.u8("tag")? {
-        tag::PONG => Response::Pong,
-        tag::HELLO => Response::Hello {
-            version: u32::try_from(r.varint("version")?)
-                .map_err(|_| ServiceError::Protocol("version exceeds u32".into()))?,
-            codec: {
-                let s = r.str("codec")?;
-                CodecKind::parse(&s)
-                    .ok_or_else(|| ServiceError::Protocol(format!("codec: unknown kind {s:?}")))?
-            },
-        },
-        tag::DATASETS => Response::Datasets(r.list("datasets")?),
-        tag::ALGORITHMS => Response::Algorithms(r.list("algorithms")?),
-        tag::STATS => Response::Stats {
-            hits: r.varint("hits")?,
-            misses: r.varint("misses")?,
-            entries: r.usize("entries")?,
-            evictions: r.varint("evictions")?,
-            hit_rate: r.f64_bits("hit_rate")?,
-            warm_hits: r.varint("warm_hits")?,
-            warm_misses: r.varint("warm_misses")?,
-            warm_entries: r.usize("warm_entries")?,
-            uptime_secs: r.varint("uptime_secs")?,
-            total_queries: r.varint("total_queries")?,
-            queue_depth: r.varint("queue_depth")?,
-            shed_total: r.varint("shed_total")?,
-            conns_open: r.varint("conns_open")?,
-            mutations_total: r.varint("mutations_total")?,
-        },
-        tag::INFO => Response::Info {
-            workers: r.usize("workers")?,
-            datasets: r.usize("datasets")?,
-            cache_entries: r.usize("cache_entries")?,
-            uptime_secs: r.varint("uptime_secs")?,
-            total_queries: r.varint("total_queries")?,
-        },
-        tag::ANSWER => {
-            let seq = r.opt_varint("seq")?;
-            let alg = r.str("alg")?;
-            let cached = r.u8("cached")? != 0;
-            let micros = r.varint("micros")?;
-            let violations = r.usize("violations")?;
-            let mhr = match r.u8("mhr presence")? {
-                0 => None,
-                1 => Some(r.f64_bits("mhr")?),
-                b => {
-                    return Err(ServiceError::Protocol(format!(
-                        "malformed binary frame: mhr presence byte {b} (want 0/1)"
-                    )))
-                }
-            };
-            let n = r.usize("indices count")?;
-            if n > payload.len() {
-                // ≥ 1 byte per index: a count beyond the payload is corrupt.
-                return Err(r.truncated("indices count"));
-            }
-            let indices = (0..n)
-                .map(|_| r.usize("indices"))
-                .collect::<Result<Vec<_>, _>>()?;
-            Response::Answer {
-                seq,
-                answer: WireAnswer {
-                    alg,
-                    cached,
-                    micros,
-                    violations,
-                    mhr,
-                    indices,
-                },
-            }
-        }
-        tag::BATCH_HEADER => Response::BatchHeader {
-            n: r.usize("batch size")?,
-            stream: r.u8("stream flag")? != 0,
-        },
-        tag::LOADED => Response::Loaded {
-            name: r.str("name")?,
-            rows: r.usize("rows")?,
-            dim: r.usize("dim")?,
-            groups: r.usize("groups")?,
-            skyline: r.usize("skyline")?,
-        },
-        tag::MUTATED => Response::Mutated {
-            name: r.str("name")?,
-            op: r.str("op")?,
-            rows: r.usize("rows")?,
-            skyline: r.usize("skyline")?,
-            sky_changed: r.u8("sky_changed")? != 0,
-            cache_dropped: r.varint("cache_dropped")?,
-            warm_dropped: r.varint("warm_dropped")?,
-        },
-        tag::BYE => Response::Bye,
-        tag::BUSY => Response::Busy {
-            seq: r.opt_varint("seq")?,
-            retry_after_ms: r.varint("retry_after_ms")?,
-            message: r.str("message")?,
-        },
-        tag::ERROR => Response::Error {
-            seq: r.opt_varint("seq")?,
-            message: r.str("message")?,
-        },
-        tag::METRICS => {
-            let enabled = r.u8("metrics enabled")? != 0;
-            let nc = r.usize("counter count")?;
-            if nc > payload.len() {
-                return Err(r.truncated("counter count"));
-            }
-            let counters = (0..nc)
-                .map(|_| Ok((r.str("counter name")?, r.varint("counter value")?)))
-                .collect::<Result<Vec<_>, ServiceError>>()?;
-            let nh = r.usize("histogram count")?;
-            if nh > payload.len() {
-                return Err(r.truncated("histogram count"));
-            }
-            let histograms = (0..nh)
-                .map(|_| {
-                    Ok(crate::protocol::WireHistogram {
-                        name: r.str("histogram name")?,
-                        count: r.varint("histogram count field")?,
-                        sum: r.varint("histogram sum")?,
-                        p50: r.varint("histogram p50")?,
-                        p90: r.varint("histogram p90")?,
-                        p99: r.varint("histogram p99")?,
-                        max: r.varint("histogram max")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, ServiceError>>()?;
-            Response::Metrics {
-                enabled,
-                counters,
-                histograms,
-            }
-        }
-        t => {
-            return Err(ServiceError::Protocol(format!(
-                "malformed binary frame: unknown tag {t}"
-            )))
-        }
-    };
+    let resp = read_fields(r.u8("tag")?, &mut r)?;
     r.finish()?;
     Ok(resp)
 }
@@ -613,15 +821,14 @@ impl Codec for BinaryCodec {
     fn encode_frame(&self, resp: &Response, out: &mut Vec<u8>) -> Result<(), ServiceError> {
         let start = out.len();
         out.extend_from_slice(&[0; 4]); // length placeholder
-        encode_binary_payload(resp, out);
-        let len = out.len() - start - 4;
-        if len > MAX_FRAME_BYTES {
+        let written = write_fields(resp, &mut BinaryWriter(out))
+            .and_then(|()| check_frame_len(out.len() - start - 4));
+        if written.is_err() {
             out.truncate(start);
-            return Err(ServiceError::Protocol(format!(
-                "response frame of {len} bytes exceeds {MAX_FRAME_BYTES}"
-            )));
+            return written;
         }
-        out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        let len = (out.len() - start - 4) as u32;
+        out[start..start + 4].copy_from_slice(&len.to_le_bytes());
         Ok(())
     }
 

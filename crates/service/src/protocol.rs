@@ -7,14 +7,18 @@
 //! [`crate::codec::TextCodec`] (the v1 lines below, bit-for-bit) and
 //! [`crate::codec::BinaryCodec`] (length-prefixed frames) — negotiated by
 //! the `HELLO` handshake. A connection that never sends `HELLO` is a v1
-//! text session and observes exactly the v1 protocol.
+//! text session and observes exactly the v1 protocol. Each response
+//! variant's fields are declared once, in `codec.rs`'s response schema;
+//! this module holds the text side of that walk ([`Fields`] reads an
+//! `OK` line, a text writer appends one) and the hand-written `ERR`
+//! lines.
 //!
 //! Requests are *always* newline-delimited UTF-8 text, space-separated
-//! `key=value` pairs, no quoting — values never contain spaces. The
-//! negotiated codec governs the **response** channel only (responses
-//! carry the bulk: index lists). Numeric floats use Rust's shortest
-//! round-trip `Display` formatting, so a parsed `mhr` is bit-identical to
-//! the serialized one.
+//! `key=value` pairs, no quoting — values never contain spaces, and a
+//! key may appear once. The negotiated codec governs the **response**
+//! channel only (responses carry the bulk: index lists). Numeric floats
+//! use Rust's shortest round-trip `Display` formatting, so a parsed `mhr`
+//! is bit-identical to the serialized one.
 //!
 //! ```text
 //! >> PING                                   << OK pong
@@ -40,6 +44,10 @@
 //! Malformed input yields a single `ERR <message>` reply; the connection
 //! stays open.
 
+use crate::codec::{
+    put_display, read_fields, write_fields, FieldReader, FieldWriter, TextForm, WireValue,
+    TEXT_LAYOUTS,
+};
 use crate::engine::QueryResponse;
 use crate::query::Query;
 use crate::ServiceError;
@@ -332,7 +340,7 @@ fn parse_bool(key: &str, v: &str) -> Result<bool, ServiceError> {
     }
 }
 
-fn parse_num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, ServiceError> {
+pub(crate) fn parse_num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, ServiceError> {
     v.parse()
         .map_err(|_| ServiceError::Protocol(format!("{key}: cannot parse {v:?}")))
 }
@@ -341,11 +349,11 @@ fn parse_num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, ServiceError
 /// text framing if embedded in a request or response line.
 ///
 /// The seam the wire-safety guarantee hangs on: [`query_to_wire`] and
-/// [`encode_response_line`] route every free-form string (dataset and
-/// algorithm names, list entries) through here, so a crafted value (e.g.
+/// the text codec route every free-form string (dataset and algorithm
+/// names, list entries) through here, so a crafted value (e.g.
 /// `alg="x ERR injected"`) yields a typed error instead of silently
 /// producing two frames.
-fn check_wire_safe(field: &str, v: &str) -> Result<(), ServiceError> {
+pub(crate) fn check_wire_safe(field: &str, v: &str) -> Result<(), ServiceError> {
     if v.chars().any(char::is_whitespace) {
         return Err(ServiceError::Protocol(format!(
             "{field}: value {v:?} is not wire-safe (contains whitespace)"
@@ -354,72 +362,95 @@ fn check_wire_safe(field: &str, v: &str) -> Result<(), ServiceError> {
     Ok(())
 }
 
-/// Like [`check_wire_safe`], plus the `,`/`:` delimiters the `METRICS`
-/// line uses inside its comma-joined lists.
-fn check_metric_name(name: &str) -> Result<(), ServiceError> {
-    check_wire_safe("metric", name)?;
-    if name.is_empty() || name.contains([',', ':']) {
-        return Err(ServiceError::Protocol(format!(
-            "metric: name {name:?} would corrupt the METRICS list encoding"
-        )));
+/// The `key=value` fields of one request or `OK` response line — the
+/// text twin of the binary decoder's payload reader. A key may appear
+/// once, and [`Fields::finish`] rejects any field left unread, so every
+/// line has exactly one reading.
+struct Fields(Vec<(String, String)>);
+
+impl Fields {
+    fn parse(tokens: &[&str]) -> Result<Self, ServiceError> {
+        Ok(Self(parse_kv(tokens)?))
     }
-    Ok(())
+
+    /// Takes the value of `key`, if present; a repeated key is an error.
+    fn take(&mut self, key: &str) -> Result<Option<String>, ServiceError> {
+        let Some(i) = self.0.iter().position(|(k, _)| k == key) else {
+            return Ok(None);
+        };
+        let (_, v) = self.0.remove(i);
+        if self.0.iter().any(|(k, _)| k == key) {
+            return Err(ServiceError::Protocol(format!("repeated field {key}=")));
+        }
+        Ok(Some(v))
+    }
+
+    /// Takes and parses the value of `key`, if present.
+    fn get<T>(
+        &mut self,
+        key: &str,
+        parse: impl FnOnce(&str, &str) -> Result<T, ServiceError>,
+    ) -> Result<Option<T>, ServiceError> {
+        self.take(key)?.map(|v| parse(key, &v)).transpose()
+    }
+
+    /// Takes the value of a required `key`.
+    fn text(&mut self, key: &str) -> Result<String, ServiceError> {
+        self.take(key)?
+            .ok_or_else(|| ServiceError::Protocol(format!("missing field {key}=")))
+    }
+
+    /// Rejects any field left unread (unknown to the line's layout).
+    fn finish(self) -> Result<(), ServiceError> {
+        match self.0.first() {
+            Some((key, _)) => Err(ServiceError::Protocol(format!("unknown field {key:?}"))),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Parses a `QUERY`-line body (`key=value` tokens after the verb).
 pub fn parse_query(tokens: &[&str]) -> Result<Query, ServiceError> {
-    let mut dataset: Option<String> = None;
-    let mut k: Option<usize> = None;
-    let mut q = Query::new("", 0);
-    for (key, v) in parse_kv(tokens)? {
-        match key.as_str() {
-            "dataset" => dataset = Some(v),
-            "k" => k = Some(parse_num("k", &v)?),
-            "alg" => q.alg = v,
-            "alpha" => {
-                q.alpha = crate::query::check_alpha(parse_num("alpha", &v)?)
-                    .map_err(ServiceError::Protocol)?
-            }
-            "balanced" => q.balanced = parse_bool("balanced", &v)?,
-            "seed" => q.seed = parse_num("seed", &v)?,
-            "skyline" => q.skyline = parse_bool("skyline", &v)?,
-            other => {
-                return Err(ServiceError::Protocol(format!("unknown field {other:?}")));
-            }
-        }
+    let mut f = Fields::parse(tokens)?;
+    let mut q = Query::new(f.text("dataset")?, parse_num("k", &f.text("k")?)?);
+    if let Some(alg) = f.take("alg")? {
+        q.alg = alg;
     }
-    q.dataset = dataset.ok_or_else(|| ServiceError::Protocol("missing dataset=".into()))?;
-    q.k = k.ok_or_else(|| ServiceError::Protocol("missing k=".into()))?;
+    if let Some(alpha) = f.get("alpha", parse_num)? {
+        q.alpha = crate::query::check_alpha(alpha).map_err(ServiceError::Protocol)?;
+    }
+    if let Some(balanced) = f.get("balanced", parse_bool)? {
+        q.balanced = balanced;
+    }
+    if let Some(seed) = f.get("seed", parse_num)? {
+        q.seed = seed;
+    }
+    if let Some(skyline) = f.get("skyline", parse_bool)? {
+        q.skyline = skyline;
+    }
+    f.finish()?;
     Ok(q)
 }
 
 fn parse_hello(tokens: &[&str]) -> Result<Request, ServiceError> {
-    let mut version: Option<u32> = None;
-    let mut codec = crate::codec::CodecKind::Text;
-    for (key, v) in parse_kv(tokens)? {
-        match key.as_str() {
-            "version" => version = Some(parse_num("version", &v)?),
-            "codec" => {
-                codec = crate::codec::CodecKind::parse(&v).ok_or_else(|| {
-                    ServiceError::Protocol(format!("codec: expected text|binary, got {v:?}"))
-                })?
-            }
-            other => {
-                return Err(ServiceError::Protocol(format!("unknown field {other:?}")));
-            }
-        }
-    }
-    match version {
-        Some(PROTOCOL_VERSION) => Ok(Request::Hello {
-            version: PROTOCOL_VERSION,
-            codec,
-        }),
-        Some(v) => Err(ServiceError::Protocol(format!(
-            "unsupported protocol version {v} (this server speaks {PROTOCOL_VERSION}; \
+    let mut f = Fields::parse(tokens)?;
+    let version: u32 = parse_num("version", &f.text("version")?)?;
+    let codec = f.get("codec", |_, v| {
+        crate::codec::CodecKind::parse(v).ok_or_else(|| {
+            ServiceError::Protocol(format!("codec: expected text|binary, got {v:?}"))
+        })
+    })?;
+    f.finish()?;
+    if version != PROTOCOL_VERSION {
+        return Err(ServiceError::Protocol(format!(
+            "unsupported protocol version {version} (this server speaks {PROTOCOL_VERSION}; \
              v1 clients simply omit HELLO)"
-        ))),
-        None => Err(ServiceError::Protocol("missing version=".into())),
+        )));
     }
+    Ok(Request::Hello {
+        version,
+        codec: codec.unwrap_or(crate::codec::CodecKind::Text),
+    })
 }
 
 fn parse_batch(rest: &[&str]) -> Result<Request, ServiceError> {
@@ -429,81 +460,47 @@ fn parse_batch(rest: &[&str]) -> Result<Request, ServiceError> {
         ));
     };
     let n: usize = parse_num("batch size", n)?;
-    let mut stream = false;
-    for (key, v) in parse_kv(tail)? {
-        match key.as_str() {
-            "stream" => stream = parse_bool("stream", &v)?,
-            other => {
-                return Err(ServiceError::Protocol(format!("unknown field {other:?}")));
-            }
-        }
-    }
+    let mut f = Fields::parse(tail)?;
+    let stream = f.get("stream", parse_bool)?.unwrap_or(false);
+    f.finish()?;
     Ok(Request::Batch { n, stream })
 }
 
 fn parse_load(tokens: &[&str]) -> Result<Request, ServiceError> {
-    let mut name: Option<String> = None;
-    let mut path: Option<String> = None;
-    for (key, v) in parse_kv(tokens)? {
-        match key.as_str() {
-            "name" => name = Some(v),
-            "path" => path = Some(v),
-            other => {
-                return Err(ServiceError::Protocol(format!("unknown field {other:?}")));
-            }
-        }
-    }
-    Ok(Request::Load {
-        name: name.ok_or_else(|| ServiceError::Protocol("missing name=".into()))?,
-        path: path.ok_or_else(|| ServiceError::Protocol("missing path=".into()))?,
-    })
+    let mut f = Fields::parse(tokens)?;
+    let load = Request::Load {
+        name: f.text("name")?,
+        path: f.text("path")?,
+    };
+    f.finish()?;
+    Ok(load)
 }
 
 fn parse_append(tokens: &[&str]) -> Result<Request, ServiceError> {
-    let mut name: Option<String> = None;
-    let mut row: Option<Vec<f64>> = None;
-    let mut group: Option<usize> = None;
-    for (key, v) in parse_kv(tokens)? {
-        match key.as_str() {
-            "name" => name = Some(v),
-            "row" => {
-                // Every cell must parse, like a CSV row behind `LOAD`: an
-                // empty cell is an error, not a skipped coordinate.
-                let coords = v
-                    .split(',')
-                    .map(|s| parse_num("row", s))
-                    .collect::<Result<Vec<f64>, _>>()?;
-                row = Some(coords);
-            }
-            "group" => group = Some(parse_num("group", &v)?),
-            other => {
-                return Err(ServiceError::Protocol(format!("unknown field {other:?}")));
-            }
-        }
-    }
-    Ok(Request::Append {
-        name: name.ok_or_else(|| ServiceError::Protocol("missing name=".into()))?,
-        row: row.ok_or_else(|| ServiceError::Protocol("missing row=".into()))?,
-        group: group.ok_or_else(|| ServiceError::Protocol("missing group=".into()))?,
-    })
+    let mut f = Fields::parse(tokens)?;
+    let append = Request::Append {
+        name: f.text("name")?,
+        // Every cell must parse, like a CSV row behind `LOAD`: an empty
+        // cell is an error, not a skipped coordinate.
+        row: f
+            .text("row")?
+            .split(',')
+            .map(|s| parse_num("row", s))
+            .collect::<Result<Vec<f64>, _>>()?,
+        group: parse_num("group", &f.text("group")?)?,
+    };
+    f.finish()?;
+    Ok(append)
 }
 
 fn parse_delete(tokens: &[&str]) -> Result<Request, ServiceError> {
-    let mut name: Option<String> = None;
-    let mut row: Option<usize> = None;
-    for (key, v) in parse_kv(tokens)? {
-        match key.as_str() {
-            "name" => name = Some(v),
-            "row" => row = Some(parse_num("row", &v)?),
-            other => {
-                return Err(ServiceError::Protocol(format!("unknown field {other:?}")));
-            }
-        }
-    }
-    Ok(Request::Delete {
-        name: name.ok_or_else(|| ServiceError::Protocol("missing name=".into()))?,
-        row: row.ok_or_else(|| ServiceError::Protocol("missing row=".into()))?,
-    })
+    let mut f = Fields::parse(tokens)?;
+    let delete = Request::Delete {
+        name: f.text("name")?,
+        row: parse_num("row", &f.text("row")?)?,
+    };
+    f.finish()?;
+    Ok(delete)
 }
 
 /// Parses one request line (verbs are case-insensitive).
@@ -631,26 +628,6 @@ impl WireAnswer {
     }
 }
 
-/// Renders the v1 body of an answer (everything after `OK `, without any
-/// `seq` tag).
-fn answer_body(a: &WireAnswer) -> Result<String, ServiceError> {
-    check_wire_safe("alg", &a.alg)?;
-    let mhr = match a.mhr {
-        Some(v) => format!("{v}"),
-        None => "none".to_string(),
-    };
-    let indices: Vec<String> = a.indices.iter().map(|i| i.to_string()).collect();
-    Ok(format!(
-        "alg={} cached={} micros={} err={} mhr={} indices={}",
-        a.alg,
-        a.cached,
-        a.micros,
-        a.violations,
-        mhr,
-        indices.join(",")
-    ))
-}
-
 /// Formats a successful query response line (protocol v1: no `seq`).
 ///
 /// Errors on a wire-unsafe `alg` value instead of silently emitting a
@@ -671,223 +648,104 @@ pub fn format_response(resp: &QueryResponse) -> Result<String, ServiceError> {
 /// wire-safety-checked; a value that would split into extra tokens or
 /// lines yields an `Err` instead of a desynchronized connection.
 pub fn encode_response_line(resp: &Response) -> Result<String, ServiceError> {
-    let line = match resp {
-        Response::Pong => "OK pong".to_string(),
-        Response::Hello { version, codec } => format!("OK version={version} codec={codec}"),
-        Response::Datasets(summaries) => {
-            for s in summaries {
-                check_wire_safe("datasets", s)?;
-                if s.contains(',') || s.is_empty() {
-                    return Err(ServiceError::Protocol(format!(
-                        "datasets: summary {s:?} would corrupt the comma-joined list"
-                    )));
-                }
-            }
-            format!("OK datasets={}", summaries.join(","))
-        }
-        Response::Algorithms(names) => {
-            for s in names {
-                check_wire_safe("algorithms", s)?;
-                if s.contains(',') || s.is_empty() {
-                    return Err(ServiceError::Protocol(format!(
-                        "algorithms: name {s:?} would corrupt the comma-joined list"
-                    )));
-                }
-            }
-            format!("OK algorithms={}", names.join(","))
-        }
-        Response::Stats {
-            hits,
-            misses,
-            entries,
-            evictions,
-            hit_rate,
-            warm_hits,
-            warm_misses,
-            warm_entries,
-            uptime_secs,
-            total_queries,
-            queue_depth,
-            shed_total,
-            conns_open,
-            mutations_total,
-        } => format!(
-            "OK hits={hits} misses={misses} entries={entries} evictions={evictions} \
-             hit_rate={hit_rate} warm_hits={warm_hits} warm_misses={warm_misses} \
-             warm_entries={warm_entries} uptime_secs={uptime_secs} total_queries={total_queries} \
-             queue_depth={queue_depth} shed_total={shed_total} conns_open={conns_open} \
-             mutations_total={mutations_total}"
-        ),
-        Response::Info {
-            workers,
-            datasets,
-            cache_entries,
-            uptime_secs,
-            total_queries,
-        } => format!(
-            "OK workers={workers} datasets={datasets} cache_entries={cache_entries} \
-             uptime_secs={uptime_secs} total_queries={total_queries}"
-        ),
-        Response::Metrics {
-            enabled,
-            counters,
-            histograms,
-        } => {
-            let mut cs = Vec::with_capacity(counters.len());
-            for (name, v) in counters {
-                check_metric_name(name)?;
-                cs.push(format!("{name}:{v}"));
-            }
-            let mut hs = Vec::with_capacity(histograms.len());
-            for h in histograms {
-                check_metric_name(&h.name)?;
-                hs.push(format!(
-                    "{}:{}:{}:{}:{}:{}:{}",
-                    h.name, h.count, h.sum, h.p50, h.p90, h.p99, h.max
-                ));
-            }
-            format!(
-                "OK metrics enabled={enabled} counters={} histos={}",
-                cs.join(","),
-                hs.join(",")
-            )
-        }
-        Response::Answer { seq, answer } => match seq {
-            None => format!("OK {}", answer_body(answer)?),
-            Some(s) => format!("OK seq={s} {}", answer_body(answer)?),
-        },
-        Response::BatchHeader { n, stream } => {
-            if *stream {
-                format!("OK batch={n} stream=true")
-            } else {
-                format!("OK batch={n}")
-            }
-        }
-        Response::Loaded {
-            name,
-            rows,
-            dim,
-            groups,
-            skyline,
-        } => {
-            check_wire_safe("name", name)?;
-            format!("OK loaded name={name} n={rows} d={dim} groups={groups} skyline={skyline}")
-        }
-        Response::Mutated {
-            name,
-            op,
-            rows,
-            skyline,
-            sky_changed,
-            cache_dropped,
-            warm_dropped,
-        } => {
-            check_wire_safe("name", name)?;
-            check_wire_safe("op", op)?;
-            format!(
-                "OK mutated name={name} op={op} n={rows} skyline={skyline} \
-                 sky_changed={sky_changed} cache_dropped={cache_dropped} \
-                 warm_dropped={warm_dropped}"
-            )
-        }
-        Response::Bye => "OK bye".to_string(),
+    let mut line = Vec::new();
+    write_response_line(resp, &mut line)?;
+    String::from_utf8(line).map_err(|e| ServiceError::Protocol(e.to_string()))
+}
+
+/// Appends `resp`'s text line, without its newline, to `out`; on error
+/// `out` may hold part of the line.
+pub(crate) fn write_response_line(resp: &Response, out: &mut Vec<u8>) -> Result<(), ServiceError> {
+    let (seq, retry_after_ms, message) = match resp {
         Response::Busy {
             seq,
             retry_after_ms,
             message,
-        } => {
-            if message.contains(['\n', '\r']) {
-                return Err(ServiceError::Protocol(
-                    "busy message contains a newline (not wire-safe)".into(),
-                ));
-            }
-            // Old clients parse this as a regular ERR line; new ones
-            // recognize the `busy retry_after_ms=` marker.
-            match seq {
-                None => format!("ERR busy retry_after_ms={retry_after_ms} {message}"),
-                Some(s) => format!("ERR seq={s} busy retry_after_ms={retry_after_ms} {message}"),
-            }
-        }
-        Response::Error { seq, message } => {
-            if message.contains(['\n', '\r']) {
-                return Err(ServiceError::Protocol(
-                    "error message contains a newline (not wire-safe)".into(),
-                ));
-            }
-            match seq {
-                None => format!("ERR {message}"),
-                Some(s) => format!("ERR seq={s} {message}"),
-            }
-        }
+        } => (seq, Some(retry_after_ms), message),
+        Response::Error { seq, message } => (seq, None, message),
+        _ => return write_fields(resp, &mut TextWriter(out)),
     };
-    Ok(line)
+    if message.contains(['\n', '\r']) {
+        return Err(ServiceError::Protocol(
+            "error message contains a newline (not wire-safe)".into(),
+        ));
+    }
+    out.extend_from_slice(b"ERR ");
+    if let Some(s) = seq {
+        put_display(out, format_args!("seq={s} "));
+    }
+    // Old clients parse a busy line as a regular ERR line; new ones
+    // recognize the `busy retry_after_ms=` marker.
+    if let Some(ms) = retry_after_ms {
+        put_display(out, format_args!("busy retry_after_ms={ms} "));
+    }
+    out.extend_from_slice(message.as_bytes());
+    Ok(())
 }
 
-/// The `key=value` fields of a fixed-shape line — the text twin of the
-/// binary decoder's payload reader. Each getter consumes a required
-/// field, and [`Fields::decode`] rejects any field left over (unknown or
-/// repeated), so every line has exactly one accepted layout.
-struct Fields(Vec<(String, String)>);
+/// The text side of the schema walk: `OK`, the head word if any, then
+/// one ` key=value` per field.
+struct TextWriter<'a>(&'a mut Vec<u8>);
 
-impl Fields {
-    /// Decodes `tokens` through `build`, then rejects leftover fields.
-    fn decode(
-        tokens: &[&str],
-        build: impl FnOnce(&mut Self) -> Result<Response, ServiceError>,
-    ) -> Result<Response, ServiceError> {
-        let mut fields = Self(parse_kv(tokens)?);
-        let resp = build(&mut fields)?;
-        match fields.0.first() {
-            Some((key, _)) => Err(ServiceError::Protocol(format!("unknown field {key:?}"))),
-            None => Ok(resp),
+impl FieldWriter for TextWriter<'_> {
+    fn begin(&mut self, _: u8, form: TextForm) {
+        self.0.extend_from_slice(b"OK");
+        if let TextForm::Head(word) = form {
+            self.0.push(b' ');
+            self.0.extend_from_slice(word.as_bytes());
         }
     }
 
-    fn text(&mut self, key: &str) -> Result<String, ServiceError> {
-        let i = self
-            .0
-            .iter()
-            .position(|(k, _)| k == key)
-            .ok_or_else(|| ServiceError::Protocol(format!("missing field {key}=")))?;
-        Ok(self.0.remove(i).1)
-    }
-
-    fn num<T: std::str::FromStr>(&mut self, key: &str) -> Result<T, ServiceError> {
-        parse_num(key, &self.text(key)?)
-    }
-
-    fn flag(&mut self, key: &str) -> Result<bool, ServiceError> {
-        parse_bool(key, &self.text(key)?)
+    fn field<V: WireValue>(
+        &mut self,
+        key: &'static str,
+        v: &V,
+        unset: Option<&V>,
+    ) -> Result<(), ServiceError> {
+        if unset == Some(v) {
+            return Ok(());
+        }
+        self.0.push(b' ');
+        self.0.extend_from_slice(key.as_bytes());
+        self.0.push(b'=');
+        v.put_text(key, self.0)
     }
 }
 
-fn decode_answer_tokens(seq: Option<u64>, tokens: &[&str]) -> Result<Response, ServiceError> {
-    Fields::decode(tokens, |f| {
-        let answer = WireAnswer {
-            alg: f.text("alg")?,
-            cached: f.flag("cached")?,
-            micros: f.num("micros")?,
-            violations: f.num("err")?,
-            mhr: match f.text("mhr")?.as_str() {
-                "none" => None,
-                s => Some(parse_num("mhr", s)?),
-            },
-            indices: f
-                .text("indices")?
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(|s| parse_num("indices", s))
-                .collect::<Result<_, _>>()?,
+impl FieldReader for Fields {
+    fn field<V: WireValue>(
+        &mut self,
+        key: &'static str,
+        unset: Option<V>,
+    ) -> Result<V, ServiceError> {
+        match (self.get(key, V::get_text)?, unset) {
+            (Some(v), Some(unset)) if v == unset => Err(ServiceError::Protocol(format!(
+                "field {key}= holds the value its line leaves out"
+            ))),
+            (Some(v), _) | (None, Some(v)) => Ok(v),
+            (None, None) => Err(ServiceError::Protocol(format!("missing field {key}="))),
+        }
+    }
+}
+
+/// The tag of the `OK` line with head word `head`, or, without one, of
+/// the head-less line whose first key is `key` (a key the line may leave
+/// out, such as an answer's `seq`, counts as first too).
+fn text_tag(head: Option<&str>, key: Option<&str>) -> Option<u8> {
+    TEXT_LAYOUTS.iter().find_map(|&(tag, form, keys)| {
+        let found = match (form, head) {
+            (TextForm::Head(word), Some(head)) => word == head,
+            (TextForm::Bare, None) => {
+                let lead = keys
+                    .iter()
+                    .position(|&(_, omissible)| !omissible)
+                    .map_or(keys.len(), |i| i + 1);
+                keys[..lead].iter().any(|&(k, _)| Some(k) == key)
+            }
+            _ => false,
         };
-        Ok(Response::Answer { seq, answer })
+        found.then_some(tag)
     })
-}
-
-fn split_list(v: &str) -> Vec<String> {
-    v.split(',')
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect()
 }
 
 /// Decodes one response line into the typed [`Response`] model — the
@@ -895,37 +753,7 @@ fn split_list(v: &str) -> Vec<String> {
 /// codec-equivalence suite, `mhr` to the bit).
 pub fn decode_response_line(line: &str) -> Result<Response, ServiceError> {
     if let Some(body) = line.strip_prefix("ERR ") {
-        // An optional leading seq=N token tags streamed per-query errors.
-        // A seq= prefix that does not parse falls back to being part of
-        // the message — exactly the historical behavior.
-        let (seq, rest) = match body.strip_prefix("seq=") {
-            Some(tail) => match tail.split_once(' ') {
-                Some((s, msg)) => match s.parse::<u64>() {
-                    Ok(s) => (Some(s), msg),
-                    Err(_) => (None, body),
-                },
-                None => (None, body),
-            },
-            None => (None, body),
-        };
-        // The admission-control shed marker; anything else (including a
-        // malformed retry value) stays a plain error, so pre-admission
-        // transcripts decode unchanged.
-        if let Some(tail) = rest.strip_prefix("busy retry_after_ms=") {
-            if let Some((ms, msg)) = tail.split_once(' ') {
-                if let Ok(retry_after_ms) = ms.parse::<u64>() {
-                    return Ok(Response::Busy {
-                        seq,
-                        retry_after_ms,
-                        message: msg.to_string(),
-                    });
-                }
-            }
-        }
-        return Ok(Response::Error {
-            seq,
-            message: rest.to_string(),
-        });
+        return Ok(decode_err_line(body));
     }
     let Some(body) = line.strip_prefix("OK ") else {
         return Err(ServiceError::Protocol(format!(
@@ -933,121 +761,47 @@ pub fn decode_response_line(line: &str) -> Result<Response, ServiceError> {
         )));
     };
     let tokens: Vec<&str> = body.split_whitespace().collect();
-    let Some(first) = tokens.first() else {
-        return Err(ServiceError::Protocol("empty OK response".into()));
+    let (head, tokens) = match tokens.split_first() {
+        Some((word, rest)) if !word.contains('=') => (Some(*word), rest),
+        _ => (None, &tokens[..]),
     };
-    match *first {
-        "pong" if tokens.len() == 1 => Ok(Response::Pong),
-        "bye" if tokens.len() == 1 => Ok(Response::Bye),
-        "metrics" => Fields::decode(&tokens[1..], |f| {
-            let enabled = f.flag("enabled")?;
-            let mut counters = Vec::new();
-            for item in split_list(&f.text("counters")?) {
-                let (name, v) = item.split_once(':').ok_or_else(|| {
-                    ServiceError::Protocol(format!("counters: expected name:value, got {item:?}"))
-                })?;
-                counters.push((name.to_string(), parse_num("counters", v)?));
-            }
-            let mut histograms = Vec::new();
-            for item in split_list(&f.text("histos")?) {
-                let parts: Vec<&str> = item.split(':').collect();
-                let [name, count, sum, p50, p90, p99, max] = parts.as_slice() else {
-                    return Err(ServiceError::Protocol(format!(
-                        "histos: expected name:count:sum:p50:p90:p99:max, got {item:?}"
-                    )));
-                };
-                histograms.push(WireHistogram {
-                    name: name.to_string(),
-                    count: parse_num("histos", count)?,
-                    sum: parse_num("histos", sum)?,
-                    p50: parse_num("histos", p50)?,
-                    p90: parse_num("histos", p90)?,
-                    p99: parse_num("histos", p99)?,
-                    max: parse_num("histos", max)?,
-                });
-            }
-            Ok(Response::Metrics {
-                enabled,
-                counters,
-                histograms,
-            })
-        }),
-        "mutated" => Fields::decode(&tokens[1..], |f| {
-            Ok(Response::Mutated {
-                name: f.text("name")?,
-                op: f.text("op")?,
-                rows: f.num("n")?,
-                skyline: f.num("skyline")?,
-                sky_changed: f.flag("sky_changed")?,
-                cache_dropped: f.num("cache_dropped")?,
-                warm_dropped: f.num("warm_dropped")?,
-            })
-        }),
-        "loaded" => Fields::decode(&tokens[1..], |f| {
-            Ok(Response::Loaded {
-                name: f.text("name")?,
-                rows: f.num("n")?,
-                dim: f.num("d")?,
-                groups: f.num("groups")?,
-                skyline: f.num("skyline")?,
-            })
-        }),
-        t => match t.split_once('=') {
-            Some(("version", _)) => Fields::decode(&tokens, |f| {
-                let version = f.num("version")?;
-                let v = f.text("codec")?;
-                let codec = crate::codec::CodecKind::parse(&v)
-                    .ok_or_else(|| ServiceError::Protocol(format!("codec: unknown kind {v:?}")))?;
-                Ok(Response::Hello { version, codec })
-            }),
-            Some(("datasets", v)) if tokens.len() == 1 => Ok(Response::Datasets(split_list(v))),
-            Some(("algorithms", v)) if tokens.len() == 1 => Ok(Response::Algorithms(split_list(v))),
-            Some(("hits", _)) => Fields::decode(&tokens, |f| {
-                Ok(Response::Stats {
-                    hits: f.num("hits")?,
-                    misses: f.num("misses")?,
-                    entries: f.num("entries")?,
-                    evictions: f.num("evictions")?,
-                    hit_rate: f.num("hit_rate")?,
-                    warm_hits: f.num("warm_hits")?,
-                    warm_misses: f.num("warm_misses")?,
-                    warm_entries: f.num("warm_entries")?,
-                    uptime_secs: f.num("uptime_secs")?,
-                    total_queries: f.num("total_queries")?,
-                    queue_depth: f.num("queue_depth")?,
-                    shed_total: f.num("shed_total")?,
-                    conns_open: f.num("conns_open")?,
-                    mutations_total: f.num("mutations_total")?,
-                })
-            }),
-            Some(("workers", _)) => Fields::decode(&tokens, |f| {
-                Ok(Response::Info {
-                    workers: f.num("workers")?,
-                    datasets: f.num("datasets")?,
-                    cache_entries: f.num("cache_entries")?,
-                    uptime_secs: f.num("uptime_secs")?,
-                    total_queries: f.num("total_queries")?,
-                })
-            }),
-            Some(("batch", v)) => {
-                let n = parse_num("batch", v)?;
-                let mut stream = false;
-                for (key, v) in parse_kv(&tokens[1..])? {
-                    match key.as_str() {
-                        "stream" => stream = parse_bool("stream", &v)?,
-                        other => {
-                            return Err(ServiceError::Protocol(format!("unknown field {other:?}")));
-                        }
-                    }
-                }
-                Ok(Response::BatchHeader { n, stream })
-            }
-            Some(("seq", v)) => decode_answer_tokens(Some(parse_num("seq", v)?), &tokens[1..]),
-            Some(("alg", _)) => decode_answer_tokens(None, &tokens),
-            _ => Err(ServiceError::Protocol(format!(
-                "unrecognized response line {line:?}"
-            ))),
+    let mut fields = Fields::parse(tokens)?;
+    let key = fields.0.first().map(|(k, _)| k.as_str());
+    let tag = text_tag(head, key)
+        .ok_or_else(|| ServiceError::Protocol(format!("unrecognized response line {line:?}")))?;
+    let resp = read_fields(tag, &mut fields)?;
+    fields.finish()?;
+    Ok(resp)
+}
+
+/// Decodes the body of an `ERR` line: an optional leading `seq=N` tag
+/// (streamed per-query errors), then the admission-control shed marker
+/// `busy retry_after_ms=R`, if any, then the message. A tag or marker
+/// that does not parse stays part of the message, so pre-admission
+/// transcripts decode unchanged.
+fn decode_err_line(body: &str) -> Response {
+    let (seq, rest) = match body.strip_prefix("seq=").and_then(|t| t.split_once(' ')) {
+        Some((s, msg)) => match s.parse::<u64>() {
+            Ok(s) => (Some(s), msg),
+            Err(_) => (None, body),
         },
+        None => (None, body),
+    };
+    if let Some((ms, msg)) = rest
+        .strip_prefix("busy retry_after_ms=")
+        .and_then(|t| t.split_once(' '))
+    {
+        if let Ok(retry_after_ms) = ms.parse::<u64>() {
+            return Response::Busy {
+                seq,
+                retry_after_ms,
+                message: msg.to_string(),
+            };
+        }
+    }
+    Response::Error {
+        seq,
+        message: rest.to_string(),
     }
 }
 
