@@ -17,7 +17,7 @@
 //! `loaded`, no head, or a hand-written `ERR` line) and its ordered
 //! fields, each `name: type = "text key"`. Both codecs walk that one
 //! declaration, and each field type's text and binary forms are written
-//! once, in its [`WireValue`] impl. A field marked `unless V` is left out
+//! once, in its `WireValue` impl. A field marked `unless V` is left out
 //! of the text line when it equals `V` (an answer's leading `seq=`, a
 //! batch header's `stream=true`); the binary frame always carries it.
 //! The text `ERR [seq=N ][busy retry_after_ms=R ]message` lines are the
@@ -190,7 +190,7 @@ mod tag {
 }
 
 /// How a variant's text line starts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 pub(crate) enum TextForm {
     /// `OK <word>` then the fields, e.g. `OK loaded name=…`.
     Head(&'static str),
@@ -238,6 +238,7 @@ macro_rules! variant {
     };
 }
 
+/// `Some(v)` for a field's `unless v`, `None` without one.
 macro_rules! or_none {
     () => {
         None
@@ -247,6 +248,7 @@ macro_rules! or_none {
     };
 }
 
+/// Whether a field has an `unless` value.
 macro_rules! present {
     () => {
         false
@@ -1222,6 +1224,49 @@ mod tests {
             Some(Response::Pong)
         );
 
+        // A boolean or presence byte decodes from 0 and 1 only: 2 and 255
+        // in each boolean field are typed errors that keep the stream
+        // aligned. The payloads are valid with the byte at `at` set to 1.
+        for (frame_tag, body, at) in [
+            // n = 7, stream
+            (tag::BATCH_HEADER, vec![7, 1], 1),
+            // enabled, no counters, no histograms
+            (tag::METRICS, vec![1, 0, 0], 0),
+            // no seq, alg "x", cached, micros, err, no mhr, no indices
+            (tag::ANSWER, vec![0, 1, b'x', 1, 0, 0, 0, 0], 3),
+            // name "t", op "d", rows, skyline, sky_changed, two drops
+            (tag::MUTATED, vec![1, b't', 1, b'd', 1, 1, 1, 0, 0], 6),
+            // mhr presence
+            (
+                tag::ANSWER,
+                vec![0, 1, b'x', 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                6,
+            ),
+        ] {
+            for flag in [1u8, 2, 255] {
+                let mut payload = vec![frame_tag];
+                payload.extend_from_slice(&body);
+                payload[at + 1] = flag;
+                let mut stream = (payload.len() as u32).to_le_bytes().to_vec();
+                stream.extend_from_slice(&payload);
+                stream.extend_from_slice(&good);
+                let mut reader = std::io::Cursor::new(stream);
+                let got = BinaryCodec.read_frame(&mut reader);
+                if flag == 1 {
+                    assert!(got.is_ok(), "tag {frame_tag}: {got:?}");
+                } else {
+                    assert!(
+                        matches!(&got, Err(ServiceError::Protocol(m)) if m.contains("want 0/1")),
+                        "tag {frame_tag} with byte {flag}: {got:?}"
+                    );
+                }
+                assert_eq!(
+                    BinaryCodec.read_frame(&mut reader).unwrap(),
+                    Some(Response::Pong)
+                );
+            }
+        }
+
         // Oversized / zero length prefixes are rejected before allocating.
         for len in [0u32, (MAX_FRAME_BYTES as u32) + 1] {
             let mut reader = std::io::Cursor::new(len.to_le_bytes().to_vec());
@@ -1384,6 +1429,84 @@ mod tests {
             Some(Response::Bye)
         );
         assert!(BinaryCodec.read_frame(&mut reader).unwrap().is_none());
+    }
+
+    #[test]
+    fn oversized_text_encode_is_a_typed_error_not_a_cut_line() {
+        // The text twin of the binary encode cap: a line past
+        // MAX_FRAME_BYTES is a typed error, and the buffer rolls back to
+        // the frame boundary.
+        let huge = Response::Error {
+            seq: None,
+            message: "x".repeat(MAX_FRAME_BYTES),
+        };
+        let mut out = Vec::new();
+        TextCodec.encode_frame(&Response::Pong, &mut out).unwrap();
+        let after_pong = out.len();
+        match TextCodec.encode_frame(&huge, &mut out) {
+            Err(ServiceError::Protocol(m)) => {
+                assert!(m.contains("exceeds"), "unexpected message: {m}")
+            }
+            other => panic!("expected typed encode error, got {other:?}"),
+        }
+        assert_eq!(out.len(), after_pong);
+        TextCodec.encode_frame(&Response::Bye, &mut out).unwrap();
+        let mut reader = std::io::Cursor::new(out);
+        assert_eq!(
+            TextCodec.read_frame(&mut reader).unwrap(),
+            Some(Response::Pong)
+        );
+        assert_eq!(
+            TextCodec.read_frame(&mut reader).unwrap(),
+            Some(Response::Bye)
+        );
+        assert!(TextCodec.read_frame(&mut reader).unwrap().is_none());
+    }
+
+    #[test]
+    fn text_frames_are_bounded_utf8_lines() {
+        // The text twin of the binary length bound: MAX_FRAME_BYTES
+        // without a newline is an error, and nothing past it is read.
+        let mut reader = std::io::Cursor::new(vec![b'x'; MAX_FRAME_BYTES + 1]);
+        assert!(matches!(
+            TextCodec.read_frame(&mut reader),
+            Err(ServiceError::Protocol(m)) if m.contains("without a newline")
+        ));
+        assert_eq!(reader.position(), MAX_FRAME_BYTES as u64);
+
+        // A line of exactly MAX_FRAME_BYTES, newline included, is read.
+        let mut line = b"ERR ".to_vec();
+        line.resize(MAX_FRAME_BYTES - 1, b'x');
+        line.push(b'\n');
+        let mut reader = std::io::Cursor::new(line);
+        match TextCodec.read_frame(&mut reader).unwrap() {
+            Some(Response::Error { seq: None, message }) => {
+                assert_eq!(message.len(), MAX_FRAME_BYTES - 5)
+            }
+            other => panic!("{other:?}"),
+        }
+
+        // Invalid UTF-8 is a typed error, not replacement characters, and
+        // the next line still decodes.
+        let stream = [&b"ERR bad \xff byte"[..], b"\n", b"OK pong", b"\n"].concat();
+        let mut reader = std::io::Cursor::new(stream);
+        assert!(matches!(
+            TextCodec.read_frame(&mut reader),
+            Err(ServiceError::Protocol(m)) if m.contains("UTF-8")
+        ));
+        assert_eq!(
+            TextCodec.read_frame(&mut reader).unwrap(),
+            Some(Response::Pong)
+        );
+
+        // EOF before the newline is a cut-off frame, not a shorter answer.
+        let mut reader = std::io::Cursor::new(
+            b"OK alg=x cached=false micros=1 err=0 mhr=none indices=1,2".to_vec(),
+        );
+        assert!(matches!(
+            TextCodec.read_frame(&mut reader),
+            Err(ServiceError::Protocol(m)) if m.contains("truncated")
+        ));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! the `HELLO` handshake. A connection that never sends `HELLO` is a v1
 //! text session and observes exactly the v1 protocol. Each response
 //! variant's fields are declared once, in `codec.rs`'s response schema;
-//! this module holds the text side of that walk ([`Fields`] reads an
+//! this module holds the text side of that walk (`Fields` reads an
 //! `OK` line, a text writer appends one) and the hand-written `ERR`
 //! lines.
 //!
@@ -321,17 +321,6 @@ impl Response {
     }
 }
 
-fn parse_kv(tokens: &[&str]) -> Result<Vec<(String, String)>, ServiceError> {
-    tokens
-        .iter()
-        .map(|t| {
-            t.split_once('=')
-                .map(|(k, v)| (k.to_ascii_lowercase(), v.to_string()))
-                .ok_or_else(|| ServiceError::Protocol(format!("expected key=value, got {t:?}")))
-        })
-        .collect()
-}
-
 fn parse_bool(key: &str, v: &str) -> Result<bool, ServiceError> {
     match v {
         "true" | "1" => Ok(true),
@@ -370,7 +359,12 @@ struct Fields(Vec<(String, String)>);
 
 impl Fields {
     fn parse(tokens: &[&str]) -> Result<Self, ServiceError> {
-        Ok(Self(parse_kv(tokens)?))
+        let fields = tokens.iter().map(|t| {
+            t.split_once('=')
+                .map(|(k, v)| (k.to_ascii_lowercase(), v.to_string()))
+                .ok_or_else(|| ServiceError::Protocol(format!("expected key=value, got {t:?}")))
+        });
+        Ok(Self(fields.collect::<Result<_, _>>()?))
     }
 
     /// Takes the value of `key`, if present; a repeated key is an error.
@@ -396,8 +390,7 @@ impl Fields {
 
     /// Takes the value of a required `key`.
     fn text(&mut self, key: &str) -> Result<String, ServiceError> {
-        self.take(key)?
-            .ok_or_else(|| ServiceError::Protocol(format!("missing field {key}=")))
+        self.take(key)?.ok_or_else(|| missing_field(key))
     }
 
     /// Rejects any field left unread (unknown to the line's layout).
@@ -407,6 +400,10 @@ impl Fields {
             None => Ok(()),
         }
     }
+}
+
+fn missing_field(key: &str) -> ServiceError {
+    ServiceError::Protocol(format!("missing field {key}="))
 }
 
 /// Parses a `QUERY`-line body (`key=value` tokens after the verb).
@@ -718,12 +715,12 @@ impl FieldReader for Fields {
         key: &'static str,
         unset: Option<V>,
     ) -> Result<V, ServiceError> {
-        match (self.get(key, V::get_text)?, unset) {
-            (Some(v), Some(unset)) if v == unset => Err(ServiceError::Protocol(format!(
+        match self.get(key, V::get_text)? {
+            Some(v) if unset.as_ref() == Some(&v) => Err(ServiceError::Protocol(format!(
                 "field {key}= holds the value its line leaves out"
             ))),
-            (Some(v), _) | (None, Some(v)) => Ok(v),
-            (None, None) => Err(ServiceError::Protocol(format!("missing field {key}="))),
+            Some(v) => Ok(v),
+            None => unset.ok_or_else(|| missing_field(key)),
         }
     }
 }
@@ -925,6 +922,16 @@ mod tests {
             "DELETE row=3",
             "DELETE name=x row=-1",
             "DELETE name=x row=3 zz=1",
+            // A repeated key is an error, never "the last one wins".
+            "QUERY dataset=a dataset=b k=3",
+            "QUERY dataset=a k=3 K=4",
+            "QUERY dataset=a k=3 alg=greedy alg=bigreedy",
+            "HELLO version=2 version=2",
+            "HELLO version=2 codec=text codec=binary",
+            "BATCH 3 stream=true stream=false",
+            "LOAD name=x name=y path=p",
+            "APPEND name=x row=0.5 group=0 group=1",
+            "DELETE name=x row=1 row=2",
         ] {
             assert!(
                 matches!(parse_request(bad), Err(ServiceError::Protocol(_))),
@@ -1070,6 +1077,16 @@ mod tests {
             "OK datasets=a:1:2:3:4 cache_entries=0",
             "OK loaded name=t n=9 d=2 groups=3 skyline=4 shards=1",
             "OK alg=x cached=false micros=1 err=0 mhr=none indices= extra=1",
+            // A boolean is `true` or `false`; the encoder never writes 1/0.
+            "OK alg=x cached=1 micros=1 err=0 mhr=none indices=",
+            "OK mutated name=t op=append n=9 skyline=4 sky_changed=0 cache_dropped=0 warm_dropped=0",
+            "OK metrics enabled=1 counters= histos=",
+            "OK batch=7 stream=1",
+            // A field the line leaves out when unset is never written unset.
+            "OK batch=7 stream=false",
+            "OK seq=none alg=x cached=false micros=1 err=0 mhr=none indices=",
+            // Nor is any field written twice.
+            "OK alg=x alg=y cached=false micros=1 err=0 mhr=none indices=",
         ]);
     }
 
