@@ -495,8 +495,12 @@ impl WireValue for CodecKind {
         Ok(())
     }
     fn get_text(key: &str, s: &str) -> Result<Self, ServiceError> {
-        CodecKind::parse(s)
-            .ok_or_else(|| ServiceError::Protocol(format!("{key}: unknown kind {s:?}")))
+        // Only the written form: `CodecKind::parse` also takes `BINARY`.
+        match s {
+            "text" => Ok(CodecKind::Text),
+            "binary" => Ok(CodecKind::Binary),
+            _ => Err(ServiceError::Protocol(format!("{key}: unknown kind {s:?}"))),
+        }
     }
     fn put_binary(&self, out: &mut Vec<u8>) {
         put_str(out, &self.to_string());

@@ -1081,6 +1081,7 @@ mod tests {
             "OK alg=x cached=1 micros=1 err=0 mhr=none indices=",
             "OK mutated name=t op=append n=9 skyline=4 sky_changed=0 cache_dropped=0 warm_dropped=0",
             "OK metrics enabled=1 counters= histos=",
+            "OK version=2 codec=BINARY",
             "OK batch=7 stream=1",
             // A field the line leaves out when unset is never written unset.
             "OK batch=7 stream=false",
