@@ -148,13 +148,8 @@ impl BiGreedyConfig {
 }
 
 /// A sampled δ-net together with the exact preimage (`dim`, `m`, `seed`)
-/// that generated it — the warm-start currency for `BiGreedy`.
-///
-/// Sampling is deterministic given the preimage, so a cached `SampledNet`
-/// whose preimage matches a query is **bit-identical** to regenerating:
-/// reuse can never change an answer. Callers verify the match with
-/// [`SampledNet::matches`] before reusing (a stale or mismatched net must
-/// be regenerated, not silently reused).
+/// that generated it. Sampling is deterministic in that preimage, and
+/// [`CachedDbMax::compute`] copies it into the `db_max` vector it tags.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampledNet {
     /// Utility-space dimensionality the net was sampled in.
@@ -180,12 +175,6 @@ impl SampledNet {
             vectors,
         }
     }
-
-    /// Whether this net was generated from exactly `(dim, m, seed)` — the
-    /// precondition for reuse being bit-identical to regeneration.
-    pub fn matches(&self, dim: usize, m: usize, seed: u64) -> bool {
-        self.dim == dim && self.m == m && self.seed == seed
-    }
 }
 
 /// The per-utility database maxima `db_max[u] = max_{p ∈ D} ⟨u, p⟩` for a
@@ -199,15 +188,15 @@ pub fn db_max_of(data: &Dataset, net: &[Vec<f64>]) -> Vec<f64> {
 }
 
 /// A computed `db_max` vector together with the exact preimage that
-/// produced it — the third warm-start component (after the δ-net and the
-/// prepared bounds).
+/// produced it — the one piece of `BiGreedy` setup the serving layer's
+/// warm-start tier keeps.
 ///
 /// `db_max` is a pure function of the net (identified by `(dim, m, seed)`)
 /// and the point matrix (identified, within one catalog epoch and prepared
-/// form, by `n`). The warm caches key entries by epoch, so a cached vector
-/// whose [`CachedDbMax::matches`] preimage checks out is **bit-identical**
-/// to recomputation: reuse skips the `m × n` setup pass without being able
-/// to change an answer.
+/// form, by `n`). The warm tier keys entries by epoch, form and seed, so a
+/// cached vector whose [`CachedDbMax::matches`] preimage checks out is
+/// **bit-identical** to recomputation: reuse skips the `m × n` setup pass
+/// without being able to change an answer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedDbMax {
     /// Utility-space dimensionality of the generating net.
@@ -668,10 +657,6 @@ mod tests {
             );
             assert_eq!(ba, bb);
         }
-        assert!(a.matches(3, 90, 42));
-        assert!(!a.matches(3, 90, 43));
-        assert!(!a.matches(2, 90, 42));
-        assert!(!a.matches(3, 91, 42));
 
         // And the solver consuming a pre-sampled net equals the all-in-one
         // entry point to the bit.

@@ -6,7 +6,6 @@
 //! original baselines ignoring the bounds (used by Figure 3 to measure
 //! their violations).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use fairhms_obs::sync::lock_or_recover;
@@ -25,88 +24,40 @@ use crate::types::{CoreError, FairHmsInstance, Solution};
 /// Reusable intermediate solver state threaded through
 /// [`Algorithm::solve_with`] — the warm-start seam.
 ///
-/// A serving layer seeds the context with whatever it has cached for the
-/// `(dataset, k, algorithm family)` at hand; the algorithm *verifies the
-/// preimage* before reusing anything (a mismatched net is regenerated,
-/// never reused), and deposits freshly computed state back into the
-/// context so the caller can cache it. Reuse is therefore **provably
-/// inert**: every artifact is deterministic in its preimage, so a warm
-/// solve is bit-identical to a cold one.
+/// The context holds one slot: `BiGreedy`'s `db_max` vector, the `m × n`
+/// extreme-value pass of its setup. A serving layer seeds the slot with
+/// the vector it cached for the query at hand; `BiGreedy` verifies the
+/// vector's `(dim, m, seed, n)` preimage before reusing it, and otherwise
+/// computes a fresh one and deposits it in the slot for the caller to
+/// cache. The caller tells the two apart by comparing the deposited
+/// `Arc` with the seed (`Arc::ptr_eq`). Reuse is **provably inert**:
+/// `db_max` is deterministic in its preimage, so a warm solve is
+/// bit-identical to a cold one.
 ///
-/// Algorithms that have no reusable state simply ignore the context
-/// (the default [`Algorithm::solve_with`] does).
+/// Every other algorithm ignores the context (the default
+/// [`Algorithm::solve_with`] does).
 #[derive(Debug, Default)]
 pub struct WarmStart {
-    /// Sampled δ-net, tagged with its `(dim, m, seed)` preimage.
-    net: Mutex<Option<Arc<SampledNet>>>,
-    /// Whether the last solve actually reused the seeded net.
-    net_reused: AtomicBool,
-    /// Per-net `db_max` vector, tagged with its `(dim, m, seed, n)`
-    /// preimage — the `m × n` extreme-value setup pass.
     db_max: Mutex<Option<Arc<CachedDbMax>>>,
-    /// Whether the last solve actually reused the seeded `db_max`.
-    db_max_reused: AtomicBool,
 }
 
 impl WarmStart {
-    /// An empty context (everything will be computed fresh and deposited).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A context seeded with previously deposited components (any subset).
-    pub fn with_components(net: Option<Arc<SampledNet>>, db_max: Option<Arc<CachedDbMax>>) -> Self {
+    /// A context seeded with a previously deposited `db_max` vector, if
+    /// any.
+    pub fn seeded(db_max: Option<Arc<CachedDbMax>>) -> Self {
         Self {
-            net: Mutex::new(net),
-            net_reused: AtomicBool::new(false),
             db_max: Mutex::new(db_max),
-            db_max_reused: AtomicBool::new(false),
         }
-    }
-
-    /// The δ-net for exactly `(dim, m, seed)`: the seeded net when its
-    /// preimage matches (bit-identical to regeneration, so reuse cannot
-    /// change answers), otherwise freshly sampled and deposited for the
-    /// caller to cache.
-    pub fn net_for(&self, dim: usize, m: usize, seed: u64) -> Arc<SampledNet> {
-        let mut slot = lock_or_recover(&self.net);
-        if let Some(net) = slot.as_ref() {
-            if net.matches(dim, m, seed) {
-                // ordering: reuse flag is read by the same caller after the
-                // solve returns; the slot mutex already ordered the data.
-                self.net_reused.store(true, Ordering::Relaxed);
-                return Arc::clone(net);
-            }
-        }
-        let fresh = Arc::new(SampledNet::generate(dim, m, seed));
-        *slot = Some(Arc::clone(&fresh));
-        fresh
-    }
-
-    /// The currently deposited net (seeded or freshly generated).
-    pub fn net(&self) -> Option<Arc<SampledNet>> {
-        lock_or_recover(&self.net).clone()
-    }
-
-    /// Whether the last [`WarmStart::net_for`] call reused the seeded net
-    /// (for the caller's warm-hit accounting).
-    pub fn net_was_reused(&self) -> bool {
-        // ordering: caller-local accounting read, no data published via it.
-        self.net_reused.load(Ordering::Relaxed)
     }
 
     /// The `db_max` vector for exactly `net` over `data`: the seeded
     /// vector when its `(dim, m, seed, n)` preimage matches
     /// (bit-identical to recomputation, so reuse cannot change answers),
-    /// otherwise freshly computed — the `m × n` extreme-value pass — and
-    /// deposited for the caller to cache.
+    /// otherwise freshly computed and deposited for the caller to cache.
     pub fn db_max_for(&self, net: &SampledNet, data: &Dataset) -> Arc<CachedDbMax> {
         let mut slot = lock_or_recover(&self.db_max);
         if let Some(cached) = slot.as_ref() {
             if cached.matches(net.dim, net.m, net.seed, data.len()) {
-                // ordering: reuse flag is read by the same caller after the
-                // solve returns; the slot mutex already ordered the data.
-                self.db_max_reused.store(true, Ordering::Relaxed);
                 return Arc::clone(cached);
             }
         }
@@ -115,16 +66,9 @@ impl WarmStart {
         fresh
     }
 
-    /// The currently deposited `db_max` (seeded or freshly computed).
+    /// The vector in the slot: the seed, or the one the solve deposited.
     pub fn db_max(&self) -> Option<Arc<CachedDbMax>> {
         lock_or_recover(&self.db_max).clone()
-    }
-
-    /// Whether the last [`WarmStart::db_max_for`] call reused the seeded
-    /// vector (for the caller's warm-hit accounting).
-    pub fn db_max_was_reused(&self) -> bool {
-        // ordering: caller-local accounting read, no data published via it.
-        self.db_max_reused.load(Ordering::Relaxed)
     }
 }
 
@@ -206,16 +150,14 @@ impl Algorithm for BiGreedyAlg {
     fn solve(&self, inst: &FairHmsInstance) -> Result<Solution, CoreError> {
         bigreedy(inst, &self.config(inst))
     }
-    /// Reuses the context's δ-net when its `(dim, m, seed)` preimage
-    /// matches this solve, and the per-net `db_max` vector when its
-    /// `(dim, m, seed, n)` preimage matches — together the dominant
-    /// per-query setup cost (`m = mult·k·d` vectors sampled, then an
-    /// `m × n` extreme-value pass). Bit-identical to [`Self::solve`]
-    /// because both artifacts are deterministic in their preimages.
+    /// Samples the δ-net fresh, then takes its `db_max` vector through
+    /// the context ([`WarmStart::db_max_for`]): the `m × n` extreme-value
+    /// pass is the costly part of setup. Bit-identical to
+    /// [`Self::solve`] because `db_max` is deterministic in its preimage.
     fn solve_with(&self, inst: &FairHmsInstance, warm: &WarmStart) -> Result<Solution, CoreError> {
         let cfg = self.config(inst);
         cfg.validate()?;
-        let net = warm.net_for(inst.dim(), cfg.resolve_m(inst.dim()), cfg.seed);
+        let net = SampledNet::generate(inst.dim(), cfg.resolve_m(inst.dim()), cfg.seed);
         let db_max = warm.db_max_for(&net, inst.data());
         bigreedy_on_net_with_db_max(inst, &net.vectors, &db_max.values, &cfg).map(|(sol, _tau)| sol)
     }
@@ -710,7 +652,7 @@ mod tests {
         for name in ALGORITHM_NAMES {
             let alg = by_name(name, &params).unwrap();
             let cold = alg.solve(&inst);
-            let warm_ctx = WarmStart::new();
+            let warm_ctx = WarmStart::default();
             let first = alg.solve_with(&inst, &warm_ctx);
             // Second solve reuses whatever the first deposited.
             let second = alg.solve_with(&inst, &warm_ctx);
@@ -732,44 +674,17 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_net_reuse_and_preimage_verification() {
-        let ctx = WarmStart::new();
-        assert!(ctx.net().is_none());
-        let a = ctx.net_for(3, 60, 42);
-        assert!(!ctx.net_was_reused(), "fresh generation counted as reuse");
-        // Matching preimage: the same allocation comes back.
-        let b = ctx.net_for(3, 60, 42);
-        assert!(std::sync::Arc::ptr_eq(&a, &b));
-        assert!(ctx.net_was_reused());
-        // Mismatched preimage (different seed): regenerated, deposited.
-        let c = ctx.net_for(3, 60, 7);
-        assert!(!std::sync::Arc::ptr_eq(&a, &c));
-        assert_eq!(ctx.net().unwrap().seed, 7);
-
-        // Seeding a context from a cached net short-circuits generation.
-        let seeded = WarmStart::with_components(Some(std::sync::Arc::clone(&a)), None);
-        let d = seeded.net_for(3, 60, 42);
-        assert!(std::sync::Arc::ptr_eq(&a, &d));
-        assert!(seeded.net_was_reused());
-    }
-
-    #[test]
     fn warm_start_db_max_reuse_and_preimage_verification() {
         let inst = lsac_instance(4);
         let data = inst.data();
-        let ctx = WarmStart::new();
+        let ctx = WarmStart::default();
         assert!(ctx.db_max().is_none());
-        let net = ctx.net_for(inst.dim(), 60, 42);
+        let net = SampledNet::generate(inst.dim(), 60, 42);
         let a = ctx.db_max_for(&net, data);
-        assert!(
-            !ctx.db_max_was_reused(),
-            "fresh computation counted as reuse"
-        );
         assert_eq!(a.values.len(), net.vectors.len());
         // Matching preimage: the same allocation comes back.
         let b = ctx.db_max_for(&net, data);
         assert!(std::sync::Arc::ptr_eq(&a, &b));
-        assert!(ctx.db_max_was_reused());
         // Mismatched preimage (different net seed): recomputed, deposited.
         let other_net = SampledNet::generate(inst.dim(), 60, 7);
         let c = ctx.db_max_for(&other_net, data);
@@ -782,11 +697,12 @@ mod tests {
         assert!(!std::sync::Arc::ptr_eq(&c, &d));
         assert_eq!(d.n, 3);
 
-        // Seeding a context from a cached vector short-circuits the pass.
-        let seeded = WarmStart::with_components(Some(std::sync::Arc::clone(&net)), Some(a.clone()));
+        // Seeding a context from a cached vector short-circuits the pass,
+        // and the slot still holds the seed afterwards.
+        let seeded = WarmStart::seeded(Some(a.clone()));
         let e = seeded.db_max_for(&net, data);
         assert!(std::sync::Arc::ptr_eq(&a, &e));
-        assert!(seeded.db_max_was_reused());
+        assert!(std::sync::Arc::ptr_eq(&a, &seeded.db_max().unwrap()));
     }
 
     #[test]

@@ -162,56 +162,6 @@ impl FairHmsInstance {
         Ok(Self { data, k, matroid })
     }
 
-    /// [`FairHmsInstance::new`] reusing an already-prepared label scan —
-    /// the warm-start seam: `prepared` (see
-    /// [`fairhms_matroid::PreparedBounds`]) carries the validated group
-    /// labels and per-group counts, so constructing the instance costs
-    /// `O(C)` bounds validation instead of the `O(n)` label scan.
-    ///
-    /// The result — including every validation error, in the same
-    /// precedence — is identical to [`FairHmsInstance::new`] for **every**
-    /// input: when `prepared` does not cover this exact `(labels,
-    /// bounds-shape)` combination (wrong length, or bounds vectors whose
-    /// length differs from the prepared group count — `new` accepts
-    /// bounds longer than the dataset's own group count by treating the
-    /// extra groups as empty), construction falls back to the
-    /// from-scratch scan instead of erroring, so reuse can only change
-    /// *speed*. The same-allocation fast-path case is additionally
-    /// asserted in debug builds.
-    pub fn with_bounds(
-        data: impl Into<Arc<Dataset>>,
-        k: usize,
-        lower: Vec<usize>,
-        upper: Vec<usize>,
-        prepared: &fairhms_matroid::PreparedBounds,
-    ) -> Result<Self, CoreError> {
-        let data = data.into();
-        if data.is_empty() {
-            return Err(CoreError::EmptyDataset);
-        }
-        if k == 0 {
-            return Err(CoreError::KZero);
-        }
-        if k > data.len() {
-            return Err(CoreError::KTooLarge { k, n: data.len() });
-        }
-        if lower.len() != upper.len() {
-            return Err(CoreError::Bounds(FairnessError::ShapeMismatch));
-        }
-        if prepared.len() != data.len() || lower.len() != prepared.num_groups() {
-            // The prepared scan does not apply to this input; rebuild
-            // from scratch rather than diverging from `new`'s contract.
-            let matroid = FairnessMatroid::new(data.shared_groups(), lower, upper, k)?;
-            return Ok(Self { data, k, matroid });
-        }
-        debug_assert!(
-            Arc::ptr_eq(&prepared.shared_groups(), &data.shared_groups()),
-            "prepared bounds built over a different label allocation than the dataset"
-        );
-        let matroid = prepared.matroid(lower, upper, k)?;
-        Ok(Self { data, k, matroid })
-    }
-
     /// An unconstrained (vanilla HMS) instance: bounds `0 ≤ |S ∩ D_c| ≤ k`.
     pub fn unconstrained(data: impl Into<Arc<Dataset>>, k: usize) -> Result<Self, CoreError> {
         let data = data.into();
@@ -479,61 +429,6 @@ mod tests {
     fn candidate_set_rejects_mismatched_map() {
         let d = Arc::new(four_points());
         let _ = CandidateSet::reduced(d, vec![0usize].into());
-    }
-
-    #[test]
-    fn with_bounds_matches_new_for_every_input_shape() {
-        use fairhms_matroid::PreparedBounds;
-        let d = Arc::new(four_points()); // 2 groups
-        let prepared = PreparedBounds::new(d.shared_groups(), d.num_groups()).unwrap();
-
-        let same = |a: Result<FairHmsInstance, CoreError>,
-                    b: Result<FairHmsInstance, CoreError>| {
-            match (a, b) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.matroid(), b.matroid());
-                    assert_eq!(a.k(), b.k());
-                }
-                (Err(a), Err(b)) => assert_eq!(a, b),
-                (a, b) => panic!("paths diverged: {a:?} vs {b:?}"),
-            }
-        };
-
-        // Matching shapes: the fast path.
-        same(
-            FairHmsInstance::new(Arc::clone(&d), 2, vec![1, 1], vec![1, 1]),
-            FairHmsInstance::with_bounds(Arc::clone(&d), 2, vec![1, 1], vec![1, 1], &prepared),
-        );
-        // Bounds longer than the dataset's group count: `new` accepts
-        // (extra groups are empty); `with_bounds` must fall back, not
-        // reject — the documented every-input equivalence.
-        same(
-            FairHmsInstance::new(Arc::clone(&d), 2, vec![1, 1, 0], vec![1, 1, 0]),
-            FairHmsInstance::with_bounds(
-                Arc::clone(&d),
-                2,
-                vec![1, 1, 0],
-                vec![1, 1, 0],
-                &prepared,
-            ),
-        );
-        // Bounds shorter than the group count: identical ShapeMismatch.
-        same(
-            FairHmsInstance::new(Arc::clone(&d), 2, vec![1], vec![1]),
-            FairHmsInstance::with_bounds(Arc::clone(&d), 2, vec![1], vec![1], &prepared),
-        );
-        // Mismatched lower/upper lengths and every invalid-bounds error.
-        for (l, u, k) in [
-            (vec![1, 1], vec![1], 2),    // shape
-            (vec![2, 1], vec![1, 1], 2), // crossed
-            (vec![2, 2], vec![2, 2], 2), // Σl > k
-            (vec![0, 0], vec![1, 1], 3), // attainable < k
-        ] {
-            same(
-                FairHmsInstance::new(Arc::clone(&d), k, l.clone(), u.clone()),
-                FairHmsInstance::with_bounds(Arc::clone(&d), k, l, u, &prepared),
-            );
-        }
     }
 
     #[test]

@@ -44,122 +44,6 @@ impl std::fmt::Display for FairnessError {
 
 impl std::error::Error for FairnessError {}
 
-/// The `O(n)` part of [`FairnessMatroid`] construction, done once and
-/// reused: the shared group labels, validated (`groups[i] < num_groups`),
-/// together with the per-group member counts.
-///
-/// Building a matroid from scratch scans every label twice (bounds check +
-/// size count); a serving layer that constructs one matroid per query over
-/// the *same* dataset pays that scan per query. `PreparedBounds` hoists it
-/// out: prepare once per dataset (or fetch from a warm-start cache), then
-/// [`PreparedBounds::matroid`] validates any `(lower, upper, k)` bounds in
-/// `O(C)` and shares the label allocation.
-///
-/// ```
-/// use fairhms_matroid::{FairnessMatroid, PreparedBounds};
-///
-/// let prepared = PreparedBounds::new(vec![0, 0, 1, 1], 2).unwrap();
-/// assert_eq!(prepared.group_sizes(), &[2, 2]);
-/// // O(C) per query instead of O(n):
-/// let m = prepared.matroid(vec![1, 1], vec![2, 2], 3).unwrap();
-/// // …and identical to the from-scratch construction.
-/// assert_eq!(m, FairnessMatroid::new(vec![0, 0, 1, 1], vec![1, 1], vec![2, 2], 3).unwrap());
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PreparedBounds {
-    /// Validated shared group labels.
-    groups: Arc<[usize]>,
-    /// `group_sizes[c]` = number of elements labeled `c`.
-    group_sizes: Vec<usize>,
-}
-
-impl PreparedBounds {
-    /// Validates `groups` against `num_groups` and counts per-group sizes —
-    /// the one `O(n)` scan. Pass either an owned `Vec<usize>` or a shared
-    /// `Arc<[usize]>` handle (no copy).
-    pub fn new(groups: impl Into<Arc<[usize]>>, num_groups: usize) -> Result<Self, FairnessError> {
-        let groups = groups.into();
-        let mut group_sizes = vec![0usize; num_groups];
-        for &g in groups.iter() {
-            if g >= num_groups {
-                return Err(FairnessError::ShapeMismatch);
-            }
-            group_sizes[g] += 1;
-        }
-        Ok(Self {
-            groups,
-            group_sizes,
-        })
-    }
-
-    /// Number of ground-set elements.
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// True when the ground set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-
-    /// Number of groups the labels were validated against.
-    pub fn num_groups(&self) -> usize {
-        self.group_sizes.len()
-    }
-
-    /// Per-group member counts.
-    pub fn group_sizes(&self) -> &[usize] {
-        &self.group_sizes
-    }
-
-    /// A shared handle to the validated labels (refcount bump, no copy).
-    pub fn shared_groups(&self) -> Arc<[usize]> {
-        Arc::clone(&self.groups)
-    }
-
-    /// Builds the fairness matroid for `(lower, upper, k)` in `O(C)`,
-    /// sharing this prepared scan — output (and every validation error,
-    /// in the same precedence order) identical to
-    /// [`FairnessMatroid::new`] over the same labels.
-    pub fn matroid(
-        &self,
-        lower: Vec<usize>,
-        upper: Vec<usize>,
-        k: usize,
-    ) -> Result<FairnessMatroid, FairnessError> {
-        if lower.len() != upper.len() || lower.len() != self.num_groups() {
-            return Err(FairnessError::ShapeMismatch);
-        }
-        for (g, (&l, &h)) in lower.iter().zip(&upper).enumerate() {
-            if l > h {
-                return Err(FairnessError::CrossedBounds { group: g });
-            }
-        }
-        if lower.iter().sum::<usize>() > k {
-            return Err(FairnessError::LowerExceedsK);
-        }
-        // lower bounds must be attainable within each group as well
-        if lower.iter().zip(&self.group_sizes).any(|(&l, &sz)| l > sz) {
-            return Err(FairnessError::UpperBelowK);
-        }
-        let attainable: usize = self
-            .group_sizes
-            .iter()
-            .zip(&upper)
-            .map(|(s, h)| s.min(h))
-            .sum();
-        if attainable < k {
-            return Err(FairnessError::UpperBelowK);
-        }
-        Ok(FairnessMatroid {
-            groups: Arc::clone(&self.groups),
-            lower,
-            upper,
-            k,
-        })
-    }
-}
-
 /// The fairness matroid `M = (D, I)` for group bounds `l, h` and budget `k`.
 ///
 /// ```
@@ -197,10 +81,37 @@ impl FairnessMatroid {
         if lower.len() != upper.len() {
             return Err(FairnessError::ShapeMismatch);
         }
-        // One-shot path: the prepared scan and the O(C) validation are the
-        // same code the warm-start reuse path runs, so the two can never
-        // drift apart.
-        PreparedBounds::new(groups, lower.len())?.matroid(lower, upper, k)
+        // One O(n) scan: validates every label and counts group sizes.
+        let groups = groups.into();
+        let mut group_sizes = vec![0usize; lower.len()];
+        for &g in groups.iter() {
+            if g >= lower.len() {
+                return Err(FairnessError::ShapeMismatch);
+            }
+            group_sizes[g] += 1;
+        }
+        for (g, (&l, &h)) in lower.iter().zip(&upper).enumerate() {
+            if l > h {
+                return Err(FairnessError::CrossedBounds { group: g });
+            }
+        }
+        if lower.iter().sum::<usize>() > k {
+            return Err(FairnessError::LowerExceedsK);
+        }
+        // lower bounds must be attainable within each group as well
+        if lower.iter().zip(&group_sizes).any(|(&l, &sz)| l > sz) {
+            return Err(FairnessError::UpperBelowK);
+        }
+        let attainable: usize = group_sizes.iter().zip(&upper).map(|(s, h)| s.min(h)).sum();
+        if attainable < k {
+            return Err(FairnessError::UpperBelowK);
+        }
+        Ok(Self {
+            groups,
+            lower,
+            upper,
+            k,
+        })
     }
 
     /// Group label of element `i`.
@@ -429,6 +340,10 @@ mod tests {
             FairnessMatroid::new(vec![0, 5], vec![1], vec![1], 1).unwrap_err(),
             FairnessError::ShapeMismatch
         );
+        assert_eq!(
+            FairnessMatroid::new(g.clone(), vec![1, 1], vec![1], 2).unwrap_err(),
+            FairnessError::ShapeMismatch
+        );
         // lower bound larger than the group itself
         assert_eq!(
             FairnessMatroid::new(g, vec![0, 2], vec![3, 2], 2).unwrap_err(),
@@ -557,44 +472,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn prepared_bounds_matches_from_scratch_construction() {
-        let g = vec![0usize, 0, 0, 1, 1, 2];
-        let prepared = PreparedBounds::new(g.clone(), 3).unwrap();
-        assert_eq!(prepared.group_sizes(), &[3, 2, 1]);
-        assert_eq!(prepared.len(), 6);
-        assert_eq!(prepared.num_groups(), 3);
-        // Valid bounds: identical matroid, labels shared (not re-copied).
-        for (l, h, k) in [
-            (vec![1, 1, 1], vec![2, 2, 1], 4),
-            (vec![0, 0, 0], vec![3, 2, 1], 3),
-            (vec![2, 2, 1], vec![3, 2, 1], 5),
-        ] {
-            let fast = prepared.matroid(l.clone(), h.clone(), k).unwrap();
-            let slow = FairnessMatroid::new(g.clone(), l, h, k).unwrap();
-            assert_eq!(fast, slow);
-            assert!(Arc::ptr_eq(&fast.groups, &prepared.groups));
-        }
-        // Invalid bounds: identical typed errors, same precedence.
-        for (l, h, k) in [
-            (vec![2, 1, 1], vec![1, 1, 1], 4), // crossed
-            (vec![2, 2, 1], vec![2, 2, 1], 3), // Σl > k
-            (vec![0, 0, 0], vec![1, 1, 1], 4), // attainable < k
-            (vec![1, 1], vec![1, 1], 2),       // shape
-            (vec![0, 3, 0], vec![3, 3, 1], 3), // lower exceeds group size
-        ] {
-            assert_eq!(
-                prepared.matroid(l.clone(), h.clone(), k).unwrap_err(),
-                FairnessMatroid::new(g.clone(), l, h, k).unwrap_err()
-            );
-        }
-        // Out-of-range labels are caught by the prepared scan itself.
-        assert_eq!(
-            PreparedBounds::new(vec![0usize, 5], 2).unwrap_err(),
-            FairnessError::ShapeMismatch
-        );
     }
 
     #[test]

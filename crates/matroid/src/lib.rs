@@ -21,9 +21,7 @@
 
 pub mod fairness;
 
-pub use fairness::{
-    balanced_bounds, proportional_bounds, FairnessError, FairnessMatroid, PreparedBounds,
-};
+pub use fairness::{balanced_bounds, proportional_bounds, FairnessError, FairnessMatroid};
 
 /// A matroid over the ground set `0..ground_size()`.
 ///

@@ -4,8 +4,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fairhms_core::registry::{self, AlgorithmParams, WarmStart};
-use fairhms_core::types::{CandidateSet, CoreError, FairHmsInstance};
-use fairhms_matroid::{balanced_bounds, proportional_bounds, PreparedBounds};
+use fairhms_core::types::{CandidateSet, FairHmsInstance};
+use fairhms_matroid::{balanced_bounds, proportional_bounds};
 use fairhms_obs::sync::{lock_or_recover, wait_or_recover};
 
 use crate::cache::{CacheStats, SolutionCache};
@@ -101,9 +101,9 @@ pub struct MutationReport {
 pub struct QueryEngine {
     catalog: Arc<Catalog>,
     cache: SolutionCache,
-    /// Second cache tier: reusable *intermediate* solver state (δ-nets,
-    /// prepared bounds scans) shared by near-miss queries; answers are
-    /// contractually identical to a fresh engine's (see [`WarmConfig`]).
+    /// Second cache tier: BiGreedy `db_max` vectors shared by near-miss
+    /// queries; answers are contractually identical to a fresh engine's
+    /// (see [`crate::warmstart`]).
     warm: WarmStartCache,
     /// Fingerprints currently being solved, for single-flight coalescing:
     /// concurrent identical queries wait for the first solver instead of
@@ -357,16 +357,16 @@ impl QueryEngine {
     }
 
     /// Solves `q` from scratch against the prepared dataset, consulting
-    /// the warm-start tier for reusable intermediate state.
+    /// the warm-start tier for a BiGreedy `db_max` vector.
     ///
     /// Mirrors the CLI `solve` pipeline: optional skyline restriction,
     /// bounds derivation, instance validation, then the shared name→
     /// algorithm factory — so the CLI and every service front end return
     /// identical answers for identical parameters. The warm-start tier is
-    /// purely advisory: every reused component's preimage is verified
-    /// (the δ-net inside [`WarmStart::net_for`], the bounds scan against
-    /// the candidate shape below), so a warm solve is bit-identical to a
-    /// cold one — pinned by `tests/warmstart_equivalence.rs`.
+    /// purely advisory: the solver verifies a cached vector's preimage
+    /// before reusing it (see [`WarmStart::db_max_for`]), so a warm solve
+    /// is bit-identical to a cold one — pinned by
+    /// `tests/warmstart_equivalence.rs`.
     #[allow(clippy::disallowed_methods)] // see the R5 waiver inside
     fn solve_cold(
         &self,
@@ -397,62 +397,37 @@ impl QueryEngine {
         } else {
             proportional_bounds(group_sizes, q.k, q.alpha)
         };
-
-        // Warm-start lookup. `q` is canonicalized by `execute`, so
-        // `q.alg` is the canonical family name; the key folds the dataset
-        // epoch (state for replaced datasets is unreachable) and the
-        // per-form generation digest (state for a mutated form is
-        // unreachable the instant the mutation publishes, while the
-        // other form's state keeps hitting).
-        let warm_key = WarmKey {
-            epoch: prep.epoch,
-            digest: prep.digest_for(q.skyline),
-            k: q.k,
-            family: q.alg.clone(),
-        };
-        let probe = rec.span(&self.metrics.warm_probe);
-        let warm_entry = self.warm.get(&warm_key);
-        stages.warm_probe_ns = probe.stop().unwrap_or(0);
-
-        // Prepared bounds: reuse the cached O(n) label scan when it
-        // matches this candidate form's shape, else scan fresh.
-        let data = cand.data();
-        let mut fresh_bounds = false;
-        let bounds: Arc<PreparedBounds> = match warm_entry
-            .as_ref()
-            .and_then(|e| e.bounds.as_ref())
-            .filter(|pb| pb.len() == data.len() && pb.num_groups() == data.num_groups())
-        {
-            Some(pb) => {
-                self.warm.note_hit();
-                Arc::clone(pb)
-            }
-            None => {
-                self.warm.note_miss();
-                fresh_bounds = true;
-                Arc::new(
-                    PreparedBounds::new(data.shared_groups(), data.num_groups())
-                        .map_err(CoreError::Bounds)?,
-                )
-            }
-        };
-
         // Zero-copy hand-off: the instance shares the catalog's prepared
         // allocation; concurrent solves against one dataset all read it.
-        let inst = FairHmsInstance::with_bounds(Arc::clone(data), q.k, lower, upper, &bounds)?;
+        let inst = FairHmsInstance::new(Arc::clone(cand.data()), q.k, lower, upper)?;
         let params = AlgorithmParams {
             seed: q.seed,
             ..AlgorithmParams::default()
         };
         let alg = registry::by_name(&q.alg, &params)?;
 
-        // Thread the cached δ-net and db_max vector (if any) through the
-        // solver; the context verifies the (dim, m, seed) preimage of the
-        // net and the (dim, m, seed, n) preimage of the db_max values
-        // before reuse, and deposits freshly computed state otherwise.
-        let seeded_net = warm_entry.as_ref().and_then(|e| e.net.clone());
-        let seeded_db_max = warm_entry.as_ref().and_then(|e| e.db_max.clone());
-        let warm_ctx = WarmStart::with_components(seeded_net.clone(), seeded_db_max.clone());
+        // Warm-start lookup, BiGreedy only: no other algorithm reads the
+        // context. `q` is canonicalized by `execute`, so `q.alg` is the
+        // canonical family name. The key fixes the vector's whole
+        // preimage: the epoch and per-form digest fix the candidate rows
+        // (state for a replaced dataset or a mutated form is unreachable
+        // the instant the change publishes), `k` the net size, and the
+        // seed the net.
+        let warm_key = (q.alg == "bigreedy").then(|| WarmKey {
+            epoch: prep.epoch,
+            digest: prep.digest_for(q.skyline),
+            k: q.k,
+            family: q.alg.clone(),
+            seed: q.seed,
+        });
+        let seeded = warm_key.as_ref().and_then(|key| {
+            let probe = rec.span(&self.metrics.warm_probe);
+            let found = self.warm.get(key);
+            stages.warm_probe_ns = probe.stop().unwrap_or(0);
+            found
+        });
+        let warm_ctx = WarmStart::seeded(seeded.clone());
+
         // fairhms-lint: allow(R5) solve_micros is a pre-telemetry wire
         // response field; this read serves it plus the gated span below.
         let t = Instant::now();
@@ -471,39 +446,15 @@ impl QueryEngine {
             }
         }
 
-        // Per-component accounting + deposit of freshly computed state.
-        let deposited_net = warm_ctx.net();
-        let net_generated = match (&seeded_net, &deposited_net) {
-            (_, None) => false, // algorithm never consulted the net
-            (Some(old), Some(new)) => !Arc::ptr_eq(old, new),
-            (None, Some(_)) => true,
-        };
-        if warm_ctx.net_was_reused() {
-            self.warm.note_hit();
-        } else if net_generated {
-            self.warm.note_miss();
-        }
-        let deposited_db_max = warm_ctx.db_max();
-        let db_max_generated = match (&seeded_db_max, &deposited_db_max) {
-            (_, None) => false, // algorithm never consulted db_max
-            (Some(old), Some(new)) => !Arc::ptr_eq(old, new),
-            (None, Some(_)) => true,
-        };
-        if warm_ctx.db_max_was_reused() {
-            self.warm.note_hit();
-        } else if db_max_generated {
-            self.warm.note_miss();
-        }
-        if fresh_bounds || net_generated || db_max_generated {
-            let mut entry = warm_entry.as_deref().cloned().unwrap_or_default();
-            entry.bounds = Some(Arc::clone(&bounds));
-            if let Some(net) = deposited_net {
-                entry.net = Some(net);
+        // One hit or miss per lookup: the solve either handed back the
+        // seeded vector or deposited a fresh one, which the tier keeps.
+        if let (Some(key), Some(used)) = (warm_key, warm_ctx.db_max()) {
+            if seeded.is_some_and(|s| Arc::ptr_eq(&s, &used)) {
+                self.warm.note_hit();
+            } else {
+                self.warm.note_miss();
+                self.warm.insert(key, used);
             }
-            if let Some(d) = deposited_db_max {
-                entry.db_max = Some(d);
-            }
-            self.warm.insert(warm_key, entry);
         }
 
         let violations = inst.matroid().violations(&sol.indices);

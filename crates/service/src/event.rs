@@ -797,7 +797,6 @@ pub(crate) fn run(
         Arc::clone(&queue),
         done_tx,
         waker,
-        opts.queue_deadline_ms,
         Arc::clone(&opts),
     );
     let gate = StreamGate::new(opts.max_stream_batches);

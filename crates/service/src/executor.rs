@@ -62,9 +62,13 @@ impl WorkItem {
         match self {
             WorkItem::Load { name, path } => server::handle_load(engine, opts, &name, &path),
             WorkItem::Append { name, row, group } => {
-                server::handle_append(engine, &name, &row, group)
+                let outcome = engine.append_row(&name, &row, group);
+                server::mutated(name, "append", outcome)
             }
-            WorkItem::Delete { name, row } => server::handle_delete(engine, &name, row),
+            WorkItem::Delete { name, row } => {
+                let outcome = engine.delete_row(&name, row);
+                server::mutated(name, "delete", outcome)
+            }
             WorkItem::Solve(_) => unreachable!("solves are not control verbs"),
         }
     }
@@ -218,17 +222,17 @@ pub(crate) struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `workers` threads. `deadline_ms` is the queue-time budget:
-    /// a solve dequeued after sitting longer is shed (typed busy error
-    /// carrying retry advice) instead of executed; control jobs are
-    /// exempt. `opts` parameterizes control verbs (the `LOAD` root).
+    /// Spawns `workers` threads. `opts.queue_deadline_ms` is the
+    /// queue-time budget: a solve dequeued after sitting longer is shed
+    /// (typed busy error carrying retry advice) instead of executed;
+    /// control jobs are exempt. `opts` also parameterizes control verbs
+    /// (the `LOAD` root).
     pub fn spawn(
         workers: usize,
         engine: Arc<QueryEngine>,
         queue: Arc<SolveQueue>,
         done: mpsc::Sender<SolveDone>,
         waker: Waker,
-        deadline_ms: Option<u64>,
         opts: Arc<ServeOptions>,
     ) -> WorkerPool {
         let workers = workers.max(1);
@@ -251,7 +255,7 @@ impl WorkerPool {
                             }
                             let done_item = match job.work {
                                 WorkItem::Solve(query) => {
-                                    let result = match deadline_ms {
+                                    let result = match opts.queue_deadline_ms {
                                         Some(d) if waited.as_millis() > u128::from(d) => {
                                             m.shed_total.inc();
                                             Err(ServiceError::Busy {
@@ -356,8 +360,7 @@ mod tests {
             Arc::clone(&queue),
             tx,
             waker,
-            None,
-            Arc::new(ServeOptions::default()),
+            no_deadline(),
         );
         for (i, q) in queries.iter().enumerate() {
             let mut slot = job(0);
@@ -401,6 +404,14 @@ mod tests {
             results[qs.len() - 1],
             Err(ServiceError::UnknownDataset { .. })
         ));
+    }
+
+    /// Serve options whose queue never sheds a solve.
+    fn no_deadline() -> Arc<ServeOptions> {
+        Arc::new(ServeOptions {
+            queue_deadline_ms: None,
+            ..ServeOptions::default()
+        })
     }
 
     fn job(ticket: u64) -> SolveJob {
@@ -455,8 +466,7 @@ mod tests {
             Arc::clone(&queue),
             tx,
             waker,
-            None,
-            Arc::new(ServeOptions::default()),
+            no_deadline(),
         );
         assert_eq!(pool.handles.len(), 3);
         for t in 0..8 {
@@ -498,8 +508,10 @@ mod tests {
             Arc::clone(&queue),
             tx,
             waker,
-            Some(1),
-            Arc::new(ServeOptions::default()),
+            Arc::new(ServeOptions {
+                queue_deadline_ms: Some(1),
+                ..ServeOptions::default()
+            }),
         );
         let d = rx.recv().unwrap();
         let WorkDone::Solve { result, .. } = &d.done else {

@@ -14,10 +14,9 @@
 //!   fingerprint, so repeated queries return bit-identical answers without
 //!   re-solving;
 //! * [`warmstart`] — the second cache tier: a [`WarmStartCache`] of
-//!   *intermediate* solver state (BiGreedy δ-nets, prepared bounds
-//!   scans) keyed by `(dataset epoch, k, algorithm family)`, so
-//!   near-miss queries reuse per-query setup work without affecting
-//!   answers;
+//!   BiGreedy `db_max` vectors keyed by `(dataset epoch, form digest, k,
+//!   algorithm family, seed)`, so near-miss queries skip the `m × n`
+//!   setup pass without affecting answers;
 //! * [`engine`] — the [`QueryEngine`] tying catalog + cache + the
 //!   [`fairhms_core::registry::by_name`] algorithm factory together;
 //! * [`metrics`] — the [`ServiceMetrics`] telemetry surface: per-stage
@@ -87,7 +86,7 @@ pub use metrics::{MetricsSnapshot, ServiceMetrics, TelemetryConfig};
 pub use protocol::{Request, Response, WireAnswer, WireHistogram};
 pub use query::Query;
 pub use server::{ServeOptions, Server, ServerConfig};
-pub use warmstart::{WarmConfig, WarmEntry, WarmKey, WarmStartCache, WarmStats};
+pub use warmstart::{WarmConfig, WarmKey, WarmStartCache, WarmStats};
 
 use fairhms_core::types::CoreError;
 use fairhms_data::DatasetError;

@@ -15,7 +15,7 @@
 //! | `server.encode` | server | rendering one response through the negotiated codec |
 //! | `engine.cache_lookup` | engine | solution-cache consultation (hit or miss) |
 //! | `engine.flight_wait` | engine | blocked on another worker's identical in-flight solve |
-//! | `engine.warm_probe` | engine | warm-start tier lookup |
+//! | `engine.warm_probe` | engine | warm-start tier lookup (BiGreedy cold solves) |
 //! | `engine.solve.<family>` | engine | the cold solve, labeled per registry algorithm family |
 //! | `catalog.prepare` | catalog | normalize + group skyline + subset (one observation per registration) |
 //! | `executor.queue_wait` | executor | job sat in the solve queue before a worker claimed it |
@@ -69,7 +69,8 @@ pub struct ServiceMetrics {
     pub cache_lookup: Histogram,
     /// `engine.flight_wait` — blocked on an identical in-flight solve.
     pub flight_wait: Histogram,
-    /// `engine.warm_probe` — warm-start tier lookup.
+    /// `engine.warm_probe` — warm-start tier lookup (BiGreedy cold
+    /// solves only).
     pub warm_probe: Histogram,
     /// `engine.solve.<family>` — cold solves, indexed by
     /// [`fairhms_core::registry::family_index`].

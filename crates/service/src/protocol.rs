@@ -163,11 +163,11 @@ pub enum Response {
         evictions: u64,
         /// `hits / (hits + misses)` (0 when nothing was looked up).
         hit_rate: f64,
-        /// Warm-start components (δ-nets, bounds scans) reused.
+        /// BiGreedy `db_max` vectors reused from the warm-start tier.
         warm_hits: u64,
-        /// Warm-start components computed fresh.
+        /// BiGreedy `db_max` vectors computed fresh (and cached).
         warm_misses: u64,
-        /// Resident warm-start entries.
+        /// Resident warm-start `db_max` vectors.
         warm_entries: usize,
         /// Seconds since the server started (0 for engine-only
         /// contexts).

@@ -34,7 +34,7 @@ use std::time::Instant;
 use fairhms_core::registry::ALGORITHM_NAMES;
 
 use crate::codec::Codec;
-use crate::engine::{QueryEngine, QueryResponse};
+use crate::engine::{MutationReport, QueryEngine, QueryResponse};
 use crate::metrics::ServiceMetrics;
 use crate::protocol::{self, Request, Response};
 use crate::query::Query;
@@ -315,7 +315,7 @@ pub(crate) fn encode_into(
 /// Answers the light control-plane verbs inline. `None` for the verbs
 /// that need connection or worker-pool state: `HELLO`, `QUERY`, `BATCH`,
 /// `SHUTDOWN`, and the heavy `LOAD`/`APPEND`/`DELETE`, which run on the
-/// pool through [`handle_load`], [`handle_append`] and [`handle_delete`].
+/// pool through [`handle_load`] and [`mutated`].
 pub(crate) fn control_response(
     engine: &QueryEngine,
     workers: usize,
@@ -458,36 +458,19 @@ pub(crate) fn handle_load(
     }
 }
 
-/// Handles the `APPEND` mutation verb: catalog append + delta cache
-/// invalidation, reported through one [`Response::Mutated`] frame.
+/// The one [`Response::Mutated`] frame of an `APPEND` or `DELETE`
+/// (`op`): the catalog change plus the delta cache invalidation it ran.
 /// Mutations take no `--load-root` gate — they touch only datasets
 /// already registered, never the filesystem.
-pub(crate) fn handle_append(
-    engine: &QueryEngine,
-    name: &str,
-    row: &[f64],
-    group: usize,
+pub(crate) fn mutated(
+    name: String,
+    op: &str,
+    outcome: Result<MutationReport, ServiceError>,
 ) -> Response {
-    match engine.append_row(name, row, group) {
+    match outcome {
         Ok(rep) => Response::Mutated {
-            name: name.to_string(),
-            op: "append".to_string(),
-            rows: rep.rows,
-            skyline: rep.skyline,
-            sky_changed: rep.sky_changed,
-            cache_dropped: rep.cache_dropped,
-            warm_dropped: rep.warm_dropped,
-        },
-        Err(e) => Response::error(&e),
-    }
-}
-
-/// Handles the `DELETE` mutation verb; see [`handle_append`].
-pub(crate) fn handle_delete(engine: &QueryEngine, name: &str, row: usize) -> Response {
-    match engine.delete_row(name, row) {
-        Ok(rep) => Response::Mutated {
-            name: name.to_string(),
-            op: "delete".to_string(),
+            name,
+            op: op.to_string(),
             rows: rep.rows,
             skyline: rep.skyline,
             sky_changed: rep.sky_changed,

@@ -1,55 +1,52 @@
-//! The warm-start tier: an LRU cache of *intermediate* solver state,
+//! The warm-start tier: an LRU cache of `BiGreedy`'s `db_max` vectors,
 //! separate from the full-answer [`SolutionCache`](crate::SolutionCache).
 //!
 //! The solution cache only helps when a query repeats **exactly**. A
-//! near-miss query — same dataset and `k`, different `alpha`, bounds
-//! policy, or skyline flag — misses it and used to redo all per-query
-//! setup from scratch: sampling the BiGreedy δ-net (`m = 10·k·d` utility
-//! vectors) and the matroid's `O(n)` group-label validation scan. Both
-//! artifacts are *deterministic in a preimage that near-miss queries
-//! share*, so this tier caches them keyed by
-//! `(dataset epoch, form digest, k, algorithm family)`:
+//! near-miss query — same dataset, form, `k` and seed, different `alpha`
+//! or bounds policy — misses it and solves again. Most of a `BiGreedy`
+//! solve's setup is the `m × n` pass that computes
+//! `db_max[u] = max_p ⟨u, p⟩` for every net vector `u`, and that vector
+//! does not depend on the bounds. So this tier caches it, as a
+//! [`CachedDbMax`], keyed by
+//! `(dataset epoch, form digest, k, algorithm family, seed)`. That key
+//! fixes the vector's whole `(dim, m, seed, n)` preimage: `dim` is the
+//! dataset's, `m = 10·k·d`, and the epoch and digest fix the candidate
+//! form and so `n`. The solver still checks that preimage
+//! ([`fairhms_core::CachedDbMax::matches`]) before it reuses a vector.
+//! Everything else — the δ-net, the matroid's label scan — is rebuilt per
+//! solve; both cost well under a millisecond against a solve of 100 ms
+//! or more.
 //!
-//! * the [`SampledNet`] δ-net basis — deterministic in `(dim, m, seed)`,
-//!   so reuse is bit-identical to regeneration (verified via
-//!   [`SampledNet::matches`] before every reuse);
-//! * the [`PreparedBounds`] label scan of the candidate form — reduces
-//!   per-query matroid construction from `O(n)` to `O(C)`;
-//! * the [`CachedDbMax`] vector of the candidate form — the `m × n`
-//!   per-utility database-maximum pass of BiGreedy setup, deterministic
-//!   in `(dim, m, seed, n)` and verified against that preimage before
-//!   every reuse (see [`fairhms_core::CachedDbMax::matches`]).
-//!
-//! The key's digest names the form (full matrix or skyline restriction),
-//! so one entry holds the state of exactly one form.
+//! Only `BiGreedy` solves look the tier up. Each lookup counts one hit
+//! (a cached vector was reused) or one miss (the vector was computed and
+//! deposited). Other algorithms never touch the tier.
 //!
 //! **Invalidation contract:** the key folds in the dataset's registration
 //! epoch (like the solution cache), so replacing a dataset under the same
 //! name makes every stale entry unreachable; unreachable entries age out
-//! through the LRU. Entries hold `Arc` handles into the
-//! prepared dataset, never copies, so a resident entry costs `O(C)` plus
-//! the shared net.
+//! through the LRU. A mutation drops exactly the entries whose form
+//! digest it moved ([`WarmStartCache::invalidate_stale`]). A resident
+//! entry costs `m` floats: 400 at `k = 10`, `d = 4`.
 //!
-//! Correctness does not depend on this tier at all: the engine treats
-//! every lookup as advisory, verifies preimages before reuse, and the
-//! equivalence suite (`tests/warmstart_equivalence.rs`) pins every
-//! registry algorithm bit-identical between a warm engine and a fresh
-//! one whose tier is still empty.
+//! Correctness does not depend on this tier at all: the solver verifies
+//! the preimage before reuse, and the equivalence suite
+//! (`tests/warmstart_equivalence.rs`) pins every registry algorithm
+//! bit-identical between a warm engine and a fresh one whose tier is
+//! still empty.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use fairhms_obs::sync::lock_or_recover;
 
-use fairhms_core::{CachedDbMax, SampledNet};
-use fairhms_matroid::PreparedBounds;
+use fairhms_core::CachedDbMax;
 
 use crate::cache::Lru;
 
 /// Configuration of the warm-start tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarmConfig {
-    /// Maximum resident `(epoch, k, family)` entries.
+    /// Maximum resident `db_max` vectors.
     pub capacity: usize,
 }
 
@@ -59,7 +56,8 @@ impl Default for WarmConfig {
     }
 }
 
-/// Key of one warm-start entry.
+/// Key of one warm-start entry: everything the cached `db_max` vector
+/// depends on.
 ///
 /// `family` is the *canonical* algorithm name (see
 /// [`fairhms_core::registry::canonical_name`]) — spellings of one
@@ -76,56 +74,35 @@ pub struct WarmKey {
     /// digest alone (e.g. a dominated append never moves `sky_digest`)
     /// leaves that form's warm state reachable and verifiably current.
     pub digest: u64,
-    /// Solution size.
+    /// Solution size (fixes the net size `m = 10·k·d`).
     pub k: usize,
     /// Canonical algorithm name.
     pub family: String,
-}
-
-/// The cached intermediate state of one `(epoch, digest, k, family)`,
-/// for the candidate form the key's digest names.
-///
-/// All fields are optional: a family that never consults the δ-net or
-/// `db_max` deposits only the bounds.
-#[derive(Debug, Default, Clone)]
-pub struct WarmEntry {
-    /// BiGreedy δ-net, tagged with its generation preimage.
-    pub net: Option<Arc<SampledNet>>,
-    /// Prepared label scan of the candidate form.
-    pub bounds: Option<Arc<PreparedBounds>>,
-    /// Per-utility database maxima over the candidate form, tagged with
-    /// the `(dim, m, seed, n)` preimage of the net and matrix that
-    /// produced them. The `m × n` extreme-value pass is the costliest
-    /// piece of BiGreedy setup, so near-miss queries reuse it like the
-    /// net itself.
-    pub db_max: Option<Arc<CachedDbMax>>,
+    /// The query's RNG seed, which the δ-net is sampled from.
+    pub seed: u64,
 }
 
 /// Effectiveness counters of the warm-start tier (reported by the wire
 /// `STATS` verb as `warm_hits=… warm_misses=… warm_entries=…`).
 ///
-/// Counting is per *component* consulted on a cold solve — one hit or
-/// miss each for the δ-net and the `db_max` vector (BiGreedy-family
-/// queries only) and one for the prepared bounds — so the ratio
-/// reflects setup work actually saved, not just entry presence.
+/// One hit or one miss per `BiGreedy` `db_max` lookup on a cold solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WarmStats {
-    /// Components reused from the tier.
+    /// `db_max` vectors reused from the tier.
     pub hits: u64,
-    /// Components computed fresh (and deposited).
+    /// `db_max` vectors computed fresh (and deposited).
     pub misses: u64,
-    /// Resident `(epoch, k, family)` entries.
+    /// Resident `db_max` vectors.
     pub entries: usize,
 }
 
-/// The warm-start cache: a bounded LRU of [`WarmEntry`] snapshots.
+/// The warm-start cache: a bounded LRU of shared `db_max` vectors.
 ///
 /// One mutex suffices: it is held only to clone/insert an `Arc`, never
-/// while any state is computed. Entries are immutable snapshots; updates
-/// replace the whole entry (last writer wins — racing writers deposit
-/// interchangeable state, see module docs).
+/// while a vector is computed. Racing solves of one key deposit
+/// identical vectors; the last writer wins.
 pub struct WarmStartCache {
-    lru: Mutex<Lru<WarmKey, Arc<WarmEntry>>>,
+    lru: Mutex<Lru<WarmKey, Arc<CachedDbMax>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -140,19 +117,18 @@ impl WarmStartCache {
         }
     }
 
-    /// The entry under `key`, refreshing its recency. Does not touch the
-    /// hit/miss counters: presence of an entry is not a hit — the engine
-    /// records per-component accounting via [`WarmStartCache::note_hit`]
-    /// / [`WarmStartCache::note_miss`] after verifying each component's
-    /// preimage.
-    pub fn get(&self, key: &WarmKey) -> Option<Arc<WarmEntry>> {
+    /// The vector under `key`, refreshing its recency. Does not touch
+    /// the hit/miss counters: the engine counts a hit only once the
+    /// solver has actually reused the vector (see
+    /// [`WarmStartCache::note_hit`] / [`WarmStartCache::note_miss`]).
+    pub fn get(&self, key: &WarmKey) -> Option<Arc<CachedDbMax>> {
         lock_or_recover(&self.lru).get(key).cloned()
     }
 
-    /// Inserts (or replaces) the entry under `key`, evicting the least
+    /// Inserts (or replaces) the vector under `key`, evicting the least
     /// recently used entry when full.
-    pub fn insert(&self, key: WarmKey, entry: WarmEntry) {
-        lock_or_recover(&self.lru).insert(key, Arc::new(entry));
+    pub fn insert(&self, key: WarmKey, db_max: Arc<CachedDbMax>) {
+        lock_or_recover(&self.lru).insert(key, db_max);
     }
 
     /// Delta invalidation after a mutation of the dataset registered at
@@ -170,13 +146,13 @@ impl WarmStartCache {
             .retain(|k, _| k.epoch != epoch || k.digest == sky_digest || k.digest == full_digest)
     }
 
-    /// Records one component reused from the tier.
+    /// Records one `db_max` vector reused from the tier.
     pub fn note_hit(&self) {
         // ordering: independent stat counter, no cross-variable sync.
         self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one component computed fresh.
+    /// Records one `db_max` vector computed fresh.
     pub fn note_miss(&self) {
         // ordering: independent stat counter, no cross-variable sync.
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -214,40 +190,48 @@ mod tests {
             digest: 0,
             k,
             family: "bigreedy".into(),
+            seed: 42,
         }
     }
 
-    fn entry_with_net(seed: u64) -> WarmEntry {
-        WarmEntry {
-            net: Some(Arc::new(SampledNet::generate(2, 4, seed))),
-            ..WarmEntry::default()
-        }
+    fn db_max(seed: u64) -> Arc<CachedDbMax> {
+        Arc::new(CachedDbMax {
+            dim: 2,
+            m: 1,
+            seed,
+            n: 1,
+            values: vec![1.0],
+        })
     }
 
     #[test]
     fn get_after_insert_and_replacement() {
         let cache = WarmStartCache::new(8);
         assert!(cache.get(&key(1, 3)).is_none());
-        cache.insert(key(1, 3), entry_with_net(42));
-        let got = cache.get(&key(1, 3)).expect("entry");
-        assert_eq!(got.net.as_ref().unwrap().seed, 42);
-        // Same key, richer entry: replaced in place, no growth.
-        cache.insert(key(1, 3), entry_with_net(7));
+        cache.insert(key(1, 3), db_max(42));
+        assert_eq!(cache.get(&key(1, 3)).expect("entry").seed, 42);
+        // Same key: replaced in place, no growth.
+        cache.insert(key(1, 3), db_max(7));
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.get(&key(1, 3)).unwrap().net.as_ref().unwrap().seed, 7);
-        // A bumped epoch is a distinct key: stale state is unreachable.
+        assert_eq!(cache.get(&key(1, 3)).unwrap().seed, 7);
+        // A bumped epoch or another seed is a distinct key.
         assert!(cache.get(&key(2, 3)).is_none());
+        let other_seed = WarmKey {
+            seed: 43,
+            ..key(1, 3)
+        };
+        assert!(cache.get(&other_seed).is_none());
     }
 
     #[test]
     fn lru_eviction_and_recency_refresh() {
         let cache = WarmStartCache::new(2);
-        cache.insert(key(1, 1), WarmEntry::default());
-        cache.insert(key(1, 2), WarmEntry::default());
+        cache.insert(key(1, 1), db_max(1));
+        cache.insert(key(1, 2), db_max(1));
         // Touch the older entry, then insert a third: the untouched one
         // is the eviction victim.
         assert!(cache.get(&key(1, 1)).is_some());
-        cache.insert(key(1, 3), WarmEntry::default());
+        cache.insert(key(1, 3), db_max(1));
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&key(1, 1)).is_some(), "recently used evicted");
         assert!(cache.get(&key(1, 2)).is_none(), "LRU entry survived");
@@ -259,7 +243,7 @@ mod tests {
         cache.note_miss();
         cache.note_miss();
         cache.note_hit();
-        cache.insert(key(1, 1), WarmEntry::default());
+        cache.insert(key(1, 1), db_max(1));
         assert_eq!(
             cache.stats(),
             WarmStats {
@@ -279,12 +263,13 @@ mod tests {
             digest,
             k: 3,
             family: "bigreedy".into(),
+            seed: 42,
         };
         // Epoch 5: skyline-form state at digest 10, full-form at 20.
         // Epoch 9: a different dataset, untouched by the mutation.
-        cache.insert(k_at(5, 10), WarmEntry::default());
-        cache.insert(k_at(5, 20), WarmEntry::default());
-        cache.insert(k_at(9, 77), WarmEntry::default());
+        cache.insert(k_at(5, 10), db_max(1));
+        cache.insert(k_at(5, 20), db_max(1));
+        cache.insert(k_at(9, 77), db_max(1));
         // Mutation moved only the full digest (20 → 21): the skyline
         // entry and the other dataset survive.
         assert_eq!(cache.invalidate_stale(5, 10, 21), 1);

@@ -6,7 +6,7 @@
 //! answers and must not ship.
 //!
 //! The cold reference is a fresh [`QueryEngine`] per query over the same
-//! catalog: its tier starts empty, so every component it uses is
+//! catalog: its tier starts empty, so every `db_max` vector it uses is
 //! computed from scratch — checked by its `warm_stats().hits == 0`.
 
 use std::sync::Arc;
@@ -93,8 +93,8 @@ fn served_answers_are_warmstart_invariant() {
 
     for alg in ALGORITHM_NAMES {
         for (k, balanced, skyline) in [(3usize, false, true), (5, true, true), (4, false, false)] {
-            // Near-miss sweep: the first α populates the warm entry, the
-            // rest reuse its δ-net and prepared-bounds scan.
+            // Near-miss sweep: for BiGreedy, the first α populates the
+            // warm entry and the rest reuse its db_max vector.
             for alpha in [0.05f64, 0.1, 0.2, 0.3] {
                 let mut q = Query::new("eq", k);
                 q.alg = alg.to_string();
@@ -112,8 +112,8 @@ fn served_answers_are_warmstart_invariant() {
         }
     }
 
-    // The tier was actually used: components were reused (each fresh
-    // reference engine checked that it reused none).
+    // The tier was actually used: db_max vectors were reused (each
+    // fresh reference engine checked that it reused none).
     let ws = warm.warm_stats();
     assert!(
         ws.hits > 0,
@@ -138,12 +138,44 @@ fn warm_tier_composes_with_the_solution_cache() {
     let resp = eng.execute(&near).unwrap();
     assert!(!resp.cached, "near-miss wrongly served from answer cache");
     let after = eng.warm_stats();
-    // A BiGreedy near-miss reuses all three warm components: the
-    // prepared bounds, the δ-net, and the cached db_max vector.
-    assert!(
-        after.hits >= before.hits + 3,
-        "near-miss did not reuse all three warm components: {before:?} -> {after:?}"
+    // A BiGreedy near-miss reuses its cached db_max vector: one hit, no
+    // miss.
+    assert_eq!(
+        (after.hits, after.misses),
+        (before.hits + 1, before.misses),
+        "near-miss did not reuse the cached db_max vector: {before:?} -> {after:?}"
     );
+}
+
+/// Entries are keyed by seed, so a query with another seed does not
+/// displace the first seed's `db_max` vector: the first seed's
+/// near-miss still reuses it.
+#[test]
+fn interleaved_seeds_keep_their_own_db_max() {
+    let cat = catalog(generated("seeds", 300, 3, 3, 17));
+    let eng = QueryEngine::new(Arc::clone(&cat), 1024);
+    let query = |seed: u64, alpha: f64| {
+        let mut q = Query::new("seeds", 10);
+        q.alg = "bigreedy".into();
+        q.seed = seed;
+        q.alpha = alpha;
+        q
+    };
+    eng.execute(&query(1, 0.1)).unwrap();
+    eng.execute(&query(2, 0.1)).unwrap();
+    let before = eng.warm_stats();
+    assert_eq!((before.hits, before.misses), (0, 2), "{before:?}");
+
+    let q = query(1, 0.2);
+    let a = eng.execute(&q);
+    let after = eng.warm_stats();
+    assert_eq!(
+        (after.hits, after.misses),
+        (before.hits + 1, before.misses),
+        "seed 1's near-miss did not reuse its db_max after seed 2 ran: {before:?} -> {after:?}"
+    );
+    assert!(!a.as_ref().unwrap().cached);
+    assert_same_outcome(&a, &cold(&cat, &q), "seed 1 near-miss");
 }
 
 /// Dataset replacement bumps the epoch: warm state computed against the

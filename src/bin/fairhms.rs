@@ -88,10 +88,11 @@ admin verb to register CSVs under DIR at runtime; --max-streams caps
 concurrent streamed batches (excess answered ERR busy). `append` and
 `delete` mutate a served dataset in place through the APPEND/DELETE wire
 verbs: skylines are maintained incrementally and only cached answers
-whose digest the mutation moved are invalidated. Near-miss queries
-(same dataset, k and algorithm; different bounds) reuse warm-start state
-(BiGreedy δ-nets, prepared bounds scans) — answers are bit-identical
-to a cold solve; --warm-capacity bounds the tier's resident entries.
+whose digest the mutation moved are invalidated. A BiGreedy near-miss
+(same dataset, form, k and seed; different bounds) reuses the cached
+db_max vector of the warm-start tier, the m x n part of BiGreedy's
+set-up — answers are bit-identical to a cold solve; --warm-capacity
+bounds the tier's resident vectors.
 Per-stage latency histograms are recorded by default (answers are
 bit-identical with telemetry on or off); --no-telemetry disables them
 and --slow-query-ms N logs one structured stderr line per query slower
