@@ -1,5 +1,6 @@
 //! End-to-end `BiGreedy` / `BiGreedy+` — the multi-dimensional solvers
-//! behind Figures 5–9.
+//! behind Figures 5–9 — plus one cold `BiGreedy` solve at the serving
+//! benchmark's `cold` shape.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -39,6 +40,18 @@ fn bench_bigreedy(c: &mut Criterion) {
             },
         );
     }
+    // The serving benchmark's `cold` query shape: the group skyline of
+    // 20 000 anti-correlated rows (about 9 700 rows), k = 10, m = 400.
+    let (n, d) = (20_000, 4);
+    let inst = instance(n, d, k);
+    group.bench_with_input(
+        BenchmarkId::new(
+            "bigreedy_cold",
+            format!("n{n}_d{d}_sky{}", inst.data().len()),
+        ),
+        &inst,
+        |b, inst| b.iter(|| bigreedy(inst, &BiGreedyConfig::paper_default(k, d)).unwrap()),
+    );
     group.finish();
 }
 

@@ -9,9 +9,16 @@
 //! for up to `γ = ⌈log₂(2m/ε)⌉` rounds (Lemma 4.5) — reaches
 //! `mhr_τ(S|N) ≥ (1 − ε/2m)·τ`.
 //!
-//! Two deliberate engineering deviations from the paper's pseudocode (the
-//! exact τ-probe optimisations are in `docs/ARCHITECTURE.md`, "τ-search
-//! greedy"):
+//! Each τ-probe is a lazy matroid greedy that skips work whose result is
+//! already known, with unchanged picks: it starts from upper bounds on
+//! the empty-set gains instead of a heap fill (the exact gains at τ = 1,
+//! or a failed probe's bounds, each capped by the gain `T(τ)` of a row
+//! scoring at least τ on every utility), stops once the selection
+//! reaches the matroid's rank, and takes the candidates left after every
+//! utility is capped in ascending index order. The exactness arguments
+//! are in `docs/ARCHITECTURE.md`, "τ-search greedy".
+//!
+//! Two deliberate engineering deviations from the paper's pseudocode:
 //!
 //! 1. **τ search.** Achievability of `τ` is monotone (smaller caps are
 //!    easier), so instead of sweeping every grid value — `O(ln(m)/ε)`
@@ -299,15 +306,20 @@ pub fn bigreedy_on_net_with_db_max(
     // are frequently the best worst-case covers even though they miss the
     // average-value target.
     //
-    // Each probe's first greedy round is seeded with the empty-set gain
-    // bounds of the most recent failed probe. Empty-set gains never
-    // decrease as τ grows (every term `min(s, τ)` is monotone in τ, and
-    // so is round-to-nearest addition), so a failed probe's bounds are
-    // valid upper bounds at any smaller τ — and both τ searches only probe
-    // below their most recent failure (a binary search moves up only from
-    // a pass and never above a failure; the linear sweep only descends).
-    // The lazy greedy needs nothing more than upper bounds, so seeding
-    // skips most of each heap fill without changing any pick.
+    // Every probe's first greedy round is seeded with upper bounds on the
+    // empty-set gains, so no probe fills its heap with exact gains.
+    // Empty-set gains never decrease as τ grows (every term `min(s, τ)`
+    // is monotone in τ, and so is round-to-nearest addition), so both the
+    // exact gains at τ = 1 and the bounds of a failed probe are upper
+    // bounds at any smaller τ — and both τ searches only probe below
+    // their most recent failure (a binary search moves up only from a
+    // pass and never above a failure; the linear sweep only descends).
+    // Each bound is further capped by `T(τ)`, the gain of a row that
+    // scores at least τ on every utility, which it reaches bit for bit:
+    // at a low τ the first such row picks at once. The lazy greedy needs
+    // nothing more than upper bounds, so no pick changes.
+    let mut unit_gains = vec![0.0; candidates.len()];
+    objective.gains(&objective.empty_state(), &candidates, &mut unit_gains); // τ = 1
     let mut achieved: Option<f64> = None; // largest passed τ
     let mut pool: Vec<(Vec<usize>, bool)> = Vec::new(); // (union, passed)
     let (mut seed_tau, mut seed) = (f64::INFINITY, Vec::new()); // failed probe's bounds
@@ -318,7 +330,7 @@ pub fn bigreedy_on_net_with_db_max(
                      achieved: &mut Option<f64>|
      -> bool {
         debug_assert!(seed.is_empty() || seed_tau > tau, "seed from a smaller τ");
-        bounds.clone_from(&seed);
+        bounds.clone_from(if seed.is_empty() { &unit_gains } else { &seed });
         let (union, passed) = mr_greedy(
             inst,
             objective,
@@ -417,10 +429,11 @@ pub fn bigreedy_on_net_with_db_max(
 /// disjoint candidate pools. Returns the union (possibly partial) and
 /// whether it met the target `mhr_τ(S|N) ≥ (1 − ε/2m)·τ`.
 ///
-/// `bounds` seeds the lazy first round (see
-/// [`lazy_greedy_matroid_seeded`]): empty, or upper bounds on every
-/// candidate's empty-set gain at `tau`; on return it holds such bounds.
-/// Later rounds run on smaller pools and are not seeded.
+/// `bounds` holds upper bounds on every candidate's empty-set gain at a
+/// cap `≥ tau`. Each is lowered to `T(τ)`, which bounds every empty-set
+/// gain at `tau`, and the result seeds the lazy first round (see
+/// [`lazy_greedy_matroid_seeded`]); on return `bounds` holds upper
+/// bounds at `tau`. Later rounds run on smaller pools and are not seeded.
 fn mr_greedy(
     inst: &FairHmsInstance,
     objective: &mut TruncatedMhrObjective<'_>,
@@ -431,6 +444,10 @@ fn mr_greedy(
     bounds: &mut Vec<f64>,
 ) -> (Vec<usize>, bool) {
     objective.set_tau(tau);
+    let cap = objective.empty_gain_cap();
+    for b in bounds.iter_mut() {
+        *b = b.min(cap);
+    }
     let m = objective.num_utilities().max(1);
     let target = (1.0 - epsilon / (2.0 * m as f64)) * tau;
 

@@ -109,6 +109,19 @@ impl<'a> TruncatedMhrObjective<'a> {
         }
     }
 
+    /// `T(τ)`: `m` copies of the cap summed in order from `+0.0`, over
+    /// `m`. Every headroom term lies in `[0, τ]` for `τ > 0`, and
+    /// round-to-nearest addition is monotone, so `T(τ)` bounds every
+    /// empty-set gain from above; a row whose every score is `≥ τ` adds
+    /// exactly `τ` per utility and gains `T(τ)` bit for bit.
+    pub(crate) fn empty_gain_cap(&self) -> f64 {
+        let mut g = 0.0;
+        for _ in 0..self.net.len() {
+            g += self.tau;
+        }
+        g / self.net.len().max(1) as f64
+    }
+
     /// Re-caps the objective without recomputing the score cache.
     pub fn set_tau(&mut self, tau: f64) {
         self.tau = tau;
@@ -312,6 +325,13 @@ impl IncrementalObjective for TruncatedMhrObjective<'_> {
         let (best, tau) = (&state.best, state.tau);
         state.uncapped.retain(|&u| !is_capped(best[u], tau));
     }
+
+    /// No uncapped utility is left: every gain sums no term and is `+0.0`,
+    /// and `add` only ever shrinks the list.
+    fn saturated(&self, state: &TruncatedState) -> bool {
+        self.check_state(state);
+        state.uncapped.is_empty()
+    }
 }
 
 #[cfg(test)]
@@ -471,19 +491,63 @@ mod tests {
             // Seeds: exact empty-set gains at a cap ≥ τ.
             let mut bounds = vec![0.0; n];
             obj.gains(&obj.empty_state(), &cands, &mut bounds);
+            // BiGreedy's seed: the exact τ = 1 gains capped by T(τ).
+            obj.set_tau(1.0);
+            let mut unit_bounds = vec![0.0; n];
+            obj.gains(&obj.empty_state(), &cands, &mut unit_bounds);
             obj.set_tau(tau);
+            let cap = obj.empty_gain_cap();
+            for b in &mut unit_bounds {
+                *b = b.min(cap);
+            }
 
             let eager = greedy_matroid(&obj, &matroid, &cands);
             let lazy = lazy_greedy_matroid(&obj, &matroid, &cands);
             let seeded = lazy_greedy_matroid_seeded(&obj, &matroid, &cands, &mut bounds);
+            let unit_seeded = lazy_greedy_matroid_seeded(&obj, &matroid, &cands, &mut unit_bounds);
             prop_assert_eq!(&lazy.items, &eager.items);
             prop_assert_eq!(lazy.value.to_bits(), eager.value.to_bits());
             prop_assert_eq!(&seeded.items, &eager.items);
             prop_assert_eq!(seeded.value.to_bits(), eager.value.to_bits());
+            prop_assert_eq!(&unit_seeded.items, &eager.items);
+            prop_assert_eq!(unit_seeded.value.to_bits(), eager.value.to_bits());
             // The bounds a seeded run hands on stay upper bounds at τ.
             let empty = obj.empty_state();
-            for (&item, &b) in cands.iter().zip(&bounds) {
+            for (&item, (&b, &u)) in cands.iter().zip(bounds.iter().zip(&unit_bounds)) {
                 prop_assert!(b >= obj.gain(&empty, item), "item {}", item);
+                prop_assert!(u >= obj.gain(&empty, item), "item {}", item);
+            }
+        }
+
+        #[test]
+        fn empty_gain_cap_bounds_every_empty_set_gain(
+            seed in 0u64..1_000_000,
+            (n, d, m) in (2usize..=12, 1usize..=4, 1usize..=9),
+            tau_kind in 1usize..4,
+            r in 0.05f64..0.95,
+        ) {
+            let (ds, net, db_max) = random_instance(seed, n, d, m, 1);
+            let mut obj = TruncatedMhrObjective::new(&ds, &net, &db_max, 1.0, true);
+            // The cap at the kind's τ, and at the smallest score of the row
+            // whose smallest score is largest: that row reaches the cap.
+            let floors: Vec<f64> = (0..n)
+                .map(|i| (0..net.len()).map(|u| obj.score(i, u)).fold(f64::INFINITY, f64::min))
+                .collect();
+            let best_floor = floors.iter().copied().fold(0.0, f64::max);
+            for tau in [pick_tau(tau_kind, net.len(), r), best_floor] {
+                if tau <= 0.0 {
+                    continue; // every score is 0 somewhere: no row reaches a cap
+                }
+                obj.set_tau(tau);
+                let cap = obj.empty_gain_cap();
+                let empty = obj.empty_state();
+                for (item, &floor) in floors.iter().enumerate() {
+                    let g = obj.gain(&empty, item);
+                    prop_assert!(g <= cap, "item {} τ {}: {} > {}", item, tau, g, cap);
+                    if floor >= tau {
+                        prop_assert_eq!(g.to_bits(), cap.to_bits(), "item {} τ {}", item, tau);
+                    }
+                }
             }
         }
     }

@@ -187,6 +187,9 @@ impl FairnessMatroid {
     }
 }
 
+/// Groups [`FairnessMatroid::can_extend`] counts per pass over the set.
+const COUNT_WINDOW: usize = 16;
+
 impl Matroid for FairnessMatroid {
     fn ground_size(&self) -> usize {
         self.groups.len()
@@ -199,23 +202,40 @@ impl Matroid for FairnessMatroid {
         self.counts_independent(&self.counts(items))
     }
 
+    /// Allocation-free: the greedy loops call this once per heap pop or
+    /// scanned candidate. Group counts are taken sixteen groups at a
+    /// time in a stack array, one pass over `items` per sixteen groups.
     fn can_extend(&self, items: &[usize], new_item: usize) -> bool {
-        if new_item >= self.groups.len() {
+        let Some(&g) = self.groups.get(new_item) else {
             return false;
+        };
+        let mut reserved = 0usize; // Σ_c max(count_c, l_c)
+        let mut count_g = 0usize;
+        for first in (0..self.lower.len()).step_by(COUNT_WINDOW) {
+            let mut counts = [0usize; COUNT_WINDOW];
+            for &i in items {
+                if let Some(c) = self.groups[i].checked_sub(first) {
+                    if c < COUNT_WINDOW {
+                        counts[c] += 1;
+                    }
+                }
+            }
+            let lower = &self.lower[first..self.lower.len().min(first + COUNT_WINDOW)];
+            reserved += counts
+                .iter()
+                .zip(lower)
+                .map(|(&n, &l)| n.max(l))
+                .sum::<usize>();
+            if let Some(c) = g.checked_sub(first).filter(|&c| c < COUNT_WINDOW) {
+                count_g = counts[c];
+            }
         }
-        let counts = self.counts(items);
-        let g = self.groups[new_item];
-        if counts[g] >= self.upper[g] {
+        if count_g >= self.upper[g] {
             return false;
         }
         // Adding to group g increases Σ max(count, l) only when the count
         // is already at or above the lower bound.
-        let reserved: usize = counts
-            .iter()
-            .zip(&self.lower)
-            .map(|(&n, &l)| n.max(l))
-            .sum();
-        let delta = usize::from(counts[g] >= self.lower[g]);
+        let delta = usize::from(count_g >= self.lower[g]);
         reserved + delta <= self.k
     }
 
@@ -472,6 +492,37 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn can_extend_matches_independence_across_count_windows() {
+        // 40 groups span three count windows; every group has two rows,
+        // and group g's row pair is (2g, 2g + 1).
+        let c = 40;
+        let groups: Vec<usize> = (0..2 * c).map(|i| i / 2).collect();
+        let lower: Vec<usize> = (0..c).map(|g| usize::from(g % 3 == 0)).collect();
+        let upper: Vec<usize> = (0..c).map(|g| 1 + g % 2).collect();
+        let m = FairnessMatroid::new(groups, lower, upper, 20).unwrap();
+        let mut items: Vec<usize> = Vec::new();
+        for cand in (0..2 * c).rev().step_by(3) {
+            for probe in 0..2 * c {
+                if items.contains(&probe) {
+                    continue;
+                }
+                let mut extended = items.clone();
+                extended.push(probe);
+                assert_eq!(
+                    m.can_extend(&items, probe),
+                    m.is_independent(&extended),
+                    "items {items:?} + {probe}"
+                );
+            }
+            if m.can_extend(&items, cand) {
+                items.push(cand);
+            }
+        }
+        assert!(items.len() > 10, "the walk should cross windows: {items:?}");
+        assert!(!m.can_extend(&items, 2 * c), "out-of-range item");
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //! transcripts show (`<< OK …`, `<< ERR …`, `S: OK …`, and the bundled
 //! client's `-> OK …` echo) decodes through the text codec and encodes
 //! back to the same bytes. A line holding `…` (elided fields) or a
-//! `<placeholder>` is a template, not a capture, and is skipped.
+//! `<placeholder>` is a template, not a capture, and is skipped there;
+//! every `STATS` line, elided or not, must still show the `hit_rate` its
+//! own `hits` and `misses` give.
 
 use fairhms_service::protocol::{decode_response_line, encode_response_line};
+use fairhms_service::CacheStats;
 
 const PROTOCOL_MD: &str = include_str!("../../../docs/PROTOCOL.md");
 
@@ -66,6 +69,51 @@ fn protocol_md_transcripts_replay_through_the_text_codec() {
     // The document holds 44 captured lines; far fewer means the
     // extraction above stopped finding them.
     assert!(checked >= 40, "only {checked} transcript lines checked");
+}
+
+/// The value of `key=` among `line`'s space-separated fields.
+fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    line.split_whitespace()
+        .find_map(|f| f.strip_prefix(key)?.strip_prefix('='))
+}
+
+#[test]
+fn protocol_md_stats_lines_show_their_own_hit_rate() {
+    let mut checked = 0;
+    let mut fenced = false;
+    for line in PROTOCOL_MD.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+            continue;
+        }
+        let Some(rate) = field(line, "hit_rate").filter(|_| fenced) else {
+            continue;
+        };
+        if has_placeholder(rate) {
+            continue; // the field table's template line
+        }
+        let count = |key| {
+            field(line, key)
+                .and_then(|v| v.parse::<u64>().ok())
+                .unwrap_or_else(|| panic!("PROTOCOL.md STATS line without {key}=: {line:?}"))
+        };
+        let stats = CacheStats {
+            hits: count("hits"),
+            misses: count("misses"),
+            entries: 0,
+            evictions: 0,
+        };
+        // The text codec prints an f64 through `Display`.
+        assert_eq!(
+            rate,
+            stats.hit_rate().to_string(),
+            "PROTOCOL.md STATS line shows a hit_rate its counters do not give: {line:?}"
+        );
+        checked += 1;
+    }
+    // Seven STATS lines are captured: three of them are the bundled
+    // client's `server OK …` echo, and five are elided with `…`.
+    assert!(checked >= 7, "only {checked} STATS lines checked");
 }
 
 #[test]

@@ -17,7 +17,14 @@
 //!
 //! All variants *fill a base*: they keep adding feasible elements while
 //! any exist, even at zero marginal gain, matching Algorithm 3's inner
-//! loop (`while ∃p: S_i ∪ {p} ∈ I`).
+//! loop (`while ∃p: S_i ∪ {p} ∈ I`). The lazy greedy gets there with two
+//! shortcuts that cannot change a pick: it stops as soon as the set
+//! reaches [`Matroid::rank_upper_bound`] elements (no independent set is
+//! larger, so nothing left can extend it), and once
+//! [`IncrementalObjective::saturated`] reports every remaining gain to be
+//! exactly `+0.0`, it takes the remaining candidates in ascending index
+//! order wherever they extend the set — the eager greedy's tie-break
+//! among equal gains — without evaluating another gain.
 //!
 //! # Batched gains and seeded bounds
 //!
@@ -82,6 +89,14 @@ pub trait IncrementalObjective {
 
     /// Adds `item` to `state`.
     fn add(&self, state: &mut Self::State, item: usize);
+
+    /// Whether every item's gain at `state`, and at every state grown
+    /// from it, is exactly `+0.0`. The lazy greedy then stops evaluating
+    /// gains and fills the base in ascending index order, so `true` must
+    /// be exact; the default, `false`, is always correct.
+    fn saturated(&self, _state: &Self::State) -> bool {
+        false
+    }
 }
 
 /// Outcome of a greedy run.
@@ -222,6 +237,14 @@ pub fn lazy_greedy_matroid<O: IncrementalObjective, M: Matroid>(
 /// empty-set gain: gains evaluated before the first pick replace their
 /// bounds. A later run whose empty-set gains are dominated by this one's
 /// can be seeded with it.
+///
+/// The run ends as soon as the set has [`Matroid::rank_upper_bound`]
+/// elements, without popping the rest of the heap. Once the objective
+/// reports the state [`IncrementalObjective::saturated`], every remaining
+/// gain ties at `+0.0`, where the eager greedy repeatedly takes the
+/// smallest feasible index; the run does the same by scanning the
+/// remaining candidates in ascending index order (a candidate that cannot
+/// extend the set now never can later), with no further gain evaluation.
 pub fn lazy_greedy_matroid_seeded<O: IncrementalObjective, M: Matroid>(
     objective: &O,
     matroid: &M,
@@ -229,12 +252,15 @@ pub fn lazy_greedy_matroid_seeded<O: IncrementalObjective, M: Matroid>(
     bounds: &mut Vec<f64>,
 ) -> GreedyResult {
     assert!(candidates.len() < STALE as usize, "too many candidates");
+    let rank = matroid.rank_upper_bound();
     let mut state = objective.empty_state();
     let mut items: Vec<usize> = Vec::new();
     let mut stamp = 0u32; // incremented on every add; entries older are stale
     let first_stamp = if bounds.is_empty() {
         bounds.resize(candidates.len(), 0.0);
-        objective.gains(&state, candidates, bounds);
+        if !objective.saturated(&state) {
+            objective.gains(&state, candidates, bounds); // else all +0.0
+        }
         stamp
     } else {
         assert_eq!(bounds.len(), candidates.len(), "one bound per candidate");
@@ -252,6 +278,23 @@ pub fn lazy_greedy_matroid_seeded<O: IncrementalObjective, M: Matroid>(
         })
         .collect();
     loop {
+        if items.len() >= rank {
+            break; // a base: nothing left can extend it
+        }
+        if objective.saturated(&state) {
+            let mut rest: Vec<usize> = heap.into_iter().map(|e| e.item).collect();
+            rest.sort_unstable();
+            for item in rest {
+                if items.len() >= rank {
+                    break;
+                }
+                if matroid.can_extend(&items, item) {
+                    objective.add(&mut state, item);
+                    items.push(item);
+                }
+            }
+            break;
+        }
         let mut chosen: Option<usize> = None;
         while let Some(top) = heap.pop() {
             if !matroid.can_extend(&items, top.item) {
@@ -309,6 +352,7 @@ pub fn lazy_greedy_matroid_seeded<O: IncrementalObjective, M: Matroid>(
 mod tests {
     use super::*;
     use fairhms_matroid::FairnessMatroid;
+    use std::cell::Cell;
 
     /// `U_{k,n}`: the fairness matroid with one group, `l = 0` and `h = k`.
     fn uniform(n: usize, k: usize) -> FairnessMatroid {
@@ -336,16 +380,84 @@ mod tests {
                 .sum()
         }
         fn gain(&self, state: &Vec<bool>, item: usize) -> f64 {
+            // Folded from +0.0, so a gain with nothing left is +0.0.
             self.covers[item]
                 .iter()
                 .filter(|&&e| !state[e])
-                .map(|&e| self.weights[e])
-                .sum()
+                .fold(0.0, |g, &e| g + self.weights[e])
         }
         fn add(&self, state: &mut Vec<bool>, item: usize) {
             for &e in &self.covers[item] {
                 state[e] = true;
             }
+        }
+        fn saturated(&self, state: &Vec<bool>) -> bool {
+            state
+                .iter()
+                .zip(&self.weights)
+                .all(|(&c, &w)| c || w == 0.0)
+        }
+    }
+
+    /// Counts the `can_extend` calls made once the set is a base.
+    struct CountingMatroid<'a> {
+        inner: &'a FairnessMatroid,
+        at_rank: Cell<usize>,
+    }
+
+    impl Matroid for CountingMatroid<'_> {
+        fn ground_size(&self) -> usize {
+            self.inner.ground_size()
+        }
+        fn is_independent(&self, items: &[usize]) -> bool {
+            self.inner.is_independent(items)
+        }
+        fn can_extend(&self, items: &[usize], new_item: usize) -> bool {
+            if items.len() >= self.inner.rank_upper_bound() {
+                self.at_rank.set(self.at_rank.get() + 1);
+            }
+            self.inner.can_extend(items, new_item)
+        }
+        fn rank_upper_bound(&self) -> usize {
+            self.inner.rank_upper_bound()
+        }
+    }
+
+    /// Counts the gains evaluated at saturated states.
+    struct CountingObjective<'a> {
+        inner: &'a Coverage,
+        saturated_gains: Cell<usize>,
+    }
+
+    impl CountingObjective<'_> {
+        fn count(&self, state: &Vec<bool>, items: usize) {
+            if self.inner.saturated(state) {
+                self.saturated_gains.set(self.saturated_gains.get() + items);
+            }
+        }
+    }
+
+    impl IncrementalObjective for CountingObjective<'_> {
+        type State = Vec<bool>;
+        fn empty_state(&self) -> Vec<bool> {
+            self.inner.empty_state()
+        }
+        fn value(&self, state: &Vec<bool>) -> f64 {
+            self.inner.value(state)
+        }
+        fn gain(&self, state: &Vec<bool>, item: usize) -> f64 {
+            self.count(state, 1);
+            self.inner.gain(state, item)
+        }
+        fn gains(&self, state: &Vec<bool>, items: &[usize], out: &mut [f64]) {
+            self.count(state, items.len());
+            self.inner.gains(state, items, out);
+        }
+        fn add(&self, state: &mut Vec<bool>, item: usize) {
+            self.inner.add(state, item);
+        }
+        fn saturated(&self, state: &Vec<bool>) -> bool {
+            self.inner.saturated(state)
         }
     }
 
@@ -394,38 +506,89 @@ mod tests {
         assert_eq!(r.items, vec![0, 2]);
     }
 
+    /// Lazy (unseeded and seeded) equals eager bit for bit on random
+    /// coverage instances, never calls `can_extend` on a full base and
+    /// never evaluates a gain at a saturated state.
     #[test]
     fn lazy_matches_eager_on_random_instances() {
-        // pseudo-random coverage instances
-        let mut seed = 12345u64;
+        let mut seed = 777u64;
         let mut rnd = move || {
             seed = seed
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             (seed >> 33) as usize
         };
-        for trial in 0..25 {
-            let n_items = 8 + rnd() % 6;
-            let n_elems = 10 + rnd() % 8;
+        let (mut early_saturations, mut full_bases, mut runs) = (0, 0, 0);
+        for trial in 0..400 {
+            let n_items = 6 + rnd() % 10;
+            // Few elements make the coverage saturate before k picks.
+            let n_elems = 1 + rnd() % 8;
             let covers: Vec<Vec<usize>> = (0..n_items)
+                .map(|_| (0..1 + rnd() % 4).map(|_| rnd() % n_elems).collect())
+                .collect();
+            // Every fifth instance has all-zero weights; the rest mix zeros
+            // with positive weights.
+            let weights: Vec<f64> = (0..n_elems)
                 .map(|_| {
-                    let len = 1 + rnd() % 5;
-                    (0..len).map(|_| rnd() % n_elems).collect()
+                    if trial % 5 == 0 {
+                        0.0
+                    } else {
+                        (rnd() % 4) as f64
+                    }
                 })
                 .collect();
-            let weights: Vec<f64> = (0..n_elems).map(|_| 1.0 + (rnd() % 10) as f64).collect();
             let cov = Coverage { covers, weights };
-            let groups: Vec<usize> = (0..n_items).map(|_| rnd() % 3).collect();
-            let m = match FairnessMatroid::new(groups, vec![0, 0, 0], vec![2, 2, 2], 4) {
-                Ok(m) => m,
-                Err(_) => continue,
+            let c = 1 + rnd() % 3;
+            let groups: Vec<usize> = (0..n_items).map(|_| rnd() % c).collect();
+            let lower: Vec<usize> = (0..c).map(|_| rnd() % 2).collect();
+            let upper: Vec<usize> = lower.iter().map(|&l| l + rnd() % 3).collect();
+            let Ok(m) = FairnessMatroid::new(groups, lower, upper, 1 + rnd() % 5) else {
+                continue;
             };
             let cands: Vec<usize> = (0..n_items).collect();
             let eager = greedy_matroid(&cov, &m, &cands);
-            let lazy = lazy_greedy_matroid(&cov, &m, &cands);
-            assert_eq!(eager.items, lazy.items, "trial {trial}");
-            assert!((eager.value - lazy.value).abs() < 1e-12);
+            // Seeds: the exact empty-set gains, lifted by a random slack.
+            let lift = (rnd() % 3) as f64;
+            let mut seeded_bounds: Vec<f64> = cands
+                .iter()
+                .map(|&i| cov.gain(&cov.empty_state(), i) + lift)
+                .collect();
+            for bounds in [&mut Vec::new(), &mut seeded_bounds] {
+                let matroid = CountingMatroid {
+                    inner: &m,
+                    at_rank: Cell::new(0),
+                };
+                let objective = CountingObjective {
+                    inner: &cov,
+                    saturated_gains: Cell::new(0),
+                };
+                let lazy = lazy_greedy_matroid_seeded(&objective, &matroid, &cands, bounds);
+                assert_eq!(lazy.items, eager.items, "trial {trial}");
+                assert_eq!(lazy.value.to_bits(), eager.value.to_bits(), "trial {trial}");
+                assert_eq!(
+                    matroid.at_rank.get(),
+                    0,
+                    "trial {trial}: can_extend at rank"
+                );
+                assert_eq!(objective.saturated_gains.get(), 0, "trial {trial}");
+                runs += 1;
+            }
+            let mut st = cov.empty_state();
+            for &i in &eager.items {
+                if cov.saturated(&st) {
+                    early_saturations += 1; // saturated with picks to go
+                    break;
+                }
+                cov.add(&mut st, i);
+            }
+            full_bases += usize::from(eager.items.len() == m.k());
         }
+        assert!(runs >= 300, "only {runs} runs");
+        assert!(
+            early_saturations >= 50,
+            "{early_saturations} early saturations"
+        );
+        assert!(full_bases >= 100, "{full_bases} full bases");
     }
 
     #[test]
