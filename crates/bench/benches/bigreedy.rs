@@ -1,13 +1,14 @@
 //! End-to-end `BiGreedy` / `BiGreedy+` — the multi-dimensional solvers
 //! behind Figures 5–9 — plus one cold `BiGreedy` solve at the serving
-//! benchmark's `cold` shape.
+//! benchmark's `cold` shape and that solve's score-cache build alone.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fairhms_core::adaptive::{bigreedy_plus, BiGreedyPlusConfig};
-use fairhms_core::bigreedy::{bigreedy, BiGreedyConfig};
+use fairhms_core::bigreedy::{bigreedy, db_max_of, BiGreedyConfig, SampledNet};
+use fairhms_core::objective::TruncatedMhrObjective;
 use fairhms_core::types::FairHmsInstance;
 use fairhms_data::gen::anti_correlated_dataset;
 use fairhms_data::skyline::group_skyline_indices;
@@ -51,6 +52,19 @@ fn bench_bigreedy(c: &mut Criterion) {
         ),
         &inst,
         |b, inst| b.iter(|| bigreedy(inst, &BiGreedyConfig::paper_default(k, d)).unwrap()),
+    );
+    // The same solve's n × m score-cache build alone.
+    let config = BiGreedyConfig::paper_default(k, d);
+    let net = SampledNet::generate(d, config.resolve_m(d), config.seed);
+    let db_max = db_max_of(inst.data(), &net.vectors);
+    group.bench_function(
+        BenchmarkId::new(
+            "objective_build",
+            format!("sky{}_m{}", inst.data().len(), net.m),
+        ),
+        // Each dropped objective hands its buffer to the next, as in
+        // serving.
+        |b| b.iter(|| TruncatedMhrObjective::new(inst.data(), &net.vectors, &db_max, 1.0, true)),
     );
     group.finish();
 }

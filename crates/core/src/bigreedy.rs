@@ -13,10 +13,11 @@
 //! already known, with unchanged picks: it starts from upper bounds on
 //! the empty-set gains instead of a heap fill (the exact gains at τ = 1,
 //! or a failed probe's bounds, each capped by the gain `T(τ)` of a row
-//! scoring at least τ on every utility), stops once the selection
-//! reaches the matroid's rank, and takes the candidates left after every
-//! utility is capped in ascending index order. The exactness arguments
-//! are in `docs/ARCHITECTURE.md`, "τ-search greedy".
+//! scoring at least τ on every utility), refreshes every feasible
+//! candidate in one batched pass before its second pick, stops once the
+//! selection reaches the matroid's rank, and takes the candidates left
+//! after every utility is capped in ascending index order. The exactness
+//! arguments are in `docs/ARCHITECTURE.md`, "τ-search greedy".
 //!
 //! Two deliberate engineering deviations from the paper's pseudocode:
 //!

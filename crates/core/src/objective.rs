@@ -19,7 +19,7 @@
 use std::cell::Cell;
 
 use fairhms_data::Dataset;
-use fairhms_geometry::soa::BLOCK;
+use fairhms_geometry::soa::{SoaMatrix, BLOCK};
 use fairhms_geometry::vecmath::dot;
 use fairhms_geometry::EPS;
 use fairhms_submodular::IncrementalObjective;
@@ -71,28 +71,37 @@ impl<'a> TruncatedMhrObjective<'a> {
         cache: bool,
     ) -> Self {
         debug_assert_eq!(net.len(), db_max.len());
+        debug_assert!(
+            net.iter().all(|u| u.len() == data.dim()),
+            "net/data dimension mismatch"
+        );
         let m = net.len();
         let n = data.len();
         let scores = if cache && n.saturating_mul(m) <= CACHE_LIMIT {
-            // Tile-outer build: for each 64-row tile, sweep all utilities
-            // while the tile (a few KB) and its slice of the row-major
-            // cache (64 rows × m) stay cache-resident — a utility-outer
-            // sweep would re-fetch the whole n × m cache once per utility
-            // through the stride-m scatter. Each raw dot is bitwise-equal
-            // to the scalar `dot` (see fairhms_geometry::soa), so every
-            // entry equals `normalized_score(point(i), u, db_max[u])`.
-            // The build writes every entry, so a reused buffer's old
-            // contents never show through.
+            // Rows-outer build over a tiled copy of the net: each data row
+            // scores one 64-utility tile at a time and writes its m
+            // normalized scores contiguously, so the stores stream and the
+            // normalization vectorizes with the dots. Each raw dot
+            // ⟨u, p⟩ is bitwise-equal to the scalar `dot(p, u)` (see
+            // fairhms_geometry::soa; IEEE multiplication commutes), so every
+            // entry equals `normalized_score(point(i), u, db_max[u])`. The
+            // build writes every entry, so a reused buffer's old contents
+            // never show through.
             let mut s = SPARE_SCORES.try_with(Cell::take).unwrap_or_default();
             s.resize(n * m, 0.0);
-            let mut acc = [0.0; BLOCK];
-            let soa = data.soa();
-            for b in 0..soa.num_tiles() {
-                let start = b * BLOCK;
-                for (u_idx, (u, &dbm)) in net.iter().zip(db_max).enumerate() {
-                    let rows = soa.dot_tile(b, u, &mut acc);
-                    for (r, &raw) in acc[..rows].iter().enumerate() {
-                        s[(start + r) * m + u_idx] = normalize_raw(raw, dbm);
+            if m > 0 {
+                // (An empty net has no entries to write.)
+                let net_soa = SoaMatrix::from_rows(&net.concat(), data.dim());
+                let mut acc = [0.0; BLOCK];
+                for (i, row) in s.chunks_exact_mut(m).enumerate() {
+                    let p = data.point(i);
+                    for (b, (out, dbm)) in
+                        row.chunks_mut(BLOCK).zip(db_max.chunks(BLOCK)).enumerate()
+                    {
+                        let live = net_soa.dot_tile(b, p, &mut acc);
+                        for ((o, &raw), &dbm) in out.iter_mut().zip(&acc[..live]).zip(dbm) {
+                            *o = normalize_raw(raw, dbm);
+                        }
                     }
                 }
             }
@@ -244,12 +253,20 @@ fn normalized_score(p: &[f64], u: &[f64], db_max: f64) -> f64 {
     normalize_raw(dot(p, u), db_max)
 }
 
-#[inline]
+/// `raw / db_max` clamped to `[0, 1]`, or `1` when `db_max ≤ EPS` (the
+/// whole database scores 0: every subset is fully happy). Written as
+/// selects, which `f64::clamp`'s branches kept from vectorizing in the
+/// score-cache build; each select returns what `clamp` does, NaN and
+/// `-0.0` included.
+#[inline(always)]
 fn normalize_raw(raw: f64, db_max: f64) -> f64 {
+    let q = raw / db_max;
+    let q = if q < 0.0 { 0.0 } else { q };
+    let q = if q > 1.0 { 1.0 } else { q };
     if db_max <= EPS {
-        1.0 // the whole database scores 0: every subset is fully happy
+        1.0
     } else {
-        (raw / db_max).clamp(0.0, 1.0)
+        q
     }
 }
 
@@ -603,47 +620,85 @@ mod tests {
         assert!(b.scores.is_none());
         let st = a.empty_state();
         for item in 0..ds.len() {
-            assert!((a.gain(&st, item) - b.gain(&st, item)).abs() < 1e-12);
+            assert_eq!(a.gain(&st, item).to_bits(), b.gain(&st, item).to_bits());
         }
     }
 
     #[test]
     fn score_cache_matches_scalar_oracle_bitwise() {
-        // Shapes straddle BLOCK (one partial tile, one full tile, two full
-        // tiles plus a tail) and reach both const-dim and generic kernels.
-        for n in [1usize, 64, 130] {
-            for d in [2usize, 4, 9] {
-                let points: Vec<f64> = (0..n * d)
-                    .map(|i| ((i * 2654435761) % 1000) as f64 / 997.0)
-                    .collect();
-                let ds = Dataset::ungrouped("t", d, points).unwrap();
-                // Six irregular utilities plus an all-zero one, whose
-                // db_max of 0 takes normalize_raw's degenerate branch.
-                let mut net: Vec<Vec<f64>> = (0..6)
-                    .map(|t| {
-                        (0..d)
-                            .map(|j| 0.05 + ((t * 7 + j * 3) % 11) as f64 / 10.0)
-                            .collect()
-                    })
-                    .collect();
-                net.push(vec![0.0; d]);
-                let db_max: Vec<f64> = net
-                    .iter()
-                    .map(|u| fairhms_geometry::vecmath::max_utility(ds.points_flat(), d, u))
-                    .collect();
-                let obj = TruncatedMhrObjective::new(&ds, &net, &db_max, 0.8, true);
-                let got = obj.scores.as_ref().unwrap();
-                // The scalar oracle: one dot per (row, utility), row-major.
-                let mut want = Vec::with_capacity(n * net.len());
-                for i in 0..n {
-                    for (u, &dbm) in net.iter().zip(&db_max) {
-                        want.push(normalized_score(ds.point(i), u, dbm));
+        // Net sizes straddle BLOCK (the build tiles the net, 64 utilities
+        // per tile) and dims 1–10 reach every const-dim kernel and the
+        // generic fallback; two data sizes keep rows apart.
+        for m in [1usize, 63, 64, 65, 130, 400] {
+            for d in 1usize..=10 {
+                for n in [1usize, 7] {
+                    let points: Vec<f64> = (0..n * d)
+                        .map(|i| ((i * 2654435761) % 1000) as f64 / 997.0)
+                        .collect();
+                    let ds = Dataset::ungrouped("t", d, points).unwrap();
+                    // Irregular utilities, with an all-zero one (db_max of 0:
+                    // normalize_raw's degenerate branch) mid-tile and last.
+                    let net: Vec<Vec<f64>> = (0..m)
+                        .map(|t| {
+                            if m > 1 && (t == m / 2 || t == m - 1) {
+                                return vec![0.0; d];
+                            }
+                            (0..d)
+                                .map(|j| 0.05 + ((t * 7 + j * 3) % 11) as f64 / 10.0)
+                                .collect()
+                        })
+                        .collect();
+                    let db_max: Vec<f64> = net
+                        .iter()
+                        .map(|u| fairhms_geometry::vecmath::max_utility(ds.points_flat(), d, u))
+                        .collect();
+                    let obj = TruncatedMhrObjective::new(&ds, &net, &db_max, 0.8, true);
+                    let got = obj.scores.as_ref().unwrap();
+                    // The scalar oracle: one dot per (row, utility), row-major.
+                    let mut want = Vec::with_capacity(n * m);
+                    for i in 0..n {
+                        for (u, &dbm) in net.iter().zip(&db_max) {
+                            want.push(normalized_score(ds.point(i), u, dbm));
+                        }
+                    }
+                    assert_eq!(got.len(), want.len());
+                    for (k, (x, y)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(x.to_bits(), y.to_bits(), "m={m} d={d} n={n} entry {k}");
                     }
                 }
-                assert_eq!(got.len(), want.len());
-                for (k, (x, y)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(x.to_bits(), y.to_bits(), "n={n} d={d} entry {k}");
-                }
+            }
+        }
+    }
+
+    #[test]
+    fn normalize_raw_matches_clamp_form_bitwise() {
+        // The form the selects replaced.
+        let clamped = |raw: f64, db_max: f64| {
+            if db_max <= EPS {
+                1.0
+            } else {
+                (raw / db_max).clamp(0.0, 1.0)
+            }
+        };
+        let values = [
+            0.0,
+            -0.0,
+            -1.0,
+            EPS / 2.0,
+            EPS,
+            0.3,
+            1.0,
+            1.5,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for raw in values {
+            for db_max in values {
+                assert_eq!(
+                    normalize_raw(raw, db_max).to_bits(),
+                    clamped(raw, db_max).to_bits(),
+                    "raw {raw} db_max {db_max}"
+                );
             }
         }
     }

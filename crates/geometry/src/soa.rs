@@ -285,23 +285,20 @@ impl SoaMatrix {
         *m = [m0, m1, m2, m3];
     }
 
-    /// Number of row tiles (`⌈n / BLOCK⌉`).
-    pub fn num_tiles(&self) -> usize {
-        self.n.div_ceil(BLOCK)
-    }
-
     /// Computes tile `b`'s dot products against `u` into `acc`, returning
     /// the number of live rows in the tile (global rows `b·BLOCK ..
     /// b·BLOCK + rows`). Each live element of `acc` is bitwise-equal to
     /// [`crate::vecmath::dot`] on its row.
     ///
     /// This is the building block for callers that interleave their own
-    /// per-tile work between utilities (e.g. the objective score cache,
-    /// which scatters normalized scores row-major and needs the tile loop
-    /// outermost for write locality).
+    /// per-tile work with the dots. The objective's score cache tiles the
+    /// *net* and passes each data row as `u`: one call yields that row's
+    /// raw scores against 64 utilities, which it normalizes and stores
+    /// contiguously (multiplication commutes, so each is still
+    /// bitwise-equal to `dot(row, utility)`).
     ///
     /// # Panics
-    /// Panics if `b >= self.num_tiles()`.
+    /// Panics if `b` is not below the tile count `⌈len / BLOCK⌉`.
     pub fn dot_tile(&self, b: usize, u: &[f64], acc: &mut [f64; BLOCK]) -> usize {
         debug_assert_eq!(u.len(), self.dim, "dot_tile: dimension mismatch");
         let tile = &self.data[b * BLOCK * self.dim..(b + 1) * BLOCK * self.dim];

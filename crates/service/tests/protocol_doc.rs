@@ -4,7 +4,8 @@
 //! back to the same bytes. A line holding `…` (elided fields) or a
 //! `<placeholder>` is a template, not a capture, and is skipped there;
 //! every `STATS` line, elided or not, must still show the `hit_rate` its
-//! own `hits` and `misses` give.
+//! own `hits` and `misses` give, and a `mutations_total` equal to the
+//! successful `APPEND`/`DELETE` answers before it in the same block.
 
 use fairhms_service::protocol::{decode_response_line, encode_response_line};
 use fairhms_service::CacheStats;
@@ -114,6 +115,44 @@ fn protocol_md_stats_lines_show_their_own_hit_rate() {
     // Seven STATS lines are captured: three of them are the bundled
     // client's `server OK …` echo, and five are elided with `…`.
     assert!(checked >= 7, "only {checked} STATS lines checked");
+}
+
+#[test]
+fn protocol_md_stats_lines_count_the_mutations_before_them() {
+    let mut checked = 0;
+    let mut fenced = false;
+    let mut mutations = 0u64; // successful APPEND/DELETE so far in the block
+    for line in PROTOCOL_MD.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+            mutations = 0;
+            continue;
+        }
+        let Some(wire) = server_line(line).filter(|_| fenced) else {
+            continue;
+        };
+        if has_placeholder(wire) {
+            continue; // the response templates
+        }
+        if wire.starts_with("OK mutated ") {
+            mutations += 1;
+        }
+        if let Some(total) = field(wire, "mutations_total") {
+            assert_eq!(
+                total,
+                mutations.to_string(),
+                "PROTOCOL.md STATS line shows a mutations_total its block's \
+                 APPEND/DELETE answers do not give: {line:?}"
+            );
+            checked += 1;
+        }
+    }
+    // Two STATS lines show the counter: after the mutation transcript's
+    // three mutations, and in the METRICS transcript, which has none.
+    assert!(
+        checked >= 2,
+        "only {checked} mutations_total fields checked"
+    );
 }
 
 #[test]

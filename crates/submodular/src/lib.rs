@@ -32,8 +32,9 @@
 //! state; its default loops over [`IncrementalObjective::gain`], and an
 //! override may interleave the candidates (independent accumulators) as
 //! long as every result is bitwise-equal to `gain`. The lazy greedy uses
-//! it for the initial heap fill and to re-evaluate up to four stale heap
-//! tops at a time.
+//! it for the initial heap fill, for one pass over every feasible
+//! candidate before the second pick, and to re-evaluate up to four stale
+//! heap tops at a time.
 //!
 //! The lazy greedy is exact with *any* upper bounds in its heap: it pops
 //! the top entry and re-evaluates it if stale; a fresh top's gain is at
@@ -238,6 +239,12 @@ pub fn lazy_greedy_matroid<O: IncrementalObjective, M: Matroid>(
 /// bounds. A later run whose empty-set gains are dominated by this one's
 /// can be seeded with it.
 ///
+/// After the first pick every key is still an empty-set value, so the
+/// second pick starts with one [`IncrementalObjective::gains`] call over
+/// every candidate left that can extend the set, in candidate order, and
+/// re-heapifies; refused candidates are dropped unevaluated. This pass
+/// is skipped when the set is already at rank or saturated.
+///
 /// The run ends as soon as the set has [`Matroid::rank_upper_bound`]
 /// elements, without popping the rest of the heap. Once the objective
 /// reports the state [`IncrementalObjective::saturated`], every remaining
@@ -294,6 +301,40 @@ pub fn lazy_greedy_matroid_seeded<O: IncrementalObjective, M: Matroid>(
                 }
             }
             break;
+        }
+        if items.len() == 1 {
+            // Every key is still an empty-set value, which the first pick
+            // usually cuts far below: refresh all feasible entries with one
+            // `gains` call in candidate order (the score rows then stream
+            // in sequence) and re-heapify. Early refreshes keep every key an
+            // upper bound, and `bounds` is written only before the first
+            // pick, so neither the picks nor the bounds change.
+            let mut entries = std::mem::take(&mut heap).into_vec();
+            // Marks by position put the entries back in candidate order
+            // without a sort.
+            let mut live = vec![false; candidates.len()];
+            for e in &entries {
+                live[e.pos as usize] = true;
+            }
+            entries.clear();
+            let mut ids = Vec::with_capacity(entries.capacity());
+            for (pos, (&item, live)) in candidates.iter().zip(live).enumerate() {
+                if live && matroid.can_extend(&items, item) {
+                    ids.push(item);
+                    entries.push(HeapEntry {
+                        gain: 0.0,
+                        item,
+                        pos: pos as u32,
+                        stamp,
+                    });
+                }
+            }
+            let mut gains = vec![0.0; ids.len()];
+            objective.gains(&state, &ids, &mut gains);
+            for (e, gain) in entries.iter_mut().zip(gains) {
+                e.gain = gain;
+            }
+            heap = BinaryHeap::from(entries);
         }
         let mut chosen: Option<usize> = None;
         while let Some(top) = heap.pop() {
@@ -352,7 +393,7 @@ pub fn lazy_greedy_matroid_seeded<O: IncrementalObjective, M: Matroid>(
 mod tests {
     use super::*;
     use fairhms_matroid::FairnessMatroid;
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
 
     /// `U_{k,n}`: the fairness matroid with one group, `l = 0` and `h = k`.
     fn uniform(n: usize, k: usize) -> FairnessMatroid {
@@ -423,17 +464,34 @@ mod tests {
         }
     }
 
-    /// Counts the gains evaluated at saturated states.
+    /// Records every gain evaluation a run makes, with the number of
+    /// picks before it, and counts those made at saturated states.
     struct CountingObjective<'a> {
         inner: &'a Coverage,
         saturated_gains: Cell<usize>,
+        /// Number of `add` calls so far: only the run under test adds.
+        picks: Cell<usize>,
+        /// `(picks before the call, items, batched)` per `gain`/`gains`.
+        calls: RefCell<Vec<(usize, Vec<usize>, bool)>>,
     }
 
-    impl CountingObjective<'_> {
-        fn count(&self, state: &Vec<bool>, items: usize) {
-            if self.inner.saturated(state) {
-                self.saturated_gains.set(self.saturated_gains.get() + items);
+    impl<'a> CountingObjective<'a> {
+        fn new(inner: &'a Coverage) -> Self {
+            Self {
+                inner,
+                saturated_gains: Cell::new(0),
+                picks: Cell::new(0),
+                calls: RefCell::new(Vec::new()),
             }
+        }
+
+        fn record(&self, state: &Vec<bool>, items: &[usize], batched: bool) {
+            if self.inner.saturated(state) {
+                self.saturated_gains
+                    .set(self.saturated_gains.get() + items.len());
+            }
+            let call = (self.picks.get(), items.to_vec(), batched);
+            self.calls.borrow_mut().push(call);
         }
     }
 
@@ -446,14 +504,15 @@ mod tests {
             self.inner.value(state)
         }
         fn gain(&self, state: &Vec<bool>, item: usize) -> f64 {
-            self.count(state, 1);
+            self.record(state, &[item], false);
             self.inner.gain(state, item)
         }
         fn gains(&self, state: &Vec<bool>, items: &[usize], out: &mut [f64]) {
-            self.count(state, items.len());
+            self.record(state, items, true);
             self.inner.gains(state, items, out);
         }
         fn add(&self, state: &mut Vec<bool>, item: usize) {
+            self.picks.set(self.picks.get() + 1);
             self.inner.add(state, item);
         }
         fn saturated(&self, state: &Vec<bool>) -> bool {
@@ -507,8 +566,12 @@ mod tests {
     }
 
     /// Lazy (unseeded and seeded) equals eager bit for bit on random
-    /// coverage instances, never calls `can_extend` on a full base and
-    /// never evaluates a gain at a saturated state.
+    /// coverage instances, and its work is exactly what the shortcuts
+    /// allow: no `can_extend` call on a full base, no gain evaluated at a
+    /// saturated state or for a candidate the matroid refuses, one batched
+    /// pass over exactly the feasible candidates before the second pick
+    /// (none at rank or from a saturated state), and `bounds` changed only
+    /// by gains evaluated before the first pick.
     #[test]
     fn lazy_matches_eager_on_random_instances() {
         let mut seed = 777u64;
@@ -519,6 +582,8 @@ mod tests {
             (seed >> 33) as usize
         };
         let (mut early_saturations, mut full_bases, mut runs) = (0, 0, 0);
+        let (mut passes, mut refused_at_pass, mut rank_one, mut saturated_first) = (0, 0, 0, 0);
+        let mut single_slot_groups = 0;
         for trial in 0..400 {
             let n_items = 6 + rnd() % 10;
             // Few elements make the coverage saturate before k picks.
@@ -541,27 +606,28 @@ mod tests {
             let c = 1 + rnd() % 3;
             let groups: Vec<usize> = (0..n_items).map(|_| rnd() % c).collect();
             let lower: Vec<usize> = (0..c).map(|_| rnd() % 2).collect();
+            // Some groups get h_c = 1: the first pick from such a group
+            // makes the second-pick pass drop the rest of it unevaluated.
             let upper: Vec<usize> = lower.iter().map(|&l| l + rnd() % 3).collect();
+            let has_single_slot = upper.contains(&1);
             let Ok(m) = FairnessMatroid::new(groups, lower, upper, 1 + rnd() % 5) else {
                 continue;
             };
+            single_slot_groups += usize::from(has_single_slot);
             let cands: Vec<usize> = (0..n_items).collect();
             let eager = greedy_matroid(&cov, &m, &cands);
+            let empty = cov.empty_state();
             // Seeds: the exact empty-set gains, lifted by a random slack.
             let lift = (rnd() % 3) as f64;
-            let mut seeded_bounds: Vec<f64> = cands
-                .iter()
-                .map(|&i| cov.gain(&cov.empty_state(), i) + lift)
-                .collect();
+            let mut seeded_bounds: Vec<f64> =
+                cands.iter().map(|&i| cov.gain(&empty, i) + lift).collect();
             for bounds in [&mut Vec::new(), &mut seeded_bounds] {
+                let seeds = bounds.clone();
                 let matroid = CountingMatroid {
                     inner: &m,
                     at_rank: Cell::new(0),
                 };
-                let objective = CountingObjective {
-                    inner: &cov,
-                    saturated_gains: Cell::new(0),
-                };
+                let objective = CountingObjective::new(&cov);
                 let lazy = lazy_greedy_matroid_seeded(&objective, &matroid, &cands, bounds);
                 assert_eq!(lazy.items, eager.items, "trial {trial}");
                 assert_eq!(lazy.value.to_bits(), eager.value.to_bits(), "trial {trial}");
@@ -571,6 +637,63 @@ mod tests {
                     "trial {trial}: can_extend at rank"
                 );
                 assert_eq!(objective.saturated_gains.get(), 0, "trial {trial}");
+                let calls = objective.calls.into_inner();
+                for (before, batch, _) in &calls {
+                    for &i in batch.iter().filter(|_| *before > 0) {
+                        assert!(
+                            m.can_extend(&lazy.items[..*before], i),
+                            "trial {trial}: refused candidate {i} evaluated"
+                        );
+                    }
+                    // Later picks refresh only stale heap tops.
+                    assert!(*before < 2 || batch.len() <= REFRESH_BATCH, "trial {trial}");
+                }
+                // The second pick: one batched pass over every candidate
+                // that can extend the first pick, in candidate order.
+                let at_second: Vec<_> = calls.iter().filter(|c| c.0 == 1).collect();
+                let first_state = lazy.items.first().map(|&f| {
+                    let mut st = cov.empty_state();
+                    cov.add(&mut st, f);
+                    st
+                });
+                match (lazy.items.first(), first_state) {
+                    (Some(&first), Some(st)) if m.k() > 1 && !cov.saturated(&st) => {
+                        let feasible: Vec<usize> = cands
+                            .iter()
+                            .copied()
+                            .filter(|&i| i != first && m.can_extend(&[first], i))
+                            .collect();
+                        assert_eq!(at_second.len(), 1, "trial {trial}: one pass");
+                        assert_eq!(at_second[0].1, feasible, "trial {trial}");
+                        assert!(at_second[0].2, "trial {trial}: pass not batched");
+                        passes += 1;
+                        let heaped = cands.iter().filter(|&&i| {
+                            i != first && m.can_extend(&[], i) && !m.can_extend(&[first], i)
+                        });
+                        refused_at_pass += usize::from(heaped.count() > 0);
+                    }
+                    (Some(_), Some(st)) => {
+                        assert!(at_second.is_empty(), "trial {trial}: pass at rank");
+                        rank_one += usize::from(m.k() == 1);
+                        saturated_first += usize::from(m.k() > 1 && cov.saturated(&st));
+                    }
+                    _ => assert!(at_second.is_empty(), "trial {trial}"),
+                }
+                // Bounds: each is its seed unless evaluated before the first
+                // pick, in which case it is the exact empty-set gain.
+                let before_first: Vec<usize> = calls
+                    .iter()
+                    .filter(|c| c.0 == 0)
+                    .flat_map(|c| c.1.iter().copied())
+                    .collect();
+                for (pos, &i) in cands.iter().enumerate() {
+                    let want = if seeds.is_empty() || before_first.contains(&i) {
+                        cov.gain(&empty, i)
+                    } else {
+                        seeds[pos]
+                    };
+                    assert_eq!(bounds[pos].to_bits(), want.to_bits(), "trial {trial}");
+                }
                 runs += 1;
             }
             let mut st = cov.empty_state();
@@ -589,6 +712,20 @@ mod tests {
             "{early_saturations} early saturations"
         );
         assert!(full_bases >= 100, "{full_bases} full bases");
+        assert!(
+            single_slot_groups >= 80,
+            "{single_slot_groups} with h_c = 1"
+        );
+        assert!(passes >= 100, "{passes} second-pick passes");
+        assert!(
+            refused_at_pass >= 25,
+            "{refused_at_pass} passes dropped none"
+        );
+        assert!(rank_one >= 30, "{rank_one} runs at rank after one pick");
+        assert!(
+            saturated_first >= 30,
+            "{saturated_first} saturated first picks"
+        );
     }
 
     #[test]
