@@ -25,7 +25,7 @@ fn main() {
 
     for (w, k_values) in &panels {
         let header: Vec<String> = std::iter::once("k".to_string())
-            .chain(algs.iter().map(|a| a.name().to_string()))
+            .chain(algs.iter().map(|a| a.name.to_string()))
             .collect();
         let mut rows = Vec::new();
         for &k in k_values {
@@ -35,7 +35,7 @@ fn main() {
             let inst = proportional_instance(w, k, 0.1);
             let mut row = vec![k.to_string()];
             for alg in &algs {
-                let r = run(alg.as_ref(), &inst);
+                let r = run(alg, &inst);
                 csv.push(vec![
                     w.name.clone(),
                     k.to_string(),

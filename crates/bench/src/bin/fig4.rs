@@ -7,7 +7,7 @@
 use fairhms_bench::harness::{full_mode, print_table, run, save_csv, RunResult};
 use fairhms_bench::workloads::{self, proportional_instance, Workload};
 use fairhms_core::intcov::intcov;
-use fairhms_core::registry::{fair_algorithms, Algorithm, IntCovAlg};
+use fairhms_core::registry::{by_name, fair_algorithms};
 use fairhms_core::types::FairHmsInstance;
 
 fn main() {
@@ -75,14 +75,13 @@ fn run_points(
     points: Vec<(String, usize, Option<Workload>)>,
     csv: &mut Vec<Vec<String>>,
 ) {
-    let algs: Vec<Box<dyn Algorithm>> = {
-        let mut v: Vec<Box<dyn Algorithm>> = vec![Box::new(IntCovAlg)];
-        v.extend(fair_algorithms());
-        v
-    };
+    let intcov_alg = by_name("intcov").expect("IntCov is registered");
+    let algs: Vec<_> = std::iter::once(intcov_alg)
+        .chain(fair_algorithms())
+        .collect();
     let mut header: Vec<String> = vec!["x".into(), "OPT(unfair)".into()];
-    header.extend(algs.iter().map(|a| format!("{} mhr", a.name())));
-    header.extend(algs.iter().map(|a| format!("{} ms", a.name())));
+    header.extend(algs.iter().map(|a| format!("{} mhr", a.name)));
+    header.extend(algs.iter().map(|a| format!("{} ms", a.name)));
     let mut rows = Vec::new();
     for (label, k, wl) in &points {
         let w = wl.as_ref().or(shared).expect("workload available");
@@ -93,7 +92,7 @@ fn run_points(
         // Black line: unconstrained exact optimum.
         let unc = FairHmsInstance::unconstrained(std::sync::Arc::clone(&w.input), *k).unwrap();
         let opt = intcov(&unc).map(|s| s.mhr.unwrap_or(0.0)).unwrap_or(0.0);
-        let results: Vec<RunResult> = algs.iter().map(|a| run(a.as_ref(), &inst)).collect();
+        let results: Vec<RunResult> = algs.iter().map(|a| run(a, &inst)).collect();
         let mut row = vec![label.clone(), format!("{opt:.4}")];
         for r in &results {
             row.push(r.mhr_cell());

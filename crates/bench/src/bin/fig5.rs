@@ -24,8 +24,8 @@ fn main() {
             (10..=20).step_by(2).collect()
         };
         let mut header: Vec<String> = vec!["k".into(), "unfair".into()];
-        header.extend(algs.iter().map(|a| format!("{} mhr", a.name())));
-        header.extend(algs.iter().map(|a| format!("{} ms", a.name())));
+        header.extend(algs.iter().map(|a| format!("{} mhr", a.name)));
+        header.extend(algs.iter().map(|a| format!("{} ms", a.name)));
         let mut rows = Vec::new();
         for k in ks {
             if k > w.input.len() || k < w.input.num_groups() {
@@ -37,7 +37,7 @@ fn main() {
             let unfair = rdp_greedy(unc.data(), k)
                 .map(|sel| fairhms_bench::harness::evaluate_mhr(unc.data(), &sel))
                 .unwrap_or(0.0);
-            let results: Vec<RunResult> = algs.iter().map(|a| run(a.as_ref(), &inst)).collect();
+            let results: Vec<RunResult> = algs.iter().map(|a| run(a, &inst)).collect();
             let mut row = vec![k.to_string(), format!("{unfair:.4}")];
             for r in &results {
                 row.push(r.mhr_cell());

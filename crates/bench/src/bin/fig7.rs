@@ -5,7 +5,7 @@
 
 use fairhms_bench::harness::{full_mode, print_table, run, save_csv, RunResult};
 use fairhms_bench::workloads::{self, proportional_instance, Workload};
-use fairhms_core::registry::{fair_algorithms, Algorithm};
+use fairhms_core::registry::fair_algorithms;
 
 fn main() {
     let full = full_mode();
@@ -58,17 +58,17 @@ fn main() {
 }
 
 fn sweep(title: &str, k: usize, points: Vec<(String, Workload)>, csv: &mut Vec<Vec<String>>) {
-    let algs: Vec<Box<dyn Algorithm>> = fair_algorithms();
+    let algs = fair_algorithms();
     let mut header: Vec<String> = vec!["x".into()];
-    header.extend(algs.iter().map(|a| format!("{} mhr", a.name())));
-    header.extend(algs.iter().map(|a| format!("{} ms", a.name())));
+    header.extend(algs.iter().map(|a| format!("{} mhr", a.name)));
+    header.extend(algs.iter().map(|a| format!("{} ms", a.name)));
     let mut rows = Vec::new();
     for (label, w) in &points {
         if k > w.input.len() || k < w.input.num_groups() {
             continue;
         }
         let inst = proportional_instance(w, k, 0.1);
-        let results: Vec<RunResult> = algs.iter().map(|a| run(a.as_ref(), &inst)).collect();
+        let results: Vec<RunResult> = algs.iter().map(|a| run(a, &inst)).collect();
         let mut row = vec![label.clone()];
         for r in &results {
             row.push(r.mhr_cell());

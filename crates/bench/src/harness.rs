@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fairhms_core::eval::{mhr_exact_2d, mhr_exact_lp, NetEvaluator};
-use fairhms_core::registry::Algorithm;
+use fairhms_core::registry::{Algorithm, DEFAULT_SEED};
 use fairhms_core::types::{CoreError, FairHmsInstance};
 use fairhms_data::Dataset;
 use fairhms_geometry::sphere::random_net;
@@ -69,28 +69,29 @@ pub fn evaluate_mhr(data: &Dataset, sel: &[usize]) -> f64 {
     }
 }
 
-/// Runs `alg` on `inst`, timing it and evaluating the result.
-pub fn run(alg: &dyn Algorithm, inst: &FairHmsInstance) -> RunResult {
+/// Runs `alg` on `inst` at [`DEFAULT_SEED`], timing it and evaluating
+/// the result.
+pub fn run(alg: &Algorithm, inst: &FairHmsInstance) -> RunResult {
     let t = Instant::now();
-    let out = alg.solve(inst);
+    let out = alg.solve(inst, DEFAULT_SEED);
     let millis = t.elapsed().as_secs_f64() * 1e3;
     match out {
         Ok(sol) => RunResult {
-            alg: alg.name().to_string(),
+            alg: alg.name.to_string(),
             mhr: Some(evaluate_mhr(inst.data(), &sol.indices)),
             err: Some(inst.matroid().violations(&sol.indices)),
             millis,
             note: String::new(),
         },
         Err(CoreError::ResourceLimit { what }) => RunResult {
-            alg: alg.name().to_string(),
+            alg: alg.name.to_string(),
             mhr: None,
             err: None,
             millis,
             note: what.to_string(),
         },
         Err(e) => RunResult {
-            alg: alg.name().to_string(),
+            alg: alg.name.to_string(),
             mhr: None,
             err: None,
             millis,

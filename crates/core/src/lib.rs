@@ -19,8 +19,8 @@
 //! * [`eval`] — exact (2D-envelope and LP-based) and δ-net-sampled
 //!   minimum-happiness-ratio evaluators plus the `err(S)` fairness
 //!   violation count;
-//! * [`registry`] — a uniform [`registry::Algorithm`] interface for the
-//!   experiment harness.
+//! * [`registry`] — one table of every algorithm, by name, for the CLI,
+//!   the server and the experiment harness.
 //!
 //! The entry type is [`FairHmsInstance`]: a normalized grouped dataset plus
 //! the solution size `k` and per-group bounds. Instances hold their

@@ -67,10 +67,11 @@ impl std::fmt::Display for CoreError {
             CoreError::NoFeasibleSolution => write!(f, "no feasible solution found"),
             CoreError::ResourceLimit { what } => write!(f, "resource limit: {what}"),
             CoreError::UnknownAlgorithm { name } => {
+                let keys: Vec<&str> = crate::registry::ALGORITHMS.iter().map(|a| a.key).collect();
                 write!(
                     f,
                     "unknown algorithm {name:?} (expected one of: {})",
-                    crate::registry::ALGORITHM_NAMES.join(", ")
+                    keys.join(", ")
                 )
             }
             CoreError::InvalidParameter {

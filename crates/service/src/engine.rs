@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use fairhms_core::registry::{self, AlgorithmParams, WarmStart};
+use fairhms_core::registry::{self, WarmStart};
 use fairhms_core::types::{CandidateSet, FairHmsInstance};
 use fairhms_matroid::{balanced_bounds, proportional_bounds};
 use fairhms_obs::sync::{lock_or_recover, wait_or_recover};
@@ -400,24 +400,17 @@ impl QueryEngine {
         // Zero-copy hand-off: the instance shares the catalog's prepared
         // allocation; concurrent solves against one dataset all read it.
         let inst = FairHmsInstance::new(Arc::clone(cand.data()), q.k, lower, upper)?;
-        let params = AlgorithmParams {
-            seed: q.seed,
-            ..AlgorithmParams::default()
-        };
-        let alg = registry::by_name(&q.alg, &params)?;
+        let alg = registry::by_name(&q.alg)?;
 
         // Warm-start lookup, BiGreedy only: no other algorithm reads the
-        // context. `q` is canonicalized by `execute`, so `q.alg` is the
-        // canonical family name. The key fixes the vector's whole
-        // preimage: the epoch and per-form digest fix the candidate rows
-        // (state for a replaced dataset or a mutated form is unreachable
-        // the instant the change publishes), `k` the net size, and the
-        // seed the net.
-        let warm_key = (q.alg == "bigreedy").then(|| WarmKey {
+        // context. The key fixes the vector's whole preimage: the epoch
+        // and per-form digest fix the candidate rows (state for a
+        // replaced dataset or a mutated form is unreachable the instant
+        // the change publishes), `k` the net size, and the seed the net.
+        let warm_key = (alg.key == "bigreedy").then(|| WarmKey {
             epoch: prep.epoch,
             digest: prep.digest_for(q.skyline),
             k: q.k,
-            family: q.alg.clone(),
             seed: q.seed,
         });
         let seeded = warm_key.as_ref().and_then(|key| {
@@ -431,7 +424,7 @@ impl QueryEngine {
         // fairhms-lint: allow(R5) solve_micros is a pre-telemetry wire
         // response field; this read serves it plus the gated span below.
         let t = Instant::now();
-        let sol = alg.solve_with(&inst, &warm_ctx)?;
+        let sol = (alg.solve_with)(&inst, q.seed, &warm_ctx)?;
         // One clock read serves the (pre-existing) micros field, the
         // per-family histogram, and the slow-query stage breakdown.
         let solve_dur = t.elapsed();
@@ -439,9 +432,7 @@ impl QueryEngine {
         if rec.is_enabled() {
             let ns = solve_dur.as_nanos().min(u64::MAX as u128) as u64;
             stages.solve_ns = ns;
-            // `q.alg` is canonical (execute canonicalizes), so this
-            // always resolves to a registry family.
-            if let Some(h) = self.metrics.solve_hist(&q.alg) {
+            if let Some(h) = self.metrics.solve_hist(alg.key) {
                 h.record(ns);
             }
         }
@@ -463,7 +454,7 @@ impl QueryEngine {
             indices,
             mhr: sol.mhr,
             violations,
-            alg: alg.name().to_string(),
+            alg: alg.name.to_string(),
             solve_micros,
         })
     }

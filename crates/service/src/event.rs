@@ -239,6 +239,21 @@ impl Conn {
         self.next_ticket
     }
 
+    /// A job for this connection, stamped with its enqueue time.
+    #[allow(clippy::disallowed_methods)] // queue-age stamp; see R5 waiver inside
+    fn job(&self, ticket: u64, batch_index: Option<usize>, work: WorkItem) -> SolveJob {
+        SolveJob {
+            conn: self.slot,
+            generation: self.generation,
+            ticket,
+            batch_index,
+            work,
+            // fairhms-lint: allow(R5) admission-control deadline stamp:
+            // queue-age shedding must work with telemetry off.
+            enqueued: Instant::now(),
+        }
+    }
+
     /// Encodes `resp` with the connection's *current* codec and appends
     /// it as a ready FIFO entry.
     fn push_ready(&mut self, resp: &Response, sh: &Shared) {
@@ -403,7 +418,6 @@ impl Conn {
 
     /// Admits one single `QUERY`: per-connection quota, then the bounded
     /// solve queue; either refusal sheds with typed retry advice.
-    #[allow(clippy::disallowed_methods)] // queue-age stamp; see R5 waiver inside
     fn admit_single(&mut self, q: Box<Query>, sh: &Shared) {
         let m = &*sh.metrics;
         if self.inflight_singles >= sh.opts.max_inflight_queries {
@@ -419,16 +433,7 @@ impl Conn {
             return;
         }
         let ticket = self.take_ticket();
-        let job = SolveJob {
-            conn: self.slot,
-            generation: self.generation,
-            ticket,
-            batch_index: None,
-            work: WorkItem::Solve(q),
-            // fairhms-lint: allow(R5) admission-control deadline stamp:
-            // queue-age shedding must work with telemetry off.
-            enqueued: Instant::now(),
-        };
+        let job = self.job(ticket, None, WorkItem::Solve(q));
         match sh.queue.try_push(job) {
             Ok(()) => {
                 self.pending.push_back(Entry::Single {
@@ -451,20 +456,9 @@ impl Conn {
     /// (control verbs are never shed) and raises the connection's input
     /// barrier ([`Conn::control_inflight`]) until it completes — so a
     /// pipelined mutate→query sequence keeps its sequential semantics.
-    #[allow(clippy::disallowed_methods)] // queue-age stamp; see R5 waiver inside
     fn admit_control(&mut self, work: WorkItem, sh: &Shared) {
         let ticket = self.take_ticket();
-        let job = SolveJob {
-            conn: self.slot,
-            generation: self.generation,
-            ticket,
-            batch_index: None,
-            work,
-            // fairhms-lint: allow(R5) admission-control deadline stamp:
-            // queue-age shedding must work with telemetry off.
-            enqueued: Instant::now(),
-        };
-        match sh.queue.push_control(job) {
+        match sh.queue.push_control(self.job(ticket, None, work)) {
             Ok(()) => {
                 self.pending.push_back(Entry::Control {
                     ticket,
@@ -486,7 +480,6 @@ impl Conn {
     /// quota, stream gate (streamed only), then per-slot queue admission
     /// — a full queue sheds individual slots, never the whole batch, so
     /// the client always receives exactly `n` answer frames.
-    #[allow(clippy::disallowed_methods)] // queue-age stamp; see R5 waiver inside
     fn finish_batch(&mut self, c: BatchCollect, sh: &Shared) {
         let m = &*sh.metrics;
         let queries = match server::parse_batch_lines(&c.lines) {
@@ -538,16 +531,7 @@ impl Conn {
             _permit: permit,
         };
         for (i, q) in queries.into_iter().enumerate() {
-            let job = SolveJob {
-                conn: self.slot,
-                generation: self.generation,
-                ticket,
-                batch_index: Some(i),
-                work: WorkItem::Solve(Box::new(q)),
-                // fairhms-lint: allow(R5) admission-control deadline stamp:
-                // queue-age shedding must work with telemetry off.
-                enqueued: Instant::now(),
-            };
+            let job = self.job(ticket, Some(i), WorkItem::Solve(Box::new(q)));
             if sh.queue.try_push(job).is_err() {
                 let busy = sh.queue_full_busy();
                 let seq = if c.stream { Some(i as u64) } else { None };

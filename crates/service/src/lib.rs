@@ -15,10 +15,10 @@
 //!   re-solving;
 //! * [`warmstart`] — the second cache tier: a [`WarmStartCache`] of
 //!   BiGreedy `db_max` vectors keyed by `(dataset epoch, form digest, k,
-//!   algorithm family, seed)`, so near-miss queries skip the `m × n`
+//!   seed)`, so near-miss queries skip the `m × n`
 //!   setup pass without affecting answers;
 //! * [`engine`] — the [`QueryEngine`] tying catalog + cache + the
-//!   [`fairhms_core::registry::by_name`] algorithm factory together;
+//!   [`fairhms_core::registry`] algorithm table together;
 //! * [`metrics`] — the [`ServiceMetrics`] telemetry surface: per-stage
 //!   latency histograms, request-lifecycle spans, and gauges, exported
 //!   over the `METRICS` wire verb and the bench JSON snapshot (built on

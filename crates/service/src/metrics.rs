@@ -35,7 +35,7 @@
 //! read the clock (a single branch per span site) and answers are
 //! bit-identical either way — pinned by `tests/telemetry_equivalence.rs`.
 
-use fairhms_core::registry::{family_index, ALGORITHM_NAMES};
+use fairhms_core::registry::{family_index, ALGORITHMS};
 use fairhms_obs::{Counter, Gauge, Histogram, HistogramSnapshot, Recorder};
 
 /// Whether the telemetry subsystem records (on by default;
@@ -124,7 +124,7 @@ impl ServiceMetrics {
             cache_lookup: Histogram::new(),
             flight_wait: Histogram::new(),
             warm_probe: Histogram::new(),
-            solve: ALGORITHM_NAMES.iter().map(|_| Histogram::new()).collect(),
+            solve: ALGORITHMS.iter().map(|_| Histogram::new()).collect(),
             prepare: Histogram::new(),
             queue_wait: Histogram::new(),
             run: Histogram::new(),
@@ -167,8 +167,8 @@ impl ServiceMetrics {
             ("engine.flight_wait".into(), &self.flight_wait),
             ("engine.warm_probe".into(), &self.warm_probe),
         ];
-        for (name, hist) in ALGORITHM_NAMES.iter().zip(self.solve.iter()) {
-            out.push((format!("engine.solve.{name}"), hist));
+        for (alg, hist) in ALGORITHMS.iter().zip(self.solve.iter()) {
+            out.push((format!("engine.solve.{}", alg.key), hist));
         }
         out.extend([
             ("catalog.prepare".into(), &self.prepare),

@@ -41,15 +41,15 @@ impl Query {
     }
 
     /// The same query with all free-form fields normalized: the algorithm
-    /// is resolved to its canonical registry spelling (so `"BiGreedy+"`
+    /// is resolved to its registry key (so `"BiGreedy+"`
     /// and `"bigreedyplus"` fingerprint identically); unknown names are
     /// lowercased and left for [`fairhms_core::registry::by_name`] to
     /// reject with a typed error at solve time.
     pub fn canonicalized(&self) -> Query {
         let mut q = self.clone();
-        q.alg = match fairhms_core::registry::canonical_name(&q.alg) {
-            Some(canon) => canon.to_string(),
-            None => q.alg.to_ascii_lowercase(),
+        q.alg = match fairhms_core::registry::by_name(&q.alg) {
+            Ok(alg) => alg.key.to_string(),
+            Err(_) => q.alg.to_ascii_lowercase(),
         };
         q
     }

@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use fairhms_core::registry::ALGORITHM_NAMES;
+use fairhms_core::registry::ALGORITHMS;
 
 use crate::codec::Codec;
 use crate::engine::{MutationReport, QueryEngine, QueryResponse};
@@ -336,7 +336,7 @@ pub(crate) fn control_response(
             Response::Datasets(summaries)
         }
         Request::Algorithms => {
-            Response::Algorithms(ALGORITHM_NAMES.iter().map(|s| s.to_string()).collect())
+            Response::Algorithms(ALGORITHMS.iter().map(|a| a.key.to_string()).collect())
         }
         Request::Stats => {
             let st = engine.cache_stats();

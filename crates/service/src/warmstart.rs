@@ -7,9 +7,8 @@
 //! solve's setup is the `m × n` pass that computes
 //! `db_max[u] = max_p ⟨u, p⟩` for every net vector `u`, and that vector
 //! does not depend on the bounds. So this tier caches it, as a
-//! [`CachedDbMax`], keyed by
-//! `(dataset epoch, form digest, k, algorithm family, seed)`. That key
-//! fixes the vector's whole `(dim, m, seed, n)` preimage: `dim` is the
+//! [`CachedDbMax`], keyed by `(dataset epoch, form digest, k, seed)`.
+//! That key fixes the vector's whole `(dim, m, seed, n)` preimage: `dim` is the
 //! dataset's, `m = 10·k·d`, and the epoch and digest fix the candidate
 //! form and so `n`. The solver still checks that preimage
 //! ([`fairhms_core::CachedDbMax::matches`]) before it reuses a vector.
@@ -57,12 +56,9 @@ impl Default for WarmConfig {
 }
 
 /// Key of one warm-start entry: everything the cached `db_max` vector
-/// depends on.
-///
-/// `family` is the *canonical* algorithm name (see
-/// [`fairhms_core::registry::canonical_name`]) — spellings of one
-/// algorithm share an entry. The epoch makes entries for replaced
-/// datasets unreachable (see the module docs).
+/// depends on. Only `BiGreedy` builds one, so the key names no algorithm.
+/// The epoch makes entries for replaced datasets unreachable (see the
+/// module docs).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct WarmKey {
     /// Dataset registration epoch.
@@ -76,8 +72,6 @@ pub struct WarmKey {
     pub digest: u64,
     /// Solution size (fixes the net size `m = 10·k·d`).
     pub k: usize,
-    /// Canonical algorithm name.
-    pub family: String,
     /// The query's RNG seed, which the δ-net is sampled from.
     pub seed: u64,
 }
@@ -189,7 +183,6 @@ mod tests {
             epoch,
             digest: 0,
             k,
-            family: "bigreedy".into(),
             seed: 42,
         }
     }
@@ -262,7 +255,6 @@ mod tests {
             epoch,
             digest,
             k: 3,
-            family: "bigreedy".into(),
             seed: 42,
         };
         // Epoch 5: skyline-form state at digest 10, full-form at 20.

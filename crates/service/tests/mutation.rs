@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use fairhms_core::registry::ALGORITHM_NAMES;
+use fairhms_core::registry::ALGORITHMS;
 use fairhms_data::{gen, Dataset};
 use fairhms_service::{
     Catalog, CodecKind, Query, QueryEngine, Response, Server, ServerConfig, WireClient,
@@ -73,7 +73,7 @@ fn assert_matches_oracle(live: &QueryEngine, name: &str, ctx: &str) {
         live_prep.skyline_rows, fresh_prep.skyline_rows,
         "{ctx}: incremental group skyline diverged from re-prep"
     );
-    for alg in ALGORITHM_NAMES {
+    for alg in ALGORITHMS.iter().map(|a| a.key) {
         for skyline in [true, false] {
             let mut q = Query::new(name, 3);
             q.alg = alg.to_string();
@@ -124,7 +124,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (
             0usize..10_000,
             2usize..5,
-            0usize..ALGORITHM_NAMES.len(),
+            0usize..ALGORITHMS.len(),
             0usize..2,
         ),
     )
@@ -167,7 +167,7 @@ proptest! {
                 }
                 Op::Query { k, alg, skyline } => {
                     let mut q = Query::new("mut", *k);
-                    q.alg = ALGORITHM_NAMES[*alg].to_string();
+                    q.alg = ALGORITHMS[*alg].key.to_string();
                     q.skyline = *skyline;
                     // Typed refusals (small-k floors) are fine mid-run;
                     // the oracle comparison re-checks them at the end.
@@ -193,7 +193,7 @@ proptest! {
 fn append_after_queries_serves_fresh_rows() {
     let live = engine_with("stale", 60, 23);
     // Populate every cache tier and OnceLock before mutating.
-    for alg in ALGORITHM_NAMES {
+    for alg in ALGORITHMS.iter().map(|a| a.key) {
         for skyline in [true, false] {
             let mut q = Query::new("stale", 3);
             q.alg = alg.to_string();

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use fairhms_core::registry::ALGORITHM_NAMES;
+use fairhms_core::registry::ALGORITHMS;
 use fairhms_data::{gen, Dataset};
 use fairhms_service::codec::{decode_binary_payload, BinaryCodec, Codec, CodecKind, TextCodec};
 use fairhms_service::protocol::{
@@ -173,7 +173,7 @@ fn every_algorithm_bit_identical_across_codecs_and_deliveries() {
     let addr = server.addr();
 
     let mut queries = Vec::new();
-    for alg in ALGORITHM_NAMES {
+    for alg in ALGORITHMS.iter().map(|a| a.key) {
         for (k, balanced, seed) in [(3usize, false, 42u64), (4, true, 7)] {
             let mut q = Query::new("demo", k);
             q.alg = alg.to_string();
@@ -347,7 +347,7 @@ fn all_response_variants() -> Vec<Response> {
             codec: CodecKind::Binary,
         },
         Response::Datasets(vec!["demo:120:2:3:21".into()]),
-        Response::Algorithms(ALGORITHM_NAMES.iter().map(|s| s.to_string()).collect()),
+        Response::Algorithms(ALGORITHMS.iter().map(|a| a.key.to_string()).collect()),
         Response::Stats {
             hits: 2,
             misses: 1,

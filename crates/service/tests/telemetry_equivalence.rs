@@ -13,7 +13,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use fairhms_core::registry::ALGORITHM_NAMES;
+use fairhms_core::registry::ALGORITHMS;
 use fairhms_data::{gen, Dataset};
 use fairhms_service::protocol::{Response, WireAnswer};
 use fairhms_service::{
@@ -84,7 +84,7 @@ fn served_answers_are_telemetry_invariant() {
     let on = engine(data(), true);
     let off = engine(data(), false);
 
-    for alg in ALGORITHM_NAMES {
+    for alg in ALGORITHMS.iter().map(|a| a.key) {
         for (k, balanced, skyline) in [(3usize, false, true), (5, true, true), (4, false, false)] {
             for alpha in [0.05f64, 0.2] {
                 let mut q = Query::new("tel", k);

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use fairhms_core::registry::ALGORITHM_NAMES;
+use fairhms_core::registry::ALGORITHMS;
 use fairhms_data::{gen, Dataset};
 use fairhms_service::{
     Catalog, Query, QueryEngine, QueryResponse, ServiceError, TelemetryConfig, WarmConfig,
@@ -83,7 +83,7 @@ fn assert_same_outcome(
 
 /// The headline contract: every registry algorithm, both bounds
 /// policies, skyline on/off, over a *near-miss* α sweep (same `(dataset,
-/// k, family)` warm key, distinct fingerprints — each solve is cold for
+/// k, seed)` warm key, distinct fingerprints — each solve is cold for
 /// the solution cache, so the warm tier actually gets exercised), is
 /// bit-identical between a warm-start engine and fresh ones.
 #[test]
@@ -91,7 +91,7 @@ fn served_answers_are_warmstart_invariant() {
     let cat = catalog(generated("eq", 240, 2, 3, 21));
     let warm = QueryEngine::new(Arc::clone(&cat), 1024);
 
-    for alg in ALGORITHM_NAMES {
+    for alg in ALGORITHMS.iter().map(|a| a.key) {
         for (k, balanced, skyline) in [(3usize, false, true), (5, true, true), (4, false, false)] {
             // Near-miss sweep: for BiGreedy, the first α populates the
             // warm entry and the rest reuse its db_max vector.
@@ -219,10 +219,16 @@ fn eviction_thrash_never_changes_answers() {
         WarmConfig { capacity: 1 },
         TelemetryConfig::default(),
     );
-    // Alternating (k, family) keys so every solve evicts the previous
-    // entry.
+    // BiGreedy alternates between two `k` (two warm keys), so each of its
+    // solves evicts the other's entry; BiGreedy+ and F-Greedy in between
+    // never touch the tier.
     for round in 0..3 {
-        for (k, alg) in [(3usize, "bigreedy"), (4, "bigreedy+"), (3, "f-greedy")] {
+        for (k, alg) in [
+            (3usize, "bigreedy"),
+            (4, "bigreedy+"),
+            (3, "f-greedy"),
+            (5, "bigreedy"),
+        ] {
             let mut q = Query::new("thrash", k);
             q.alg = alg.to_string();
             q.alpha = 0.05 + 0.05 * round as f64;

@@ -21,7 +21,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use fairhms::core::registry::{self, AlgorithmParams};
+use fairhms::core::registry;
 use fairhms::core::types::{CandidateSet, FairHmsInstance, Solution};
 use fairhms::data::gen;
 use fairhms::data::skyline::group_skyline_indices;
@@ -254,7 +254,7 @@ fn cmd_stats(opts: &Flags) -> Result<(), String> {
 fn cmd_solve(opts: &Flags) -> Result<(), String> {
     let k: usize = num(opts, "k")?.ok_or("missing --k")?;
     let alpha = fairhms::service::query::check_alpha(num(opts, "alpha")?.unwrap_or(0.1))?;
-    let seed: u64 = num(opts, "seed")?.unwrap_or(42);
+    let seed: u64 = num(opts, "seed")?.unwrap_or(registry::DEFAULT_SEED);
     let alg_name = opts.get("alg").map(|s| s.as_str()).unwrap_or("bigreedy");
     let data = load(opts)?;
 
@@ -280,13 +280,9 @@ fn cmd_solve(opts: &Flags) -> Result<(), String> {
     let inst = FairHmsInstance::new(std::sync::Arc::clone(input), k, lower, upper)
         .map_err(|e| e.to_string())?;
 
-    let params = AlgorithmParams {
-        seed,
-        ..AlgorithmParams::default()
-    };
-    let alg = registry::by_name(alg_name, &params).map_err(|e| e.to_string())?;
+    let alg = registry::by_name(alg_name).map_err(|e| e.to_string())?;
     let t = Instant::now();
-    let sol: Solution = alg.solve(&inst).map_err(|e| e.to_string())?;
+    let sol: Solution = alg.solve(&inst, seed).map_err(|e| e.to_string())?;
     let elapsed = t.elapsed();
 
     let mhr = if input.dim() == 2 {
@@ -436,18 +432,9 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
 /// through the v1 text encoding for display).
 fn cmd_query(opts: &Flags) -> Result<(), String> {
     use fairhms::service::protocol::{encode_response_line, Response};
-    use fairhms::service::{CodecKind, Query, WireClient};
+    use fairhms::service::Query;
 
-    let addr = req(opts, "addr")?;
-    let mut client = match opts.get("codec") {
-        None => WireClient::connect(addr),
-        Some(c) => {
-            let kind = CodecKind::parse(c)
-                .ok_or_else(|| format!("--codec: expected text|binary, got {c:?}"))?;
-            WireClient::negotiate(addr, kind)
-        }
-    }
-    .map_err(|e| format!("connect {addr}: {e}"))?;
+    let mut client = connect_client(opts)?;
 
     if let Some(file) = opts.get("file") {
         // Batch mode: every non-empty, non-comment line is a query.
@@ -622,18 +609,7 @@ fn cmd_delete(opts: &Flags) -> Result<(), String> {
 /// `fairhms metrics`: dump a running server's telemetry snapshot
 /// (per-stage latency histograms + counters) in a human table.
 fn cmd_metrics(opts: &Flags) -> Result<(), String> {
-    use fairhms::service::{CodecKind, WireClient};
-
-    let addr = req(opts, "addr")?;
-    let mut client = match opts.get("codec") {
-        None => WireClient::connect(addr),
-        Some(c) => {
-            let kind = CodecKind::parse(c)
-                .ok_or_else(|| format!("--codec: expected text|binary, got {c:?}"))?;
-            WireClient::negotiate(addr, kind)
-        }
-    }
-    .map_err(|e| format!("connect {addr}: {e}"))?;
+    let mut client = connect_client(opts)?;
 
     let (enabled, counters, histograms) = client.metrics().map_err(|e| e.to_string())?;
     println!(

@@ -56,7 +56,7 @@ pub mod prelude {
     pub use fairhms_core::bigreedy::{bigreedy, BiGreedyConfig, BiGreedyMode};
     pub use fairhms_core::eval::{mhr_exact_2d, mhr_exact_lp, NetEvaluator};
     pub use fairhms_core::intcov::intcov;
-    pub use fairhms_core::registry::{by_name, Algorithm, AlgorithmParams};
+    pub use fairhms_core::registry::{by_name, Algorithm};
     pub use fairhms_core::types::{CoreError, FairHmsInstance, Solution};
     pub use fairhms_data::dataset::{Dataset, Table};
     pub use fairhms_data::skyline::group_skyline_indices;

@@ -10,7 +10,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use fairhms::core::registry::{self, AlgorithmParams};
+use fairhms::core::registry;
 use fairhms::core::types::CoreError;
 use fairhms::data::Dataset;
 use fairhms::service::{Catalog, QueryEngine, Server, ServerConfig};
@@ -42,9 +42,8 @@ bigreedy+, f-greedy, g-greedy, g-dmm, g-hs, g-sphere, streaming, greedy, dmm, hs
 /// `(canonical key, display name, is_fair)` of the algorithm `spelling`
 /// resolves to, or `None` when it resolves to none.
 fn resolve(spelling: &str) -> Option<(String, String, bool)> {
-    let alg = registry::by_name(spelling, &AlgorithmParams::default()).ok()?;
-    let key = registry::canonical_name(spelling)?;
-    Some((key.to_string(), alg.name().to_string(), alg.is_fair()))
+    let alg = registry::by_name(spelling).ok()?;
+    Some((alg.key.to_string(), alg.name.to_string(), alg.is_fair))
 }
 
 /// `s` in lower case, upper case and alternating case.

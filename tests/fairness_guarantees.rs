@@ -2,7 +2,7 @@
 //! dataset family; the unfair originals must violate on skewed data — the
 //! claim behind Figure 3.
 
-use fairhms::core::registry::{fair_algorithms, fig3_algorithms};
+use fairhms::core::registry::{fair_algorithms, fig3_algorithms, DEFAULT_SEED};
 use fairhms::core::types::{CoreError, FairHmsInstance};
 use fairhms::data::realsim;
 use fairhms::data::skyline::group_skyline_indices;
@@ -26,19 +26,19 @@ fn fair_algorithms_have_zero_violations_everywhere() {
     ];
     for inst in &instances {
         for alg in fair_algorithms() {
-            match alg.solve(inst) {
+            match alg.solve(inst, DEFAULT_SEED) {
                 Ok(sol) => {
-                    assert_eq!(sol.len(), inst.k(), "{} returned wrong size", alg.name());
+                    assert_eq!(sol.len(), inst.k(), "{} returned wrong size", alg.name);
                     assert_eq!(
                         inst.matroid().violations(&sol.indices),
                         0,
                         "{} violated fairness",
-                        alg.name()
+                        alg.name
                     );
                 }
                 // G-DMM / G-Sphere legitimately refuse quotas below d.
                 Err(CoreError::ResourceLimit { .. }) => {}
-                Err(e) => panic!("{} failed: {e}", alg.name()),
+                Err(e) => panic!("{} failed: {e}", alg.name),
             }
         }
     }
@@ -52,10 +52,10 @@ fn unfair_algorithms_violate_on_skewed_data() {
     let inst = instance_from(realsim::adult(1), &["gender"], 10);
     let mut total_violations = 0usize;
     for alg in fig3_algorithms() {
-        if alg.is_fair() {
+        if alg.is_fair {
             continue;
         }
-        if let Ok(sol) = alg.solve(&inst) {
+        if let Ok(sol) = alg.solve(&inst, DEFAULT_SEED) {
             total_violations += inst.matroid().violations(&sol.indices);
         }
     }

@@ -14,7 +14,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use fairhms::core::registry::{by_name, AlgorithmParams};
+use fairhms::core::registry::{by_name, DEFAULT_SEED};
 use fairhms::core::types::FairHmsInstance;
 use fairhms::data::gen::anti_correlated_dataset;
 use fairhms::data::skyline::group_skyline_indices;
@@ -124,8 +124,11 @@ fn dataset(d: usize, skyline: bool) -> Dataset {
 fn solve(alg: &str, data: &Dataset, k: usize, alpha: f64) -> Vec<usize> {
     let (l, h) = proportional_bounds(&data.group_sizes(), k, alpha);
     let inst = FairHmsInstance::new(data.clone(), k, l, h).unwrap();
-    let params = AlgorithmParams::default();
-    let mut idx = by_name(alg, &params).unwrap().solve(&inst).unwrap().indices;
+    let mut idx = by_name(alg)
+        .unwrap()
+        .solve(&inst, DEFAULT_SEED)
+        .unwrap()
+        .indices;
     idx.sort_unstable();
     idx
 }
