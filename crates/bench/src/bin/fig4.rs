@@ -75,8 +75,7 @@ fn run_points(
     points: Vec<(String, usize, Option<Workload>)>,
     csv: &mut Vec<Vec<String>>,
 ) {
-    let intcov_alg = by_name("intcov").expect("IntCov is registered");
-    let algs: Vec<_> = std::iter::once(intcov_alg)
+    let algs: Vec<_> = std::iter::once(by_name("intcov").expect("IntCov is registered"))
         .chain(fair_algorithms())
         .collect();
     let mut header: Vec<String> = vec!["x".into(), "OPT(unfair)".into()];

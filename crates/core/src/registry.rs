@@ -82,7 +82,7 @@ pub const DEFAULT_SEED: u64 = 42;
 #[derive(Debug)]
 pub struct Algorithm {
     /// Canonical wire/CLI key (e.g. `"bigreedy+"`): the `ALGS` entry, the
-    /// `engine.solve.<family>` label and the form caches key on.
+    /// `engine.solve.<family>` label and the spelling answer caches key on.
     pub key: &'static str,
     /// Display name, matching the paper's figures (e.g. `"BiGreedy+"`).
     pub name: &'static str,

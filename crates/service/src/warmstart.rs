@@ -8,9 +8,9 @@
 //! `db_max[u] = max_p ⟨u, p⟩` for every net vector `u`, and that vector
 //! does not depend on the bounds. So this tier caches it, as a
 //! [`CachedDbMax`], keyed by `(dataset epoch, form digest, k, seed)`.
-//! That key fixes the vector's whole `(dim, m, seed, n)` preimage: `dim` is the
-//! dataset's, `m = 10·k·d`, and the epoch and digest fix the candidate
-//! form and so `n`. The solver still checks that preimage
+//! That key fixes the vector's whole `(dim, m, seed, n)` preimage: `dim`
+//! is the dataset's, `m = 10·k·d`, and the epoch and digest fix the
+//! candidate form and so `n`. The solver still checks that preimage
 //! ([`fairhms_core::CachedDbMax::matches`]) before it reuses a vector.
 //! Everything else — the δ-net, the matroid's label scan — is rebuilt per
 //! solve; both cost well under a millisecond against a solve of 100 ms

@@ -9,8 +9,8 @@
 //!
 //! `solve` prints the selected rows (0-based indices into the input file),
 //! the evaluated MHR, the fairness-violation count, and wall-clock time.
-//! Algorithms: `intcov` (exact, 2D only), `bigreedy`, `bigreedy+`,
-//! `f-greedy`, `g-greedy`, `g-dmm`, `g-hs`, `g-sphere`, `streaming`.
+//! `--alg` takes any algorithm the server's `ALGS` lists (the registry
+//! table; `intcov` is exact and 2D only), by key, display name or alias.
 
 #![allow(clippy::disallowed_methods)] // the CLI reports wall-clock solve time to the user by design
 use std::collections::HashMap;
