@@ -18,7 +18,7 @@
 //! `answered + shed == burst`) hold under any scheduling.
 
 #![allow(clippy::disallowed_methods)] // tests bound waits with deadlines (R5 exempts test code)
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
@@ -303,6 +303,54 @@ fn per_connection_quotas_shed_without_desync() {
 
     let (_, shed_total, _) = gauges(&mut c);
     assert_eq!(shed_total, 2, "one per refused admission");
+    server.shutdown();
+}
+
+/// The connection cap: past `max_conns`, a new connection receives
+/// exactly one text `ERR busy` line naming the cap, with actionable retry
+/// advice, and then EOF. The shed is counted once, and the refused
+/// connection never shows in `conns_open`.
+#[test]
+fn connection_cap_sheds_one_text_busy_line_then_eof() {
+    let _shared = shared();
+    let server = spawn(
+        1,
+        ServeOptions {
+            max_conns: 1,
+            ..ServeOptions::default()
+        },
+    );
+    let mut first = connect_pinged(&server);
+    let (_, shed_before, _) = gauges(&mut first);
+
+    let mut refused = TcpStream::connect(server.addr()).unwrap();
+    refused
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut bytes = Vec::new();
+    refused.read_to_end(&mut bytes).unwrap();
+    let text = String::from_utf8(bytes).unwrap();
+    let line = text
+        .strip_suffix('\n')
+        .unwrap_or_else(|| panic!("expected one newline-terminated line, got {text:?}"));
+    assert!(
+        !line.contains('\n'),
+        "expected exactly one frame, got {text:?}"
+    );
+    let (retry, reason) = line
+        .strip_prefix("ERR busy retry_after_ms=")
+        .and_then(|rest| rest.split_once(' '))
+        .unwrap_or_else(|| panic!("expected a text ERR busy line, got {line:?}"));
+    assert!(retry.parse::<u64>().unwrap() >= 1, "{line}");
+    assert_eq!(reason, "too many connections (limit 1)");
+
+    let (_, shed_after, conns_open) = gauges(&mut first);
+    assert_eq!(
+        shed_after,
+        shed_before + 1,
+        "one shed per refused connection"
+    );
+    assert_eq!(conns_open, 1, "only the admitted connection is open");
     server.shutdown();
 }
 
