@@ -2,8 +2,10 @@
 //!
 //! The harness writes every figure's series as CSV under `results/` and can
 //! load externally supplied datasets with the layout
-//! `attr_1,…,attr_d,group`. The format is deliberately tiny (no quoting,
-//! no escaping) — inputs are numeric matrices plus a label column.
+//! `attr_1,…,attr_d,group`. The format is deliberately tiny — inputs are
+//! numeric matrices plus a label column, read without quoting. Only the
+//! series writer quotes: result cells such as dataset names may hold a
+//! comma.
 
 use std::io::{BufRead, Write};
 use std::path::Path;
@@ -126,7 +128,24 @@ pub fn write_dataset(path: &Path, data: &Dataset) -> std::io::Result<()> {
         }
         writeln!(out, "{}", data.group_names()[data.group_of(i)])?;
     }
-    Ok(())
+    out.flush()
+}
+
+/// One CSV record: cells holding `,`, `"` or a line break are quoted, with
+/// inner quotes doubled (RFC 4180), so each cell stays one field.
+fn record<S: AsRef<str>>(cells: &[S]) -> String {
+    let quoted: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            let c = c.as_ref();
+            if c.contains([',', '"', '\n', '\r']) {
+                format!("\"{}\"", c.replace('"', "\"\""))
+            } else {
+                c.to_string()
+            }
+        })
+        .collect();
+    quoted.join(",")
 }
 
 /// Writes a result table: a header row followed by records. Used by every
@@ -136,11 +155,11 @@ pub fn write_series(path: &Path, header: &[&str], rows: &[Vec<String>]) -> std::
         std::fs::create_dir_all(dir)?;
     }
     let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-    writeln!(out, "{}", header.join(","))?;
+    writeln!(out, "{}", record(header))?;
     for row in rows {
-        writeln!(out, "{}", row.join(","))?;
+        writeln!(out, "{}", record(row))?;
     }
-    Ok(())
+    out.flush()
 }
 
 #[cfg(test)]
@@ -208,5 +227,57 @@ mod tests {
         write_series(&path, &["k", "mhr"], &[vec!["5".into(), "0.93".into()]]).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
         assert_eq!(content, "k,mhr\n5,0.93\n");
+    }
+
+    /// Splits one RFC 4180 record into its fields.
+    fn fields(line: &str) -> Vec<String> {
+        let (mut out, mut cell, mut quoted) = (Vec::new(), String::new(), false);
+        let mut chars = line.chars().peekable();
+        while let Some(c) = chars.next() {
+            match (c, quoted) {
+                ('"', true) if chars.peek() == Some(&'"') => {
+                    cell.push('"');
+                    chars.next();
+                }
+                ('"', _) => quoted = !quoted,
+                (',', false) => out.push(std::mem::take(&mut cell)),
+                _ => cell.push(c),
+            }
+        }
+        out.push(cell);
+        out
+    }
+
+    #[test]
+    fn write_series_quotes_cells_holding_commas_or_quotes() {
+        let dir = std::env::temp_dir().join("fairhms_csv_test");
+        let path = dir.join("quoted.csv");
+        let header = ["dataset", "k", "mhr"];
+        let rows = vec![
+            vec!["AntiCor_6D (n=2000, C=3)".into(), "5".into(), "0.9".into()],
+            vec!["say \"hi\"".into(), "6".into(), "0.8".into()],
+            vec!["plain".into(), "7".into(), "0.7".into()],
+        ];
+        write_series(&path, &header, &rows).unwrap();
+        let content = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = content.lines().collect();
+        assert_eq!(lines[1], "\"AntiCor_6D (n=2000, C=3)\",5,0.9");
+        assert_eq!(lines[2], "\"say \"\"hi\"\"\",6,0.8");
+        assert_eq!(lines[3], "plain,7,0.7");
+        for (line, row) in lines[1..].iter().zip(&rows) {
+            assert_eq!(fields(line).len(), header.len(), "{line}");
+            assert_eq!(&fields(line), row);
+        }
+    }
+
+    /// Write errors surface, including those only a flush would report.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn writes_to_a_full_device_fail() {
+        let full = Path::new("/dev/full");
+        let rows = vec![vec!["5".to_string(), "0.93".to_string()]];
+        assert!(write_series(full, &["k", "mhr"], &rows).is_err());
+        let d = Dataset::new("tiny", 1, vec![0.5], vec![0], vec!["a".into()]).unwrap();
+        assert!(write_dataset(full, &d).is_err());
     }
 }
