@@ -47,7 +47,7 @@ cargo check --offline --locked --manifest-path perfbench/Cargo.toml
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> bench smoke (service engine + wire codecs + warm-start + BiGreedy + skyline + LP greedy)"
+echo "==> bench smoke (service engine + wire codecs + warm-start + BiGreedy + skyline + LP greedy + algorithm benches)"
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench service
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench protocol
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench warmstart
@@ -60,6 +60,12 @@ FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench 
 # LP bench: single regret LPs and one lazy F-Greedy solve at the 200k
 # serving pool shape; no other step runs it.
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench lp
+# The algorithm benches no other step runs: ablation (the only caller of
+# TauSearch::Linear), the 2-D envelope, the MHR evaluators and IntCov.
+# Together about 3 s to build and under 1 s to run.
+for bench in ablation envelope eval intcov; do
+  FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench "$bench"
+done
 
 # Telemetry bench: asserts the warm-hit overhead budget (<1 µs), measures
 # the event front end's idle-connection fan-out (500 idle conns must cost
