@@ -13,7 +13,7 @@ use fairhms_core::types::FairHmsInstance;
 use fairhms_data::{gen, Dataset};
 use fairhms_matroid::proportional_bounds;
 use fairhms_service::{
-    protocol, Catalog, PreparedDataset, Query, QueryEngine, Server, ServerConfig, WireClient,
+    protocol, Catalog, PreparedDataset, Query, QueryEngine, ServeOptions, Server, WireClient,
 };
 
 fn bench_dataset(n: usize) -> Dataset {
@@ -109,9 +109,10 @@ fn bench_service(c: &mut Criterion) {
     for workers in [1usize, 4] {
         let server = Server::spawn(
             Arc::clone(&eng),
-            ServerConfig {
+            ServeOptions {
                 addr: "127.0.0.1:0".to_string(),
                 workers,
+                ..ServeOptions::default()
             },
         )
         .unwrap();

@@ -32,7 +32,7 @@ use fairhms_geometry::vecmath::max_utility;
 use fairhms_matroid::proportional_bounds;
 use fairhms_obs::json;
 use fairhms_service::{
-    Catalog, Query, QueryEngine, Server, ServerConfig, TelemetryConfig, WarmConfig, WireClient,
+    Catalog, Query, QueryEngine, ServeOptions, Server, TelemetryConfig, WarmConfig, WireClient,
 };
 
 const DATASET_N: usize = 2_000;
@@ -356,9 +356,10 @@ fn idle_fanout(connections: usize) -> (u64, f64) {
     let before = thread_count();
     let server = Server::spawn(
         Arc::new(QueryEngine::new(Arc::new(Catalog::new()), 16)),
-        ServerConfig {
+        ServeOptions {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
+            ..ServeOptions::default()
         },
     )
     .expect("spawn server");

@@ -89,18 +89,7 @@ impl WireClient {
     pub fn recv_answer(&mut self) -> Result<WireAnswer, ServiceError> {
         match self.recv()? {
             Response::Answer { answer, .. } => Ok(answer),
-            Response::Busy {
-                retry_after_ms,
-                message,
-                ..
-            } => Err(ServiceError::Busy {
-                reason: message,
-                retry_after_ms,
-            }),
-            Response::Error { message, .. } => Err(ServiceError::Protocol(message)),
-            other => Err(ServiceError::Protocol(format!(
-                "expected a query answer, got {other:?}"
-            ))),
+            other => Err(other.into_error("a query answer")),
         }
     }
 
@@ -137,18 +126,7 @@ impl WireClient {
     fn recv_mutated(&mut self) -> Result<Response, ServiceError> {
         match self.recv()? {
             m @ Response::Mutated { .. } => Ok(m),
-            Response::Busy {
-                retry_after_ms,
-                message,
-                ..
-            } => Err(ServiceError::Busy {
-                reason: message,
-                retry_after_ms,
-            }),
-            Response::Error { message, .. } => Err(ServiceError::Protocol(message)),
-            other => Err(ServiceError::Protocol(format!(
-                "expected a MUTATED response, got {other:?}"
-            ))),
+            other => Err(other.into_error("a MUTATED response")),
         }
     }
 
@@ -172,10 +150,7 @@ impl WireClient {
                 counters,
                 histograms,
             } => Ok((enabled, counters, histograms)),
-            Response::Error { message, .. } => Err(ServiceError::Protocol(message)),
-            other => Err(ServiceError::Protocol(format!(
-                "expected a METRICS response, got {other:?}"
-            ))),
+            other => Err(other.into_error("a METRICS response")),
         }
     }
 
@@ -218,45 +193,17 @@ impl WireClient {
     ) -> Result<Vec<Result<WireAnswer, ServiceError>>, ServiceError> {
         match self.send_batch(queries, stream)? {
             Response::BatchHeader { n, .. } if n == queries.len() => {}
-            Response::Busy {
-                retry_after_ms,
-                message,
-                ..
-            } => {
-                return Err(ServiceError::Busy {
-                    reason: message,
-                    retry_after_ms,
-                })
-            }
-            Response::Error { message, .. } => return Err(ServiceError::Protocol(message)),
-            other => {
-                return Err(ServiceError::Protocol(format!(
-                    "unexpected batch header {other:?}"
-                )))
-            }
+            other => return Err(other.into_error(&format!("OK batch={}", queries.len()))),
         }
         let mut out: Vec<Option<Result<WireAnswer, ServiceError>>> =
             (0..queries.len()).map(|_| None).collect();
         for i in 0..queries.len() {
             let (seq, res) = match self.recv()? {
                 Response::Answer { seq, answer } => (seq, Ok(answer)),
-                Response::Busy {
-                    seq,
-                    retry_after_ms,
-                    message,
-                } => (
-                    seq,
-                    Err(ServiceError::Busy {
-                        reason: message,
-                        retry_after_ms,
-                    }),
-                ),
-                Response::Error { seq, message } => (seq, Err(ServiceError::Protocol(message))),
-                other => {
-                    return Err(ServiceError::Protocol(format!(
-                        "expected answer {i}, got {other:?}"
-                    )))
+                e @ (Response::Busy { seq, .. } | Response::Error { seq, .. }) => {
+                    (seq, Err(e.into_error("an answer")))
                 }
+                other => return Err(other.into_error(&format!("answer {i}"))),
             };
             // Buffered batches carry no seq: frame order is request order.
             let slot = seq.map_or(i, |s| s as usize);

@@ -11,23 +11,24 @@
 //!   raw bytes, carves them into request lines (batch bodies included),
 //!   and queues encoded response frames for readiness-driven writes —
 //!   one slow or byte-at-a-time client can never stall another;
-//! * solves never run on the loop thread: they are admitted into a
-//!   bounded `SolveQueue` and executed by a resident `WorkerPool`,
-//!   whose completions come back over a channel followed by a wake. The
-//!   heavy `LOAD` admin verb (disk read + dataset preparation) rides the
-//!   same pool — bypassing the queue bound, since control verbs are
-//!   never shed — while the issuing connection parks its input behind a
-//!   barrier so pipelined requests keep their sequential order; light
-//!   control verbs (PING, STATS, …) answer inline on the loop.
+//! * the loop decides from the verb where a request runs. Light control
+//!   verbs (PING, STATS, …) answer inline through the server's one
+//!   control dispatcher. A `QUERY`, each `BATCH` slot, and the heavy
+//!   `LOAD`/`APPEND`/`DELETE` verbs become jobs on the bounded
+//!   `SolveQueue`, which a resident `WorkerPool` answers; each response
+//!   comes back over a channel, followed by a wake, under the job's
+//!   address. A single query or heavy verb waits in one [`Entry::Job`]
+//!   FIFO entry; a heavy verb also parks its connection's input behind a
+//!   barrier, so pipelined requests keep their sequential order, and it
+//!   bypasses the queue bound, since control verbs are never shed.
 //!
 //! Admission control happens at the loop, where load first becomes
-//! visible: the connection cap ([`ServeOptions::max_conns`]), the
-//! per-connection quotas ([`ServeOptions::max_inflight_queries`],
-//! [`ServeOptions::max_conn_batches`]), the server-wide stream gate, and
-//! the solve-queue bound all shed with a typed `ERR busy` carrying
-//! `retry_after_ms` advice priced from the execute-time EWMA
-//! ([`crate::metrics::ServiceMetrics::retry_after_ms`]). Every shed
-//! increments `shed.total`.
+//! visible: the connection cap, the per-connection quotas, the
+//! server-wide stream cap (see [`crate::server::ServeOptions`]), and
+//! the solve-queue bound all shed through one builder
+//! ([`crate::metrics::ServiceMetrics::shed`]): a typed `ERR busy`
+//! carrying `retry_after_ms` advice priced from the execute-time EWMA,
+//! counted in `shed.total`.
 //!
 //! Protocol rules: line and batch size limits, lossy UTF-8 per complete
 //! line, batch bodies consumed fully before erroring, and HELLO
@@ -45,15 +46,11 @@ use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use crate::codec::CodecKind;
-use crate::engine::QueryEngine;
-use crate::executor::{SolveDone, SolveJob, SolveQueue, WorkDone, WorkItem, WorkerPool};
+use crate::executor::{Done, Job, JobAddr, WorkerPool};
 use crate::metrics::ServiceMetrics;
 use crate::protocol::{self, Request, Response};
-use crate::query::Query;
 use crate::reactor::{poll, PollFd, WakePipe, Waker, POLLIN, POLLOUT};
-use crate::server::{
-    self, ServeOptions, StreamGate, StreamPermit, MAX_BATCH, MAX_BATCH_BYTES, MAX_LINE_BYTES,
-};
+use crate::server::{self, Shared, StreamPermit, MAX_BATCH, MAX_BATCH_BYTES, MAX_LINE_BYTES};
 use crate::ServiceError;
 
 /// Per-`read(2)` scratch size; the in-buffer grows only as a line needs.
@@ -64,37 +61,29 @@ const READ_CHUNK: usize = 16 * 1024;
 /// is dropped rather than growing server memory without bound.
 const MAX_OUTBUF_BYTES: usize = 64 << 20;
 
-/// Everything the connection state machines need besides their socket.
-struct Shared {
-    engine: Arc<QueryEngine>,
-    metrics: Arc<ServiceMetrics>,
-    queue: Arc<SolveQueue>,
-    gate: StreamGate,
-    opts: Arc<ServeOptions>,
-    workers: usize,
-    started: Instant,
+/// The shed for a query or batch slot that found the solve queue full.
+fn queue_full(sh: &Shared) -> ServiceError {
+    sh.shed(format!("solve queue full (depth {})", sh.opts.queue_depth))
 }
 
-impl Shared {
-    /// The busy error for a full solve queue.
-    fn queue_full_busy(&self) -> ServiceError {
-        self.metrics.shed_total.inc();
-        ServiceError::Busy {
-            reason: format!("solve queue full (depth {})", self.opts.queue_depth),
-            retry_after_ms: self
-                .metrics
-                .retry_after_ms(self.queue.depth(), self.workers),
-        }
-    }
-}
-
-/// Encodes one response with a codec of `kind`, falling back to a typed
-/// `ERR` frame for an unencodable value (see [`server::encode_into`]).
+/// Encodes one response with a codec of `kind`. A value the codec
+/// refuses (a wire-unsafe string, an over-cap frame) becomes a typed
+/// `ERR` frame instead, so it never reaches the socket as a
+/// desynchronizing byte sequence — the response-side half of the
+/// wire-safety contract. If even that fallback fails, the frame is
+/// empty.
 fn encode(kind: CodecKind, resp: &Response, m: &ServiceMetrics) -> Vec<u8> {
-    let mut frame = Vec::new();
     let codec = kind.new_codec();
-    if server::encode_into(codec.as_ref(), &mut frame, resp, m).is_err() {
-        frame.clear(); // not encodable and the fallback failed: drop the frame
+    // The encode span covers serialization only, never socket writes.
+    let _encode = m.recorder().span(&m.encode);
+    let mut frame = Vec::new();
+    if let Err(e) = codec.encode_frame(resp, &mut frame) {
+        let fallback = Response::Error {
+            seq: None,
+            message: format!("response not encodable: {e}").replace(['\n', '\r'], " "),
+        };
+        // A refused frame leaves `frame` empty, as the codec found it.
+        let _ = codec.encode_frame(&fallback, &mut frame);
     }
     frame
 }
@@ -121,7 +110,7 @@ struct BatchEntry {
     /// `stream=false`: encoded frames by request index, emitted together
     /// once the batch completes.
     slots: Vec<Option<Vec<u8>>>,
-    /// Holds the server-wide stream-gate slot for the batch's lifetime;
+    /// Holds the server-wide stream slot for the batch's lifetime;
     /// dropped (released) with the entry — including when the connection
     /// dies mid-batch.
     _permit: Option<StreamPermit>,
@@ -140,18 +129,13 @@ enum Entry {
     /// Already-encoded frame(s): light control verbs, HELLO acks,
     /// protocol errors, admission sheds.
     Ready(Vec<u8>),
-    /// A single `QUERY` awaiting its solve. `kind` snapshots the codec
-    /// at admit time, so a pipelined `HELLO` behind it re-codes only
-    /// what follows.
-    Single {
+    /// A single `QUERY`, or a heavy control verb (`control`), awaiting
+    /// its worker's response. `kind` snapshots the codec at admit time,
+    /// so a pipelined `HELLO` behind it re-codes only what follows.
+    Job {
         ticket: u64,
         kind: CodecKind,
-        done: Option<Vec<u8>>,
-    },
-    /// A heavy control verb (`LOAD`) executing on the worker pool.
-    Control {
-        ticket: u64,
-        kind: CodecKind,
+        control: bool,
         done: Option<Vec<u8>>,
     },
     /// A batch awaiting (some of) its slots.
@@ -183,7 +167,7 @@ struct Conn {
     collecting: Option<BatchCollect>,
     inflight_singles: usize,
     active_batches: usize,
-    /// In-flight `Entry::Control` jobs. While nonzero the connection
+    /// In-flight control jobs. While nonzero the connection
     /// stops carving input (and drops read interest, so TCP backpressure
     /// bounds buffering): requests pipelined behind a `LOAD` — typically
     /// queries against the dataset being loaded — are admitted only once
@@ -241,13 +225,22 @@ impl Conn {
 
     /// A job for this connection, stamped with its enqueue time.
     #[allow(clippy::disallowed_methods)] // queue-age stamp; see R5 waiver inside
-    fn job(&self, ticket: u64, batch_index: Option<usize>, work: WorkItem) -> SolveJob {
-        SolveJob {
-            conn: self.slot,
-            generation: self.generation,
-            ticket,
-            batch_index,
-            work,
+    fn job(
+        &self,
+        ticket: u64,
+        batch_index: Option<usize>,
+        seq: Option<u64>,
+        request: Request,
+    ) -> Job {
+        Job {
+            addr: JobAddr {
+                conn: self.slot,
+                generation: self.generation,
+                ticket,
+                batch_index,
+            },
+            seq,
+            request,
             // fairhms-lint: allow(R5) admission-control deadline stamp:
             // queue-age shedding must work with telemetry off.
             enqueued: Instant::now(),
@@ -257,7 +250,7 @@ impl Conn {
     /// Encodes `resp` with the connection's *current* codec and appends
     /// it as a ready FIFO entry.
     fn push_ready(&mut self, resp: &Response, sh: &Shared) {
-        let frame = encode(self.kind, resp, &sh.metrics);
+        let frame = encode(self.kind, resp, sh.engine.metrics());
         self.pending.push_back(Entry::Ready(frame));
     }
 
@@ -344,7 +337,8 @@ impl Conn {
         }
         // Decode the complete line exactly once (multi-byte UTF-8 split
         // across reads is whole again by now).
-        let decode_span = sh.metrics.recorder().span(&sh.metrics.decode);
+        let m = sh.engine.metrics();
+        let decode_span = m.recorder().span(&m.decode);
         let decoded = String::from_utf8_lossy(raw);
         let trimmed = decoded.trim();
         if trimmed.is_empty() {
@@ -373,16 +367,12 @@ impl Conn {
                 self.discard_input = true;
                 return Ok(Outcome::Shutdown);
             }
-            Ok(Request::Query(q)) => self.admit_single(q, sh),
-            Ok(Request::Load { name, path }) => {
-                self.admit_control(WorkItem::Load { name, path }, sh)
-            }
-            Ok(Request::Append { name, row, group }) => {
-                self.admit_control(WorkItem::Append { name, row, group }, sh)
-            }
-            Ok(Request::Delete { name, row }) => {
-                self.admit_control(WorkItem::Delete { name, row }, sh)
-            }
+            Ok(
+                req @ (Request::Query(_)
+                | Request::Load { .. }
+                | Request::Append { .. }
+                | Request::Delete { .. }),
+            ) => self.admit(req, sh),
             Ok(Request::Batch { n, stream }) => {
                 if n > MAX_BATCH {
                     let e =
@@ -407,81 +397,57 @@ impl Conn {
                     });
                 }
             }
-            Ok(req) => {
-                let resp = server::control_response(&sh.engine, sh.workers, sh.started, &req)
-                    .expect("non-control verbs are matched above");
-                self.push_ready(&resp, sh);
-            }
+            Ok(req) => self.push_ready(&sh.control(req), sh),
         }
         Ok(Outcome::Continue)
     }
 
-    /// Admits one single `QUERY`: per-connection quota, then the bounded
-    /// solve queue; either refusal sheds with typed retry advice.
-    fn admit_single(&mut self, q: Box<Query>, sh: &Shared) {
-        let m = &*sh.metrics;
-        if self.inflight_singles >= sh.opts.max_inflight_queries {
-            m.shed_total.inc();
-            let busy = ServiceError::Busy {
-                reason: format!(
-                    "{} queries in flight on this connection (limit {})",
-                    self.inflight_singles, sh.opts.max_inflight_queries
-                ),
-                retry_after_ms: m.retry_after_ms(sh.queue.depth(), sh.workers),
-            };
+    /// Admits a `QUERY` or a heavy control verb (`LOAD`, `APPEND`,
+    /// `DELETE`) to the worker pool: solves, disk reads and catalog
+    /// mutations must not stall every connection on the loop thread. A
+    /// query passes the per-connection quota, then the bounded solve
+    /// queue; either refusal sheds with typed retry advice. A control
+    /// verb bypasses both (control verbs are never shed) and raises the
+    /// connection's input barrier ([`Conn::control_inflight`]) until it
+    /// completes — so a pipelined mutate→query sequence keeps its
+    /// sequential semantics.
+    fn admit(&mut self, req: Request, sh: &Shared) {
+        let control = !matches!(req, Request::Query(_));
+        if !control && self.inflight_singles >= sh.opts.max_inflight_queries {
+            let busy = sh.shed(format!(
+                "{} queries in flight on this connection (limit {})",
+                self.inflight_singles, sh.opts.max_inflight_queries
+            ));
             self.push_ready(&Response::error(&busy), sh);
             return;
         }
         let ticket = self.take_ticket();
-        let job = self.job(ticket, None, WorkItem::Solve(q));
-        match sh.queue.try_push(job) {
+        match sh.queue.push(self.job(ticket, None, None, req)) {
             Ok(()) => {
-                self.pending.push_back(Entry::Single {
+                self.pending.push_back(Entry::Job {
                     ticket,
                     kind: self.kind,
+                    control,
                     done: None,
                 });
-                self.inflight_singles += 1;
+                if control {
+                    self.control_inflight += 1;
+                } else {
+                    self.inflight_singles += 1;
+                }
             }
-            Err(_shed) => {
-                let busy = sh.queue_full_busy();
-                self.push_ready(&Response::error(&busy), sh);
-            }
-        }
-    }
-
-    /// Admits a heavy control verb (`LOAD`, `APPEND`, `DELETE`) to the
-    /// worker pool: disk reads and catalog mutations must not stall every
-    /// connection on the loop thread. The job bypasses the queue bound
-    /// (control verbs are never shed) and raises the connection's input
-    /// barrier ([`Conn::control_inflight`]) until it completes — so a
-    /// pipelined mutate→query sequence keeps its sequential semantics.
-    fn admit_control(&mut self, work: WorkItem, sh: &Shared) {
-        let ticket = self.take_ticket();
-        match sh.queue.push_control(self.job(ticket, None, work)) {
-            Ok(()) => {
-                self.pending.push_back(Entry::Control {
-                    ticket,
-                    kind: self.kind,
-                    done: None,
-                });
-                self.control_inflight += 1;
-            }
-            Err(job) => {
-                // Only a closed queue refuses control jobs — the server
-                // is tearing down; answer inline, nobody left to stall.
-                let resp = job.work.run_control(&sh.engine, &sh.opts);
-                self.push_ready(&resp, sh);
-            }
+            // Only a closed queue refuses control jobs — the server is
+            // tearing down; answer inline, nobody left to stall.
+            Err(req) if control => self.push_ready(&sh.control(req), sh),
+            Err(_) => self.push_ready(&Response::error(&queue_full(sh)), sh),
         }
     }
 
     /// Admits a fully collected batch body: parse, per-connection batch
-    /// quota, stream gate (streamed only), then per-slot queue admission
+    /// quota, stream cap (streamed only), then per-slot queue admission
     /// — a full queue sheds individual slots, never the whole batch, so
     /// the client always receives exactly `n` answer frames.
     fn finish_batch(&mut self, c: BatchCollect, sh: &Shared) {
-        let m = &*sh.metrics;
         let queries = match server::parse_batch_lines(&c.lines) {
             Ok(qs) => qs,
             Err(e) => {
@@ -489,29 +455,22 @@ impl Conn {
                 return;
             }
         };
-        if self.active_batches >= sh.opts.max_conn_batches {
-            m.shed_total.inc();
-            let busy = ServiceError::Busy {
-                reason: format!(
-                    "{} batches in flight on this connection (limit {})",
-                    self.active_batches, sh.opts.max_conn_batches
-                ),
-                retry_after_ms: m.retry_after_ms(sh.queue.depth(), sh.workers),
-            };
-            self.push_ready(&Response::error(&busy), sh);
-            return;
-        }
-        let permit = if c.stream {
-            match sh.gate.try_acquire(&sh.metrics) {
-                Ok(p) => Some(p),
-                Err((active, limit)) => {
-                    let busy = server::gate_busy(m, active, limit, sh.queue.depth(), sh.workers);
-                    self.push_ready(&Response::error(&busy), sh);
-                    return;
-                }
-            }
+        let permit = if self.active_batches >= sh.opts.max_conn_batches {
+            Err(format!(
+                "{} batches in flight on this connection (limit {})",
+                self.active_batches, sh.opts.max_conn_batches
+            ))
+        } else if c.stream {
+            StreamPermit::try_acquire(sh.engine.metrics(), sh.opts.max_stream_batches).map(Some)
         } else {
-            None
+            Ok(None)
+        };
+        let permit = match permit {
+            Ok(p) => p,
+            Err(reason) => {
+                self.push_ready(&Response::error(&sh.shed(reason)), sh);
+                return;
+            }
         };
         let ticket = self.take_ticket();
         let n = queries.len();
@@ -531,11 +490,11 @@ impl Conn {
             _permit: permit,
         };
         for (i, q) in queries.into_iter().enumerate() {
-            let job = self.job(ticket, Some(i), WorkItem::Solve(Box::new(q)));
-            if sh.queue.try_push(job).is_err() {
-                let busy = sh.queue_full_busy();
-                let seq = if c.stream { Some(i as u64) } else { None };
-                let frame = encode(self.kind, &Response::error_at(seq, &busy), m);
+            let seq = c.stream.then_some(i as u64);
+            let job = self.job(ticket, Some(i), seq, Request::Query(Box::new(q)));
+            if sh.queue.push(job).is_err() {
+                let busy = Response::error_at(seq, &queue_full(sh));
+                let frame = encode(self.kind, &busy, sh.engine.metrics());
                 if c.stream {
                     entry.frames.push_back(frame);
                 } else {
@@ -548,47 +507,30 @@ impl Conn {
         self.pending.push_back(Entry::Batch(entry));
     }
 
-    /// Routes one completed job into its FIFO entry.
-    fn complete(&mut self, done: SolveDone, m: &ServiceMetrics) {
+    /// Routes one job's response into its FIFO entry.
+    fn complete(&mut self, done: Done, m: &ServiceMetrics) {
         // Linear scan: connections hold at most quota-bounded entries.
         for entry in self.pending.iter_mut() {
             match entry {
-                Entry::Single {
+                Entry::Job {
                     ticket,
                     kind,
+                    control,
                     done: slot,
-                } if *ticket == done.ticket => {
-                    debug_assert!(done.batch_index.is_none());
-                    let WorkDone::Solve { result, .. } = &done.done else {
-                        debug_assert!(false, "single entries only admit solves");
-                        return;
-                    };
-                    *slot = Some(encode(*kind, &Response::from_result(None, result), m));
+                } if *ticket == done.addr.ticket => {
+                    *slot = Some(encode(*kind, &done.response, m));
+                    if *control {
+                        // Lift the input barrier; the event loop resumes
+                        // any lines parked behind it this same iteration.
+                        self.control_inflight -= 1;
+                    }
                     return;
                 }
-                Entry::Control {
-                    ticket,
-                    kind,
-                    done: slot,
-                } if *ticket == done.ticket => {
-                    let WorkDone::Control(resp) = &done.done else {
-                        debug_assert!(false, "control entries only admit control verbs");
+                Entry::Batch(b) if b.ticket == done.addr.ticket => {
+                    let Some(i) = done.addr.batch_index else {
                         return;
                     };
-                    *slot = Some(encode(*kind, resp, m));
-                    // Lift the input barrier; the event loop resumes any
-                    // lines parked behind it this same iteration.
-                    self.control_inflight -= 1;
-                    return;
-                }
-                Entry::Batch(b) if b.ticket == done.ticket => {
-                    let Some(i) = done.batch_index else { return };
-                    let WorkDone::Solve { result, .. } = &done.done else {
-                        debug_assert!(false, "batch slots only admit solves");
-                        return;
-                    };
-                    let seq = b.stream.then_some(i as u64);
-                    let frame = encode(b.kind, &Response::from_result(seq, result), m);
+                    let frame = encode(b.kind, &done.response, m);
                     if b.stream {
                         b.frames.push_back(frame);
                     } else {
@@ -607,45 +549,27 @@ impl Conn {
     /// Moves every deliverable frame from the FIFO into the out-buffer,
     /// preserving request order across entries.
     fn pump(&mut self, sh: &Shared) {
-        loop {
-            let Some(head) = self.pending.front_mut() else {
-                return;
-            };
+        while let Some(head) = self.pending.front_mut() {
             match head {
-                Entry::Ready(_) => {
-                    let Some(Entry::Ready(bytes)) = self.pending.pop_front() else {
-                        unreachable!()
-                    };
-                    self.outbuf.extend_from_slice(&bytes);
+                Entry::Ready(bytes) => self.outbuf.extend_from_slice(bytes),
+                Entry::Job { done: None, .. } => return,
+                Entry::Job {
+                    done: Some(bytes),
+                    control,
+                    ..
+                } => {
+                    self.outbuf.extend_from_slice(bytes);
+                    if !*control {
+                        self.inflight_singles -= 1;
+                    }
                 }
-                Entry::Single { done: Some(_), .. } => {
-                    let Some(Entry::Single {
-                        done: Some(bytes), ..
-                    }) = self.pending.pop_front()
-                    else {
-                        unreachable!()
-                    };
-                    self.outbuf.extend_from_slice(&bytes);
-                    self.inflight_singles -= 1;
-                }
-                Entry::Single { done: None, .. } => return,
-                Entry::Control { done: Some(_), .. } => {
-                    let Some(Entry::Control {
-                        done: Some(bytes), ..
-                    }) = self.pending.pop_front()
-                    else {
-                        unreachable!()
-                    };
-                    self.outbuf.extend_from_slice(&bytes);
-                }
-                Entry::Control { done: None, .. } => return,
                 Entry::Batch(b) => {
                     if !b.header_sent {
                         let header = Response::BatchHeader {
                             n: b.n,
                             stream: b.stream,
                         };
-                        let frame = encode(b.kind, &header, &sh.metrics);
+                        let frame = encode(b.kind, &header, sh.engine.metrics());
                         self.outbuf.extend_from_slice(&frame);
                         b.header_sent = true;
                     }
@@ -659,14 +583,13 @@ impl Conn {
                             self.outbuf.extend_from_slice(&bytes);
                         }
                     }
-                    if b.done() {
-                        self.pending.pop_front();
-                        self.active_batches -= 1;
-                    } else {
+                    if !b.done() {
                         return;
                     }
+                    self.active_batches -= 1;
                 }
             }
+            self.pending.pop_front();
         }
     }
 
@@ -713,16 +636,19 @@ fn accept_ready(
                 stream.set_nonblocking(true).ok();
                 stream.set_nodelay(true).ok();
                 if *open >= sh.opts.max_conns {
-                    sh.metrics.shed_total.inc();
-                    let busy = ServiceError::Busy {
-                        reason: format!("too many connections (limit {})", sh.opts.max_conns),
-                        retry_after_ms: sh.metrics.retry_after_ms(sh.queue.depth(), sh.workers),
-                    };
-                    let frame = encode(CodecKind::Text, &Response::error(&busy), &sh.metrics);
+                    let busy = sh.shed(format!(
+                        "too many connections (limit {})",
+                        sh.opts.max_conns
+                    ));
+                    let frame = encode(
+                        CodecKind::Text,
+                        &Response::error(&busy),
+                        sh.engine.metrics(),
+                    );
                     let _ = (&stream).write(&frame);
                     continue; // dropped: the cap exists to bound state
                 }
-                sh.metrics.conn_active.inc();
+                sh.engine.metrics().conn_active.inc();
                 *next_generation += 1;
                 let slot = match conns.iter().position(Option::is_none) {
                     Some(s) => s,
@@ -735,7 +661,7 @@ fn accept_ready(
                     stream,
                     slot,
                     *next_generation,
-                    Arc::clone(&sh.metrics),
+                    Arc::clone(sh.engine.metrics()),
                 ));
                 *open += 1;
             }
@@ -759,40 +685,16 @@ fn accept_ready(
 /// keeps delivering completions until every request that connection sent
 /// before it has answered, so a pipelined `QUERY`+`SHUTDOWN` receives
 /// the answer and then `OK bye`.
-#[allow(clippy::too_many_arguments)]
 #[allow(clippy::disallowed_methods)] // shutdown drain deadline; see R5 waiver inside
 pub(crate) fn run(
     listener: TcpListener,
-    engine: Arc<QueryEngine>,
-    workers: usize,
-    stop: Arc<AtomicBool>,
-    opts: Arc<ServeOptions>,
-    started: Instant,
+    sh: Arc<Shared>,
+    stop: &AtomicBool,
     pipe: WakePipe,
     waker: Waker,
 ) {
-    let metrics = Arc::clone(engine.metrics());
-    let workers = workers.max(1);
-    let queue = SolveQueue::new(opts.queue_depth, Arc::clone(&metrics));
-    let (done_tx, done_rx) = mpsc::channel::<SolveDone>();
-    let pool = WorkerPool::spawn(
-        workers,
-        Arc::clone(&engine),
-        Arc::clone(&queue),
-        done_tx,
-        waker,
-        Arc::clone(&opts),
-    );
-    let gate = StreamGate::new(opts.max_stream_batches);
-    let sh = Shared {
-        engine,
-        metrics,
-        queue: Arc::clone(&queue),
-        gate,
-        opts,
-        workers,
-        started,
-    };
+    let (done_tx, done_rx) = mpsc::channel::<Done>();
+    let pool = WorkerPool::spawn(&sh, done_tx, waker);
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut open = 0usize;
     let mut next_generation = 0u64;
@@ -851,16 +753,13 @@ pub(crate) fn run(
         // Completions first: they free quota slots and fill FIFO entries
         // before any new admission decisions this iteration.
         while let Ok(done) = done_rx.try_recv() {
-            let Some(conn) = conns.get_mut(done.conn).and_then(Option::as_mut) else {
+            let Some(conn) = conns.get_mut(done.addr.conn).and_then(Option::as_mut) else {
                 continue;
             };
-            if conn.generation != done.generation {
+            if conn.generation != done.addr.generation {
                 continue; // the slot was reused; the addressee is gone
             }
-            if let WorkDone::Solve { query, result } = &done.done {
-                server::log_if_slow(sh.opts.slow_query_ms, query, result);
-            }
-            conn.complete(done, &sh.metrics);
+            conn.complete(done, sh.engine.metrics());
         }
 
         if reading && fds[1].ready(POLLIN) {
@@ -960,7 +859,7 @@ pub(crate) fn run(
     // Teardown: stop admission, then let each worker finish its current
     // solve; dropping the receiver makes their next send fail so they
     // exit without draining a backlog nobody will read.
-    queue.close();
+    sh.queue.close();
     drop(done_rx);
     pool.join();
     drop(conns);

@@ -2,18 +2,22 @@
 //! `SolveQueue` drained by a resident `WorkerPool`.
 //!
 //! No async runtime: workers are named `std::thread`s blocking on the
-//! queue's condvar, and each completion travels back to the event loop
-//! over an `mpsc` channel followed by a self-pipe wake. Completions carry
-//! their connection ticket and batch index, so the loop reassembles
-//! answers by request position — worker count and OS scheduling affect
-//! only wall-clock time, never payloads (each query's answer is solved
-//! from a per-query seed, not from shared RNG state).
+//! queue's condvar. A [`Job`] is one parsed [`Request`] — a `QUERY`, a
+//! `BATCH` slot's query, or a heavy control verb — plus the [`JobAddr`]
+//! of the connection entry awaiting it. A worker answers the request (a
+//! query through the engine, a control verb through the server's one
+//! dispatcher) and sends the response back under the same address over
+//! an `mpsc` channel, followed by a self-pipe wake. The loop places each
+//! response by its ticket and batch index, so worker count and OS
+//! scheduling affect only wall-clock time, never payloads (each query's
+//! answer is solved from a per-query seed, not from shared RNG state).
 //!
 //! The bound is the admission-control backstop — when the queue is full
-//! the server sheds with `ERR busy` rather than buffering without limit —
-//! and workers apply the optional queue *deadline*: a job that sat
-//! queued longer than the client would plausibly wait is shed at dequeue
-//! time instead of wasting a solve.
+//! the server sheds a query with `ERR busy` rather than buffering
+//! without limit; control verbs bypass it — and workers apply the
+//! optional queue *deadline*: a query that sat queued longer than the
+//! client would plausibly wait is shed at dequeue time instead of
+//! wasting a solve.
 
 use std::collections::VecDeque;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -21,65 +25,16 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use fairhms_obs::sync::{lock_or_recover, wait_or_recover};
 use std::time::Instant;
 
-use crate::engine::{QueryEngine, QueryResponse};
 use crate::metrics::ServiceMetrics;
-use crate::protocol::Response;
-use crate::query::Query;
+use crate::protocol::{Request, Response};
 use crate::reactor::Waker;
-use crate::server::{self, ServeOptions};
-use crate::ServiceError;
+use crate::server::{self, Shared};
 
-/// What a queued job executes on a worker.
-#[derive(Debug)]
-pub(crate) enum WorkItem {
-    /// A query solve (subject to deadline shedding).
-    Solve(Box<Query>),
-    /// The `LOAD` admin verb: disk read + dataset preparation — heavy
-    /// enough that running it on the event loop would stall every
-    /// connection. Operator-issued and rare, so it bypasses the queue
-    /// bound ([`SolveQueue::push_control`]) and is never deadline-shed.
-    Load { name: String, path: String },
-    /// The `APPEND` mutation verb: incremental skyline maintenance plus
-    /// delta cache invalidation — catalog work that must stay off the
-    /// event loop, admitted exactly like `Load`.
-    Append {
-        name: String,
-        row: Vec<f64>,
-        group: usize,
-    },
-    /// The `DELETE` mutation verb; see `Append`.
-    Delete { name: String, row: usize },
-}
-
-impl WorkItem {
-    /// Executes a *control* work item inline, producing its response.
-    /// Shared by the worker arm and the event loop's closed-queue
-    /// fallback so the two paths cannot drift.
-    ///
-    /// # Panics
-    /// On [`WorkItem::Solve`] — solves are not control verbs.
-    pub(crate) fn run_control(self, engine: &QueryEngine, opts: &ServeOptions) -> Response {
-        match self {
-            WorkItem::Load { name, path } => server::handle_load(engine, opts, &name, &path),
-            WorkItem::Append { name, row, group } => {
-                let outcome = engine.append_row(&name, &row, group);
-                server::mutated(name, "append", outcome)
-            }
-            WorkItem::Delete { name, row } => {
-                let outcome = engine.delete_row(&name, row);
-                server::mutated(name, "delete", outcome)
-            }
-            WorkItem::Solve(_) => unreachable!("solves are not control verbs"),
-        }
-    }
-}
-
-/// One job admitted into the global queue, addressed back to its
-/// connection by `(conn slot, generation, ticket)` — the generation
-/// guards against a slot being reused by a new connection while an old
-/// job is still in flight.
-#[derive(Debug)]
-pub(crate) struct SolveJob {
+/// Where a job's response goes. The generation guards against the
+/// connection slot being reused by a new connection while an old job is
+/// still in flight.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct JobAddr {
     /// Connection slab slot.
     pub conn: usize,
     /// Slot generation at enqueue time.
@@ -89,51 +44,41 @@ pub(crate) struct SolveJob {
     /// Index within the owning batch (`None` for single queries and
     /// control verbs).
     pub batch_index: Option<usize>,
-    /// What to execute.
-    pub work: WorkItem,
+}
+
+/// One job admitted into the global queue.
+#[derive(Debug)]
+pub(crate) struct Job {
+    /// Where the response goes.
+    pub addr: JobAddr,
+    /// The streamed-batch tag (`seq=`) the response carries, if any.
+    pub seq: Option<u64>,
+    /// What to answer: a `QUERY` (subject to deadline shedding) or a
+    /// control verb.
+    pub request: Request,
     /// When the job entered the queue (deadline shedding + queue_wait).
     pub enqueued: Instant,
 }
 
-/// The outcome a worker reports for one job.
+/// A job's response, routed back to the event loop.
 #[derive(Debug)]
-pub(crate) enum WorkDone {
-    /// A solve (or its deadline shed); the query is carried through so
-    /// the loop can log slow solves.
-    Solve {
-        query: Box<Query>,
-        result: Result<QueryResponse, ServiceError>,
-    },
-    /// A control verb's ready-to-encode response.
-    Control(Response),
-}
-
-/// A completed job, routed back to the event loop.
-#[derive(Debug)]
-pub(crate) struct SolveDone {
-    /// Connection slab slot.
-    pub conn: usize,
-    /// Slot generation at enqueue time.
-    pub generation: u64,
-    /// Per-connection response-order ticket.
-    pub ticket: u64,
-    /// Index within the owning batch (`None` for single queries and
-    /// control verbs).
-    pub batch_index: Option<usize>,
-    /// The outcome.
-    pub done: WorkDone,
+pub(crate) struct Done {
+    /// The job's address.
+    pub addr: JobAddr,
+    /// The response, ready to encode.
+    pub response: Response,
 }
 
 struct QueueState {
-    jobs: VecDeque<SolveJob>,
+    jobs: VecDeque<Job>,
     closed: bool,
 }
 
 /// The bounded global solve queue between the event loop and the
-/// `WorkerPool`. `try_push` never blocks — a full (or closed) queue
-/// hands the job back so the caller sheds it — and the queue maintains
-/// the `queue.depth` gauge itself, so STATS and the shed tests see an
-/// exact depth, not an approximation.
+/// `WorkerPool`. `push` never blocks — a full (or closed) queue hands
+/// the request back so the caller sheds it — and the queue maintains the
+/// `queue.depth` gauge itself, so STATS and the shed tests see an exact
+/// depth, not an approximation.
 pub(crate) struct SolveQueue {
     state: Mutex<QueueState>,
     ready: Condvar,
@@ -142,10 +87,10 @@ pub(crate) struct SolveQueue {
 }
 
 impl SolveQueue {
-    /// A queue admitting at most `cap` waiting jobs (0 sheds everything —
-    /// the deterministic-overload test hook).
-    pub fn new(cap: usize, metrics: Arc<ServiceMetrics>) -> Arc<SolveQueue> {
-        Arc::new(SolveQueue {
+    /// A queue admitting at most `cap` waiting queries (0 sheds every
+    /// query — the deterministic-overload test hook).
+    pub fn new(cap: usize, metrics: Arc<ServiceMetrics>) -> SolveQueue {
+        SolveQueue {
             state: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
                 closed: false,
@@ -153,29 +98,18 @@ impl SolveQueue {
             ready: Condvar::new(),
             cap,
             metrics,
-        })
-    }
-
-    /// Admits `job`, or hands it back when the queue is full or closed.
-    pub fn try_push(&self, job: SolveJob) -> Result<(), SolveJob> {
-        let mut st = lock_or_recover(&self.state);
-        if st.closed || st.jobs.len() >= self.cap {
-            return Err(job);
         }
-        st.jobs.push_back(job);
-        self.metrics.queue_depth.inc();
-        drop(st);
-        self.ready.notify_one();
-        Ok(())
     }
 
-    /// Admits a control job past the capacity bound — operator verbs are
-    /// never shed. Hands the job back only once the queue is closed
-    /// (server teardown), when the caller must answer it itself.
-    pub fn push_control(&self, job: SolveJob) -> Result<(), SolveJob> {
+    /// Admits `job`, or hands its request back when the queue is closed
+    /// or, for a query, full. Control verbs pass the bound: operator
+    /// verbs are never shed, so once the queue is closed (server
+    /// teardown) the caller must answer them itself.
+    pub fn push(&self, job: Job) -> Result<(), Request> {
         let mut st = lock_or_recover(&self.state);
-        if st.closed {
-            return Err(job);
+        let full = st.jobs.len() >= self.cap && matches!(job.request, Request::Query(_));
+        if st.closed || full {
+            return Err(job.request);
         }
         st.jobs.push_back(job);
         self.metrics.queue_depth.inc();
@@ -186,7 +120,7 @@ impl SolveQueue {
 
     /// Blocks for the next job; `None` once the queue is closed and
     /// drained (the worker's exit signal).
-    pub fn pop(&self) -> Option<SolveJob> {
+    pub fn pop(&self) -> Option<Job> {
         let mut st = lock_or_recover(&self.state);
         loop {
             if let Some(job) = st.jobs.pop_front() {
@@ -213,8 +147,8 @@ impl SolveQueue {
     }
 }
 
-/// The resident worker threads draining a `SolveQueue`. Each completed
-/// solve is sent over the `done` channel and followed by a [`Waker`]
+/// The resident worker threads draining the shared `SolveQueue`. Each
+/// response is sent over the `done` channel and followed by a [`Waker`]
 /// kick, so the event loop learns about it immediately instead of on its
 /// next timeout.
 pub(crate) struct WorkerPool {
@@ -222,68 +156,18 @@ pub(crate) struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `workers` threads. `opts.queue_deadline_ms` is the
-    /// queue-time budget: a solve dequeued after sitting longer is shed
-    /// (typed busy error carrying retry advice) instead of executed;
-    /// control jobs are exempt. `opts` also parameterizes control verbs
-    /// (the `LOAD` root).
-    pub fn spawn(
-        workers: usize,
-        engine: Arc<QueryEngine>,
-        queue: Arc<SolveQueue>,
-        done: mpsc::Sender<SolveDone>,
-        waker: Waker,
-        opts: Arc<ServeOptions>,
-    ) -> WorkerPool {
-        let workers = workers.max(1);
-        let handles = (0..workers)
+    /// Spawns `sh.opts.workers` threads draining `sh.queue`.
+    pub fn spawn(sh: &Arc<Shared>, done: mpsc::Sender<Done>, waker: Waker) -> WorkerPool {
+        let handles = (0..sh.opts.workers)
             .map(|i| {
-                let engine = Arc::clone(&engine);
-                let queue = Arc::clone(&queue);
-                let done = done.clone();
-                let waker = waker.clone();
-                let opts = Arc::clone(&opts);
+                let (sh, done, waker) = (Arc::clone(sh), done.clone(), waker.clone());
                 std::thread::Builder::new()
                     .name(format!("fairhms-worker-{i}"))
                     .spawn(move || {
-                        while let Some(job) = queue.pop() {
-                            let m = engine.metrics();
-                            let waited = job.enqueued.elapsed();
-                            if m.enabled() {
-                                m.queue_wait
-                                    .record(waited.as_nanos().min(u64::MAX as u128) as u64);
-                            }
-                            let done_item = match job.work {
-                                WorkItem::Solve(query) => {
-                                    let result = match opts.queue_deadline_ms {
-                                        Some(d) if waited.as_millis() > u128::from(d) => {
-                                            m.shed_total.inc();
-                                            Err(ServiceError::Busy {
-                                                reason: format!(
-                                                    "queue deadline exceeded ({} ms queued, budget {d} ms)",
-                                                    waited.as_millis()
-                                                ),
-                                                retry_after_ms: m
-                                                    .retry_after_ms(queue.depth(), workers),
-                                            })
-                                        }
-                                        _ => {
-                                            let _run = m.recorder().span(&m.run);
-                                            engine.execute(&query)
-                                        }
-                                    };
-                                    WorkDone::Solve { query, result }
-                                }
-                                control => WorkDone::Control(control.run_control(&engine, &opts)),
-                            };
-                            let out = SolveDone {
-                                conn: job.conn,
-                                generation: job.generation,
-                                ticket: job.ticket,
-                                batch_index: job.batch_index,
-                                done: done_item,
-                            };
-                            if done.send(out).is_err() {
+                        while let Some(job) = sh.queue.pop() {
+                            let addr = job.addr;
+                            let response = answer(&sh, job);
+                            if done.send(Done { addr, response }).is_err() {
                                 break; // event loop gone; nothing to report to
                             }
                             waker.wake();
@@ -304,22 +188,53 @@ impl WorkerPool {
     }
 }
 
+/// Answers one dequeued job. `queue_deadline_ms` is the queue-time
+/// budget: a query dequeued after sitting longer is shed (typed busy
+/// error carrying retry advice) instead of executed; control verbs are
+/// exempt.
+fn answer(sh: &Shared, job: Job) -> Response {
+    let m = sh.engine.metrics();
+    let waited = job.enqueued.elapsed();
+    if m.enabled() {
+        m.queue_wait
+            .record(waited.as_nanos().min(u64::MAX as u128) as u64);
+    }
+    let query = match job.request {
+        Request::Query(query) => query,
+        control => return sh.control(control),
+    };
+    let result = match sh.opts.queue_deadline_ms {
+        Some(d) if waited.as_millis() > u128::from(d) => Err(sh.shed(format!(
+            "queue deadline exceeded ({} ms queued, budget {d} ms)",
+            waited.as_millis()
+        ))),
+        _ => {
+            let _run = m.recorder().span(&m.run);
+            sh.engine.execute(&query)
+        }
+    };
+    server::log_if_slow(sh.opts.slow_query_ms, &query, &result);
+    Response::from_result(job.seq, &result)
+}
+
 #[cfg(test)]
 #[allow(clippy::disallowed_methods)] // tests stamp queue deadlines directly
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
+    use crate::protocol::WireAnswer;
+    use crate::server::ServeOptions;
+    use crate::{Query, QueryEngine};
     use fairhms_data::Dataset;
-    use std::sync::Arc;
 
-    fn engine() -> QueryEngine {
+    fn engine() -> Arc<QueryEngine> {
         let catalog = Arc::new(Catalog::new());
         let points = vec![
             1.0, 0.1, 0.8, 0.6, 0.2, 0.9, 0.9, 0.3, 0.4, 0.8, 0.7, 0.7, 0.6, 0.75, 0.95, 0.2,
         ];
         let data = Dataset::new("toy", 2, points, vec![0, 1, 0, 1, 0, 1, 0, 1], vec![]).unwrap();
         catalog.insert_dataset(data).unwrap();
-        QueryEngine::new(catalog, 256)
+        Arc::new(QueryEngine::new(catalog, 256))
     }
 
     fn batch() -> Vec<Query> {
@@ -336,50 +251,57 @@ mod tests {
         qs
     }
 
-    fn payloads(results: &[Result<QueryResponse, ServiceError>]) -> Vec<Option<Vec<usize>>> {
-        results
+    fn payloads(responses: &[Response]) -> Vec<Option<Vec<usize>>> {
+        responses
             .iter()
-            .map(|r| r.as_ref().ok().map(|resp| resp.answer.indices.clone()))
+            .map(|r| match r {
+                Response::Answer { answer, .. } => Some(answer.indices.clone()),
+                _ => None,
+            })
             .collect()
+    }
+
+    /// Server state over `eng` with `workers` workers, a queue of
+    /// `queue_depth`, and no queue deadline unless `deadline_ms` sets one.
+    fn shared(
+        eng: &Arc<QueryEngine>,
+        workers: usize,
+        queue_depth: usize,
+        deadline_ms: Option<u64>,
+    ) -> Arc<Shared> {
+        Shared::new(
+            Arc::clone(eng),
+            ServeOptions {
+                workers,
+                queue_depth,
+                queue_deadline_ms: deadline_ms,
+                ..ServeOptions::default()
+            },
+        )
     }
 
     /// Runs `queries` through a `workers`-wide pool as one batch (the
     /// event loop's shape: one job per slot, tagged with its index) and
-    /// reassembles the completions by batch index.
-    fn run_pool(
-        eng: &Arc<QueryEngine>,
-        workers: usize,
-        queries: &[Query],
-    ) -> Vec<Result<QueryResponse, ServiceError>> {
-        let queue = SolveQueue::new(queries.len(), Arc::clone(eng.metrics()));
+    /// reassembles the responses by batch index.
+    fn run_pool(eng: &Arc<QueryEngine>, workers: usize, queries: &[Query]) -> Vec<Response> {
+        let sh = shared(eng, workers, queries.len(), None);
         let (_pipe, waker) = crate::reactor::wake_pair().unwrap();
         let (tx, rx) = mpsc::channel();
-        let pool = WorkerPool::spawn(
-            workers,
-            Arc::clone(eng),
-            Arc::clone(&queue),
-            tx,
-            waker,
-            no_deadline(),
-        );
+        let pool = WorkerPool::spawn(&sh, tx, waker);
         for (i, q) in queries.iter().enumerate() {
             let mut slot = job(0);
-            slot.batch_index = Some(i);
-            slot.work = WorkItem::Solve(Box::new(q.clone()));
-            queue.try_push(slot).unwrap();
+            slot.addr.batch_index = Some(i);
+            slot.request = Request::Query(Box::new(q.clone()));
+            sh.queue.push(slot).unwrap();
         }
-        let mut out: Vec<Option<Result<QueryResponse, ServiceError>>> =
-            (0..queries.len()).map(|_| None).collect();
+        let mut out: Vec<Option<Response>> = (0..queries.len()).map(|_| None).collect();
         for _ in 0..queries.len() {
             let d = rx.recv().unwrap();
-            let i = d.batch_index.expect("batch jobs carry their index");
-            let WorkDone::Solve { result, .. } = d.done else {
-                panic!("expected a solve outcome, got {:?}", d.done);
-            };
+            let i = d.addr.batch_index.expect("batch jobs carry their index");
             assert!(out[i].is_none(), "index {i} delivered twice");
-            out[i] = Some(result);
+            out[i] = Some(d.response);
         }
-        queue.close();
+        sh.queue.close();
         pool.join();
         out.into_iter().map(Option::unwrap).collect()
     }
@@ -387,9 +309,9 @@ mod tests {
     #[test]
     fn output_independent_of_worker_count() {
         let qs = batch();
-        let reference = payloads(&run_pool(&Arc::new(engine()), 1, &qs));
+        let reference = payloads(&run_pool(&engine(), 1, &qs));
         for workers in [2, 3, 8] {
-            let got = payloads(&run_pool(&Arc::new(engine()), workers, &qs));
+            let got = payloads(&run_pool(&engine(), workers, &qs));
             assert_eq!(got, reference, "worker count {workers} changed payloads");
         }
     }
@@ -397,30 +319,29 @@ mod tests {
     #[test]
     fn per_slot_errors_do_not_poison_the_batch() {
         let qs = batch();
-        let results = run_pool(&Arc::new(engine()), 4, &qs);
-        assert_eq!(results.len(), qs.len());
-        assert!(results[..qs.len() - 1].iter().all(|r| r.is_ok()));
-        assert!(matches!(
-            results[qs.len() - 1],
-            Err(ServiceError::UnknownDataset { .. })
-        ));
+        let responses = run_pool(&engine(), 4, &qs);
+        assert_eq!(responses.len(), qs.len());
+        assert!(responses[..qs.len() - 1]
+            .iter()
+            .all(|r| matches!(r, Response::Answer { .. })));
+        match &responses[qs.len() - 1] {
+            Response::Error { message, .. } => {
+                assert!(message.starts_with("unknown dataset"), "{message}")
+            }
+            other => panic!("expected an unknown-dataset error, got {other:?}"),
+        }
     }
 
-    /// Serve options whose queue never sheds a solve.
-    fn no_deadline() -> Arc<ServeOptions> {
-        Arc::new(ServeOptions {
-            queue_deadline_ms: None,
-            ..ServeOptions::default()
-        })
-    }
-
-    fn job(ticket: u64) -> SolveJob {
-        SolveJob {
-            conn: 0,
-            generation: 1,
-            ticket,
-            batch_index: None,
-            work: WorkItem::Solve(Box::new(Query::new("toy", 2))),
+    fn job(ticket: u64) -> Job {
+        Job {
+            addr: JobAddr {
+                conn: 0,
+                generation: 1,
+                ticket,
+                batch_index: None,
+            },
+            seq: None,
+            request: Request::Query(Box::new(Query::new("toy", 2))),
             enqueued: Instant::now(),
         }
     }
@@ -429,19 +350,27 @@ mod tests {
     fn solve_queue_bounds_admission_and_tracks_the_depth_gauge() {
         let m = Arc::new(ServiceMetrics::new(false));
         let q = SolveQueue::new(2, Arc::clone(&m));
-        assert!(q.try_push(job(0)).is_ok());
-        assert!(q.try_push(job(1)).is_ok());
-        let bounced = q.try_push(job(2));
-        assert!(bounced.is_err(), "third push must bounce off the bound");
-        assert_eq!(bounced.unwrap_err().ticket, 2, "the job is handed back");
+        assert!(q.push(job(0)).is_ok());
+        assert!(q.push(job(1)).is_ok());
+        let bounced = q.push(job(2));
+        assert!(
+            matches!(bounced, Err(Request::Query(_))),
+            "third push must bounce off the bound and hand the request back"
+        );
         assert_eq!(q.depth(), 2);
         assert_eq!(m.queue_depth.get(), 2);
-        assert_eq!(q.pop().unwrap().ticket, 0);
-        assert_eq!(m.queue_depth.get(), 1);
+        // A control verb passes the bound: operator verbs are never shed.
+        let mut control = job(3);
+        control.request = Request::Ping;
+        assert!(q.push(control).is_ok());
+        assert_eq!(q.depth(), 3);
+        assert_eq!(q.pop().unwrap().addr.ticket, 0);
+        assert_eq!(m.queue_depth.get(), 2);
         // Closing stops admission but drains what is queued.
         q.close();
-        assert!(q.try_push(job(3)).is_err());
-        assert_eq!(q.pop().unwrap().ticket, 1);
+        assert!(q.push(job(4)).is_err());
+        assert_eq!(q.pop().unwrap().addr.ticket, 1);
+        assert_eq!(q.pop().unwrap().addr.ticket, 3);
         assert!(q.pop().is_none(), "closed + drained pops None");
         assert_eq!(m.queue_depth.get(), 0);
     }
@@ -450,36 +379,28 @@ mod tests {
     fn zero_capacity_queue_sheds_everything() {
         let m = Arc::new(ServiceMetrics::new(false));
         let q = SolveQueue::new(0, m);
-        assert!(q.try_push(job(0)).is_err());
+        assert!(q.push(job(0)).is_err());
     }
 
     #[test]
     fn worker_pool_drains_the_queue_and_wakes_per_completion() {
-        let eng = Arc::new(engine());
-        let m = Arc::clone(eng.metrics());
-        let queue = SolveQueue::new(64, m);
+        let sh = shared(&engine(), 3, 64, None);
         let (pipe, waker) = crate::reactor::wake_pair().unwrap();
         let (tx, rx) = mpsc::channel();
-        let pool = WorkerPool::spawn(
-            3,
-            Arc::clone(&eng),
-            Arc::clone(&queue),
-            tx,
-            waker,
-            no_deadline(),
-        );
+        let pool = WorkerPool::spawn(&sh, tx, waker);
         assert_eq!(pool.handles.len(), 3);
         for t in 0..8 {
-            queue.try_push(job(t)).unwrap();
+            sh.queue.push(job(t)).unwrap();
         }
-        let mut done: Vec<SolveDone> = (0..8).map(|_| rx.recv().unwrap()).collect();
-        done.sort_by_key(|d| d.ticket);
+        let mut done: Vec<Done> = (0..8).map(|_| rx.recv().unwrap()).collect();
+        done.sort_by_key(|d| d.addr.ticket);
         for (t, d) in done.iter().enumerate() {
-            assert_eq!(d.ticket, t as u64);
-            let WorkDone::Solve { result, .. } = &d.done else {
-                panic!("expected a solve outcome, got {:?}", d.done);
-            };
-            assert!(result.is_ok(), "{result:?}");
+            assert_eq!(d.addr.ticket, t as u64);
+            assert!(
+                matches!(d.response, Response::Answer { .. }),
+                "{:?}",
+                d.response
+            );
         }
         // Completions pinged the wake pipe (coalesced ≥ 1 byte pending).
         let mut fds = [crate::reactor::PollFd::new(
@@ -487,64 +408,53 @@ mod tests {
             crate::reactor::POLLIN,
         )];
         assert_eq!(crate::reactor::poll(&mut fds, 1_000).unwrap(), 1);
-        queue.close();
+        sh.queue.close();
         pool.join();
     }
 
     #[test]
     fn worker_pool_sheds_jobs_past_the_queue_deadline() {
-        let eng = Arc::new(engine());
-        let m = Arc::clone(eng.metrics());
-        let queue = SolveQueue::new(64, Arc::clone(&m));
+        let eng = engine();
+        let sh = shared(&eng, 1, 64, Some(1));
         // A job that already sat "queued" for 50 ms against a 1 ms budget.
         let mut stale = job(0);
         stale.enqueued = Instant::now() - std::time::Duration::from_millis(50);
-        queue.try_push(stale).unwrap();
+        sh.queue.push(stale).unwrap();
         let (_pipe, waker) = crate::reactor::wake_pair().unwrap();
         let (tx, rx) = mpsc::channel();
-        let pool = WorkerPool::spawn(
-            1,
-            eng,
-            Arc::clone(&queue),
-            tx,
-            waker,
-            Arc::new(ServeOptions {
-                queue_deadline_ms: Some(1),
-                ..ServeOptions::default()
-            }),
-        );
+        let pool = WorkerPool::spawn(&sh, tx, waker);
         let d = rx.recv().unwrap();
-        let WorkDone::Solve { result, .. } = &d.done else {
-            panic!("expected a solve outcome, got {:?}", d.done);
-        };
-        match result {
-            Err(ServiceError::Busy {
-                reason,
+        match d.response {
+            Response::Busy {
+                message,
                 retry_after_ms,
-            }) => {
-                assert!(reason.contains("deadline"), "{reason}");
-                assert!(*retry_after_ms >= 1);
+                ..
+            } => {
+                assert!(message.contains("deadline"), "{message}");
+                assert!(retry_after_ms >= 1);
             }
             other => panic!("expected a deadline shed, got {other:?}"),
         }
-        assert_eq!(m.shed_total.get(), 1);
-        queue.close();
+        assert_eq!(eng.metrics().shed_total.get(), 1);
+        sh.queue.close();
         pool.join();
     }
 
     #[test]
     fn duplicate_queries_solve_once() {
-        let eng = Arc::new(engine());
+        let eng = engine();
         let qs: Vec<Query> = (0..24).map(|_| Query::new("toy", 3)).collect();
-        let results = run_pool(&eng, 8, &qs);
-        assert!(results.iter().all(|r| r.is_ok()));
+        let responses = run_pool(&eng, 8, &qs);
+        let answers: Vec<&WireAnswer> = responses
+            .iter()
+            .map(|r| match r {
+                Response::Answer { answer, .. } => answer,
+                other => panic!("expected an answer, got {other:?}"),
+            })
+            .collect();
         // Single-flight: exactly one cold solve even under concurrency;
         // all 23 other executions were served from the cache.
-        let cold = results
-            .iter()
-            .filter(|r| !r.as_ref().unwrap().cached)
-            .count();
-        assert_eq!(cold, 1);
+        assert_eq!(answers.iter().filter(|a| !a.cached).count(), 1);
         assert_eq!(eng.cache_stats().hits, 23);
     }
 }

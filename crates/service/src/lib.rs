@@ -85,7 +85,7 @@ pub use engine::{Answer, MutationReport, QueryEngine, QueryResponse, StageTiming
 pub use metrics::{MetricsSnapshot, ServiceMetrics, TelemetryConfig};
 pub use protocol::{Request, Response, WireAnswer, WireHistogram};
 pub use query::Query;
-pub use server::{ServeOptions, Server, ServerConfig};
+pub use server::{ServeOptions, Server};
 pub use warmstart::{WarmConfig, WarmKey, WarmStartCache, WarmStats};
 
 use fairhms_core::types::CoreError;
@@ -106,7 +106,7 @@ pub enum ServiceError {
     /// A wire request could not be parsed.
     Protocol(String),
     /// The server is shedding load: an admission-control bound was hit
-    /// (stream gate, solve queue, per-connection quota, or queue
+    /// (stream cap, solve queue, per-connection quota, or queue
     /// deadline — see [`server::ServeOptions`]). Carries the server's
     /// retry advice so well-behaved clients can back off precisely.
     Busy {

@@ -27,7 +27,7 @@
 //! `shed.total` (requests refused by admission control). The admission
 //! instruments and `queries.total` record even when telemetry is
 //! disabled: `STATS` reports them, and `streams.active` is the stream
-//! gate's own counter. `locks.recovered` exports
+//! cap's own counter. `locks.recovered` exports
 //! [`fairhms_obs::sync::recovered_lock_count`]: nonzero means a worker
 //! panicked while holding a lock and the poison was absorbed.
 //!
@@ -37,6 +37,8 @@
 
 use fairhms_core::registry::{family_index, ALGORITHMS};
 use fairhms_obs::{Counter, Gauge, Histogram, HistogramSnapshot, Recorder};
+
+use crate::ServiceError;
 
 /// Whether the telemetry subsystem records (on by default;
 /// `fairhms serve --no-telemetry` turns it off).
@@ -84,7 +86,7 @@ pub struct ServiceMetrics {
     /// `conn.active` — open connections.
     pub conn_active: Gauge,
     /// `streams.active` — streamed batches in flight. Always recorded:
-    /// the stream gate admits against it.
+    /// the stream cap admits against it.
     pub streams_active: Gauge,
     /// `queries.total` — engine executions. Always recorded (STATS
     /// reports it even with telemetry off).
@@ -234,6 +236,17 @@ impl ServiceMetrics {
         let avg_us = self.avg_execute_micros().max(1);
         let rounds = (queued as u64) / (workers.max(1) as u64) + 1;
         (rounds.saturating_mul(avg_us) / 1000).clamp(1, 30_000)
+    }
+
+    /// The one admission-control shed: counts it in `shed.total` and
+    /// builds its typed busy error, `reason` naming the bound that was
+    /// hit and the retry advice priced from `queued` jobs over `workers`.
+    pub(crate) fn shed(&self, reason: String, queued: usize, workers: usize) -> ServiceError {
+        self.shed_total.inc();
+        ServiceError::Busy {
+            reason,
+            retry_after_ms: self.retry_after_ms(queued, workers),
+        }
     }
 
     /// Point-in-time export of every **non-empty** histogram plus all

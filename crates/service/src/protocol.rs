@@ -319,6 +319,26 @@ impl Response {
             Err(e) => Response::error_at(seq, e),
         }
     }
+
+    /// The inverse of [`Response::error_at`]: the typed error a `Busy`
+    /// or `Error` frame carries. `Busy` keeps its retry advice; an
+    /// `Error` message comes back as [`ServiceError::Protocol`]. Any
+    /// other frame is not the `expected` one, which is a protocol error
+    /// too.
+    pub fn into_error(self, expected: &str) -> ServiceError {
+        match self {
+            Response::Busy {
+                retry_after_ms,
+                message,
+                ..
+            } => ServiceError::Busy {
+                reason: message,
+                retry_after_ms,
+            },
+            Response::Error { message, .. } => ServiceError::Protocol(message),
+            other => ServiceError::Protocol(format!("expected {expected}, got {other:?}")),
+        }
+    }
 }
 
 fn parse_bool(key: &str, v: &str) -> Result<bool, ServiceError> {
@@ -809,18 +829,7 @@ fn decode_err_line(body: &str) -> Response {
 pub fn parse_response(line: &str) -> Result<WireAnswer, ServiceError> {
     match decode_response_line(line)? {
         Response::Answer { answer, .. } => Ok(answer),
-        Response::Busy {
-            retry_after_ms,
-            message,
-            ..
-        } => Err(ServiceError::Busy {
-            reason: message,
-            retry_after_ms,
-        }),
-        Response::Error { message, .. } => Err(ServiceError::Protocol(message)),
-        other => Err(ServiceError::Protocol(format!(
-            "expected a query answer, got {other:?}"
-        ))),
+        other => Err(other.into_error("a query answer")),
     }
 }
 

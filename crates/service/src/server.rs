@@ -1,20 +1,20 @@
 //! The std-only TCP server behind `fairhms serve`.
 //!
-//! [`Server`] binds the listener and runs the readiness-driven front end
-//! (`crate::event`, built on [`crate::reactor`]) on a background thread:
-//! one loop thread owns every socket via `poll(2)`, per-connection state
-//! machines carve requests and answer with typed [`Response`] frames
-//! through the connection's negotiated codec, and solves run on a
-//! resident `executor::WorkerPool` behind a **bounded**
+//! [`Server::spawn`] binds the listener and runs the readiness-driven
+//! front end (`crate::event`, built on [`crate::reactor`]) on a
+//! background thread: one loop thread owns every socket via `poll(2)`,
+//! per-connection state machines carve requests and answer with typed
+//! [`Response`] frames through the connection's negotiated codec, and
+//! solves run on a resident `executor::WorkerPool` behind a **bounded**
 //! `executor::SolveQueue`. Idle connections cost a poll-set entry, not a
 //! thread, and shutdown is immediate (self-pipe wake, no timeout spin).
 //!
-//! This module keeps the protocol pieces the event loop calls: response
-//! encoding (`encode_into`), the control-plane verbs, the `LOAD`/
-//! `APPEND`/`DELETE` handlers, batch-body parsing, the slow-query log,
-//! the stream gate, and the request size limits.
+//! This module holds the one server configuration ([`ServeOptions`]),
+//! the state the loop and its workers share (`Shared`, whose `control`
+//! is the one dispatcher for every control verb), batch-body parsing,
+//! the slow-query log, the stream permit, and the request size limits.
 //!
-//! Admission control: the [`ServeOptions::max_stream_batches`] gate
+//! Admission control: the [`ServeOptions::max_stream_batches`] cap
 //! bounds concurrently streaming batches server-wide, per-connection
 //! quotas ([`ServeOptions::max_inflight_queries`],
 //! [`ServeOptions::max_conn_batches`]) bound pipelining, a connection cap
@@ -33,37 +33,23 @@ use std::time::Instant;
 
 use fairhms_core::registry::ALGORITHMS;
 
-use crate::codec::Codec;
 use crate::engine::{MutationReport, QueryEngine, QueryResponse};
+use crate::executor::SolveQueue;
 use crate::metrics::ServiceMetrics;
 use crate::protocol::{self, Request, Response};
 use crate::query::Query;
 use crate::reactor::Waker;
 use crate::ServiceError;
 
-/// Server tunables.
+/// Server tunables: the listen address, the worker count, and every
+/// admission bound. The default listens on `127.0.0.1:4077` with one
+/// worker per CPU and `LOAD` disabled.
 #[derive(Debug, Clone)]
-pub struct ServerConfig {
+pub struct ServeOptions {
     /// Listen address, e.g. `127.0.0.1:4077` (`:0` for an OS-chosen port).
     pub addr: String,
     /// Resident solve worker threads.
     pub workers: usize,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        Self {
-            addr: "127.0.0.1:4077".to_string(),
-            workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
-        }
-    }
-}
-
-/// Protocol-v2 serving options, separate from [`ServerConfig`] so v1
-/// callers (and the pinned v1 regression tests) construct servers
-/// unchanged; [`Server::spawn`] applies the defaults.
-#[derive(Debug, Clone)]
-pub struct ServeOptions {
     /// Allowlist directory for the `LOAD` admin verb. `None` (the
     /// default) disables `LOAD` entirely; when set, requested paths must
     /// resolve (symlinks and `..` included) to files under this
@@ -97,13 +83,15 @@ pub struct ServeOptions {
     /// client beyond it is shed with `ERR busy`.
     pub max_inflight_queries: usize,
     /// Per-connection cap on concurrently executing batches, on top of
-    /// the server-wide stream gate.
+    /// the server-wide stream cap.
     pub max_conn_batches: usize,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
         Self {
+            addr: "127.0.0.1:4077".to_string(),
+            workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
             load_root: None,
             max_stream_batches: 8,
             slow_query_ms: None,
@@ -116,40 +104,28 @@ impl Default for ServeOptions {
     }
 }
 
-/// Caps concurrently executing streamed batches server-wide, counting
-/// them on the always-on `streams.active` gauge; acquisition beyond the
-/// cap is refused with the `(active, limit)` pair so the caller can build
-/// a typed busy error carrying retry advice. Only the event-loop thread
-/// acquires and releases permits, so the check-then-increment needs no
-/// atomic read-modify-write.
-#[derive(Debug, Clone)]
-pub(crate) struct StreamGate {
-    max: usize,
-}
-
-/// Releases its [`StreamGate`] slot on drop — including when the
+/// One slot of the server-wide stream cap
+/// ([`ServeOptions::max_stream_batches`]), counted on the always-on
+/// `streams.active` gauge and released on drop — including when the
 /// connection dies with a batch in flight, so a dying client can never
-/// leak a permit. Owned (no borrow of the gate): permits live inside
-/// per-connection state that outlives any single call frame.
+/// leak a slot. Only the event-loop thread acquires and releases
+/// permits, so the check-then-increment needs no atomic
+/// read-modify-write.
 #[derive(Debug)]
 pub(crate) struct StreamPermit {
     metrics: Arc<ServiceMetrics>,
 }
 
-impl StreamGate {
-    pub(crate) fn new(max: usize) -> Self {
-        Self { max }
-    }
-
-    /// Acquires a slot, or reports `(active, limit)` when the gate is
-    /// full.
+impl StreamPermit {
+    /// Takes a slot while fewer than `max` are held; otherwise returns
+    /// the shed reason naming the cap.
     pub(crate) fn try_acquire(
-        &self,
         metrics: &Arc<ServiceMetrics>,
-    ) -> Result<StreamPermit, (usize, usize)> {
+        max: usize,
+    ) -> Result<StreamPermit, String> {
         let active = metrics.streams_active.get().max(0) as usize;
-        if active >= self.max {
-            return Err((active, self.max));
+        if active >= max {
+            return Err(format!("{active} streamed batches in flight (limit {max})"));
         }
         metrics.streams_active.inc();
         Ok(StreamPermit {
@@ -164,19 +140,125 @@ impl Drop for StreamPermit {
     }
 }
 
-/// Builds the typed busy error for a stream-gate shed and counts it in
-/// `shed.total`; `queued`/`workers` feed the retry advice.
-pub(crate) fn gate_busy(
-    m: &ServiceMetrics,
-    active: usize,
-    limit: usize,
-    queued: usize,
-    workers: usize,
-) -> ServiceError {
-    m.shed_total.inc();
-    ServiceError::Busy {
-        reason: format!("{active} streamed batches in flight (limit {limit})"),
-        retry_after_ms: m.retry_after_ms(queued, workers),
+/// What the event loop and its workers share: the engine, the bounded
+/// solve queue, the options, and the server's birth time.
+pub(crate) struct Shared {
+    pub engine: Arc<QueryEngine>,
+    pub queue: SolveQueue,
+    /// The server's options, `workers` raised to at least 1.
+    pub opts: ServeOptions,
+    /// Birth stamp behind the `uptime_secs` wire fields.
+    pub started: Instant,
+}
+
+impl Shared {
+    #[allow(clippy::disallowed_methods)] // uptime birth stamp; see R5 waiver inside
+    pub(crate) fn new(engine: Arc<QueryEngine>, mut opts: ServeOptions) -> Arc<Shared> {
+        opts.workers = opts.workers.max(1);
+        let queue = SolveQueue::new(opts.queue_depth, Arc::clone(engine.metrics()));
+        Arc::new(Shared {
+            engine,
+            queue,
+            opts,
+            // fairhms-lint: allow(R5) server birth stamp: feeds the STATS
+            // uptime_secs wire field, read once per STATS — not a hot path.
+            started: Instant::now(),
+        })
+    }
+
+    /// Sheds one request: [`ServiceMetrics::shed`] with the current queue
+    /// depth and worker count behind its retry advice.
+    pub(crate) fn shed(&self, reason: String) -> ServiceError {
+        self.engine
+            .metrics()
+            .shed(reason, self.queue.depth(), self.opts.workers)
+    }
+
+    /// The one dispatcher for every control verb. The event loop answers
+    /// the light ones inline and sends `LOAD`, `APPEND` and `DELETE` to
+    /// the worker pool, which lands here too. `HELLO`, `QUERY`, `BATCH`
+    /// and `SHUTDOWN` act on their connection, so they are not control
+    /// verbs and answer a protocol error.
+    pub(crate) fn control(&self, req: Request) -> Response {
+        let engine = &*self.engine;
+        let m = engine.metrics();
+        match req {
+            Request::Ping => Response::Pong,
+            Request::List => Response::Datasets(
+                engine
+                    .catalog()
+                    .names()
+                    .iter()
+                    .filter_map(|n| engine.catalog().get(n))
+                    .map(|p| p.summary())
+                    .collect(),
+            ),
+            Request::Algorithms => {
+                Response::Algorithms(ALGORITHMS.iter().map(|a| a.key.to_string()).collect())
+            }
+            Request::Stats => {
+                let st = engine.cache_stats();
+                let warm = engine.warm_stats();
+                Response::Stats {
+                    hits: st.hits,
+                    misses: st.misses,
+                    entries: st.entries,
+                    evictions: st.evictions,
+                    hit_rate: st.hit_rate(),
+                    warm_hits: warm.hits,
+                    warm_misses: warm.misses,
+                    warm_entries: warm.entries,
+                    uptime_secs: self.started.elapsed().as_secs(),
+                    total_queries: m.total_queries.get(),
+                    queue_depth: m.queue_depth.get().max(0) as u64,
+                    shed_total: m.shed_total.get(),
+                    conns_open: m.conn_active.get().max(0) as u64,
+                    mutations_total: m.mutations_total.get(),
+                }
+            }
+            Request::Info => Response::Info {
+                workers: self.opts.workers,
+                datasets: engine.catalog().len(),
+                cache_entries: engine.cache_stats().entries,
+                uptime_secs: self.started.elapsed().as_secs(),
+                total_queries: m.total_queries.get(),
+            },
+            Request::Metrics => Response::from_metrics(&m.snapshot()),
+            // `LOAD`: allowlist gate, path confinement, registration.
+            Request::Load { name, path } => {
+                let Some(root) = &self.opts.load_root else {
+                    return Response::error(&ServiceError::Protocol(
+                        "LOAD disabled: server started without --load-root".into(),
+                    ));
+                };
+                match crate::catalog::resolve_under_root(root, &path)
+                    .and_then(|full| engine.load_csv(&name, &full))
+                {
+                    Ok(prep) => Response::Loaded {
+                        name: prep.name.clone(),
+                        rows: prep.dataset.len(),
+                        dim: prep.dataset.dim(),
+                        groups: prep.dataset.num_groups(),
+                        skyline: prep.skyline_rows.len(),
+                    },
+                    Err(e) => Response::error(&e),
+                }
+            }
+            Request::Append { name, row, group } => {
+                let outcome = engine.append_row(&name, &row, group);
+                mutated(name, "append", outcome)
+            }
+            Request::Delete { name, row } => {
+                let outcome = engine.delete_row(&name, row);
+                mutated(name, "delete", outcome)
+            }
+            Request::Hello { .. }
+            | Request::Query(_)
+            | Request::Batch { .. }
+            | Request::Shutdown => {
+                Response::error(&ServiceError::Protocol("not a control verb".into()))
+            }
+        }
     }
 }
 
@@ -191,38 +273,20 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `cfg.addr` and starts the event loop on a background thread
-    /// with default [`ServeOptions`] (`LOAD` disabled). The returned
-    /// handle reports the bound address (useful with port 0) and can
-    /// stop the server.
-    pub fn spawn(engine: Arc<QueryEngine>, cfg: ServerConfig) -> Result<Server, ServiceError> {
-        Server::spawn_with(engine, cfg, ServeOptions::default())
-    }
-
-    /// [`Server::spawn`] with explicit protocol-v2 [`ServeOptions`].
-    #[allow(clippy::disallowed_methods)] // uptime birth stamp; see R5 waiver inside
-    pub fn spawn_with(
-        engine: Arc<QueryEngine>,
-        cfg: ServerConfig,
-        opts: ServeOptions,
-    ) -> Result<Server, ServiceError> {
-        let listener = bind(&cfg.addr)?;
+    /// Binds `opts.addr` and starts the event loop on a background
+    /// thread. The returned handle reports the bound address (useful
+    /// with port 0) and can stop the server.
+    pub fn spawn(engine: Arc<QueryEngine>, opts: ServeOptions) -> Result<Server, ServiceError> {
+        let listener = bind(&opts.addr)?;
         let addr = listener.local_addr()?;
         // The event loop waits for listener readiness via `poll(2)`.
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let loop_stop = Arc::clone(&stop);
-        let opts = Arc::new(opts);
-        // fairhms-lint: allow(R5) server birth stamp: feeds the STATS
-        // uptime_secs wire field, read once per STATS — not a hot path.
-        let started = Instant::now();
         let (pipe, waker) = crate::reactor::wake_pair()?;
-        let loop_waker = waker.clone();
-        let workers = cfg.workers;
+        let sh = Shared::new(engine, opts);
+        let (loop_stop, loop_waker) = (Arc::clone(&stop), waker.clone());
         let handle = std::thread::spawn(move || {
-            crate::event::run(
-                listener, engine, workers, loop_stop, opts, started, pipe, loop_waker,
-            );
+            crate::event::run(listener, sh, &loop_stop, pipe, loop_waker);
         });
         Ok(Server {
             addr,
@@ -286,96 +350,6 @@ pub(crate) const MAX_BATCH_BYTES: usize = 16 << 20;
 /// protocol error before any lines are read.
 pub(crate) const MAX_BATCH: usize = 100_000;
 
-/// Serializes `resp` into `frame` (replacing its contents), falling back
-/// to a typed `ERR` frame when the value is not encodable, so a
-/// wire-unsafe value never reaches the socket as a desynchronizing byte
-/// sequence — the response-side half of the wire-safety contract.
-pub(crate) fn encode_into(
-    codec: &dyn Codec,
-    frame: &mut Vec<u8>,
-    resp: &Response,
-    metrics: &ServiceMetrics,
-) -> std::io::Result<()> {
-    // The encode span covers serialization only, never socket writes.
-    let _encode = metrics.recorder().span(&metrics.encode);
-    frame.clear();
-    if let Err(e) = codec.encode_frame(resp, frame) {
-        frame.clear();
-        let fallback = Response::Error {
-            seq: None,
-            message: format!("response not encodable: {e}").replace(['\n', '\r'], " "),
-        };
-        codec
-            .encode_frame(&fallback, frame)
-            .map_err(|e2| std::io::Error::new(std::io::ErrorKind::InvalidData, e2.to_string()))?;
-    }
-    Ok(())
-}
-
-/// Answers the light control-plane verbs inline. `None` for the verbs
-/// that need connection or worker-pool state: `HELLO`, `QUERY`, `BATCH`,
-/// `SHUTDOWN`, and the heavy `LOAD`/`APPEND`/`DELETE`, which run on the
-/// pool through [`handle_load`] and [`mutated`].
-pub(crate) fn control_response(
-    engine: &QueryEngine,
-    workers: usize,
-    started: Instant,
-    req: &Request,
-) -> Option<Response> {
-    let m = engine.metrics();
-    Some(match req {
-        Request::Ping => Response::Pong,
-        Request::List => {
-            let summaries: Vec<String> = engine
-                .catalog()
-                .names()
-                .iter()
-                .filter_map(|n| engine.catalog().get(n))
-                .map(|p| p.summary())
-                .collect();
-            Response::Datasets(summaries)
-        }
-        Request::Algorithms => {
-            Response::Algorithms(ALGORITHMS.iter().map(|a| a.key.to_string()).collect())
-        }
-        Request::Stats => {
-            let st = engine.cache_stats();
-            let warm = engine.warm_stats();
-            Response::Stats {
-                hits: st.hits,
-                misses: st.misses,
-                entries: st.entries,
-                evictions: st.evictions,
-                hit_rate: st.hit_rate(),
-                warm_hits: warm.hits,
-                warm_misses: warm.misses,
-                warm_entries: warm.entries,
-                uptime_secs: started.elapsed().as_secs(),
-                total_queries: m.total_queries.get(),
-                queue_depth: m.queue_depth.get().max(0) as u64,
-                shed_total: m.shed_total.get(),
-                conns_open: m.conn_active.get().max(0) as u64,
-                mutations_total: m.mutations_total.get(),
-            }
-        }
-        Request::Info => Response::Info {
-            workers,
-            datasets: engine.catalog().len(),
-            cache_entries: engine.cache_stats().entries,
-            uptime_secs: started.elapsed().as_secs(),
-            total_queries: m.total_queries.get(),
-        },
-        Request::Metrics => Response::from_metrics(&m.snapshot()),
-        Request::Hello { .. }
-        | Request::Query(_)
-        | Request::Batch { .. }
-        | Request::Shutdown
-        | Request::Load { .. }
-        | Request::Append { .. }
-        | Request::Delete { .. } => return None,
-    })
-}
-
 /// Renders the slow-query log line for a query that took longer than
 /// `threshold_ms`, or `None` when the log is off, the query failed, or
 /// the query was fast enough. One line per slow query:
@@ -417,8 +391,8 @@ fn format_slow_query(
     Some(out)
 }
 
-/// Prints [`format_slow_query`]'s line to stderr when it applies; the
-/// event loop calls it as each solve's completion is delivered.
+/// Prints [`format_slow_query`]'s line to stderr when it applies; a
+/// worker calls it as each solve completes.
 pub(crate) fn log_if_slow(
     threshold_ms: Option<u64>,
     q: &Query,
@@ -429,44 +403,11 @@ pub(crate) fn log_if_slow(
     }
 }
 
-/// Handles the `LOAD` admin verb: allowlist gate, path confinement,
-/// catalog registration.
-pub(crate) fn handle_load(
-    engine: &QueryEngine,
-    opts: &ServeOptions,
-    name: &str,
-    path: &str,
-) -> Response {
-    let Some(root) = &opts.load_root else {
-        return Response::error(&ServiceError::Protocol(
-            "LOAD disabled: server started without --load-root".into(),
-        ));
-    };
-    let full = match crate::catalog::resolve_under_root(root, path) {
-        Ok(p) => p,
-        Err(e) => return Response::error(&e),
-    };
-    match engine.load_csv(name, &full) {
-        Ok(prep) => Response::Loaded {
-            name: prep.name.clone(),
-            rows: prep.dataset.len(),
-            dim: prep.dataset.dim(),
-            groups: prep.dataset.num_groups(),
-            skyline: prep.skyline_rows.len(),
-        },
-        Err(e) => Response::error(&e),
-    }
-}
-
 /// The one [`Response::Mutated`] frame of an `APPEND` or `DELETE`
 /// (`op`): the catalog change plus the delta cache invalidation it ran.
 /// Mutations take no `--load-root` gate — they touch only datasets
 /// already registered, never the filesystem.
-pub(crate) fn mutated(
-    name: String,
-    op: &str,
-    outcome: Result<MutationReport, ServiceError>,
-) -> Response {
+fn mutated(name: String, op: &str, outcome: Result<MutationReport, ServiceError>) -> Response {
     match outcome {
         Ok(rep) => Response::Mutated {
             name,
@@ -524,9 +465,10 @@ mod tests {
         let engine = Arc::new(QueryEngine::new(catalog, 16));
         Server::spawn(
             engine,
-            ServerConfig {
+            ServeOptions {
                 addr: "127.0.0.1:0".to_string(),
                 workers,
+                ..ServeOptions::default()
             },
         )
         .unwrap()
@@ -650,15 +592,13 @@ mod tests {
     #[test]
     fn stream_gate_sheds_load_beyond_the_cap_and_releases_on_drop() {
         let m = Arc::new(ServiceMetrics::new(false));
-        let gate = StreamGate::new(2);
-        let a = gate.try_acquire(&m).unwrap();
-        let b = gate.try_acquire(&m).unwrap();
-        // Third stream: refused with the (active, limit) pair, which the
+        let a = StreamPermit::try_acquire(&m, 2).unwrap();
+        let b = StreamPermit::try_acquire(&m, 2).unwrap();
+        // Third stream: refused with the reason naming the cap, which the
         // caller turns into a typed busy error carrying retry advice.
-        let (active, limit) = gate.try_acquire(&m).unwrap_err();
-        assert_eq!((active, limit), (2, 2));
-        let busy = gate_busy(&m, active, limit, 0, 4);
-        match busy {
+        let reason = StreamPermit::try_acquire(&m, 2).unwrap_err();
+        assert_eq!(reason, "2 streamed batches in flight (limit 2)");
+        match m.shed(reason, 0, 4) {
             ServiceError::Busy {
                 reason,
                 retry_after_ms,
@@ -671,22 +611,20 @@ mod tests {
         assert_eq!(m.shed_total.get(), 1);
         drop(a);
         // A released slot is immediately reusable.
-        let c = gate.try_acquire(&m).unwrap();
+        let c = StreamPermit::try_acquire(&m, 2).unwrap();
         drop(b);
         drop(c);
         assert_eq!(m.streams_active.get(), 0);
 
         // max_stream_batches = 0 disables streaming outright.
-        let closed = StreamGate::new(0);
-        assert!(closed.try_acquire(&m).is_err());
+        assert!(StreamPermit::try_acquire(&m, 0).is_err());
     }
 
     #[test]
     fn stream_permit_tracks_the_streams_gauge_when_telemetry_is_on() {
         let m = Arc::new(ServiceMetrics::new(true));
-        let gate = StreamGate::new(4);
-        let a = gate.try_acquire(&m).unwrap();
-        let b = gate.try_acquire(&m).unwrap();
+        let a = StreamPermit::try_acquire(&m, 4).unwrap();
+        let b = StreamPermit::try_acquire(&m, 4).unwrap();
         assert_eq!(m.streams_active.get(), 2);
         drop(a);
         assert_eq!(m.streams_active.get(), 1);
@@ -696,11 +634,10 @@ mod tests {
 
     #[test]
     fn stream_permit_tracks_the_streams_gauge_when_telemetry_is_off() {
-        // The gauge is the gate's counter, so METRICS reports running
-        // streams under --no-telemetry too.
+        // The gauge is the stream cap's counter, so METRICS reports
+        // running streams under --no-telemetry too.
         let m = Arc::new(ServiceMetrics::new(false));
-        let gate = StreamGate::new(4);
-        let a = gate.try_acquire(&m).unwrap();
+        let a = StreamPermit::try_acquire(&m, 4).unwrap();
         assert_eq!(m.streams_active.get(), 1);
         drop(a);
         assert_eq!(m.streams_active.get(), 0);

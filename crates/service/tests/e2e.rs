@@ -13,7 +13,7 @@ use rand::SeedableRng;
 
 use fairhms_data::{gen, Dataset};
 use fairhms_service::protocol::{self, Response, WireAnswer};
-use fairhms_service::{Catalog, CodecKind, Query, QueryEngine, Server, ServerConfig, WireClient};
+use fairhms_service::{Catalog, CodecKind, Query, QueryEngine, ServeOptions, Server, WireClient};
 
 /// An anti-correlated dataset in the paper's evaluation style: n points,
 /// d attributes, c groups assigned by attribute-sum quantiles.
@@ -69,9 +69,10 @@ fn tcp_end_to_end_mixed_batch_with_cache_hits() {
     let engine = engine_with("anticor");
     let server = Server::spawn(
         Arc::clone(&engine),
-        ServerConfig {
+        ServeOptions {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
+            ..ServeOptions::default()
         },
     )
     .unwrap();

@@ -16,7 +16,7 @@ use rand::SeedableRng;
 use fairhms_core::registry::ALGORITHMS;
 use fairhms_data::{gen, Dataset};
 use fairhms_service::{
-    Catalog, CodecKind, Query, QueryEngine, Response, Server, ServerConfig, WireClient,
+    Catalog, CodecKind, Query, QueryEngine, Response, ServeOptions, Server, WireClient,
 };
 
 fn generated(name: &str, n: usize, d: usize, c: usize, seed: u64) -> Dataset {
@@ -227,9 +227,10 @@ fn spawn_two_dataset_server() -> Server {
     let engine = Arc::new(QueryEngine::new(catalog, 4096));
     Server::spawn(
         engine,
-        ServerConfig {
+        ServeOptions {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
+            ..ServeOptions::default()
         },
     )
     .unwrap()

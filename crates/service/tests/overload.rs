@@ -31,9 +31,7 @@ use rand::SeedableRng;
 use fairhms_data::{gen, Dataset};
 use fairhms_service::codec::CodecKind;
 use fairhms_service::protocol::{parse_response, Response};
-use fairhms_service::{
-    Catalog, Query, QueryEngine, ServeOptions, Server, ServerConfig, WireClient,
-};
+use fairhms_service::{Catalog, Query, QueryEngine, ServeOptions, Server, WireClient};
 
 fn generated(name: &str, n: usize, d: usize, c: usize, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -64,13 +62,13 @@ fn spawn(workers: usize, opts: ServeOptions) -> Server {
         .insert_dataset(generated("demo", 120, 2, 3, 11))
         .unwrap();
     let engine = Arc::new(QueryEngine::new(catalog, 4096));
-    Server::spawn_with(
+    Server::spawn(
         engine,
-        ServerConfig {
+        ServeOptions {
             addr: "127.0.0.1:0".to_string(),
             workers,
+            ..opts
         },
-        opts,
     )
     .unwrap()
 }

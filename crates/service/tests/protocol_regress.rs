@@ -9,7 +9,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use fairhms_data::Dataset;
-use fairhms_service::{Catalog, Query, QueryEngine, Server, ServerConfig};
+use fairhms_service::{Catalog, Query, QueryEngine, ServeOptions, Server};
 
 struct Client {
     reader: BufReader<TcpStream>,
@@ -57,9 +57,10 @@ fn spawn_server() -> Server {
     let engine = Arc::new(QueryEngine::new(catalog, 64));
     Server::spawn(
         engine,
-        ServerConfig {
+        ServeOptions {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
+            ..ServeOptions::default()
         },
     )
     .unwrap()

@@ -21,7 +21,7 @@ use fairhms_service::protocol::{
     decode_response_line, encode_response_line, parse_response, Response, WireAnswer,
 };
 use fairhms_service::{
-    Catalog, Query, QueryEngine, ServeOptions, Server, ServerConfig, ServiceError, WireClient,
+    Catalog, Query, QueryEngine, ServeOptions, Server, ServiceError, WireClient,
 };
 
 fn generated(name: &str, n: usize, d: usize, c: usize, seed: u64) -> Dataset {
@@ -45,13 +45,13 @@ fn spawn_server(opts: ServeOptions) -> Server {
         .insert_dataset(generated("demo", 120, 2, 3, 11))
         .unwrap();
     let engine = Arc::new(QueryEngine::new(catalog, 4096));
-    Server::spawn_with(
+    Server::spawn(
         engine,
-        ServerConfig {
+        ServeOptions {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
+            ..opts
         },
-        opts,
     )
     .unwrap()
 }

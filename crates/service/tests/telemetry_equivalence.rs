@@ -17,7 +17,7 @@ use fairhms_core::registry::ALGORITHMS;
 use fairhms_data::{gen, Dataset};
 use fairhms_service::protocol::{Response, WireAnswer};
 use fairhms_service::{
-    Catalog, CodecKind, Query, QueryEngine, Server, ServerConfig, ServiceError, TelemetryConfig,
+    Catalog, CodecKind, Query, QueryEngine, ServeOptions, Server, ServiceError, TelemetryConfig,
     WarmConfig, WireClient,
 };
 
@@ -177,9 +177,10 @@ fn metrics_verb_reports_nonzero_over_both_codecs() {
     cat.insert_dataset(generated("wire", 200, 2, 3, 5)).unwrap();
     let server = Server::spawn(
         Arc::clone(&eng),
-        ServerConfig {
+        ServeOptions {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
+            ..ServeOptions::default()
         },
     )
     .unwrap();
@@ -245,9 +246,10 @@ fn wire_server(telemetry: bool) -> Server {
     cat.insert_dataset(generated("wire", 200, 2, 3, 5)).unwrap();
     Server::spawn(
         eng,
-        ServerConfig {
+        ServeOptions {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
+            ..ServeOptions::default()
         },
     )
     .unwrap()

@@ -303,7 +303,7 @@ fn cmd_solve(opts: &Flags) -> Result<(), String> {
 /// in the foreground until a client sends SHUTDOWN (or the process is
 /// killed).
 fn cmd_serve(opts: &Flags) -> Result<(), String> {
-    use fairhms::service::{Catalog, QueryEngine, ServeOptions, Server, ServerConfig};
+    use fairhms::service::{Catalog, QueryEngine, ServeOptions, Server};
     use std::sync::Arc;
 
     // `event` is the only front end; the flag stays accepted so existing
@@ -325,7 +325,11 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         .unwrap_or_else(|| "127.0.0.1:4077".to_string());
     let workers = positive(opts, "workers")?.unwrap_or(4);
     let cache = positive(opts, "cache")?.unwrap_or(1024);
-    let mut serve_opts = ServeOptions::default();
+    let mut serve_opts = ServeOptions {
+        addr,
+        workers,
+        ..ServeOptions::default()
+    };
     if let Some(n) = positive(opts, "max-conns")? {
         serve_opts.max_conns = n;
     }
@@ -401,8 +405,7 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         (true, None) => ", telemetry on".to_string(),
         (true, Some(ms)) => format!(", telemetry on, slow-query log >{ms}ms"),
     };
-    let server = Server::spawn_with(engine, ServerConfig { addr, workers }, serve_opts)
-        .map_err(|e| e.to_string())?;
+    let server = Server::spawn(engine, serve_opts).map_err(|e| e.to_string())?;
     println!(
         "fairhms-service listening on {} ({}, {} batch workers, cache {} answers, \
          {} max streams, {}{}{})",

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use fairhms::core::registry;
 use fairhms::core::types::CoreError;
 use fairhms::data::Dataset;
-use fairhms::service::{Catalog, QueryEngine, Server, ServerConfig};
+use fairhms::service::{Catalog, QueryEngine, ServeOptions, Server};
 
 /// `(canonical key, paper display name, is_fair, extra spellings)`, in
 /// registry order.
@@ -123,9 +123,10 @@ fn spawn_server() -> Server {
     let engine = Arc::new(QueryEngine::new(catalog, 64));
     Server::spawn(
         engine,
-        ServerConfig {
+        ServeOptions {
             addr: "127.0.0.1:0".to_string(),
             workers: 1,
+            ..ServeOptions::default()
         },
     )
     .unwrap()
