@@ -468,7 +468,9 @@ fn cmd_query(opts: &Flags) -> Result<(), String> {
         client.send_line(&block).map_err(|e| e.to_string())?;
         match client.recv().map_err(|e| e.to_string())? {
             Response::BatchHeader { n, .. } if n == lines.len() => {}
-            Response::Error { message, .. } => return Err(format!("batch rejected: {message}")),
+            Response::Busy { message, .. } | Response::Error { message, .. } => {
+                return Err(format!("batch rejected: {message}"))
+            }
             other => return Err(format!("unexpected batch header: {other:?}")),
         }
         let (mut hits, mut errs) = (0usize, 0usize);
@@ -478,7 +480,7 @@ fn cmd_query(opts: &Flags) -> Result<(), String> {
             // request line; buffered answers arrive in request order.
             let (seq, is_err, cached) = match &resp {
                 Response::Answer { seq, answer } => (*seq, false, answer.cached),
-                Response::Error { seq, .. } => (*seq, true, false),
+                Response::Busy { seq, .. } | Response::Error { seq, .. } => (*seq, true, false),
                 other => return Err(format!("unexpected batch frame: {other:?}")),
             };
             if is_err {

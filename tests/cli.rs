@@ -208,6 +208,9 @@ fn serve_and_query_round_trip() {
                 // Still accepted: `event` is the only front end.
                 "--frontend",
                 "event",
+                // Streaming off, so a streamed batch is shed.
+                "--max-streams",
+                "0",
             ])
             .stdout(std::process::Stdio::piped())
             .spawn()
@@ -289,6 +292,25 @@ fn serve_and_query_round_trip() {
         out.contains("batch: 3 queries, 1 served from cache, 0 errors")
             || out.contains("batch: 3 queries, 2 served from cache, 0 errors"),
         "{out}"
+    );
+
+    // A shed batch (`ERR busy`) is reported like any refused batch.
+    let query = Command::new(bin())
+        .args([
+            "query",
+            "--addr",
+            &addr,
+            "--file",
+            batch.to_str().unwrap(),
+            "--stream",
+        ])
+        .output()
+        .expect("run streamed batch query");
+    assert!(!query.status.success());
+    let stderr = String::from_utf8_lossy(&query.stderr);
+    assert!(
+        stderr.contains("batch rejected: 0 streamed batches in flight (limit 0)"),
+        "{stderr}"
     );
 
     // Shut the server down over the wire and wait for clean exit.
