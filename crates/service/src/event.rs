@@ -46,7 +46,7 @@ use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use crate::codec::CodecKind;
-use crate::executor::{Done, Job, JobAddr, WorkerPool};
+use crate::executor::{Done, Job, JobAddr, Reply, WorkerPool};
 use crate::metrics::ServiceMetrics;
 use crate::protocol::{self, Request, Response};
 use crate::reactor::{poll, PollFd, WakePipe, Waker, POLLIN, POLLOUT};
@@ -225,13 +225,7 @@ impl Conn {
 
     /// A job for this connection, stamped with its enqueue time.
     #[allow(clippy::disallowed_methods)] // queue-age stamp; see R5 waiver inside
-    fn job(
-        &self,
-        ticket: u64,
-        batch_index: Option<usize>,
-        seq: Option<u64>,
-        request: Request,
-    ) -> Job {
+    fn job(&self, ticket: u64, batch_index: Option<usize>, request: Request) -> Job {
         Job {
             addr: JobAddr {
                 conn: self.slot,
@@ -239,7 +233,6 @@ impl Conn {
                 ticket,
                 batch_index,
             },
-            seq,
             request,
             // fairhms-lint: allow(R5) admission-control deadline stamp:
             // queue-age shedding must work with telemetry off.
@@ -422,7 +415,7 @@ impl Conn {
             return;
         }
         let ticket = self.take_ticket();
-        match sh.queue.push(self.job(ticket, None, None, req)) {
+        match sh.queue.push(self.job(ticket, None, req)) {
             Ok(()) => {
                 self.pending.push_back(Entry::Job {
                     ticket,
@@ -490,9 +483,9 @@ impl Conn {
             _permit: permit,
         };
         for (i, q) in queries.into_iter().enumerate() {
-            let seq = c.stream.then_some(i as u64);
-            let job = self.job(ticket, Some(i), seq, Request::Query(Box::new(q)));
+            let job = self.job(ticket, Some(i), Request::Query(Box::new(q)));
             if sh.queue.push(job).is_err() {
+                let seq = c.stream.then_some(i as u64);
                 let busy = Response::error_at(seq, &queue_full(sh));
                 let frame = encode(self.kind, &busy, sh.engine.metrics());
                 if c.stream {
@@ -507,8 +500,12 @@ impl Conn {
         self.pending.push_back(Entry::Batch(entry));
     }
 
-    /// Routes one job's response into its FIFO entry.
+    /// Routes one job's reply into its FIFO entry.
     fn complete(&mut self, done: Done, m: &ServiceMetrics) {
+        let response = |seq| match done.reply {
+            Reply::Solved { result, .. } => Response::from_result(seq, &result),
+            Reply::Answered(resp) => resp,
+        };
         // Linear scan: connections hold at most quota-bounded entries.
         for entry in self.pending.iter_mut() {
             match entry {
@@ -518,7 +515,7 @@ impl Conn {
                     control,
                     done: slot,
                 } if *ticket == done.addr.ticket => {
-                    *slot = Some(encode(*kind, &done.response, m));
+                    *slot = Some(encode(*kind, &response(None), m));
                     if *control {
                         // Lift the input barrier; the event loop resumes
                         // any lines parked behind it this same iteration.
@@ -530,7 +527,8 @@ impl Conn {
                     let Some(i) = done.addr.batch_index else {
                         return;
                     };
-                    let frame = encode(b.kind, &done.response, m);
+                    let seq = b.stream.then_some(i as u64);
+                    let frame = encode(b.kind, &response(seq), m);
                     if b.stream {
                         b.frames.push_back(frame);
                     } else {
@@ -758,6 +756,9 @@ pub(crate) fn run(
             };
             if conn.generation != done.addr.generation {
                 continue; // the slot was reused; the addressee is gone
+            }
+            if let Reply::Solved { query, result } = &done.reply {
+                server::log_if_slow(sh.opts.slow_query_ms, query, result);
             }
             conn.complete(done, sh.engine.metrics());
         }

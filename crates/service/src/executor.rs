@@ -6,9 +6,9 @@
 //! `BATCH` slot's query, or a heavy control verb — plus the [`JobAddr`]
 //! of the connection entry awaiting it. A worker answers the request (a
 //! query through the engine, a control verb through the server's one
-//! dispatcher) and sends the response back under the same address over
-//! an `mpsc` channel, followed by a self-pipe wake. The loop places each
-//! response by its ticket and batch index, so worker count and OS
+//! dispatcher) and sends the [`Reply`] back under the same address
+//! over an `mpsc` channel, followed by a self-pipe wake. The loop places
+//! each reply by its ticket and batch index, so worker count and OS
 //! scheduling affect only wall-clock time, never payloads (each query's
 //! answer is solved from a per-query seed, not from shared RNG state).
 //!
@@ -25,10 +25,13 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use fairhms_obs::sync::{lock_or_recover, wait_or_recover};
 use std::time::Instant;
 
+use crate::engine::QueryResponse;
 use crate::metrics::ServiceMetrics;
 use crate::protocol::{Request, Response};
+use crate::query::Query;
 use crate::reactor::Waker;
-use crate::server::{self, Shared};
+use crate::server::Shared;
+use crate::ServiceError;
 
 /// Where a job's response goes. The generation guards against the
 /// connection slot being reused by a new connection while an old job is
@@ -49,10 +52,8 @@ pub(crate) struct JobAddr {
 /// One job admitted into the global queue.
 #[derive(Debug)]
 pub(crate) struct Job {
-    /// Where the response goes.
+    /// Where the reply goes.
     pub addr: JobAddr,
-    /// The streamed-batch tag (`seq=`) the response carries, if any.
-    pub seq: Option<u64>,
     /// What to answer: a `QUERY` (subject to deadline shedding) or a
     /// control verb.
     pub request: Request,
@@ -60,13 +61,29 @@ pub(crate) struct Job {
     pub enqueued: Instant,
 }
 
-/// A job's response, routed back to the event loop.
+/// What a worker made of one job.
+#[derive(Debug)]
+pub(crate) enum Reply {
+    /// A query's result, or its deadline shed; the query rides back for
+    /// the slow-query log. The loop, not the worker, turns the result
+    /// into a [`Response`], so the response's buffers are allocated and
+    /// freed on one thread (on `churn`, building it on the worker cost
+    /// about 4 % more server CPU per read).
+    Solved {
+        query: Box<Query>,
+        result: Result<QueryResponse, ServiceError>,
+    },
+    /// A control verb's response.
+    Answered(Response),
+}
+
+/// A job's reply, routed back to the event loop.
 #[derive(Debug)]
 pub(crate) struct Done {
     /// The job's address.
     pub addr: JobAddr,
-    /// The response, ready to encode.
-    pub response: Response,
+    /// What the worker made of it.
+    pub reply: Reply,
 }
 
 struct QueueState {
@@ -148,7 +165,7 @@ impl SolveQueue {
 }
 
 /// The resident worker threads draining the shared `SolveQueue`. Each
-/// response is sent over the `done` channel and followed by a [`Waker`]
+/// reply is sent over the `done` channel and followed by a [`Waker`]
 /// kick, so the event loop learns about it immediately instead of on its
 /// next timeout.
 pub(crate) struct WorkerPool {
@@ -166,8 +183,8 @@ impl WorkerPool {
                     .spawn(move || {
                         while let Some(job) = sh.queue.pop() {
                             let addr = job.addr;
-                            let response = answer(&sh, job);
-                            if done.send(Done { addr, response }).is_err() {
+                            let reply = answer(&sh, job);
+                            if done.send(Done { addr, reply }).is_err() {
                                 break; // event loop gone; nothing to report to
                             }
                             waker.wake();
@@ -192,7 +209,7 @@ impl WorkerPool {
 /// budget: a query dequeued after sitting longer is shed (typed busy
 /// error carrying retry advice) instead of executed; control verbs are
 /// exempt.
-fn answer(sh: &Shared, job: Job) -> Response {
+fn answer(sh: &Shared, job: Job) -> Reply {
     let m = sh.engine.metrics();
     let waited = job.enqueued.elapsed();
     if m.enabled() {
@@ -201,7 +218,7 @@ fn answer(sh: &Shared, job: Job) -> Response {
     }
     let query = match job.request {
         Request::Query(query) => query,
-        control => return sh.control(control),
+        control => return Reply::Answered(sh.control(control)),
     };
     let result = match sh.opts.queue_deadline_ms {
         Some(d) if waited.as_millis() > u128::from(d) => Err(sh.shed(format!(
@@ -213,8 +230,7 @@ fn answer(sh: &Shared, job: Job) -> Response {
             sh.engine.execute(&query)
         }
     };
-    server::log_if_slow(sh.opts.slow_query_ms, &query, &result);
-    Response::from_result(job.seq, &result)
+    Reply::Solved { query, result }
 }
 
 #[cfg(test)]
@@ -222,7 +238,6 @@ fn answer(sh: &Shared, job: Job) -> Response {
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
-    use crate::protocol::WireAnswer;
     use crate::server::ServeOptions;
     use crate::{Query, QueryEngine};
     use fairhms_data::Dataset;
@@ -251,14 +266,19 @@ mod tests {
         qs
     }
 
-    fn payloads(responses: &[Response]) -> Vec<Option<Vec<usize>>> {
-        responses
+    fn payloads(results: &[Result<QueryResponse, ServiceError>]) -> Vec<Option<Vec<usize>>> {
+        results
             .iter()
-            .map(|r| match r {
-                Response::Answer { answer, .. } => Some(answer.indices.clone()),
-                _ => None,
-            })
+            .map(|r| r.as_ref().ok().map(|resp| resp.answer.indices.clone()))
             .collect()
+    }
+
+    /// The result a worker replied with to a query job.
+    fn solved(reply: Reply) -> Result<QueryResponse, ServiceError> {
+        match reply {
+            Reply::Solved { result, .. } => result,
+            other => panic!("expected a solve outcome, got {other:?}"),
+        }
     }
 
     /// Server state over `eng` with `workers` workers, a queue of
@@ -282,8 +302,12 @@ mod tests {
 
     /// Runs `queries` through a `workers`-wide pool as one batch (the
     /// event loop's shape: one job per slot, tagged with its index) and
-    /// reassembles the responses by batch index.
-    fn run_pool(eng: &Arc<QueryEngine>, workers: usize, queries: &[Query]) -> Vec<Response> {
+    /// reassembles the results by batch index.
+    fn run_pool(
+        eng: &Arc<QueryEngine>,
+        workers: usize,
+        queries: &[Query],
+    ) -> Vec<Result<QueryResponse, ServiceError>> {
         let sh = shared(eng, workers, queries.len(), None);
         let (_pipe, waker) = crate::reactor::wake_pair().unwrap();
         let (tx, rx) = mpsc::channel();
@@ -294,12 +318,13 @@ mod tests {
             slot.request = Request::Query(Box::new(q.clone()));
             sh.queue.push(slot).unwrap();
         }
-        let mut out: Vec<Option<Response>> = (0..queries.len()).map(|_| None).collect();
+        let mut out: Vec<Option<Result<QueryResponse, ServiceError>>> =
+            (0..queries.len()).map(|_| None).collect();
         for _ in 0..queries.len() {
             let d = rx.recv().unwrap();
             let i = d.addr.batch_index.expect("batch jobs carry their index");
             assert!(out[i].is_none(), "index {i} delivered twice");
-            out[i] = Some(d.response);
+            out[i] = Some(solved(d.reply));
         }
         sh.queue.close();
         pool.join();
@@ -319,17 +344,13 @@ mod tests {
     #[test]
     fn per_slot_errors_do_not_poison_the_batch() {
         let qs = batch();
-        let responses = run_pool(&engine(), 4, &qs);
-        assert_eq!(responses.len(), qs.len());
-        assert!(responses[..qs.len() - 1]
-            .iter()
-            .all(|r| matches!(r, Response::Answer { .. })));
-        match &responses[qs.len() - 1] {
-            Response::Error { message, .. } => {
-                assert!(message.starts_with("unknown dataset"), "{message}")
-            }
-            other => panic!("expected an unknown-dataset error, got {other:?}"),
-        }
+        let results = run_pool(&engine(), 4, &qs);
+        assert_eq!(results.len(), qs.len());
+        assert!(results[..qs.len() - 1].iter().all(|r| r.is_ok()));
+        assert!(matches!(
+            results[qs.len() - 1],
+            Err(ServiceError::UnknownDataset { .. })
+        ));
     }
 
     fn job(ticket: u64) -> Job {
@@ -340,7 +361,6 @@ mod tests {
                 ticket,
                 batch_index: None,
             },
-            seq: None,
             request: Request::Query(Box::new(Query::new("toy", 2))),
             enqueued: Instant::now(),
         }
@@ -394,13 +414,10 @@ mod tests {
         }
         let mut done: Vec<Done> = (0..8).map(|_| rx.recv().unwrap()).collect();
         done.sort_by_key(|d| d.addr.ticket);
-        for (t, d) in done.iter().enumerate() {
+        for (t, d) in done.into_iter().enumerate() {
             assert_eq!(d.addr.ticket, t as u64);
-            assert!(
-                matches!(d.response, Response::Answer { .. }),
-                "{:?}",
-                d.response
-            );
+            let result = solved(d.reply);
+            assert!(result.is_ok(), "{result:?}");
         }
         // Completions pinged the wake pipe (coalesced ≥ 1 byte pending).
         let mut fds = [crate::reactor::PollFd::new(
@@ -423,14 +440,12 @@ mod tests {
         let (_pipe, waker) = crate::reactor::wake_pair().unwrap();
         let (tx, rx) = mpsc::channel();
         let pool = WorkerPool::spawn(&sh, tx, waker);
-        let d = rx.recv().unwrap();
-        match d.response {
-            Response::Busy {
-                message,
+        match solved(rx.recv().unwrap().reply) {
+            Err(ServiceError::Busy {
+                reason,
                 retry_after_ms,
-                ..
-            } => {
-                assert!(message.contains("deadline"), "{message}");
+            }) => {
+                assert!(reason.contains("deadline"), "{reason}");
                 assert!(retry_after_ms >= 1);
             }
             other => panic!("expected a deadline shed, got {other:?}"),
@@ -444,17 +459,15 @@ mod tests {
     fn duplicate_queries_solve_once() {
         let eng = engine();
         let qs: Vec<Query> = (0..24).map(|_| Query::new("toy", 3)).collect();
-        let responses = run_pool(&eng, 8, &qs);
-        let answers: Vec<&WireAnswer> = responses
-            .iter()
-            .map(|r| match r {
-                Response::Answer { answer, .. } => answer,
-                other => panic!("expected an answer, got {other:?}"),
-            })
-            .collect();
+        let results = run_pool(&eng, 8, &qs);
+        assert!(results.iter().all(|r| r.is_ok()));
         // Single-flight: exactly one cold solve even under concurrency;
         // all 23 other executions were served from the cache.
-        assert_eq!(answers.iter().filter(|a| !a.cached).count(), 1);
+        let cold = results
+            .iter()
+            .filter(|r| !r.as_ref().unwrap().cached)
+            .count();
+        assert_eq!(cold, 1);
         assert_eq!(eng.cache_stats().hits, 23);
     }
 }

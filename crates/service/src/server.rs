@@ -391,8 +391,8 @@ fn format_slow_query(
     Some(out)
 }
 
-/// Prints [`format_slow_query`]'s line to stderr when it applies; a
-/// worker calls it as each solve completes.
+/// Prints [`format_slow_query`]'s line to stderr when it applies; the
+/// event loop calls it as each solve's completion is delivered.
 pub(crate) fn log_if_slow(
     threshold_ms: Option<u64>,
     q: &Query,
