@@ -15,7 +15,7 @@
 //!   verbs (PING, STATS, …) answer inline through the server's one
 //!   control dispatcher. A `QUERY`, each `BATCH` slot, and the heavy
 //!   `LOAD`/`APPEND`/`DELETE` verbs become jobs on the bounded
-//!   `SolveQueue`, which a resident `WorkerPool` answers; each response
+//!   `SolveQueue`, which a resident `WorkerPool` answers; each reply
 //!   comes back over a channel, followed by a wake, under the job's
 //!   address. A single query or heavy verb waits in one [`Entry::Job`]
 //!   FIFO entry; a heavy verb also parks its connection's input behind a

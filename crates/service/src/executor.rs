@@ -33,7 +33,7 @@ use crate::reactor::Waker;
 use crate::server::Shared;
 use crate::ServiceError;
 
-/// Where a job's response goes. The generation guards against the
+/// Where a job's reply goes. The generation guards against the
 /// connection slot being reused by a new connection while an old job is
 /// still in flight.
 #[derive(Debug, Clone, Copy)]
@@ -65,10 +65,9 @@ pub(crate) struct Job {
 #[derive(Debug)]
 pub(crate) enum Reply {
     /// A query's result, or its deadline shed; the query rides back for
-    /// the slow-query log. The loop, not the worker, turns the result
-    /// into a [`Response`], so the response's buffers are allocated and
-    /// freed on one thread (on `churn`, building it on the worker cost
-    /// about 4 % more server CPU per read).
+    /// the slow-query log. The loop, which encodes the response, also
+    /// builds it from the result, so the response's buffers are
+    /// allocated and freed on one thread.
     Solved {
         query: Box<Query>,
         result: Result<QueryResponse, ServiceError>,
