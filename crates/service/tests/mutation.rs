@@ -340,6 +340,57 @@ fn delta_invalidation_preserves_untouched_cached_answers() {
     }
 }
 
+/// Pin: the warm tier keys each candidate form apart. A skyline-form and
+/// a full-form BiGreedy query with the same `k` and seed each deposit
+/// their own `db_max` vector, an α near-miss of each reuses its own, and
+/// a dominated append drops only the full form's vector.
+#[test]
+fn warm_tier_counts_each_form_apart() {
+    for kind in [CodecKind::Text, CodecKind::Binary] {
+        let server = spawn_two_dataset_server();
+        let mut client = WireClient::negotiate(server.addr(), kind).unwrap();
+
+        let mut q_sky = Query::new("demo", 4);
+        q_sky.seed = 9;
+        let mut q_full = q_sky.clone();
+        q_full.skyline = false;
+        for q in [&q_sky, &q_full] {
+            assert!(!client.query(q).unwrap().cached);
+        }
+        for q in [&q_sky, &q_full] {
+            let near_miss = Query {
+                alpha: 0.2,
+                ..q.clone()
+            };
+            assert!(!client.query(&near_miss).unwrap().cached);
+        }
+        client.send_line("STATS").unwrap();
+        match client.recv().unwrap() {
+            Response::Stats {
+                warm_hits,
+                warm_misses,
+                warm_entries,
+                ..
+            } => assert_eq!((warm_misses, warm_hits, warm_entries), (2, 2, 2)),
+            other => panic!("expected Stats, got {other:?}"),
+        }
+
+        // (0,0) sits under every group-0 point: only the full form moves.
+        match client.append("demo", &[0.0, 0.0], 0).unwrap() {
+            Response::Mutated {
+                sky_changed,
+                warm_dropped,
+                ..
+            } => {
+                assert!(!sky_changed, "(0,0) must be dominated");
+                assert_eq!(warm_dropped, 1, "only the full form's vector drops");
+            }
+            other => panic!("expected Mutated, got {other:?}"),
+        }
+        server.shutdown();
+    }
+}
+
 /// Mutation errors are typed wire errors and leave the connection usable.
 #[test]
 fn mutation_errors_answer_err_and_keep_the_connection() {

@@ -475,3 +475,102 @@ fn unknown_flags_are_rejected() {
         assert!(stderr.contains(expected), "{args:?}: {stderr}");
     }
 }
+
+/// The `rows` and `err(S)` lines of a `solve` or single-query `query`
+/// run; both commands print them in the same format.
+fn rows_and_err(out: &std::process::Output, what: &str) -> (String, String) {
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{what}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let line = |prefix: &str| {
+        stdout
+            .lines()
+            .find(|l| l.starts_with(prefix))
+            .unwrap_or_else(|| panic!("{what}: no {prefix:?} line in {stdout}"))
+            .to_string()
+    };
+    (line("rows      :"), line("err(S)    :"))
+}
+
+/// `fairhms solve` and `fairhms query` against `fairhms serve` on the
+/// same CSV pick the same rows with the same fairness-violation count,
+/// for both bound policies and both candidate forms.
+#[test]
+fn solve_and_served_query_agree() {
+    use std::io::{BufReader, Write};
+
+    let csv = tmp("cli_agree.csv");
+    let gen = Command::new(bin())
+        .args([
+            "gen",
+            "--out",
+            csv.to_str().unwrap(),
+            "--n",
+            "250",
+            "--d",
+            "3",
+            "--c",
+            "3",
+            "--seed",
+            "23",
+        ])
+        .output()
+        .expect("run gen");
+    assert!(gen.status.success());
+
+    let mut server = KillOnDrop(Some(
+        Command::new(bin())
+            .args([
+                "serve",
+                "--data",
+                &format!("agree={}", csv.display()),
+                "--addr",
+                "127.0.0.1:0",
+                "--workers",
+                "2",
+            ])
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn serve"),
+    ));
+    let mut server_out = BufReader::new(server.child().stdout.take().unwrap());
+    let banner = listening_banner(&mut server_out);
+    let addr = banner.split_whitespace().nth(3).unwrap().to_string();
+
+    for alg in ["bigreedy", "f-greedy"] {
+        for flags in [
+            &[][..],
+            &["--no-skyline"][..],
+            &["--balanced"][..],
+            &["--no-skyline", "--balanced"][..],
+        ] {
+            let what = format!("--alg {alg} {flags:?}");
+            let solve = Command::new(bin())
+                .args(["solve", "--input", csv.to_str().unwrap(), "--dim", "3"])
+                .args(["--k", "5", "--alg", alg])
+                .args(flags)
+                .output()
+                .expect("run solve");
+            let query = Command::new(bin())
+                .args(["query", "--addr", &addr, "--dataset", "agree"])
+                .args(["--k", "5", "--alg", alg])
+                .args(flags)
+                .output()
+                .expect("run query");
+            assert_eq!(
+                rows_and_err(&solve, &format!("solve {what}")),
+                rows_and_err(&query, &format!("query {what}")),
+                "{what}"
+            );
+        }
+    }
+
+    let mut ctl = std::net::TcpStream::connect(&addr).unwrap();
+    writeln!(ctl, "SHUTDOWN").unwrap();
+    drop(ctl);
+    let status = server.into_inner().wait().expect("server wait");
+    assert!(status.success());
+}
