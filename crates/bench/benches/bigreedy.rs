@@ -64,7 +64,7 @@ fn bench_bigreedy(c: &mut Criterion) {
         ),
         // Each dropped objective hands its buffer to the next, as in
         // serving.
-        |b| b.iter(|| TruncatedMhrObjective::new(inst.data(), &net.vectors, &db_max, 1.0, true)),
+        |b| b.iter(|| TruncatedMhrObjective::new(inst.data(), &net.vectors, &db_max, 1.0)),
     );
     group.finish();
 }

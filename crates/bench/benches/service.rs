@@ -9,9 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use fairhms_core::types::FairHmsInstance;
 use fairhms_data::{gen, Dataset};
-use fairhms_matroid::proportional_bounds;
 use fairhms_service::{
     protocol, Catalog, PreparedDataset, Query, QueryEngine, ServeOptions, Server, WireClient,
 };
@@ -54,30 +52,20 @@ fn bench_service(c: &mut Criterion) {
     });
 
     // Per-query instance construction exactly as the engine's cold path
-    // performs it: hand the prepared (skyline or full) dataset to
-    // `FairHmsInstance::new`. This isolates the data-handoff cost the
-    // zero-copy refactor targets — before it, `.clone()` deep-copied the
-    // whole point matrix per query; with `Arc<Dataset>` it is a refcount
-    // bump — from the solve itself.
+    // performs it: `PreparedDataset::instance` on the full form (bounds,
+    // candidate set, `FairHmsInstance::new`). This isolates the
+    // data-handoff cost the zero-copy refactor targets — before it,
+    // `.clone()` deep-copied the whole point matrix per query; with
+    // `Arc<Dataset>` it is a refcount bump — from the solve itself.
     for n in [2_000usize, 20_000] {
         let prep = PreparedDataset::prepare("cold", bench_dataset(n)).unwrap();
-        let k = 10;
-        let (lower, upper) = proportional_bounds(&prep.group_sizes, k, 0.1);
+        let mut q = Query::new("cold", 10);
+        q.skyline = false;
         group.throughput(Throughput::Elements(1));
         group.bench_with_input(
             BenchmarkId::new("cold_instance_build_full", n),
             &prep,
-            |b, prep| {
-                b.iter(|| {
-                    FairHmsInstance::new(
-                        std::hint::black_box(prep.dataset.clone()),
-                        k,
-                        lower.clone(),
-                        upper.clone(),
-                    )
-                    .unwrap()
-                })
-            },
+            |b, prep| b.iter(|| prep.instance(std::hint::black_box(&q)).unwrap()),
         );
     }
 

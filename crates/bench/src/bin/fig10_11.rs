@@ -18,10 +18,10 @@ fn main() {
     let mut csv: Vec<Vec<String>> = Vec::new();
 
     for w in &suite {
-        if k > w.input.len() || k < w.input.num_groups() {
+        if k > w.input().len() || k < w.input().num_groups() {
             continue;
         }
-        let d = w.input.dim();
+        let d = w.input().dim();
         let inst = proportional_instance(w, k, 0.1);
         let m = 10 * k * d;
 
@@ -45,11 +45,11 @@ fn main() {
                 let t = Instant::now();
                 let sol = bigreedy_plus(&inst, &cfg).expect("bigreedy+");
                 let ms = t.elapsed().as_secs_f64() * 1e3;
-                let mhr = evaluate_mhr(&w.input, &sol.indices);
+                let mhr = evaluate_mhr(w.input(), &sol.indices);
                 mhr_row.push(format!("{mhr:.4}"));
                 ms_row.push(format!("{ms:.1}"));
                 csv.push(vec![
-                    w.name.clone(),
+                    w.name().to_string(),
                     epsilon.to_string(),
                     lambda.to_string(),
                     format!("{mhr:.4}"),
@@ -60,12 +60,12 @@ fn main() {
             ms_rows.push(ms_row);
         }
         print_table(
-            &format!("Figure 10 — {} (MHR over ε, λ)", w.name),
+            &format!("Figure 10 — {} (MHR over ε, λ)", w.name()),
             &header,
             &mhr_rows,
         );
         print_table(
-            &format!("Figure 11 — {} (ms over ε, λ)", w.name),
+            &format!("Figure 11 — {} (ms over ε, λ)", w.name()),
             &header,
             &ms_rows,
         );

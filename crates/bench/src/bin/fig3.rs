@@ -29,7 +29,7 @@ fn main() {
             .collect();
         let mut rows = Vec::new();
         for &k in k_values {
-            if k > w.input.len() {
+            if k > w.input().len() {
                 continue;
             }
             let inst = proportional_instance(w, k, 0.1);
@@ -37,7 +37,7 @@ fn main() {
             for alg in &algs {
                 let r = run(alg, &inst);
                 csv.push(vec![
-                    w.name.clone(),
+                    w.name().to_string(),
                     k.to_string(),
                     r.alg.clone(),
                     r.err_cell(),
@@ -47,7 +47,11 @@ fn main() {
             }
             rows.push(row);
         }
-        print_table(&format!("Figure 3 — err(S) on {}", w.name), &header, &rows);
+        print_table(
+            &format!("Figure 3 — err(S) on {}", w.name()),
+            &header,
+            &rows,
+        );
     }
     save_csv("fig3.csv", &["dataset", "k", "alg", "err", "millis"], &csv);
     println!("\nExpected shape (paper): unfair Greedy/DMM/HS/Sphere violate in almost all cases, growing with k; BiGreedy/BiGreedy+ always 0.");

@@ -22,7 +22,7 @@ fn main() {
     ];
     for (w, k_values) in &panels {
         sweep(
-            &format!("Figure 4 — {} (vary k)", w.name),
+            &format!("Figure 4 — {} (vary k)", w.name()),
             w,
             k_values.iter().map(|&k| (k.to_string(), k, None)).collect(),
             &mut csv,
@@ -84,12 +84,12 @@ fn run_points(
     let mut rows = Vec::new();
     for (label, k, wl) in &points {
         let w = wl.as_ref().or(shared).expect("workload available");
-        if *k > w.input.len() || *k < w.input.num_groups() {
+        if *k > w.input().len() || *k < w.input().num_groups() {
             continue;
         }
         let inst = proportional_instance(w, *k, 0.1);
         // Black line: unconstrained exact optimum.
-        let unc = FairHmsInstance::unconstrained(std::sync::Arc::clone(&w.input), *k).unwrap();
+        let unc = FairHmsInstance::unconstrained(std::sync::Arc::clone(w.input()), *k).unwrap();
         let opt = intcov(&unc).map(|s| s.mhr.unwrap_or(0.0)).unwrap_or(0.0);
         let results: Vec<RunResult> = algs.iter().map(|a| run(a, &inst)).collect();
         let mut row = vec![label.clone(), format!("{opt:.4}")];

@@ -18,7 +18,7 @@ fn main() {
     let mut csv: Vec<Vec<String>> = Vec::new();
 
     for w in &suite {
-        let ks: Vec<usize> = if w.name.starts_with("Adult (gender)") {
+        let ks: Vec<usize> = if w.name().starts_with("Adult (gender)") {
             (6..=16).step_by(2).collect()
         } else {
             (10..=20).step_by(2).collect()
@@ -28,12 +28,12 @@ fn main() {
         header.extend(algs.iter().map(|a| format!("{} ms", a.name)));
         let mut rows = Vec::new();
         for k in ks {
-            if k > w.input.len() || k < w.input.num_groups() {
+            if k > w.input().len() || k < w.input().num_groups() {
                 continue;
             }
             let inst = proportional_instance(w, k, 0.1);
             // "Price of fairness" reference: the unconstrained greedy.
-            let unc = FairHmsInstance::unconstrained(std::sync::Arc::clone(&w.input), k).unwrap();
+            let unc = FairHmsInstance::unconstrained(std::sync::Arc::clone(w.input()), k).unwrap();
             let unfair = rdp_greedy(unc.data(), k)
                 .map(|sel| fairhms_bench::harness::evaluate_mhr(unc.data(), &sel))
                 .unwrap_or(0.0);
@@ -47,7 +47,7 @@ fn main() {
             }
             for r in &results {
                 csv.push(vec![
-                    w.name.clone(),
+                    w.name().to_string(),
                     k.to_string(),
                     r.alg.clone(),
                     r.mhr_cell(),
@@ -57,7 +57,7 @@ fn main() {
             }
             rows.push(row);
         }
-        print_table(&format!("Figures 5+6 — {}", w.name), &header, &rows);
+        print_table(&format!("Figures 5+6 — {}", w.name()), &header, &rows);
     }
     save_csv(
         "fig5_fig6.csv",

@@ -64,7 +64,7 @@ fn sweep(title: &str, k: usize, points: Vec<(String, Workload)>, csv: &mut Vec<V
     header.extend(algs.iter().map(|a| format!("{} ms", a.name)));
     let mut rows = Vec::new();
     for (label, w) in &points {
-        if k > w.input.len() || k < w.input.num_groups() {
+        if k > w.input().len() || k < w.input().num_groups() {
             continue;
         }
         let inst = proportional_instance(w, k, 0.1);

@@ -24,10 +24,10 @@ fn main() {
     let mut csv: Vec<Vec<String>> = Vec::new();
 
     for w in &suite {
-        if k > w.input.len() || k < w.input.num_groups() {
+        if k > w.input().len() || k < w.input().num_groups() {
             continue;
         }
-        let d = w.input.dim();
+        let d = w.input().dim();
         let inst = proportional_instance(w, k, 0.1);
         let header: Vec<String> = vec![
             "m (=mult·k·d)".into(),
@@ -46,7 +46,7 @@ fn main() {
             let t = Instant::now();
             let (sol_bg, _) = bigreedy_on_net(&inst, &net, &cfg).expect("bigreedy");
             let t_bg = t.elapsed().as_secs_f64() * 1e3;
-            let mhr_bg = evaluate_mhr(&w.input, &sol_bg.indices);
+            let mhr_bg = evaluate_mhr(w.input(), &sol_bg.indices);
 
             let plus_cfg = BiGreedyPlusConfig {
                 m0: Some(((m as f64) * 0.05).ceil() as usize),
@@ -60,7 +60,7 @@ fn main() {
             let t = Instant::now();
             let sol_plus = bigreedy_plus(&inst, &plus_cfg).expect("bigreedy+");
             let t_plus = t.elapsed().as_secs_f64() * 1e3;
-            let mhr_plus = evaluate_mhr(&w.input, &sol_plus.indices);
+            let mhr_plus = evaluate_mhr(w.input(), &sol_plus.indices);
 
             rows.push(vec![
                 m.to_string(),
@@ -70,7 +70,7 @@ fn main() {
                 format!("{t_plus:.1}"),
             ]);
             csv.push(vec![
-                w.name.clone(),
+                w.name().to_string(),
                 m.to_string(),
                 format!("{mhr_bg:.4}"),
                 format!("{t_bg:.2}"),
@@ -79,7 +79,7 @@ fn main() {
             ]);
         }
         print_table(
-            &format!("Figures 8+9 — {} (vary m, k={k})", w.name),
+            &format!("Figures 8+9 — {} (vary m, k={k})", w.name()),
             &header,
             &rows,
         );

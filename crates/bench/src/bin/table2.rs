@@ -30,15 +30,15 @@ fn main() {
         .collect();
     let mut rows = Vec::new();
     for w in specs.iter_mut() {
-        // Stats are computed on the full (pre-restriction) shape; the
-        // skyline count equals the restricted input size by construction.
-        let st = DatasetStats::compute(&w.input);
+        // d and C read the same on either form; n is the full table's
+        // row count and the skyline count the restricted input's.
+        let st = DatasetStats::compute(w.input());
         rows.push(vec![
-            w.name.clone(),
+            w.name().to_string(),
             st.d.to_string(),
-            w.full_n.to_string(),
+            w.prep.dataset.len().to_string(),
             st.c.to_string(),
-            w.input.len().to_string(),
+            w.input().len().to_string(),
         ]);
     }
     print_table("Table 2: dataset statistics", &header, &rows);

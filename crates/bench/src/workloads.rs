@@ -8,39 +8,43 @@ use rand::SeedableRng;
 use fairhms_core::types::FairHmsInstance;
 use fairhms_data::gen::anti_correlated_dataset;
 use fairhms_data::realsim;
-use fairhms_data::skyline::group_skyline_indices;
 use fairhms_data::Dataset;
-use fairhms_matroid::proportional_bounds;
+use fairhms_service::{PreparedDataset, Query};
 
 /// Default seed shared by every harness binary for reproducibility.
 pub const SEED: u64 = 1;
 
-/// A named, normalized, skyline-restricted dataset ready for instances.
+/// A named dataset in the serving engine's prepared form: normalized,
+/// with its group-skyline union, ready for instances.
 pub struct Workload {
-    /// Label as used in the paper's figure captions.
-    pub name: String,
-    /// Skyline-union input (what the algorithms actually consume), shared
-    /// so every instance built over a workload reuses one allocation.
-    pub input: Arc<Dataset>,
-    /// Size of the original dataset before skyline restriction.
-    pub full_n: usize,
+    /// The prepared dataset; its name is the label used in the paper's
+    /// figure captions.
+    pub prep: Arc<PreparedDataset>,
 }
 
-fn prepare(name: &str, mut data: Dataset) -> Workload {
-    data.normalize();
-    let full_n = data.len();
-    let sky = group_skyline_indices(&data);
-    Workload {
-        name: name.to_string(),
-        input: Arc::new(data.subset(&sky)),
-        full_n,
+impl Workload {
+    fn new(name: &str, data: Dataset) -> Workload {
+        Workload {
+            prep: Arc::new(PreparedDataset::prepare(name, data).expect("workloads are nonempty")),
+        }
+    }
+
+    /// Label as used in the paper's figure captions.
+    pub fn name(&self) -> &str {
+        &self.prep.name
+    }
+
+    /// Skyline-union input (what the algorithms actually consume), shared
+    /// so every instance built over a workload reuses one allocation.
+    pub fn input(&self) -> &Arc<Dataset> {
+        &self.prep.skyline_data
     }
 }
 
 /// Lawschs grouped by one attribute (`"gender"` or `"race"`).
 pub fn lawschs(attr: &str) -> Workload {
     let t = realsim::lawschs(SEED);
-    prepare(
+    Workload::new(
         &format!("Lawschs ({attr})"),
         t.dataset(&[attr]).expect("known attribute"),
     )
@@ -49,7 +53,7 @@ pub fn lawschs(attr: &str) -> Workload {
 /// Adult grouped by the given attributes (e.g. `["gender", "race"]`).
 pub fn adult(attrs: &[&str]) -> Workload {
     let t = realsim::adult(SEED);
-    prepare(
+    Workload::new(
         &format!("Adult ({})", attrs.join("+")),
         t.dataset(attrs).expect("known attributes"),
     )
@@ -58,7 +62,7 @@ pub fn adult(attrs: &[&str]) -> Workload {
 /// Compas grouped by the given attributes.
 pub fn compas(attrs: &[&str]) -> Workload {
     let t = realsim::compas(SEED);
-    prepare(
+    Workload::new(
         &format!("Compas ({})", attrs.join("+")),
         t.dataset(attrs).expect("known attributes"),
     )
@@ -67,7 +71,7 @@ pub fn compas(attrs: &[&str]) -> Workload {
 /// Credit grouped by one attribute.
 pub fn credit(attr: &str) -> Workload {
     let t = realsim::credit(SEED);
-    prepare(
+    Workload::new(
         &format!("Credit ({attr})"),
         t.dataset(&[attr]).expect("known attribute"),
     )
@@ -78,15 +82,18 @@ pub fn credit(attr: &str) -> Workload {
 pub fn anticor(n: usize, d: usize, c: usize) -> Workload {
     let mut rng = StdRng::seed_from_u64(SEED);
     let data = anti_correlated_dataset(n, d, c, &mut rng);
-    prepare(&format!("AntiCor_{d}D (n={n}, C={c})"), data)
+    Workload::new(&format!("AntiCor_{d}D (n={n}, C={c})"), data)
 }
 
 /// The paper's proportional-representation instance (α = 0.1, Section 5.1)
 /// on a workload.
 pub fn proportional_instance(w: &Workload, k: usize, alpha: f64) -> FairHmsInstance {
-    let (lower, upper) = proportional_bounds(&w.input.group_sizes(), k, alpha);
-    FairHmsInstance::new(Arc::clone(&w.input), k, lower, upper)
+    let mut q = Query::new(w.name(), k);
+    q.alpha = alpha;
+    w.prep
+        .instance(&q)
         .expect("proportional bounds are repaired to feasibility")
+        .1
 }
 
 /// The ten multi-dimensional dataset variants of Figures 5, 6, 8–11.
@@ -112,10 +119,13 @@ mod tests {
     #[test]
     fn workloads_are_normalized_and_restricted() {
         let w = credit("job");
-        assert!(w.input.len() < w.full_n, "skyline restriction applied");
-        for j in 0..w.input.dim() {
-            let maxj = (0..w.input.len())
-                .map(|i| w.input.point(i)[j])
+        assert!(
+            w.input().len() < w.prep.dataset.len(),
+            "skyline restriction applied"
+        );
+        for j in 0..w.input().dim() {
+            let maxj = (0..w.input().len())
+                .map(|i| w.input().point(i)[j])
                 .fold(0.0_f64, f64::max);
             assert!(maxj <= 1.0 + 1e-12, "attribute {j} exceeds 1");
         }
@@ -136,7 +146,7 @@ mod tests {
     fn md_suite_covers_all_ten_panels() {
         let suite = md_suite(500);
         assert_eq!(suite.len(), 10);
-        let names: Vec<&str> = suite.iter().map(|w| w.name.as_str()).collect();
+        let names: Vec<&str> = suite.iter().map(|w| w.name()).collect();
         assert!(names.iter().any(|n| n.contains("Adult (gender+race)")));
         assert!(names.iter().any(|n| n.contains("AntiCor_6D")));
         assert!(names.iter().any(|n| n.contains("Compas (gender+isRecid)")));
@@ -147,7 +157,7 @@ mod tests {
     fn workloads_deterministic() {
         let a = lawschs("gender");
         let b = lawschs("gender");
-        assert_eq!(a.input.len(), b.input.len());
-        assert_eq!(a.input.points_flat(), b.input.points_flat());
+        assert_eq!(a.input().len(), b.input().len());
+        assert_eq!(a.input().points_flat(), b.input().points_flat());
     }
 }

@@ -289,7 +289,7 @@ pub fn bigreedy_on_net_with_db_max(
         BiGreedyMode::Bicriteria => ((2.0 * m as f64 / epsilon).log2().ceil() as usize).max(1),
     };
 
-    let mut objective = TruncatedMhrObjective::new(data, net, db_max, 1.0, true);
+    let mut objective = TruncatedMhrObjective::new(data, net, db_max, 1.0);
     let candidates: Vec<usize> = (0..data.len()).collect();
 
     // Geometric τ grid from 1 down to 1/m (Algorithm 3, lines 3–8).

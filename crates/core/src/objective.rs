@@ -60,15 +60,23 @@ pub struct TruncatedMhrObjective<'a> {
 }
 
 impl<'a> TruncatedMhrObjective<'a> {
-    /// Creates the objective for cap `tau`. Pass `cache = true` to
-    /// precompute the normalized score matrix (skipped automatically above
-    /// an internal entry limit of fifty million).
-    pub fn new(
+    /// Creates the objective for cap `tau`, precomputing the normalized
+    /// score matrix unless it would exceed an internal limit of fifty
+    /// million entries; above it, scores are computed on the fly. Both
+    /// paths return bit-identical gains.
+    pub fn new(data: &'a Dataset, net: &'a [Vec<f64>], db_max: &'a [f64], tau: f64) -> Self {
+        Self::with_cache_limit(data, net, db_max, tau, CACHE_LIMIT)
+    }
+
+    /// [`TruncatedMhrObjective::new`] with the score matrix built only
+    /// when it holds at most `limit` entries (`0` never builds a nonempty
+    /// one).
+    pub(crate) fn with_cache_limit(
         data: &'a Dataset,
         net: &'a [Vec<f64>],
         db_max: &'a [f64],
         tau: f64,
-        cache: bool,
+        limit: usize,
     ) -> Self {
         debug_assert_eq!(net.len(), db_max.len());
         debug_assert!(
@@ -77,7 +85,7 @@ impl<'a> TruncatedMhrObjective<'a> {
         );
         let m = net.len();
         let n = data.len();
-        let scores = if cache && n.saturating_mul(m) <= CACHE_LIMIT {
+        let scores = if n.saturating_mul(m) <= limit {
             // Rows-outer build over a tiled copy of the net: each data row
             // scores one 64-utility tile at a time and writes its m
             // normalized scores contiguously, so the stores stream and the
@@ -453,7 +461,7 @@ mod tests {
             let (ds, net, db_max) = random_instance(seed, n, d, m, 1);
             // τ kind 4 is NaN: nothing counts as capped, no term is clamped.
             let tau = if tau_kind == 4 { f64::NAN } else { pick_tau(tau_kind, m, r) };
-            let mut obj = TruncatedMhrObjective::new(&ds, &net, &db_max, tau, cache == 1);
+            let mut obj = TruncatedMhrObjective::with_cache_limit(&ds, &net, &db_max, tau, cache * CACHE_LIMIT);
             let st = state_of_kind(&mut obj, if tau.is_nan() { kind.min(1) } else { kind }, tau);
             for item in 0..n {
                 prop_assert_eq!(
@@ -474,7 +482,7 @@ mod tests {
             picks in prop::collection::vec(0usize..1_000, 0..=9),
         ) {
             let (ds, net, db_max) = random_instance(seed, n, d, m, 1);
-            let mut obj = TruncatedMhrObjective::new(&ds, &net, &db_max, r, cache == 1);
+            let mut obj = TruncatedMhrObjective::with_cache_limit(&ds, &net, &db_max, r, cache * CACHE_LIMIT);
             let st = state_of_kind(&mut obj, kind, r);
             let items: Vec<usize> = picks.iter().map(|&p| p % n).collect();
             let mut out = vec![f64::NAN; items.len()];
@@ -504,7 +512,7 @@ mod tests {
             let matroid = matroid.unwrap();
             let tau = pick_tau(tau_kind, net.len(), r);
             let cands: Vec<usize> = (0..n).collect();
-            let mut obj = TruncatedMhrObjective::new(&ds, &net, &db_max, tau + lift, true);
+            let mut obj = TruncatedMhrObjective::new(&ds, &net, &db_max, tau + lift);
             // Seeds: exact empty-set gains at a cap ≥ τ.
             let mut bounds = vec![0.0; n];
             obj.gains(&obj.empty_state(), &cands, &mut bounds);
@@ -544,7 +552,7 @@ mod tests {
             r in 0.05f64..0.95,
         ) {
             let (ds, net, db_max) = random_instance(seed, n, d, m, 1);
-            let mut obj = TruncatedMhrObjective::new(&ds, &net, &db_max, 1.0, true);
+            let mut obj = TruncatedMhrObjective::new(&ds, &net, &db_max, 1.0);
             // The cap at the kind's τ, and at the smallest score of the row
             // whose smallest score is largest: that row reaches the cap.
             let floors: Vec<f64> = (0..n)
@@ -586,7 +594,7 @@ mod tests {
     #[test]
     fn value_matches_definition() {
         let (ds, net, db_max) = setup();
-        let obj = TruncatedMhrObjective::new(&ds, &net, &db_max, 0.9, true);
+        let obj = TruncatedMhrObjective::new(&ds, &net, &db_max, 0.9);
         let st = obj.state_of(&[0]);
         // manual: mean over utilities of min(0.9, score(0, u))
         let manual: f64 = net
@@ -601,7 +609,7 @@ mod tests {
     #[test]
     fn gain_is_value_difference() {
         let (ds, net, db_max) = setup();
-        let obj = TruncatedMhrObjective::new(&ds, &net, &db_max, 0.85, true);
+        let obj = TruncatedMhrObjective::new(&ds, &net, &db_max, 0.85);
         let st = obj.state_of(&[0]);
         for item in 1..ds.len() {
             let g = obj.gain(&st, item);
@@ -614,8 +622,8 @@ mod tests {
     #[test]
     fn cached_and_uncached_agree() {
         let (ds, net, db_max) = setup();
-        let a = TruncatedMhrObjective::new(&ds, &net, &db_max, 0.8, true);
-        let b = TruncatedMhrObjective::new(&ds, &net, &db_max, 0.8, false);
+        let a = TruncatedMhrObjective::new(&ds, &net, &db_max, 0.8);
+        let b = TruncatedMhrObjective::with_cache_limit(&ds, &net, &db_max, 0.8, 0);
         assert!(a.scores.is_some());
         assert!(b.scores.is_none());
         let st = a.empty_state();
@@ -652,7 +660,7 @@ mod tests {
                         .iter()
                         .map(|u| fairhms_geometry::vecmath::max_utility(ds.points_flat(), d, u))
                         .collect();
-                    let obj = TruncatedMhrObjective::new(&ds, &net, &db_max, 0.8, true);
+                    let obj = TruncatedMhrObjective::new(&ds, &net, &db_max, 0.8);
                     let got = obj.scores.as_ref().unwrap();
                     // The scalar oracle: one dot per (row, utility), row-major.
                     let mut want = Vec::with_capacity(n * m);
@@ -706,7 +714,7 @@ mod tests {
     #[test]
     fn submodularity_gains_shrink() {
         let (ds, net, db_max) = setup();
-        let obj = TruncatedMhrObjective::new(&ds, &net, &db_max, 0.95, true);
+        let obj = TruncatedMhrObjective::new(&ds, &net, &db_max, 0.95);
         let empty = obj.empty_state();
         let bigger = obj.state_of(&[0, 1]);
         for item in 2..ds.len() {
@@ -723,7 +731,7 @@ mod tests {
         let (ds, net, db_max) = setup();
         let sel = vec![0, 1]; // extremes: good mhr on the net
         for tau in [0.3, 0.5, 0.7, 0.9, 0.99] {
-            let obj = TruncatedMhrObjective::new(&ds, &net, &db_max, tau, true);
+            let obj = TruncatedMhrObjective::new(&ds, &net, &db_max, tau);
             let st = obj.state_of(&sel);
             let mhr = obj.mhr_of_state(&st);
             let capped = obj.value(&st);
@@ -738,7 +746,7 @@ mod tests {
     #[test]
     fn mhr_of_state_matches_net_evaluator() {
         let (ds, net, db_max) = setup();
-        let obj = TruncatedMhrObjective::new(&ds, &net, &db_max, 1.0, true);
+        let obj = TruncatedMhrObjective::new(&ds, &net, &db_max, 1.0);
         let ev = crate::eval::NetEvaluator::new(&ds, net.clone());
         for sel in [vec![0], vec![0, 1], vec![2, 3]] {
             let st = obj.state_of(&sel);

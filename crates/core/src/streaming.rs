@@ -105,7 +105,7 @@ pub fn streaming_fairhms(
 
     // Pass 2: swap-based streaming selection. The score cache is disabled:
     // a streaming setting cannot precompute an n × m matrix.
-    let objective = TruncatedMhrObjective::new(data, &net, &db_max, config.tau, false);
+    let objective = TruncatedMhrObjective::with_cache_limit(data, &net, &db_max, config.tau, 0);
     let stream_cfg = StreamingConfig {
         swap_factor: config.swap_factor,
     };

@@ -262,9 +262,11 @@ impl FairHmsInstance {
 /// solving: the reducer materializes the candidate dataset **once** (per
 /// dataset, not per query), every solve shares it through the `Arc`, and
 /// answers are translated back to original row ids with
-/// [`CandidateSet::to_original`]. The CLI `solve` path and the
-/// serving engine both route through this type, so a reduction produces
-/// identical answer indices no matter which front end ran it.
+/// [`CandidateSet::to_original`]. The serving crate's
+/// `PreparedDataset::instance` builds the candidate set for the CLI
+/// `solve`, the serving engine and the figure harness alike, so a
+/// reduction produces identical answer indices no matter which front end
+/// ran it.
 #[derive(Debug, Clone)]
 pub struct CandidateSet {
     data: Arc<Dataset>,
@@ -296,15 +298,6 @@ impl CandidateSet {
         Self {
             data,
             row_map: Some(rows),
-        }
-    }
-
-    /// Materializes the sub-dataset induced by `rows` of `full` as a
-    /// candidate set (the one point-matrix copy of a reduction's life).
-    pub fn restrict(full: &Dataset, rows: &[usize]) -> Self {
-        Self {
-            data: Arc::new(full.subset(rows)),
-            row_map: Some(rows.into()),
         }
     }
 
@@ -408,7 +401,7 @@ mod tests {
     fn candidate_set_maps_rows_back() {
         let d = four_points();
         // Restrict to rows 1 and 3 (one per group).
-        let cand = CandidateSet::restrict(&d, &[1, 3]);
+        let cand = CandidateSet::reduced(Arc::new(d.subset(&[1, 3])), vec![1usize, 3].into());
         assert_eq!(cand.len(), 2);
         assert_eq!(cand.data().point(0), &[0.0, 1.0]);
         assert_eq!(cand.to_original(&[1, 0]), vec![1, 3]);

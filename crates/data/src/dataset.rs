@@ -86,7 +86,9 @@ pub struct Dataset {
     /// Shared so consumers needing owned group labels (e.g. the fairness
     /// matroid) can hold a refcounted handle instead of an `O(n)` copy.
     groups: Arc<[usize]>,
-    num_groups: usize,
+    /// `|D_c|` per group, counted as the labels are written; its length
+    /// is the group count `C`.
+    group_sizes: Vec<usize>,
     group_names: Vec<String>,
     /// Lazily built block-tiled SoA view of `points`, shared by every
     /// consumer of this dataset (the serving stack holds `Arc<Dataset>`,
@@ -110,7 +112,7 @@ impl Clone for Dataset {
             dim: self.dim,
             points: self.points.clone(),
             groups: Arc::clone(&self.groups),
-            num_groups: self.num_groups,
+            group_sizes: self.group_sizes.clone(),
             group_names: self.group_names.clone(),
             soa: OnceLock::new(),
         }
@@ -140,10 +142,12 @@ impl Dataset {
         } else {
             group_names.len()
         };
+        let mut group_sizes = vec![0usize; num_groups];
         for (row, &g) in groups.iter().enumerate() {
             if g >= num_groups {
                 return Err(DatasetError::GroupOutOfRange { row });
             }
+            group_sizes[g] += 1;
         }
         for (i, &v) in points.iter().enumerate() {
             if !v.is_finite() || v < 0.0 {
@@ -163,7 +167,7 @@ impl Dataset {
             dim,
             points,
             groups: groups.into(),
-            num_groups,
+            group_sizes,
             group_names,
             soa: OnceLock::new(),
         })
@@ -201,7 +205,7 @@ impl Dataset {
 
     /// Number of groups `C`.
     pub fn num_groups(&self) -> usize {
-        self.num_groups
+        self.group_sizes.len()
     }
 
     /// Human-readable group names, indexed by group id.
@@ -281,11 +285,7 @@ impl Dataset {
 
     /// `|D_c|` for every group `c`.
     pub fn group_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.num_groups];
-        for &g in self.groups.iter() {
-            sizes[g] += 1;
-        }
-        sizes
+        self.group_sizes.clone()
     }
 
     /// Row indices belonging to group `c`.
@@ -324,16 +324,18 @@ impl Dataset {
     pub fn subset(&self, rows: &[usize]) -> Dataset {
         let mut points = Vec::with_capacity(rows.len() * self.dim);
         let mut groups = Vec::with_capacity(rows.len());
+        let mut group_sizes = vec![0usize; self.num_groups()];
         for &r in rows {
             points.extend_from_slice(self.point(r));
             groups.push(self.groups[r]);
+            group_sizes[self.groups[r]] += 1;
         }
         Dataset {
             name: self.name.clone(),
             dim: self.dim,
             points,
             groups: groups.into(),
-            num_groups: self.num_groups,
+            group_sizes,
             group_names: self.group_names.clone(),
             soa: OnceLock::new(),
         }
@@ -348,7 +350,7 @@ impl Dataset {
         if coords.len() != self.dim {
             return Err(DatasetError::RaggedMatrix);
         }
-        if group >= self.num_groups {
+        if group >= self.num_groups() {
             return Err(DatasetError::GroupOutOfRange { row: self.len() });
         }
         for (col, &v) in coords.iter().enumerate() {
@@ -365,12 +367,14 @@ impl Dataset {
         let mut groups = Vec::with_capacity(self.groups.len() + 1);
         groups.extend_from_slice(&self.groups);
         groups.push(group);
+        let mut group_sizes = self.group_sizes.clone();
+        group_sizes[group] += 1;
         Ok(Dataset {
             name: self.name.clone(),
             dim: self.dim,
             points,
             groups: groups.into(),
-            num_groups: self.num_groups,
+            group_sizes,
             group_names: self.group_names.clone(),
             soa: OnceLock::new(),
         })
@@ -391,12 +395,14 @@ impl Dataset {
         let mut groups = Vec::with_capacity(self.groups.len() - 1);
         groups.extend_from_slice(&self.groups[..row]);
         groups.extend_from_slice(&self.groups[row + 1..]);
+        let mut group_sizes = self.group_sizes.clone();
+        group_sizes[self.groups[row]] -= 1;
         Ok(Dataset {
             name: self.name.clone(),
             dim: self.dim,
             points,
             groups: groups.into(),
-            num_groups: self.num_groups,
+            group_sizes,
             group_names: self.group_names.clone(),
             soa: OnceLock::new(),
         })

@@ -122,10 +122,12 @@ impl CacheStats {
 struct Entry {
     /// Dataset registration epoch the answer was computed against.
     epoch: u64,
-    /// Group-generation digest of the dataset form the answer was solved
-    /// on (`sky_digest`/`full_digest` per `query.skyline`) at solve time.
-    digest: u64,
-    /// The canonical query (fingerprint preimage, with `epoch` + `digest`).
+    /// Mutation generation of the dataset form the answer was solved on
+    /// (`sky_generation`/`full_generation` per `query.skyline`) at solve
+    /// time.
+    generation: u64,
+    /// The canonical query (fingerprint preimage, with `epoch` +
+    /// `generation`).
     query: Query,
     value: Arc<Answer>,
 }
@@ -153,13 +155,19 @@ impl SolutionCache {
     /// hit/miss counters: the engine looks up more than once per query
     /// around the single-flight claim but records exactly one
     /// [`SolutionCache::note_hit`] or [`SolutionCache::note_miss`].
-    /// `(epoch, digest, query)` must be the canonical key preimage; an
+    /// `(epoch, generation, query)` must be the canonical key preimage; an
     /// entry whose stored preimage differs (a fingerprint collision) is a
     /// miss rather than a wrong answer.
-    pub fn peek(&self, key: u64, epoch: u64, digest: u64, query: &Query) -> Option<Arc<Answer>> {
+    pub fn peek(
+        &self,
+        key: u64,
+        epoch: u64,
+        generation: u64,
+        query: &Query,
+    ) -> Option<Arc<Answer>> {
         lock_or_recover(&self.lru)
             .get(&key)
-            .filter(|e| e.epoch == epoch && e.digest == digest && e.query == *query)
+            .filter(|e| e.epoch == epoch && e.generation == generation && e.query == *query)
             .map(|e| Arc::clone(&e.value))
     }
 
@@ -178,10 +186,10 @@ impl SolutionCache {
     /// Inserts (or refreshes) `key`, evicting the least recently used
     /// answer when full. A colliding entry under the same key (different
     /// stored preimage) is overwritten — last writer wins.
-    pub fn insert(&self, key: u64, epoch: u64, digest: u64, query: Query, value: Arc<Answer>) {
+    pub fn insert(&self, key: u64, epoch: u64, generation: u64, query: Query, value: Arc<Answer>) {
         let entry = Entry {
             epoch,
-            digest,
+            generation,
             query,
             value,
         };
@@ -193,26 +201,27 @@ impl SolutionCache {
 
     /// Delta invalidation after a mutation of `dataset`: drops exactly the
     /// entries for that dataset whose stored preimage no longer matches
-    /// the live catalog — a different epoch (re-registration) or a
-    /// form digest the mutation moved (`sky_digest` for skyline-restricted
-    /// answers, `full_digest` for full-dataset answers). Entries for other
-    /// datasets, and entries whose form digest the mutation left alone
+    /// the live catalog — a different epoch (re-registration) or a form
+    /// generation the mutation moved (`sky_generation` for
+    /// skyline-restricted answers, `full_generation` for full-dataset
+    /// answers). Entries for other datasets, and entries whose form
+    /// generation the mutation left alone
     /// (e.g. every skyline answer after a dominated append), survive as
     /// future hits. Returns the number of entries dropped.
     pub fn invalidate_stale(
         &self,
         dataset: &str,
         epoch: u64,
-        sky_digest: u64,
-        full_digest: u64,
+        sky_generation: u64,
+        full_generation: u64,
     ) -> u64 {
         lock_or_recover(&self.lru).retain(|_, e| {
             let live = if e.query.skyline {
-                sky_digest
+                sky_generation
             } else {
-                full_digest
+                full_generation
             };
-            e.query.dataset != dataset || (e.epoch == epoch && e.digest == live)
+            e.query.dataset != dataset || (e.epoch == epoch && e.generation == live)
         })
     }
 
@@ -300,10 +309,10 @@ mod tests {
             cache.peek(99, 2, 5, &qa).is_none(),
             "stale-epoch answer served"
         );
-        // same query and epoch, moved generation digest: also a miss
+        // same query and epoch, moved form generation: also a miss
         assert!(
             cache.peek(99, 1, 6, &qa).is_none(),
-            "stale-digest answer served"
+            "stale-generation answer served"
         );
         assert_eq!(cache.peek(99, 1, 5, &qa).unwrap().indices, vec![1]);
         // last-writer-wins on overwrite
@@ -438,8 +447,8 @@ mod tests {
     #[test]
     fn invalidate_stale_drops_only_disturbed_forms() {
         let cache = SolutionCache::new(64);
-        // Dataset "t": a skyline answer at sky digest 10 and a full-form
-        // answer at full digest 20. Dataset "other": untouched bystander.
+        // Dataset "t": a skyline answer at sky generation 10 and a full-form
+        // answer at full generation 20. Dataset "other": untouched bystander.
         let mut q_sky = query(1);
         q_sky.skyline = true;
         let mut q_full = query(2);
@@ -450,14 +459,14 @@ mod tests {
         cache.insert(2, 4, 20, q_full.clone(), answer(2));
         cache.insert(3, 9, 77, q_other.clone(), answer(3));
 
-        // A mutation that moved only the full digest (20 → 21): the
+        // A mutation that moved only the full generation (20 → 21): the
         // skyline answer and the other dataset's entry both survive.
         assert_eq!(cache.invalidate_stale("t", 4, 10, 21), 1);
         assert!(cache.peek(1, 4, 10, &q_sky).is_some());
         assert!(cache.peek(2, 4, 20, &q_full).is_none());
         assert!(cache.peek(3, 9, 77, &q_other).is_some());
 
-        // A mutation that also moved the sky digest drops the rest of
+        // A mutation that also moved the sky generation drops the rest of
         // "t" but still never touches "other".
         assert_eq!(cache.invalidate_stale("t", 4, 11, 21), 1);
         assert!(cache.peek(1, 4, 10, &q_sky).is_none());

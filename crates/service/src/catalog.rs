@@ -2,12 +2,14 @@
 //!
 //! Every FairHMS algorithm consumes the same prepared form of a dataset:
 //! scale-normalized coordinates restricted to the union of per-group
-//! skylines. The batch CLI recomputes that on every `solve`; the catalog
+//! skylines. The batch CLI prepares it on every `solve`; the catalog
 //! computes it **once per dataset** at registration time — normalize,
 //! then [`group_skyline_indices`], then the restricted subset — and hands
 //! out shared [`PreparedDataset`]s, so a query's marginal cost is just
-//! the solve itself. `APPEND`/`DELETE` then maintain the global skyline
-//! row list incrementally instead of re-preparing.
+//! the solve itself. Both, and the figure harness, turn a query into the
+//! instance it solves through [`PreparedDataset::instance`].
+//! `APPEND`/`DELETE` then maintain the global skyline row list
+//! incrementally instead of re-preparing.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -16,73 +18,14 @@ use std::sync::{Arc, RwLock};
 use fairhms_obs::sync::{read_or_recover, write_or_recover};
 use std::time::Instant;
 
+use fairhms_core::types::{CandidateSet, FairHmsInstance};
 use fairhms_data::csv;
 use fairhms_data::skyline::{bucket_skyline, dominates, group_skyline_indices};
 use fairhms_data::Dataset;
+use fairhms_matroid::{balanced_bounds, proportional_bounds};
 
+use crate::query::Query;
 use crate::ServiceError;
-
-/// Per-group mutation generations of a prepared dataset — the refinement
-/// of the flat registration epoch that makes *delta* invalidation
-/// possible.
-///
-/// Each group holds two monotone counters: `full[g]` advances whenever a
-/// mutation touches group `g`'s rows at all, `sky[g]` only when group
-/// `g`'s *skyline* (contents or row ids) changed. The engine folds a
-/// digest of the relevant vector into every cache key and `WarmKey`, so
-/// a mutation that provably cannot affect a cached answer — the common
-/// dominated append, or a mutation on a different dataset — leaves those
-/// keys valid instead of orphaning them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GroupGenerations {
-    sky: Vec<u64>,
-    full: Vec<u64>,
-}
-
-impl GroupGenerations {
-    /// Generation zero for `num_groups` groups (a fresh registration).
-    pub fn new(num_groups: usize) -> Self {
-        Self {
-            sky: vec![0; num_groups],
-            full: vec![0; num_groups],
-        }
-    }
-
-    /// Advances group `g`'s full-form generation (its row set mutated).
-    pub fn bump_full(&mut self, g: usize) {
-        self.full[g] += 1;
-    }
-
-    /// Advances group `g`'s skyline generation (its skyline changed).
-    pub fn bump_sky(&mut self, g: usize) {
-        self.sky[g] += 1;
-    }
-
-    /// Advances every generation — the full-rebuild (invariant-repair)
-    /// path, where nothing incremental can be trusted to have survived.
-    pub fn bump_all(&mut self) {
-        for g in self.sky.iter_mut().chain(self.full.iter_mut()) {
-            *g += 1;
-        }
-    }
-}
-
-/// FNV-1a over a word stream — the digest `GroupGenerations` vectors are
-/// folded down to for cache keys (same constants as the query
-/// fingerprint). A digest match is probabilistic (2⁻⁶⁴ collision odds);
-/// the answer cache additionally verifies the stored `(epoch, digest,
-/// query)` preimage on every hit, so a collision degrades to a miss,
-/// never a wrong answer.
-fn fnv1a_words(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
 
 /// A dataset plus everything the engine precomputes for it.
 ///
@@ -90,6 +33,11 @@ fn fnv1a_words(words: impl IntoIterator<Item = u64>) -> u64 {
 /// *same* allocation to every concurrent solve: a cold query costs an
 /// `Arc` refcount bump, never a point-matrix copy
 /// (`fairhms_core::types::FairHmsInstance` shares the handle).
+///
+/// Every stored row is normalized: each column maximum is exactly 0 or 1
+/// (scale-only normalization makes a nonzero column's maximum `x/x ==
+/// 1.0` exactly), so re-normalizing is the identity. The incremental
+/// mutation paths rely on that; see `with_new_skyline`.
 #[derive(Debug)]
 pub struct PreparedDataset {
     /// Catalog key.
@@ -108,37 +56,24 @@ pub struct PreparedDataset {
     pub skyline_data: Arc<Dataset>,
     /// Per-group row counts of the full dataset.
     pub group_sizes: Vec<usize>,
-    /// Per-group row counts of `skyline_data` — the form bounds are
-    /// derived from on the default (skyline-restricted) solve path, so
-    /// the engine does not rescan group labels per cold solve.
+    /// Per-group row counts of `skyline_data`.
     pub skyline_group_sizes: Vec<usize>,
     /// Registration epoch, unique per catalog insert. The engine folds it
     /// into cache keys, so replacing a dataset under the same name
     /// orphans (rather than serves) every answer cached against the old
     /// data. 0 for datasets prepared outside a catalog.
     pub epoch: u64,
-    /// Wall-clock cost of normalization + skyline preprocessing — the
-    /// catalog's `catalog.prepare` telemetry observation.
+    /// Wall-clock cost of a registration's normalization + skyline
+    /// preprocessing — the catalog's `catalog.prepare` telemetry
+    /// observation. 0 for a form a mutation derived.
     pub prep_micros: u64,
-    /// Per-group mutation generations (see [`GroupGenerations`]); all
-    /// zero at registration. `sky_digest`/`full_digest` are derived from
-    /// them and must be refreshed together.
-    pub generations: GroupGenerations,
-    /// Digest of the skyline generations + skyline size — folded into
-    /// cache keys of `skyline=true` queries.
-    pub sky_digest: u64,
-    /// Digest of the full-form generations + row count — folded into
-    /// cache keys of `skyline=false` queries.
-    pub full_digest: u64,
-    /// Per column: how many rows hold the coordinate exactly `1.0`.
-    /// Together with `nonzeros_per_col` this tracks the normalization
-    /// invariant *every column maximum is exactly 0 or 1* (scale-only
-    /// normalization makes each nonzero column's max element `x/x == 1.0`
-    /// exactly), under which re-normalization is the identity — the
-    /// precondition of every incremental mutation fast path.
-    pub ones_per_col: Vec<usize>,
-    /// Per column: how many rows hold a coordinate `> 0`.
-    pub nonzeros_per_col: Vec<usize>,
+    /// Mutation generation of the skyline form: advances whenever the
+    /// group-skyline union changes (membership or row ids). 0 at
+    /// registration.
+    pub sky_generation: u64,
+    /// Mutation generation of the full form: advances on every mutation.
+    /// 0 at registration.
+    pub full_generation: u64,
 }
 
 impl PreparedDataset {
@@ -149,70 +84,85 @@ impl PreparedDataset {
             return Err(ServiceError::Dataset("dataset has no rows".into()));
         }
         // fairhms-lint: allow(R5) one-time prep-stage wall clock; feeds
-        // the STATS prep_micros field, not a per-query hot path.
+        // the catalog.prepare histogram, not a per-query hot path.
         let t = Instant::now();
         data.normalize();
-        let skyline_rows: Arc<[usize]> = group_skyline_indices(&data).into();
-        let skyline_data = Arc::new(data.subset(&skyline_rows));
-        let group_sizes = data.group_sizes();
-        let skyline_group_sizes = skyline_data.group_sizes();
-        let mut ones_per_col = vec![0usize; data.dim()];
-        let mut nonzeros_per_col = vec![0usize; data.dim()];
-        for p in data.points_flat().chunks_exact(data.dim()) {
-            for (c, &v) in p.iter().enumerate() {
-                if v == 1.0 {
-                    ones_per_col[c] += 1;
-                }
-                if v > 0.0 {
-                    nonzeros_per_col[c] += 1;
-                }
-            }
-        }
-        let generations = GroupGenerations::new(data.num_groups());
-        let mut prepared = Self {
-            name: name.into(),
-            dataset: Arc::new(data),
-            skyline_rows,
-            skyline_data,
-            group_sizes,
-            skyline_group_sizes,
-            epoch: 0,
-            prep_micros: t.elapsed().as_micros() as u64,
-            generations,
-            sky_digest: 0,
-            full_digest: 0,
-            ones_per_col,
-            nonzeros_per_col,
-        };
-        prepared.refresh_digests();
+        let skyline_rows = group_skyline_indices(&data).into();
+        let mut prepared = Self::derive(name.into(), 0, data, skyline_rows, None, 0, 0);
+        prepared.prep_micros = t.elapsed().as_micros() as u64;
         Ok(prepared)
     }
 
-    /// Recomputes `sky_digest`/`full_digest` from the current generations
-    /// and dataset shape. Must be called after any generation bump.
-    fn refresh_digests(&mut self) {
-        let sky = &self.generations.sky;
-        self.sky_digest = fnv1a_words(
-            [0x51u64, self.skyline_rows.len() as u64]
-                .into_iter()
-                .chain(sky.iter().copied()),
-        );
-        let full = &self.generations.full;
-        self.full_digest = fnv1a_words(
-            [0xF1u64, self.dataset.len() as u64]
-                .into_iter()
-                .chain(full.iter().copied()),
-        );
+    /// The one constructor: every other field is derived from these.
+    /// `skyline_data` is the restriction of `dataset` to `skyline_rows`
+    /// when the caller already holds it (shared by refcount when a
+    /// mutation left the skyline alone); `None` copies it out here.
+    fn derive(
+        name: String,
+        epoch: u64,
+        dataset: Dataset,
+        skyline_rows: Arc<[usize]>,
+        skyline_data: Option<Arc<Dataset>>,
+        sky_generation: u64,
+        full_generation: u64,
+    ) -> Self {
+        let skyline_data = skyline_data.unwrap_or_else(|| Arc::new(dataset.subset(&skyline_rows)));
+        Self {
+            name,
+            group_sizes: dataset.group_sizes(),
+            skyline_group_sizes: skyline_data.group_sizes(),
+            dataset: Arc::new(dataset),
+            skyline_rows,
+            skyline_data,
+            epoch,
+            prep_micros: 0,
+            sky_generation,
+            full_generation,
+        }
     }
 
-    /// The digest a query of the given form (`skyline=true`/`false`)
-    /// folds into its cache key and `WarmKey`.
-    pub fn digest_for(&self, skyline: bool) -> u64 {
+    /// The mutation generation of the given form (`skyline=true`/`false`),
+    /// which a query folds into its cache key and `WarmKey`.
+    pub fn generation(&self, skyline: bool) -> u64 {
         if skyline {
-            self.sky_digest
+            self.sky_generation
         } else {
-            self.full_digest
+            self.full_generation
         }
+    }
+
+    /// The instance `q` solves, plus the map from its rows back to
+    /// `dataset`'s row ids.
+    ///
+    /// The candidate rows are the group-skyline union (`q.skyline`) or the
+    /// full table, both shared by refcount; the bounds come from that
+    /// form's group sizes under `q`'s policy (`balanced_bounds` or
+    /// `proportional_bounds`) with `q.k` and `q.alpha`. Every solve path —
+    /// the engine, the CLI `solve`, the figure harness — builds its
+    /// instance here, so they all solve the same problem for the same
+    /// parameters.
+    pub fn instance(&self, q: &Query) -> Result<(CandidateSet, FairHmsInstance), ServiceError> {
+        let (cand, group_sizes) = if q.skyline {
+            (
+                CandidateSet::reduced(
+                    Arc::clone(&self.skyline_data),
+                    Arc::clone(&self.skyline_rows),
+                ),
+                &self.skyline_group_sizes,
+            )
+        } else {
+            (
+                CandidateSet::full(Arc::clone(&self.dataset)),
+                &self.group_sizes,
+            )
+        };
+        let (lower, upper) = if q.balanced {
+            balanced_bounds(group_sizes, q.k, q.alpha)
+        } else {
+            proportional_bounds(group_sizes, q.k, q.alpha)
+        };
+        let inst = FairHmsInstance::new(Arc::clone(cand.data()), q.k, lower, upper)?;
+        Ok((cand, inst))
     }
 
     /// One-line summary for `LIST` responses: `name:n:d:groups:skyline`.
@@ -241,39 +191,58 @@ pub struct MutationOutcome {
     pub rebuilt: bool,
 }
 
-/// Shifts every id greater than `removed` down by one (ascending lists
-/// stay ascending — the order is preserved by a monotone map).
-fn renumber_after(v: &mut [usize], removed: usize) {
-    for r in v.iter_mut() {
-        if *r > removed {
-            *r -= 1;
+/// The new prepared form after a mutation whose skyline changed to
+/// `skyline_rows` (indices into `data`, the already-mutated row set),
+/// plus whether it had to be rebuilt.
+///
+/// A column maximum of the whole table is always reached on the
+/// group-skyline union: a row that reaches it is either on its group's
+/// skyline or dominated by a row that also reaches it. So the
+/// normalization invariant holds exactly when every column maximum over
+/// the new skyline rows — copied out here anyway — is 0 or 1. When it
+/// broke (a coordinate past 1, an interior value in an all-zero column,
+/// or the last 1 of a column deleted), re-normalization is no longer the
+/// identity and `data` is re-prepared from scratch.
+fn with_new_skyline(
+    prep: &PreparedDataset,
+    mut data: Dataset,
+    skyline_rows: Arc<[usize]>,
+    full_generation: u64,
+) -> (PreparedDataset, bool) {
+    let skyline_data = data.subset(&skyline_rows);
+    let mut maxima = vec![0.0_f64; data.dim()];
+    for p in skyline_data.points_flat().chunks_exact(data.dim()) {
+        for (m, &v) in maxima.iter_mut().zip(p) {
+            *m = m.max(v);
         }
     }
-}
-
-/// The slow mutation path: the fast-path invariant broke (a column
-/// maximum left `{0, 1}`), so `data` — the already-mutated row set — is
-/// re-prepared from scratch (re-normalizing it, which restores the
-/// invariant). Every generation bumps: nothing incremental survived.
-fn rebuild_prepared(
-    prep: &PreparedDataset,
-    data: Dataset,
-) -> Result<PreparedDataset, ServiceError> {
-    let mut rebuilt = PreparedDataset::prepare(prep.name.clone(), data)?;
-    rebuilt.epoch = prep.epoch;
-    rebuilt.generations = prep.generations.clone();
-    rebuilt.generations.bump_all();
-    rebuilt.refresh_digests();
-    Ok(rebuilt)
+    let normalized = maxima.iter().all(|&m| m == 0.0 || m == 1.0);
+    let (skyline_rows, skyline_data) = if normalized {
+        (skyline_rows, Some(Arc::new(skyline_data)))
+    } else {
+        data.normalize();
+        (group_skyline_indices(&data).into(), None)
+    };
+    let next = PreparedDataset::derive(
+        prep.name.clone(),
+        prep.epoch,
+        data,
+        skyline_rows,
+        skyline_data,
+        prep.sky_generation + 1,
+        full_generation,
+    );
+    (next, !normalized)
 }
 
 /// Incremental append: `coords` joins `prep` as the last row of `group`.
 ///
-/// Fast path (the normalization invariant holds afterwards): one
-/// dominance scan of the group's skyline members. A dominated point
-/// changes nothing; otherwise it joins, pruning the members it
-/// dominates. No other group's state is touched and no full prep runs.
-/// Returns the new prepared form plus `(sky_changed, rebuilt)`.
+/// One dominance scan of the group's skyline members. A dominated point
+/// changes nothing, not even a column maximum (its dominator is at least
+/// as large everywhere), so the old skyline is shared. Otherwise it
+/// joins, pruning the members it dominates, and [`with_new_skyline`]
+/// checks the normalization invariant. Returns the new prepared form plus
+/// `(sky_changed, rebuilt)`.
 fn apply_append(
     prep: &PreparedDataset,
     coords: &[f64],
@@ -283,100 +252,55 @@ fn apply_append(
         .dataset
         .with_appended_row(coords, group)
         .map_err(|e| ServiceError::Dataset(e.to_string()))?;
-    // Fast path only while every column max stays exactly 0 or 1: a
-    // coordinate past 1, or a strictly-interior coordinate landing in an
-    // all-zero column, changes some column's max — re-normalization is
-    // no longer the identity, so prep must rerun.
-    let breaks_invariant = coords
-        .iter()
-        .enumerate()
-        .any(|(c, &v)| v > 1.0 || (v > 0.0 && v < 1.0 && prep.ones_per_col[c] == 0));
-    if breaks_invariant {
-        return Ok((rebuild_prepared(prep, data)?, true, true));
-    }
-
     let new_row = data.len() - 1;
     let p = data.point(new_row);
-    // Dominated by a same-group member: the skyline is already exact.
-    // Otherwise anything the new point dominates leaves, and the point
-    // joins as the largest id, so the list stays ascending.
-    let sky_changed = !prep
+    let full_generation = prep.full_generation + 1;
+    if prep
         .skyline_rows
         .iter()
-        .any(|&r| data.group_of(r) == group && dominates(data.point(r), p));
-
-    let mut ones_per_col = prep.ones_per_col.clone();
-    let mut nonzeros_per_col = prep.nonzeros_per_col.clone();
-    for (c, &v) in coords.iter().enumerate() {
-        if v == 1.0 {
-            ones_per_col[c] += 1;
-        }
-        if v > 0.0 {
-            nonzeros_per_col[c] += 1;
-        }
-    }
-    let mut group_sizes = prep.group_sizes.clone();
-    group_sizes[group] += 1;
-
-    // An unchanged skyline keeps its derived structures by refcount: the
-    // restricted dataset's rows (ids, coords, groups) are identical, so
-    // its cached SoA view stays valid — sharing is what keeps a
-    // dominated append O(|skyline of one group|).
-    let (skyline_rows, skyline_data, skyline_group_sizes) = if sky_changed {
-        let rows: Arc<[usize]> = prep
-            .skyline_rows
-            .iter()
-            .copied()
-            .filter(|&r| !(data.group_of(r) == group && dominates(p, data.point(r))))
-            .chain([new_row])
-            .collect();
-        let sd = Arc::new(data.subset(&rows));
-        let sg = sd.group_sizes();
-        (rows, sd, sg)
-    } else {
-        (
+        .any(|&r| data.group_of(r) == group && dominates(data.point(r), p))
+    {
+        // The restricted dataset's rows (ids, coords, groups) are
+        // identical, so its cached SoA view stays valid — sharing is what
+        // keeps a dominated append O(|skyline of one group|).
+        let next = PreparedDataset::derive(
+            prep.name.clone(),
+            prep.epoch,
+            data,
             Arc::clone(&prep.skyline_rows),
-            Arc::clone(&prep.skyline_data),
-            prep.skyline_group_sizes.clone(),
-        )
-    };
-    let mut generations = prep.generations.clone();
-    generations.bump_full(group);
-    if sky_changed {
-        generations.bump_sky(group);
+            Some(Arc::clone(&prep.skyline_data)),
+            prep.sky_generation,
+            full_generation,
+        );
+        return Ok((next, false, false));
     }
-    let mut next = PreparedDataset {
-        name: prep.name.clone(),
-        dataset: Arc::new(data),
-        skyline_rows,
-        skyline_data,
-        group_sizes,
-        skyline_group_sizes,
-        epoch: prep.epoch,
-        prep_micros: prep.prep_micros,
-        generations,
-        sky_digest: 0,
-        full_digest: 0,
-        ones_per_col,
-        nonzeros_per_col,
-    };
-    next.refresh_digests();
-    Ok((next, sky_changed, false))
+    // Anything the new point dominates leaves, and the point joins as the
+    // largest id, so the list stays ascending.
+    let rows: Arc<[usize]> = prep
+        .skyline_rows
+        .iter()
+        .copied()
+        .filter(|&r| !(data.group_of(r) == group && dominates(p, data.point(r))))
+        .chain([new_row])
+        .collect();
+    let (next, rebuilt) = with_new_skyline(prep, data, rows, full_generation);
+    Ok((next, true, rebuilt))
 }
 
 /// Incremental delete of `row` (current compacted id; later rows shift
 /// down by one).
 ///
-/// Fast path: a dominated row leaves every skyline unchanged (only later
-/// ids renumber). Removing a skyline member can only resurrect rows of
-/// its own group, so that group's skyline is recomputed from its
-/// remaining rows — never a full prep. Returns the new prepared form plus
-/// `(sky_changed, rebuilt)`.
+/// A dominated row leaves every skyline and every column maximum
+/// unchanged (only later ids renumber). Removing a skyline member can
+/// only resurrect rows of its own group, so that group's skyline is
+/// recomputed from its remaining rows — never a full prep. Returns the
+/// new prepared form plus `(sky_changed, rebuilt)`.
 fn apply_delete(
     prep: &PreparedDataset,
     row: usize,
 ) -> Result<(PreparedDataset, bool, bool), ServiceError> {
-    let n = prep.dataset.len();
+    let old = &prep.dataset; // id space of `skyline_rows` below
+    let n = old.len();
     if row >= n {
         return Err(ServiceError::Dataset(format!(
             "row {row} out of range (dataset has {n} rows)"
@@ -387,107 +311,48 @@ fn apply_delete(
             "deleting the last row would leave an empty dataset".into(),
         ));
     }
-    let group = prep.dataset.group_of(row);
-    let removed_point = prep.dataset.point(row).to_vec();
-    let data = prep
-        .dataset
+    let data = old
         .with_removed_row(row)
         .map_err(|e| ServiceError::Dataset(e.to_string()))?;
-
-    // Invariant check: removing a column's last exact-1.0 while other
-    // rows are still nonzero there leaves that column max strictly
-    // inside (0, 1) — re-normalization would rescale it, so prep reruns.
-    let mut ones_per_col = prep.ones_per_col.clone();
-    let mut nonzeros_per_col = prep.nonzeros_per_col.clone();
-    let mut breaks_invariant = false;
-    for (c, &v) in removed_point.iter().enumerate() {
-        if v == 1.0 {
-            ones_per_col[c] -= 1;
-        }
-        if v > 0.0 {
-            nonzeros_per_col[c] -= 1;
-        }
-        if ones_per_col[c] == 0 && nonzeros_per_col[c] > 0 {
-            breaks_invariant = true;
-        }
-    }
-    if breaks_invariant {
-        return Ok((rebuild_prepared(prep, data)?, true, true));
-    }
-
-    let old = &prep.dataset; // id space of `skyline_rows` below
+    let full_generation = prep.full_generation + 1;
     let mut skyline_rows = prep.skyline_rows.to_vec();
-    let sky_changed = match skyline_rows.binary_search(&row) {
-        Ok(pos) => {
-            skyline_rows.remove(pos);
-            let cand: Vec<usize> = old
-                .group_indices(group)
-                .into_iter()
-                .filter(|&r| r != row)
-                .collect();
-            skyline_rows.retain(|&r| old.group_of(r) != group);
-            skyline_rows.extend(bucket_skyline(old, &cand));
-            skyline_rows.sort_unstable();
-            true
-        }
-        Err(_) => false,
-    };
-
-    // Deletion renumbers every later row. A group whose skyline holds
-    // any id past the removed row serves *different indices* after the
-    // shift — cached answers quoting the old ids must drop, so those
-    // groups' skyline generations bump alongside the mutated group's.
-    let mut bump_sky = vec![false; old.num_groups()];
-    if sky_changed {
-        bump_sky[group] = true;
+    let on_skyline = skyline_rows.binary_search(&row);
+    if let Ok(pos) = on_skyline {
+        let group = old.group_of(row);
+        skyline_rows.remove(pos);
+        let cand: Vec<usize> = old
+            .group_indices(group)
+            .into_iter()
+            .filter(|&r| r != row)
+            .collect();
+        skyline_rows.retain(|&r| old.group_of(r) != group);
+        skyline_rows.extend(bucket_skyline(old, &cand));
+        skyline_rows.sort_unstable();
     }
-    for &r in skyline_rows.iter().filter(|&&r| r > row) {
-        bump_sky[old.group_of(r)] = true;
+    // Deletion renumbers every later row: a skyline holding any id past
+    // the removed row serves *different indices* after the shift, so
+    // cached answers quoting the old ids must drop.
+    let renumbered = skyline_rows.last().is_some_and(|&r| r > row);
+    for r in skyline_rows.iter_mut().filter(|r| **r > row) {
+        *r -= 1;
     }
-    renumber_after(&mut skyline_rows, row);
-    let mut group_sizes = prep.group_sizes.clone();
-    group_sizes[group] -= 1;
-
-    let dataset = Arc::new(data);
+    if on_skyline.is_ok() {
+        let (next, rebuilt) = with_new_skyline(prep, data, skyline_rows.into(), full_generation);
+        return Ok((next, true, rebuilt));
+    }
     // Same sharing rule as append: an unchanged skyline *set* (same rows
     // modulo the id shift, identical coords and groups) keeps the
     // restricted dataset and its cached SoA view by refcount.
-    let (skyline_rows, skyline_data, skyline_group_sizes) = if sky_changed {
-        let rows: Arc<[usize]> = skyline_rows.into();
-        let sd = Arc::new(dataset.subset(&rows));
-        let sg = sd.group_sizes();
-        (rows, sd, sg)
-    } else {
-        (
-            skyline_rows.into(),
-            Arc::clone(&prep.skyline_data),
-            prep.skyline_group_sizes.clone(),
-        )
-    };
-    let mut generations = prep.generations.clone();
-    generations.bump_full(group);
-    for (g, bump) in bump_sky.into_iter().enumerate() {
-        if bump {
-            generations.bump_sky(g);
-        }
-    }
-    let mut next = PreparedDataset {
-        name: prep.name.clone(),
-        dataset,
-        skyline_rows,
-        skyline_data,
-        group_sizes,
-        skyline_group_sizes,
-        epoch: prep.epoch,
-        prep_micros: prep.prep_micros,
-        generations,
-        sky_digest: 0,
-        full_digest: 0,
-        ones_per_col,
-        nonzeros_per_col,
-    };
-    next.refresh_digests();
-    Ok((next, sky_changed, false))
+    let next = PreparedDataset::derive(
+        prep.name.clone(),
+        prep.epoch,
+        data,
+        skyline_rows.into(),
+        Some(Arc::clone(&prep.skyline_data)),
+        prep.sky_generation + u64::from(renumbered),
+        full_generation,
+    );
+    Ok((next, false, false))
 }
 
 /// A concurrent map of named [`PreparedDataset`]s.
@@ -594,44 +459,41 @@ impl Catalog {
 
     /// Appends one row (`coords`, labeled `group`) to the dataset
     /// registered under `name`, maintaining its prepared form
-    /// incrementally (see `apply_append`'s fast/slow paths).
-    ///
-    /// Copy-on-write under the catalog's existing write lock: the new
-    /// [`PreparedDataset`] is built from the old one's parts (sharing
-    /// what the mutation provably did not touch) and published
-    /// atomically — concurrent queries see either the old or the new
-    /// prepared form, never a half-mutated one. Mutations to the same
-    /// catalog serialize on the lock; no other lock is held inside.
+    /// incrementally (see `apply_append`).
     pub fn append_row(
         &self,
         name: &str,
         coords: &[f64],
         group: usize,
     ) -> Result<MutationOutcome, ServiceError> {
-        let mut map = write_or_recover(&self.inner);
-        let prep = map.get(name).ok_or_else(|| ServiceError::UnknownDataset {
-            name: name.to_string(),
-        })?;
-        let (next, sky_changed, rebuilt) = apply_append(prep, coords, group)?;
-        let next = Arc::new(next);
-        map.insert(name.to_string(), Arc::clone(&next));
-        Ok(MutationOutcome {
-            prep: next,
-            sky_changed,
-            rebuilt,
-        })
+        self.mutate(name, |prep| apply_append(prep, coords, group))
     }
 
     /// Deletes `row` (current compacted id) from the dataset registered
     /// under `name`, repairing its prepared form incrementally (see
-    /// `apply_delete`). Same copy-on-write publication discipline as
-    /// [`Catalog::append_row`].
+    /// `apply_delete`).
     pub fn delete_row(&self, name: &str, row: usize) -> Result<MutationOutcome, ServiceError> {
+        self.mutate(name, |prep| apply_delete(prep, row))
+    }
+
+    /// The publish step both mutations share. Copy-on-write under the
+    /// catalog's existing write lock: `apply` builds the new
+    /// [`PreparedDataset`] from the old one's parts (sharing what the
+    /// mutation provably did not touch) and it is published atomically —
+    /// concurrent queries see either the old or the new prepared form,
+    /// never a half-mutated one, and a failed mutation publishes nothing.
+    /// Mutations to the same catalog serialize on the lock; no other lock
+    /// is held inside.
+    fn mutate(
+        &self,
+        name: &str,
+        apply: impl FnOnce(&PreparedDataset) -> Result<(PreparedDataset, bool, bool), ServiceError>,
+    ) -> Result<MutationOutcome, ServiceError> {
         let mut map = write_or_recover(&self.inner);
         let prep = map.get(name).ok_or_else(|| ServiceError::UnknownDataset {
             name: name.to_string(),
         })?;
-        let (next, sky_changed, rebuilt) = apply_delete(prep, row)?;
+        let (next, sky_changed, rebuilt) = apply(prep)?;
         let next = Arc::new(next);
         map.insert(name.to_string(), Arc::clone(&next));
         Ok(MutationOutcome {
@@ -814,8 +676,8 @@ mod tests {
     }
 
     /// Re-preps `prep`'s current stored rows from scratch and asserts the
-    /// incremental bookkeeping matches it exactly: global skyline rows,
-    /// restricted dataset, group sizes and invariant counters.
+    /// incremental bookkeeping matches it exactly: normalized rows, global
+    /// skyline rows, restricted dataset and group sizes.
     fn assert_matches_oracle(cat: &Catalog, name: &str) {
         let prep = cat.get(name).unwrap();
         let data = Dataset::new(
@@ -840,8 +702,6 @@ mod tests {
         assert_eq!(prep.skyline_data.groups(), oracle.skyline_data.groups());
         assert_eq!(prep.group_sizes, oracle.group_sizes);
         assert_eq!(prep.skyline_group_sizes, oracle.skyline_group_sizes);
-        assert_eq!(prep.ones_per_col, oracle.ones_per_col);
-        assert_eq!(prep.nonzeros_per_col, oracle.nonzeros_per_col);
     }
 
     #[test]
@@ -908,27 +768,25 @@ mod tests {
         let cat = Catalog::new();
         cat.insert_dataset(toy()).unwrap();
         let before = cat.get("toy").unwrap();
-        // Dominated append in group 0: full digest moves (row count and
-        // group 0's rows changed), sky digest must NOT (the skyline —
+        // Dominated append in group 0: the full generation moves (group
+        // 0's rows changed), the sky generation must NOT (the skyline —
         // contents and ids — is untouched).
         let out = cat.append_row("toy", &[0.05, 0.05], 0).unwrap();
-        assert_eq!(out.prep.sky_digest, before.sky_digest);
-        assert_ne!(out.prep.full_digest, before.full_digest);
-        assert_eq!(out.prep.generations.sky, before.generations.sky);
-        assert_ne!(out.prep.generations.full, before.generations.full);
+        assert_eq!(out.prep.sky_generation, before.sky_generation);
+        assert_ne!(out.prep.full_generation, before.full_generation);
         assert_eq!(out.prep.epoch, before.epoch, "mutations never re-epoch");
         // Deleting that trailing dominated row (id n-1, past every
-        // skyline id): sky digest again unchanged.
+        // skyline id): sky generation again unchanged.
         let n = out.prep.dataset.len();
         let before = out.prep;
         let out = cat.delete_row("toy", n - 1).unwrap();
-        assert_eq!(out.prep.sky_digest, before.sky_digest);
-        assert_ne!(out.prep.full_digest, before.full_digest);
-        // A skyline-changing append moves the sky digest.
+        assert_eq!(out.prep.sky_generation, before.sky_generation);
+        assert_ne!(out.prep.full_generation, before.full_generation);
+        // A skyline-changing append moves the sky generation.
         let before = out.prep;
         let out = cat.append_row("toy", &[1.0, 1.0], 1).unwrap();
         assert!(out.sky_changed);
-        assert_ne!(out.prep.sky_digest, before.sky_digest);
+        assert_ne!(out.prep.sky_generation, before.sky_generation);
     }
 
     #[test]

@@ -4,12 +4,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fairhms_core::registry::{self, WarmStart};
-use fairhms_core::types::{CandidateSet, FairHmsInstance};
-use fairhms_matroid::{balanced_bounds, proportional_bounds};
 use fairhms_obs::sync::{lock_or_recover, wait_or_recover};
 
 use crate::cache::{CacheStats, SolutionCache};
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, PreparedDataset};
 use crate::metrics::{ServiceMetrics, TelemetryConfig};
 use crate::query::Query;
 use crate::warmstart::{WarmConfig, WarmKey, WarmStartCache, WarmStats};
@@ -213,7 +211,7 @@ impl QueryEngine {
         &self,
         name: &str,
         path: &std::path::Path,
-    ) -> Result<Arc<crate::catalog::PreparedDataset>, ServiceError> {
+    ) -> Result<Arc<PreparedDataset>, ServiceError> {
         self.catalog.load_csv(name, path)
     }
 
@@ -221,7 +219,7 @@ impl QueryEngine {
     /// `APPEND` verb lands on. The catalog applies incremental skyline
     /// maintenance and publishes the new prepared snapshot; this seam
     /// then runs the *delta* invalidation sweeps: only cached answers and
-    /// warm-start state whose form digest the mutation moved are dropped
+    /// warm-start state whose form generation the mutation moved are dropped
     /// (see [`SolutionCache::invalidate_stale`] /
     /// [`WarmStartCache::invalidate_stale`]); everything else keeps
     /// hitting.
@@ -246,16 +244,13 @@ impl QueryEngine {
     }
 
     /// Post-mutation bookkeeping shared by append/delete: count the
-    /// mutation, sweep both cache tiers by digest delta, report.
+    /// mutation, sweep both cache tiers by generation delta, report.
     fn finish_mutation(&self, name: &str, out: crate::catalog::MutationOutcome) -> MutationReport {
         self.metrics.mutations_total.inc();
         let prep = &out.prep;
-        let cache_dropped =
-            self.cache
-                .invalidate_stale(name, prep.epoch, prep.sky_digest, prep.full_digest);
-        let warm_dropped =
-            self.warm
-                .invalidate_stale(prep.epoch, prep.sky_digest, prep.full_digest);
+        let (sky, full) = (prep.sky_generation, prep.full_generation);
+        let cache_dropped = self.cache.invalidate_stale(name, prep.epoch, sky, full);
+        let warm_dropped = self.warm.invalidate_stale(prep.epoch, sky, full);
         self.metrics.cache_invalidated.add(cache_dropped);
         self.metrics.warm_invalidated.add(warm_dropped);
         MutationReport {
@@ -298,11 +293,11 @@ impl QueryEngine {
         // registration epoch, so answers cached against a replaced
         // dataset of the same name can never be served.
         let prep = self.catalog.get_required(&q.dataset)?;
-        // The key folds the registration epoch *and* the group-generation
-        // digest of the form this query solves on, so mutations re-key
+        // The key folds the registration epoch *and* the mutation
+        // generation of the form this query solves on, so mutations re-key
         // exactly the answers they could have changed.
-        let digest = prep.digest_for(q.skyline);
-        let key = q.fingerprint_keyed(prep.epoch, digest);
+        let generation = prep.generation(q.skyline);
+        let key = q.fingerprint_keyed(prep.epoch, generation);
         let hit = |answer, stages: StageTimings| {
             self.cache.note_hit();
             Ok(QueryResponse {
@@ -316,7 +311,7 @@ impl QueryEngine {
         // span; re-check iterations accumulate into the same stages.
         loop {
             let lookup = rec.span(&self.metrics.cache_lookup);
-            let peeked = self.cache.peek(key, prep.epoch, digest, &q);
+            let peeked = self.cache.peek(key, prep.epoch, generation, &q);
             stages.cache_lookup_ns += lookup.stop().unwrap_or(0);
             if let Some(answer) = peeked {
                 return hit(answer, stages);
@@ -339,7 +334,7 @@ impl QueryEngine {
         // miss and our claim; without this re-check we would re-solve an
         // already-cached query cold.
         let lookup = rec.span(&self.metrics.cache_lookup);
-        let peeked = self.cache.peek(key, prep.epoch, digest, &q);
+        let peeked = self.cache.peek(key, prep.epoch, generation, &q);
         stages.cache_lookup_ns += lookup.stop().unwrap_or(0);
         if let Some(answer) = peeked {
             return hit(answer, stages);
@@ -347,7 +342,7 @@ impl QueryEngine {
         self.cache.note_miss();
         let answer = Arc::new(self.solve_cold(&q, &prep, &mut stages)?);
         self.cache
-            .insert(key, prep.epoch, digest, q, Arc::clone(&answer));
+            .insert(key, prep.epoch, generation, q, Arc::clone(&answer));
         Ok(QueryResponse {
             answer,
             cached: false,
@@ -359,10 +354,10 @@ impl QueryEngine {
     /// Solves `q` from scratch against the prepared dataset, consulting
     /// the warm-start tier for a BiGreedy `db_max` vector.
     ///
-    /// Mirrors the CLI `solve` pipeline: optional skyline restriction,
-    /// bounds derivation, instance validation, then the shared name→
-    /// algorithm factory — so the CLI and every service front end return
-    /// identical answers for identical parameters. The warm-start tier is
+    /// The instance comes from [`PreparedDataset::instance`], as it does
+    /// for the CLI `solve`, and the algorithm from the shared registry —
+    /// so the CLI and every service front end return identical answers
+    /// for identical parameters. The warm-start tier is
     /// purely advisory: the solver verifies a cached vector's preimage
     /// before reusing it (see [`WarmStart::db_max_for`]), so a warm solve
     /// is bit-identical to a cold one — pinned by
@@ -371,45 +366,25 @@ impl QueryEngine {
     fn solve_cold(
         &self,
         q: &Query,
-        prep: &crate::catalog::PreparedDataset,
+        prep: &PreparedDataset,
         stages: &mut StageTimings,
     ) -> Result<Answer, ServiceError> {
         let rec = self.metrics.recorder();
-        // The candidate-set seam: the prepared group-skyline reduction
-        // plus the map back to original row ids — both shared by
-        // refcount, never copied per query.
-        let (cand, group_sizes): (CandidateSet, &[usize]) = if q.skyline {
-            (
-                CandidateSet::reduced(
-                    Arc::clone(&prep.skyline_data),
-                    Arc::clone(&prep.skyline_rows),
-                ),
-                &prep.skyline_group_sizes,
-            )
-        } else {
-            (
-                CandidateSet::full(Arc::clone(&prep.dataset)),
-                &prep.group_sizes,
-            )
-        };
-        let (lower, upper) = if q.balanced {
-            balanced_bounds(group_sizes, q.k, q.alpha)
-        } else {
-            proportional_bounds(group_sizes, q.k, q.alpha)
-        };
         // Zero-copy hand-off: the instance shares the catalog's prepared
         // allocation; concurrent solves against one dataset all read it.
-        let inst = FairHmsInstance::new(Arc::clone(cand.data()), q.k, lower, upper)?;
+        let (cand, inst) = prep.instance(q)?;
         let alg = registry::by_name(&q.alg)?;
 
         // Warm-start lookup, BiGreedy only: no other algorithm reads the
-        // context. The key fixes the vector's whole preimage: the epoch
-        // and per-form digest fix the candidate rows (state for a
-        // replaced dataset or a mutated form is unreachable the instant
-        // the change publishes), `k` the net size, and the seed the net.
+        // context. The key fixes the vector's whole preimage: the epoch,
+        // form and that form's generation fix the candidate rows (state
+        // for a replaced dataset or a mutated form is unreachable the
+        // instant the change publishes), `k` the net size, and the seed
+        // the net.
         let warm_key = (alg.key == "bigreedy").then(|| WarmKey {
             epoch: prep.epoch,
-            digest: prep.digest_for(q.skyline),
+            skyline: q.skyline,
+            generation: prep.generation(q.skyline),
             k: q.k,
             seed: q.seed,
         });

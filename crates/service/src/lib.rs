@@ -14,8 +14,8 @@
 //!   fingerprint, so repeated queries return bit-identical answers without
 //!   re-solving;
 //! * [`warmstart`] — the second cache tier: a [`WarmStartCache`] of
-//!   BiGreedy `db_max` vectors keyed by `(dataset epoch, form digest, k,
-//!   seed)`, so near-miss queries skip the `m × n`
+//!   BiGreedy `db_max` vectors keyed by `(dataset epoch, form, form
+//!   generation, k, seed)`, so near-miss queries skip the `m × n`
 //!   setup pass without affecting answers;
 //! * [`engine`] — the [`QueryEngine`] tying catalog + cache + the
 //!   [`fairhms_core::registry`] algorithm table together;
@@ -40,8 +40,8 @@
 //!   delivery, admission control (bounded solve queue, per-connection
 //!   quotas, deadline shedding with `retry_after_ms`), the `LOAD` admin
 //!   verb, and the `APPEND`/`DELETE` mutation verbs (incremental skyline
-//!   maintenance with per-group generation digests and delta cache
-//!   invalidation — see `docs/ARCHITECTURE.md`).
+//!   maintenance with one mutation generation per dataset form and delta
+//!   cache invalidation — see `docs/ARCHITECTURE.md`).
 //!
 //! ```
 //! use fairhms_service::{Catalog, Query, QueryEngine};
@@ -78,7 +78,7 @@ pub mod server;
 pub mod warmstart;
 
 pub use cache::{CacheStats, SolutionCache};
-pub use catalog::{Catalog, GroupGenerations, MutationOutcome, PreparedDataset};
+pub use catalog::{Catalog, MutationOutcome, PreparedDataset};
 pub use client::WireClient;
 pub use codec::{BinaryCodec, Codec, CodecKind, TextCodec};
 pub use engine::{Answer, MutationReport, QueryEngine, QueryResponse, StageTimings};

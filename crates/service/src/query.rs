@@ -55,19 +55,20 @@ impl Query {
     }
 
     /// A 64-bit FNV-1a fingerprint of the canonical query, folded with
-    /// the dataset's registration epoch and the group-generation digest
-    /// of the form this query solves on (`sky_digest` when `skyline`,
-    /// `full_digest` otherwise — see `PreparedDataset::digest_for`): the
-    /// solution-cache key. Field values are length-prefixed so adjacent
-    /// fields cannot alias (`("ab", "c")` vs `("a", "bc")`).
+    /// the dataset's registration epoch and the mutation generation of
+    /// the form this query solves on (`sky_generation` when `skyline`,
+    /// `full_generation` otherwise — see `PreparedDataset::generation`):
+    /// the solution-cache key. Field values are length-prefixed so
+    /// adjacent fields cannot alias (`("ab", "c")` vs `("a", "bc")`).
     ///
     /// Replacing a catalog entry under the same name bumps the epoch, so
-    /// every answer cached against the old data re-keys. Mutations bump
-    /// only the touched groups' generations, so cached answers whose form
-    /// the mutation did not disturb keep fingerprinting (and verifying)
-    /// identically and survive as hits; disturbed forms re-key and the
-    /// stale entries age out or are swept by the engine's delta
-    /// invalidation.
+    /// every answer cached against the old data re-keys. A mutation bumps
+    /// the full form's generation, and the skyline form's only when the
+    /// group-skyline union changed (membership or row ids), so cached
+    /// answers whose form the mutation did not disturb keep
+    /// fingerprinting (and verifying) identically and survive as hits;
+    /// disturbed forms re-key and the stale entries age out or are swept
+    /// by the engine's delta invalidation.
     ///
     /// The fingerprint is a fast router, not an identity proof: the cache
     /// stores the canonical query alongside each answer and verifies
@@ -77,10 +78,10 @@ impl Query {
     /// Hashes `self` as-is — the caller must already hold the canonical
     /// form (see [`Query::canonicalized`]); the engine's hot path calls
     /// this once per request and must not re-clone the query.
-    pub fn fingerprint_keyed(&self, epoch: u64, digest: u64) -> u64 {
+    pub fn fingerprint_keyed(&self, epoch: u64, generation: u64) -> u64 {
         let mut h = Fnv1a::new();
         h.write_u64(epoch);
-        h.write_u64(digest);
+        h.write_u64(generation);
         h.write_str(&self.dataset);
         h.write_u64(self.k as u64);
         h.write_str(&self.alg);
@@ -141,7 +142,7 @@ impl Fnv1a {
 mod tests {
     use super::*;
 
-    /// The cache key of `q` at epoch 0 and digest 0.
+    /// The cache key of `q` at epoch 0 and generation 0.
     fn fp(q: &Query) -> u64 {
         q.canonicalized().fingerprint_keyed(0, 0)
     }

@@ -7,10 +7,10 @@
 //! solve's setup is the `m × n` pass that computes
 //! `db_max[u] = max_p ⟨u, p⟩` for every net vector `u`, and that vector
 //! does not depend on the bounds. So this tier caches it, as a
-//! [`CachedDbMax`], keyed by `(dataset epoch, form digest, k, seed)`.
-//! That key fixes the vector's whole `(dim, m, seed, n)` preimage: `dim`
-//! is the dataset's, `m = 10·k·d`, and the epoch and digest fix the
-//! candidate form and so `n`. The solver still checks that preimage
+//! [`CachedDbMax`], keyed by `(dataset epoch, form, form generation, k,
+//! seed)`. That key fixes the vector's whole `(dim, m, seed, n)`
+//! preimage: `dim` is the dataset's, `m = 10·k·d`, and the epoch, form
+//! and generation fix the candidate rows and so `n`. The solver still checks that preimage
 //! ([`fairhms_core::CachedDbMax::matches`]) before it reuses a vector.
 //! Everything else — the δ-net, the matroid's label scan — is rebuilt per
 //! solve; both cost well under a millisecond against a solve of 100 ms
@@ -24,7 +24,7 @@
 //! epoch (like the solution cache), so replacing a dataset under the same
 //! name makes every stale entry unreachable; unreachable entries age out
 //! through the LRU. A mutation drops exactly the entries whose form
-//! digest it moved ([`WarmStartCache::invalidate_stale`]). A resident
+//! generation it moved ([`WarmStartCache::invalidate_stale`]). A resident
 //! entry costs `m` floats: 400 at `k = 10`, `d = 4`.
 //!
 //! Correctness does not depend on this tier at all: the solver verifies
@@ -63,13 +63,18 @@ impl Default for WarmConfig {
 pub struct WarmKey {
     /// Dataset registration epoch.
     pub epoch: u64,
-    /// Group-generation digest of the candidate form the query solves on
-    /// (`PreparedDataset::digest_for(skyline)`). Folding the per-form
-    /// digest — rather than one whole-dataset value — is what makes
+    /// The candidate form the query solves on (`skyline=true`/`false`).
+    /// Both forms' generations start at 0, so the form itself keeps
+    /// their entries apart.
+    pub skyline: bool,
+    /// That form's mutation generation
+    /// (`PreparedDataset::generation(skyline)`). Keying on the form's own
+    /// generation — rather than one whole-dataset value — is what makes
     /// mutation invalidation a *delta*: a mutation that leaves a form's
-    /// digest alone (e.g. a dominated append never moves `sky_digest`)
-    /// leaves that form's warm state reachable and verifiably current.
-    pub digest: u64,
+    /// generation alone (e.g. a dominated append never moves
+    /// `sky_generation`) leaves that form's warm state reachable and
+    /// verifiably current.
+    pub generation: u64,
     /// Solution size (fixes the net size `m = 10·k·d`).
     pub k: usize,
     /// The query's RNG seed, which the δ-net is sampled from.
@@ -127,17 +132,24 @@ impl WarmStartCache {
 
     /// Delta invalidation after a mutation of the dataset registered at
     /// `epoch`: drops exactly the entries keyed to that epoch whose form
-    /// digest the mutation moved — i.e. those matching neither the live
-    /// `sky_digest` nor the live `full_digest`. Entries for other
-    /// datasets (other epochs) and entries whose form survived the
-    /// mutation untouched are kept. Returns the number dropped.
+    /// generation the mutation moved — each entry is checked against its
+    /// own form's live generation (`sky_generation` or
+    /// `full_generation`). Entries for other datasets (other epochs) and
+    /// entries whose form survived the mutation untouched are kept.
+    /// Returns the number dropped.
     ///
     /// (Re-*registration* under the same name bumps the epoch instead;
     /// those entries become unreachable and age out through the LRU, as
     /// before — this sweep is the mutation path only.)
-    pub fn invalidate_stale(&self, epoch: u64, sky_digest: u64, full_digest: u64) -> u64 {
-        lock_or_recover(&self.lru)
-            .retain(|k, _| k.epoch != epoch || k.digest == sky_digest || k.digest == full_digest)
+    pub fn invalidate_stale(&self, epoch: u64, sky_generation: u64, full_generation: u64) -> u64 {
+        lock_or_recover(&self.lru).retain(|k, _| {
+            let live = if k.skyline {
+                sky_generation
+            } else {
+                full_generation
+            };
+            k.epoch != epoch || k.generation == live
+        })
     }
 
     /// Records one `db_max` vector reused from the tier.
@@ -181,7 +193,8 @@ mod tests {
     fn key(epoch: u64, k: usize) -> WarmKey {
         WarmKey {
             epoch,
-            digest: 0,
+            skyline: true,
+            generation: 0,
             k,
             seed: 42,
         }
@@ -251,23 +264,29 @@ mod tests {
     #[test]
     fn invalidate_stale_drops_only_moved_digests() {
         let cache = WarmStartCache::new(8);
-        let k_at = |epoch: u64, digest: u64| WarmKey {
+        let k_at = |epoch: u64, skyline: bool, generation: u64| WarmKey {
             epoch,
-            digest,
+            skyline,
+            generation,
             k: 3,
             seed: 42,
         };
-        // Epoch 5: skyline-form state at digest 10, full-form at 20.
+        // Epoch 5: skyline-form state at generation 10, full-form at 20.
         // Epoch 9: a different dataset, untouched by the mutation.
-        cache.insert(k_at(5, 10), db_max(1));
-        cache.insert(k_at(5, 20), db_max(1));
-        cache.insert(k_at(9, 77), db_max(1));
-        // Mutation moved only the full digest (20 → 21): the skyline
+        cache.insert(k_at(5, true, 10), db_max(1));
+        cache.insert(k_at(5, false, 20), db_max(1));
+        cache.insert(k_at(9, true, 77), db_max(1));
+        // Mutation moved only the full generation (20 → 21): the skyline
         // entry and the other dataset survive.
         assert_eq!(cache.invalidate_stale(5, 10, 21), 1);
-        assert!(cache.get(&k_at(5, 10)).is_some());
-        assert!(cache.get(&k_at(5, 20)).is_none());
-        assert!(cache.get(&k_at(9, 77)).is_some());
+        assert!(cache.get(&k_at(5, true, 10)).is_some());
+        assert!(cache.get(&k_at(5, false, 20)).is_none());
+        assert!(cache.get(&k_at(9, true, 77)).is_some());
+        // Each entry answers to its own form's generation: a skyline
+        // entry whose generation equals the live *full* one still drops.
+        cache.insert(k_at(5, true, 21), db_max(1));
+        assert_eq!(cache.invalidate_stale(5, 10, 21), 1);
+        assert!(cache.get(&k_at(5, true, 10)).is_some());
         // Everything-current sweep is a no-op.
         assert_eq!(cache.invalidate_stale(5, 10, 21), 0);
         assert_eq!(cache.len(), 2);

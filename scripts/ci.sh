@@ -39,6 +39,15 @@ for example in examples/*.rs; do
   cargo run --release -q --example "$name" > /dev/null
 done
 
+# The Table 2 and Figure 4 binaries at their default sizes (about 0.2 s
+# and 1 s in release), so the figure harness's preparation path
+# (`PreparedDataset::prepare` and `::instance`) runs, not just compiles.
+# Both write their CSVs under results/.
+echo "==> run the table2 and fig4 harness binaries"
+for bin in table2 fig4; do
+  cargo run --release -q -p fairhms-bench --bin "$bin" > /dev/null
+done
+
 # perfbench is its own workspace, so the steps above never compile it; a
 # service API break would otherwise surface only when the benchmark runs.
 echo "==> cargo check perfbench (against the workspace crates)"
@@ -60,8 +69,9 @@ FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench 
 # LP bench: single regret LPs and one lazy F-Greedy solve at the 200k
 # serving pool shape; no other step runs it.
 FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench lp
-# The algorithm benches no other step runs: ablation (the only caller of
-# TauSearch::Linear), the 2-D envelope, the MHR evaluators and IntCov.
+# The algorithm benches no other step runs: ablation (TauSearch::Linear
+# against the binary search), the 2-D envelope, the MHR evaluators and
+# IntCov.
 # Together about 3 s to build and under 1 s to run.
 for bench in ablation envelope eval intcov; do
   FAIRHMS_BENCH_MS="${FAIRHMS_BENCH_MS:-25}" cargo bench -p fairhms-bench --bench "$bench"

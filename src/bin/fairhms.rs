@@ -22,11 +22,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fairhms::core::registry;
-use fairhms::core::types::{CandidateSet, FairHmsInstance, Solution};
+use fairhms::core::types::Solution;
 use fairhms::data::gen;
-use fairhms::data::skyline::group_skyline_indices;
 use fairhms::data::stats::DatasetStats;
-use fairhms::matroid::{balanced_bounds, proportional_bounds};
+use fairhms::service::{PreparedDataset, Query};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -88,7 +87,7 @@ admin verb to register CSVs under DIR at runtime; --max-streams caps
 concurrent streamed batches (excess answered ERR busy). `append` and
 `delete` mutate a served dataset in place through the APPEND/DELETE wire
 verbs: skylines are maintained incrementally and only cached answers
-whose digest the mutation moved are invalidated. A BiGreedy near-miss
+whose form the mutation changed are invalidated. A BiGreedy near-miss
 (same dataset, form, k and seed; different bounds) reuses the cached
 db_max vector of the warm-start tier, the m x n part of BiGreedy's
 set-up — answers are bit-identical to a cold solve; --warm-capacity
@@ -227,17 +226,17 @@ fn cmd_gen(opts: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// Reads `--input` with `--dim` attributes per row, as stored (not yet
+/// normalized).
 fn load(opts: &Flags) -> Result<fairhms::data::Dataset, String> {
     let input = PathBuf::from(req(opts, "input")?);
     let dim: usize = num(opts, "dim")?.ok_or("missing --dim")?;
-    let mut data =
-        fairhms::data::csv::read_dataset(&input, "input", dim).map_err(|e| e.to_string())?;
-    data.normalize();
-    Ok(data)
+    fairhms::data::csv::read_dataset(&input, "input", dim).map_err(|e| e.to_string())
 }
 
 fn cmd_stats(opts: &Flags) -> Result<(), String> {
-    let data = load(opts)?;
+    let mut data = load(opts)?;
+    data.normalize();
     let st = DatasetStats::compute(&data);
     println!("{}", st.table_row());
     for (g, (size, sky)) in st.group_sizes.iter().zip(&st.group_skylines).enumerate() {
@@ -256,29 +255,19 @@ fn cmd_solve(opts: &Flags) -> Result<(), String> {
     let alpha = fairhms::service::query::check_alpha(num(opts, "alpha")?.unwrap_or(0.1))?;
     let seed: u64 = num(opts, "seed")?.unwrap_or(registry::DEFAULT_SEED);
     let alg_name = opts.get("alg").map(|s| s.as_str()).unwrap_or("bigreedy");
-    let data = load(opts)?;
+    let prep = PreparedDataset::prepare("input", load(opts)?).map_err(|e| e.to_string())?;
 
-    // Candidate-set seam (shared with the serving engine): skyline
-    // restriction (lossless) unless disabled, carrying the map back to
-    // original row ids.
-    let cand = if opts.contains_key("no-skyline") {
-        CandidateSet::full(std::sync::Arc::new(data))
-    } else {
-        let sky = group_skyline_indices(&data);
-        CandidateSet::restrict(&data, &sky)
-    };
+    // The serving engine's instance builder: the group-skyline union
+    // (lossless) unless disabled, bounds from that form's group sizes,
+    // and the map back to original row ids.
+    let mut q = Query::new("input", k);
+    q.alpha = alpha;
+    q.balanced = opts.contains_key("balanced");
+    q.skyline = !opts.contains_key("no-skyline");
+    let (cand, inst) = prep.instance(&q).map_err(|e| e.to_string())?;
     let input = cand.data();
-
-    let (lower, upper) = if opts.contains_key("balanced") {
-        balanced_bounds(&input.group_sizes(), k, alpha)
-    } else {
-        proportional_bounds(&input.group_sizes(), k, alpha)
-    };
-    println!("bounds: l = {lower:?}, h = {upper:?}");
-    // The instance and the evaluation below share the candidate
-    // allocation (no matrix copy).
-    let inst = FairHmsInstance::new(std::sync::Arc::clone(input), k, lower, upper)
-        .map_err(|e| e.to_string())?;
+    let bounds = inst.matroid();
+    println!("bounds: l = {:?}, h = {:?}", bounds.lower(), bounds.upper());
 
     let alg = registry::by_name(alg_name).map_err(|e| e.to_string())?;
     let t = Instant::now();
@@ -435,7 +424,6 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
 /// through the v1 text encoding for display).
 fn cmd_query(opts: &Flags) -> Result<(), String> {
     use fairhms::service::protocol::{encode_response_line, Response};
-    use fairhms::service::Query;
 
     let mut client = connect_client(opts)?;
 
