@@ -594,6 +594,70 @@ fn pipelined_load_then_query_keeps_sequential_order() {
     server.shutdown();
 }
 
+/// On one connection, an uncached `QUERY` pipelined ahead of a cached one
+/// answers first: a repeat never overtakes the solve written before it.
+#[test]
+fn pipelined_miss_then_hit_answers_in_request_order() {
+    let _shared = shared();
+    let server = spawn(2, ServeOptions::default());
+    let mut c = WireClient::connect(server.addr()).unwrap();
+    assert!(!c.query(&Query::new("demo", 3)).unwrap().cached);
+    c.send_line("QUERY dataset=demo k=5 alg=bigreedy\nQUERY dataset=demo k=3 alg=bigreedy")
+        .unwrap();
+    let first = c.recv_answer().unwrap();
+    assert_eq!(
+        (first.indices.len(), first.cached),
+        (5, false),
+        "the uncached query must answer first"
+    );
+    let second = c.recv_answer().unwrap();
+    assert_eq!(
+        (second.indices.len(), second.cached),
+        (3, true),
+        "the cached repeat must answer second"
+    );
+    server.shutdown();
+}
+
+/// Each query counts once, whatever path answers it: a cold query, its
+/// repeat and a second cold query read `total_queries=3 hits=1
+/// misses=2` on `STATS`, and `METRICS` counts five `engine.cache_lookup`
+/// spans — two per cold query (the first look and the re-check under
+/// the single-flight claim), one per hit.
+#[test]
+fn cold_repeat_cold_counts_each_query_once() {
+    let _shared = shared();
+    let server = spawn(2, ServeOptions::default());
+    let mut c = WireClient::connect(server.addr()).unwrap();
+    for (k, cached) in [(3, false), (3, true), (4, false)] {
+        assert_eq!(
+            c.query(&Query::new("demo", k)).unwrap().cached,
+            cached,
+            "k={k}"
+        );
+    }
+    c.send_line("STATS").unwrap();
+    match c.recv().unwrap() {
+        Response::Stats {
+            total_queries,
+            hits,
+            misses,
+            hit_rate,
+            ..
+        } => {
+            assert_eq!((total_queries, hits, misses), (3, 1, 2));
+            assert_eq!(hit_rate, 1.0 / 3.0);
+        }
+        other => panic!("expected STATS, got {other:?}"),
+    }
+    let (_, counters, histograms) = c.metrics().unwrap();
+    let total = counters.iter().find(|(n, _)| n == "queries.total");
+    assert_eq!(total.map(|(_, v)| *v), Some(3));
+    let lookups = histograms.iter().find(|h| h.name == "engine.cache_lookup");
+    assert_eq!(lookups.map(|h| h.count), Some(5));
+    server.shutdown();
+}
+
 /// Shutdown is a wake, not a timeout expiry: with 100 idle connections
 /// attached it completes promptly.
 #[test]
