@@ -128,10 +128,11 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
-/// Feeds the wall-clock duration of one [`QueryEngine::execute`] call
-/// into the always-on execute-time EWMA on drop — every outcome counts
-/// (hits, cold solves, errors), because each occupies a worker for that
-/// long and the EWMA exists to price `retry_after_ms` back-off advice.
+/// Feeds the wall-clock duration of one query's execution into the
+/// always-on execute-time EWMA on drop — every outcome counts (hits,
+/// cold solves, errors), and the EWMA exists to price `retry_after_ms`
+/// back-off advice. Hits the event loop answers count too, so the advice
+/// reads as it did when every hit ran on a worker.
 struct ExecTimeNote<'a> {
     metrics: &'a ServiceMetrics,
     t: Instant,
@@ -142,6 +143,26 @@ impl Drop for ExecTimeNote<'_> {
         self.metrics
             .note_execute_micros(self.t.elapsed().as_micros().min(u64::MAX as u128) as u64);
     }
+}
+
+/// A canonical query resolved against its dataset and keyed for the
+/// answer cache.
+struct Keyed {
+    q: Query,
+    prep: Arc<PreparedDataset>,
+    generation: u64,
+    key: u64,
+}
+
+/// One execution after its shared first step ([`QueryEngine::begin`]).
+struct Begun {
+    /// When the execution started: prices `micros=` and the EWMA.
+    t: Instant,
+    stages: StageTimings,
+    keyed: Result<Keyed, ServiceError>,
+    /// What the first cache look found; `None` on a miss, an error, or
+    /// when the look was skipped.
+    hit: Option<Arc<Answer>>,
 }
 
 impl QueryEngine {
@@ -276,28 +297,96 @@ impl QueryEngine {
     /// `note_hit` for every `cached=true` response, one `note_miss` per
     /// cold solve attempt — so `hit_rate` reflects solves saved even
     /// though the single-flight path may consult the cache several times.
-    #[allow(clippy::disallowed_methods)] // see the R5 waivers below
     pub fn execute(&self, query: &Query) -> Result<QueryResponse, ServiceError> {
+        self.finish(self.begin(query, true))
+    }
+
+    /// The hit-only half of [`QueryEngine::execute`]: the same first
+    /// cache look, answered only when it hits. A miss, or an error such
+    /// as an unknown dataset, returns `None` and counts nothing; the
+    /// caller then runs [`QueryEngine::execute_missed`] for the query.
+    /// The event loop answers cached queries through this, without a
+    /// worker.
+    pub(crate) fn cached(&self, query: &Query) -> Option<QueryResponse> {
+        let begun = self.begin(query, true);
+        begun.hit.as_ref()?; // a miss counts nothing here
+        self.finish(begun).ok()
+    }
+
+    /// [`QueryEngine::execute`] for a query whose first cache look
+    /// ([`QueryEngine::cached`]) already missed: it goes straight to the
+    /// single-flight claim, whose re-check keeps the answer exact if one
+    /// was published in between. Counters read as if `execute` had run.
+    pub(crate) fn execute_missed(&self, query: &Query) -> Result<QueryResponse, ServiceError> {
+        self.finish(self.begin(query, false))
+    }
+
+    /// The start every execution shares: the clock read that prices
+    /// `micros=` and the execute-time EWMA, the keyed query and, when
+    /// `peek` is set, the first cache look.
+    #[allow(clippy::disallowed_methods)] // see the R5 waiver below
+    fn begin(&self, query: &Query, peek: bool) -> Begun {
         // fairhms-lint: allow(R5) always-on execute EWMA: retry_after_ms
         // back-off advice must price worker time with telemetry off too.
         let t = Instant::now();
+        let mut stages = StageTimings::default();
+        let keyed = self.key(query);
+        let hit = match &keyed {
+            Ok(k) if peek => self.peek(k, &mut stages),
+            _ => None,
+        };
+        Begun {
+            t,
+            stages,
+            keyed,
+            hit,
+        }
+    }
+
+    /// Resolves the dataset and keys the canonical query. The key folds
+    /// in the registration epoch, so answers cached against a replaced
+    /// dataset of the same name can never be served, and the mutation
+    /// generation of the form the query solves on, so mutations re-key
+    /// exactly the answers they could have changed.
+    fn key(&self, query: &Query) -> Result<Keyed, ServiceError> {
+        let q = query.canonicalized();
+        let prep = self.catalog.get_required(&q.dataset)?;
+        let generation = prep.generation(q.skyline);
+        let key = q.fingerprint_keyed(prep.epoch, generation);
+        Ok(Keyed {
+            q,
+            prep,
+            generation,
+            key,
+        })
+    }
+
+    /// One cache consultation, recorded as an `engine.cache_lookup`
+    /// span; single-flight re-checks add to the same stages.
+    fn peek(&self, k: &Keyed, stages: &mut StageTimings) -> Option<Arc<Answer>> {
+        let lookup = self.metrics.recorder().span(&self.metrics.cache_lookup);
+        let peeked = self.cache.peek(k.key, k.prep.epoch, k.generation, &k.q);
+        stages.cache_lookup_ns += lookup.stop().unwrap_or(0);
+        peeked
+    }
+
+    /// Everything after [`QueryEngine::begin`]: count the query, answer
+    /// a hit, otherwise claim the solve (or wait for the claim holder and
+    /// look again), re-check under the claim, and solve cold.
+    fn finish(&self, begun: Begun) -> Result<QueryResponse, ServiceError> {
+        let Begun {
+            t,
+            mut stages,
+            keyed,
+            hit: mut found,
+        } = begun;
         self.metrics.total_queries.inc();
         let _exec_note = ExecTimeNote {
             metrics: &self.metrics,
             t,
         };
         let rec = self.metrics.recorder();
-        let mut stages = StageTimings::default();
-        let q = query.canonicalized();
-        // Resolve the dataset first: the cache key folds in its
-        // registration epoch, so answers cached against a replaced
-        // dataset of the same name can never be served.
-        let prep = self.catalog.get_required(&q.dataset)?;
-        // The key folds the registration epoch *and* the mutation
-        // generation of the form this query solves on, so mutations re-key
-        // exactly the answers they could have changed.
-        let generation = prep.generation(q.skyline);
-        let key = q.fingerprint_keyed(prep.epoch, generation);
+        let k = keyed?;
         let hit = |answer, stages: StageTimings| {
             self.cache.note_hit();
             Ok(QueryResponse {
@@ -307,39 +396,43 @@ impl QueryEngine {
                 stages: rec.is_enabled().then_some(stages),
             })
         };
-        // Each cache consultation and each single-flight wait records a
-        // span; re-check iterations accumulate into the same stages.
         loop {
-            let lookup = rec.span(&self.metrics.cache_lookup);
-            let peeked = self.cache.peek(key, prep.epoch, generation, &q);
-            stages.cache_lookup_ns += lookup.stop().unwrap_or(0);
-            if let Some(answer) = peeked {
+            if let Some(answer) = found {
                 return hit(answer, stages);
             }
             // Claim the solve or wait for whoever holds the claim.
-            let mut in_flight = lock_or_recover(&self.in_flight);
-            if in_flight.insert(key) {
-                break;
+            {
+                let mut in_flight = lock_or_recover(&self.in_flight);
+                if in_flight.insert(k.key) {
+                    break;
+                }
+                let waited = rec.span(&self.metrics.flight_wait);
+                while in_flight.contains(&k.key) {
+                    in_flight = wait_or_recover(&self.in_flight_done, in_flight);
+                }
+                stages.flight_wait_ns += waited.stop().unwrap_or(0);
             }
-            let waited = rec.span(&self.metrics.flight_wait);
-            while in_flight.contains(&key) {
-                in_flight = wait_or_recover(&self.in_flight_done, in_flight);
-            }
-            stages.flight_wait_ns += waited.stop().unwrap_or(0);
-            // Re-check the cache: the claim holder either published an
-            // answer or failed (in which case we claim and retry).
+            // Look again: the claim holder either published an answer or
+            // failed (in which case we claim and retry).
+            found = self.peek(&k, &mut stages);
         }
-        let _guard = FlightGuard { engine: self, key };
-        // The previous claim holder may have published between our cache
-        // miss and our claim; without this re-check we would re-solve an
-        // already-cached query cold.
-        let lookup = rec.span(&self.metrics.cache_lookup);
-        let peeked = self.cache.peek(key, prep.epoch, generation, &q);
-        stages.cache_lookup_ns += lookup.stop().unwrap_or(0);
-        if let Some(answer) = peeked {
+        let _guard = FlightGuard {
+            engine: self,
+            key: k.key,
+        };
+        // An answer may have been published since the last look, or since
+        // the event loop's look for a query it missed on; without this
+        // re-check we would re-solve an already-cached query cold.
+        if let Some(answer) = self.peek(&k, &mut stages) {
             return hit(answer, stages);
         }
         self.cache.note_miss();
+        let Keyed {
+            q,
+            prep,
+            generation,
+            key,
+        } = k;
         let answer = Arc::new(self.solve_cold(&q, &prep, &mut stages)?);
         self.cache
             .insert(key, prep.epoch, generation, q, Arc::clone(&answer));

@@ -13,14 +13,16 @@
 //!   one slow or byte-at-a-time client can never stall another;
 //! * the loop decides from the verb where a request runs. Light control
 //!   verbs (PING, STATS, …) answer inline through the server's one
-//!   control dispatcher. A `QUERY`, each `BATCH` slot, and the heavy
-//!   `LOAD`/`APPEND`/`DELETE` verbs become jobs on the bounded
-//!   `SolveQueue`, which a resident `WorkerPool` answers; each reply
-//!   comes back over a channel, followed by a wake, under the job's
-//!   address. A single query or heavy verb waits in one [`Entry::Job`]
-//!   FIFO entry; a heavy verb also parks its connection's input behind a
-//!   barrier, so pipelined requests keep their sequential order, and it
-//!   bypasses the queue bound, since control verbs are never shed.
+//!   control dispatcher, and so does a `QUERY` whose answer is cached
+//!   (one cache look, no worker). A `QUERY` the cache misses, each
+//!   `BATCH` slot, and the heavy `LOAD`/`APPEND`/`DELETE` verbs become
+//!   jobs on the bounded `SolveQueue`, which a resident `WorkerPool`
+//!   answers; each reply comes back over a channel, followed by a wake,
+//!   under the job's address. A single query or heavy verb waits in one
+//!   [`Entry::Job`] FIFO entry; a heavy verb also parks its connection's
+//!   input behind a barrier, so pipelined requests keep their sequential
+//!   order, and it bypasses the queue bound, since control verbs are
+//!   never shed.
 //!
 //! Admission control happens at the loop, where load first becomes
 //! visible: the connection cap, the per-connection quotas, the
@@ -28,7 +30,8 @@
 //! the solve-queue bound all shed through one builder
 //! ([`crate::metrics::ServiceMetrics::shed`]): a typed `ERR busy`
 //! carrying `retry_after_ms` advice priced from the execute-time EWMA,
-//! counted in `shed.total`.
+//! counted in `shed.total`. A cached answer takes no queue or quota
+//! slot, so it is never shed.
 //!
 //! Protocol rules: line and batch size limits, lossy UTF-8 per complete
 //! line, batch bodies consumed fully before erroring, and HELLO
@@ -126,8 +129,8 @@ impl BatchEntry {
 /// under pipelining: an entry's frames reach the out-buffer only once
 /// every earlier entry has fully delivered.
 enum Entry {
-    /// Already-encoded frame(s): light control verbs, HELLO acks,
-    /// protocol errors, admission sheds.
+    /// Already-encoded frame(s): light control verbs, cached answers,
+    /// HELLO acks, protocol errors, admission sheds.
     Ready(Vec<u8>),
     /// A single `QUERY`, or a heavy control verb (`control`), awaiting
     /// its worker's response. `kind` snapshots the codec at admit time,
@@ -398,13 +401,23 @@ impl Conn {
     /// Admits a `QUERY` or a heavy control verb (`LOAD`, `APPEND`,
     /// `DELETE`) to the worker pool: solves, disk reads and catalog
     /// mutations must not stall every connection on the loop thread. A
-    /// query passes the per-connection quota, then the bounded solve
-    /// queue; either refusal sheds with typed retry advice. A control
-    /// verb bypasses both (control verbs are never shed) and raises the
-    /// connection's input barrier ([`Conn::control_inflight`]) until it
-    /// completes — so a pipelined mutate→query sequence keeps its
-    /// sequential semantics.
+    /// query whose answer is cached is answered here instead, as a ready
+    /// entry behind the connection's earlier ones, so it is never shed. A
+    /// query the cache misses passes the per-connection quota, then the
+    /// bounded solve queue; either refusal sheds with typed retry advice.
+    /// A control verb bypasses both (control verbs are never shed) and
+    /// raises the connection's input barrier ([`Conn::control_inflight`])
+    /// until it completes — so a pipelined mutate→query sequence keeps
+    /// its sequential semantics.
     fn admit(&mut self, req: Request, sh: &Shared) {
+        if let Request::Query(query) = &req {
+            if let Some(resp) = sh.engine.cached(query) {
+                let result = Ok(resp);
+                server::log_if_slow(sh.opts.slow_query_ms, query, &result);
+                self.push_ready(&Response::from_result(None, &result), sh);
+                return;
+            }
+        }
         let control = !matches!(req, Request::Query(_));
         if !control && self.inflight_singles >= sh.opts.max_inflight_queries {
             let busy = sh.shed(format!(

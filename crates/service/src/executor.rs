@@ -2,12 +2,13 @@
 //! `SolveQueue` drained by a resident `WorkerPool`.
 //!
 //! No async runtime: workers are named `std::thread`s blocking on the
-//! queue's condvar. A [`Job`] is one parsed [`Request`] — a `QUERY`, a
-//! `BATCH` slot's query, or a heavy control verb — plus the [`JobAddr`]
-//! of the connection entry awaiting it. A worker answers the request (a
-//! query through the engine, a control verb through the server's one
-//! dispatcher) and sends the [`Reply`] back under the same address
-//! over an `mpsc` channel, followed by a self-pipe wake. The loop places
+//! queue's condvar. A [`Job`] is one parsed [`Request`] — a `QUERY` the
+//! loop's cache look missed, a `BATCH` slot's query, or a heavy control
+//! verb — plus the [`JobAddr`] of the connection entry awaiting it. A
+//! worker answers the request (a query through the engine, a control
+//! verb through the server's one dispatcher) and sends the [`Reply`]
+//! back under the same address over an `mpsc` channel, followed by a
+//! self-pipe wake. The loop places
 //! each reply by its ticket and batch index, so worker count and OS
 //! scheduling affect only wall-clock time, never payloads (each query's
 //! answer is solved from a per-query seed, not from shared RNG state).
@@ -226,7 +227,12 @@ fn answer(sh: &Shared, job: Job) -> Reply {
         ))),
         _ => {
             let _run = m.recorder().span(&m.run);
-            sh.engine.execute(&query)
+            // A single query reaches a worker only after the event loop's
+            // cache look missed (`Conn::admit`); batch slots had none.
+            match job.addr.batch_index {
+                None => sh.engine.execute_missed(&query),
+                Some(_) => sh.engine.execute(&query),
+            }
         }
     };
     Reply::Solved { query, result }

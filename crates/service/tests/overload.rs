@@ -253,6 +253,94 @@ fn sheds_plus_answers_account_for_the_whole_burst() {
     server.shutdown();
 }
 
+/// `(total_queries, queue_depth)` from a `STATS` round trip.
+fn queries_and_depth(client: &mut WireClient) -> (u64, u64) {
+    client.send_line("STATS").unwrap();
+    match client.recv().unwrap() {
+        Response::Stats {
+            total_queries,
+            queue_depth,
+            ..
+        } => (total_queries, queue_depth),
+        other => panic!("expected STATS, got {other:?}"),
+    }
+}
+
+/// Polls `probe` until `cond` holds on `(total_queries, queue_depth)`.
+fn wait_for_queries(probe: &mut WireClient, cond: impl Fn((u64, u64)) -> bool, what: &str) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let g = queries_and_depth(probe);
+        if cond(g) {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "timed out waiting for {what}; last (total_queries, queue_depth) {g:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A cached answer is never shed: it takes no queue slot, no
+/// per-connection quota slot and no worker. With the one worker held by
+/// a cold solve and the one queue slot taken, a repeat of a cached query
+/// on a fourth connection still answers `cached=true`, while the solve
+/// is still running.
+#[test]
+fn cached_answers_are_never_shed() {
+    let _shared = shared();
+    let catalog = Arc::new(Catalog::new());
+    catalog
+        .insert_dataset(generated("demo", 120, 2, 3, 11))
+        .unwrap();
+    catalog
+        .insert_dataset(generated("slow", 3000, 4, 3, 12))
+        .unwrap();
+    let server = Server::spawn(
+        Arc::new(QueryEngine::new(catalog, 4096)),
+        ServeOptions {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            queue_depth: 1,
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let mut probe = connect_pinged(&server);
+    let mut first = connect_pinged(&server);
+    assert!(!first.query(&Query::new("demo", 3)).unwrap().cached);
+
+    // Hold the worker: wait until it has taken the cold solve off the
+    // queue and started executing it.
+    let mut holder = connect_pinged(&server);
+    holder
+        .send_line("QUERY dataset=slow k=12 alg=bigreedy skyline=false")
+        .unwrap();
+    wait_for_queries(&mut probe, |g| g == (2, 0), "the worker to start the solve");
+    // Fill the queue's one slot.
+    let mut filler = connect_pinged(&server);
+    filler.send_line("QUERY dataset=demo k=4").unwrap();
+    wait_for_queries(&mut probe, |(_, depth)| depth == 1, "the queue to fill");
+
+    let mut repeat = connect_pinged(&server);
+    let hit = repeat
+        .query(&Query::new("demo", 3))
+        .expect("a cached answer must not be shed");
+    assert!(hit.cached);
+    assert_eq!(
+        queries_and_depth(&mut probe),
+        (3, 1),
+        "the hit must answer while the solve still holds the worker"
+    );
+
+    assert!(!holder.recv_answer().unwrap().cached);
+    assert!(!filler.recv_answer().unwrap().cached);
+    let (_, shed_total, _) = gauges(&mut probe);
+    assert_eq!(shed_total, 0);
+    server.shutdown();
+}
+
 /// Per-connection quotas (limits of 0 make the shed deterministic)
 /// refuse single queries and batches with typed busy errors, and the
 /// connection stays perfectly synchronized afterwards.
