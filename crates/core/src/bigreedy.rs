@@ -21,11 +21,17 @@
 //!
 //! Two deliberate engineering deviations from the paper's pseudocode:
 //!
-//! 1. **τ search.** Achievability of `τ` is monotone (smaller caps are
-//!    easier), so instead of sweeping every grid value — `O(ln(m)/ε)`
+//! 1. **τ search.** Instead of sweeping every grid value — `O(ln(m)/ε)`
 //!    MRGreedy invocations — we binary-search the grid, which the paper's
 //!    own experiments implicitly require to reach their reported runtimes.
-//!    A failed greedy additionally aborts early once a round stops
+//!    The binary search *assumes* that achievability of `τ` is monotone
+//!    (smaller caps easier). That is false on at least one instance:
+//!    AntiCor_4D at k = 15, where the binary search settles at
+//!    τ = 0.8687 and the literal sweep passes at τ = 0.9044 (ROADMAP.md,
+//!    "BiGreedy's answer must not depend on the τ search path").
+//!    [`BiGreedyMode::Feasible`] returns the argmax of `mhr(S|N)` over the
+//!    bases the search probed, so which τ values it visits can change the
+//!    answer. A failed greedy additionally aborts early once a round stops
 //!    improving the objective (further rounds repeat the argument of the
 //!    stalled round on a strictly smaller candidate pool).
 //! 2. **Feasible output.** The theoretical guarantee allows `|S| ≤ γk`
@@ -355,7 +361,8 @@ pub fn bigreedy_on_net_with_db_max(
     };
     match config.tau_search {
         TauSearch::Binary => {
-            // Achievability is monotone in τ: binary search the boundary.
+            // Binary search the boundary, assuming achievability is
+            // monotone in τ; it is not always (see the module doc).
             let mut lo = 0usize; // grid is descending: smaller index = larger τ
             let mut hi = grid.len() - 1;
             // First check the easiest cap to guarantee a fallback solution.
@@ -454,16 +461,24 @@ fn mr_greedy(
 
     let mut union: Vec<usize> = Vec::new();
     let mut union_state = objective.empty_state();
-    let mut pool: Vec<usize> = candidates.to_vec();
+    // Round 0 runs on `candidates` itself; each later round's pool is the
+    // previous one minus its picks, built only when such a round follows
+    // (never in `Feasible` mode, where `gamma` is 1).
+    let mut rest: Vec<usize> = Vec::new();
     let mut last_value = f64::NEG_INFINITY;
     for round_idx in 0..gamma {
+        let pool = if round_idx == 0 {
+            candidates
+        } else {
+            &rest[..]
+        };
         if pool.is_empty() {
             break;
         }
         let round = if round_idx == 0 {
-            lazy_greedy_matroid_seeded(objective, inst.matroid(), &pool, bounds)
+            lazy_greedy_matroid_seeded(objective, inst.matroid(), pool, bounds)
         } else {
-            lazy_greedy_matroid(objective, inst.matroid(), &pool)
+            lazy_greedy_matroid(objective, inst.matroid(), pool)
         };
         if round.items.is_empty() {
             break;
@@ -472,7 +487,6 @@ fn mr_greedy(
             objective.add(&mut union_state, i);
         }
         union.extend_from_slice(&round.items);
-        pool.retain(|i| !round.items.contains(i));
 
         let value = objective.value(&union_state);
         if value >= target - 1e-12 {
@@ -482,6 +496,13 @@ fn mr_greedy(
             break; // plateau: additional rounds cannot help
         }
         last_value = value;
+        if round_idx + 1 < gamma {
+            rest = pool
+                .iter()
+                .copied()
+                .filter(|i| !round.items.contains(i))
+                .collect();
+        }
     }
     (union, false)
 }
@@ -689,9 +710,12 @@ mod tests {
 
     #[test]
     fn linear_sweep_matches_binary_search_quality() {
-        // Ablation for engineering deviation #1: the paper's literal τ
-        // sweep and our binary search must land on solutions of equal
-        // exact quality (the τ boundary is the same).
+        // Ablation for engineering deviation #1: on this instance the
+        // paper's literal τ sweep and our binary search land on solutions
+        // of equal exact quality. The binary search assumes achievability
+        // is monotone in τ, which does not hold on every instance (see the
+        // module doc), and each returns the argmax over the bases it
+        // probed, so the two can differ elsewhere.
         let inst = lsac_instance(3, true);
         let binary = bigreedy(&inst, &BiGreedyConfig::paper_default(3, 2)).unwrap();
         let linear = bigreedy(
