@@ -1,6 +1,7 @@
-//! Smoke benchmarks for the serving engine: cache-hit latency, cold-solve
-//! dispatch, a `BATCH` round trip over TCP, and wire-protocol codec. Sizes are tiny — the
-//! point is CI-checkable relative numbers, not paper-scale measurements.
+//! Smoke benchmarks for the serving engine: cache-hit latency in process
+//! and over TCP, cold-solve dispatch, a `BATCH` round trip over TCP, and
+//! wire-protocol codec. Sizes are tiny — the point is CI-checkable
+//! relative numbers, not paper-scale measurements.
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -39,6 +40,25 @@ fn bench_service(c: &mut Criterion) {
     group.bench_function("cache_hit", |b| {
         b.iter(|| eng.execute(std::hint::black_box(&hot)).unwrap())
     });
+
+    // The same hit as one `QUERY` round trip through an in-process
+    // server over loopback TCP: codec, event loop and cache. Its gap to
+    // `cache_hit` is the front end's share of a cached read.
+    let server = Server::spawn(
+        Arc::clone(&eng),
+        ServeOptions {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let mut client = WireClient::connect(server.addr()).unwrap();
+    assert!(client.query(&hot).unwrap().cached);
+    group.bench_function("cache_hit_wire", |b| {
+        b.iter(|| client.query(std::hint::black_box(&hot)).unwrap())
+    });
+    drop(client);
+    server.shutdown();
 
     // Cold path: a fresh seed per iteration defeats the cache, measuring
     // catalog access + instance build + a small BiGreedy solve.
