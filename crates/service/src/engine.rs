@@ -330,7 +330,22 @@ impl QueryEngine {
         // back-off advice must price worker time with telemetry off too.
         let t = Instant::now();
         let mut stages = StageTimings::default();
-        let keyed = self.key(query);
+        // The key folds in the registration epoch, so answers cached
+        // against a replaced dataset of the same name can never be
+        // served, and the mutation generation of the form the query
+        // solves on, so mutations re-key exactly the answers they could
+        // have changed.
+        let q = query.canonicalized();
+        let keyed = self.catalog.get_required(&q.dataset).map(|prep| {
+            let generation = prep.generation(q.skyline);
+            let key = q.fingerprint_keyed(prep.epoch, generation);
+            Keyed {
+                q,
+                prep,
+                generation,
+                key,
+            }
+        });
         let hit = match &keyed {
             Ok(k) if peek => self.peek(k, &mut stages),
             _ => None,
@@ -341,24 +356,6 @@ impl QueryEngine {
             keyed,
             hit,
         }
-    }
-
-    /// Resolves the dataset and keys the canonical query. The key folds
-    /// in the registration epoch, so answers cached against a replaced
-    /// dataset of the same name can never be served, and the mutation
-    /// generation of the form the query solves on, so mutations re-key
-    /// exactly the answers they could have changed.
-    fn key(&self, query: &Query) -> Result<Keyed, ServiceError> {
-        let q = query.canonicalized();
-        let prep = self.catalog.get_required(&q.dataset)?;
-        let generation = prep.generation(q.skyline);
-        let key = q.fingerprint_keyed(prep.epoch, generation);
-        Ok(Keyed {
-            q,
-            prep,
-            generation,
-            key,
-        })
     }
 
     /// One cache consultation, recorded as an `engine.cache_lookup`
