@@ -13,9 +13,9 @@
 
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
-use fairhms_obs::sync::{read_or_recover, write_or_recover};
+use fairhms_obs::sync::{lock_or_recover, read_or_recover, write_or_recover};
 use std::time::Instant;
 
 use fairhms_core::types::{CandidateSet, FairHmsInstance};
@@ -357,11 +357,17 @@ fn apply_delete(
 
 /// A concurrent map of named [`PreparedDataset`]s.
 ///
-/// Reads (the per-query hot path) take a shared lock; registration — rare —
-/// takes the exclusive lock only to publish the already-prepared entry, so
-/// queries are never blocked behind preprocessing.
+/// Reads (the per-query hot path, the event loop's cache hits included)
+/// take a shared lock; registrations and mutations take the exclusive
+/// lock only to publish an already-built entry, so queries are never
+/// blocked behind preprocessing or a mutation's copy.
 pub struct Catalog {
     inner: RwLock<HashMap<String, Arc<PreparedDataset>>>,
+    /// Serializes publishers: a mutation holds it while it builds the
+    /// next prepared form from the current one, a registration while it
+    /// publishes, so a mutation never publishes over an entry that
+    /// landed while it was building. Readers never take it.
+    publish: Mutex<()>,
     /// Monotone counter handing each insert a fresh epoch (starting at 1
     /// so the standalone-`prepare` epoch 0 never collides).
     next_epoch: std::sync::atomic::AtomicU64,
@@ -385,6 +391,7 @@ impl Catalog {
     pub fn new() -> Self {
         Self {
             inner: RwLock::new(HashMap::new()),
+            publish: Mutex::new(()),
             next_epoch: std::sync::atomic::AtomicU64::new(0),
             metrics: RwLock::new(None),
         }
@@ -440,6 +447,7 @@ impl Catalog {
             }
         }
         let prepared = Arc::new(prepared);
+        let _publishing = lock_or_recover(&self.publish);
         write_or_recover(&self.inner).insert(name, Arc::clone(&prepared));
         Ok(prepared)
     }
@@ -476,26 +484,24 @@ impl Catalog {
         self.mutate(name, |prep| apply_delete(prep, row))
     }
 
-    /// The publish step both mutations share. Copy-on-write under the
-    /// catalog's existing write lock: `apply` builds the new
-    /// [`PreparedDataset`] from the old one's parts (sharing what the
-    /// mutation provably did not touch) and it is published atomically —
-    /// concurrent queries see either the old or the new prepared form,
-    /// never a half-mutated one, and a failed mutation publishes nothing.
-    /// Mutations to the same catalog serialize on the lock; no other lock
-    /// is held inside.
+    /// The publish step both mutations share. Copy-on-write: `apply`
+    /// builds the new [`PreparedDataset`] from the old one's parts
+    /// (sharing what the mutation provably did not touch) under the
+    /// publish lock only, and the result is swapped in under a brief
+    /// write lock. Concurrent queries read the old prepared form until
+    /// then, never a half-mutated one, and never wait for the copy or a
+    /// re-prep; a failed mutation publishes nothing. Mutations and
+    /// registrations serialize on the publish lock.
     fn mutate(
         &self,
         name: &str,
         apply: impl FnOnce(&PreparedDataset) -> Result<(PreparedDataset, bool, bool), ServiceError>,
     ) -> Result<MutationOutcome, ServiceError> {
-        let mut map = write_or_recover(&self.inner);
-        let prep = map.get(name).ok_or_else(|| ServiceError::UnknownDataset {
-            name: name.to_string(),
-        })?;
-        let (next, sky_changed, rebuilt) = apply(prep)?;
+        let _publishing = lock_or_recover(&self.publish);
+        let prep = self.get_required(name)?;
+        let (next, sky_changed, rebuilt) = apply(&prep)?;
         let next = Arc::new(next);
-        map.insert(name.to_string(), Arc::clone(&next));
+        write_or_recover(&self.inner).insert(name.to_string(), Arc::clone(&next));
         Ok(MutationOutcome {
             prep: next,
             sky_changed,
@@ -600,6 +606,40 @@ mod tests {
             prep.summary(),
             format!("toy:6:2:2:{}", prep.skyline_rows.len())
         );
+    }
+
+    /// A mutation builds its next prepared form without the map's write
+    /// lock: while it is building, readers get the old form at once.
+    #[test]
+    fn reads_do_not_wait_for_a_mutation_in_progress() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let cat = Arc::new(Catalog::new());
+        cat.insert_dataset(toy()).unwrap();
+        let (building_tx, building) = mpsc::channel();
+        let (go, go_rx) = mpsc::channel::<()>();
+        let writer = {
+            let cat = Arc::clone(&cat);
+            std::thread::spawn(move || {
+                cat.mutate("toy", |prep| {
+                    building_tx.send(()).unwrap();
+                    go_rx.recv().unwrap();
+                    apply_append(prep, &[0.1, 0.1], 0)
+                })
+            })
+        };
+        building.recv().unwrap();
+        let (read_tx, read) = mpsc::channel();
+        let reader = {
+            let cat = Arc::clone(&cat);
+            std::thread::spawn(move || read_tx.send(cat.get("toy").unwrap().dataset.len()))
+        };
+        let rows = read.recv_timeout(Duration::from_secs(10));
+        go.send(()).unwrap();
+        assert_eq!(rows, Ok(6), "a read waited for the mutation's build");
+        reader.join().unwrap().unwrap();
+        writer.join().unwrap().unwrap();
+        assert_eq!(cat.get("toy").unwrap().dataset.len(), 7);
     }
 
     #[test]
