@@ -424,15 +424,9 @@ impl QueryEngine {
             return hit(answer, stages);
         }
         self.cache.note_miss();
-        let Keyed {
-            q,
-            prep,
-            generation,
-            key,
-        } = k;
-        let answer = Arc::new(self.solve_cold(&q, &prep, &mut stages)?);
+        let answer = Arc::new(self.solve_cold(&k.q, &k.prep, &mut stages)?);
         self.cache
-            .insert(key, prep.epoch, generation, q, Arc::clone(&answer));
+            .insert(k.key, k.prep.epoch, k.generation, k.q, Arc::clone(&answer));
         Ok(QueryResponse {
             answer,
             cached: false,
