@@ -48,6 +48,7 @@ use rand::SeedableRng;
 
 use fairhms_data::Dataset;
 use fairhms_geometry::sphere::{bigreedy_net_delta, net_size, random_net_with_basis};
+use fairhms_matroid::{FairnessBounds, FairnessMatroid};
 use fairhms_submodular::{lazy_greedy_matroid, lazy_greedy_matroid_seeded, IncrementalObjective};
 
 use crate::objective::TruncatedMhrObjective;
@@ -285,6 +286,192 @@ pub fn bigreedy_on_net_with_db_max(
     db_max: &[f64],
     config: &BiGreedyConfig,
 ) -> Result<(Solution, f64), CoreError> {
+    bigreedy_replaying(inst, net, db_max, config, None).map(|run| (run.solution, run.tau))
+}
+
+/// One τ-probe of a [`ProbeLog`]: its cap, the end of its picks in the
+/// log's flat pick list, and whether it passed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LoggedProbe {
+    tau_bits: u64,
+    end: u32,
+    passed: bool,
+}
+
+/// The τ-probes of one `BiGreedy` solve, so that a later solve of the
+/// same data, net and `db_max` under other fairness bounds can replay
+/// them instead of running them ([`bigreedy_replaying`]).
+///
+/// It holds each probe's τ bits, its base in pick order (flat `u32`
+/// picks) and its pass flag, plus what the probes ran under: the
+/// matroid's bounds `(l, h, k)`, ε, the mode, the τ search, `n`, `m` and a
+/// fingerprint of the net and `db_max`. At the `cold` serving shape
+/// (k = 10, C = 3, about eleven probes) that is about 700 bytes.
+///
+/// A probe's picks depend only on the objective, τ and which candidates
+/// `can_extend` admits at each state along them: the lazy greedy picks
+/// the eager greedy's argmax whatever upper bounds it starts from. The
+/// fairness matroid's answer depends only on the set's per-group counts
+/// and the element's group ([`FairnessBounds::group_can_extend`]). So a
+/// recorded probe is replayed exactly when the new bounds give the same
+/// answer as the recorded ones for every group at every state
+/// `S_0 ⊂ … ⊂ S_j` (`j < k`) along its picks: an `O(k·C)` check.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProbeLog {
+    bounds: FairnessBounds,
+    epsilon_bits: u64,
+    mode: BiGreedyMode,
+    tau_search: TauSearch,
+    n: usize,
+    m: usize,
+    source: u64,
+    probes: Vec<LoggedProbe>,
+    picks: Vec<u32>,
+}
+
+impl ProbeLog {
+    /// An empty log for a solve of `inst` on `net`/`db_max` under
+    /// `config`.
+    fn new(
+        inst: &FairHmsInstance,
+        net: &[Vec<f64>],
+        db_max: &[f64],
+        config: &BiGreedyConfig,
+    ) -> Self {
+        // FNV-1a over the bits of the net and `db_max`, so a log is
+        // never replayed on another net.
+        let source = net
+            .iter()
+            .flatten()
+            .chain(db_max)
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, x| {
+                (h ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3)
+            });
+        Self {
+            bounds: inst.matroid().bounds(),
+            epsilon_bits: config.epsilon.to_bits(),
+            mode: config.mode,
+            tau_search: config.tau_search,
+            n: inst.data().len(),
+            m: net.len(),
+            source,
+            probes: Vec::new(),
+            picks: Vec::new(),
+        }
+    }
+
+    /// Number of probes recorded.
+    pub fn probe_count(&self) -> usize {
+        self.probes.len()
+    }
+
+    /// Bytes the log occupies, its own size included.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + 2 * std::mem::size_of_val(&self.bounds.lower[..])
+            + std::mem::size_of_val(&self.probes[..])
+            + std::mem::size_of_val(&self.picks[..])
+    }
+
+    fn push(&mut self, tau: f64, picks: &[usize], passed: bool) {
+        self.picks.extend(picks.iter().map(|&p| p as u32));
+        self.probes.push(LoggedProbe {
+            tau_bits: tau.to_bits(),
+            end: self.picks.len() as u32,
+            passed,
+        });
+    }
+
+    /// Whether a solve whose (still empty) log is `fresh` may replay this
+    /// one's probes: the same candidates, net, ε and τ search, the same
+    /// number of groups and `k`, and both in [`BiGreedyMode::Feasible`],
+    /// whose one greedy round per probe is what the check covers.
+    fn fits(&self, fresh: &ProbeLog) -> bool {
+        self.mode == BiGreedyMode::Feasible
+            && fresh.mode == BiGreedyMode::Feasible
+            && (
+                self.epsilon_bits,
+                self.tau_search,
+                self.n,
+                self.m,
+                self.source,
+            ) == (
+                fresh.epsilon_bits,
+                fresh.tau_search,
+                fresh.n,
+                fresh.m,
+                fresh.source,
+            )
+            && self.bounds.k == fresh.bounds.k
+            && self.bounds.lower.len() == fresh.bounds.lower.len()
+    }
+
+    /// The base and pass flag of the recorded probe at `tau`, if there is
+    /// one and a greedy under `now` would make the same picks: `now` and
+    /// the recorded bounds give every group the same `can_extend` answer
+    /// at every state along the picks short of `k`. `matroid` supplies
+    /// the groups.
+    fn replay(
+        &self,
+        tau: f64,
+        now: &FairnessBounds,
+        matroid: &FairnessMatroid,
+    ) -> Option<(Vec<usize>, bool)> {
+        let i = self
+            .probes
+            .iter()
+            .position(|p| p.tau_bits == tau.to_bits())?;
+        let start = i.checked_sub(1).map_or(0, |j| self.probes[j].end as usize);
+        let picks = &self.picks[start..self.probes[i].end as usize];
+        let groups = now.lower.len();
+        let mut counts = vec![0usize; groups];
+        for j in 0..(picks.len() + 1).min(now.k) {
+            if (0..groups).any(|g| {
+                self.bounds.group_can_extend(&counts, g) != now.group_can_extend(&counts, g)
+            }) {
+                return None;
+            }
+            if let Some(&p) = picks.get(j) {
+                counts[matroid.group_of(p as usize)] += 1;
+            }
+        }
+        let base = picks.iter().map(|&p| p as usize).collect();
+        Some((base, self.probes[i].passed))
+    }
+}
+
+/// What [`bigreedy_replaying`] returns.
+#[derive(Debug, Clone)]
+pub struct ReplayedSolve {
+    /// The answer, as [`bigreedy_on_net_with_db_max`] returns it.
+    pub solution: Solution,
+    /// The largest achieved capped value `τ`.
+    pub tau: f64,
+    /// This solve's probes, replayed ones included, under its own bounds.
+    pub log: ProbeLog,
+    /// How many of the probes were replayed from the recorded log; the
+    /// other `log.probe_count() - replayed` ran.
+    pub replayed: usize,
+}
+
+/// [`bigreedy_on_net_with_db_max`] that records its τ-probes and replays
+/// those of `recorded` that would run the same (see [`ProbeLog`]).
+///
+/// The answer, `mhr` and τ are bit-identical to a solve without a log.
+/// `recorded` must come from a solve on the same dataset; one from
+/// another net, ε, τ search, `k` or candidate count is ignored. A probe
+/// that is not replayed runs as usual, seeded from `g1 ∧ T(τ)` or from the
+/// most recent probe that ran and failed. The score cache and the τ = 1
+/// gains are built by the first probe that runs, so a solve whose every
+/// probe is replayed builds neither and ranks its bases through scores
+/// computed on the fly, which are bit-identical to the cached ones.
+pub fn bigreedy_replaying(
+    inst: &FairHmsInstance,
+    net: &[Vec<f64>],
+    db_max: &[f64],
+    config: &BiGreedyConfig,
+    recorded: Option<&ProbeLog>,
+) -> Result<ReplayedSolve, CoreError> {
     config.validate()?;
     debug_assert_eq!(db_max.len(), net.len(), "db_max/net length mismatch");
     let data = inst.data();
@@ -295,9 +482,8 @@ pub fn bigreedy_on_net_with_db_max(
         BiGreedyMode::Feasible => 1,
         BiGreedyMode::Bicriteria => ((2.0 * m as f64 / epsilon).log2().ceil() as usize).max(1),
     };
-
-    let mut objective = TruncatedMhrObjective::new(data, net, db_max, 1.0);
-    let candidates: Vec<usize> = (0..data.len()).collect();
+    let mut log = ProbeLog::new(inst, net, db_max, config);
+    let recorded = recorded.filter(|r| r.fits(&log));
 
     // Geometric τ grid from 1 down to 1/m (Algorithm 3, lines 3–8).
     let ratio = 1.0 - epsilon / 2.0;
@@ -314,49 +500,67 @@ pub fn bigreedy_on_net_with_db_max(
     // are frequently the best worst-case covers even though they miss the
     // average-value target.
     //
-    // Every probe's first greedy round is seeded with upper bounds on the
-    // empty-set gains, so no probe fills its heap with exact gains.
+    // Every probe that runs seeds its first greedy round with upper bounds
+    // on the empty-set gains, so no probe fills its heap with exact gains.
     // Empty-set gains never decrease as τ grows (every term `min(s, τ)`
     // is monotone in τ, and so is round-to-nearest addition), so both the
     // exact gains at τ = 1 and the bounds of a failed probe are upper
     // bounds at any smaller τ — and both τ searches only probe below
     // their most recent failure (a binary search moves up only from a
     // pass and never above a failure; the linear sweep only descends).
-    // Each bound is further capped by `T(τ)`, the gain of a row that
-    // scores at least τ on every utility, which it reaches bit for bit:
-    // at a low τ the first such row picks at once. The lazy greedy needs
-    // nothing more than upper bounds, so no pick changes.
-    let mut unit_gains = vec![0.0; candidates.len()];
-    objective.gains(&objective.empty_state(), &candidates, &mut unit_gains); // τ = 1
+    // A replayed failure leaves the seed alone: the last failure that ran
+    // lies above it. Each bound is further capped by `T(τ)`, the gain of a
+    // row that scores at least τ on every utility, which it reaches bit
+    // for bit: at a low τ the first such row picks at once. The lazy
+    // greedy needs nothing more than upper bounds, so no pick changes.
+    //
+    // The score cache, the candidate list and the exact τ = 1 gains are
+    // built by the first probe that runs.
+    let mut built: Option<(TruncatedMhrObjective<'_>, Vec<usize>, Vec<f64>)> = None;
     let mut achieved: Option<f64> = None; // largest passed τ
     let mut pool: Vec<(Vec<usize>, bool)> = Vec::new(); // (union, passed)
     let (mut seed_tau, mut seed) = (f64::INFINITY, Vec::new()); // failed probe's bounds
     let mut bounds: Vec<f64> = Vec::new(); // the running probe's bounds
-    let mut probe = |tau: f64,
-                     objective: &mut TruncatedMhrObjective<'_>,
-                     pool: &mut Vec<(Vec<usize>, bool)>,
-                     achieved: &mut Option<f64>|
-     -> bool {
-        debug_assert!(seed.is_empty() || seed_tau > tau, "seed from a smaller τ");
-        bounds.clone_from(if seed.is_empty() { &unit_gains } else { &seed });
-        let (union, passed) = mr_greedy(
-            inst,
-            objective,
-            &candidates,
-            tau,
-            gamma,
-            epsilon,
-            &mut bounds,
-        );
+    let mut replayed = 0usize;
+    let mut probe = |tau: f64| -> bool {
+        let replay = recorded.and_then(|r| r.replay(tau, &log.bounds, inst.matroid()));
+        let (union, passed) = match replay {
+            Some(base) => {
+                replayed += 1;
+                base
+            }
+            None => {
+                let (objective, candidates, unit_gains) = built.get_or_insert_with(|| {
+                    let objective = TruncatedMhrObjective::new(data, net, db_max, 1.0);
+                    let candidates: Vec<usize> = (0..data.len()).collect();
+                    let mut unit_gains = vec![0.0; candidates.len()];
+                    objective.gains(&objective.empty_state(), &candidates, &mut unit_gains);
+                    (objective, candidates, unit_gains)
+                });
+                debug_assert!(seed.is_empty() || seed_tau > tau, "seed from a smaller τ");
+                bounds.clone_from(if seed.is_empty() { &*unit_gains } else { &seed });
+                let (union, passed) = mr_greedy(
+                    inst,
+                    objective,
+                    candidates,
+                    tau,
+                    gamma,
+                    epsilon,
+                    &mut bounds,
+                );
+                if !passed {
+                    seed_tau = tau;
+                    std::mem::swap(&mut seed, &mut bounds);
+                }
+                (union, passed)
+            }
+        };
+        log.push(tau, &union, passed);
         if !union.is_empty() {
             pool.push((union, passed));
         }
         if passed && achieved.is_none_or(|a| tau > a) {
-            *achieved = Some(tau);
-        }
-        if !passed {
-            seed_tau = tau;
-            std::mem::swap(&mut seed, &mut bounds);
+            achieved = Some(tau);
         }
         passed
     };
@@ -367,11 +571,11 @@ pub fn bigreedy_on_net_with_db_max(
             let mut lo = 0usize; // grid is descending: smaller index = larger τ
             let mut hi = grid.len() - 1;
             // First check the easiest cap to guarantee a fallback solution.
-            if probe(grid[hi], &mut objective, &mut pool, &mut achieved) && hi > 0 {
+            if probe(grid[hi]) && hi > 0 {
                 hi -= 1;
                 while lo <= hi {
                     let mid = (lo + hi) / 2;
-                    if probe(grid[mid], &mut objective, &mut pool, &mut achieved) {
+                    if probe(grid[mid]) {
                         if mid == 0 {
                             break;
                         }
@@ -388,7 +592,7 @@ pub fn bigreedy_on_net_with_db_max(
             // certifies a strictly smaller mhr_τ and cannot win the argmax.
             let mut passed_steps = 0usize;
             for &tau in &grid {
-                if probe(tau, &mut objective, &mut pool, &mut achieved) {
+                if probe(tau) {
                     passed_steps += 1;
                     if passed_steps > 4 {
                         break;
@@ -399,7 +603,18 @@ pub fn bigreedy_on_net_with_db_max(
     }
     let achieved_tau = achieved.unwrap_or(0.0);
 
-    // Rank the candidate solutions by their net-estimated MHR.
+    // Rank the candidate solutions by their net-estimated MHR. When every
+    // probe was replayed there is no score cache, and building one for a
+    // few dozen rows would cost more than the replay saved: score them on
+    // the fly, bit-identically.
+    let mut uncached;
+    let objective = match &mut built {
+        Some((objective, ..)) => objective,
+        None => {
+            uncached = TruncatedMhrObjective::with_cache_limit(data, net, db_max, 1.0, 0);
+            &mut uncached
+        }
+    };
     objective.set_tau(1.0);
     let rank = |sel: &[usize]| -> f64 {
         let state = objective.state_of(sel);
@@ -431,7 +646,12 @@ pub fn bigreedy_on_net_with_db_max(
     };
 
     let mhr_net = rank(&indices);
-    Ok((Solution::new(indices, Some(mhr_net)), achieved_tau))
+    Ok(ReplayedSolve {
+        solution: Solution::new(indices, Some(mhr_net)),
+        tau: achieved_tau,
+        log,
+        replayed,
+    })
 }
 
 /// `MRGreedy` (Algorithm 3, lines 10–22): up to `gamma` greedy rounds on
@@ -766,5 +986,140 @@ mod tests {
         let union = bigreedy(&inst, &cfg).unwrap();
         let exact_union = mhr_exact_lp(inst.data(), &union.indices);
         assert!(exact_union > 0.99, "bicriteria exact = {exact_union}");
+    }
+
+    /// The replay pin, a property test over 256 drawn cases: a solve under
+    /// bounds B that replays a log recorded under bounds A returns what a
+    /// solve under B from scratch returns (indices, `mhr` bits, τ bits)
+    /// and records the same log. The cases must include both full and
+    /// partial replays, or the pin shows nothing, so the cases are drawn
+    /// in a loop that counts them rather than through `proptest!`.
+    #[test]
+    fn replayed_probes_match_a_solve_from_scratch() {
+        use proptest::prelude::*;
+        use proptest::test_runner::TestRng;
+
+        let strategy = (
+            (0u64..1_000_000, 2usize..=4, 2usize..=4, 8usize..=40),
+            (2usize..=6, 8usize..=48, 0usize..2),
+            prop::collection::vec((0usize..=2, 0usize..=3), 4),
+            prop::collection::vec(0usize..=3, 4),
+        );
+        let mut rng = TestRng::from_seed(0x7265_706c_6179); // "replay"
+        let (mut full, mut partial, mut cases) = (0usize, 0usize, 0usize);
+        while cases < 256 {
+            let ((seed, d, c, n), (k, m, linear), raw, nudge) = strategy.new_value(&mut rng);
+            let mut x = seed;
+            let mut next = move |bound: u64| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 33) % bound
+            };
+            let points: Vec<f64> = (0..n * d).map(|_| next(9) as f64 / 8.0).collect();
+            let groups: Vec<usize> = (0..n).map(|_| next(c as u64) as usize).collect();
+            let data = std::sync::Arc::new(Dataset::new("r", d, points, groups, vec![]).unwrap());
+            // A draws each group's bounds; B nudges them, so feasibility
+            // sometimes agrees along a probe's picks and sometimes not.
+            let (mut la, mut ua, mut lb, mut ub) = (vec![], vec![], vec![], vec![]);
+            for g in 0..c {
+                let (l, h) = (raw[g].0, raw[g].0 + 1 + raw[g].1);
+                la.push(l);
+                ua.push(h);
+                let (l, h) = match nudge[g] {
+                    0 => (l.saturating_sub(1), h),
+                    1 => (l, h + 1),
+                    2 => (l, (h - 1).max(l)),
+                    _ => (l, h),
+                };
+                lb.push(l);
+                ub.push(h);
+            }
+            let instance = |lower: &[usize], upper: &[usize]| {
+                FairHmsInstance::new(
+                    std::sync::Arc::clone(&data),
+                    k,
+                    lower.to_vec(),
+                    upper.to_vec(),
+                )
+            };
+            let (Ok(a), Ok(b)) = (instance(&la, &ua), instance(&lb, &ub)) else {
+                continue;
+            };
+            cases += 1;
+            let cfg = BiGreedyConfig {
+                sample_size: Some(m),
+                tau_search: [TauSearch::Binary, TauSearch::Linear][linear],
+                seed,
+                ..BiGreedyConfig::default()
+            };
+            let net = SampledNet::generate(d, cfg.resolve_m(d), seed);
+            let db_max = db_max_of(&data, &net.vectors);
+            let solve = |inst: &FairHmsInstance, log: Option<&ProbeLog>| {
+                bigreedy_replaying(inst, &net.vectors, &db_max, &cfg, log).unwrap()
+            };
+            let recorded = solve(&a, None);
+            let scratch = solve(&b, None);
+            let replayed = solve(&b, Some(&recorded.log));
+            let ctx = format!(
+                "seed {seed} d {d} c {c} n {n} k {k} m {m} A {la:?}/{ua:?} B {lb:?}/{ub:?}"
+            );
+            assert_eq!(scratch.replayed, 0, "{ctx}");
+            assert_eq!(replayed.solution.indices, scratch.solution.indices, "{ctx}");
+            assert_eq!(
+                replayed.solution.mhr.map(f64::to_bits),
+                scratch.solution.mhr.map(f64::to_bits),
+                "{ctx}"
+            );
+            assert_eq!(replayed.tau.to_bits(), scratch.tau.to_bits(), "{ctx}");
+            assert_eq!(replayed.log, scratch.log, "{ctx}");
+            if replayed.replayed == replayed.log.probe_count() {
+                full += 1;
+            } else if replayed.replayed > 0 {
+                partial += 1;
+            }
+        }
+        assert!(
+            full > 0 && partial > 0,
+            "{full} full and {partial} partial replays in {cases} cases: a path is missing"
+        );
+    }
+
+    #[test]
+    fn logs_replay_only_on_their_own_net_and_settings() {
+        let inst = lsac_instance(3, true);
+        let cfg = BiGreedyConfig::paper_default(3, 2);
+        let net = SampledNet::generate(inst.dim(), cfg.resolve_m(inst.dim()), cfg.seed);
+        let db_max = db_max_of(inst.data(), &net.vectors);
+        let first = bigreedy_replaying(&inst, &net.vectors, &db_max, &cfg, None).unwrap();
+        assert!(first.log.probe_count() > 0 && first.log.bytes() < 1024);
+        // The same solve again replays every probe.
+        let again =
+            bigreedy_replaying(&inst, &net.vectors, &db_max, &cfg, Some(&first.log)).unwrap();
+        assert_eq!(again.replayed, first.log.probe_count());
+        assert_eq!(again.solution.indices, first.solution.indices);
+        // Another net, another ε or the bicriteria mode replays nothing.
+        let other = SampledNet::generate(inst.dim(), net.m, cfg.seed + 1);
+        let other_max = db_max_of(inst.data(), &other.vectors);
+        let on_other =
+            bigreedy_replaying(&inst, &other.vectors, &other_max, &cfg, Some(&first.log));
+        assert_eq!(on_other.unwrap().replayed, 0);
+        for changed in [
+            BiGreedyConfig {
+                epsilon: 0.05,
+                ..cfg.clone()
+            },
+            BiGreedyConfig {
+                mode: BiGreedyMode::Bicriteria,
+                ..cfg.clone()
+            },
+            BiGreedyConfig {
+                tau_search: TauSearch::Linear,
+                ..cfg.clone()
+            },
+        ] {
+            let run = bigreedy_replaying(&inst, &net.vectors, &db_max, &changed, Some(&first.log));
+            assert_eq!(run.unwrap().replayed, 0, "{changed:?}");
+        }
     }
 }

@@ -46,7 +46,9 @@ pub mod streaming;
 pub mod types;
 
 pub use adaptive::{bigreedy_plus, BiGreedyPlusConfig};
-pub use bigreedy::{bigreedy, BiGreedyConfig, BiGreedyMode, CachedDbMax, SampledNet, TauSearch};
+pub use bigreedy::{
+    bigreedy, BiGreedyConfig, BiGreedyMode, CachedDbMax, ProbeLog, SampledNet, TauSearch,
+};
 pub use intcov::intcov;
 pub use registry::WarmStart;
 pub use streaming::{streaming_fairhms, StreamingFairHmsConfig};

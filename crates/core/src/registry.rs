@@ -18,7 +18,7 @@ use crate::adaptive::{bigreedy_plus, BiGreedyPlusConfig};
 use crate::baselines::{dmm, hitting_set, rdp_greedy, sphere, DmmConfig, HsConfig};
 use fairhms_data::Dataset;
 
-use crate::bigreedy::{bigreedy_on_net_with_db_max, BiGreedyConfig, CachedDbMax, SampledNet};
+use crate::bigreedy::{bigreedy_replaying, BiGreedyConfig, CachedDbMax, ProbeLog, SampledNet};
 use crate::intcov::intcov;
 use crate::streaming::{streaming_fairhms, StreamingFairHmsConfig};
 use crate::types::{CoreError, FairHmsInstance, Solution};
@@ -26,28 +26,46 @@ use crate::types::{CoreError, FairHmsInstance, Solution};
 /// Reusable intermediate solver state threaded through
 /// [`Algorithm::solve_with`] — the warm-start seam.
 ///
-/// The context holds one slot: `BiGreedy`'s `db_max` vector, the `m × n`
-/// extreme-value pass of its setup. A serving layer seeds the slot with
-/// the vector it cached for the query at hand; `BiGreedy` verifies the
-/// vector's `(dim, m, seed, n)` preimage before reusing it, and otherwise
-/// computes a fresh one and deposits it in the slot for the caller to
-/// cache. The caller tells the two apart by comparing the deposited
-/// `Arc` with the seed (`Arc::ptr_eq`). Reuse is **provably inert**:
-/// `db_max` is deterministic in its preimage, so a warm solve is
-/// bit-identical to a cold one.
+/// The context holds `BiGreedy`'s state for one `(data, net)` pair: its
+/// `db_max` vector, the `m × n` extreme-value pass of its setup, and the
+/// [`ProbeLog`] of its τ-probes. A serving layer seeds both with what it
+/// cached for the query at hand. `BiGreedy` verifies the vector's
+/// `(dim, m, seed, n)` preimage before reusing it, and otherwise computes
+/// a fresh one and deposits it for the caller to cache; the caller tells
+/// the two apart by comparing the deposited `Arc` with the seed
+/// (`Arc::ptr_eq`). It then replays every seeded probe that would run the
+/// same under the query's bounds, runs the rest, and deposits its own log
+/// (a new `Arc` only if some probe ran) with the two counts. Reuse is
+/// **provably inert**: `db_max` is deterministic in its preimage and a
+/// probe is replayed only when it would make the same picks, so a warm
+/// solve is bit-identical to a cold one.
 ///
 /// Every other algorithm ignores the context.
 #[derive(Debug, Default)]
 pub struct WarmStart {
     db_max: Mutex<Option<Arc<CachedDbMax>>>,
+    probes: Mutex<ProbeSlot>,
+}
+
+/// The probe half of a [`WarmStart`]: the log, and how the last solve
+/// came by its probes.
+#[derive(Debug, Default)]
+struct ProbeSlot {
+    log: Option<Arc<ProbeLog>>,
+    replayed: usize,
+    run: usize,
 }
 
 impl WarmStart {
-    /// A context seeded with a previously deposited `db_max` vector, if
-    /// any.
-    pub fn seeded(db_max: Option<Arc<CachedDbMax>>) -> Self {
+    /// A context seeded with a previously deposited `db_max` vector and
+    /// probe log, if any.
+    pub fn seeded(db_max: Option<Arc<CachedDbMax>>, probes: Option<Arc<ProbeLog>>) -> Self {
         Self {
             db_max: Mutex::new(db_max),
+            probes: Mutex::new(ProbeSlot {
+                log: probes,
+                ..ProbeSlot::default()
+            }),
         }
     }
 
@@ -70,6 +88,30 @@ impl WarmStart {
     /// The vector in the slot: the seed, or the one the solve deposited.
     pub fn db_max(&self) -> Option<Arc<CachedDbMax>> {
         lock_or_recover(&self.db_max).clone()
+    }
+
+    /// The probe log in the slot: the seed, or the one the solve
+    /// deposited.
+    pub fn probes(&self) -> Option<Arc<ProbeLog>> {
+        lock_or_recover(&self.probes).log.clone()
+    }
+
+    /// `(replayed, run)`: how many τ-probes the solve replayed from the
+    /// seeded log and how many it ran; `(0, 0)` before a `BiGreedy` solve.
+    pub fn probe_counts(&self) -> (usize, usize) {
+        let slot = lock_or_recover(&self.probes);
+        (slot.replayed, slot.run)
+    }
+
+    /// Deposits a solve's log. A solve that replayed every probe keeps the
+    /// seeded log, which made the same picks.
+    fn deposit(&self, log: ProbeLog, replayed: usize) {
+        let mut slot = lock_or_recover(&self.probes);
+        slot.replayed = replayed;
+        slot.run = log.probe_count() - replayed;
+        if slot.run > 0 || slot.log.is_none() {
+            slot.log = Some(Arc::new(log));
+        }
     }
 }
 
@@ -224,7 +266,8 @@ pub static ALGORITHMS: [Algorithm; 13] = [
 
 /// `BiGreedy` at the paper's `m = 10·k·d`, `ε = 0.02`. The δ-net is
 /// sampled fresh; its `db_max` vector, the costly `m × n` part of setup,
-/// comes through the context ([`WarmStart::db_max_for`]).
+/// comes through the context ([`WarmStart::db_max_for`]), and so do the
+/// τ-probes it may replay ([`WarmStart::probes`]).
 fn solve_bigreedy(
     inst: &FairHmsInstance,
     seed: u64,
@@ -236,7 +279,16 @@ fn solve_bigreedy(
     };
     let net = SampledNet::generate(inst.dim(), cfg.resolve_m(inst.dim()), seed);
     let db_max = warm.db_max_for(&net, inst.data());
-    bigreedy_on_net_with_db_max(inst, &net.vectors, &db_max.values, &cfg).map(|(sol, _tau)| sol)
+    let recorded = warm.probes();
+    let run = bigreedy_replaying(
+        inst,
+        &net.vectors,
+        &db_max.values,
+        &cfg,
+        recorded.as_deref(),
+    )?;
+    warm.deposit(run.log, run.replayed);
+    Ok(run.solution)
 }
 
 /// An unfair baseline's selection as a [`Solution`] without an MHR value.
@@ -446,10 +498,30 @@ mod tests {
 
         // Seeding a context from a cached vector short-circuits the pass,
         // and the slot still holds the seed afterwards.
-        let seeded = WarmStart::seeded(Some(a.clone()));
+        let seeded = WarmStart::seeded(Some(a.clone()), None);
         let e = seeded.db_max_for(&net, data);
         assert!(std::sync::Arc::ptr_eq(&a, &e));
         assert!(std::sync::Arc::ptr_eq(&a, &seeded.db_max().unwrap()));
+    }
+
+    #[test]
+    fn warm_start_replays_probes_and_keeps_a_fully_replayed_log() {
+        let inst = lsac_instance(4);
+        let bigreedy = by_name("bigreedy").unwrap();
+        let first = WarmStart::default();
+        let a = (bigreedy.solve_with)(&inst, 7, &first).unwrap();
+        let (replayed, run) = first.probe_counts();
+        assert_eq!(replayed, 0);
+        assert!(run > 0);
+        let log = first.probes().unwrap();
+        // The same query, seeded: every probe replays, and the context
+        // keeps the seeded log rather than an identical copy.
+        let second = WarmStart::seeded(first.db_max(), Some(Arc::clone(&log)));
+        let b = (bigreedy.solve_with)(&inst, 7, &second).unwrap();
+        assert_eq!(second.probe_counts(), (run, 0));
+        assert!(Arc::ptr_eq(&log, &second.probes().unwrap()));
+        assert_eq!(a.indices, b.indices);
+        assert_eq!(a.mhr.map(f64::to_bits), b.mhr.map(f64::to_bits));
     }
 
     #[test]

@@ -139,6 +139,15 @@ impl FairnessMatroid {
         &self.upper
     }
 
+    /// A copy of the bounds `(l, h, k)`, without the labels.
+    pub fn bounds(&self) -> FairnessBounds {
+        FairnessBounds {
+            lower: self.lower.clone(),
+            upper: self.upper.clone(),
+            k: self.k,
+        }
+    }
+
     /// Per-group selection counts of `items`.
     pub fn counts(&self, items: &[usize]) -> Vec<usize> {
         let mut counts = vec![0usize; self.lower.len()];
@@ -184,6 +193,33 @@ impl FairnessMatroid {
             .zip(self.lower.iter().zip(&self.upper))
             .map(|(&n, (&l, &h))| n.saturating_sub(h).max(l.saturating_sub(n)))
             .sum()
+    }
+}
+
+/// A fairness matroid's bounds without its group labels: everything
+/// [`Matroid::can_extend`] reads besides the set's per-group counts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FairnessBounds {
+    /// Lower bounds per group.
+    pub lower: Vec<usize>,
+    /// Upper bounds per group.
+    pub upper: Vec<usize>,
+    /// The budget `k`.
+    pub k: usize,
+}
+
+impl FairnessBounds {
+    /// Whether an element of group `g` can extend a set whose per-group
+    /// counts are `counts`: [`Matroid::can_extend`]'s answer for every
+    /// element of `g` under a matroid with these bounds, since that answer
+    /// depends on the set only through its counts.
+    pub fn group_can_extend(&self, counts: &[usize], g: usize) -> bool {
+        let reserved: usize = counts
+            .iter()
+            .zip(&self.lower)
+            .map(|(&n, &l)| n.max(l))
+            .sum();
+        counts[g] < self.upper[g] && reserved + usize::from(counts[g] >= self.lower[g]) <= self.k
     }
 }
 

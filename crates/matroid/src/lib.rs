@@ -21,7 +21,9 @@
 
 pub mod fairness;
 
-pub use fairness::{balanced_bounds, proportional_bounds, FairnessError, FairnessMatroid};
+pub use fairness::{
+    balanced_bounds, proportional_bounds, FairnessBounds, FairnessError, FairnessMatroid,
+};
 
 /// A matroid over the ground set `0..ground_size()`.
 ///

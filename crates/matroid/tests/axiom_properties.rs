@@ -94,6 +94,27 @@ proptest! {
     }
 
     #[test]
+    fn group_can_extend_matches_can_extend((groups, lower, upper, k) in instance_strategy()) {
+        // BiGreedy's probe replay compares two matroids through their
+        // bounds alone; that is exact only if the bounds and a set's
+        // per-group counts decide `can_extend` for every set and element.
+        let Ok(m) = FairnessMatroid::new(groups.clone(), lower, upper, k) else { return Ok(()); };
+        let bounds = m.bounds();
+        let n = groups.len();
+        for mask in 0u32..(1 << n) {
+            let items: Vec<usize> = (0..n).filter(|&i| mask >> i & 1 == 1).collect();
+            let counts = m.counts(&items);
+            for x in 0..n {
+                prop_assert_eq!(
+                    m.can_extend(&items, x),
+                    bounds.group_can_extend(&counts, m.group_of(x)),
+                    "set {:?} element {}", items, x
+                );
+            }
+        }
+    }
+
+    #[test]
     fn uniform_and_partition_axioms(n in 2usize..=7, k in 0usize..=4, caps in prop::collection::vec(0usize..=2, 1..=3)) {
         // One group with l = 0, h = k is the uniform matroid U_{k,n}.
         let k = k.min(n);

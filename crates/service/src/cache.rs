@@ -71,18 +71,18 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
         evicted
     }
 
-    /// Keeps only the entries `keep` accepts; returns how many it dropped.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) -> u64 {
-        let before = self.map.len();
+    /// Keeps only the entries `keep` accepts and returns the values it
+    /// dropped, so that a caller holding the map behind a lock can free
+    /// them after releasing it.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) -> Vec<V> {
         let order = &mut self.order;
-        self.map.retain(|key, (value, tick)| {
-            let kept = keep(key, value);
-            if !kept {
-                order.remove(tick);
-            }
-            kept
-        });
-        (before - self.map.len()) as u64
+        self.map
+            .extract_if(|key, (value, _)| !keep(key, value))
+            .map(|(_, (value, tick))| {
+                order.remove(&tick);
+                value
+            })
+            .collect()
     }
 
     /// Number of resident entries.
@@ -215,14 +215,17 @@ impl SolutionCache {
         sky_generation: u64,
         full_generation: u64,
     ) -> u64 {
-        lock_or_recover(&self.lru).retain(|_, e| {
+        let dropped = lock_or_recover(&self.lru).retain(|_, e| {
             let live = if e.query.skyline {
                 sky_generation
             } else {
                 full_generation
             };
             e.query.dataset != dataset || (e.epoch == epoch && e.generation == live)
-        })
+        });
+        // The guard is gone: the loop's hits no longer wait while the
+        // dropped answers are freed.
+        dropped.len() as u64
     }
 
     /// Number of resident entries.
@@ -369,7 +372,7 @@ mod tests {
         assert!(!lru.insert(2, "b"));
         // Dropping the oldest entry frees its slot: the next insert must
         // not evict, and the one after evicts key 2, not a dropped key.
-        assert_eq!(lru.retain(|&k, _| k != 1), 1);
+        assert_eq!(lru.retain(|&k, _| k != 1), vec!["a"]);
         assert!(!lru.insert(3, "c"));
         assert!(lru.insert(4, "d"));
         assert_eq!(lru.len(), 2);

@@ -10,7 +10,7 @@ use crate::cache::{CacheStats, SolutionCache};
 use crate::catalog::{Catalog, PreparedDataset};
 use crate::metrics::{ServiceMetrics, TelemetryConfig};
 use crate::query::Query;
-use crate::warmstart::{WarmConfig, WarmKey, WarmStartCache, WarmStats};
+use crate::warmstart::{WarmConfig, WarmEntry, WarmKey, WarmStartCache, WarmStats};
 use crate::ServiceError;
 
 /// The immutable result of solving one canonical query.
@@ -436,15 +436,16 @@ impl QueryEngine {
     }
 
     /// Solves `q` from scratch against the prepared dataset, consulting
-    /// the warm-start tier for a BiGreedy `db_max` vector.
+    /// the warm-start tier for a BiGreedy `db_max` vector and τ-probe log.
     ///
     /// The instance comes from [`PreparedDataset::instance`], as it does
     /// for the CLI `solve`, and the algorithm from the shared registry —
     /// so the CLI and every service front end return identical answers
     /// for identical parameters. The warm-start tier is
     /// purely advisory: the solver verifies a cached vector's preimage
-    /// before reusing it (see [`WarmStart::db_max_for`]), so a warm solve
-    /// is bit-identical to a cold one — pinned by
+    /// before reusing it (see [`WarmStart::db_max_for`]) and replays a
+    /// cached probe only when it would make the same picks, so a warm
+    /// solve is bit-identical to a cold one — pinned by
     /// `tests/warmstart_equivalence.rs`.
     #[allow(clippy::disallowed_methods)] // see the R5 waiver inside
     fn solve_cold(
@@ -478,7 +479,10 @@ impl QueryEngine {
             stages.warm_probe_ns = probe.stop().unwrap_or(0);
             found
         });
-        let warm_ctx = WarmStart::seeded(seeded.clone());
+        let warm_ctx = WarmStart::seeded(
+            seeded.as_ref().map(|e| Arc::clone(&e.db_max)),
+            seeded.as_ref().map(|e| Arc::clone(&e.probes)),
+        );
 
         // fairhms-lint: allow(R5) solve_micros is a pre-telemetry wire
         // response field; this read serves it plus the gated span below.
@@ -497,13 +501,22 @@ impl QueryEngine {
         }
 
         // One hit or miss per lookup: the solve either handed back the
-        // seeded vector or deposited a fresh one, which the tier keeps.
-        if let (Some(key), Some(used)) = (warm_key, warm_ctx.db_max()) {
-            if seeded.is_some_and(|s| Arc::ptr_eq(&s, &used)) {
+        // seeded vector or deposited a fresh one. The tier keeps a fresh
+        // vector, and the log of any solve that ran a probe.
+        if let (Some(key), Some(db_max), Some(probes)) =
+            (warm_key, warm_ctx.db_max(), warm_ctx.probes())
+        {
+            let (replayed, run) = warm_ctx.probe_counts();
+            self.metrics.warm_probes_replayed.add(replayed as u64);
+            self.metrics.warm_probes_run.add(run as u64);
+            let reused = seeded.is_some_and(|s| Arc::ptr_eq(&s.db_max, &db_max));
+            if reused {
                 self.warm.note_hit();
             } else {
                 self.warm.note_miss();
-                self.warm.insert(key, used);
+            }
+            if !reused || run > 0 {
+                self.warm.insert(key, WarmEntry { db_max, probes });
             }
         }
 

@@ -86,7 +86,7 @@ pub use metrics::{MetricsSnapshot, ServiceMetrics, TelemetryConfig};
 pub use protocol::{Request, Response, WireAnswer, WireHistogram};
 pub use query::Query;
 pub use server::{ServeOptions, Server};
-pub use warmstart::{WarmConfig, WarmKey, WarmStartCache, WarmStats};
+pub use warmstart::{WarmConfig, WarmEntry, WarmKey, WarmStartCache, WarmStats};
 
 use fairhms_core::types::CoreError;
 use fairhms_data::DatasetError;

@@ -106,6 +106,12 @@ pub struct ServiceMetrics {
     /// `warm.invalidated` — warm-start entries dropped by mutation delta
     /// sweeps. Always recorded.
     pub warm_invalidated: Counter,
+    /// `warm.probes_replayed` — BiGreedy τ-probes replayed from a
+    /// warm-start entry's log instead of run. Always recorded.
+    pub warm_probes_replayed: Counter,
+    /// `warm.probes_run` — BiGreedy τ-probes the engine's solves ran.
+    /// Always recorded.
+    pub warm_probes_run: Counter,
     /// Exponential moving average of `engine.execute` wall time in
     /// microseconds (α = 1/8), always on: the basis for the
     /// `retry_after_ms` advice carried by shed responses.
@@ -138,6 +144,8 @@ impl ServiceMetrics {
             mutations_total: Counter::new(),
             cache_invalidated: Counter::new(),
             warm_invalidated: Counter::new(),
+            warm_probes_replayed: Counter::new(),
+            warm_probes_run: Counter::new(),
             avg_execute_us: std::sync::atomic::AtomicU64::new(0),
         }
     }
@@ -195,6 +203,11 @@ impl ServiceMetrics {
             ("mutations.total".into(), self.mutations_total.get()),
             ("cache.invalidated".into(), self.cache_invalidated.get()),
             ("warm.invalidated".into(), self.warm_invalidated.get()),
+            (
+                "warm.probes_replayed".into(),
+                self.warm_probes_replayed.get(),
+            ),
+            ("warm.probes_run".into(), self.warm_probes_run.get()),
             (
                 "locks.recovered".into(),
                 fairhms_obs::sync::recovered_lock_count(),

@@ -1,20 +1,28 @@
-//! The warm-start tier: an LRU cache of `BiGreedy`'s `db_max` vectors,
-//! separate from the full-answer [`SolutionCache`](crate::SolutionCache).
+//! The warm-start tier: an LRU cache of `BiGreedy`'s per-net state
+//! (its `db_max` vector and the log of its τ-probes), separate from the
+//! full-answer [`SolutionCache`](crate::SolutionCache).
 //!
 //! The solution cache only helps when a query repeats **exactly**. A
 //! near-miss query — same dataset, form, `k` and seed, different `alpha`
-//! or bounds policy — misses it and solves again. Most of a `BiGreedy`
-//! solve's setup is the `m × n` pass that computes
-//! `db_max[u] = max_p ⟨u, p⟩` for every net vector `u`, and that vector
-//! does not depend on the bounds. So this tier caches it, as a
-//! [`CachedDbMax`], keyed by `(dataset epoch, form, form generation, k,
-//! seed)`. That key fixes the vector's whole `(dim, m, seed, n)`
-//! preimage: `dim` is the dataset's, `m = 10·k·d`, and the epoch, form
-//! and generation fix the candidate rows and so `n`. The solver still checks that preimage
-//! ([`fairhms_core::CachedDbMax::matches`]) before it reuses a vector.
-//! Everything else — the δ-net, the matroid's label scan — is rebuilt per
-//! solve; both cost well under a millisecond against a solve of 100 ms
-//! or more.
+//! or bounds policy — misses it and solves again. Two parts of that solve
+//! can be reused:
+//! - the `m × n` pass that computes `db_max[u] = max_p ⟨u, p⟩` for every
+//!   net vector `u`, which does not depend on the bounds;
+//! - the τ-probes, which depend on the bounds only through which groups
+//!   `can_extend` admits along each probe's picks. A near-miss replays
+//!   every recorded probe for which its own bounds give the same answers
+//!   and runs the others (see [`fairhms_core::ProbeLog`]).
+//!
+//! So this tier caches a [`WarmEntry`], the [`CachedDbMax`] beside the
+//! [`ProbeLog`] of the latest solve that ran a probe, keyed by `(dataset
+//! epoch, form, form generation, k, seed)`. That key fixes the vector's
+//! whole `(dim, m, seed, n)` preimage: `dim` is the dataset's,
+//! `m = 10·k·d`, and the epoch, form and generation fix the candidate rows
+//! and so `n`. The solver still checks that preimage
+//! ([`fairhms_core::CachedDbMax::matches`]) before it reuses a vector, and
+//! the log's own record of its net, `n`, `k` and settings before it
+//! replays a probe. The δ-net and the matroid's label scan are rebuilt
+//! per solve; both cost well under a millisecond.
 //!
 //! Only `BiGreedy` solves look the tier up. Each lookup counts one hit
 //! (a cached vector was reused) or one miss (the vector was computed and
@@ -25,10 +33,12 @@
 //! name makes every stale entry unreachable; unreachable entries age out
 //! through the LRU. A mutation drops exactly the entries whose form
 //! generation it moved ([`WarmStartCache::invalidate_stale`]). A resident
-//! entry costs `m` floats: 400 at `k = 10`, `d = 4`.
+//! entry holds `m` floats (3.2 KB at `k = 10`, `d = 4`) and a probe log of
+//! about 700 bytes at that shape.
 //!
 //! Correctness does not depend on this tier at all: the solver verifies
-//! the preimage before reuse, and the equivalence suite
+//! the preimage before reuse and replays only probes that would make the
+//! same picks, and the equivalence suite
 //! (`tests/warmstart_equivalence.rs`) pins every registry algorithm
 //! bit-identical between a warm engine and a fresh one whose tier is
 //! still empty.
@@ -38,14 +48,14 @@ use std::sync::{Arc, Mutex};
 
 use fairhms_obs::sync::lock_or_recover;
 
-use fairhms_core::CachedDbMax;
+use fairhms_core::{CachedDbMax, ProbeLog};
 
 use crate::cache::Lru;
 
 /// Configuration of the warm-start tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarmConfig {
-    /// Maximum resident `db_max` vectors.
+    /// Maximum resident entries.
     pub capacity: usize,
 }
 
@@ -53,6 +63,16 @@ impl Default for WarmConfig {
     fn default() -> Self {
         Self { capacity: 512 }
     }
+}
+
+/// One warm-start entry: a `db_max` vector and the τ-probes of the
+/// latest solve under the same key that ran one.
+#[derive(Debug, Clone)]
+pub struct WarmEntry {
+    /// The per-utility database maxima of the key's net.
+    pub db_max: Arc<CachedDbMax>,
+    /// The τ-probes a near-miss may replay.
+    pub probes: Arc<ProbeLog>,
 }
 
 /// Key of one warm-start entry: everything the cached `db_max` vector
@@ -95,13 +115,14 @@ pub struct WarmStats {
     pub entries: usize,
 }
 
-/// The warm-start cache: a bounded LRU of shared `db_max` vectors.
+/// The warm-start cache: a bounded LRU of [`WarmEntry`]s.
 ///
-/// One mutex suffices: it is held only to clone/insert an `Arc`, never
-/// while a vector is computed. Racing solves of one key deposit
-/// identical vectors; the last writer wins.
+/// One mutex suffices: it is held only to clone/insert two `Arc`s, never
+/// while a vector is computed or a swept entry freed. Racing solves of one key
+/// deposit identical vectors and logs that are each valid for any later
+/// solve; the last writer wins.
 pub struct WarmStartCache {
-    lru: Mutex<Lru<WarmKey, Arc<CachedDbMax>>>,
+    lru: Mutex<Lru<WarmKey, WarmEntry>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -116,18 +137,18 @@ impl WarmStartCache {
         }
     }
 
-    /// The vector under `key`, refreshing its recency. Does not touch
+    /// The entry under `key`, refreshing its recency. Does not touch
     /// the hit/miss counters: the engine counts a hit only once the
     /// solver has actually reused the vector (see
     /// [`WarmStartCache::note_hit`] / [`WarmStartCache::note_miss`]).
-    pub fn get(&self, key: &WarmKey) -> Option<Arc<CachedDbMax>> {
+    pub fn get(&self, key: &WarmKey) -> Option<WarmEntry> {
         lock_or_recover(&self.lru).get(key).cloned()
     }
 
-    /// Inserts (or replaces) the vector under `key`, evicting the least
-    /// recently used entry when full.
-    pub fn insert(&self, key: WarmKey, db_max: Arc<CachedDbMax>) {
-        lock_or_recover(&self.lru).insert(key, db_max);
+    /// Inserts (or replaces) the entry under `key`, evicting the least
+    /// recently used one when full.
+    pub fn insert(&self, key: WarmKey, entry: WarmEntry) {
+        lock_or_recover(&self.lru).insert(key, entry);
     }
 
     /// Delta invalidation after a mutation of the dataset registered at
@@ -142,14 +163,16 @@ impl WarmStartCache {
     /// those entries become unreachable and age out through the LRU, as
     /// before — this sweep is the mutation path only.)
     pub fn invalidate_stale(&self, epoch: u64, sky_generation: u64, full_generation: u64) -> u64 {
-        lock_or_recover(&self.lru).retain(|k, _| {
+        let dropped = lock_or_recover(&self.lru).retain(|k, _| {
             let live = if k.skyline {
                 sky_generation
             } else {
                 full_generation
             };
             k.epoch != epoch || k.generation == live
-        })
+        });
+        // The guard is gone: the entries are freed outside the lock.
+        dropped.len() as u64
     }
 
     /// Records one `db_max` vector reused from the tier.
@@ -200,26 +223,34 @@ mod tests {
         }
     }
 
-    fn db_max(seed: u64) -> Arc<CachedDbMax> {
-        Arc::new(CachedDbMax {
-            dim: 2,
-            m: 1,
-            seed,
-            n: 1,
-            values: vec![1.0],
-        })
+    /// A real entry: the `db_max` vector of a `seed` net over two rows,
+    /// and the probes of a BiGreedy solve on it.
+    fn entry(seed: u64) -> WarmEntry {
+        use fairhms_core::bigreedy::bigreedy_replaying;
+        use fairhms_core::{BiGreedyConfig, FairHmsInstance, SampledNet};
+        let ds = fairhms_data::Dataset::new("t", 2, vec![1.0, 0.0, 0.0, 1.0], vec![0, 1], vec![])
+            .unwrap();
+        let inst = FairHmsInstance::new(ds, 2, vec![1, 1], vec![1, 1]).unwrap();
+        let net = SampledNet::generate(2, 4, seed);
+        let db_max = CachedDbMax::compute(inst.data(), &net);
+        let cfg = BiGreedyConfig::default();
+        let run = bigreedy_replaying(&inst, &net.vectors, &db_max.values, &cfg, None).unwrap();
+        WarmEntry {
+            db_max: Arc::new(db_max),
+            probes: Arc::new(run.log),
+        }
     }
 
     #[test]
     fn get_after_insert_and_replacement() {
         let cache = WarmStartCache::new(8);
         assert!(cache.get(&key(1, 3)).is_none());
-        cache.insert(key(1, 3), db_max(42));
-        assert_eq!(cache.get(&key(1, 3)).expect("entry").seed, 42);
+        cache.insert(key(1, 3), entry(42));
+        assert_eq!(cache.get(&key(1, 3)).expect("entry").db_max.seed, 42);
         // Same key: replaced in place, no growth.
-        cache.insert(key(1, 3), db_max(7));
+        cache.insert(key(1, 3), entry(7));
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.get(&key(1, 3)).unwrap().seed, 7);
+        assert_eq!(cache.get(&key(1, 3)).unwrap().db_max.seed, 7);
         // A bumped epoch or another seed is a distinct key.
         assert!(cache.get(&key(2, 3)).is_none());
         let other_seed = WarmKey {
@@ -232,12 +263,12 @@ mod tests {
     #[test]
     fn lru_eviction_and_recency_refresh() {
         let cache = WarmStartCache::new(2);
-        cache.insert(key(1, 1), db_max(1));
-        cache.insert(key(1, 2), db_max(1));
+        cache.insert(key(1, 1), entry(1));
+        cache.insert(key(1, 2), entry(1));
         // Touch the older entry, then insert a third: the untouched one
         // is the eviction victim.
         assert!(cache.get(&key(1, 1)).is_some());
-        cache.insert(key(1, 3), db_max(1));
+        cache.insert(key(1, 3), entry(1));
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&key(1, 1)).is_some(), "recently used evicted");
         assert!(cache.get(&key(1, 2)).is_none(), "LRU entry survived");
@@ -249,7 +280,7 @@ mod tests {
         cache.note_miss();
         cache.note_miss();
         cache.note_hit();
-        cache.insert(key(1, 1), db_max(1));
+        cache.insert(key(1, 1), entry(1));
         assert_eq!(
             cache.stats(),
             WarmStats {
@@ -273,9 +304,9 @@ mod tests {
         };
         // Epoch 5: skyline-form state at generation 10, full-form at 20.
         // Epoch 9: a different dataset, untouched by the mutation.
-        cache.insert(k_at(5, true, 10), db_max(1));
-        cache.insert(k_at(5, false, 20), db_max(1));
-        cache.insert(k_at(9, true, 77), db_max(1));
+        cache.insert(k_at(5, true, 10), entry(1));
+        cache.insert(k_at(5, false, 20), entry(1));
+        cache.insert(k_at(9, true, 77), entry(1));
         // Mutation moved only the full generation (20 → 21): the skyline
         // entry and the other dataset survive.
         assert_eq!(cache.invalidate_stale(5, 10, 21), 1);
@@ -284,7 +315,7 @@ mod tests {
         assert!(cache.get(&k_at(9, true, 77)).is_some());
         // Each entry answers to its own form's generation: a skyline
         // entry whose generation equals the live *full* one still drops.
-        cache.insert(k_at(5, true, 21), db_max(1));
+        cache.insert(k_at(5, true, 21), entry(1));
         assert_eq!(cache.invalidate_stale(5, 10, 21), 1);
         assert!(cache.get(&k_at(5, true, 10)).is_some());
         // Everything-current sweep is a no-op.

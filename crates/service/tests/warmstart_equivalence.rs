@@ -120,6 +120,20 @@ fn served_answers_are_warmstart_invariant() {
         "warm tier never reused anything across the near-miss sweep: {ws:?}"
     );
     assert!(ws.misses > 0 && ws.entries > 0);
+    // …and near-misses replayed recorded τ-probes instead of running
+    // them, while every answer above still matched a fresh engine's.
+    let counter = |name: &str| {
+        warm.metrics()
+            .counters()
+            .into_iter()
+            .find_map(|(n, v)| (n == name).then_some(v))
+            .unwrap()
+    };
+    let (replayed, run) = (counter("warm.probes_replayed"), counter("warm.probes_run"));
+    assert!(
+        replayed > 0 && run > 0,
+        "replay path not exercised: {replayed} probes replayed, {run} run"
+    );
 }
 
 /// Repeating one exact query must still hit the *solution* cache — the
