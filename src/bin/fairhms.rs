@@ -87,11 +87,13 @@ admin verb to register CSVs under DIR at runtime; --max-streams caps
 concurrent streamed batches (excess answered ERR busy). `append` and
 `delete` mutate a served dataset in place through the APPEND/DELETE wire
 verbs: skylines are maintained incrementally and only cached answers
-whose form the mutation changed are invalidated. A BiGreedy near-miss
-(same dataset, form, k and seed; different bounds) reuses the cached
-db_max vector of the warm-start tier, the m x n part of BiGreedy's
-set-up — answers are bit-identical to a cold solve; --warm-capacity
-bounds the tier's resident vectors.
+whose form the mutation changed are invalidated. --cache N holds at most
+N answers (default 4096). A BiGreedy near-miss (same dataset, form, k
+and seed; different bounds) reuses the warm-start tier's cached db_max
+vector, the m x n part of BiGreedy's set-up, and replays each cached
+tau-probe whose picks its bounds leave unchanged — answers are
+bit-identical to a cold solve; --warm-capacity bounds the tier's
+resident entries.
 Per-stage latency histograms are recorded by default (answers are
 bit-identical with telemetry on or off); --no-telemetry disables them
 and --slow-query-ms N logs one structured stderr line per query slower
@@ -313,7 +315,9 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:4077".to_string());
     let workers = positive(opts, "workers")?.unwrap_or(4);
-    let cache = positive(opts, "cache")?.unwrap_or(1024);
+    // Enough for every distinct answer of a few tens of seconds of cold
+    // BiGreedy solves, so a client repeating a recent query still hits.
+    let cache = positive(opts, "cache")?.unwrap_or(4096);
     let mut serve_opts = ServeOptions {
         addr,
         workers,
