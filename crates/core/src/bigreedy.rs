@@ -306,7 +306,7 @@ struct LoggedProbe {
 /// picks) and its pass flag, plus what the probes ran under: the
 /// matroid's bounds `(l, h, k)`, ε, the mode, the τ search, `n`, `m` and a
 /// fingerprint of the net and `db_max`. At the `cold` serving shape
-/// (k = 10, C = 3, about eleven probes) that is about 700 bytes.
+/// (k = 10, C = 3, ten or eleven probes) that is 752–808 bytes.
 ///
 /// A probe's picks depend only on the objective, τ and which candidates
 /// `can_extend` admits at each state along them: the lazy greedy picks
@@ -374,10 +374,13 @@ impl ProbeLog {
     }
 
     fn push(&mut self, tau: f64, picks: &[usize], passed: bool) {
-        self.picks.extend(picks.iter().map(|&p| p as u32));
+        // The lazy greedy asserts fewer than `u32::MAX` candidates, and a
+        // solve's picks, all probes together, stay far below that.
+        let id = |p: usize| u32::try_from(p).expect("picks and their count fit in u32");
+        self.picks.extend(picks.iter().map(|&p| id(p)));
         self.probes.push(LoggedProbe {
             tau_bits: tau.to_bits(),
-            end: self.picks.len() as u32,
+            end: id(self.picks.len()),
             passed,
         });
     }

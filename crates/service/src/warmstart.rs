@@ -34,7 +34,7 @@
 //! through the LRU. A mutation drops exactly the entries whose form
 //! generation it moved ([`WarmStartCache::invalidate_stale`]). A resident
 //! entry holds `m` floats (3.2 KB at `k = 10`, `d = 4`) and a probe log of
-//! about 700 bytes at that shape.
+//! 752–808 bytes at that shape (ten or eleven probes of ten `u32` picks).
 //!
 //! Correctness does not depend on this tier at all: the solver verifies
 //! the preimage before reuse and replays only probes that would make the
